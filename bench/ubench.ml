@@ -66,8 +66,11 @@ module Baseline = struct
       let dummy = make_dummy () in
       { heap = Array.make capacity dummy; len = 0; next_seq = 0; live = 0; dummy }
 
+    (* Times compare as raw nanoseconds, as the original did; with
+       [Time.t] an immediate int that is an int compare, so the
+       baseline pays no int64 conversion the original did not. *)
     let entry_before a b =
-      let c = Int64.compare (Time.to_ns a.time) (Time.to_ns b.time) in
+      let c = Time.compare a.time b.time in
       if c <> 0 then c < 0 else a.seq < b.seq
 
     let grow q =

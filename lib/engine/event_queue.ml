@@ -14,15 +14,14 @@
    payload directly with no Option or tuple boxing.  Reusable [timer]
    entries are preallocated once by callers and rearmed in place, so a
    steady-state simulation schedules and fires events without allocating
-   at all. *)
+   at all.
+
+   Timestamps are immediate ints ([Time.t] is a private [int] of
+   nanoseconds), so an entry's time is compared, shifted into a tick and
+   stored with plain int operations: no boxing and no external calls. *)
 
 type 'a entry = {
   mutable time : Time.t;
-  (* Unboxed nanosecond mirror of [time], clamped at the [huge_ns]
-     horizon (see [ns_mirror]).  Heap sifts compare entries ~20 times
-     per event at scale; comparing plain ints keeps that in registers
-     where boxed [Int64.compare] costs an external call per probe. *)
-  mutable time_ns : int;
   mutable seq : int;
   mutable payload : 'a;
   mutable cancelled : bool;
@@ -52,15 +51,6 @@ let loc_buffer = -3
    (time, seq) for any setting, because every drained tick is sorted. *)
 let default_tick_bits = 16
 let default_wheel_slots = 256
-
-(* Ticks are plain ints.  Times at or beyond 2^62 ns (~146 simulated
-   years, e.g. [Time.max_value] used as "never") all clamp to one huge
-   tick, and negative times clamp to tick -1: entries sharing a clamped
-   tick still fire in exact (time, seq) order because every drained
-   tick is sorted.  The clamps also keep tick arithmetic far from int
-   overflow. *)
-let huge_ns = 0x4000_0000_0000_0000L
-let huge_tick = max_int - 1
 
 type 'a t = {
   (* Wheel geometry (fixed at creation). *)
@@ -97,19 +87,8 @@ type 'a t = {
    compared and never returned — the length fields guard every access —
    so an immediate stands in for the uninhabitable ['a].  This is the
    same trick the stdlib's [Dynarray] uses for its empty slots. *)
-(* The int mirror of a timestamp.  Exact for every time whose
-   magnitude is below [huge_ns] (all simulatable instants); beyond
-   that it clamps, and [entry_before] falls back to the exact boxed
-   compare when two mirrors collide, so ordering stays exact
-   everywhere. *)
-let ns_mirror time =
-  let ns = Time.to_ns time in
-  if Int64.compare ns huge_ns >= 0 then max_int
-  else if Int64.compare ns (Int64.neg huge_ns) <= 0 then min_int
-  else Int64.to_int ns
-
 let make_dummy () : 'a entry =
-  { time = Time.zero; time_ns = 0; seq = min_int; payload = Obj.magic ();
+  { time = Time.zero; seq = min_int; payload = Obj.magic ();
     cancelled = true; fired = true; where = loc_free; pos = -1 }
 
 let default_capacity = 256
@@ -140,16 +119,12 @@ let create ?(capacity = default_capacity) ?(tick_bits = default_tick_bits)
     dummy;
   }
 
-(* Strict order, monomorphised: timestamps compare as raw [int64]
-   nanoseconds so the hot path never goes through a closure or a
+(* Strict (time, seq) order, monomorphised: timestamps compare as plain
+   int nanoseconds, so the hot path never goes through a closure or a
    polymorphic comparison. *)
 let entry_before a b =
-  if a.time_ns <> b.time_ns then a.time_ns < b.time_ns
-  else
-    (* Equal mirrors: either genuinely simultaneous (decide by seq) or
-       both clamped past the horizon (decide by the exact time). *)
-    let c = Int64.compare (Time.to_ns a.time) (Time.to_ns b.time) in
-    if c <> 0 then c < 0 else a.seq < b.seq
+  let ta = (a.time :> int) and tb = (b.time :> int) in
+  if ta <> tb then ta < tb else a.seq < b.seq
 
 let fresh_seq q =
   let s = q.next_seq in
@@ -240,14 +215,14 @@ let rec heap_settle q =
 (* ------------------------------------------------------------------ *)
 (* Wheel slots and drain buffer *)
 
-(* Tick of an entry, from its unboxed mirror: negative times clamp to
-   tick -1, times at or past the [huge_ns] horizon to [huge_tick], and
-   everything simulatable shifts exactly — same routing as computing
-   from the boxed time, without the [Int64] compares. *)
-let tick_of_entry q e =
-  if e.time_ns < 0 then -1
-  else if e.time_ns = max_int then huge_tick
-  else e.time_ns asr q.tick_bits
+(* Tick of an entry: its time shifted right by the tick width.  An
+   arithmetic shift floors, so negative times land on negative ticks,
+   which never exceed the cursor (it starts at 0 and only advances) and
+   go straight to the drain buffer.  Every tick is below [max_int], the
+   "nothing pending" sentinel of [advance], even for [Time.max_value]
+   ("never"): all "never" entries share its tick and fire last, in
+   (time, seq) order like every drained tick. *)
+let tick_of_entry q e = (e.time :> int) asr q.tick_bits
 
 let slot_insert q e tk =
   let s = tk land q.wheel_mask in
@@ -343,13 +318,14 @@ let load_slot q s =
 
 (* Earliest occupied tick in the wheel window.  Precondition:
    [wheel_count > 0], which guarantees the scan terminates inside the
-   window (every wheel entry's tick is in (cursor, cursor+wheel_slots)). *)
-let next_wheel_tick q =
-  let rec go i =
-    let s = (q.cursor + i) land q.wheel_mask in
-    if q.slot_len.(s) > 0 then q.cursor + i else go (i + 1)
-  in
-  go 1
+   window (every wheel entry's tick is in (cursor, cursor+wheel_slots)).
+   A top-level loop, not a local closure over [q]: the scan runs once
+   per drained tick and must not allocate. *)
+let rec next_wheel_tick_from q i =
+  let s = (q.cursor + i) land q.wheel_mask in
+  if q.slot_len.(s) > 0 then q.cursor + i else next_wheel_tick_from q (i + 1)
+
+let next_wheel_tick q = next_wheel_tick_from q 1
 
 (* Pull overflow entries whose tick has entered the wheel window (or
    passed the cursor) out of the heap.  Each entry migrates at most
@@ -408,7 +384,7 @@ let insert q e =
 
 let add q ~time payload =
   let entry =
-    { time; time_ns = ns_mirror time; seq = fresh_seq q; payload;
+    { time; seq = fresh_seq q; payload;
       cancelled = false; fired = false; where = loc_free; pos = -1 }
   in
   insert q entry;
@@ -442,7 +418,7 @@ let pop q =
 let pop_before q ~limit ~none =
   if settle q then begin
     let e = q.buffer.(0) in
-    if Int64.compare (Time.to_ns e.time) (Time.to_ns limit) <= 0 then begin
+    if (e.time :> int) <= (limit : Time.t :> int) then begin
       fire q e;
       e.payload
     end
@@ -492,7 +468,7 @@ let clear q =
 (* Reusable timers *)
 
 let timer _q payload =
-  { time = Time.zero; time_ns = 0; seq = 0; payload; cancelled = true;
+  { time = Time.zero; seq = 0; payload; cancelled = true;
     fired = false; where = loc_free; pos = -1 }
 
 let timer_armed e = e.where <> loc_free
@@ -510,7 +486,6 @@ let arm q e ~time =
     q.live <- q.live - 1
   end;
   e.time <- time;
-  e.time_ns <- ns_mirror time;
   e.seq <- fresh_seq q;
   e.cancelled <- false;
   e.fired <- false;

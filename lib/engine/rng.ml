@@ -1,41 +1,52 @@
-type t = { mutable state : int64 }
+(* The 64-bit SplitMix64 state lives in an 8-byte buffer.  A [mutable
+   int64] record field would hold a boxed value and allocate a fresh box
+   on every draw; the bytes primitives read and write it unboxed, so
+   with [mix64] inlined a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 output function (Stafford's Mix13 variant). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix64 state
+
+let split t = of_state (bits64 t)
+let copy t = Bytes.copy t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top bits to stay unbiased. *)
+  (* Rejection sampling on the top 63 bits to stay unbiased: reject
+     values in the final, partial copy of [0, bound).  A loop rather
+     than a local recursive function, so no closure is built. *)
   let bound64 = Int64.of_int bound in
-  let rec draw () =
+  let limit = Int64.sub (Int64.sub Int64.max_int bound64) 1L in
+  let result = ref (-1) in
+  while !result < 0 do
     let r = Int64.shift_right_logical (bits64 t) 1 in
     let v = Int64.rem r bound64 in
-    (* Reject values in the final, partial copy of [0, bound). *)
-    if Int64.compare (Int64.sub r v) (Int64.sub (Int64.sub Int64.max_int bound64) 1L) > 0
-    then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+    if Int64.sub r v <= limit then result := Int64.to_int v
+  done;
+  !result
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
+let[@inline] unit_float t =
   (* 53 uniform mantissa bits in [0, 1). *)
   let r = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float r *. (1. /. 9007199254740992.)
@@ -50,7 +61,7 @@ let float_in t lo hi =
     invalid_arg "Rng.float_in: empty or non-finite range";
   lo +. (unit_float t *. (hi -. lo))
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.logand (bits64 t) 1L <> 0L
 
 let exponential t ~mean =
   if not (Float.is_finite mean) || mean <= 0. then

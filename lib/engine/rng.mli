@@ -10,7 +10,10 @@
 
     The core generator is SplitMix64 (Steele, Lea & Flood, OOPSLA'14):
     64-bit state, 64-bit output, passes BigCrush, and supports cheap
-    splitting by deriving a child seed from the parent stream. *)
+    splitting by deriving a child seed from the parent stream.  The
+    state is kept unboxed, so the integer draws ({!int}, {!int_in},
+    {!bool}) allocate nothing; draws that return a [float] or an
+    [int64] box their result when the call is not inlined. *)
 
 type t
 (** A mutable generator. *)

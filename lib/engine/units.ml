@@ -24,16 +24,25 @@ module Rate = struct
   let to_bps r = r
   let to_bytes_per_sec r = float_of_int r /. 8.
 
+  (* Beyond this many bytes, [bytes * 8 * 1e9] overflows an int. *)
+  let int_safe_bytes = max_int / 8_000_000_000
+
   let transmission_time r bytes =
     if bytes < 0 then invalid_arg "Rate.transmission_time: negative size";
-    (* ceil (bytes * 8 * 1e9 / r) nanoseconds, in int64 to avoid
-       overflow for large transfers on slow links. *)
-    let bits = Int64.mul (Int64.of_int bytes) 8L in
-    let num = Int64.mul bits 1_000_000_000L in
-    let r64 = Int64.of_int r in
-    let q = Int64.div num r64 in
-    let q = if Int64.equal (Int64.rem num r64) 0L then q else Int64.succ q in
-    Time.of_ns64 q
+    (* ceil (bytes * 8 * 1e9 / r) nanoseconds.  Sizes up to ~576 MB
+       stay in int arithmetic and allocate nothing; larger transfers
+       take int64, as before, so slow links do not overflow. *)
+    if bytes <= int_safe_bytes then begin
+      let num = bytes * 8_000_000_000 in
+      let q = num / r in
+      Time.ns (if num - (q * r) = 0 then q else q + 1)
+    end
+    else begin
+      let num = Int64.mul (Int64.of_int bytes) 8_000_000_000L in
+      let r64 = Int64.of_int r in
+      let q = Int64.div num r64 in
+      Time.of_ns64 (if Int64.equal (Int64.rem num r64) 0L then q else Int64.succ q)
+    end
 
   let bdp_bytes r rtt = int_of_float (to_bytes_per_sec r *. Time.to_sec_f rtt)
   let min a b = Stdlib.min a b

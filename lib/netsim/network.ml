@@ -16,18 +16,18 @@ let compute_routes topo =
   let next_hop = Array.make_matrix n n (-1) in
   let nodes = Array.of_list (Topology.nodes topo) in
   let dijkstra src =
-    let dist = Array.make n Int64.max_int in
+    let dist = Array.make n max_int in
     let prev = Array.make n (-1) in
     let visited = Array.make n false in
     let src_i = Node_id.to_int src in
-    dist.(src_i) <- 0L;
+    dist.(src_i) <- 0;
     let module Pq = Set.Make (struct
-      type t = int64 * int
+      type t = int * int
 
       let compare (d1, n1) (d2, n2) =
-        match Int64.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
+        match Int.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
     end) in
-    let pq = ref (Pq.singleton (0L, src_i)) in
+    let pq = ref (Pq.singleton (0, src_i)) in
     while not (Pq.is_empty !pq) do
       let ((_, u) as min_elt) = Pq.min_elt !pq in
       pq := Pq.remove min_elt !pq;
@@ -39,9 +39,9 @@ let compute_routes topo =
             match Topology.link topo nodes.(u) v_id with
             | None -> ()
             | Some l ->
-                let w = Int64.add (Engine.Time.to_ns (Link.delay l)) 1L in
-                let alt = Int64.add dist.(u) w in
-                if Int64.compare alt dist.(v) < 0 then begin
+                let w = (Link.delay l :> int) + 1 in
+                let alt = dist.(u) + w in
+                if alt < dist.(v) then begin
                   dist.(v) <- alt;
                   prev.(v) <- u;
                   pq := Pq.add (alt, v) !pq

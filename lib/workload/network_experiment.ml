@@ -216,12 +216,14 @@ let unsafe_disable_pool_release = ref false
 let unsafe_disable_churn_kill = ref false
 
 (* Test/fuzz hook: when set, sharded runs skip the deferred outbox and
-   apply relay occupancy deltas immediately during the parallel window
-   — the broken exchange ordering the barrier protocol exists to
-   prevent.  Mid-window application makes each shard's view depend on
-   which slots it co-hosts, so shards=1 and shards=4 runs diverge; the
-   check harness's shard differential catches the divergence and
-   shrinks it to a replayable line. *)
+   apply relay occupancy deltas immediately during the window — the
+   broken exchange ordering the barrier protocol exists to prevent.
+   Mid-window application makes each shard's view depend on which
+   slots it co-hosts, so shards=1 and shards=4 runs diverge; the check
+   harness's shard differential catches the divergence and shrinks it
+   to a replayable line.  While it is set, a window's shards step in
+   sequence on the calling domain, so the planted bug is deterministic
+   rather than a data race. *)
 let unsafe_unordered_exchange = ref false
 
 (* Live relay status at round level (mirrors [Tor_model.Directory.status]). *)
@@ -291,12 +293,6 @@ type state = {
      cost ~10 misses — at a million events per second that locality is
      the difference, not the arithmetic. *)
   circ : int array;  (* slots * stride; field offsets [f_*] below *)
-  (* [c_rtt.(i)] is the boxed [Time.t] of session [i]'s current
-     circuit's [f_rtt_ns], built once at arrival: without flambda every
-     [Time.ns] call allocates a fresh Int64 box, and the round timer
-     rearms ~50 times per lifetime.  Indexed per session (a slot hosts
-     at most one circuit at a time). *)
-  c_rtt : Engine.Time.t array;
   free : int array;
   mutable free_top : int;
   (* Session slots.  [s_timer] is filled right after construction (its
@@ -358,7 +354,7 @@ type state = {
   mutable ob_len : int;
 }
 
-let now_ns st = Int64.to_int (Engine.Time.to_ns (Engine.Sim.now st.sim))
+let now_ns st = (Engine.Sim.now st.sim :> int)
 
 (* Bandwidth-weighted draw: binary search for the first cumulative
    weight exceeding a uniform draw over the total. *)
@@ -372,45 +368,43 @@ let draw_weighted rng cum =
   done;
   !lo
 
-(* Draw a relay id, mapping through [ids] when drawing from a
-   flag-restricted sub-population (exits). *)
-let draw_id rng cum ids =
-  let i = draw_weighted rng cum in
-  match ids with Some ids -> ids.(i) | None -> i
-
 (* Draw a relay distinct from [a] and [b] and visible in the current
    snapshot: a few weighted redraws, then a deterministic bounded scan
    so selection can never loop.  [-1] when no eligible relay exists.
    With everything visible (churn-free) the draw sequence is identical
-   to the historical unguarded version. *)
-let draw_distinct st rng cum ids ~a ~b =
-  let ok r = r <> a && r <> b && st.vis.(r) = 1 in
-  let r = ref (draw_id rng cum ids) in
+   to the historical unguarded version.  [eligible] is a top-level
+   function rather than a local closure over [a] and [b], so a draw
+   allocates no closure. *)
+let eligible st ~a ~b r = r <> a && r <> b && st.vis.(r) = 1
+
+let draw_distinct st rng cum ~a ~b =
+  let r = ref (draw_weighted rng cum) in
   let tries = ref 0 in
-  while (not (ok !r)) && !tries < 8 do
-    r := draw_id rng cum ids;
+  while (not (eligible st ~a ~b !r)) && !tries < 8 do
+    r := draw_weighted rng cum;
     incr tries
   done;
-  if ok !r then !r
+  if eligible st ~a ~b !r then !r
   else begin
     let n = st.n_total in
     let c = ref ((!r + 1) mod n) in
     let steps = ref 0 in
-    while (not (ok !c)) && !steps < n do
+    while (not (eligible st ~a ~b !c)) && !steps < n do
       c := (!c + 1) mod n;
       incr steps
     done;
-    if ok !c then !c else -1
+    if eligible st ~a ~b !c then !c else -1
   end
 
 (* Exits are drawn first (no distinctness constraint yet), but must be
    snapshot-visible; the scan fallback walks the exit sub-population,
-   not all relays.  [-1] when no exit is visible. *)
+   not all relays.  [-1] when no exit is visible.  Draws index the exit
+   sub-population and map through [exit_ids]. *)
 let draw_exit st rng =
-  let r = ref (draw_id rng st.cum_exit (Some st.exit_ids)) in
+  let r = ref st.exit_ids.(draw_weighted rng st.cum_exit) in
   let tries = ref 0 in
   while st.vis.(!r) = 0 && !tries < 8 do
-    r := draw_id rng st.cum_exit (Some st.exit_ids);
+    r := st.exit_ids.(draw_weighted rng st.cum_exit);
     incr tries
   done;
   if st.vis.(!r) = 1 then !r
@@ -636,7 +630,8 @@ let round st i p =
       charge_hop st h2 delta;
       st.circ.(p + f_cwnd) <- cwnd'
     end;
-    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) st.c_rtt.(i)
+    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i)
+      (Engine.Time.ns st.circ.(p + f_rtt_ns))
   end
 
 let register st r cwnd =
@@ -711,7 +706,7 @@ let churn_step st =
           else begin
             st.rstatus.(r) <- st_draining;
             st.drain_deadline_ns.(r) <-
-              now + Int64.to_int (Engine.Time.to_ns c.drain_grace)
+              now + (c.drain_grace :> int)
           end
         end
     end
@@ -750,9 +745,9 @@ let try_arrival st i =
     incr tries;
     e := draw_exit st rng;
     if !e >= 0 then begin
-      g := draw_distinct st rng st.cum_all None ~a:!e ~b:(-1);
+      g := draw_distinct st rng st.cum_all ~a:!e ~b:(-1);
       if !g >= 0 then begin
-        m := draw_distinct st rng st.cum_all None ~a:!e ~b:!g;
+        m := draw_distinct st rng st.cum_all ~a:!e ~b:!g;
         if !m >= 0 then
           admitted := hop_ok st !g && hop_ok st !m && hop_ok st !e
       end
@@ -810,11 +805,10 @@ let try_arrival st i =
       st.s_res_rem.(i) <- -1
     end;
     let rtt_ns =
-      let access = Int64.to_int (Engine.Time.to_ns st.config.access_delay) in
+      let access = (st.config.access_delay :> int) in
       2 * (st.lat_ns.(!g) + st.lat_ns.(!m) + st.lat_ns.(!e) + (2 * access))
     in
     st.circ.(p + f_rtt_ns) <- rtt_ns;
-    st.c_rtt.(i) <- Engine.Time.ns rtt_ns;
     let cwnd = st.circ.(p + f_cwnd) in
     register st !g cwnd;
     register st !m cwnd;
@@ -822,7 +816,7 @@ let try_arrival st i =
     st.s_circ.(i) <- p;
     st.live <- st.live + 1;
     if st.live > st.peak_active then st.peak_active <- st.live;
-    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) st.c_rtt.(i)
+    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.ns rtt_ns)
   end
 
 let step st i =
@@ -857,7 +851,7 @@ let build_states ~seed config =
   in
   let lat_ns =
     Array.map
-      (fun (s : Relay_gen.spec) -> Int64.to_int (Engine.Time.to_ns s.latency))
+      (fun (s : Relay_gen.spec) -> (s.latency :> int))
       specs
   in
   let cum_all = Array.make n 0. in
@@ -926,7 +920,6 @@ let build_states ~seed config =
   let s_res_kind = Array.make slots 0 in
   let s_res_started = Array.make slots 0 in
   let circ = Array.make (slots * stride) 0 in
-  let c_rtt = Array.make slots Engine.Time.zero in
   let s_circ = Array.make slots (-1) in
   let states =
     Array.init k (fun j ->
@@ -968,7 +961,6 @@ let build_states ~seed config =
           s_res_kind;
           s_res_started;
           circ;
-          c_rtt;
           free =
             (if sharded then [||]
              else Array.init slots (fun i -> (slots - 1 - i) * stride));
@@ -1133,12 +1125,12 @@ let run_sharded ~seed states =
   let churn = st0.churn in
   let window_ns =
     let min_lat = Array.fold_left Stdlib.min max_int st0.lat_ns in
-    let access = Int64.to_int (Engine.Time.to_ns c.access_delay) in
+    let access = (c.access_delay :> int) in
     Stdlib.max 1 (2 * ((3 * min_lat) + (2 * access)))
   in
-  let tick_ns = Int64.to_int (Engine.Time.to_ns c.churn_tick) in
-  let epoch_ns = Int64.to_int (Engine.Time.to_ns c.epoch_period) in
-  let duration_ns = Int64.to_int (Engine.Time.to_ns c.duration) in
+  let tick_ns = (c.churn_tick :> int) in
+  let epoch_ns = (c.epoch_period :> int) in
+  let duration_ns = (c.duration :> int) in
   let relay_owner =
     Array.init st0.n_total (fun r -> Shard.relay_shard ~seed ~shards:k r)
   in
@@ -1161,10 +1153,14 @@ let run_sharded ~seed states =
     let until = Engine.Time.ns b in
     (* The [unsafe_unordered_exchange] hook reverts to mid-window
        in-place application — the broken ordering the barrier protocol
-       exists to prevent; see the hook's comment. *)
+       exists to prevent; see the hook's comment.  Under the hook the
+       shards step one after another on this domain, so the in-place
+       writes land in a fixed shard order instead of racing. *)
     let defer = not !unsafe_unordered_exchange in
     Array.iter (fun st -> st.defer <- defer) states;
-    Engine.Pool.Team.run team (fun j -> Engine.Sim.run states.(j).sim ~until);
+    if defer then
+      Engine.Pool.Team.run team (fun j -> Engine.Sim.run states.(j).sim ~until)
+    else Array.iter (fun st -> Engine.Sim.run st.sim ~until) states;
     Array.iter (fun st -> st.defer <- false) states;
     if defer then begin
       (* Exchange: deltas are additive ints, so applying every outbox's

@@ -189,8 +189,10 @@ val unsafe_unordered_exchange : bool ref
     barrier exchange, so what a shard observes depends on which slots
     it co-hosts and runs with different shard counts diverge.  The
     check harness's shards=1-vs-4 differential catches the divergence
-    and shrinks it to a replayable line.  No effect on [shards = 0].
-    Reset it. *)
+    and shrinks it to a replayable line.  While it is set, each
+    window's shards step in sequence on the calling domain, so the
+    divergence is deterministic.  No effect on [shards = 0].  Reset
+    it. *)
 
 val run : ?seed:int -> config -> result
 (** Deterministic per [(seed, config)].  Raises [Invalid_argument] if

@@ -54,15 +54,14 @@ let generate rng config ~n =
         |> Float.max config.bandwidth_min_mbit
         |> Float.min config.bandwidth_max_mbit
       in
-      let lat_lo = Engine.Time.to_ns config.latency_min in
-      let lat_hi = Engine.Time.to_ns config.latency_max in
+      let lat_lo = (config.latency_min :> int) in
+      let lat_hi = (config.latency_max :> int) in
       let latency =
-        if Int64.equal lat_lo lat_hi then config.latency_min
+        if lat_lo = lat_hi then config.latency_min
         else
-          Engine.Time.of_ns64
-            (Int64.add lat_lo
-               (Int64.of_float
-                  (Engine.Rng.float rng (Int64.to_float (Int64.sub lat_hi lat_lo)))))
+          Engine.Time.ns
+            (lat_lo
+            + int_of_float (Engine.Rng.float rng (float_of_int (lat_hi - lat_lo))))
       in
       let flags =
         let base =

@@ -131,10 +131,10 @@ let run config =
       (fun _ ->
         if Engine.Time.equal config.start_stagger Engine.Time.zero then Engine.Time.zero
         else
-          Engine.Time.of_ns64
-            (Int64.of_float
+          Engine.Time.ns
+            (int_of_float
                (Engine.Rng.float stagger_rng
-                  (Int64.to_float (Engine.Time.to_ns config.start_stagger)))))
+                  (float_of_int (config.start_stagger :> int)))))
       circuits
   in
   let remaining = ref (List.length circuits) in

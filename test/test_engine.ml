@@ -28,6 +28,32 @@ let test_time_saturation () =
   let huge = Engine.Time.max_value in
   Alcotest.check time "add saturates" huge (Engine.Time.add huge (Engine.Time.s 1))
 
+(* The representable range is [-2^62, 2^62 - 1] ns: [max_value] is
+   [max_int], and every conversion from a wider type clamps into it. *)
+let test_time_range_edges () =
+  let ns64 = Engine.Time.of_ns64 and huge = Engine.Time.max_value in
+  let lowest = Engine.Time.of_ns64 Int64.min_int in
+  Alcotest.(check int) "max_value is max_int" max_int (huge :> int);
+  Alcotest.(check int) "lowest is min_int" min_int (lowest :> int);
+  Alcotest.check time "add of two positives saturates" huge
+    (Engine.Time.add (Engine.Time.ns (max_int / 2 + 1)) (Engine.Time.ns (max_int / 2 + 1)));
+  Alcotest.check time "add up to max_value is exact" huge
+    (Engine.Time.add (Engine.Time.ns (max_int - 5)) (Engine.Time.ns 5));
+  Alcotest.check time "of_ns64 at 2^62 saturates" huge (ns64 0x4000_0000_0000_0000L);
+  Alcotest.check time "of_ns64 at int64 max saturates" huge (ns64 Int64.max_int);
+  Alcotest.check time "of_ns64 below -2^62 saturates" lowest
+    (ns64 (-0x4000_0000_0000_0001L));
+  Alcotest.check time "of_sec_f beyond range saturates" huge (Engine.Time.of_sec_f 1e12);
+  Alcotest.check time "of_sec_f below range saturates" lowest
+    (Engine.Time.of_sec_f (-1e12));
+  Alcotest.check time "of_ms_f beyond range saturates" huge (Engine.Time.of_ms_f 1e15);
+  Alcotest.check time "scale beyond range saturates" huge
+    (Engine.Time.scale (Engine.Time.s 1_000_000_000) 10.);
+  Alcotest.check time "scale below range saturates" lowest
+    (Engine.Time.scale (Engine.Time.s 1_000_000_000) (-10.));
+  Alcotest.check time "scale of never by 1 stays never" huge
+    (Engine.Time.scale huge 1.)
+
 let test_time_conversions () =
   Alcotest.(check (float 1e-12)) "to_sec_f" 0.002 (Engine.Time.to_sec_f (Engine.Time.ms 2));
   Alcotest.(check (float 1e-9)) "to_ms_f" 2. (Engine.Time.to_ms_f (Engine.Time.ms 2));
@@ -60,6 +86,23 @@ let prop_time_add_sub =
     (fun (a, b) ->
       let ta = Engine.Time.ns a and tb = Engine.Time.ns b in
       Engine.Time.equal (Engine.Time.sub (Engine.Time.add ta tb) tb) ta)
+
+let gen_ns64_in_range =
+  QCheck2.Gen.(
+    map Int64.of_int
+      (oneof [ int_range (-1_000_000) 1_000_000; int_range min_int max_int ]))
+
+let prop_time_ns64_roundtrip =
+  QCheck2.Test.make ~name:"to_ns (of_ns64 x) = x in range" gen_ns64_in_range
+    (fun x -> Int64.equal (Engine.Time.to_ns (Engine.Time.of_ns64 x)) x)
+
+let prop_time_compare_int64 =
+  QCheck2.Test.make ~name:"Time.compare agrees with Int64.compare"
+    QCheck2.Gen.(pair gen_ns64_in_range gen_ns64_in_range)
+    (fun (a, b) ->
+      let sign c = Stdlib.compare c 0 in
+      sign (Engine.Time.compare (Engine.Time.of_ns64 a) (Engine.Time.of_ns64 b))
+      = sign (Int64.compare a b))
 
 (* ------------------------------------------------------------------ *)
 (* Units *)
@@ -206,6 +249,96 @@ let prop_rng_int_unbiased =
         seen.(Engine.Rng.int rng bound) <- true
       done;
       Array.for_all Fun.id seen)
+
+(* The boxed SplitMix64 that [Engine.Rng] used to be, frozen as the
+   reference model: the generator now keeps its state unboxed, and every
+   stream it produces must stay bit-identical to this one. *)
+module Ref_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+
+  let bits64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix64 t.state
+
+  let split t = { state = bits64 t }
+  let copy t = { state = t.state }
+
+  let int t bound =
+    let bound64 = Int64.of_int bound in
+    let rec draw () =
+      let r = Int64.shift_right_logical (bits64 t) 1 in
+      let v = Int64.rem r bound64 in
+      if Int64.compare (Int64.sub r v) (Int64.sub (Int64.sub Int64.max_int bound64) 1L) > 0
+      then draw ()
+      else Int64.to_int v
+    in
+    draw ()
+
+  let unit_float t =
+    let r = Int64.shift_right_logical (bits64 t) 11 in
+    Int64.to_float r *. (1. /. 9007199254740992.)
+
+  let float t bound = unit_float t *. bound
+  let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+end
+
+type rng_op = Bits | Int of int | Float of float | Bool | Split | Copy
+
+let gen_rng_op =
+  let bound =
+    QCheck2.Gen.(
+      oneof
+        [ int_range 1 1_000; int_range 1 max_int;
+          map (fun d -> max_int - d) (int_range 0 1_000);
+          map (fun k -> 1 lsl k) (int_range 0 61);
+          map (fun k -> (1 lsl k) + 1) (int_range 0 61) ])
+  in
+  QCheck2.Gen.(
+    oneof
+      [ pure Bits; map (fun b -> Int b) bound;
+        map (fun x -> Float x) (float_range 1e-9 1e9);
+        pure Bool; pure Split; pure Copy ])
+
+(* One random program of draws, run on the generator and the reference
+   in lockstep.  [Split] continues on the child streams; [Copy] checks
+   that the copies and the originals all agree. *)
+let prop_rng_matches_reference =
+  QCheck2.Test.make ~name:"Rng streams are bit-identical to boxed SplitMix64"
+    ~count:300
+    QCheck2.Gen.(pair int (list_size (int_range 1 200) gen_rng_op))
+    (fun (seed, ops) ->
+      let module R = Engine.Rng in
+      let t = ref (R.create seed) and m = ref (Ref_rng.create seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Bits -> Int64.equal (R.bits64 !t) (Ref_rng.bits64 !m)
+          | Int b -> R.int !t b = Ref_rng.int !m b
+          | Float x ->
+              Int64.equal
+                (Int64.bits_of_float (R.float !t x))
+                (Int64.bits_of_float (Ref_rng.float !m x))
+          | Bool -> R.bool !t = Ref_rng.bool !m
+          | Split ->
+              t := R.split !t;
+              m := Ref_rng.split !m;
+              Int64.equal (R.bits64 !t) (Ref_rng.bits64 !m)
+          | Copy ->
+              let tc = R.copy !t and mc = Ref_rng.copy !m in
+              let a = R.bits64 tc and b = Ref_rng.bits64 mc in
+              Int64.equal a b
+              && Int64.equal (R.bits64 !t) a
+              && Int64.equal (Ref_rng.bits64 !m) b)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Event queue *)
@@ -379,6 +512,31 @@ let test_queue_wheel_horizons () =
   in
   Alcotest.(check (list int)) "drains sorted across horizons"
     (List.sort Int.compare deadlines) drained;
+  Alcotest.(check bool) "empty at the end" true (Engine.Event_queue.is_empty q)
+
+let test_queue_never_last () =
+  (* "Never" entries ([Time.max_value]) share the last tick: they fire
+     after every finite deadline, in insertion order among themselves,
+     and a [pop_before] horizon of "never" still reaches them. *)
+  let q = Engine.Event_queue.create () in
+  let never = Engine.Time.max_value in
+  let add time x = ignore (Engine.Event_queue.add q ~time x) in
+  add never "never-1";
+  add (Engine.Time.ms 5) "5ms";
+  add never "never-2";
+  add (Engine.Time.s 3_600) "1h";
+  add (Engine.Time.of_ns64 0x3fff_ffff_ffff_fff0L) "almost-never";
+  add never "never-3";
+  add Engine.Time.zero "0";
+  let drained =
+    List.init 7 (fun _ ->
+        Engine.Event_queue.pop_before q ~limit:never ~none:"none")
+  in
+  Alcotest.(check (list string)) "never fires last, in sequence order"
+    [ "0"; "5ms"; "1h"; "almost-never"; "never-1"; "never-2"; "never-3" ]
+    drained;
+  Alcotest.check time "popped time is never" never
+    (Engine.Event_queue.popped_time q);
   Alcotest.(check bool) "empty at the end" true (Engine.Event_queue.is_empty q)
 
 let prop_queue_sorted_drain =
@@ -882,11 +1040,82 @@ let test_trace_events_csv_roundtrip () =
     (List.length (Engine.Trace.events_of_csv "not,a,valid\nrow\n"))
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: the primitives every layer calls must not allocate *)
+
+(* Minor words allocated by [n] calls of [f]. *)
+let words_for n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+(* Steady-state minor words per call: the difference between a long and
+   a short loop cancels every fixed cost (the loop, the counter reads),
+   so an operation that allocates nothing reads exactly 0. *)
+let words_per_call f =
+  ignore (words_for 1_000 f);
+  let short = words_for 10_000 f in
+  let long = words_for 110_000 f in
+  (long -. short) /. 100_000.
+
+let check_no_alloc name f =
+  Alcotest.(check (float 0.)) (name ^ ": minor words per call") 0. (words_per_call f)
+
+let test_alloc_rng () =
+  let rng = Engine.Rng.create 11 in
+  let sink = ref 0 in
+  check_no_alloc "Rng.int" (fun () -> sink := !sink + Engine.Rng.int rng 1_000);
+  check_no_alloc "Rng.int near max_int" (fun () ->
+      sink := !sink lxor Engine.Rng.int rng (max_int - 7));
+  check_no_alloc "Rng.bool" (fun () ->
+      if Engine.Rng.bool rng then incr sink)
+
+let test_alloc_time () =
+  let t = ref Engine.Time.zero and d = Engine.Time.ns 7 in
+  check_no_alloc "Time.add" (fun () -> t := Engine.Time.add !t d)
+
+let test_alloc_transmission_time () =
+  let r = Engine.Units.Rate.mbit 3 and t = ref Engine.Time.zero in
+  let bytes = ref 0 in
+  check_no_alloc "Rate.transmission_time" (fun () ->
+      bytes := (!bytes + 509) land 0xffff;
+      t := Engine.Units.Rate.transmission_time r !bytes)
+
+(* One self-rearming timer fired [n] times inside a single [Sim.run]:
+   the minor words the whole run allocates. *)
+let timer_run_words n =
+  let sim = Engine.Sim.create () in
+  let fired = ref 0 in
+  let self = ref None in
+  let delay = Engine.Time.us 10 in
+  let tick () =
+    incr fired;
+    if !fired < n then Engine.Sim.Timer.arm_after sim (Option.get !self) delay
+  in
+  let timer = Engine.Sim.Timer.create sim tick in
+  self := Some timer;
+  Engine.Sim.Timer.arm_after sim timer delay;
+  let before = Gc.minor_words () in
+  Engine.Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every firing ran" n !fired;
+  words
+
+let test_alloc_timer () =
+  ignore (timer_run_words 1_000);
+  let short = timer_run_words 10_000 in
+  let long = timer_run_words 100_000 in
+  Alcotest.(check (float 0.)) "Sim.Timer rearm: minor words per firing" 0.
+    ((long -. short) /. 90_000.)
+
+(* ------------------------------------------------------------------ *)
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_time_order; prop_time_add_sub; prop_transmission_additive;
-      prop_rng_int_unbiased; prop_queue_sorted_drain; prop_queue_matches_model;
+    [ prop_time_order; prop_time_add_sub; prop_time_ns64_roundtrip;
+      prop_time_compare_int64; prop_transmission_additive;
+      prop_rng_int_unbiased; prop_rng_matches_reference; prop_queue_sorted_drain; prop_queue_matches_model;
       prop_online_matches_direct; prop_cdf_monotone; prop_samples_match_array ]
 
 let () =
@@ -897,6 +1126,7 @@ let () =
           Alcotest.test_case "constructors" `Quick test_time_constructors;
           Alcotest.test_case "arithmetic" `Quick test_time_arithmetic;
           Alcotest.test_case "saturation" `Quick test_time_saturation;
+          Alcotest.test_case "range edges" `Quick test_time_range_edges;
           Alcotest.test_case "conversions" `Quick test_time_conversions;
           Alcotest.test_case "pretty printing" `Quick test_time_pp;
           Alcotest.test_case "negative pretty printing" `Quick test_negative_time_pp;
@@ -941,6 +1171,7 @@ let () =
           Alcotest.test_case "live bookkeeping" `Quick test_queue_live_bookkeeping;
           Alcotest.test_case "wheel and heap horizons" `Quick
             test_queue_wheel_horizons;
+          Alcotest.test_case "never fires last" `Quick test_queue_never_last;
         ] );
       ( "sim",
         [
@@ -986,6 +1217,14 @@ let () =
           Alcotest.test_case "trace events" `Quick test_trace_events;
           Alcotest.test_case "trace events csv round trip" `Quick
             test_trace_events_csv_roundtrip;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Rng.int and Rng.bool" `Quick test_alloc_rng;
+          Alcotest.test_case "Time.add" `Quick test_alloc_time;
+          Alcotest.test_case "Rate.transmission_time" `Quick
+            test_alloc_transmission_time;
+          Alcotest.test_case "self-rearming Sim.Timer" `Quick test_alloc_timer;
         ] );
       ("properties", qtests);
     ]

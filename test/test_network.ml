@@ -461,17 +461,14 @@ let test_unordered_exchange_is_caught () =
             (match check sc with
             | Ok _ -> Alcotest.fail "scenario stopped failing on re-run"
             | Error reason ->
-                (* The planted bug is a data race (in-place cross-domain
-                   writes), so either differential may trip first: the
-                   shards=1-vs-4 digest comparison, or — when the racy
-                   runs happen to diverge between themselves — the
-                   same-seed repeat.  Both are the harness catching the
-                   unordered exchange. *)
+                (* Under the hook the shards step in sequence, so the
+                   planted bug is deterministic: the same-seed repeat
+                   agrees with itself and the shards=1-vs-4 digest
+                   comparison is what catches the unordered exchange. *)
                 Alcotest.(check bool)
-                  (Printf.sprintf "a differential named in: %s" reason)
+                  (Printf.sprintf "the shard differential named in: %s" reason)
                   true
-                  (contains ~needle:"shard" reason
-                  || contains ~needle:"nondeterminism" reason));
+                  (contains ~needle:"shard differential" reason));
             (* The failure shrinks to a replayable one-line reproducer
                that still fails. *)
             let shrunk = Check.Harness.shrink ~selection sc in
