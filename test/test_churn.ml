@@ -578,19 +578,9 @@ let test_disabled_churn_kill_is_caught () =
 (* torsim CLI: numeric-flag validation (exercised as a subprocess, so
    the friendly error + nonzero exit is what a user actually gets) *)
 
-(* Under `dune runtest` the cwd is _build/default/test; under
-   `dune exec test/test_churn.exe` it is the project root.  A missing
-   binary must be a loud failure, not a vacuous nonzero exit. *)
-let torsim_exe =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/torsim.exe"; "_build/default/bin/torsim.exe" ]
-  with
-  | Some p -> p
-  | None -> Alcotest.fail "torsim.exe not built"
-
 let torsim args =
-  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" torsim_exe args)
+  Sys.command
+    (Printf.sprintf "%s %s >/dev/null 2>&1" (Test_util.torsim_exe ()) args)
 
 let test_cli_rejects_bad_numeric_flags () =
   List.iter
@@ -612,6 +602,11 @@ let test_cli_rejects_bad_numeric_flags () =
       "churn-scale --epoch-ms 0";
       "churn-scale --grace-ms=-1";
       "churn-scale --leave-rate=-0.5";
+      "faults --loss 0.1 --burst-loss 0.2";
+      "faults --distance 0";
+      "faults --loss 1.5";
+      "recover --selection bogus";
+      "recover --crash-position 0";
       "check --kind bogus";
     ]
 

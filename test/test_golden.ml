@@ -1,5 +1,7 @@
 (* Golden-trace snapshots: one fault run, one recovery run and one cwnd
-   trace, committed as CSV fixtures under [test/golden/].  The check is
+   trace per startup strategy, committed as CSV fixtures under
+   [test/golden/], plus the stdout of small fixed-seed [torsim] runs of
+   every paired subcommand as [cli_*.txt].  The check is
    byte-identity — any drift in event ordering, timestamps or the CSV
    shape surfaces as a diff against a committed file, which is exactly
    the regression signal a deterministic simulator owes its users.
@@ -37,6 +39,19 @@ let trace_run config () =
 let trace_fixture config () =
   Test_util.cwnd_csv (trace_run config ()).Workload.Trace_experiment.source_cwnd
 
+(* stdout of one [torsim] run; a nonzero exit fails the fixture. *)
+let cli_fixture args () =
+  let out = Filename.temp_file "torsim" ".txt" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2>/dev/null" (Test_util.torsim_exe ()) args
+         out)
+  in
+  let text = read_file out in
+  Sys.remove out;
+  if rc <> 0 then Alcotest.failf "torsim %s exited %d" args rc;
+  text
+
 let fixtures =
   [
     ( "faults_events.csv",
@@ -53,6 +68,22 @@ let fixtures =
       trace_fixture Test_util.golden_trace_config_slowstart );
     ( "trace_cwnd_predictive.csv",
       trace_fixture Test_util.golden_trace_config_predictive );
+    (* Every paired subcommand's table, so a refactor of the CLI's
+       dispatch or rendering cannot change what a user sees. *)
+    ("cli_faults.txt", cli_fixture "faults --loss 0.01 --kib 32 --seed 7");
+    ( "cli_recover.txt",
+      cli_fixture "recover --crash-at 0.2 --kib 32 --seed 7" );
+    ("cli_overload.txt", cli_fixture "overload --sessions 6 --kib 16 --seed 7");
+    ( "cli_network.txt",
+      cli_fixture "network --relays 40 --circuits 100 --lifetimes 500 --seed 7"
+    );
+    ( "cli_network_predictive.txt",
+      cli_fixture
+        "network --relays 40 --circuits 100 --lifetimes 500 --seed 7 \
+         --strategy predictive" );
+    ( "cli_churn_scale.txt",
+      cli_fixture
+        "churn-scale --relays 40 --circuits 100 --lifetimes 500 --seed 7" );
   ]
 
 let update_dir = Sys.getenv_opt "CIRCUITSTART_UPDATE_GOLDEN"

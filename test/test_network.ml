@@ -495,18 +495,12 @@ let test_unordered_exchange_is_caught () =
 (* ------------------------------------------------------------------ *)
 (* torsim CLI: sharded runs are byte-identical across shards x jobs *)
 
-let torsim_exe =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/torsim.exe"; "_build/default/bin/torsim.exe" ]
-  with
-  | Some p -> p
-  | None -> Alcotest.fail "torsim.exe not built"
-
 let torsim_out ?(env = "") args =
   let out = Filename.temp_file "torsim" ".out" in
   let rc =
-    Sys.command (Printf.sprintf "%s %s %s > %s 2>&1" env torsim_exe args out)
+    Sys.command
+      (Printf.sprintf "%s %s %s > %s 2>&1" env (Test_util.torsim_exe ()) args
+         out)
   in
   let ic = open_in_bin out in
   let n = in_channel_length ic in

@@ -91,3 +91,17 @@ let golden_trace_config_predictive =
   { golden_trace_config with
     Workload.Trace_experiment.strategy = Circuitstart.Controller.Predictive;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The torsim binary, for tests that drive the CLI as a subprocess.
+   Under `dune runtest` the cwd is _build/default/test; under
+   `dune exec test/<name>.exe` it is the project root.  A missing
+   binary must be a loud failure, not a vacuous nonzero exit. *)
+
+let torsim_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/torsim.exe"; "_build/default/bin/torsim.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "torsim.exe not built"
