@@ -35,46 +35,25 @@ let write_csv name contents =
   Analysis.Csv_out.write_file ~path contents;
   Printf.printf "[csv] %s\n" path
 
-(* Simulated events executed by the current target — each batch helper
-   below adds its runs' counts, and the driver snapshots the sum per
+(* Simulated events executed by the current target — every batch of
+   runs passes through [noted], and the driver snapshots the sum per
    target for the events/sec column of the timing report. *)
 let sim_events = ref 0
 let note_events n = sim_events := !sim_events + n
 
-let trace_many configs =
-  let rs = Workload.Trace_experiment.run_many ~jobs:!jobs configs in
-  List.iter
-    (fun (r : Workload.Trace_experiment.result) -> note_events r.wall_events)
-    rs;
+let noted wall_events rs =
+  List.iter (fun r -> note_events (wall_events r)) rs;
   rs
+
+let trace_many configs =
+  noted
+    (fun (r : Workload.Trace_experiment.result) -> r.wall_events)
+    (Workload.Trace_experiment.run_many ~jobs:!jobs configs)
 
 let star_many configs =
-  let rs = Workload.Star_experiment.run_many ~jobs:!jobs configs in
-  List.iter
-    (fun (r : Workload.Star_experiment.result) -> note_events r.wall_events)
-    rs;
-  rs
-
-let fault_many tasks =
-  let rs = Workload.Fault_experiment.run_many ~jobs:!jobs tasks in
-  List.iter
-    (fun (r : Workload.Fault_experiment.result) -> note_events r.wall_events)
-    rs;
-  rs
-
-let adaptive_many configs =
-  let rs = Workload.Adaptive_experiment.run_many ~jobs:!jobs configs in
-  List.iter
-    (fun (r : Workload.Adaptive_experiment.result) -> note_events r.wall_events)
-    rs;
-  rs
-
-let contention_many configs =
-  let rs = Workload.Contention_experiment.run_many ~jobs:!jobs configs in
-  List.iter
-    (fun (r : Workload.Contention_experiment.result) -> note_events r.wall_events)
-    rs;
-  rs
+  noted
+    (fun (r : Workload.Star_experiment.result) -> r.wall_events)
+    (Workload.Star_experiment.run_many ~jobs:!jobs configs)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1, upper panels: source cwnd traces *)
@@ -210,11 +189,12 @@ let table_startup () =
           "max queue"; "Jain"; "retx" ]
   in
   let transports =
-    [
-      ("circuitstart", Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start);
-      ("slowstart", Workload.Star_experiment.Backtap Circuitstart.Controller.Slow_start);
-      ("sendme", Workload.Star_experiment.Legacy_sendme);
-    ]
+    List.map
+      (fun s ->
+        (Workload.Experiment.label s, Workload.Star_experiment.Backtap s))
+      [ Circuitstart.Controller.Circuit_start;
+        Circuitstart.Controller.Slow_start ]
+    @ [ ("sendme", Workload.Star_experiment.Legacy_sendme) ]
   in
   let results = star_many (List.map (fun (_, tr) -> star_config tr) transports) in
   List.iter2
@@ -302,27 +282,27 @@ let table_distance () =
     List.concat_map
       (fun distance ->
         List.map
-          (fun (name, strategy) -> (distance, name, strategy))
-          [ ("circuitstart", Circuitstart.Controller.Circuit_start);
-            ("slowstart", Circuitstart.Controller.Slow_start) ])
+          (fun strategy -> (distance, strategy))
+          [ Circuitstart.Controller.Circuit_start;
+            Circuitstart.Controller.Slow_start ])
       [ 1; 2; 3; 4 ]
   in
   let results =
     trace_many
       (List.map
-         (fun (distance, _, strategy) ->
+         (fun (distance, strategy) ->
            { (trace_config ~strategy ~distance) with
              Workload.Trace_experiment.relay_count = 4;
            })
          cases)
   in
   List.iter2
-    (fun (distance, name, _) (r : Workload.Trace_experiment.result) ->
+    (fun (distance, strategy) (r : Workload.Trace_experiment.result) ->
       let opt = float_of_int r.optimal_source_cells in
       Analysis.Table.add_row t
         [
           string_of_int distance;
-          name;
+          Workload.Experiment.label strategy;
           Printf.sprintf "%.0f" r.peak_cells;
           Printf.sprintf "%.1fx" (r.peak_cells /. opt);
           Printf.sprintf "%.0f" r.settled_cells;
@@ -431,10 +411,13 @@ let table_adaptive () =
   in
   let variants = [ true; false ] in
   let results =
-    adaptive_many
-      (List.map
-         (fun adaptive -> { Workload.Adaptive_experiment.default_config with adaptive })
-         variants)
+    noted
+      (fun (r : Workload.Adaptive_experiment.result) -> r.wall_events)
+      (Workload.Adaptive_experiment.run_many ~jobs:!jobs
+         (List.map
+            (fun adaptive ->
+              { Workload.Adaptive_experiment.default_config with adaptive })
+            variants))
   in
   List.iter2
     (fun adaptive (r : Workload.Adaptive_experiment.result) ->
@@ -507,9 +490,9 @@ let table_loss () =
     List.concat_map
       (fun (label, queue) ->
         List.map
-          (fun (name, strategy) -> (label, queue, name, strategy))
-          [ ("circuitstart", Circuitstart.Controller.Circuit_start);
-            ("slowstart", Circuitstart.Controller.Slow_start) ])
+          (fun strategy -> (label, queue, strategy))
+          [ Circuitstart.Controller.Circuit_start;
+            Circuitstart.Controller.Slow_start ])
       [
         ("unbounded", Netsim.Nqueue.unbounded);
         ("64 pkts", Netsim.Nqueue.packets 64);
@@ -520,18 +503,18 @@ let table_loss () =
   let results =
     trace_many
       (List.map
-         (fun (_, queue, _, strategy) ->
+         (fun (_, queue, strategy) ->
            { (trace_config ~strategy ~distance:2) with
              Workload.Trace_experiment.link_queue = queue;
            })
          cases)
   in
   List.iter2
-    (fun (label, _, name, _) (r : Workload.Trace_experiment.result) ->
+    (fun (label, _, strategy) (r : Workload.Trace_experiment.result) ->
       Analysis.Table.add_row t
         [
           label;
-          name;
+          Workload.Experiment.label strategy;
           (if r.time_to_last_byte <> None then "yes" else "no");
           string_of_int r.retransmissions;
           Printf.sprintf "%.0f" r.settled_cells;
@@ -606,11 +589,14 @@ let table_cross () =
   in
   let loads = [ 0.; 0.25; 0.5; 0.75 ] in
   let results =
-    contention_many
-      (List.map
-         (fun load ->
-           { Workload.Contention_experiment.default_config with cbr_load = load })
-         loads)
+    noted
+      (fun (r : Workload.Contention_experiment.result) -> r.wall_events)
+      (Workload.Contention_experiment.run_many ~jobs:!jobs
+         (List.map
+            (fun load ->
+              { Workload.Contention_experiment.default_config with
+                cbr_load = load })
+            loads))
   in
   List.iter2
     (fun load (r : Workload.Contention_experiment.result) ->
@@ -635,62 +621,99 @@ let table_cross () =
 "
 
 (* ------------------------------------------------------------------ *)
+(* Paired tables: every startup strategy on the same seed (42, the
+   default of Workload.Experiment.compare), so each row differs from
+   its neighbours only through the strategy. *)
+
+(* CircuitStart and slow start on every labelled scenario, as one flat
+   batch on the pool: one table row per scenario and strategy, labelled
+   "<scenario> / <strategy>". *)
+let paired_rows (type c r)
+    (module X : Workload.Experiment.S with type config = c and type result = r)
+    wall_events t row scenarios =
+  let tasks =
+    List.concat_map
+      (fun (scenario, config) ->
+        List.map
+          (fun s ->
+            ( scenario ^ " / " ^ Workload.Experiment.label s,
+              (42, X.with_strategy s config) ))
+          [ Circuitstart.Controller.Circuit_start;
+            Circuitstart.Controller.Slow_start ])
+      scenarios
+  in
+  List.iter2
+    (fun (label, _) r -> Analysis.Table.add_row t (label :: row r))
+    tasks
+    (noted wall_events (X.run_many ~jobs:!jobs (List.map snd tasks)))
+
+(* All three strategies of [config], printed as one row each under
+   [columns]. *)
+let paired_table (type c r)
+    (module X : Workload.Experiment.S with type config = c and type result = r)
+    wall_events ~columns row config =
+  let c = Workload.Experiment.compare (module X) ~jobs:!jobs ~seed:42 config in
+  let rows = Workload.Experiment.labelled c in
+  List.iter (fun (_, r) -> note_events (wall_events r)) rows;
+  let t = Analysis.Table.create ~columns:("strategy" :: columns) in
+  List.iter (fun (label, r) -> Analysis.Table.add_row t (label :: row r)) rows;
+  print_string (Analysis.Table.render t);
+  c
+
+let write_json path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Printf.printf "[json] %s\n" path
+
+(* One line of JSON from already-rendered values, in key order. *)
+let json_object fields =
+  "{"
+  ^ String.concat ", "
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
+  ^ "}"
+
+(* The three arms of a paired run, one ["label": object] line each. *)
+let json_paired ~indent side c =
+  String.concat ",\n"
+    (List.map
+       (fun (label, r) -> Printf.sprintf "%s\"%s\": %s" indent label (side r))
+       (Workload.Experiment.labelled c))
+
+(* ------------------------------------------------------------------ *)
 (* table-faults: wire loss on the bottleneck link — does the circuit
    survive, and what does recovery cost each startup scheme? *)
 
-let fault_row t label (r : Workload.Fault_experiment.result) =
-  Analysis.Table.add_row t
-    [
-      label;
-      Workload.Fault_experiment.outcome_to_string r.outcome;
-      (match r.time_to_last_byte with
-      | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-      | None -> "-");
-      Printf.sprintf "%.2f" (r.goodput_bps /. 1e6);
-      string_of_int r.retransmissions;
-      string_of_int r.drops.Netsim.Link.fault_injected;
-      (match r.failed_after with
-      | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-      | None -> "-");
-    ]
+let fault_row (r : Workload.Fault_experiment.result) =
+  [
+    Workload.Fault_experiment.outcome_to_string r.outcome;
+    (match r.time_to_last_byte with
+    | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+    | None -> "-");
+    Printf.sprintf "%.2f" (r.goodput_bps /. 1e6);
+    string_of_int r.retransmissions;
+    string_of_int r.drops.Netsim.Link.fault_injected;
+    (match r.failed_after with
+    | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+    | None -> "-");
+  ]
 
-let fault_columns =
-  [ "fault"; "outcome"; "ttlb"; "goodput Mbit/s"; "retx"; "wire drops"; "failed after" ]
-
-(* Both strategies of every labelled fault scenario, as one flat batch
-   on the pool: the (seed, config) replicates are in [cs; ss] pairs per
-   label, matching Fault_experiment.compare_strategies with its default
-   seed. *)
-let fault_comparison_rows t labelled_configs =
-  let tasks =
-    List.concat_map
-      (fun (_, config) ->
-        [
-          (42, { config with
-                 Workload.Fault_experiment.strategy =
-                   Circuitstart.Controller.Circuit_start });
-          (42, { config with
-                 Workload.Fault_experiment.strategy =
-                   Circuitstart.Controller.Slow_start });
-        ])
-      labelled_configs
+let fault_table scenarios =
+  let t =
+    Analysis.Table.create
+      ~columns:
+        [ "fault"; "outcome"; "ttlb"; "goodput Mbit/s"; "retx"; "wire drops";
+          "failed after" ]
   in
-  let rec pairs = function
-    | cs :: ss :: rest -> (cs, ss) :: pairs rest
-    | [] -> []
-    | _ -> assert false
-  in
-  List.iter2
-    (fun (label, _) (cs, ss) ->
-      fault_row t (label ^ " / circuitstart") cs;
-      fault_row t (label ^ " / slowstart") ss)
-    labelled_configs
-    (pairs (fault_many tasks))
+  paired_rows
+    (module Workload.Fault_experiment)
+    (fun r -> r.Workload.Fault_experiment.wall_events)
+    t fault_row scenarios;
+  print_string (Analysis.Table.render t)
 
 let table_faults () =
   section "Table T-faults (extra): wire loss on the bottleneck link (paired seeds)";
-  let t = Analysis.Table.create ~columns:fault_columns in
-  fault_comparison_rows t
+  fault_table
     (List.map
        (fun (label, loss) ->
          (label, { Workload.Fault_experiment.default_config with loss }))
@@ -705,7 +728,6 @@ let table_faults () =
                 { p_good_to_bad = 0.01; p_bad_to_good = 0.2; loss_good = 0.;
                   loss_bad = 0.5 }) );
        ]);
-  print_string (Analysis.Table.render t);
   print_string
     "Both schemes face the identical per-seed loss pattern; hop-by-hop\n\
      retransmission repairs it locally, so loss costs time, not the circuit.\n"
@@ -716,8 +738,7 @@ let table_faults () =
 
 let table_churn () =
   section "Table T-churn (extra): mid-transfer crash of the middle relay";
-  let t = Analysis.Table.create ~columns:fault_columns in
-  fault_comparison_rows t
+  fault_table
     (List.map
        (fun (label, crash_at, outage) ->
          (label, { Workload.Fault_experiment.default_config with crash_at; outage }))
@@ -725,7 +746,6 @@ let table_churn () =
          ("crash@0.3s", Some (Engine.Time.ms 300), None);
          ("outage 0.2-0.6s", None, Some (Engine.Time.ms 200, Engine.Time.ms 600));
        ]);
-  print_string (Analysis.Table.render t);
   print_string
     "An outage is survivable (retransmission bridges it); a crash is not -\n\
      the sender facing the dead relay exhausts its budget and fails the\n\
@@ -736,13 +756,6 @@ let table_churn () =
    rebuild and resume — paired CircuitStart vs slow start on identical
    crash schedules, for both path-selection policies. *)
 
-let recovery_many tasks =
-  let rs = Workload.Recovery_experiment.run_many ~jobs:!jobs tasks in
-  List.iter
-    (fun (r : Workload.Recovery_experiment.result) -> note_events r.wall_events)
-    rs;
-  rs
-
 let table_recovery () =
   section "Table T-recovery (extra): session rebuild-and-resume after a relay crash";
   let t =
@@ -751,42 +764,16 @@ let table_recovery () =
         [ "scenario"; "outcome"; "ttlb"; "rebuilds"; "recovery"; "delivered";
           "dup"; "retx"; "goodput" ]
   in
-  let scenarios =
-    [
-      ( "crash middle@0.3s / bw",
-        { Workload.Recovery_experiment.default_config with
-          crash_at = Some (Engine.Time.ms 300) } );
-      ( "crash guard@0.3s / bw",
-        { Workload.Recovery_experiment.default_config with
-          crash_at = Some (Engine.Time.ms 300);
-          crash_position = 1 } );
-      ( "crash middle@0.3s / uniform",
-        { Workload.Recovery_experiment.default_config with
-          crash_at = Some (Engine.Time.ms 300);
-          selection = Tor_model.Directory.Uniform } );
-      ( "no budget (exhausts)",
-        { Workload.Recovery_experiment.default_config with
-          crash_at = Some (Engine.Time.ms 300);
-          max_rebuilds = 0 } );
-    ]
+  let crash =
+    { Workload.Recovery_experiment.default_config with
+      crash_at = Some (Engine.Time.ms 300) }
   in
-  let tasks =
-    List.concat_map
-      (fun (_, config) ->
-        [
-          (42, { config with
-                 Workload.Recovery_experiment.strategy =
-                   Circuitstart.Controller.Circuit_start });
-          (42, { config with
-                 Workload.Recovery_experiment.strategy =
-                   Circuitstart.Controller.Slow_start });
-        ])
-      scenarios
-  in
-  let row label (r : Workload.Recovery_experiment.result) =
-    Analysis.Table.add_row t
+  paired_rows
+    (module Workload.Recovery_experiment)
+    (fun r -> r.Workload.Recovery_experiment.wall_events)
+    t
+    (fun (r : Workload.Recovery_experiment.result) ->
       [
-        label;
         Workload.Recovery_experiment.outcome_to_string r.outcome;
         (match r.time_to_last_byte with
         | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
@@ -799,19 +786,14 @@ let table_recovery () =
         string_of_int r.duplicates;
         string_of_int r.retransmissions;
         Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
-      ]
-  in
-  let rec pairs = function
-    | cs :: ss :: rest -> (cs, ss) :: pairs rest
-    | [] -> []
-    | _ -> assert false
-  in
-  List.iter2
-    (fun (label, _) (cs, ss) ->
-      row (label ^ " / circuitstart") cs;
-      row (label ^ " / slowstart") ss)
-    scenarios
-    (pairs (recovery_many tasks));
+      ])
+    [
+      ("crash middle@0.3s / bw", crash);
+      ("crash guard@0.3s / bw", { crash with crash_position = 1 });
+      ( "crash middle@0.3s / uniform",
+        { crash with selection = Tor_model.Directory.Uniform } );
+      ("no budget (exhausts)", { crash with max_rebuilds = 0 });
+    ];
   print_string (Analysis.Table.render t);
   print_string
     "The session detects the dead relay, excludes it, rebuilds over an\n\
@@ -822,12 +804,10 @@ let table_recovery () =
 (* table-overload: flash crowd against budgeted relays — admission
    refusals, OOM circuit kills, and the cost of the startup strategy
    under contention.  Also writes BENCH_pr6.json with the headline
-   overload metrics for both strategies. *)
+   overload metrics for every strategy. *)
 
-let write_overload_json path ~(config : Workload.Overload_experiment.config)
-    ~(cs : Workload.Overload_experiment.result)
-    ~(ss : Workload.Overload_experiment.result)
-    ~(pr : Workload.Overload_experiment.result) =
+let write_overload_json path ~(config : Workload.Overload_experiment.config) c
+    =
   let side (r : Workload.Overload_experiment.result) =
     Printf.sprintf
       "{\"completed\": %d, \"sessions\": %d, \"refusals\": %d, \
@@ -844,138 +824,186 @@ let write_overload_json path ~(config : Workload.Overload_experiment.config)
       | None -> "null")
       r.goodput_bps r.relay_byte_hwm r.wall_events
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": 6,\n  \"jobs\": %d,\n" !jobs);
-  Buffer.add_string buf
+  let or_null = function Some n -> string_of_int n | None -> "null" in
+  write_json path
     (Printf.sprintf
-       "  \"config\": {\"sessions\": %d, \"relays\": %d, \"transfer_bytes\": \
+       "{\n\
+       \  \"pr\": 6,\n\
+       \  \"jobs\": %d,\n\
+       \  \"config\": {\"sessions\": %d, \"relays\": %d, \"transfer_bytes\": \
         %d, \"max_circuits\": %s, \"max_queued_bytes\": %s, \
-        \"mean_interarrival_ms\": %.1f},\n"
-       config.sessions config.relay_count config.transfer_bytes
-       (match config.max_circuits with
-       | Some n -> string_of_int n
-       | None -> "null")
-       (match config.max_queued_bytes with
-       | Some n -> string_of_int n
-       | None -> "null")
-       (Engine.Time.to_ms_f config.mean_interarrival));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"circuitstart\": %s,\n  \"slowstart\": %s,\n  \"predictive\": %s\n"
-       (side cs) (side ss) (side pr));
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+        \"mean_interarrival_ms\": %.1f},\n\
+        %s\n\
+        }\n"
+       !jobs config.sessions config.relay_count config.transfer_bytes
+       (or_null config.max_circuits)
+       (or_null config.max_queued_bytes)
+       (Engine.Time.to_ms_f config.mean_interarrival)
+       (json_paired ~indent:"  " side c))
 
 let table_overload () =
   section "Table T-overload (extra): flash crowd against budgeted relays";
   let config = Workload.Overload_experiment.default_config in
   let c =
-    Workload.Overload_experiment.compare_strategies ~jobs:!jobs ~seed:42 config
-  in
-  note_events c.circuit_start.wall_events;
-  note_events c.slow_start.wall_events;
-  note_events c.predictive.wall_events;
-  let t =
-    Analysis.Table.create
+    paired_table
+      (module Workload.Overload_experiment)
+      (fun r -> r.Workload.Overload_experiment.wall_events)
       ~columns:
-        [ "strategy"; "done"; "refused"; "rate"; "oom"; "rebuilds";
-          "mean ttlb"; "goodput"; "relay hwm" ]
+        [ "done"; "refused"; "rate"; "oom"; "rebuilds"; "mean ttlb"; "goodput";
+          "relay hwm" ]
+      (fun (r : Workload.Overload_experiment.result) ->
+        [
+          Printf.sprintf "%d/%d" r.completed r.sessions;
+          string_of_int r.refusals;
+          Printf.sprintf "%.0f%%" (r.refusal_rate *. 100.);
+          string_of_int r.oom_kills;
+          string_of_int r.rebuilds;
+          (match r.mean_ttlb with
+          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+          | None -> "-");
+          Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
+          Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;
+        ])
+      config
   in
-  let row label (r : Workload.Overload_experiment.result) =
-    Analysis.Table.add_row t
-      [
-        label;
-        Printf.sprintf "%d/%d" r.completed r.sessions;
-        string_of_int r.refusals;
-        Printf.sprintf "%.0f%%" (r.refusal_rate *. 100.);
-        string_of_int r.oom_kills;
-        string_of_int r.rebuilds;
-        (match r.mean_ttlb with
-        | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-        | None -> "-");
-        Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
-        Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;
-      ]
-  in
-  row "circuitstart" c.circuit_start;
-  row "slowstart" c.slow_start;
-  row "predictive" c.predictive;
-  print_string (Analysis.Table.render t);
   print_string
     "Budgeted relays refuse CREATEs while overloaded (the session redraws\n\
      without excluding them) and destroy their heaviest circuit when the\n\
      byte budget overflows - the crowd degrades, it does not collapse.\n";
-  write_overload_json "BENCH_pr6.json" ~config ~cs:c.circuit_start
-    ~ss:c.slow_start ~pr:c.predictive
+  write_overload_json "BENCH_pr6.json" ~config c
 
 (* ------------------------------------------------------------------ *)
-(* table-network: the consensus-scale round-level workload — paired
-   CS-vs-SS at the default population, then one full-scale run whose
+(* The consensus-scale round-level workload: table-network,
+   table-churn-scale and table-predictive each print a paired table at
+   the default population, then run one full-scale configuration whose
    throughput and allocation rate are the headline metrics of
-   BENCH_pr7.json (which bench/trajectory.exe gates against the
-   blessed floors in bench/perf_floors.txt). *)
+   BENCH_pr7.json, BENCH_pr8.json and BENCH_pr10.json (which
+   bench/trajectory.exe gates against the blessed floors in
+   bench/perf_floors.txt). *)
 
-let sketch_q sk p =
-  if Engine.Stats.Sketch.count sk = 0 then nan
-  else Engine.Stats.Sketch.quantile sk p
+(* nan when a run completed nothing, printed as such. *)
+let ttlb_quantiles sk =
+  List.map
+    (fun p -> Option.value ~default:nan (Engine.Stats.Sketch.quantile_opt sk p))
+    [ 0.5; 0.9; 0.99 ]
 
-let write_network_json path
-    ~(paired : Workload.Network_experiment.config)
-    ~(cs : Workload.Network_experiment.result)
-    ~(ss : Workload.Network_experiment.result)
-    ~(pr : Workload.Network_experiment.result)
-    ~(scale : Workload.Network_experiment.result) ~scale_seconds ~minor_words =
-  let side (r : Workload.Network_experiment.result) =
-    Printf.sprintf
-      "{\"completed\": %d, \"arrivals\": %d, \"refused\": %d, \"abandoned\": \
-       %d, \"ttlb_p50_s\": %.6f, \"ttlb_p90_s\": %.6f, \"ttlb_p99_s\": %.6f, \
-       \"rounds\": %d, \"sim_events\": %d}"
-      r.completed r.arrivals r.refused_arrivals r.abandoned
-      (sketch_q r.ttlb_all 0.5) (sketch_q r.ttlb_all 0.9)
-      (sketch_q r.ttlb_all 0.99) r.rounds r.wall_events
+let ttlb_cells (r : Workload.Network_experiment.result) =
+  List.map (Printf.sprintf "%.3fs") (ttlb_quantiles r.ttlb_all)
+
+let network_table ~columns row config =
+  paired_table
+    (module Workload.Network_experiment)
+    (fun r -> r.Workload.Network_experiment.wall_events)
+    ~columns row config
+
+let print_gap ?(suffix = "") (c : Workload.Network_experiment.result Workload.Experiment.paired) =
+  Printf.printf
+    "largest horizontal gap (CircuitStart earlier by): %.3fs over %d paired \
+     lifetimes%s\n"
+    (Analysis.Cdf.horizontal_gap
+       ~better:(Analysis.Cdf.of_sketch c.circuit_start.ttlb_all)
+       ~worse:(Analysis.Cdf.of_sketch c.slow_start.ttlb_all))
+    c.circuit_start.completed suffix
+
+let full_scale (c : Workload.Network_experiment.config) =
+  { c with
+    Workload.Network_experiment.relays = 2_000;
+    slots = 100_000;
+    target_lifetimes = 1_000_000;
+    mean_think = Engine.Time.ms 200;
+  }
+
+(* BENCH_pr<pr>.json: the scale run's headline metrics first and
+   exactly once (the trajectory gate's key scanner takes the first
+   occurrence), then its counts, then the paired runs [c] of [paired].
+   Churned configs report churn counters in place of the abandoned,
+   rounds and recycle counts; a scale run that is not CircuitStart's
+   names its strategy. *)
+let write_network_json path ~pr ~(paired : Workload.Network_experiment.config)
+    c ~(config : Workload.Network_experiment.config)
+    (scale : Workload.Network_experiment.result) ~seconds ~minor_words =
+  let churn = paired.leave_hazard > 0. || paired.join_hazard > 0. in
+  let int = string_of_int in
+  let ttlb (r : Workload.Network_experiment.result) =
+    List.map2
+      (fun k x -> (k, Printf.sprintf "%.6f" x))
+      [ "ttlb_p50_s"; "ttlb_p90_s"; "ttlb_p99_s" ]
+      (ttlb_quantiles r.ttlb_all)
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": 7,\n  \"jobs\": %d,\n" !jobs);
-  (* Headline metrics first and exactly once: the trajectory gate's
-     key scanner takes the first occurrence. *)
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_per_sec\": %.1f,\n"
-       (if scale_seconds > 0. then
-          float_of_int scale.wall_events /. scale_seconds
-        else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"minor_words_per_event\": %.4f,\n"
+  let churn_counts (r : Workload.Network_experiment.result) =
+    [ ("kills", int r.churn_kills); ("resumed", int r.resumed);
+      ("gone_draws", int r.gone_draws);
+      ("draining_refusals", int r.draining_refusals) ]
+  in
+  let side (r : Workload.Network_experiment.result) =
+    json_object
+      ([ ("completed", int r.completed); ("arrivals", int r.arrivals);
+         ("refused", int r.refused_arrivals) ]
+      @ (if churn then churn_counts r else [ ("abandoned", int r.abandoned) ])
+      @ ttlb r
+      @ (if churn then [] else [ ("rounds", int r.rounds) ])
+      @ [ ("sim_events", int r.wall_events) ])
+  in
+  let scale_fields =
+    (if config.strategy = Circuitstart.Controller.Circuit_start then []
+     else
+       [ ("strategy",
+          Printf.sprintf "\"%s\"" (Workload.Experiment.label config.strategy))
+       ])
+    @ [ ("relays", int scale.relays); ("slots", int scale.slots);
+        ("completed", int scale.completed);
+        ("peak_active", int scale.peak_active) ]
+    @ (if churn then
+         [ ("departs", int scale.churn_departs);
+           ("crashes", int scale.churn_crashes);
+           ("drains", int scale.churn_drains_completed);
+           ("restarts", int scale.churn_restarts);
+           ("epochs", int scale.churn_epochs) ]
+         @ churn_counts scale
+       else [ ("pool_recycles", int scale.pool_recycles) ])
+    @ [ ("seconds", Printf.sprintf "%.3f" seconds);
+        ("sim_events", int scale.wall_events) ]
+    @ ttlb scale
+  in
+  write_json path
+    (Printf.sprintf
+       "{\n\
+       \  \"pr\": %d,\n\
+       \  \"jobs\": %d,\n\
+       \  \"events_per_sec\": %.1f,\n\
+       \  \"minor_words_per_event\": %.4f,\n\
+       \  \"scale\": %s,\n\
+       \  \"paired\": {\"relays\": %d, \"slots\": %d, \"lifetimes\": %d,\n\
+        %s}\n\
+        }\n"
+       pr !jobs
+       (if seconds > 0. then float_of_int scale.wall_events /. seconds else 0.)
        (if scale.wall_events > 0 then
           minor_words /. float_of_int scale.wall_events
-        else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"scale\": {\"relays\": %d, \"slots\": %d, \"completed\": %d, \
-        \"peak_active\": %d, \"pool_recycles\": %d, \"seconds\": %.3f, \
-        \"sim_events\": %d, \"ttlb_p50_s\": %.6f, \"ttlb_p90_s\": %.6f, \
-        \"ttlb_p99_s\": %.6f},\n"
-       scale.relays scale.slots scale.completed scale.peak_active
-       scale.pool_recycles scale_seconds scale.wall_events
-       (sketch_q scale.ttlb_all 0.5) (sketch_q scale.ttlb_all 0.9)
-       (sketch_q scale.ttlb_all 0.99));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"paired\": {\"relays\": %d, \"slots\": %d, \"lifetimes\": %d,\n\
-       \    \"circuitstart\": %s,\n    \"slowstart\": %s,\n\
-       \    \"predictive\": %s}\n"
-       paired.relays paired.slots
+        else 0.)
+       (json_object scale_fields) paired.relays paired.slots
        (Workload.Network_experiment.lifetimes_goal paired)
-       (side cs) (side ss) (side pr));
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+       (json_paired ~indent:"    " side c))
+
+(* One full-scale run of [config], sequential on the main domain so the
+   minor-GC counter is attributable to this run alone, reported next
+   to the paired runs [c] of [paired] in BENCH_pr<pr>.json. *)
+let scale_run ~pr ~paired c config =
+  let minor0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let scale = Workload.Network_experiment.run ~seed:7 config in
+  let seconds = Unix.gettimeofday () -. t0 in
+  let minor_words = Gc.minor_words () -. minor0 in
+  note_events scale.wall_events;
+  Format.printf "scale: %a@." Workload.Network_experiment.pp_result scale;
+  Printf.printf
+    "scale: %.1fs wall, %d events, %.0f events/sec, %.2f minor words/event\n"
+    seconds scale.wall_events
+    (float_of_int scale.wall_events /. seconds)
+    (minor_words /. float_of_int scale.wall_events);
+  write_network_json
+    (Printf.sprintf "BENCH_pr%d.json" pr)
+    ~pr ~paired c ~config scale ~seconds ~minor_words
 
 (* PR 9: the sharded-engine speedup probe.  The same consensus-scale
    workload once on the classic engine (the sequential baseline) and
@@ -1077,137 +1105,25 @@ let table_network () =
      full scale)";
   let paired = Workload.Network_experiment.default_config in
   let c =
-    Workload.Network_experiment.compare_strategies ~jobs:!jobs ~seed:42 paired
-  in
-  note_events c.circuit_start.wall_events;
-  note_events c.slow_start.wall_events;
-  note_events c.predictive.wall_events;
-  let t =
-    Analysis.Table.create
+    network_table
       ~columns:
-        [ "strategy"; "done"; "arrivals"; "abandoned"; "p50 ttlb"; "p90 ttlb";
-          "p99 ttlb"; "rounds"; "peak live" ]
+        [ "done"; "arrivals"; "abandoned"; "p50 ttlb"; "p90 ttlb"; "p99 ttlb";
+          "rounds"; "peak live" ]
+      (fun r ->
+        [ string_of_int r.completed; string_of_int r.arrivals;
+          string_of_int r.abandoned ]
+        @ ttlb_cells r
+        @ [ string_of_int r.rounds; string_of_int r.peak_active ])
+      paired
   in
-  let row label (r : Workload.Network_experiment.result) =
-    Analysis.Table.add_row t
-      [
-        label;
-        string_of_int r.completed;
-        string_of_int r.arrivals;
-        string_of_int r.abandoned;
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.5);
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.9);
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.99);
-        string_of_int r.rounds;
-        string_of_int r.peak_active;
-      ]
-  in
-  row "circuitstart" c.circuit_start;
-  row "slowstart" c.slow_start;
-  row "predictive" c.predictive;
-  print_string (Analysis.Table.render t);
-  let gap =
-    Analysis.Cdf.horizontal_gap
-      ~better:(Analysis.Cdf.of_sketch c.circuit_start.ttlb_all)
-      ~worse:(Analysis.Cdf.of_sketch c.slow_start.ttlb_all)
-  in
-  Printf.printf
-    "largest horizontal gap (CircuitStart earlier by): %.3fs over %d paired \
-     lifetimes\n"
-    gap c.circuit_start.completed;
-  (* The full-scale run: sequential on the main domain so the minor-GC
-     counter is attributable to this run alone. *)
-  let scale_config =
-    { Workload.Network_experiment.default_config with
-      relays = 2_000;
-      slots = 100_000;
-      target_lifetimes = 1_000_000;
-      mean_think = Engine.Time.ms 200;
-    }
-  in
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let scale = Workload.Network_experiment.run ~seed:7 scale_config in
-  let scale_seconds = Unix.gettimeofday () -. t0 in
-  let minor_words = Gc.minor_words () -. minor0 in
-  note_events scale.wall_events;
-  Format.printf "scale: %a@." Workload.Network_experiment.pp_result scale;
-  Printf.printf
-    "scale: %.1fs wall, %d events, %.0f events/sec, %.2f minor words/event\n"
-    scale_seconds scale.wall_events
-    (float_of_int scale.wall_events /. scale_seconds)
-    (minor_words /. float_of_int scale.wall_events);
-  write_network_json "BENCH_pr7.json" ~paired ~cs:c.circuit_start
-    ~ss:c.slow_start ~pr:c.predictive ~scale ~scale_seconds ~minor_words;
+  print_gap c;
+  scale_run ~pr:7 ~paired c (full_scale paired);
   shard_probe ()
 
 (* ------------------------------------------------------------------ *)
-(* table-churn-scale: the same consensus-scale workload with the relay
-   churn schedule switched on — paired CS-vs-SS under churn, then one
-   full-scale churned run whose throughput and allocation rate are the
-   headline metrics of BENCH_pr8.json (gated by bench/trajectory.exe
-   against bench/perf_floors.txt, so the churn machinery can never
-   silently eat the round-level hot path). *)
-
-let write_churn_json path
-    ~(paired : Workload.Network_experiment.config)
-    ~(cs : Workload.Network_experiment.result)
-    ~(ss : Workload.Network_experiment.result)
-    ~(pr : Workload.Network_experiment.result)
-    ~(scale : Workload.Network_experiment.result) ~scale_seconds ~minor_words =
-  let side (r : Workload.Network_experiment.result) =
-    Printf.sprintf
-      "{\"completed\": %d, \"arrivals\": %d, \"refused\": %d, \"kills\": %d, \
-       \"resumed\": %d, \"gone_draws\": %d, \"draining_refusals\": %d, \
-       \"ttlb_p50_s\": %.6f, \"ttlb_p90_s\": %.6f, \"ttlb_p99_s\": %.6f, \
-       \"sim_events\": %d}"
-      r.completed r.arrivals r.refused_arrivals r.churn_kills r.resumed
-      r.gone_draws r.draining_refusals
-      (sketch_q r.ttlb_all 0.5) (sketch_q r.ttlb_all 0.9)
-      (sketch_q r.ttlb_all 0.99) r.wall_events
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": 8,\n  \"jobs\": %d,\n" !jobs);
-  (* Headline metrics first and exactly once: the trajectory gate's
-     key scanner takes the first occurrence. *)
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_per_sec\": %.1f,\n"
-       (if scale_seconds > 0. then
-          float_of_int scale.wall_events /. scale_seconds
-        else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"minor_words_per_event\": %.4f,\n"
-       (if scale.wall_events > 0 then
-          minor_words /. float_of_int scale.wall_events
-        else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"scale\": {\"relays\": %d, \"slots\": %d, \"completed\": %d, \
-        \"peak_active\": %d, \"departs\": %d, \"crashes\": %d, \"drains\": \
-        %d, \"restarts\": %d, \"epochs\": %d, \"kills\": %d, \"resumed\": \
-        %d, \"gone_draws\": %d, \"draining_refusals\": %d, \"seconds\": \
-        %.3f, \"sim_events\": %d, \"ttlb_p50_s\": %.6f, \"ttlb_p90_s\": \
-        %.6f, \"ttlb_p99_s\": %.6f},\n"
-       scale.relays scale.slots scale.completed scale.peak_active
-       scale.churn_departs scale.churn_crashes scale.churn_drains_completed
-       scale.churn_restarts scale.churn_epochs scale.churn_kills scale.resumed
-       scale.gone_draws scale.draining_refusals scale_seconds scale.wall_events
-       (sketch_q scale.ttlb_all 0.5) (sketch_q scale.ttlb_all 0.9)
-       (sketch_q scale.ttlb_all 0.99));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"paired\": {\"relays\": %d, \"slots\": %d, \"lifetimes\": %d,\n\
-       \    \"circuitstart\": %s,\n    \"slowstart\": %s,\n\
-       \    \"predictive\": %s}\n"
-       paired.relays paired.slots
-       (Workload.Network_experiment.lifetimes_goal paired)
-       (side cs) (side ss) (side pr));
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+(* table-churn-scale: the same workload with the relay churn schedule
+   switched on, so the churn machinery can never silently eat the
+   round-level hot path. *)
 
 (* The churn knobs shared by the paired and the scale run: a 2%/s
    departure hazard against a 10%/s rejoin hazard keeps ~83% of the
@@ -1230,140 +1146,32 @@ let table_churn_scale () =
      (paired + full scale)";
   let paired = churn_knobs Workload.Network_experiment.default_config in
   let c =
-    Workload.Network_experiment.compare_strategies ~jobs:!jobs ~seed:42 paired
-  in
-  note_events c.circuit_start.wall_events;
-  note_events c.slow_start.wall_events;
-  note_events c.predictive.wall_events;
-  let t =
-    Analysis.Table.create
+    network_table
       ~columns:
-        [ "strategy"; "done"; "arrivals"; "kills"; "resumed"; "gone";
-          "drain-ref"; "p50 ttlb"; "p90 ttlb"; "p99 ttlb" ]
+        [ "done"; "arrivals"; "kills"; "resumed"; "gone"; "drain-ref";
+          "p50 ttlb"; "p90 ttlb"; "p99 ttlb" ]
+      (fun r ->
+        List.map string_of_int
+          [ r.completed; r.arrivals; r.churn_kills; r.resumed; r.gone_draws;
+            r.draining_refusals ]
+        @ ttlb_cells r)
+      paired
   in
-  let row label (r : Workload.Network_experiment.result) =
-    Analysis.Table.add_row t
-      [
-        label;
-        string_of_int r.completed;
-        string_of_int r.arrivals;
-        string_of_int r.churn_kills;
-        string_of_int r.resumed;
-        string_of_int r.gone_draws;
-        string_of_int r.draining_refusals;
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.5);
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.9);
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.99);
-      ]
-  in
-  row "circuitstart" c.circuit_start;
-  row "slowstart" c.slow_start;
-  row "predictive" c.predictive;
-  print_string (Analysis.Table.render t);
-  let gap =
-    Analysis.Cdf.horizontal_gap
-      ~better:(Analysis.Cdf.of_sketch c.circuit_start.ttlb_all)
-      ~worse:(Analysis.Cdf.of_sketch c.slow_start.ttlb_all)
-  in
-  Printf.printf
-    "largest horizontal gap (CircuitStart earlier by): %.3fs over %d paired \
-     lifetimes under churn\n"
-    gap c.circuit_start.completed;
+  print_gap ~suffix:" under churn" c;
+  let cs = c.circuit_start in
   Printf.printf
     "churn: %d departs (%d crashes, %d drains done), %d restarts, %d epochs, \
      %d kills -> %d resumed\n"
-    c.circuit_start.churn_departs c.circuit_start.churn_crashes
-    c.circuit_start.churn_drains_completed c.circuit_start.churn_restarts
-    c.circuit_start.churn_epochs c.circuit_start.churn_kills
-    c.circuit_start.resumed;
-  (* The full-scale churned run: sequential on the main domain so the
-     minor-GC counter is attributable to this run alone. *)
-  let scale_config =
-    churn_knobs
-      { Workload.Network_experiment.default_config with
-        relays = 2_000;
-        slots = 100_000;
-        target_lifetimes = 1_000_000;
-        mean_think = Engine.Time.ms 200;
-      }
-  in
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let scale = Workload.Network_experiment.run ~seed:7 scale_config in
-  let scale_seconds = Unix.gettimeofday () -. t0 in
-  let minor_words = Gc.minor_words () -. minor0 in
-  note_events scale.wall_events;
-  Format.printf "scale: %a@." Workload.Network_experiment.pp_result scale;
-  Printf.printf
-    "scale: %.1fs wall, %d events, %.0f events/sec, %.2f minor words/event\n"
-    scale_seconds scale.wall_events
-    (float_of_int scale.wall_events /. scale_seconds)
-    (minor_words /. float_of_int scale.wall_events);
-  write_churn_json "BENCH_pr8.json" ~paired ~cs:c.circuit_start
-    ~ss:c.slow_start ~pr:c.predictive ~scale ~scale_seconds ~minor_words
+    cs.churn_departs cs.churn_crashes cs.churn_drains_completed
+    cs.churn_restarts cs.churn_epochs cs.churn_kills cs.resumed;
+  scale_run ~pr:8 ~paired c
+    (churn_knobs (full_scale Workload.Network_experiment.default_config))
 
 (* ------------------------------------------------------------------ *)
 (* table-predictive: the predictive receding-horizon controller under
-   the consensus-scale workload — a three-strategy paired table, then
-   one full-scale predictive run whose throughput and allocation rate
-   are the headline metrics of BENCH_pr10.json (gated by
-   bench/trajectory.exe against bench/perf_floors.txt, so planning
-   stays off the per-feedback hot path: the planner runs once per
-   round and its commit is allocation-free). *)
-
-let write_predictive_json path
-    ~(paired : Workload.Network_experiment.config)
-    ~(cs : Workload.Network_experiment.result)
-    ~(ss : Workload.Network_experiment.result)
-    ~(pr : Workload.Network_experiment.result)
-    ~(scale : Workload.Network_experiment.result) ~scale_seconds ~minor_words =
-  let side (r : Workload.Network_experiment.result) =
-    Printf.sprintf
-      "{\"completed\": %d, \"arrivals\": %d, \"refused\": %d, \"abandoned\": \
-       %d, \"ttlb_p50_s\": %.6f, \"ttlb_p90_s\": %.6f, \"ttlb_p99_s\": %.6f, \
-       \"rounds\": %d, \"sim_events\": %d}"
-      r.completed r.arrivals r.refused_arrivals r.abandoned
-      (sketch_q r.ttlb_all 0.5) (sketch_q r.ttlb_all 0.9)
-      (sketch_q r.ttlb_all 0.99) r.rounds r.wall_events
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": 10,\n  \"jobs\": %d,\n" !jobs);
-  (* Headline metrics first and exactly once: the trajectory gate's
-     key scanner takes the first occurrence. *)
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_per_sec\": %.1f,\n"
-       (if scale_seconds > 0. then
-          float_of_int scale.wall_events /. scale_seconds
-        else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"minor_words_per_event\": %.4f,\n"
-       (if scale.wall_events > 0 then
-          minor_words /. float_of_int scale.wall_events
-        else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"scale\": {\"strategy\": \"predictive\", \"relays\": %d, \
-        \"slots\": %d, \"completed\": %d, \"peak_active\": %d, \
-        \"pool_recycles\": %d, \"seconds\": %.3f, \"sim_events\": %d, \
-        \"ttlb_p50_s\": %.6f, \"ttlb_p90_s\": %.6f, \"ttlb_p99_s\": %.6f},\n"
-       scale.relays scale.slots scale.completed scale.peak_active
-       scale.pool_recycles scale_seconds scale.wall_events
-       (sketch_q scale.ttlb_all 0.5) (sketch_q scale.ttlb_all 0.9)
-       (sketch_q scale.ttlb_all 0.99));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"paired\": {\"relays\": %d, \"slots\": %d, \"lifetimes\": %d,\n\
-       \    \"circuitstart\": %s,\n    \"slowstart\": %s,\n\
-       \    \"predictive\": %s}\n"
-       paired.relays paired.slots
-       (Workload.Network_experiment.lifetimes_goal paired)
-       (side cs) (side ss) (side pr));
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
+   the consensus-scale workload — planning stays off the per-feedback
+   hot path: the planner runs once per round and its commit is
+   allocation-free. *)
 
 let table_predictive () =
   section
@@ -1371,59 +1179,20 @@ let table_predictive () =
      paired + full scale";
   let paired = Workload.Network_experiment.default_config in
   let c =
-    Workload.Network_experiment.compare_strategies ~jobs:!jobs ~seed:42 paired
-  in
-  note_events c.circuit_start.wall_events;
-  note_events c.slow_start.wall_events;
-  note_events c.predictive.wall_events;
-  let t =
-    Analysis.Table.create
+    network_table
       ~columns:
-        [ "strategy"; "done"; "arrivals"; "abandoned"; "p50 ttlb"; "p90 ttlb";
-          "p99 ttlb"; "rounds" ]
+        [ "done"; "arrivals"; "abandoned"; "p50 ttlb"; "p90 ttlb"; "p99 ttlb";
+          "rounds" ]
+      (fun r ->
+        [ string_of_int r.completed; string_of_int r.arrivals;
+          string_of_int r.abandoned ]
+        @ ttlb_cells r
+        @ [ string_of_int r.rounds ])
+      paired
   in
-  let row label (r : Workload.Network_experiment.result) =
-    Analysis.Table.add_row t
-      [
-        label;
-        string_of_int r.completed;
-        string_of_int r.arrivals;
-        string_of_int r.abandoned;
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.5);
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.9);
-        Printf.sprintf "%.3fs" (sketch_q r.ttlb_all 0.99);
-        string_of_int r.rounds;
-      ]
-  in
-  row "circuitstart" c.circuit_start;
-  row "slowstart" c.slow_start;
-  row "predictive" c.predictive;
-  print_string (Analysis.Table.render t);
-  (* The full-scale predictive run: sequential on the main domain so
-     the minor-GC counter is attributable to this run alone. *)
-  let scale_config =
-    { Workload.Network_experiment.default_config with
-      strategy = Circuitstart.Controller.Predictive;
-      relays = 2_000;
-      slots = 100_000;
-      target_lifetimes = 1_000_000;
-      mean_think = Engine.Time.ms 200;
-    }
-  in
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let scale = Workload.Network_experiment.run ~seed:7 scale_config in
-  let scale_seconds = Unix.gettimeofday () -. t0 in
-  let minor_words = Gc.minor_words () -. minor0 in
-  note_events scale.wall_events;
-  Format.printf "scale: %a@." Workload.Network_experiment.pp_result scale;
-  Printf.printf
-    "scale: %.1fs wall, %d events, %.0f events/sec, %.2f minor words/event\n"
-    scale_seconds scale.wall_events
-    (float_of_int scale.wall_events /. scale_seconds)
-    (minor_words /. float_of_int scale.wall_events);
-  write_predictive_json "BENCH_pr10.json" ~paired ~cs:c.circuit_start
-    ~ss:c.slow_start ~pr:c.predictive ~scale ~scale_seconds ~minor_words
+  scale_run ~pr:10 ~paired c
+    (Workload.Network_experiment.with_strategy
+       Circuitstart.Controller.Predictive (full_scale paired))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment plus the

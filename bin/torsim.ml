@@ -6,22 +6,23 @@
      optimal   analytic optimal-window model for a path
      adaptive  bandwidth-step reaction experiment (paper section 3)
      sweep     gamma / distance parameter sweeps
+     cross     one circuit against unresponsive background load
      faults    loss / outage / relay-crash robustness comparison
      recover   session-level rebuild-and-resume around a crash
      overload  flash crowd against budgeted relays (admission + OOM)
      network   consensus-scale round-level workload (pooled circuits)
-     check     randomized differential invariant checking *)
+     churn-scale  the network workload under relay churn
+     check     randomized differential invariant checking
+
+   faults, recover, overload, network and churn-scale are paired
+   experiments (Workload.Experiment): they run every startup strategy
+   on one seed and print one table row per strategy; --strategy runs
+   one. *)
 
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsers *)
-
-let strategy_label = function
-  | Circuitstart.Controller.Circuit_start -> "circuitstart"
-  | Circuitstart.Controller.Slow_start -> "slowstart"
-  | Circuitstart.Controller.Predictive -> "predictive"
-  | Circuitstart.Controller.Fixed n -> Printf.sprintf "fixed:%d" n
 
 let strategy_conv =
   let parse s =
@@ -43,7 +44,7 @@ let strategy_conv =
                      predictive or fixed:N)"
                     s)))
   in
-  let print fmt s = Format.pp_print_string fmt (strategy_label s) in
+  let print fmt s = Format.pp_print_string fmt (Workload.Experiment.label s) in
   Arg.conv (parse, print)
 
 let strategy_arg =
@@ -218,14 +219,8 @@ let transport_conv =
     | s -> Error (`Msg (Printf.sprintf "unknown transport %S" s))
   in
   let print fmt = function
-    | Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start ->
-        Format.pp_print_string fmt "circuitstart"
-    | Workload.Star_experiment.Backtap Circuitstart.Controller.Slow_start ->
-        Format.pp_print_string fmt "slowstart"
-    | Workload.Star_experiment.Backtap Circuitstart.Controller.Predictive ->
-        Format.pp_print_string fmt "predictive"
-    | Workload.Star_experiment.Backtap (Circuitstart.Controller.Fixed n) ->
-        Format.fprintf fmt "fixed:%d" n
+    | Workload.Star_experiment.Backtap s ->
+        Format.pp_print_string fmt (Workload.Experiment.label s)
     | Workload.Star_experiment.Legacy_sendme -> Format.pp_print_string fmt "sendme"
   in
   Arg.conv (parse, print)
@@ -494,9 +489,65 @@ let sweep_cmd =
     Term.(ret (const run_sweep $ param $ values $ strategy_arg $ jobs_arg))
 
 (* ------------------------------------------------------------------ *)
+(* Paired experiments: faults, recover, overload, network, churn-scale *)
+
+(* Friendly numeric-flag validation (first failure wins).  A negative
+   budget must be a one-line usage error with a nonzero exit, not a
+   silent "unlimited": the  <= 0 -> None  translation below would
+   otherwise swallow the typo. *)
+let flag_errors checks =
+  List.find_map (fun (ok, flag, want, got) ->
+      if ok then None
+      else Some (Printf.sprintf "%s must be %s (got %d)" flag want got))
+    checks
+
+let seconds_cell = function
+  | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+  | None -> "-"
+
+let mbit_cell bps = Printf.sprintf "%.2f Mbit/s" (bps /. 1e6)
+
+(* The steps every paired subcommand shares: validate [config], run
+   every startup strategy on [seed] (or only [strategy]), print one
+   table row per run — its strategy, then [row] under [columns] — then
+   [each]'s lines per run, [paired]'s lines when all three ran and,
+   given [events], the first run's event log. *)
+let run_paired (type c r)
+    (module X : Workload.Experiment.S with type config = c and type result = r)
+    ~columns ~row ?(each = fun _ _ -> ()) ?(paired = fun _ -> ()) ?events
+    strategy seed jobs config =
+  match X.validate_config config with
+  | Error msg -> `Error (false, msg)
+  | Ok config ->
+      let comparison, rows =
+        match strategy with
+        | None ->
+            let c = Workload.Experiment.compare (module X) ~jobs ~seed config in
+            (Some c, Workload.Experiment.labelled c)
+        | Some s ->
+            ( None,
+              List.map
+                (fun r -> (Workload.Experiment.label s, r))
+                (X.run_many ~jobs [ (seed, X.with_strategy s config) ]) )
+      in
+      let t = Analysis.Table.create ~columns:("strategy" :: columns) in
+      List.iter (fun (label, r) -> Analysis.Table.add_row t (label :: row r)) rows;
+      print_string (Analysis.Table.render t);
+      List.iter (fun (label, r) -> each label r) rows;
+      Option.iter paired comparison;
+      (match (events, rows) with
+      | Some events, (_, r) :: _ ->
+          List.iter
+            (fun e -> Format.printf "%a@." Engine.Trace.pp_event e)
+            (events r)
+      | _ -> ());
+      `Ok ()
+
+(* ------------------------------------------------------------------ *)
 (* faults *)
 
-let run_faults loss burst outage crash distance kib strat seed jobs verbose =
+let run_faults loss burst outage crash distance kib strategy seed jobs verbose
+    =
   let loss_model =
     match (loss, burst) with
     | Some _, Some _ -> Error "use either --loss or --burst-loss, not both"
@@ -513,8 +564,27 @@ let run_faults loss burst outage crash distance kib strat seed jobs verbose =
   in
   match loss_model with
   | Error msg -> `Error (false, msg)
-  | Ok loss -> (
-      let config =
+  | Ok loss ->
+      run_paired
+        (module Workload.Fault_experiment)
+        ~columns:
+          [ "outcome"; "ttlb"; "goodput"; "retx"; "drops"; "queue hwm";
+            "failed after" ]
+        ~row:(fun (r : Workload.Fault_experiment.result) ->
+          [
+            Workload.Fault_experiment.outcome_to_string r.outcome;
+            seconds_cell r.time_to_last_byte;
+            mbit_cell r.goodput_bps;
+            string_of_int r.retransmissions;
+            Format.asprintf "%a" Netsim.Link.pp_drop_counts r.drops;
+            Format.asprintf "%a" Engine.Units.pp_bytes
+              r.queue_high_watermark_bytes;
+            seconds_cell r.failed_after;
+          ])
+        ?events:
+          (if verbose then Some (fun r -> r.Workload.Fault_experiment.events)
+           else None)
+        strategy seed jobs
         { Workload.Fault_experiment.default_config with
           Workload.Fault_experiment.bottleneck_distance = distance;
           transfer_bytes = Engine.Units.kib kib;
@@ -525,60 +595,6 @@ let run_faults loss burst outage crash distance kib strat seed jobs verbose =
               outage;
           crash_at = Option.map Engine.Time.of_sec_f crash;
         }
-      in
-      match Workload.Fault_experiment.validate_config config with
-      | Error msg -> `Error (false, msg)
-      | Ok config ->
-          let rows =
-            match strat with
-            | None ->
-                let c =
-                  Workload.Fault_experiment.compare_strategies ~jobs ~seed config
-                in
-                [ ("circuitstart", c.Workload.Fault_experiment.circuit_start);
-                  ("slowstart", c.slow_start); ("predictive", c.predictive) ]
-            | Some s -> (
-                match
-                  Workload.Fault_experiment.run_many ~jobs
-                    [ (seed, { config with Workload.Fault_experiment.strategy = s }) ]
-                with
-                | [ r ] -> [ (strategy_label s, r) ]
-                | _ -> assert false)
-          in
-          let t =
-            Analysis.Table.create
-              ~columns:
-                [ "strategy"; "outcome"; "ttlb"; "goodput"; "retx"; "drops";
-                  "queue hwm"; "failed after" ]
-          in
-          let row label (r : Workload.Fault_experiment.result) =
-            Analysis.Table.add_row t
-              [
-                label;
-                Workload.Fault_experiment.outcome_to_string r.outcome;
-                (match r.time_to_last_byte with
-                | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-                | None -> "-");
-                Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
-                string_of_int r.retransmissions;
-                Format.asprintf "%a" Netsim.Link.pp_drop_counts r.drops;
-                Format.asprintf "%a" Engine.Units.pp_bytes
-                  r.queue_high_watermark_bytes;
-                (match r.failed_after with
-                | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-                | None -> "-");
-              ]
-          in
-          List.iter (fun (label, r) -> row label r) rows;
-          print_string (Analysis.Table.render t);
-          (if verbose then
-             match rows with
-             | (_, (r : Workload.Fault_experiment.result)) :: _ ->
-                 List.iter
-                   (fun e -> Format.printf "%a@." Engine.Trace.pp_event e)
-                   r.events
-             | [] -> ());
-          `Ok ())
 
 let faults_cmd =
   let loss =
@@ -630,13 +646,42 @@ let faults_cmd =
 (* ------------------------------------------------------------------ *)
 (* recover *)
 
-let run_recover crash position selection max_rebuilds kib strat seed jobs verbose =
+let run_recover crash position selection max_rebuilds kib strategy seed jobs
+    verbose =
   match Tor_model.Directory.selection_of_string selection with
   | None ->
       `Error
         (false, Printf.sprintf "unknown selection policy %S (bandwidth|uniform)" selection)
-  | Some selection -> (
-      let config =
+  | Some selection ->
+      run_paired
+        (module Workload.Recovery_experiment)
+        ~columns:
+          [ "outcome"; "ttlb"; "rebuilds"; "recovery"; "delivered"; "dup";
+            "retx"; "drops"; "queue hwm"; "goodput" ]
+        ~row:(fun (r : Workload.Recovery_experiment.result) ->
+          [
+            Workload.Recovery_experiment.outcome_to_string r.outcome;
+            seconds_cell r.time_to_last_byte;
+            string_of_int r.rebuilds;
+            seconds_cell r.time_to_recover;
+            string_of_int r.delivered_bytes;
+            string_of_int r.duplicates;
+            string_of_int r.retransmissions;
+            Format.asprintf "%a" Netsim.Link.pp_drop_counts r.drops;
+            Format.asprintf "%a" Engine.Units.pp_bytes
+              r.queue_high_watermark_bytes;
+            mbit_cell r.goodput_bps;
+          ])
+        ~paired:(fun c ->
+          let cs = c.circuit_start.Workload.Recovery_experiment.goodput_bps
+          and ss = c.slow_start.Workload.Recovery_experiment.goodput_bps in
+          if cs > 0. && ss > 0. then
+            Printf.printf "goodput gap (circuitstart / slowstart): %.2fx\n"
+              (cs /. ss))
+        ?events:
+          (if verbose then Some (fun r -> r.Workload.Recovery_experiment.events)
+           else None)
+        strategy seed jobs
         { Workload.Recovery_experiment.default_config with
           Workload.Recovery_experiment.transfer_bytes = Engine.Units.kib kib;
           crash_at = Option.map Engine.Time.of_sec_f crash;
@@ -644,82 +689,6 @@ let run_recover crash position selection max_rebuilds kib strat seed jobs verbos
           selection;
           max_rebuilds;
         }
-      in
-      match Workload.Recovery_experiment.validate_config config with
-      | Error msg -> `Error (false, msg)
-      | Ok config ->
-          let comparison =
-            match strat with
-            | None ->
-                Some
-                  (Workload.Recovery_experiment.compare_strategies ~jobs ~seed
-                     config)
-            | Some _ -> None
-          in
-          let rows =
-            match (comparison, strat) with
-            | Some c, _ ->
-                [ ("circuitstart", c.Workload.Recovery_experiment.circuit_start);
-                  ("slowstart", c.slow_start); ("predictive", c.predictive) ]
-            | None, Some s -> (
-                match
-                  Workload.Recovery_experiment.run_many ~jobs
-                    [ (seed,
-                       { config with Workload.Recovery_experiment.strategy = s })
-                    ]
-                with
-                | [ r ] -> [ (strategy_label s, r) ]
-                | _ -> assert false)
-            | None, None -> assert false
-          in
-          let t =
-            Analysis.Table.create
-              ~columns:
-                [ "strategy"; "outcome"; "ttlb"; "rebuilds"; "recovery";
-                  "delivered"; "dup"; "retx"; "drops"; "queue hwm"; "goodput" ]
-          in
-          let row label (r : Workload.Recovery_experiment.result) =
-            Analysis.Table.add_row t
-              [
-                label;
-                Workload.Recovery_experiment.outcome_to_string r.outcome;
-                (match r.time_to_last_byte with
-                | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-                | None -> "-");
-                string_of_int r.rebuilds;
-                (match r.time_to_recover with
-                | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-                | None -> "-");
-                string_of_int r.delivered_bytes;
-                string_of_int r.duplicates;
-                string_of_int r.retransmissions;
-                Format.asprintf "%a" Netsim.Link.pp_drop_counts r.drops;
-                Format.asprintf "%a" Engine.Units.pp_bytes
-                  r.queue_high_watermark_bytes;
-                Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
-              ]
-          in
-          List.iter (fun (label, r) -> row label r) rows;
-          print_string (Analysis.Table.render t);
-          (match comparison with
-          | Some c -> (
-              match
-                ( c.circuit_start.Workload.Recovery_experiment.goodput_bps,
-                  c.slow_start.Workload.Recovery_experiment.goodput_bps )
-              with
-              | cs, ss when cs > 0. && ss > 0. ->
-                  Printf.printf "goodput gap (circuitstart / slowstart): %.2fx\n"
-                    (cs /. ss)
-              | _ -> ())
-          | None -> ());
-          (if verbose then
-             match rows with
-             | (_, (r : Workload.Recovery_experiment.result)) :: _ ->
-                 List.iter
-                   (fun e -> Format.printf "%a@." Engine.Trace.pp_event e)
-                   r.events
-             | [] -> ());
-          `Ok ())
 
 let recover_cmd =
   let crash =
@@ -764,17 +733,7 @@ let recover_cmd =
 (* ------------------------------------------------------------------ *)
 (* overload *)
 
-(* Friendly numeric-flag validation (first failure wins).  A negative
-   budget must be a one-line usage error with a nonzero exit, not a
-   silent "unlimited": the  <= 0 -> None  translation below would
-   otherwise swallow the typo. *)
-let flag_errors checks =
-  List.find_map (fun (ok, flag, want, got) ->
-      if ok then None
-      else Some (Printf.sprintf "%s must be %s (got %d)" flag want got))
-    checks
-
-let run_overload sessions kib relays budget_kib max_circuits arrival_ms strat
+let run_overload sessions kib relays budget_kib max_circuits arrival_ms strategy
     seed jobs verbose =
   match
     flag_errors
@@ -790,46 +749,13 @@ let run_overload sessions kib relays budget_kib max_circuits arrival_ms strat
   with
   | Some msg -> `Error (false, msg)
   | None ->
-  let config =
-    { Workload.Overload_experiment.default_config with
-      Workload.Overload_experiment.sessions;
-      transfer_bytes = Engine.Units.kib kib;
-      relay_count = relays;
-      max_queued_bytes =
-        (if budget_kib <= 0 then None else Some (Engine.Units.kib budget_kib));
-      max_circuits = (if max_circuits <= 0 then None else Some max_circuits);
-      mean_interarrival = Engine.Time.ms arrival_ms;
-    }
-  in
-  match Workload.Overload_experiment.validate_config config with
-  | Error msg -> `Error (false, msg)
-  | Ok config ->
-      let rows =
-        match strat with
-        | None ->
-            let c =
-              Workload.Overload_experiment.compare_strategies ~jobs ~seed config
-            in
-            [ ("circuitstart", c.Workload.Overload_experiment.circuit_start);
-              ("slowstart", c.slow_start); ("predictive", c.predictive) ]
-        | Some s -> (
-            match
-              Workload.Overload_experiment.run_many ~jobs
-                [ (seed, { config with Workload.Overload_experiment.strategy = s }) ]
-            with
-            | [ r ] -> [ (strategy_label s, r) ]
-            | _ -> assert false)
-      in
-      let t =
-        Analysis.Table.create
-          ~columns:
-            [ "strategy"; "done"; "exhaust"; "timeout"; "refused"; "rate";
-              "oom"; "rebuilds"; "mean ttlb"; "goodput"; "relay hwm" ]
-      in
-      let row label (r : Workload.Overload_experiment.result) =
-        Analysis.Table.add_row t
+      run_paired
+        (module Workload.Overload_experiment)
+        ~columns:
+          [ "done"; "exhaust"; "timeout"; "refused"; "rate"; "oom"; "rebuilds";
+            "mean ttlb"; "goodput"; "relay hwm" ]
+        ~row:(fun (r : Workload.Overload_experiment.result) ->
           [
-            label;
             Printf.sprintf "%d/%d" r.completed r.sessions;
             string_of_int r.exhausted;
             string_of_int r.timed_out;
@@ -837,23 +763,23 @@ let run_overload sessions kib relays budget_kib max_circuits arrival_ms strat
             Printf.sprintf "%.0f%%" (r.refusal_rate *. 100.);
             string_of_int r.oom_kills;
             string_of_int r.rebuilds;
-            (match r.mean_ttlb with
-            | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-            | None -> "-");
-            Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
+            seconds_cell r.mean_ttlb;
+            mbit_cell r.goodput_bps;
             Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;
-          ]
-      in
-      List.iter (fun (label, r) -> row label r) rows;
-      print_string (Analysis.Table.render t);
-      (if verbose then
-         match rows with
-         | (_, (r : Workload.Overload_experiment.result)) :: _ ->
-             List.iter
-               (fun e -> Format.printf "%a@." Engine.Trace.pp_event e)
-               r.events
-         | [] -> ());
-      `Ok ()
+          ])
+        ?events:
+          (if verbose then Some (fun r -> r.Workload.Overload_experiment.events)
+           else None)
+        strategy seed jobs
+        { Workload.Overload_experiment.default_config with
+          Workload.Overload_experiment.sessions;
+          transfer_bytes = Engine.Units.kib kib;
+          relay_count = relays;
+          max_queued_bytes =
+            (if budget_kib <= 0 then None else Some (Engine.Units.kib budget_kib));
+          max_circuits = (if max_circuits <= 0 then None else Some max_circuits);
+          mean_interarrival = Engine.Time.ms arrival_ms;
+        }
 
 let overload_cmd =
   let sessions =
@@ -903,18 +829,25 @@ let overload_cmd =
        $ verbose))
 
 (* ------------------------------------------------------------------ *)
-(* network *)
+(* network and churn-scale: churn-scale is network with the churn
+   flags, so both share the population flags and [run_network]. *)
 
 (* "-" rather than an exception (or a "nans" cell) when a strategy
    completed nothing — an all-refused or churned-out run is a valid
    result, not a crash. *)
-let network_q sk p =
-  match Engine.Stats.Sketch.quantile_opt sk p with
-  | Some x -> Printf.sprintf "%.3fs" x
-  | None -> "-"
+let ttlb_cells (r : Workload.Network_experiment.result) =
+  List.map
+    (fun p ->
+      match Engine.Stats.Sketch.quantile_opt r.ttlb_all p with
+      | Some x -> Printf.sprintf "%.3fs" x
+      | None -> "-")
+    [ 0.5; 0.9; 0.99 ]
 
-let network_gap ~better ~worse =
-  match (Analysis.Cdf.of_sketch_opt better, Analysis.Cdf.of_sketch_opt worse) with
+let network_gap (c : Workload.Network_experiment.result Workload.Experiment.paired) =
+  match
+    ( Analysis.Cdf.of_sketch_opt c.circuit_start.ttlb_all,
+      Analysis.Cdf.of_sketch_opt c.slow_start.ttlb_all )
+  with
   | Some better, Some worse ->
       Printf.printf "largest horizontal gap (CircuitStart earlier by): %.3fs\n"
         (Analysis.Cdf.horizontal_gap ~better ~worse)
@@ -922,140 +855,15 @@ let network_gap ~better ~worse =
       print_string
         "largest horizontal gap: n/a (a strategy completed no circuits)\n"
 
-let network_flag_errors ~relays ~circuits ~lifetimes ~duration_s ~think_ms
-    ~budget_kib ~max_circuits =
-  flag_errors
-    [
-      (relays > 0, "--relays", "positive", relays);
-      (circuits > 0, "--circuits", "positive", circuits);
-      (lifetimes >= 0, "--lifetimes", ">= 0 (0 = 10x the slot count)",
-       lifetimes);
-      (duration_s >= 0, "--duration", ">= 0 (0 = until the lifetime goal)",
-       duration_s);
-      (think_ms > 0, "--think-ms", "positive", think_ms);
-      (budget_kib >= 0, "--budget-kib", ">= 0 (0 = unlimited)", budget_kib);
-      (max_circuits >= 0, "--max-circuits", ">= 0 (0 = unlimited)", max_circuits);
-    ]
-
-let run_network relays circuits lifetimes duration_s think_ms budget_kib
-    max_circuits shards strat seed jobs profile =
-  match
-    network_flag_errors ~relays ~circuits ~lifetimes ~duration_s ~think_ms
-      ~budget_kib ~max_circuits
-  with
-  | Some msg -> `Error (false, msg)
-  | None ->
-  let config =
-    { Workload.Network_experiment.default_config with
-      Workload.Network_experiment.relays;
-      slots = circuits;
-      target_lifetimes = lifetimes;
-      duration =
-        (if duration_s <= 0 then Engine.Time.zero else Engine.Time.s duration_s);
-      mean_think = Engine.Time.ms think_ms;
-      budget =
-        {
-          Tor_model.Switchboard.max_circuits =
-            (if max_circuits <= 0 then None else Some max_circuits);
-          max_queued_bytes =
-            (if budget_kib <= 0 then None
-             else Some (Engine.Units.kib budget_kib));
-        };
-      shards;
-    }
-  in
-  match Workload.Network_experiment.validate_config config with
-  | Error msg -> `Error (false, msg)
-  | Ok config ->
-      if profile then begin
-        (* [run_instrumented] sums the minor-GC deltas of every
-           participating domain, so the per-event figure stays honest
-           for sharded runs. *)
-        let t0 = Unix.gettimeofday () in
-        let r, minor_words =
-          Workload.Network_experiment.run_instrumented ~seed config
-        in
-        let seconds = Unix.gettimeofday () -. t0 in
-        Format.printf "%a@." Workload.Network_experiment.pp_result r;
-        Printf.printf
-          "profile: %.1fs wall, %d events, %.0f events/sec, %.2f minor \
-           words/event, peak heap %d words\n"
-          seconds r.wall_events
-          (if seconds > 0. then float_of_int r.wall_events /. seconds else 0.)
-          (if r.wall_events > 0 then
-             minor_words /. float_of_int r.wall_events
-           else 0.)
-          (Gc.stat ()).Gc.top_heap_words;
-        `Ok ()
-      end
-      else begin
-        let comparison =
-          match strat with
-          | None ->
-              Some
-                (Workload.Network_experiment.compare_strategies ~jobs ~seed
-                   config)
-          | Some _ -> None
-        in
-        let rows =
-          match (comparison, strat) with
-          | Some c, _ ->
-              [ ("circuitstart", c.Workload.Network_experiment.circuit_start);
-                ("slowstart", c.slow_start); ("predictive", c.predictive) ]
-          | None, Some s -> (
-              match
-                Workload.Network_experiment.run_many ~jobs
-                  [ (seed,
-                     { config with Workload.Network_experiment.strategy = s }) ]
-              with
-              | [ r ] -> [ (strategy_label s, r) ]
-              | _ -> assert false)
-          | None, None -> assert false
-        in
-        let t =
-          Analysis.Table.create
-            ~columns:
-              [ "strategy"; "done"; "arrivals"; "refused"; "abandoned";
-                "p50 ttlb"; "p90 ttlb"; "p99 ttlb"; "peak live" ]
-        in
-        let row label (r : Workload.Network_experiment.result) =
-          Analysis.Table.add_row t
-            [
-              label;
-              string_of_int r.completed;
-              string_of_int r.arrivals;
-              string_of_int r.refused_arrivals;
-              string_of_int r.abandoned;
-              network_q r.ttlb_all 0.5;
-              network_q r.ttlb_all 0.9;
-              network_q r.ttlb_all 0.99;
-              string_of_int r.peak_active;
-            ]
-        in
-        List.iter (fun (label, r) -> row label r) rows;
-        print_string (Analysis.Table.render t);
-        (match comparison with
-        | Some c ->
-            network_gap ~better:c.circuit_start.ttlb_all
-              ~worse:c.slow_start.ttlb_all
-        | None -> ());
-        `Ok ()
-      end
-
-let network_cmd =
+(* The seven population flags, checked (first failure wins) and folded
+   into a config.  The two subcommands word [--relays] and [--circuits]
+   differently. *)
+let population ~relays_doc ~circuits_doc =
   let relays =
-    Arg.(
-      value & opt int 200
-      & info [ "relays" ] ~docv:"N"
-          ~doc:"Relay population size (heavy-tailed bandwidths; at least 4).")
+    Arg.(value & opt int 200 & info [ "relays" ] ~docv:"N" ~doc:relays_doc)
   in
   let circuits =
-    Arg.(
-      value & opt int 2_000
-      & info [ "circuits" ] ~docv:"N"
-          ~doc:
-            "Concurrent session slots — the circuit-pool size and the \
-             concurrency ceiling.")
+    Arg.(value & opt int 2_000 & info [ "circuits" ] ~docv:"N" ~doc:circuits_doc)
   in
   let lifetimes =
     Arg.(
@@ -1089,6 +897,89 @@ let network_cmd =
       & info [ "max-circuits" ] ~docv:"N"
           ~doc:"Per-relay circuit-count admission budget (0 = none).")
   in
+  let config relays circuits lifetimes duration_s think_ms budget_kib
+      max_circuits shards =
+    match
+      flag_errors
+        [
+          (relays > 0, "--relays", "positive", relays);
+          (circuits > 0, "--circuits", "positive", circuits);
+          (lifetimes >= 0, "--lifetimes", ">= 0 (0 = 10x the slot count)",
+           lifetimes);
+          (duration_s >= 0, "--duration", ">= 0 (0 = until the lifetime goal)",
+           duration_s);
+          (think_ms > 0, "--think-ms", "positive", think_ms);
+          (budget_kib >= 0, "--budget-kib", ">= 0 (0 = unlimited)", budget_kib);
+          (max_circuits >= 0, "--max-circuits", ">= 0 (0 = unlimited)",
+           max_circuits);
+        ]
+    with
+    | Some msg -> Error msg
+    | None ->
+        Ok
+          { Workload.Network_experiment.default_config with
+            Workload.Network_experiment.relays;
+            slots = circuits;
+            target_lifetimes = lifetimes;
+            duration =
+              (if duration_s <= 0 then Engine.Time.zero
+               else Engine.Time.s duration_s);
+            mean_think = Engine.Time.ms think_ms;
+            budget =
+              {
+                Tor_model.Switchboard.max_circuits =
+                  (if max_circuits <= 0 then None else Some max_circuits);
+                max_queued_bytes =
+                  (if budget_kib <= 0 then None
+                   else Some (Engine.Units.kib budget_kib));
+              };
+            shards;
+          }
+  in
+  Term.(
+    const config $ relays $ circuits $ lifetimes $ duration $ think_ms
+    $ budget_kib $ max_circuits $ shards_arg)
+
+let profile_network seed config =
+  match Workload.Network_experiment.validate_config config with
+  | Error msg -> `Error (false, msg)
+  | Ok config ->
+      (* [run_instrumented] sums the minor-GC deltas of every
+         participating domain, so the per-event figure stays honest
+         for sharded runs. *)
+      let t0 = Unix.gettimeofday () in
+      let r, minor_words =
+        Workload.Network_experiment.run_instrumented ~seed config
+      in
+      let seconds = Unix.gettimeofday () -. t0 in
+      Format.printf "%a@." Workload.Network_experiment.pp_result r;
+      Printf.printf
+        "profile: %.1fs wall, %d events, %.0f events/sec, %.2f minor \
+         words/event, peak heap %d words\n"
+        seconds r.wall_events
+        (if seconds > 0. then float_of_int r.wall_events /. seconds else 0.)
+        (if r.wall_events > 0 then minor_words /. float_of_int r.wall_events
+         else 0.)
+        (Gc.stat ()).Gc.top_heap_words;
+      `Ok ()
+
+(* network and churn-scale differ only in their flags and in the table:
+   [columns] and [row] after the three counts both print, and [each]
+   run's extra lines. *)
+let run_network ~columns ~row ~each config strategy seed jobs profile =
+  match config with
+  | Error msg -> `Error (false, msg)
+  | Ok config when profile -> profile_network seed config
+  | Ok config ->
+      run_paired
+        (module Workload.Network_experiment)
+        ~columns:([ "done"; "arrivals"; "refused" ] @ columns)
+        ~row:(fun (r : Workload.Network_experiment.result) ->
+          List.map string_of_int [ r.completed; r.arrivals; r.refused_arrivals ]
+          @ row r)
+        ~each ~paired:network_gap strategy seed jobs config
+
+let network_cmd =
   let profile =
     Arg.(
       value & flag
@@ -1106,184 +997,23 @@ let network_cmd =
   Cmd.v (Cmd.info "network" ~doc)
     Term.(
       ret
-        (const run_network $ relays $ circuits $ lifetimes $ duration
-       $ think_ms $ budget_kib $ max_circuits $ shards_arg $ strategy_opt_arg
-       $ seed_arg $ jobs_arg $ profile))
-
-(* ------------------------------------------------------------------ *)
-(* churn-scale *)
-
-let run_churn_scale relays circuits lifetimes duration_s think_ms budget_kib
-    max_circuits leave_rate join_rate crash_fraction grace_ms epoch_ms spares
-    shards strat seed jobs =
-  match
-    network_flag_errors ~relays ~circuits ~lifetimes ~duration_s ~think_ms
-      ~budget_kib ~max_circuits
-  with
-  | Some msg -> `Error (false, msg)
-  | None -> (
-      match
-        flag_errors
-          [
-            (grace_ms >= 0, "--grace-ms", ">= 0", grace_ms);
-            (epoch_ms > 0, "--epoch-ms", "positive", epoch_ms);
-            (spares >= 0, "--spares", ">= 0", spares);
-          ]
-      with
-      | Some msg -> `Error (false, msg)
-      | None ->
-          if not (Float.is_finite leave_rate) || leave_rate < 0. then
-            `Error (false, "--leave-rate must be a finite hazard >= 0")
-          else if not (Float.is_finite join_rate) || join_rate < 0. then
-            `Error (false, "--join-rate must be a finite hazard >= 0")
-          else if
-            (not (Float.is_finite crash_fraction))
-            || crash_fraction < 0.
-            || crash_fraction > 1.
-          then `Error (false, "--crash-fraction must be in [0, 1]")
-          else
-            let config =
-              { Workload.Network_experiment.default_config with
-                Workload.Network_experiment.relays;
-                slots = circuits;
-                target_lifetimes = lifetimes;
-                duration =
-                  (if duration_s <= 0 then Engine.Time.zero
-                   else Engine.Time.s duration_s);
-                mean_think = Engine.Time.ms think_ms;
-                budget =
-                  {
-                    Tor_model.Switchboard.max_circuits =
-                      (if max_circuits <= 0 then None else Some max_circuits);
-                    max_queued_bytes =
-                      (if budget_kib <= 0 then None
-                       else Some (Engine.Units.kib budget_kib));
-                  };
-                leave_hazard = leave_rate;
-                join_hazard = join_rate;
-                crash_fraction;
-                drain_grace = Engine.Time.ms grace_ms;
-                epoch_period = Engine.Time.ms epoch_ms;
-                spare_relays = spares;
-                shards;
-              }
-            in
-            match Workload.Network_experiment.validate_config config with
-            | Error msg -> `Error (false, msg)
-            | Ok config ->
-                let comparison =
-                  match strat with
-                  | None ->
-                      Some
-                        (Workload.Network_experiment.compare_strategies ~jobs
-                           ~seed config)
-                  | Some _ -> None
-                in
-                let rows =
-                  match (comparison, strat) with
-                  | Some c, _ ->
-                      [ ("circuitstart",
-                         c.Workload.Network_experiment.circuit_start);
-                        ("slowstart", c.slow_start);
-                        ("predictive", c.predictive) ]
-                  | None, Some s -> (
-                      match
-                        Workload.Network_experiment.run_many ~jobs
-                          [ (seed,
-                             { config with
-                               Workload.Network_experiment.strategy = s }) ]
-                      with
-                      | [ r ] -> [ (strategy_label s, r) ]
-                      | _ -> assert false)
-                  | None, None -> assert false
-                in
-                let t =
-                  Analysis.Table.create
-                    ~columns:
-                      [ "strategy"; "done"; "arrivals"; "refused"; "kills";
-                        "resumed"; "gone"; "drain-ref"; "p50 ttlb"; "p90 ttlb";
-                        "p99 ttlb" ]
-                in
-                let row label (r : Workload.Network_experiment.result) =
-                  Analysis.Table.add_row t
-                    [
-                      label;
-                      string_of_int r.completed;
-                      string_of_int r.arrivals;
-                      string_of_int r.refused_arrivals;
-                      string_of_int r.churn_kills;
-                      string_of_int r.resumed;
-                      string_of_int r.gone_draws;
-                      string_of_int r.draining_refusals;
-                      network_q r.ttlb_all 0.5;
-                      network_q r.ttlb_all 0.9;
-                      network_q r.ttlb_all 0.99;
-                    ]
-                in
-                List.iter (fun (label, r) -> row label r) rows;
-                print_string (Analysis.Table.render t);
-                (* The schedule is seeded per strategy run, but each run
-                   ends at its own goal time, so the counts can differ —
-                   print each. *)
-                let schedule label (r : Workload.Network_experiment.result) =
-                  Printf.printf
-                    "churn (%s): %d departs (%d crashes, %d drains done), %d \
-                     restarts, %d epochs\n"
-                    label r.churn_departs r.churn_crashes
-                    r.churn_drains_completed r.churn_restarts r.churn_epochs
-                in
-                List.iter (fun (label, r) -> schedule label r) rows;
-                (match comparison with
-                | Some c ->
-                    network_gap ~better:c.circuit_start.ttlb_all
-                      ~worse:c.slow_start.ttlb_all
-                | None -> ());
-                `Ok ())
+        (const
+           (run_network
+              ~columns:
+                [ "abandoned"; "p50 ttlb"; "p90 ttlb"; "p99 ttlb"; "peak live" ]
+              ~row:(fun r ->
+                (string_of_int r.abandoned :: ttlb_cells r)
+                @ [ string_of_int r.peak_active ])
+              ~each:(fun _ _ -> ()))
+        $ population
+            ~relays_doc:
+              "Relay population size (heavy-tailed bandwidths; at least 4)."
+            ~circuits_doc:
+              "Concurrent session slots — the circuit-pool size and the \
+               concurrency ceiling."
+        $ strategy_opt_arg $ seed_arg $ jobs_arg $ profile))
 
 let churn_scale_cmd =
-  let relays =
-    Arg.(
-      value & opt int 200
-      & info [ "relays" ] ~docv:"N"
-          ~doc:"Initial relay population size (at least 4, with an exit).")
-  in
-  let circuits =
-    Arg.(
-      value & opt int 2_000
-      & info [ "circuits" ] ~docv:"N" ~doc:"Concurrent session slots.")
-  in
-  let lifetimes =
-    Arg.(
-      value & opt int 0
-      & info [ "lifetimes" ] ~docv:"N"
-          ~doc:
-            "Stop after completing $(docv) circuit lifetimes (0 = 10x the \
-             slot count).")
-  in
-  let duration =
-    Arg.(
-      value & opt int 0
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Simulated-time horizon (0 = run until the lifetime goal).")
-  in
-  let think_ms =
-    Arg.(
-      value & opt int 200
-      & info [ "think-ms" ] ~docv:"MS"
-          ~doc:"Mean exponential think time between a slot's circuits, ms.")
-  in
-  let budget_kib =
-    Arg.(
-      value & opt int 0
-      & info [ "budget-kib" ] ~docv:"KIB"
-          ~doc:"Per-relay queued-cell-byte admission budget, KiB (0 = none).")
-  in
-  let max_circuits =
-    Arg.(
-      value & opt int 0
-      & info [ "max-circuits" ] ~docv:"N"
-          ~doc:"Per-relay circuit-count admission budget (0 = none).")
-  in
   let leave_rate =
     Arg.(
       value & opt float 0.02
@@ -1329,6 +1059,38 @@ let churn_scale_cmd =
             "Extra relays that start down (and invisible) and join under \
              --join-rate.")
   in
+  let churned population leave_rate join_rate crash_fraction grace_ms epoch_ms
+      spares =
+    Result.bind population (fun config ->
+        match
+          flag_errors
+            [
+              (grace_ms >= 0, "--grace-ms", ">= 0", grace_ms);
+              (epoch_ms > 0, "--epoch-ms", "positive", epoch_ms);
+              (spares >= 0, "--spares", ">= 0", spares);
+            ]
+        with
+        | Some msg -> Error msg
+        | None ->
+            if not (Float.is_finite leave_rate) || leave_rate < 0. then
+              Error "--leave-rate must be a finite hazard >= 0"
+            else if not (Float.is_finite join_rate) || join_rate < 0. then
+              Error "--join-rate must be a finite hazard >= 0"
+            else if
+              (not (Float.is_finite crash_fraction))
+              || crash_fraction < 0. || crash_fraction > 1.
+            then Error "--crash-fraction must be in [0, 1]"
+            else
+              Ok
+                { config with
+                  Workload.Network_experiment.leave_hazard = leave_rate;
+                  join_hazard = join_rate;
+                  crash_fraction;
+                  drain_grace = Engine.Time.ms grace_ms;
+                  epoch_period = Engine.Time.ms epoch_ms;
+                  spare_relays = spares;
+                })
+  in
   let doc =
     "Consensus-scale workload under relay churn: the network experiment's \
      pooled population with a seeded join/leave/crash/drain schedule and \
@@ -1337,10 +1099,33 @@ let churn_scale_cmd =
   Cmd.v (Cmd.info "churn-scale" ~doc)
     Term.(
       ret
-        (const run_churn_scale $ relays $ circuits $ lifetimes $ duration
-       $ think_ms $ budget_kib $ max_circuits $ leave_rate $ join_rate
-       $ crash_fraction $ grace_ms $ epoch_ms $ spares $ shards_arg
-       $ strategy_opt_arg $ seed_arg $ jobs_arg))
+        (const
+           (run_network
+              ~columns:
+                [ "kills"; "resumed"; "gone"; "drain-ref"; "p50 ttlb";
+                  "p90 ttlb"; "p99 ttlb" ]
+              ~row:(fun r ->
+                List.map string_of_int
+                  [ r.churn_kills; r.resumed; r.gone_draws;
+                    r.draining_refusals ]
+                @ ttlb_cells r)
+              ~each:(fun label r ->
+                (* The schedule is seeded per strategy run, but each run
+                   ends at its own goal time, so the counts can differ —
+                   print each. *)
+                Printf.printf
+                  "churn (%s): %d departs (%d crashes, %d drains done), %d \
+                   restarts, %d epochs\n"
+                  label r.churn_departs r.churn_crashes
+                  r.churn_drains_completed r.churn_restarts r.churn_epochs))
+        $ (const churned
+          $ population
+              ~relays_doc:
+                "Initial relay population size (at least 4, with an exit)."
+              ~circuits_doc:"Concurrent session slots."
+          $ leave_rate $ join_rate $ crash_fraction $ grace_ms $ epoch_ms
+          $ spares)
+        $ strategy_opt_arg $ seed_arg $ jobs_arg $ const false))
 
 (* ------------------------------------------------------------------ *)
 

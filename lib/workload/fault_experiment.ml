@@ -252,28 +252,7 @@ let run ?(seed = 42) ?probe config =
 let run_many ?jobs tasks =
   Engine.Pool.map_list ?jobs (fun (seed, config) -> run ~seed config) tasks
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-(* Paired runs: the same seed drives both, so both strategies face a
-   byte-identical network and the very same fault schedule — any
-   difference in outcome is the startup strategy's.  The two runs are
-   independent simulations, so they ride the domain pool. *)
-let compare_strategies ?jobs ?(seed = 42) config =
-  match
-    run_many ?jobs
-      [
-        (seed, { config with strategy = Circuitstart.Controller.Circuit_start });
-        (seed, { config with strategy = Circuitstart.Controller.Slow_start });
-        (seed, { config with strategy = Circuitstart.Controller.Predictive });
-      ]
-  with
-  | [ circuit_start; slow_start; predictive ] ->
-      { circuit_start; slow_start; predictive }
-  | _ -> assert false
+let with_strategy strategy config = { config with strategy }
 
 let pp_result fmt r =
   Format.fprintf fmt "%s" (outcome_to_string r.outcome);

@@ -108,16 +108,9 @@ val run_many : ?jobs:int -> (int * config) list -> result list
     Results are in task order and byte-identical to mapping {!run}
     sequentially. *)
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-val compare_strategies : ?jobs:int -> ?seed:int -> config -> comparison
-(** Run the config three times with the same seed (default 42) — once
-    per startup strategy — so all face the identical fault schedule.
-    The config's own [strategy] field is ignored.  The trio runs on
-    the domain pool ([jobs] as in {!run_many}). *)
+val with_strategy : Circuitstart.Controller.strategy -> config -> config
+(** The config with its startup strategy replaced; with
+    {!validate_config} and {!run_many} this makes the module an
+    {!Experiment.S}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -1291,31 +1291,7 @@ let run_instrumented ?(seed = 42) config =
 let run_many ?jobs tasks =
   Engine.Pool.map_list ?jobs (fun (seed, config) -> run ~seed config) tasks
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-(* Paired on the seed: identical population, arrival schedule, path and
-   size draws — the curves differ only through the startup strategy's
-   window trajectory. *)
-let compare_strategies ?jobs ?(seed = 42) config =
-  match
-    run_many ?jobs
-      [
-        (seed, { config with strategy = Circuitstart.Controller.Circuit_start });
-        (seed, { config with strategy = Circuitstart.Controller.Slow_start });
-        (seed, { config with strategy = Circuitstart.Controller.Predictive });
-      ]
-  with
-  | [ circuit_start; slow_start; predictive ] ->
-      { circuit_start; slow_start; predictive }
-  | _ -> assert false
-
-let q sk qq =
-  if Engine.Stats.Sketch.count sk = 0 then nan
-  else Engine.Stats.Sketch.quantile sk qq
+let with_strategy strategy config = { config with strategy }
 
 let pp_result fmt (r : result) =
   Format.fprintf fmt
@@ -1326,8 +1302,11 @@ let pp_result fmt (r : result) =
   if r.refused_arrivals > 0 then
     Format.fprintf fmt ", %d refused arrivals" r.refused_arrivals;
   if r.abandoned > 0 then Format.fprintf fmt ", %d abandoned" r.abandoned;
-  Format.fprintf fmt ", ttlb p50/p90/p99 %.3f/%.3f/%.3f s" (q r.ttlb_all 0.5)
-    (q r.ttlb_all 0.9) (q r.ttlb_all 0.99);
+  let q p =
+    Option.value ~default:nan (Engine.Stats.Sketch.quantile_opt r.ttlb_all p)
+  in
+  Format.fprintf fmt ", ttlb p50/p90/p99 %.3f/%.3f/%.3f s" (q 0.5) (q 0.9)
+    (q 0.99);
   Format.fprintf fmt ", %d cells, %d rounds, peak %d live, %d recycles"
     r.delivered_cells r.rounds r.peak_active r.pool_recycles;
   if r.orphaned_circuits > 0 || r.orphaned_cells > 0 then
@@ -1335,7 +1314,8 @@ let pp_result fmt (r : result) =
       r.orphaned_cells;
   if r.churn_departs > 0 || r.churn_restarts > 0 then begin
     Format.fprintf fmt
-      ";@ churn: %d departs (%d crashes, %d drains done), %d restarts, %d        epochs, %d kills, %d resumed, %d gone draws, %d draining refusals"
+      ";@ churn: %d departs (%d crashes, %d drains done), %d restarts, %d \
+       epochs, %d kills, %d resumed, %d gone draws, %d draining refusals"
       r.churn_departs r.churn_crashes r.churn_drains_completed
       r.churn_restarts r.churn_epochs r.churn_kills r.resumed r.gone_draws
       r.draining_refusals;

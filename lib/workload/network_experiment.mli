@@ -210,15 +210,9 @@ val run_many : ?jobs:int -> (int * config) list -> result list
 (** One {!run} per task on a domain pool; results in task order,
     byte-identical to sequential mapping. *)
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-val compare_strategies : ?jobs:int -> ?seed:int -> config -> comparison
-(** All three startup strategies against the identical seed — same
-    population, same arrivals, same path and size draws.  The config's
-    own [strategy] field is ignored. *)
+val with_strategy : Circuitstart.Controller.strategy -> config -> config
+(** The config with its startup strategy replaced; with
+    {!validate_config} and {!run_many} this makes the module an
+    {!Experiment.S}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -286,28 +286,7 @@ let run ?(seed = 42) ?probe ?relay_probe config =
 let run_many ?jobs tasks =
   Engine.Pool.map_list ?jobs (fun (seed, config) -> run ~seed config) tasks
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-(* Paired on the seed: both strategies face the identical arrival
-   schedule and path draws — refusal rate, OOM kills and goodput differ
-   only through how aggressively each startup strategy queues bytes at
-   the relays. *)
-let compare_strategies ?jobs ?(seed = 42) config =
-  match
-    run_many ?jobs
-      [
-        (seed, { config with strategy = Circuitstart.Controller.Circuit_start });
-        (seed, { config with strategy = Circuitstart.Controller.Slow_start });
-        (seed, { config with strategy = Circuitstart.Controller.Predictive });
-      ]
-  with
-  | [ circuit_start; slow_start; predictive ] ->
-      { circuit_start; slow_start; predictive }
-  | _ -> assert false
+let with_strategy strategy config = { config with strategy }
 
 let pp_result fmt r =
   Format.fprintf fmt "%d/%d completed (%d exhausted, %d timed out)" r.completed

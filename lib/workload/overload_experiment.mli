@@ -13,7 +13,7 @@
     the result reports the build-refusal rate, OOM kills, per-session
     time-to-last-byte and aggregate goodput.
 
-    {!compare_strategies} pairs CircuitStart against slow start on the
+    {!Experiment.compare} pairs CircuitStart against slow start on the
     identical arrival schedule and path draws: the aggressive ramp
     queues more bytes at the relays sooner, so the comparison shows
     what the startup strategy costs (or saves) under contention. *)
@@ -106,15 +106,9 @@ val run_many : ?jobs:int -> (int * config) list -> result list
 (** One {!run} per replicate on a domain pool; results in task order,
     byte-identical to sequential mapping. *)
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-val compare_strategies : ?jobs:int -> ?seed:int -> config -> comparison
-(** All three startup strategies against the identical seed — same
-    arrivals, same path draws.  The config's own [strategy] field is
-    ignored. *)
+val with_strategy : Circuitstart.Controller.strategy -> config -> config
+(** The config with its startup strategy replaced; with
+    {!validate_config} and {!run_many} this makes the module an
+    {!Experiment.S}. *)
 
 val pp_result : Format.formatter -> result -> unit

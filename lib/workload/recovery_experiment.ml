@@ -245,27 +245,7 @@ let run ?(seed = 42) ?probe config =
 let run_many ?jobs tasks =
   Engine.Pool.map_list ?jobs (fun (seed, config) -> run ~seed config) tasks
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-(* Paired on the seed: both strategies draw the same paths, suffer the
-   same crash, and differ only in how fast their windows open — the
-   goodput gap is the startup strategy's alone. *)
-let compare_strategies ?jobs ?(seed = 42) config =
-  match
-    run_many ?jobs
-      [
-        (seed, { config with strategy = Circuitstart.Controller.Circuit_start });
-        (seed, { config with strategy = Circuitstart.Controller.Slow_start });
-        (seed, { config with strategy = Circuitstart.Controller.Predictive });
-      ]
-  with
-  | [ circuit_start; slow_start; predictive ] ->
-      { circuit_start; slow_start; predictive }
-  | _ -> assert false
+let with_strategy strategy config = { config with strategy }
 
 let pp_result fmt r =
   Format.fprintf fmt "%s" (outcome_to_string r.outcome);

@@ -13,8 +13,8 @@
 
     The crash victim is whatever relay the session drew at path
     position [crash_position] of its {e first} circuit, so the crash
-    schedule is a function of the seed alone — {!compare_strategies}
-    runs both startup strategies against the byte-identical schedule. *)
+    schedule is a function of the seed alone — {!Experiment.compare}
+    runs every startup strategy against the byte-identical schedule. *)
 
 type config = {
   relay_count : int;
@@ -109,15 +109,9 @@ val run_many : ?jobs:int -> (int * config) list -> result list
     Results are in task order and byte-identical to mapping {!run}
     sequentially. *)
 
-type comparison = {
-  circuit_start : result;
-  slow_start : result;
-  predictive : result;
-}
-
-val compare_strategies : ?jobs:int -> ?seed:int -> config -> comparison
-(** Run the config three times with the same seed (default 42) — once
-    per startup strategy — so all face the identical crash schedule.
-    The config's own [strategy] field is ignored. *)
+val with_strategy : Circuitstart.Controller.strategy -> config -> config
+(** The config with its startup strategy replaced; with
+    {!validate_config} and {!run_many} this makes the module an
+    {!Experiment.S}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -427,13 +427,29 @@ let test_network_churn_deterministic_across_jobs () =
 
 let test_network_churn_paired_strategies () =
   let c =
-    Workload.Network_experiment.compare_strategies ~seed:11 churny_config
+    Workload.Experiment.compare
+      (module Workload.Network_experiment)
+      ~seed:11 churny_config
   in
   Alcotest.(check int) "cs goal met" 1_500 c.circuit_start.completed;
   Alcotest.(check int) "ss goal met" 1_500 c.slow_start.completed;
   (* The schedule is seeded identically per strategy run. *)
   Alcotest.(check bool) "both runs churned" true
     (c.circuit_start.churn_departs > 0 && c.slow_start.churn_departs > 0)
+
+(* The one-line summary spells the churn clause with single spaces. *)
+let test_network_pp_result_churn_clause () =
+  let r = Workload.Network_experiment.run ~seed:11 churny_config in
+  Alcotest.(check bool) "run churned" true (r.churn_departs > 0);
+  let text = Format.asprintf "%a" Workload.Network_experiment.pp_result r in
+  let clause =
+    Printf.sprintf "%d restarts, %d epochs, %d kills" r.churn_restarts
+      r.churn_epochs r.churn_kills
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S contains %S" text clause)
+    true
+    (contains ~needle:clause text)
 
 (* ------------------------------------------------------------------ *)
 (* Churn scenarios in the check harness *)
@@ -660,6 +676,8 @@ let () =
             test_network_churn_deterministic_across_jobs;
           Alcotest.test_case "paired strategies" `Quick
             test_network_churn_paired_strategies;
+          Alcotest.test_case "pp_result churn clause" `Quick
+            test_network_pp_result_churn_clause;
         ] );
       ( "check",
         [

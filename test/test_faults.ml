@@ -264,14 +264,14 @@ let test_experiment_outage_survivable () =
 
 let test_experiment_paired_comparison () =
   let c =
-    Workload.Fault_experiment.compare_strategies ~seed:4
+    Workload.Experiment.compare
+      (module Workload.Fault_experiment)
+      ~seed:4
       { quick_config with loss = Some (Netsim.Faults.Bernoulli 0.01) }
   in
   Alcotest.(check bool) "both completed" true
-    (c.Workload.Fault_experiment.circuit_start.outcome
-     = Workload.Fault_experiment.Completed
-    && c.Workload.Fault_experiment.slow_start.outcome
-       = Workload.Fault_experiment.Completed)
+    (c.circuit_start.outcome = Workload.Fault_experiment.Completed
+    && c.slow_start.outcome = Workload.Fault_experiment.Completed)
 
 let test_experiment_validation () =
   Alcotest.(check bool) "bad loss rejected" true

@@ -212,9 +212,12 @@ let shape_config =
 
 let test_small_scale_shape_and_sketch_agreement () =
   let config = { shape_config with retain_exact = true } in
-  let cmp = Workload.Network_experiment.compare_strategies ~seed:11 config in
-  let cs = cmp.Workload.Network_experiment.circuit_start in
-  let ss = cmp.Workload.Network_experiment.slow_start in
+  let cmp =
+    Workload.Experiment.compare (module Workload.Network_experiment) ~seed:11
+      config
+  in
+  let cs = cmp.circuit_start in
+  let ss = cmp.slow_start in
   let p50 (r : Workload.Network_experiment.result) =
     Engine.Stats.Sketch.quantile r.ttlb_all 0.5
   in

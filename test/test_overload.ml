@@ -203,7 +203,9 @@ let test_refusals_drain_to_completion () =
 
 let test_compare_strategies_paired () =
   let c =
-    Workload.Overload_experiment.compare_strategies ~seed:7 small_config
+    Workload.Experiment.compare
+      (module Workload.Overload_experiment)
+      ~seed:7 small_config
   in
   List.iter
     (fun (label, (r : Workload.Overload_experiment.result)) ->

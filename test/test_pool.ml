@@ -230,8 +230,11 @@ let test_compare_strategies_uses_pool () =
       loss = Some (Netsim.Faults.Bernoulli 0.005);
     }
   in
-  let seq = Workload.Fault_experiment.compare_strategies ~jobs:1 config in
-  let par = Workload.Fault_experiment.compare_strategies ~jobs:2 config in
+  let compare jobs =
+    Workload.Experiment.compare (module Workload.Fault_experiment) ~jobs config
+  in
+  let seq = compare 1 in
+  let par = compare 2 in
   Alcotest.(check bool) "paired comparison identical" true (identical seq par)
 
 (* ------------------------------------------------------------------ *)

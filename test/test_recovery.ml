@@ -110,7 +110,11 @@ let test_deterministic_across_jobs () =
       Workload.Recovery_experiment.run_many ~jobs tasks)
 
 let test_compare_strategies_paired () =
-  let c = Workload.Recovery_experiment.compare_strategies ~seed:7 crash_config in
+  let c =
+    Workload.Experiment.compare
+      (module Workload.Recovery_experiment)
+      ~seed:7 crash_config
+  in
   (* Both face the same crash schedule; both must finish the transfer. *)
   List.iter
     (fun (label, (r : Workload.Recovery_experiment.result)) ->
