@@ -94,10 +94,10 @@ let jobs_arg =
 
 let shards_arg =
   let doc =
-    "Shards for within-run parallelism: 0 = the classic single-domain \
-     engine, N >= 1 = partition the run across N domains (results are \
-     identical for every positive N), $(b,auto) = one shard per worker \
-     (honors \\$(b,CIRCUITSTART_JOBS))."
+    "Shards for within-run parallelism: partition the run across N \
+     domains, or $(b,auto) for one shard per worker (honors \
+     $(b,CIRCUITSTART_JOBS)).  The result is a function of the seed \
+     and the config alone, whatever $(b,--jobs) and $(b,--shards) are."
   in
   let shard_count =
     let parse s =
@@ -105,12 +105,12 @@ let shards_arg =
       | "auto" -> Ok (Engine.Pool.default_jobs ())
       | _ -> (
           match int_of_string_opt s with
-          | Some n when n >= 0 -> Ok n
-          | _ -> Error (`Msg "expected a non-negative integer or 'auto'"))
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg "expected a positive integer or 'auto'"))
     in
     Arg.conv (parse, Format.pp_print_int)
   in
-  Arg.(value & opt shard_count 0 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt shard_count 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let csv_arg =
   let doc = "Write the raw series as CSV to $(docv)." in

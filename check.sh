@@ -32,11 +32,11 @@ echo "== predictive smoke: torsim network --strategy predictive =="
 # consensus-scale run must complete under the planner alone.
 dune exec bin/torsim.exe -- network --strategy predictive --relays 100 --circuits 400 --lifetimes 2000 --seed 7
 
-echo "== shard smoke: --shards 2 --jobs 2 byte-identical to --shards 1 =="
-# The sharded engine must compute the same result for every positive
-# shard count, whatever the domain count underneath.
+echo "== shard smoke: --shards 2 --jobs 2 byte-identical to the default =="
+# The result is a function of (seed, config), whatever --jobs and
+# --shards are.
 s1=$(mktemp) && s2=$(mktemp)
-dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 1 > "$s1"
+dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 > "$s1"
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$s2"
 diff "$s1" "$s2"
 rm -f "$s1" "$s2"

@@ -217,7 +217,7 @@ type row = {
   report : string;
   events_per_sec : float option;
   minor_words_per_event : float option;
-  speedup_2 : float option;  (* sharded events/sec over sequential, 2 shards *)
+  speedup_2 : float option;  (* shards=1 wall over shards=2 wall *)
   speedup_4 : float option;
   sim_events : float;  (* all "sim_events" occurrences + totals *)
   cumulative_events : float;  (* running sum across the PR sequence *)

@@ -150,14 +150,14 @@ let plain_run_jobs1 sc =
            (Workload.Network_experiment.run_many ~jobs:1
               [ (sc.Scenario.seed, Scenario.churn_config sc) ]))
 
-(* The sharded engine promises identical results for every positive
-   shard count; audit it by running the round-level scenario at
-   shards=1 and shards=4 and comparing result digests.  This is the
-   differential that catches exchange-ordering bugs — see
+(* The round-level engine promises the same result for every shard
+   count; audit it by running every round-level scenario at shards=1
+   and shards=4 and comparing result digests.  This is the differential
+   that catches exchange-ordering bugs — see
    [Network_experiment.unsafe_unordered_exchange]. *)
 let shard_differential sc =
   match sc.Scenario.kind with
-  | (Scenario.Network | Scenario.Churn) when sc.Scenario.shards > 0 ->
+  | Scenario.Network | Scenario.Churn ->
       let config =
         match sc.Scenario.kind with
         | Scenario.Network -> Scenario.network_config sc
@@ -174,7 +174,7 @@ let shard_differential sc =
   | _ -> None
 
 (* The per-scenario checks (runs 1-3, plus the shard differential for
-   sharded round-level scenarios).  [Ok digest] if all pass. *)
+   round-level scenarios).  [Ok digest] if all pass. *)
 let check_scenario ~selection sc =
   let d1, v1 = instrumented_run ~selection sc in
   if v1 <> [] then

@@ -36,11 +36,9 @@ type t = {
   grace_ms : int;  (* drain grace before survivors are killed *)
   epoch_ms : int;  (* directory snapshot refresh period *)
   spares : int;  (* relays that start down and join under join_pm *)
-  (* Network/churn-only: the sharded-engine dimension.  0 = classic
-     single-domain engine; k >= 1 runs the same scenario on the
-     windowed sharded engine, whose results must be identical for
-     every positive k — audited by the harness's shards=1-vs-4
-     differential. *)
+  (* Network/churn: the shard count (1, 2 or 4; 1 for other kinds).
+     The result must not depend on it — audited by the harness's
+     shards=1-vs-4 differential. *)
   shards : int;
 }
 
@@ -165,7 +163,12 @@ let of_string line =
   let* grace_ms = int_default "grace" 0 in
   let* epoch_ms = int_default "epochms" 0 in
   let* spares = int_default "spares" 0 in
-  let* shards = int_default "shards" 0 in
+  let* shards = int_default "shards" 1 in
+  let* () =
+    if shards < 1 then
+      Error (Printf.sprintf "scenario line: shards must be >= 1, got %d" shards)
+    else Ok ()
+  in
   Ok
     {
       kind;
@@ -332,13 +335,13 @@ let gen_kind (only : kind option) : t QCheck2.Gen.t =
   let* grace_ms = match kind with Churn -> int_range 200 2_000 | _ -> pure 0 in
   let* epoch_ms = match kind with Churn -> int_range 500 5_000 | _ -> pure 0 in
   let* spares = match kind with Churn -> int_range 0 3 | _ -> pure 0 in
-  (* Half the round-level scenarios run on the classic engine, the
-     rest exercise the sharded one — whose shards=1-vs-4 differential
-     is what catches exchange-ordering bugs. *)
+  (* Keep the total weight at 5: the draw then consumes the same
+     randomness, so every other field of a given (seed, index) is
+     unchanged by the split between the shard counts. *)
   let* shards =
     match kind with
-    | Network | Churn -> frequencyl [ (2, 0); (1, 1); (1, 2); (1, 4) ]
-    | _ -> pure 0
+    | Network | Churn -> frequencyl [ (3, 1); (1, 2); (1, 4) ]
+    | _ -> pure 1
   in
   (* A third of the population gets a crawling client access link.
      Slow clients are the norm in deployed anonymity networks, and they
@@ -450,10 +453,6 @@ let shrink_candidates t =
   if t.position > 1 then add { t with position = 1 };
   if t.strategy = Ss then add { t with strategy = Cs };
   if t.strategy = Pr then add { t with strategy = Cs };
-  (* Dropping to the classic engine is the biggest simplification, but
-     a shard-differential failure needs shards > 0 to reproduce, so
-     also offer the minimal sharded form. *)
-  if t.shards > 0 then add { t with shards = 0 };
   if t.shards > 1 then add { t with shards = 1 };
   List.rev !cands
 

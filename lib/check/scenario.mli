@@ -78,11 +78,10 @@ type t = {
   spares : int;
       (** Churn: relays that start down and join under [join_pm]. *)
   shards : int;
-      (** Network/churn: the engine dimension — 0 runs the classic
-          single-domain engine, [k >= 1] the windowed sharded engine,
-          whose results must be identical for every positive [k].  The
-          harness audits this with a shards=1-vs-4 result-digest
-          differential. *)
+      (** Network/churn: the shard count, one of 1, 2 or 4 (1 for
+          other kinds).  The result is a function of (seed, config)
+          whatever the shard count; the harness audits this with a
+          shards=1-vs-4 result-digest differential. *)
 }
 
 val recovery_hops : int
@@ -95,7 +94,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}.  The overload fields ([sess]/[ocirc]/
     [okib]/[arr]) are optional with inert defaults, so reproducer lines
-    from before they existed still parse. *)
+    from before they existed still parse; a missing [shards] key means
+    1, and [shards] below 1 is a parse error. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -9,23 +9,22 @@
    hop's fair share.  One event per circuit per round is what makes a
    million circuit lifetimes per run affordable.
 
-   All hot-path state is pooled flat records — the PR-4 free-list
-   pattern generalized from [Backtap.Hop_sender]'s pending pool:
+   All hot-path state is flat and preallocated:
 
    - relay occupancy lives in [active]/[load_cells] int arrays charged
      and credited exactly like [Switchboard]'s budget counters (the
      admission predicate IS [Switchboard.within_budget]);
-   - circuit records are strided slices of one flat int array recycled
-     through an int-stack free list; arrival and teardown allocate
+   - circuit records are strided slices of one flat int array, slot
+     [i]'s record pinned at [i * stride]; arrival and teardown allocate
      nothing, and a round touches one cache-resident record;
    - TTLB analysis is streamed into fixed-bin {!Engine.Stats.Sketch}es,
      O(1) memory per circuit.
 
-   Everything is a deterministic function of (seed, config): per-slot
-   RNG streams are split from the master seed in a fixed order at
-   setup, so runs are byte-identical across [--jobs 1/2/4] and paired
-   CS-vs-SS comparisons share the identical population, arrival and
-   size draws. *)
+   Per-slot RNG streams are split from the master seed in a fixed order
+   at setup, and the windowed drive loop ([run_sharded]) lets the shard
+   count choose only how the schedule executes (the guarantee is stated
+   once, on [shards] in the interface).  Paired CS-vs-SS comparisons
+   share the identical population, arrival and size draws. *)
 
 type config = {
   relays : int;
@@ -65,15 +64,9 @@ type config = {
   sketch_bins : int;
   sketch_max : Engine.Time.t;
   retain_exact : bool;
-  (* Within-run parallelism: 0 = the classic single-domain engine
-     (byte-identical to pre-shard releases); k >= 1 = the sharded
-     engine, which partitions circuit slots into [min k slots]
-     contiguous shards driven in lockstep exchange windows.  The
-     sharded engine's results are identical for every positive k —
-     shards choose only how the same schedule is executed — but differ
-     (deterministically) from the classic engine's, whose relay
-     occupancy updates are applied mid-window instead of at window
-     boundaries. *)
+  (* Within-run parallelism: circuit slots are partitioned into
+     [min shards slots] contiguous shards driven in lockstep exchange
+     windows. *)
   shards : int;
 }
 
@@ -106,7 +99,7 @@ let default_config =
     sketch_bins = 2_048;
     sketch_max = Engine.Time.s 600;
     retain_exact = false;
-    shards = 0;
+    shards = 1;
   }
 
 let validate_config c =
@@ -152,7 +145,7 @@ let validate_config c =
   else if (match c.budget.Tor_model.Switchboard.max_queued_bytes with
            | Some n -> n < 1 | None -> false)
   then Error "budget.max_queued_bytes must be positive when set"
-  else if c.shards < 0 then Error "shards must be >= 0"
+  else if c.shards < 1 then Error "shards must be >= 1"
   else if c.sketch_bins < 1 then Error "sketch_bins must be positive"
   else if Engine.Time.(c.sketch_max <= Engine.Time.zero) then
     Error "sketch_max must be positive"
@@ -215,8 +208,8 @@ let unsafe_disable_pool_release = ref false
    ([rounds_through_down] and [depart_residue] go nonzero). *)
 let unsafe_disable_churn_kill = ref false
 
-(* Test/fuzz hook: when set, sharded runs skip the deferred outbox and
-   apply relay occupancy deltas immediately during the window — the
+(* Test/fuzz hook: when set, runs skip the deferred deltas and apply
+   relay occupancy changes immediately during the window — the
    broken exchange ordering the barrier protocol exists to prevent.
    Mid-window application makes each shard's view depend on which
    slots it co-hosts, so shards=1 and shards=4 runs diverge; the check
@@ -286,15 +279,14 @@ type state = {
   s_res_rem : int array;
   s_res_kind : int array;
   s_res_started : int array;
-  (* Circuit pool: flat records of [stride] ints each, free-list
-     recycled.  One strided record, not parallel arrays: a round event
-     touches every field of one circuit, so keeping the fields adjacent
-     costs ~2 cache lines per event where 10 separate 10^5-entry arrays
-     cost ~10 misses — at a million events per second that locality is
-     the difference, not the arithmetic. *)
-  circ : int array;  (* slots * stride; field offsets [f_*] below *)
-  free : int array;
-  mutable free_top : int;
+  (* Circuit records: flat records of [stride] ints each, slot [i]'s
+     pinned at [i * stride] (a slot hosts at most one circuit).  One
+     strided record, not parallel arrays: a round event touches every
+     field of one circuit, so keeping the fields adjacent costs ~2 cache
+     lines per event where 10 separate 10^5-entry arrays cost ~10
+     misses — at a million events per second that locality is the
+     difference, not the arithmetic. *)
+  circ : int array;  (* slots * stride; field offsets [f_*] above *)
   (* Session slots.  [s_timer] is filled right after construction (its
      callbacks close over the state record). *)
   mutable s_timer : Engine.Sim.Timer.t array;
@@ -323,8 +315,6 @@ type state = {
   mutable rounds_through_down : int;
   mutable depart_residue : int;
   mutable live : int;
-  mutable peak_active : int;
-  goal : int;
   ttlb_all : Engine.Stats.Sketch.t;
   ttlb_mice : Engine.Stats.Sketch.t;
   ttlb_elephants : Engine.Stats.Sketch.t;
@@ -337,24 +327,35 @@ type state = {
   mutable ns_elephants : int;
   exact : Engine.Stats.Samples.t option;
   cell_bytes : int;
-  (* Sharded-engine plumbing; inert on the classic path.  [sharded]
-     states own the contiguous slot range [shard_lo, shard_hi) and
-     share every relay-level array (and the slot-level stash/record
-     arrays) with their [peers]; each has its own [sim], counters and
+  (* Shard plumbing.  Each state owns one contiguous slot range and
+     shares every relay-level array (and the slot-level stash/record
+     arrays) with its [peers]; each has its own [sim], counters and
      sketches.  While [defer] is set — the parallel phase of an
-     exchange window — relay occupancy writes are appended to the
-     shard-local [ob_buf] outbox as (relay, d_active, d_load) int
-     triples and applied at the barrier, so every shard reads the same
-     frozen snapshot regardless of what its peers are doing. *)
-  sharded : bool;
+     exchange window — relay occupancy writes are added into the
+     shard-local dense deltas [d_active]/[d_load] (one cell per relay)
+     and folded into the shared counters at the barrier, so every shard
+     reads the same frozen snapshot regardless of what its peers are
+     doing. *)
   mutable defer : bool;
   mutable peers : state array;
-  slot_shard : int array;  (* slot -> owning shard; [||] classic *)
-  mutable ob_buf : int array;
-  mutable ob_len : int;
+  d_active : int array;
+  d_load : int array;
 }
 
 let now_ns st = (Engine.Sim.now st.sim :> int)
+
+(* [f st i] for every slot [i] in slot order, [st] its owner's state:
+   shards own contiguous ascending ranges, so no per-slot lookup. *)
+let iter_slots states f =
+  Array.iteri
+    (fun j st ->
+      let lo, hi =
+        Shard.slot_range ~slots:st.config.slots ~shards:st.config.shards j
+      in
+      for i = lo to hi - 1 do
+        f st i
+      done)
+    states
 
 (* Bandwidth-weighted draw: binary search for the first cumulative
    weight exceeding a uniform draw over the total. *)
@@ -442,23 +443,15 @@ let hop_ok st r =
   end
   else admits st r
 
-(* Append one occupancy delta to the shard's outbox.  The buffer only
-   ever grows (length reset per window), so after the first few windows
-   the hot path is three int stores — allocation-free. *)
+(* Add one occupancy delta into the shard's dense per-relay deltas:
+   two int read-modify-writes, allocation-free and bounded by the relay
+   count however busy the window is. *)
 let ob_push st r d_active d_load =
-  let len = st.ob_len in
-  if len + 3 > Array.length st.ob_buf then begin
-    let grown = Array.make (Stdlib.max 192 (2 * Array.length st.ob_buf)) 0 in
-    Array.blit st.ob_buf 0 grown 0 len;
-    st.ob_buf <- grown
-  end;
-  st.ob_buf.(len) <- r;
-  st.ob_buf.(len + 1) <- d_active;
-  st.ob_buf.(len + 2) <- d_load;
-  st.ob_len <- len + 3
+  st.d_active.(r) <- st.d_active.(r) + d_active;
+  st.d_load.(r) <- st.d_load.(r) + d_load
 
 let charge_hop st r delta_cells =
-  if st.defer then ob_push st r 0 delta_cells
+  if st.defer then st.d_load.(r) <- st.d_load.(r) + delta_cells
   else st.load_cells.(r) <- st.load_cells.(r) + delta_cells
 
 (* Return a circuit record to the pool.  Crediting the occupancy back
@@ -472,8 +465,8 @@ let unregister st r cwnd =
   end
 
 (* [p] is the record's base offset into [st.circ] (slot * stride) —
-   the free list and the session slots store base offsets directly, so
-   the hot path never multiplies. *)
+   the session slots store base offsets directly, so the hot path never
+   multiplies. *)
 let release st p =
   if not !unsafe_disable_pool_release then begin
     let cwnd = st.circ.(p + f_cwnd) in
@@ -481,15 +474,7 @@ let release st p =
     unregister st st.circ.(p + f_hop1) cwnd;
     unregister st st.circ.(p + f_hop2) cwnd
   end;
-  st.live <- st.live - 1;
-  (* Sharded states pin slot [i]'s circuit to record [i * stride] (a
-     slot hosts at most one circuit, and a shared free list would make
-     pop order depend on the shard count), so only the classic engine
-     recycles through the free list. *)
-  if not st.sharded then begin
-    st.free.(st.free_top) <- p;
-    st.free_top <- st.free_top + 1
-  end
+  st.live <- st.live - 1
 
 let diurnal_factor st =
   let a = st.config.diurnal_amplitude in
@@ -527,7 +512,7 @@ let complete st i p =
   release st p;
   st.s_circ.(i) <- -1;
   st.completed <- st.completed + 1;
-  if st.completed >= st.goal then Engine.Sim.stop st.sim else think st i
+  think st i
 
 (* One RTT round: deliver against the bottleneck hop's fair share, then
    advance the window exactly like the controller does at round
@@ -661,9 +646,11 @@ let kill_through st r =
         st.s_res_kind.(i) <- st.circ.(p + f_kind);
         st.s_res_started.(i) <- st.circ.(p + f_started_ns);
         (* Timers are bound to their creating sim, so the release and
-           the rearm must go through the slot's owning shard's state
-           (the classic engine owns every slot). *)
-        let ow = if st.sharded then st.peers.(st.slot_shard.(i)) else st in
+           the rearm must go through the slot's owning shard's state. *)
+        let ow =
+          st.peers.(Shard.owner_of_slot ~slots:st.config.slots
+                      ~shards:st.config.shards i)
+        in
         release ow p;
         st.s_circ.(i) <- -1;
         think ow i
@@ -758,14 +745,7 @@ let try_arrival st i =
     think st i
   end
   else begin
-    let p =
-      if st.sharded then i * stride
-      else begin
-        assert (st.free_top > 0);
-        st.free_top <- st.free_top - 1;
-        st.free.(st.free_top)
-      end
-    in
+    let p = i * stride in
     if st.circ.(p + f_used) = 1 then st.pool_recycles <- st.pool_recycles + 1
     else st.circ.(p + f_used) <- 1;
     (* A pending resume (this slot's transfer was killed by a
@@ -815,7 +795,6 @@ let try_arrival st i =
     register st !e cwnd;
     st.s_circ.(i) <- p;
     st.live <- st.live + 1;
-    if st.live > st.peak_active then st.peak_active <- st.live;
     Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.ns rtt_ns)
   end
 
@@ -823,14 +802,11 @@ let step st i =
   let p = st.s_circ.(i) in
   if p < 0 then try_arrival st i else round st i p
 
-(* Shared construction for both engines: the population, the weight
-   tables, the slot/relay arrays and the per-slot timers.  The RNG
-   split order (population, then one stream per slot, then churn) is
-   fixed and engine-independent, so the classic engine stays
-   byte-identical to historical seeds and the sharded engine's draws
-   are a pure function of (seed, slot) — independent of the shard
-   count.  Returns the states in shard order; the classic engine is
-   the single-state case. *)
+(* Construction: the population, the weight tables, the slot/relay
+   arrays and the per-slot timers.  The RNG split order (population,
+   then one stream per slot, then churn) is fixed, so every draw is a
+   pure function of (seed, slot) — independent of the shard count.
+   Returns the states in shard order. *)
 let build_states ~seed config =
   let shards = config.shards in
   let rng = Engine.Rng.create seed in
@@ -888,17 +864,12 @@ let build_states ~seed config =
       ()
   in
   let slots = config.slots in
-  let sharded = shards > 0 in
-  let k = if sharded then Shard.count ~slots ~shards else 1 in
-  let slot_shard =
-    if sharded then
-      Array.init slots (fun i -> Shard.owner_of_slot ~slots ~shards i)
-    else [||]
-  in
+  let k = Shard.count ~slots ~shards in
+  let ranges = Array.init k (fun j -> Shard.slot_range ~slots ~shards j) in
   (* Relay-level and slot-level arrays are shared by every shard state:
      relay occupancy is frozen during parallel windows (writes go
-     through the outboxes), and each slot's record/stash/rng cells are
-     touched only by its owning shard between barriers. *)
+     through the dense deltas), and each slot's record/stash/rng cells
+     are touched only by its owning shard between barriers. *)
   let active = Array.make n 0 in
   let load_cells = Array.make n 0 in
   let rstatus =
@@ -923,19 +894,14 @@ let build_states ~seed config =
   let s_circ = Array.make slots (-1) in
   let states =
     Array.init k (fun j ->
-        let span =
-          if sharded then
-            let lo, hi = Shard.slot_range ~slots ~shards j in
-            hi - lo
-          else slots
-        in
+        let lo, hi = ranges.(j) in
         (* RTT-scale round timers and sub-second think timers dominate
            this workload; widen the wheel window to ~1.07 s (2^20 ns
            ticks, 1024 slots) so the 10^5-strong steady-state timer
            population stays O(1) slot inserts instead of overflow-heap
            churn.  Geometry never affects firing order, only speed. *)
         let sim =
-          Engine.Sim.create ~capacity:(Stdlib.max 256 span) ~tick_bits:20
+          Engine.Sim.create ~capacity:(Stdlib.max 256 (hi - lo)) ~tick_bits:20
             ~wheel_slots:1024 ()
         in
         {
@@ -961,10 +927,6 @@ let build_states ~seed config =
           s_res_kind;
           s_res_started;
           circ;
-          free =
-            (if sharded then [||]
-             else Array.init slots (fun i -> (slots - 1 - i) * stride));
-          free_top = (if sharded then 0 else slots);
           s_timer = [||];
           s_rng = slot_rngs;
           s_circ;
@@ -990,8 +952,6 @@ let build_states ~seed config =
           rounds_through_down = 0;
           depart_residue = 0;
           live = 0;
-          peak_active = 0;
-          goal = (if sharded then max_int else lifetimes_goal config);
           ttlb_all = sketch ();
           ttlb_mice = sketch ();
           ttlb_elephants = sketch ();
@@ -1002,121 +962,56 @@ let build_states ~seed config =
             (if config.retain_exact then Some (Engine.Stats.Samples.create ())
              else None);
           cell_bytes = Backtap.Wire.cell_size;
-          sharded;
           defer = false;
           peers = [||];
-          slot_shard;
-          ob_buf = [||];
-          ob_len = 0;
+          d_active = Array.make n_total 0;
+          d_load = Array.make n_total 0;
         })
   in
   Array.iter (fun st -> st.peers <- states) states;
-  let owner i = states.(if sharded then slot_shard.(i) else 0) in
   (* One timer per slot, created on the owning shard's sim (a timer is
-     bound to the sim that made it), in slot order — the same creation
-     order the classic engine has always used. *)
+     bound to the sim that made it), in slot order. *)
   let s_timer =
+    let j = ref 0 in
     Array.init slots (fun i ->
-        let ow = owner i in
+        if i >= snd ranges.(!j) then incr j;
+        let ow = states.(!j) in
         Engine.Sim.Timer.create ow.sim (fun () -> step ow i))
   in
   Array.iter (fun st -> st.s_timer <- s_timer) states;
-  for i = 0 to slots - 1 do
-    think (owner i) i
-  done;
+  iter_slots states think;
   states
 
-(* Teardown shared by both engines: release whatever was still in
-   flight at the horizon through each slot's owning state, then audit
-   the pool — with correct recycling every relay's occupancy returns to
-   zero. *)
+(* Teardown: release whatever was still in flight at the horizon
+   through each slot's owning state, then audit the pool — with correct
+   recycling every relay's occupancy returns to zero. *)
 let teardown states =
   let st0 = states.(0) in
   let abandoned = ref 0 in
-  for i = 0 to Array.length st0.s_circ - 1 do
-    let p = st0.s_circ.(i) in
-    if p >= 0 then begin
-      incr abandoned;
-      let ow = if st0.sharded then states.(st0.slot_shard.(i)) else st0 in
-      release ow p;
-      st0.s_circ.(i) <- -1
-    end
-  done;
+  iter_slots states (fun st i ->
+      let p = st.s_circ.(i) in
+      if p >= 0 then begin
+        incr abandoned;
+        release st p;
+        st.s_circ.(i) <- -1
+      end);
   let orphaned_circuits = Array.fold_left ( + ) 0 st0.active in
   let orphaned_cells = Array.fold_left ( + ) 0 st0.load_cells in
   (!abandoned, orphaned_circuits, orphaned_cells)
 
-(* The historical single-domain drive loop, byte-identical to pre-shard
-   releases: churn rides the sim's own [every] timers and occupancy
-   updates apply in place as events execute. *)
-let run_classic st =
-  let config = st.config in
-  let sim = st.sim in
-  (* Churn timers only exist when a hazard is set: churn-free runs add
-     zero events and zero per-event work beyond one boolean guard. *)
-  if st.churn then begin
-    let done_ () = st.completed >= st.goal in
-    Engine.Sim.every sim config.churn_tick (fun () -> churn_step st)
-      ~stop:done_;
-    Engine.Sim.every sim config.epoch_period (fun () -> advance_epoch st)
-      ~stop:done_
-  end;
-  if Engine.Time.(config.duration > Engine.Time.zero) then
-    Engine.Sim.run sim ~until:config.duration
-  else Engine.Sim.run sim;
-  let abandoned, orphaned_circuits, orphaned_cells = teardown [| st |] in
-  {
-    relays = config.relays;
-    slots = config.slots;
-    completed = st.completed;
-    mice = st.mice_done;
-    elephants = st.elephants_done;
-    arrivals = st.arrivals;
-    elephant_arrivals = st.elephant_arrivals;
-    refused_arrivals = st.refused_arrivals;
-    admission_redraws = st.admission_redraws;
-    abandoned;
-    delivered_cells = st.delivered_cells;
-    rounds = st.rounds;
-    pool_recycles = st.pool_recycles;
-    peak_active = st.peak_active;
-    ttlb_all = st.ttlb_all;
-    ttlb_mice = st.ttlb_mice;
-    ttlb_elephants = st.ttlb_elephants;
-    ttlb_exact =
-      (match st.exact with
-      | Some samples -> Engine.Stats.Samples.to_array samples
-      | None -> [||]);
-    orphaned_circuits;
-    orphaned_cells;
-    churn_departs = st.churn_departs;
-    churn_crashes = st.churn_crashes;
-    churn_drains_completed = st.churn_drains_completed;
-    churn_restarts = st.churn_restarts;
-    churn_epochs = st.churn_epochs;
-    churn_kills = st.churn_kills;
-    resumed = st.resumed;
-    gone_draws = st.gone_draws;
-    draining_refusals = st.draining_refusals;
-    rounds_through_down = st.rounds_through_down;
-    depart_residue = st.depart_residue;
-    end_time = Engine.Sim.now sim;
-    wall_events = Engine.Sim.events_executed sim;
-  }
-
-(* The sharded drive loop.  Time advances in exchange windows no wider
-   than the smallest achievable circuit RTT: within a window every
-   shard runs its own sim against the relay occupancy snapshot frozen
-   at the last barrier (occupancy writes divert to per-shard outboxes),
-   and at the barrier the outboxes — additive (relay, d_active,
-   d_load) deltas — are applied by relay ownership, churn and epoch
-   ticks fire at their exact times, and the stop conditions are
-   evaluated.  The window bound guarantees a circuit's first round
-   lands in a later window than its arrival, so every round already
-   sees its own registration; everything else a round reads is either
-   frozen shared state or slot-local, making the result a pure function
-   of (seed, config) — the same for every positive shard count.
-   Returns the result plus the worker domains' minor-words total. *)
+(* The drive loop.  Time advances in exchange windows no wider than
+   the smallest achievable circuit RTT: within a window every shard
+   runs its own sim against the relay occupancy snapshot frozen at the
+   last barrier (occupancy writes divert to per-shard dense deltas),
+   and at the barrier each relay's owner folds every shard's deltas
+   for it into the shared counters, churn and epoch ticks fire at
+   their exact times, and the stop conditions are evaluated.  The
+   window bound guarantees a circuit's first round lands in a later
+   window than its arrival, so every round already sees its own
+   registration; everything else a round reads is either frozen shared
+   state or slot-local, making the result a pure function of (seed,
+   config) — the same for every shard count.  Returns the result plus
+   the worker domains' minor-words total. *)
 let run_sharded ~seed states =
   let st0 = states.(0) in
   let k = Array.length states in
@@ -1162,28 +1057,23 @@ let run_sharded ~seed states =
       Engine.Pool.Team.run team (fun j -> Engine.Sim.run states.(j).sim ~until)
     else Array.iter (fun st -> Engine.Sim.run st.sim ~until) states;
     Array.iter (fun st -> st.defer <- false) states;
-    if defer then begin
-      (* Exchange: deltas are additive ints, so applying every outbox's
-         entries for the relays a shard owns — disjoint writes by
-         ownership — lands totals independent of application order and
-         of the shard count. *)
+    if defer then
+      (* Exchange: deltas are additive ints, so summing every shard's
+         cells for the relays a member owns, and zeroing them — disjoint
+         writes by ownership — lands totals independent of application
+         order and of the shard count. *)
       Engine.Pool.Team.run team (fun j ->
           let active = st0.active and load = st0.load_cells in
-          for s = 0 to k - 1 do
-            let src = states.(s) in
-            let buf = src.ob_buf and len = src.ob_len in
-            let idx = ref 0 in
-            while !idx < len do
-              let r = buf.(!idx) in
-              if relay_owner.(r) = j then begin
-                active.(r) <- active.(r) + buf.(!idx + 1);
-                load.(r) <- load.(r) + buf.(!idx + 2)
-              end;
-              idx := !idx + 3
-            done
-          done)
-    end;
-    Array.iter (fun st -> st.ob_len <- 0) states;
+          for r = 0 to st0.n_total - 1 do
+            if relay_owner.(r) = j then
+              for s = 0 to k - 1 do
+                let src = states.(s) in
+                active.(r) <- active.(r) + src.d_active.(r);
+                load.(r) <- load.(r) + src.d_load.(r);
+                src.d_active.(r) <- 0;
+                src.d_load.(r) <- 0
+              done
+          done);
     let live = Array.fold_left (fun acc st -> acc + st.live) 0 states in
     if live > !peak then peak := live;
     if churn && b = !next_churn then begin
@@ -1277,9 +1167,7 @@ let run_with_words ~seed config =
     | Ok c -> c
     | Error msg -> invalid_arg ("Network_experiment.run: " ^ msg)
   in
-  let states = build_states ~seed config in
-  if config.shards = 0 then (run_classic states.(0), 0.)
-  else run_sharded ~seed states
+  run_sharded ~seed (build_states ~seed config)
 
 let run ?(seed = 42) config = fst (run_with_words ~seed config)
 

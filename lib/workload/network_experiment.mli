@@ -15,13 +15,13 @@
 
     What makes that affordable:
 
-    - {b Pooled flat circuit state} — the PR-4 free-list pattern
-      generalized: circuits are parallel int arrays recycled through an
-      int-stack free list, relay occupancy is [active]/[load_cells]
-      counters charged and credited like {!Tor_model.Switchboard}'s
-      budget counters (admission is literally
-      {!Tor_model.Switchboard.within_budget}); arrival and teardown
-      allocate nothing.
+    - {b Flat circuit state} — each circuit is a strided record in one
+      flat int array, slot [i]'s record pinned at a fixed offset and
+      reused by every circuit the slot hosts; relay occupancy is
+      [active]/[load_cells] counters charged and credited like
+      {!Tor_model.Switchboard}'s budget counters (admission is
+      literally {!Tor_model.Switchboard.within_budget}); arrival and
+      teardown allocate nothing.
     - {b Streaming analysis} — TTLBs go straight into fixed-bin
       {!Engine.Stats.Sketch}es (O(1) memory per circuit); exact
       retention is opt-in ([retain_exact]) for small-scale validation.
@@ -31,8 +31,12 @@
     yields Poisson-like arrivals and departures at a pinned concurrency
     ceiling; [elephant_fraction] of arrivals are bulk transfers, the
     rest mice, and an optional diurnal wave modulates the arrival rate.
-    Deterministic per (seed, config): byte-identical across
-    [--jobs 1/2/4] and paired across strategies. *)
+
+    The run advances in exchange windows no wider than the smallest
+    achievable circuit RTT.  Within a window every shard reads relay
+    occupancy as it stood at the last barrier; occupancy changes are
+    folded in, and churn and epoch ticks fire, at the barriers.  Paired
+    strategies share every population, arrival and size draw. *)
 
 type config = {
   relays : int;  (** Population size; at least 4. *)
@@ -89,16 +93,14 @@ type config = {
   retain_exact : bool;
       (** Also retain exact TTLBs (small scale only — O(n) memory). *)
   shards : int;
-      (** Within-run parallelism.  [0] (the default) is the classic
-          single-domain engine, byte-identical to pre-shard releases.
-          [k >= 1] partitions the circuit slots into [min k slots]
+      (** Within-run parallelism, at least 1 (the default).  The
+          circuit slots are partitioned into [min shards slots]
           contiguous shards ({!Shard.slot_range}), each driven by its
           own sim on its own domain, advancing in lockstep exchange
-          windows with a barrier at every boundary.  Results are
-          identical for {e every} positive [k] — the shard count
-          chooses how the schedule executes, never what it computes —
-          but deterministically different from [shards = 0], whose
-          occupancy updates apply mid-window. *)
+          windows with a barrier at every boundary.  The result is a
+          function of (seed, config) alone, whatever [--jobs] and
+          [--shards] are: the shard count chooses how the schedule
+          executes, never what it computes. *)
 }
 
 val default_config : config
@@ -114,7 +116,11 @@ val lifetimes_goal : config -> int
 type result = {
   relays : int;
   slots : int;
-  completed : int;  (** Circuit lifetimes completed. *)
+  completed : int;
+      (** Circuit lifetimes completed.  A run stops at the first
+          exchange barrier at or after the lifetime goal (or at the
+          [duration] horizon), so this can exceed {!lifetimes_goal} by
+          less than one lifetime per slot. *)
   mice : int;  (** Completed mice. *)
   elephants : int;
       (** Completed elephants — often far below [elephant_arrivals]:
@@ -132,11 +138,14 @@ type result = {
   rounds : int;  (** RTT-round events executed. *)
   pool_recycles : int;
       (** Arrivals served by a previously released pool record. *)
-  peak_active : int;  (** Highest concurrent circuit count. *)
+  peak_active : int;
+      (** Highest concurrent circuit count, sampled at exchange
+          barriers. *)
   ttlb_all : Engine.Stats.Sketch.t;
   ttlb_mice : Engine.Stats.Sketch.t;
   ttlb_elephants : Engine.Stats.Sketch.t;
-  ttlb_exact : float array;  (** [\[||\]] unless [retain_exact]. *)
+  ttlb_exact : float array;
+      (** Sorted ascending; [\[||\]] unless [retain_exact]. *)
   orphaned_circuits : int;
       (** Relay [active] occupancy left after every circuit was torn
           down — 0 unless pool recycling is broken. *)
@@ -184,25 +193,25 @@ val unsafe_disable_churn_kill : bool ref
     nonzero, which the churn oracles flag (and shrink).  Reset it. *)
 
 val unsafe_unordered_exchange : bool ref
-(** Test/fuzz hook: when [true], sharded runs apply relay occupancy
-    deltas in place mid-window instead of deferring them to the
-    barrier exchange, so what a shard observes depends on which slots
-    it co-hosts and runs with different shard counts diverge.  The
-    check harness's shards=1-vs-4 differential catches the divergence
-    and shrinks it to a replayable line.  While it is set, each
-    window's shards step in sequence on the calling domain, so the
-    divergence is deterministic.  No effect on [shards = 0].  Reset
-    it. *)
+(** Test/fuzz hook: when [true], runs apply relay occupancy deltas in
+    place mid-window instead of deferring them to the barrier
+    exchange, so what a shard observes depends on which slots it
+    co-hosts and runs with different shard counts diverge.  The check
+    harness's shards=1-vs-4 differential catches the divergence and
+    shrinks it to a replayable line.  While it is set, each window's
+    shards step in sequence on the calling domain, so the divergence
+    is deterministic.  Reset it. *)
 
 val run : ?seed:int -> config -> result
-(** Deterministic per [(seed, config)].  Raises [Invalid_argument] if
-    the config does not validate or the population draws no exit. *)
+(** One run ([seed] defaults to 42; see [shards] for what the result
+    depends on).  Raises [Invalid_argument] if the config does not
+    validate or the population draws no exit. *)
 
 val run_instrumented : ?seed:int -> config -> result * float
 (** {!run} plus honest allocation accounting: the float is the total
     minor words allocated during the run summed over {e all}
-    participating domains — the calling domain plus, for sharded runs,
-    every worker domain of the shard team.  Kept out of {!result} so
+    participating domains — the calling domain plus every worker
+    domain of the shard team.  Kept out of {!result} so
     result digests stay comparable across instrumented and plain
     runs. *)
 

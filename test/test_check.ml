@@ -32,6 +32,26 @@ let test_of_string_rejects_garbage () =
         (Result.is_error (Check.Scenario.of_string line)))
     [ ""; "k=x seed=1"; "seed=1 relays=3"; "k=f seed=zzz relays=3" ]
 
+let test_of_string_rejects_zero_shards () =
+  (* There is one round-level engine and it takes at least one shard:
+     a line asking for shards=0 (or fewer) is a parse error, while a
+     line without the key means one shard. *)
+  let line =
+    "k=n seed=7 relays=8 pos=1 bytes=8192 loss=0 burst=0 odown=-1 oup=-1 \
+     crash=-1 queue=0 strat=cs bn=1000 fast=2000 ep=100000 rebuilds=3 sess=6 \
+     ocirc=0 okib=0 arr=20 lifet=30"
+  in
+  (match Check.Scenario.of_string line with
+  | Ok sc -> Alcotest.(check int) "missing shards means 1" 1 sc.Check.Scenario.shards
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s rejected" bad)
+        true
+        (Result.is_error (Check.Scenario.of_string (line ^ " " ^ bad))))
+    [ "shards=0"; "shards=-1" ]
+
 let test_generate_deterministic () =
   for index = 0 to 9 do
     Alcotest.(check bool) "same (seed, index), same scenario" true
@@ -171,7 +191,7 @@ let stale_prone =
     grace_ms = 0;
     epoch_ms = 0;
     spares = 0;
-    shards = 0;
+    shards = 1;
   }
 
 (* With the guard disabled, find a scenario the oracles reject: the
@@ -257,7 +277,7 @@ let budget_prone =
     grace_ms = 0;
     epoch_ms = 0;
     spares = 0;
-    shards = 0;
+    shards = 1;
   }
 
 let find_failing_budget () =
@@ -448,6 +468,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_scenario_round_trip;
           Alcotest.test_case "garbage rejected" `Quick test_of_string_rejects_garbage;
+          Alcotest.test_case "shards=0 rejected" `Quick
+            test_of_string_rejects_zero_shards;
           Alcotest.test_case "generation deterministic" `Quick
             test_generate_deterministic;
           Alcotest.test_case "shrink candidates differ" `Quick

@@ -390,7 +390,7 @@ let churny_config =
 
 let test_network_churn_counters_live () =
   let r = Workload.Network_experiment.run ~seed:11 churny_config in
-  Alcotest.(check int) "goal met" 1_500 r.completed;
+  Test_util.check_stops_at_goal churny_config r;
   Alcotest.(check bool)
     (Printf.sprintf "departures (%d)" r.churn_departs)
     true (r.churn_departs > 0);
@@ -431,8 +431,8 @@ let test_network_churn_paired_strategies () =
       (module Workload.Network_experiment)
       ~seed:11 churny_config
   in
-  Alcotest.(check int) "cs goal met" 1_500 c.circuit_start.completed;
-  Alcotest.(check int) "ss goal met" 1_500 c.slow_start.completed;
+  Test_util.check_stops_at_goal churny_config c.circuit_start;
+  Test_util.check_stops_at_goal churny_config c.slow_start;
   (* The schedule is seeded identically per strategy run. *)
   Alcotest.(check bool) "both runs churned" true
     (c.circuit_start.churn_departs > 0 && c.slow_start.churn_departs > 0)
@@ -485,7 +485,7 @@ let churn_prone =
     grace_ms = 200;
     epoch_ms = 500;
     spares = 2;
-    shards = 0;
+    shards = 1;
   }
 
 let test_churn_scenario_passes_clean () =
@@ -624,6 +624,8 @@ let test_cli_rejects_bad_numeric_flags () =
       "recover --selection bogus";
       "recover --crash-position 0";
       "check --kind bogus";
+      "network --shards 0";
+      "churn-scale --shards=-1";
     ]
 
 let test_cli_churn_scale_runs () =

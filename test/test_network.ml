@@ -118,9 +118,7 @@ let small_config =
 
 let test_pool_recycles_no_orphans () =
   let r = Workload.Network_experiment.run ~seed:11 small_config in
-  Alcotest.(check int) "hits the lifetime goal"
-    (Workload.Network_experiment.lifetimes_goal small_config)
-    r.Workload.Network_experiment.completed;
+  Test_util.check_stops_at_goal small_config r;
   Alcotest.(check bool) "records were recycled" true
     (r.Workload.Network_experiment.pool_recycles > 0);
   Alcotest.(check int) "no orphaned circuit registrations" 0
@@ -169,12 +167,7 @@ let test_predictive_sharded_identical () =
         (Printf.sprintf "predictive shards=%d identical to shards=1" k)
         true
         (compare r1 (run k) = 0))
-    [ 2; 4 ];
-  (* The classic engine must also complete the predictive workload. *)
-  let r0 = run 0 in
-  Alcotest.(check int) "classic engine hits the lifetime goal"
-    (Workload.Network_experiment.lifetimes_goal predictive_config)
-    r0.Workload.Network_experiment.completed
+    [ 2; 4 ]
 
 let test_validate_config_rejects () =
   let bad msg c =
@@ -352,7 +345,7 @@ let pool_prone =
     grace_ms = 0;
     epoch_ms = 0;
     spares = 0;
-    shards = 0;
+    shards = 1;
   }
 
 let find_failing_network () =
@@ -516,7 +509,7 @@ let test_cli_sharded_byte_identical () =
   let base =
     "network --relays 10 --circuits 24 --lifetimes 120 --think-ms 20 --seed 3"
   in
-  let rc, reference = torsim_out (base ^ " --shards 1 --jobs 1") in
+  let rc, reference = torsim_out base in
   Alcotest.(check int) "reference run exits 0" 0 rc;
   Alcotest.(check bool) "reference run prints a table" true
     (String.length reference > 0);
@@ -531,12 +524,7 @@ let test_cli_sharded_byte_identical () =
       Alcotest.(check string)
         (Printf.sprintf "--shards %d --jobs %d byte-identical" shards jobs)
         reference out)
-    [ (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ];
-  (* shards=0 selects the classic engine: it must still run cleanly,
-     but its output is the pre-shard engine's (pinned by the golden
-     tests), deliberately not compared against the sharded runs. *)
-  let rc, _ = torsim_out (base ^ " --shards 0") in
-  Alcotest.(check int) "--shards 0 (classic) exits 0" 0 rc
+    [ (1, 1); (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ]
 
 let test_cli_rejects_bad_jobs_env () =
   let rc, text =

@@ -19,6 +19,19 @@ let check_jobs_deterministic ?(jobs = [ 2; 4 ]) run_many =
         (compare (run_many j) reference = 0))
     jobs
 
+(* A round-level run stops at the first exchange barrier at or after
+   its lifetime goal.  A slot completes at most one circuit per window
+   (a circuit's first round lands in a later window than its arrival),
+   so the overshoot is below one lifetime per slot. *)
+let check_stops_at_goal (config : Workload.Network_experiment.config)
+    (r : Workload.Network_experiment.result) =
+  let goal = Workload.Network_experiment.lifetimes_goal config in
+  Alcotest.(check bool)
+    (Printf.sprintf "goal %d met within one window (%d completed, %d slots)"
+       goal r.completed config.slots)
+    true
+    (r.completed >= goal && r.completed < goal + config.slots)
+
 (* ------------------------------------------------------------------ *)
 (* Golden-fixture rendering *)
 
