@@ -84,6 +84,18 @@ let fixtures =
     ( "cli_churn_scale.txt",
       cli_fixture
         "churn-scale --relays 40 --circuits 100 --lifetimes 500 --seed 7" );
+    (* The packet-level star (Figure 1c), one run per transport: its
+       [events=] and [max queue=] fields expose any drift in the event
+       order of links, hop senders and controllers. *)
+    ( "cli_cdf_cs.txt",
+      cli_fixture "cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport cs" );
+    ( "cli_cdf_ss.txt",
+      cli_fixture "cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport ss" );
+    ( "cli_cdf_pr.txt",
+      cli_fixture "cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport pr" );
+    ( "cli_cdf_sendme.txt",
+      cli_fixture
+        "cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport sendme" );
   ]
 
 let update_dir = Sys.getenv_opt "CIRCUITSTART_UPDATE_GOLDEN"
