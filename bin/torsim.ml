@@ -272,7 +272,8 @@ let cdf_cmd =
       value
       & opt transport_conv
           (Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start)
-      & info [ "transport" ] ~docv:"T" ~doc:"circuitstart, slowstart or sendme.")
+      & info [ "transport" ] ~docv:"T"
+          ~doc:"circuitstart (cs), slowstart (ss), predictive (pr) or sendme.")
   in
   let circuits =
     Arg.(value & opt int 50 & info [ "circuits" ] ~docv:"N" ~doc:"Concurrent circuits.")

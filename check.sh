@@ -21,6 +21,16 @@ dune exec bin/torsim.exe -- recover --crash-at 0.2 --kib 128 --seed 7
 echo "== overload smoke: torsim overload (flash crowd vs budgets) =="
 dune exec bin/torsim.exe -- overload --sessions 8 --kib 32 --seed 7
 
+echo "== star smoke: torsim cdf, one run per transport (packet-level, small) =="
+# The paper's packet-level star (Figure 1c) end to end: every transport
+# must complete all of its circuits.
+for transport in cs ss pr sendme; do
+  out=$(dune exec bin/torsim.exe -- cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport "$transport")
+  last=$(printf '%s\n' "$out" | tail -n 1)
+  echo "$transport: $last"
+  case "$last" in "completed 10/10 "*) ;; *) echo "star smoke failed" >&2; exit 1 ;; esac
+done
+
 echo "== network smoke: torsim network (consensus-scale, small) =="
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7
 

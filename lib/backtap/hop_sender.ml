@@ -3,7 +3,9 @@
    steady-state forwarding path allocates no pending records, no timer
    entries and no callback closures — the two closures below ([timer]'s
    callback and [send_action]) are created once per pooled record and
-   reused for every cell that passes through it. *)
+   reused for every cell that passes through it.  The backlog, the
+   in-flight table and the pool are arrays that only grow, so once a
+   sender has seen its peak window it allocates nothing per cell. *)
 type pending = {
   mutable cell : Tor_model.Cell.t;
   mutable hop_seq : int;
@@ -14,17 +16,21 @@ type pending = {
   mutable attempts : int;  (* retransmissions of this cell so far *)
   mutable on_wire : bool;  (* did the current attempt reach the wire? *)
   mutable ack : (unit -> unit) option;
+  (* The forwarded cell's upstream hop sequence, handed to the sender's
+     [forward_ack] on first transmission; -1 for a cell submitted with
+     its own [ack] (or none). *)
+  mutable ack_seq : int;
   mutable in_use : bool;  (* false once recycled into the pool *)
   (* Packet-id watermark of the current incarnation: the network's
      next packet id, stamped in [pump] before the first attempt is
      sent.  Every attempt of this incarnation gets an id >= the
      watermark; every packet of an earlier incarnation has a smaller
      one.  [transmit_done] uses it to reject stale wire-departure
-     callbacks: a queued attempt's registration survives in the link's
-     on_transmit table after feedback recycles this record (the link
-     only discards it on tail drop or outage), so a leftover packet of
-     a previous incarnation can still serialize later and fire
-     [send_action] against the reused record. *)
+     callbacks: a queued attempt's callback rides with its packet in
+     the link's queue after feedback recycles this record (the link
+     cannot withdraw it), so a leftover packet of a previous
+     incarnation can still serialize later and fire [send_action]
+     against the reused record. *)
   mutable wire_floor : int;
   (* One reusable clock per pending, serving as both the queued-drop
      watchdog and the retransmission timer — the two are never armed at
@@ -32,8 +38,9 @@ type pending = {
      cancel-and-reschedule pair of the old design. *)
   mutable timer : Engine.Sim.Timer.t;
   (* Preallocated wire-departure callback handed to the switchboard on
-     every attempt; receives the departing packet's id. *)
-  mutable send_action : int -> unit;
+     every attempt, already wrapped as the optional argument it is
+     passed as; receives the departing packet's id. *)
+  mutable send_action : (int -> unit) option;
 }
 
 type probe_event =
@@ -61,9 +68,28 @@ type t = {
   rto_min : Engine.Time.t;
   rto_initial : Engine.Time.t;
   max_retries : int;
-  backlog : (Tor_model.Cell.t * (unit -> unit) option) Queue.t;
-  inflight : (int, pending) Hashtbl.t;
-  mutable free : pending list;  (* recycled pendings *)
+  (* Backlog ring: [bl_len] cells from [bl_head], each with its [ack]
+     and upstream sequence (see [pending.ack_seq]) in the parallel
+     arrays.  Doubled when full, never shrunk. *)
+  mutable bl_cells : Tor_model.Cell.t array;
+  mutable bl_acks : (unit -> unit) option array;
+  mutable bl_seqs : int array;
+  mutable bl_head : int;
+  mutable bl_len : int;
+  (* In-flight table, indexed by hop sequence: the pending of sequence
+     [s] sits in slot [s land (Array.length slots - 1)] (or the slot
+     holds [vacant]).  Every live sequence lies in
+     [\[lowest, next_seq)], a span the table is kept wider than. *)
+  mutable slots : pending array;
+  mutable lowest : int;
+  mutable live : int;
+  vacant : pending;
+  (* Recycled pendings, a stack in [free.(0 .. nfree - 1)]. *)
+  mutable free : pending array;
+  mutable nfree : int;
+  (* The ack of a cell submitted with {!forward}: the sender's one
+     callback, applied to the cell's upstream sequence. *)
+  mutable forward_ack : int -> unit;
   mutable next_seq : int;
   mutable sent : int;
   mutable retx : int;
@@ -81,27 +107,63 @@ type t = {
      state. *)
   mutable charged : int;
   (* Jacobson/Karels estimator state, in seconds. *)
-  mutable srtt : float option;
+  est : estimator;
+}
+
+(* All-float, so updating it allocates nothing. *)
+and estimator = {
+  mutable srtt : float;  (* nan until the first sample *)
   mutable rttvar : float;
 }
+
+(* A pending holding nothing; [cell] is a placeholder that is never
+   sent. *)
+let blank_pending circuit timer =
+  {
+    cell = Tor_model.Cell.make circuit Tor_model.Cell.Destroy;
+    hop_seq = -1;
+    transmitted = false;
+    sent_at = Engine.Time.zero;
+    retransmitted = false;
+    backoff = 0;
+    attempts = 0;
+    on_wire = false;
+    ack = None;
+    ack_seq = -1;
+    in_use = false;
+    wire_floor = max_int;
+    timer;
+    send_action = None;
+  }
 
 let create ~sb ~circuit ~succ ~controller ?(rto_min = Engine.Time.ms 400)
     ?(rto_initial = Engine.Time.s 1) ?(max_retries = 8) () =
   if max_retries < 1 then invalid_arg "Hop_sender.create: max_retries must be positive";
   let net = Tor_model.Switchboard.network sb in
+  let sim = Netsim.Network.sim net in
+  let vacant = blank_pending circuit (Engine.Sim.Timer.create sim ignore) in
   {
     sb;
     net;
     circuit;
     succ;
     controller;
-    sim = Netsim.Network.sim net;
+    sim;
     rto_min;
     rto_initial;
     max_retries;
-    backlog = Queue.create ();
-    inflight = Hashtbl.create 64;
-    free = [];
+    bl_cells = Array.make 16 vacant.cell;
+    bl_acks = Array.make 16 None;
+    bl_seqs = Array.make 16 (-1);
+    bl_head = 0;
+    bl_len = 0;
+    slots = Array.make 16 vacant;
+    lowest = 0;
+    live = 0;
+    vacant;
+    free = [||];
+    nfree = 0;
+    forward_ack = ignore;
     next_seq = 0;
     sent = 0;
     retx = 0;
@@ -111,33 +173,78 @@ let create ~sb ~circuit ~succ ~controller ?(rto_min = Engine.Time.ms 400)
     aborted = false;
     on_abort = None;
     charged = 0;
-    srtt = None;
-    rttvar = 0.;
+    est = { srtt = Float.nan; rttvar = 0. };
   }
 
 let controller t = t.controller
 let cwnd t = Circuitstart.Controller.cwnd t.controller
-let inflight t = Hashtbl.length t.inflight
-let queue_length t = Queue.length t.backlog
+let inflight t = t.live
+let queue_length t = t.bl_len
 let cells_sent t = t.sent
 let retransmissions t = t.retx
 let spurious_feedback t = t.spurious
 let feedback_received t = t.feedbacks
 let next_hop_seq t = t.next_seq
 let set_probe t f = t.probe <- f
-let idle t = Queue.is_empty t.backlog && Hashtbl.length t.inflight = 0
+let idle t = t.bl_len = 0 && t.live = 0
 let aborted t = t.aborted
 let set_on_abort t f = t.on_abort <- Some f
 let charged_bytes t = t.charged
 
-let srtt t = Option.map Engine.Time.of_sec_f t.srtt
+let set_forward_ack t f = t.forward_ack <- f
+
+(* [Engine.Time.of_sec_f] and [to_sec_f], restated so they inline: a
+   float crossing the module boundary is boxed. *)
+let[@inline] time_of_sec x =
+  if not (Float.is_finite x) then invalid_arg "Time: non-finite duration";
+  let r = Float.round (x *. 1e9) in
+  if r >= 4611686018427387904. then Engine.Time.max_value
+  else if r <= -4611686018427387904. then Engine.Time.ns min_int
+  else Engine.Time.ns (int_of_float r)
+
+let[@inline] sec_of_time (x : Engine.Time.t) = float_of_int (x :> int) /. 1e9
+
+let srtt t = if Float.is_nan t.est.srtt then None else Some (time_of_sec t.est.srtt)
 
 let rto t =
-  match t.srtt with
-  | None -> t.rto_initial
-  | Some srtt ->
-      let rto = Engine.Time.of_sec_f (srtt +. (4. *. t.rttvar)) in
-      Engine.Time.max rto t.rto_min
+  if Float.is_nan t.est.srtt then t.rto_initial
+  else
+    let rto = time_of_sec (t.est.srtt +. (4. *. t.est.rttvar)) in
+    Engine.Time.max rto t.rto_min
+
+(* --- the in-flight table ------------------------------------------- *)
+
+let slot t seq = seq land (Array.length t.slots - 1)
+
+let find t seq =
+  if seq < t.lowest || seq >= t.next_seq then t.vacant
+  else
+    let p = t.slots.(slot t seq) in
+    if p.hop_seq = seq && p != t.vacant then p else t.vacant
+
+(* Insert the pending of the newest sequence, doubling the table first
+   if the live span would not fit. *)
+let add_inflight t (p : pending) =
+  if p.hop_seq - t.lowest >= Array.length t.slots then begin
+    let slots = Array.make (2 * Array.length t.slots) t.vacant in
+    for seq = t.lowest to p.hop_seq - 1 do
+      let q = t.slots.(slot t seq) in
+      if q != t.vacant && q.hop_seq = seq then
+        slots.(seq land (Array.length slots - 1)) <- q
+    done;
+    t.slots <- slots
+  end;
+  t.slots.(slot t p.hop_seq) <- p;
+  t.live <- t.live + 1
+
+let remove_inflight t seq =
+  t.slots.(slot t seq) <- t.vacant;
+  t.live <- t.live - 1;
+  if t.live = 0 then t.lowest <- t.next_seq
+  else
+    while t.slots.(slot t t.lowest) == t.vacant do
+      t.lowest <- t.lowest + 1
+    done
 
 let max_backoff = 6
 
@@ -147,14 +254,23 @@ let max_backoff = 6
 let abort t =
   if not t.aborted then begin
     t.aborted <- true;
-    Hashtbl.iter
-      (fun _ p ->
+    for seq = t.lowest to t.next_seq - 1 do
+      let p = find t seq in
+      if p != t.vacant then begin
         Engine.Sim.Timer.cancel t.sim p.timer;
         p.in_use <- false;
-        p.ack <- None)
-      t.inflight;
-    Hashtbl.reset t.inflight;
-    Queue.clear t.backlog;
+        p.ack <- None;
+        t.slots.(slot t seq) <- t.vacant
+      end
+    done;
+    t.live <- 0;
+    t.lowest <- t.next_seq;
+    for i = 0 to t.bl_len - 1 do
+      let j = (t.bl_head + i) land (Array.length t.bl_cells - 1) in
+      t.bl_cells.(j) <- t.vacant.cell;
+      t.bl_acks.(j) <- None
+    done;
+    t.bl_len <- 0;
     (* Release every byte still charged against the node's occupancy
        accounting in one move. *)
     if t.charged > 0 then begin
@@ -188,7 +304,7 @@ let trip t =
 let rec wire_send t (p : pending) =
   p.on_wire <- false;
   Tor_model.Switchboard.send_payload t.sb ~dst:t.succ ~size:Wire.cell_size
-    ~on_transmit:p.send_action
+    ?on_transmit:p.send_action
     (Wire.Bt_cell { hop_seq = p.hop_seq; cell = p.cell });
   (* Still sitting in our own access link's queue: a tail drop there
      would never fire [send_action], so arm the watchdog so the cell is
@@ -203,7 +319,7 @@ let rec wire_send t (p : pending) =
    but no feedback arrived in time).  Both mean the same thing —
    retransmit, or trip the sender once the budget is spent. *)
 and on_timer t (p : pending) =
-  if (not t.aborted) && p.in_use && Hashtbl.mem t.inflight p.hop_seq then begin
+  if (not t.aborted) && p.in_use && find t p.hop_seq == p then begin
     if p.attempts >= t.max_retries then trip t
     else begin
       p.retransmitted <- true;
@@ -217,7 +333,7 @@ and on_timer t (p : pending) =
 (* Wire departure of an attempt: stop the watchdog, stamp the RTT
    clock, deliver the one-shot [ack], and rearm the same timer as the
    retransmission clock.  Guarded against stale firings (see
-   [wire_floor]): a leftover registration from before this record was
+   [wire_floor]): a leftover callback from before this record was
    recycled — or one firing while the record sits idle in the pool —
    must be a no-op, or it would ack the wrong cell, consume its
    first-transmit flag, corrupt the RTT clock and rearm its timer.
@@ -241,7 +357,11 @@ and transmit_done t (p : pending) pkt_id =
     let first = not p.transmitted in
     p.transmitted <- true;
     p.sent_at <- Engine.Sim.now t.sim;
-    (if first then match p.ack with Some f -> f () | None -> ());
+    if first then begin
+      match p.ack with
+      | Some f -> f ()
+      | None -> if p.ack_seq >= 0 then t.forward_ack p.ack_seq
+    end;
     let delay = Engine.Time.mul_int (rto t) (1 lsl p.backoff) in
     Engine.Sim.Timer.arm_after t.sim p.timer delay
   end
@@ -250,53 +370,50 @@ and transmit_done t (p : pending) pkt_id =
    when the inflight population reaches a new high).  The placeholder
    cell is never sent — [pump] overwrites it before use. *)
 let alloc_pending t =
-  match t.free with
-  | p :: rest ->
-      t.free <- rest;
-      p
-  | [] ->
-      let p =
-        {
-          cell = Tor_model.Cell.make t.circuit Tor_model.Cell.Destroy;
-          hop_seq = -1;
-          transmitted = false;
-          sent_at = Engine.Time.zero;
-          retransmitted = false;
-          backoff = 0;
-          attempts = 0;
-          on_wire = false;
-          ack = None;
-          in_use = false;
-          wire_floor = max_int;
-          timer = Engine.Sim.Timer.create t.sim (fun () -> ());
-          send_action = (fun _ -> ());
-        }
-      in
-      p.timer <- Engine.Sim.Timer.create t.sim (fun () -> on_timer t p);
-      p.send_action <- (fun pkt_id -> transmit_done t p pkt_id);
-      p
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
+    let p = blank_pending t.circuit t.vacant.timer in
+    p.timer <- Engine.Sim.Timer.create t.sim (fun () -> on_timer t p);
+    p.send_action <- Some (fun pkt_id -> transmit_done t p pkt_id);
+    p
+  end
 
 (* Return a pending to the pool.  The timer is disarmed eagerly, so a
-   recycled record can never be fired by a stale clock.  [send_action]
-   registrations for still-queued attempts cannot be withdrawn here —
-   the link owns them — but [wire_floor] makes any such late firing a
-   no-op, both while the record sits in the pool ([in_use] is false)
-   and after it is reused (the stale packet's id is below the new
-   incarnation's watermark). *)
+   recycled record can never be fired by a stale clock.  The
+   [send_action] of a still-queued attempt cannot be withdrawn here —
+   it rides with its packet in the link's queue — but [wire_floor]
+   makes any such late firing a no-op, both while the record sits in
+   the pool ([in_use] is false) and after it is reused (the stale
+   packet's id is below the new incarnation's watermark). *)
 let release t p =
   Engine.Sim.Timer.cancel t.sim p.timer;
   p.in_use <- false;
   p.ack <- None;
-  t.free <- p :: t.free
+  p.cell <- t.vacant.cell;
+  if t.nfree = Array.length t.free then begin
+    let free = Array.make (Stdlib.max 8 (2 * t.nfree)) p in
+    Array.blit t.free 0 free 0 t.nfree;
+    t.free <- free
+  end;
+  t.free.(t.nfree) <- p;
+  t.nfree <- t.nfree + 1
 
 (* Move backlog cells onto the wire while the window allows. *)
 let rec pump t =
   if
     (not t.aborted)
-    && Hashtbl.length t.inflight < Circuitstart.Controller.send_allowance t.controller
-    && not (Queue.is_empty t.backlog)
+    && t.live < Circuitstart.Controller.send_allowance t.controller
+    && t.bl_len > 0
   then begin
-    let cell, ack = Queue.pop t.backlog in
+    let j = t.bl_head in
+    let cell = t.bl_cells.(j) and ack = t.bl_acks.(j) and ack_seq = t.bl_seqs.(j) in
+    t.bl_cells.(j) <- t.vacant.cell;
+    t.bl_acks.(j) <- None;
+    t.bl_head <- (j + 1) land (Array.length t.bl_cells - 1);
+    t.bl_len <- t.bl_len - 1;
     let hop_seq = t.next_seq in
     t.next_seq <- hop_seq + 1;
     t.sent <- t.sent + 1;
@@ -309,19 +426,43 @@ let rec pump t =
     p.backoff <- 0;
     p.attempts <- 0;
     p.ack <- ack;
+    p.ack_seq <- ack_seq;
     p.in_use <- true;
     (* Stamp the incarnation watermark before the first attempt: every
        packet this incarnation sends gets an id at or above it, every
-       stale registration from a previous incarnation sits below. *)
+       stale callback from a previous incarnation sits below. *)
     p.wire_floor <- Netsim.Network.next_packet_id t.net;
-    Hashtbl.add t.inflight hop_seq p;
+    add_inflight t p;
     wire_send t p;
     pump t
   end
 
-let submit t ?ack cell =
+let push_backlog t cell ack ack_seq =
+  if t.bl_len = Array.length t.bl_cells then begin
+    let cap = Array.length t.bl_cells in
+    let cells = Array.make (2 * cap) t.vacant.cell
+    and acks = Array.make (2 * cap) None
+    and seqs = Array.make (2 * cap) (-1) in
+    for i = 0 to t.bl_len - 1 do
+      let j = (t.bl_head + i) land (cap - 1) in
+      cells.(i) <- t.bl_cells.(j);
+      acks.(i) <- t.bl_acks.(j);
+      seqs.(i) <- t.bl_seqs.(j)
+    done;
+    t.bl_cells <- cells;
+    t.bl_acks <- acks;
+    t.bl_seqs <- seqs;
+    t.bl_head <- 0
+  end;
+  let j = (t.bl_head + t.bl_len) land (Array.length t.bl_cells - 1) in
+  t.bl_cells.(j) <- cell;
+  t.bl_acks.(j) <- ack;
+  t.bl_seqs.(j) <- ack_seq;
+  t.bl_len <- t.bl_len + 1
+
+let enqueue t cell ack ack_seq =
   if not t.aborted then begin
-    Queue.push (cell, ack) t.backlog;
+    push_backlog t cell ack ack_seq;
     t.charged <- t.charged + Wire.cell_size;
     (* The charge can trip the node's OOM responder, which may abort
        this very sender re-entrantly (crediting the bytes back and
@@ -331,30 +472,33 @@ let submit t ?ack cell =
     if not t.aborted then pump t
   end
 
-let sample_rtt t rtt_s =
-  match t.srtt with
-  | None ->
-      t.srtt <- Some rtt_s;
-      t.rttvar <- rtt_s /. 2.
-  | Some srtt ->
-      let err = rtt_s -. srtt in
-      t.srtt <- Some (srtt +. (0.125 *. err));
-      t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. Float.abs err)
+let submit t ?ack cell = enqueue t cell ack (-1)
+let forward t ~ack_seq cell = enqueue t cell None ack_seq
+
+let sample_rtt t rtt =
+  let rtt_s = sec_of_time rtt in
+  let e = t.est in
+  if Float.is_nan e.srtt then begin
+    e.srtt <- rtt_s;
+    e.rttvar <- rtt_s /. 2.
+  end
+  else begin
+    let err = rtt_s -. e.srtt in
+    e.srtt <- e.srtt +. (0.125 *. err);
+    e.rttvar <- (0.75 *. e.rttvar) +. (0.25 *. Float.abs err)
+  end
 
 let on_feedback t ~hop_seq =
   if not t.aborted then
-    let entry = Hashtbl.find_opt t.inflight hop_seq in
+    let p = find t hop_seq in
     (match t.probe with
     | Some probe ->
-        probe
-          (Feedback
-             { hop_seq; next_hop_seq = t.next_seq; known = Option.is_some entry })
+        probe (Feedback { hop_seq; next_hop_seq = t.next_seq; known = p != t.vacant })
     | None -> ());
-    match entry with
-    | None -> t.spurious <- t.spurious + 1
-    | Some p ->
+    if p == t.vacant then t.spurious <- t.spurious + 1
+    else begin
         t.feedbacks <- t.feedbacks + 1;
-        Hashtbl.remove t.inflight hop_seq;
+        remove_inflight t hop_seq;
         let retransmitted = p.retransmitted and sent_at = p.sent_at in
         release t p;
         t.charged <- t.charged - Wire.cell_size;
@@ -363,11 +507,18 @@ let on_feedback t ~hop_seq =
         if not retransmitted then begin
           let rtt = Engine.Time.diff now sent_at in
           if Engine.Time.(rtt > Engine.Time.zero) then begin
-            sample_rtt t (Engine.Time.to_sec_f rtt);
+            sample_rtt t rtt;
             (* If nothing is waiting locally, the window is not what
-               limits this hop; rounds without pressure must not grow. *)
-            let window_limited = not (Queue.is_empty t.backlog) in
-            Circuitstart.Controller.on_feedback t.controller ~now ~rtt ~window_limited ()
+               limits this hop; rounds without pressure must not grow.
+               Two literal calls: a constant [Some] is preallocated,
+               where [Some (t.bl_len > 0)] would allocate. *)
+            if t.bl_len > 0 then
+              Circuitstart.Controller.on_feedback t.controller ~now ~rtt
+                ~window_limited:true ()
+            else
+              Circuitstart.Controller.on_feedback t.controller ~now ~rtt
+                ~window_limited:false ()
           end
         end;
         pump t
+    end

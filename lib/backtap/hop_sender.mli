@@ -43,6 +43,17 @@ val submit : t -> ?ack:(unit -> unit) -> Tor_model.Cell.t -> unit
 (** Queue a cell; it is transmitted as soon as the window allows.
     [ack] (default none) fires when the cell first goes on the wire. *)
 
+val set_forward_ack : t -> (int -> unit) -> unit
+(** Install the ack of the cells queued with {!forward} (default: does
+    nothing). *)
+
+val forward : t -> ack_seq:int -> Tor_model.Cell.t -> unit
+(** [forward t ~ack_seq cell] is {!submit} for a relay forwarding
+    [cell]: when the cell first goes on the wire, the {!set_forward_ack}
+    callback runs with [ack_seq] (the cell's hop sequence on the
+    upstream hop, [>= 0]).  One callback per sender, instead of one
+    closure per cell, so forwarding allocates nothing per cell. *)
+
 val on_feedback : t -> hop_seq:int -> unit
 (** Process a feedback message from the successor: frees the window
     slot, samples the RTT (unless the cell was retransmitted) and

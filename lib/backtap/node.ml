@@ -13,16 +13,18 @@ type t = {
   mutable orphans : int;
 }
 
+(* [Hashtbl.find] rather than [find_opt]: the lookup runs once per
+   packet, and the option would be allocated each time. *)
 let dispatch t (p : Netsim.Packet.t) =
   match p.payload with
   | Wire.Bt_cell { hop_seq; cell } -> (
-      match Hashtbl.find_opt t.flows (Tor_model.Circuit_id.to_int cell.circuit) with
-      | Some flow -> flow.on_cell ~from:p.src ~hop_seq cell
-      | None -> t.orphans <- t.orphans + 1)
+      match Hashtbl.find t.flows (Tor_model.Circuit_id.to_int cell.circuit) with
+      | flow -> flow.on_cell ~from:p.src ~hop_seq cell
+      | exception Not_found -> t.orphans <- t.orphans + 1)
   | Wire.Bt_feedback { circuit; hop_seq } -> (
-      match Hashtbl.find_opt t.flows (Tor_model.Circuit_id.to_int circuit) with
-      | Some flow -> flow.on_feedback ~hop_seq
-      | None -> t.orphans <- t.orphans + 1)
+      match Hashtbl.find t.flows (Tor_model.Circuit_id.to_int circuit) with
+      | flow -> flow.on_feedback ~hop_seq
+      | exception Not_found -> t.orphans <- t.orphans + 1)
   | _ -> t.orphans <- t.orphans + 1
 
 let install sb =

@@ -62,17 +62,17 @@ let feedback_to t node ~pred ~hop_seq =
   Tor_model.Switchboard.send_payload (sb_of t node) ~dst:pred ~size:Wire.feedback_size
     (Wire.Bt_feedback { circuit = t.circuit.Tor_model.Circuit.id; hop_seq })
 
-(* Flow at a forwarding relay (has both a predecessor and a successor). *)
+(* Flow at a forwarding relay (has both a predecessor and a successor).
+   The feedback for a forwarded cell is the sender's forward ack, fed
+   the cell's upstream hop sequence: one closure per relay, not one per
+   cell. *)
 let relay_flow t ~node ~pred ~sender =
+  Hop_sender.set_forward_ack sender (fun hop_seq -> feedback_to t node ~pred ~hop_seq);
   {
     Node.on_cell =
       (fun ~from ~hop_seq cell ->
         if Netsim.Node_id.equal from pred then
-          let peeled = Tor_model.Crypto_sim.peel cell in
-          Hop_sender.submit sender
-            ~ack:(fun () -> feedback_to t node ~pred ~hop_seq)
-            peeled
-        else ());
+          Hop_sender.forward sender ~ack_seq:hop_seq (Tor_model.Crypto_sim.peel cell));
     on_feedback = (fun ~hop_seq -> Hop_sender.on_feedback sender ~hop_seq);
   }
 

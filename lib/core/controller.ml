@@ -7,13 +7,32 @@ type phase = Ramp_up | Avoidance
    plan-bounds oracle can prove it notices. *)
 let unsafe_disable_plan_bounds = ref false
 
+(* The float state, in an all-float record: its fields are stored flat,
+   so writing one allocates nothing (a float field of a mixed record is
+   a fresh box on every write). *)
+type floats = {
+  mutable latest_diff : float;  (* nan until the first feedback *)
+  mutable round_rtt_sum : float;  (* seconds, for the round mean *)
+  mutable round_rtt_min : float;  (* seconds, for the ramp-up exit test *)
+  mutable round_rtt_max : float;
+      (* seconds; [round_rtt_max = round_rtt_min] over a whole round is
+         the zero-variance signal that makes the predictive link model
+         unidentifiable. *)
+  mutable prev_rate : float;
+      (* Delivery rate of the previous ramp-up round; nan when there is
+         none.  With [stall_rounds] and [queue_rounds] it drives the
+         exit decision — the ramp ends when the feedback rate stops
+         accelerating persistently, not merely when RTTs inflate (a
+         successor that is itself still ramping inflates RTTs and stalls
+         the rate for a round at a time). *)
+}
+
 type t = {
   params : Params.t;
   strategy : strategy;
   mutable cwnd : int;
   mutable phase : phase;
-  mutable base_rtt : Engine.Time.t option;
-  mutable latest_diff : float option;
+  mutable base_rtt : Engine.Time.t;  (* zero until the first sample *)
   (* Round bookkeeping: a round ends after [round_target] feedbacks.
      [round_base] is the window at the start of the round; during a
      Circuit_start ramp-up round the send allowance interpolates from
@@ -21,19 +40,7 @@ type t = {
   mutable round_target : int;
   mutable round_base : int;
   mutable acked_in_round : int;
-  mutable round_rtt_sum : float;  (* seconds, for the round mean *)
-  mutable round_rtt_min : float;  (* seconds, for the ramp-up exit test *)
-  mutable round_rtt_max : float;
-      (* seconds; [round_rtt_max = round_rtt_min] over a whole round is
-         the zero-variance signal that makes the predictive link model
-         unidentifiable. *)
-  mutable round_started_at : Engine.Time.t option;
-  (* Delivery rate of the previous ramp-up round plus consecutive-round
-     counters for the exit decision — the ramp ends when the feedback
-     rate stops accelerating persistently, not merely when RTTs inflate
-     (a successor that is itself still ramping inflates RTTs and stalls
-     the rate for a round at a time). *)
-  mutable prev_rate : float option;
+  f : floats;
   mutable stall_rounds : int;
   mutable queue_rounds : int;
   mutable limited_in_round : bool;
@@ -50,9 +57,17 @@ type t = {
      compensating themselves. *)
   mutable recalibrate : int;
   mutable calm_rounds : int;
-  (* Timestamps of feedbacks within the last baseRtt, for rate-based
-     overshooting compensation. *)
-  recent_feedbacks : Engine.Time.t Queue.t;
+  (* Arrival instants of the feedbacks within the last
+     [rate_window_rtts] baseRtts, for rate-based overshooting
+     compensation: a ring of [fb_len] entries from [fb_head], oldest
+     first, doubled when full.  The first [fb_old] of them are older
+     than one baseRtt.  Both cutoffs, [now - k * baseRtt], never
+     decrease (the clock only advances and baseRtt only shrinks), so
+     the window's head and the 1-RTT cursor only ever move forward. *)
+  mutable fb : Engine.Time.t array;
+  mutable fb_head : int;
+  mutable fb_len : int;
+  mutable fb_old : int;
   (* Sliding-rate readings of the last few rounds.  A hop whose
      feedback stream is momentarily starved (a successor applying its
      own compensation) must not mistake the trough for the path rate:
@@ -103,16 +118,13 @@ let create ?(params = Params.default) strategy =
     strategy;
     cwnd;
     phase;
-    base_rtt = None;
-    latest_diff = None;
+    base_rtt = Engine.Time.zero;
     round_target = cwnd;
     round_base = cwnd;
     acked_in_round = 0;
-    round_rtt_sum = 0.;
-    round_rtt_min = Float.infinity;
-    round_rtt_max = 0.;
-    round_started_at = None;
-    prev_rate = None;
+    f =
+      { latest_diff = Float.nan; round_rtt_sum = 0.; round_rtt_min = Float.infinity;
+        round_rtt_max = 0.; prev_rate = Float.nan };
     stall_rounds = 0;
     queue_rounds = 0;
     limited_in_round = false;
@@ -122,7 +134,10 @@ let create ?(params = Params.default) strategy =
     exit_acked = None;
     recalibrate = 0;
     calm_rounds = 0;
-    recent_feedbacks = Queue.create ();
+    fb = Array.make 16 Engine.Time.zero;
+    fb_head = 0;
+    fb_len = 0;
+    fb_old = 0;
     rate_history = Array.make 8 0;
     rate_history_idx = 0;
     round_count1_max = 0;
@@ -141,8 +156,9 @@ let strategy t = t.strategy
 let params t = t.params
 let cwnd t = t.cwnd
 let phase t = t.phase
-let base_rtt t = t.base_rtt
-let latest_diff t = t.latest_diff
+let has_base t = (t.base_rtt :> int) > 0
+let base_rtt t = if has_base t then Some t.base_rtt else None
+let latest_diff t = if Float.is_nan t.f.latest_diff then None else Some t.f.latest_diff
 let rounds_completed t = t.rounds
 let ramp_up_exits t = t.exits
 let exit_cwnd t = t.exit_cwnd
@@ -189,28 +205,26 @@ let send_allowance t =
    {halve, -1, hold, +1, double}, the window minimizing the step cost
      cost_queue·max(0, w - target)² + cost_under·max(0, target - w)².
    Candidates are considered in ascending order with a strict
-   comparison, so ties break toward the smaller (safer) window. *)
+   comparison, so ties break toward the smaller (safer) window.
+   The step closes over nothing and keeps its floats unboxed, so a
+   replan allocates nothing. *)
+let[@inline] step_cost ~cost_queue ~cost_under ~target c =
+  let over = float_of_int (Stdlib.max 0 (c - target)) in
+  let under = float_of_int (Stdlib.max 0 (target - c)) in
+  (cost_queue *. over *. over) +. (cost_under *. under *. under)
+
 let plan_step ~min_cwnd ~max_cwnd ~cost_queue ~cost_under ~target w =
-  let clamp v = Stdlib.min max_cwnd (Stdlib.max min_cwnd v) in
-  let cost c =
-    let over = float_of_int (Stdlib.max 0 (c - target)) in
-    let under = float_of_int (Stdlib.max 0 (target - c)) in
-    (cost_queue *. over *. over) +. (cost_under *. under *. under)
-  in
-  let best = ref (clamp (w / 2)) in
-  let best_cost = ref (cost !best) in
-  let consider v =
-    let c = clamp v in
-    let k = cost c in
-    if k < !best_cost then begin
+  let best = ref (Stdlib.min max_cwnd (Stdlib.max min_cwnd (w / 2))) in
+  let best_cost = ref (step_cost ~cost_queue ~cost_under ~target !best) in
+  for k = 1 to 4 do
+    let v = match k with 1 -> w - 1 | 2 -> w | 3 -> w + 1 | _ -> 2 * w in
+    let c = Stdlib.min max_cwnd (Stdlib.max min_cwnd v) in
+    let cost = step_cost ~cost_queue ~cost_under ~target c in
+    if cost < !best_cost then begin
       best := c;
-      best_cost := k
+      best_cost := cost
     end
-  in
-  consider (w - 1);
-  consider w;
-  consider (w + 1);
-  consider (2 * w);
+  done;
   !best
 
 let fill_plan ~params ~target ~cwnd plan =
@@ -228,31 +242,42 @@ let predictive_plan ~params ~cwnd ~target =
   fill_plan ~params ~target ~cwnd plan;
   plan
 
+(* A top-level loop rather than [List.iter] with a closure over [now]
+   and [v]: firing the hooks allocates nothing. *)
+let rec fire_hooks hooks ~now v =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+      f ~now v;
+      fire_hooks rest ~now v
+
 let set_cwnd t ~now v =
   let v = Stdlib.min t.params.max_cwnd (Stdlib.max t.params.min_cwnd v) in
   if v <> t.cwnd then begin
     t.cwnd <- v;
-    List.iter (fun f -> f ~now v) t.on_change
+    fire_hooks t.on_change ~now v
   end
 
-let start_round ?now t =
+let start_round t =
   t.round_target <- t.cwnd;
   t.round_base <- t.cwnd;
   t.acked_in_round <- 0;
-  t.round_rtt_sum <- 0.;
-  t.round_rtt_min <- Float.infinity;
-  t.round_rtt_max <- 0.;
-  t.round_started_at <- now;
+  t.f.round_rtt_sum <- 0.;
+  t.f.round_rtt_min <- Float.infinity;
+  t.f.round_rtt_max <- 0.;
   t.round_count1_max <- 0;
   t.limited_in_round <- false
 
+(* [Engine.Time.to_sec_f], restated so it inlines: a float returned
+   across the module boundary is boxed. *)
+let[@inline] sec_f (x : Engine.Time.t) = float_of_int (x :> int) /. 1e9
+
 (* diff = cwnd * currentRtt / baseRtt - cwnd, in cells. *)
-let vegas_diff t ~rtt_s =
-  match t.base_rtt with
-  | None -> 0.
-  | Some base ->
-      let base_s = Engine.Time.to_sec_f base in
-      float_of_int t.cwnd *. ((rtt_s /. base_s) -. 1.)
+let[@inline] vegas_diff t ~rtt_s =
+  if not (has_base t) then 0.
+  else
+    let base_s = sec_f t.base_rtt in
+    float_of_int t.cwnd *. ((rtt_s /. base_s) -. 1.)
 
 (* The delivery rate this hop currently sustains: feedbacks that
    arrived within the last baseRtt.  Counting over a fixed window keeps
@@ -261,24 +286,45 @@ let vegas_diff t ~rtt_s =
    not. *)
 let rate_window_rtts = 3
 
-(* Feedbacks within the last [rtts] baseRtts (the deque retains
-   [rate_window_rtts] worth). *)
-let count_within t ~now ~rtts =
-  match t.base_rtt with
-  | None -> Queue.length t.recent_feedbacks
-  | Some base ->
-      let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rtts) in
-      Queue.fold
-        (fun acc ts -> if Engine.Time.(ts > cutoff) then acc + 1 else acc)
-        0 t.recent_feedbacks
+let fb_at t i = t.fb.((t.fb_head + i) land (Array.length t.fb - 1))
+
+(* Account a feedback arriving at [now] in the sliding window: append
+   it, drop what is [rate_window_rtts] baseRtts old, and move the 1-RTT
+   cursor past what is one baseRtt old.  A dropped entry is the oldest,
+   so it leaves the counted-old prefix first. *)
+let record_feedback t ~now =
+  if t.fb_len = Array.length t.fb then begin
+    let cap = Array.length t.fb in
+    let fb = Array.make (2 * cap) Engine.Time.zero in
+    for i = 0 to t.fb_len - 1 do
+      fb.(i) <- fb_at t i
+    done;
+    t.fb <- fb;
+    t.fb_head <- 0
+  end;
+  t.fb.((t.fb_head + t.fb_len) land (Array.length t.fb - 1)) <- now;
+  t.fb_len <- t.fb_len + 1;
+  if has_base t then begin
+    let window = (now :> int) - ((t.base_rtt :> int) * rate_window_rtts) in
+    while t.fb_len > 0 && (fb_at t 0 :> int) <= window do
+      t.fb_head <- (t.fb_head + 1) land (Array.length t.fb - 1);
+      t.fb_len <- t.fb_len - 1;
+      if t.fb_old > 0 then t.fb_old <- t.fb_old - 1
+    done;
+    let one_rtt = (now :> int) - (t.base_rtt :> int) in
+    while t.fb_old < t.fb_len && (fb_at t t.fb_old :> int) <= one_rtt do
+      t.fb_old <- t.fb_old + 1
+    done
+  end
+
+(* Feedbacks within the last baseRtt. *)
+let rtt_feedbacks t = t.fb_len - t.fb_old
 
 (* Burst-proof rate: average over the full window.  A queue release can
    dump a whole flight of feedbacks into one RTT; averaging across a
    few RTTs bounds that inflation. *)
 let sliding_rate_cells t =
-  int_of_float
-    (Float.round
-       (float_of_int (Queue.length t.recent_feedbacks) /. float_of_int rate_window_rtts))
+  int_of_float (Float.round (float_of_int t.fb_len /. float_of_int rate_window_rtts))
 
 let record_round_rate t ~now =
   (* The ring keeps the best *instantaneous* (one-RTT) reading of each
@@ -290,8 +336,8 @@ let record_round_rate t ~now =
     t.round_count1_max;
   t.rate_history_idx <- t.rate_history_idx + 1
 
-let recent_peak_rate_cells t ~now =
-  let current = Stdlib.max (count_within t ~now ~rtts:1) t.round_count1_max in
+let recent_peak_rate_cells t =
+  let current = Stdlib.max (rtt_feedbacks t) t.round_count1_max in
   Array.fold_left Stdlib.max current t.rate_history
 
 let leave_ramp_up t ~now ~new_cwnd ~recalibrate =
@@ -308,24 +354,24 @@ let leave_ramp_up t ~now ~new_cwnd ~recalibrate =
   t.phase <- Avoidance;
   t.recalibrate <- (if recalibrate then 50 else 0);
   t.calm_rounds <- 0;
-  t.prev_rate <- None;
+  t.f.prev_rate <- Float.nan;
   t.stall_rounds <- 0;
   t.queue_rounds <- 0;
-  start_round ~now t
+  start_round t
 
-let enter_ramp_up t ~now =
+let enter_ramp_up t =
   t.phase <- Ramp_up;
   t.calm_rounds <- 0;
-  t.prev_rate <- None;
+  t.f.prev_rate <- Float.nan;
   t.stall_rounds <- 0;
   t.queue_rounds <- 0;
-  start_round ~now t
+  start_round t
 
 let double_round t ~now =
   t.rounds <- t.rounds + 1;
   let base = t.cwnd in
   set_cwnd t ~now (t.cwnd * 2);
-  start_round ~now t;
+  start_round t;
   (* One round = one RTT = the flight at the round's start; the
      allowance interpolates from that flight up to the doubled
      window. *)
@@ -336,20 +382,20 @@ let double_round t ~now =
    the current round (= the last baseRtt) — the train prefix the
    successor forwarded without additional delay, which is the minimal
    window that keeps the bottleneck busy. *)
-let compensated_cwnd t ~now =
+let compensated_cwnd t =
   match t.params.compensation with
   | Params.Acked_count -> t.acked_in_round
-  | Params.Rate_based -> recent_peak_rate_cells t ~now
+  | Params.Rate_based -> recent_peak_rate_cells t
 
 (* The predictive link model is identifiable only when the round that
    feeds it carried enough signal: at least two RTT samples whose
    values actually differ (a zero-variance round cannot separate
    propagation delay from queueing) and a nonzero rate estimate.
    Anything less triggers the hard fallback to Vegas avoidance. *)
-let model_identifiable t ~now =
+let model_identifiable t =
   t.acked_in_round >= 2
-  && t.round_rtt_max > t.round_rtt_min
-  && recent_peak_rate_cells t ~now >= 1
+  && t.f.round_rtt_max > t.f.round_rtt_min
+  && recent_peak_rate_cells t >= 1
 
 (* Refit, replan in place, and commit the plan's first step.  The
    generation bumps *before* the commit so a change hook (the cwnd-law
@@ -402,18 +448,15 @@ let rate_stall_ratio = 1.5
    transiently. *)
 let should_exit_ramp_up t ~now =
   let diff_mean =
-    vegas_diff t ~rtt_s:(t.round_rtt_sum /. float_of_int (Stdlib.max 1 t.acked_in_round))
+    vegas_diff t ~rtt_s:(t.f.round_rtt_sum /. float_of_int (Stdlib.max 1 t.acked_in_round))
   in
   let rate = float_of_int (sliding_rate_cells t) in
-  let growth =
-    match t.prev_rate with
-    | None -> 2.
-    | Some p when p > 0. -> rate /. p
-    | Some _ -> 2.
-  in
+  let p = t.f.prev_rate in
+  (* No previous rate (nan) or a zero one: count as doubling. *)
+  let growth = if p > 0. then rate /. p else 2. in
   let stalled = growth < rate_stall_ratio in
   record_round_rate t ~now;
-  t.prev_rate <- Some rate;
+  t.f.prev_rate <- rate;
   t.stall_rounds <- (if stalled then t.stall_rounds + 1 else 0);
   t.queue_rounds <- (if diff_mean > t.params.gamma then t.queue_rounds + 1 else 0);
   if debug then
@@ -430,7 +473,7 @@ let should_exit_ramp_up t ~now =
    probing, and toward W* itself on exit, instead of doubling and then
    compensating. *)
 let predictive_ramp_round_end t ~now =
-  if not (model_identifiable t ~now) then begin
+  if not (model_identifiable t) then begin
     if debug then
       Printf.eprintf "[%8.1fms] %s FALLBACK: model unidentifiable\n"
         (Engine.Time.to_ms_f now) t.debug_label;
@@ -438,7 +481,7 @@ let predictive_ramp_round_end t ~now =
     leave_ramp_up t ~now ~new_cwnd:t.cwnd ~recalibrate:false
   end
   else begin
-    let w_star = recent_peak_rate_cells t ~now in
+    let w_star = recent_peak_rate_cells t in
     if should_exit_ramp_up t ~now then begin
       (* Capacity identified: plan down to the modelled BDP.  Mirrors
          [leave_ramp_up]'s bookkeeping, with the committed window taken
@@ -450,16 +493,16 @@ let predictive_ramp_round_end t ~now =
       t.phase <- Avoidance;
       t.recalibrate <- 0;
       t.calm_rounds <- 0;
-      t.prev_rate <- None;
+      t.f.prev_rate <- Float.nan;
       t.stall_rounds <- 0;
       t.queue_rounds <- 0;
-      start_round ~now t
+      start_round t
     end
     else begin
       t.rounds <- t.rounds + 1;
       let base = t.cwnd in
       plan_and_commit t ~now ~target:(2 * w_star);
-      start_round ~now t;
+      start_round t;
       (* Same pacing convention as [double_round]: one round = the
          flight at the round's start; the allowance interpolates from
          it up to the committed window. *)
@@ -471,7 +514,7 @@ let predictive_ramp_round_end t ~now =
 let ramp_up_round_end t ~now =
   if not t.limited_in_round then begin
     t.rounds <- t.rounds + 1;
-    start_round ~now t
+    start_round t
   end
   else
     match t.strategy with
@@ -479,7 +522,7 @@ let ramp_up_round_end t ~now =
     | Circuit_start ->
         if should_exit_ramp_up t ~now then
           leave_ramp_up t ~now
-            ~new_cwnd:(compensated_cwnd t ~now)
+            ~new_cwnd:(compensated_cwnd t)
             ~recalibrate:(t.params.compensation = Params.Rate_based)
         else double_round t ~now
     | Predictive -> predictive_ramp_round_end t ~now
@@ -488,9 +531,12 @@ let ramp_up_round_end t ~now =
            [ramp_up_feedback]); reaching the round boundary just rolls
            the round over. *)
         t.rounds <- t.rounds + 1;
-        start_round ~now t
+        start_round t
 
-let ramp_up_feedback t ~now ~diff_sample =
+(* The sample's Vegas diff is read from [latest_diff]: a float argument
+   would be boxed on every call. *)
+let ramp_up_feedback t ~now =
+  let diff_sample = t.f.latest_diff in
   (match t.strategy with
   | Slow_start ->
       (* The traditional transplant: continuous growth (one cell per
@@ -510,7 +556,7 @@ let ramp_up_feedback t ~now ~diff_sample =
       if t.acked_in_round >= t.round_target then ramp_up_round_end t ~now)
 
 let avoidance_round_end t ~now =
-  let mean_rtt_s = t.round_rtt_sum /. float_of_int t.acked_in_round in
+  let mean_rtt_s = t.f.round_rtt_sum /. float_of_int t.acked_in_round in
   let diff = vegas_diff t ~rtt_s:mean_rtt_s in
   t.rounds <- t.rounds + 1;
   record_round_rate t ~now;
@@ -524,7 +570,7 @@ let avoidance_round_end t ~now =
        the current window's doing.  A round cap bounds the phase. *)
     set_cwnd t ~now (Stdlib.max t.cwnd (sliding_rate_cells t));
     t.recalibrate <- (if diff <= t.params.beta then 0 else t.recalibrate - 1);
-    start_round ~now t
+    start_round t
   end
   else begin
   (match t.strategy with
@@ -536,14 +582,14 @@ let avoidance_round_end t ~now =
          rounds probe one cell like Vegas, and an unidentifiable round
          triggers the permanent fallback. *)
       t.calm_rounds <- 0;
-      if not (model_identifiable t ~now) then begin
+      if not (model_identifiable t) then begin
         if debug then
           Printf.eprintf "[%8.1fms] %s FALLBACK: model unidentifiable\n"
             (Engine.Time.to_ms_f now) t.debug_label;
         t.fallen_back <- true
       end
       else begin
-        let w_star = recent_peak_rate_cells t ~now in
+        let w_star = recent_peak_rate_cells t in
         let target =
           if diff > t.params.beta then Stdlib.min w_star (t.cwnd - 1)
           else if diff < t.params.alpha && t.limited_in_round then t.cwnd + 1
@@ -567,51 +613,33 @@ let avoidance_round_end t ~now =
     && (match t.strategy with
        | Circuit_start | Slow_start -> true
        | Fixed _ | Predictive -> false)
-  then enter_ramp_up t ~now
-  else start_round ~now t
+  then enter_ramp_up t
+  else start_round t
   end
 
 let on_feedback t ~now ~rtt ?(window_limited = true) () =
   if Engine.Time.(rtt <= Engine.Time.zero) then
     invalid_arg "Controller.on_feedback: rtt must be positive";
-  (match t.base_rtt with
-  | None -> t.base_rtt <- Some rtt
-  | Some b -> if Engine.Time.(rtt < b) then t.base_rtt <- Some rtt);
+  if (not (has_base t)) || (rtt :> int) < (t.base_rtt :> int) then t.base_rtt <- rtt;
   t.acked_in_round <- t.acked_in_round + 1;
   t.samples_total <- t.samples_total + 1;
   if window_limited then t.limited_in_round <- true;
   (* Maintain the sliding feedback window (several baseRtts: averaging
      across a few RTTs keeps the rate estimate burst-proof — a queue
      release can dump a whole flight of feedbacks into one RTT). *)
-  Queue.push now t.recent_feedbacks;
-  (match t.base_rtt with
-  | Some base ->
-      let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rate_window_rtts) in
-      let rec drop () =
-        match Queue.peek_opt t.recent_feedbacks with
-        | Some ts when Engine.Time.(ts <= cutoff) ->
-            ignore (Queue.pop t.recent_feedbacks : Engine.Time.t);
-            drop ()
-        | Some _ | None -> ()
-      in
-      drop ()
-  | None -> ());
-  let c1 = count_within t ~now ~rtts:1 in
+  record_feedback t ~now;
+  let c1 = rtt_feedbacks t in
   if c1 > t.round_count1_max then t.round_count1_max <- c1;
-  if t.round_started_at = None then
-    (* The round effectively began when its first cell left. *)
-    t.round_started_at <- Some (Engine.Time.sub now rtt);
-  let rtt_s = Engine.Time.to_sec_f rtt in
-  t.round_rtt_sum <- t.round_rtt_sum +. rtt_s;
-  if rtt_s < t.round_rtt_min then t.round_rtt_min <- rtt_s;
-  if rtt_s > t.round_rtt_max then t.round_rtt_max <- rtt_s;
+  let rtt_s = sec_f rtt in
+  t.f.round_rtt_sum <- t.f.round_rtt_sum +. rtt_s;
+  if rtt_s < t.f.round_rtt_min then t.f.round_rtt_min <- rtt_s;
+  if rtt_s > t.f.round_rtt_max then t.f.round_rtt_max <- rtt_s;
   match t.phase with
   | Ramp_up ->
-      let diff_sample = vegas_diff t ~rtt_s in
-      t.latest_diff <- Some diff_sample;
-      ramp_up_feedback t ~now ~diff_sample
+      t.f.latest_diff <- vegas_diff t ~rtt_s;
+      ramp_up_feedback t ~now
   | Avoidance ->
-      t.latest_diff <- Some (vegas_diff t ~rtt_s);
+      t.f.latest_diff <- vegas_diff t ~rtt_s;
       if t.acked_in_round >= t.round_target then avoidance_round_end t ~now
 
 let pp_phase fmt = function

@@ -89,14 +89,28 @@ val on_feedback :
 (** Account one feedback message whose cell experienced [rtt].
     [window_limited] (default [true]) says whether the sender was
     actually constrained by the window around this feedback; rounds
-    that were never window-limited do not grow.  Raises
-    [Invalid_argument] if [rtt] is not positive. *)
+    that were never window-limited do not grow.  [now] must not
+    decrease from one call to the next.  Raises [Invalid_argument] if
+    [rtt] is not positive.  Once the sliding feedback window has grown
+    to its peak (its span is three baseRtts), a call allocates
+    nothing. *)
 
 val base_rtt : t -> Engine.Time.t option
 (** Minimum RTT observed so far. *)
 
 val latest_diff : t -> float option
 (** The Vegas [diff] (cells) computed at the most recent feedback. *)
+
+val rtt_feedbacks : t -> int
+(** Feedbacks that arrived within one baseRtt of the most recent
+    feedback: the 1-RTT count behind rate-based compensation and the
+    predictive model's W*. *)
+
+val sliding_rate_cells : t -> int
+(** The burst-proof feedback rate: feedbacks within three baseRtts of
+    the most recent feedback, divided by three and rounded.  The
+    window slides with the clock, so [on_feedback]'s [now] must never
+    decrease (simulated time does not). *)
 
 val rounds_completed : t -> int
 (** Number of completed rounds (ramp-up and avoidance). *)

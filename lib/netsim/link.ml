@@ -7,6 +7,7 @@ type t = {
   mutable rate : Engine.Units.Rate.t;
   delay : Engine.Time.t;
   queue : Nqueue.t;
+  flights : flight_pool;
   mutable receiver : (Packet.t -> unit) option;
   mutable busy : bool;
   mutable up : bool;
@@ -28,18 +29,44 @@ type t = {
   mutable accepted : int;
   mutable in_flight : int;
   mutable busy_time : Engine.Time.t;
-  (* Packet id -> callback fired, with that id, when serialization of
-     that packet starts (the moment it is truly "on the wire").  The id
-     is passed back so callers that reuse one closure across many
-     packets can tell which registration fired. *)
-  on_transmit : (int, int -> unit) Hashtbl.t;
-  (* The packet currently serializing, and the one preallocated,
-     reusable tx-done timer that finishes it: links move one cell at a
-     time, so the hot path rearms a single intrusive timer per link —
-     no closure, no queue entry, no handle allocated per cell. *)
-  mutable serializing : Packet.t option;
+  (* The packet currently serializing ([Packet.placeholder] when idle),
+     and the one preallocated, reusable tx-done timer that finishes it:
+     links move one cell at a time, so the hot path rearms a single
+     intrusive timer per link — no closure, no queue entry, no handle
+     allocated per cell. *)
+  mutable serializing : Packet.t;
   mutable tx_timer : Engine.Sim.Timer.t;
 }
+
+(* A packet propagating along a link: one reusable timer bound to a
+   record that names the link and the packet.  Records are pooled
+   across every link sharing the pool (a topology shares one), so the
+   pool holds the network-wide peak of packets in flight, not a sum of
+   per-link peaks. *)
+and flight = {
+  mutable link : t;
+  mutable pkt : Packet.t;
+  mutable timer : Engine.Sim.Timer.t;
+}
+
+and flight_pool = {
+  fp_sim : Engine.Sim.t;
+  mutable free : flight array;
+  mutable nfree : int;
+  mutable records : int;
+}
+
+let flight_pool sim = { fp_sim = sim; free = [||]; nfree = 0; records = 0 }
+let flight_records pool = pool.records
+
+let release_flight pool fl =
+  if pool.nfree = Array.length pool.free then begin
+    let free = Array.make (Stdlib.max 16 (2 * pool.nfree)) fl in
+    Array.blit pool.free 0 free 0 pool.nfree;
+    pool.free <- free
+  end;
+  pool.free.(pool.nfree) <- fl;
+  pool.nfree <- pool.nfree + 1
 
 let deliver t (p : Packet.t) =
   t.in_flight <- t.in_flight - 1;
@@ -50,45 +77,72 @@ let deliver t (p : Packet.t) =
       t.delivered_bytes <- t.delivered_bytes + p.size;
       f p
 
+(* The propagation delay elapsed: the record goes back to the pool
+   before the receiver runs, so a forwarding chain reuses it. *)
+let arrive_flight pool fl =
+  let t = fl.link and p = fl.pkt in
+  fl.pkt <- Packet.placeholder;
+  release_flight pool fl;
+  deliver t p
+
+(* Arm a pooled record for [p] on [t]: the same instant and insertion
+   order as scheduling a fresh delivery event would take. *)
+let propagate t p =
+  let pool = t.flights in
+  let fl =
+    if pool.nfree > 0 then begin
+      pool.nfree <- pool.nfree - 1;
+      pool.free.(pool.nfree)
+    end
+    else begin
+      pool.records <- pool.records + 1;
+      let fl = { link = t; pkt = p; timer = t.tx_timer } in
+      fl.timer <- Engine.Sim.Timer.create pool.fp_sim (fun () -> arrive_flight pool fl);
+      fl
+    end
+  in
+  fl.link <- t;
+  fl.pkt <- p;
+  Engine.Sim.Timer.arm_after t.sim fl.timer t.delay
+
 (* Serialize [p]; when its last bit is on the wire ([finish_tx]),
-   schedule the propagation-delayed delivery and start on the next
-   queued packet.  At that instant the faults act: a link that went
-   down mid-flight kills the packet (outage), and the fault filter may
-   lose it — the capacity was consumed either way, which is what
-   distinguishes wire loss from a tail drop. *)
+   start its propagation and the next queued packet.  At that instant
+   the faults act: a link that went down mid-flight kills the packet
+   (outage), and the fault filter may lose it — the capacity was
+   consumed either way, which is what distinguishes wire loss from a
+   tail drop. *)
 let rec finish_tx t =
-  let p = match t.serializing with Some p -> p | None -> assert false in
+  let p = t.serializing in
   (if not t.up then t.outage_drops <- t.outage_drops + 1
    else
      match t.fault_filter with
      | Some drop when drop p -> t.fault_drops <- t.fault_drops + 1
      | _ ->
          t.in_flight <- t.in_flight + 1;
-         ignore (Engine.Sim.schedule_after t.sim t.delay (fun () -> deliver t p)));
-  match Nqueue.dequeue t.queue with
-  | Some next -> transmit t next
-  | None ->
-      t.serializing <- None;
-      t.busy <- false
+         propagate t p);
+  if Nqueue.is_empty t.queue then begin
+    t.serializing <- Packet.placeholder;
+    t.busy <- false
+  end
+  else
+    let on_transmit = Nqueue.head_on_transmit t.queue in
+    transmit t (Nqueue.take t.queue) on_transmit
 
-and transmit t (p : Packet.t) =
+(* [on_transmit] fires, with the packet's id, the moment its
+   serialization starts — when it is truly on the wire. *)
+and transmit t (p : Packet.t) on_transmit =
   t.busy <- true;
-  t.serializing <- Some p;
-  if Hashtbl.length t.on_transmit > 0 then begin
-    match Hashtbl.find_opt t.on_transmit p.id with
-    | Some f ->
-        Hashtbl.remove t.on_transmit p.id;
-        f p.id
-    | None -> ()
-  end;
+  t.serializing <- p;
+  (match on_transmit with Some f -> f p.id | None -> ());
   let tx_time = Engine.Units.Rate.transmission_time t.rate p.size in
   t.busy_time <- Engine.Time.add t.busy_time tx_time;
   (* At most one cell serializes at a time ([t.busy]), so the single
      tx-done timer is never armed here while still pending. *)
   Engine.Sim.Timer.arm_after t.sim t.tx_timer tx_time
 
-let create sim ~src ~dst ~rate ~delay ?(queue = Nqueue.unbounded) () =
+let create sim ~src ~dst ~rate ~delay ?(queue = Nqueue.unbounded) ?flights () =
   if Engine.Time.is_negative delay then invalid_arg "Link.create: negative delay";
+  let flights = match flights with Some f -> f | None -> flight_pool sim in
   let t =
     {
       sim;
@@ -97,6 +151,7 @@ let create sim ~src ~dst ~rate ~delay ?(queue = Nqueue.unbounded) () =
       rate;
       delay;
       queue = Nqueue.create queue;
+      flights;
       receiver = None;
       busy = false;
       up = true;
@@ -109,9 +164,8 @@ let create sim ~src ~dst ~rate ~delay ?(queue = Nqueue.unbounded) () =
       busy_time = Engine.Time.zero;
       accepted = 0;
       in_flight = 0;
-      on_transmit = Hashtbl.create 16;
-      serializing = None;
-      tx_timer = Engine.Sim.Timer.create sim (fun () -> ());
+      serializing = Packet.placeholder;
+      tx_timer = Engine.Sim.Timer.create sim ignore;
     }
   in
   t.tx_timer <- Engine.Sim.Timer.create sim (fun () -> finish_tx t);
@@ -132,17 +186,11 @@ let send t ?on_transmit p =
     (* The link is cut: the packet never reaches the transmitter, so
        [on_transmit] must not fire (same contract as a tail drop). *)
     t.outage_drops <- t.outage_drops + 1
-  else begin
-    (match on_transmit with
-    | Some f -> Hashtbl.replace t.on_transmit p.Packet.id f
-    | None -> ());
-    if t.busy then begin
-      if not (Nqueue.enqueue t.queue p) then
-        (* Dropped at the tail: the packet will never serialize. *)
-        Hashtbl.remove t.on_transmit p.Packet.id
-    end
-    else transmit t p
-  end
+  else if t.busy then
+    (* The callback waits in the queue slot with its packet; a tail
+       drop discards both. *)
+    ignore (Nqueue.push t.queue p on_transmit : bool)
+  else transmit t p on_transmit
 
 let busy t = t.busy
 let queue_length t = Nqueue.length t.queue

@@ -27,6 +27,22 @@ type drop_counts = {
   outage : int;  (** Rejected or killed while the link was down. *)
 }
 
+type flight_pool
+(** Reusable propagation records.  A packet past serialization rides a
+    pooled record — one preallocated {!Engine.Sim.Timer} bound to a
+    (link, packet) pair — until it lands at the receiver, where the
+    record returns to the pool.  Links that share a pool (every link of
+    a {!Topology} does) share its records, so the pool grows to the
+    peak number of packets in flight across all of them at once, and
+    propagation allocates nothing after that. *)
+
+val flight_pool : Engine.Sim.t -> flight_pool
+(** An empty pool for links running on this simulation. *)
+
+val flight_records : flight_pool -> int
+(** Records the pool has ever created: the peak number of packets that
+    were propagating at one time on its links. *)
+
 val create :
   Engine.Sim.t ->
   src:Node_id.t ->
@@ -34,11 +50,12 @@ val create :
   rate:Engine.Units.Rate.t ->
   delay:Engine.Time.t ->
   ?queue:Nqueue.capacity ->
+  ?flights:flight_pool ->
   unit ->
   t
 (** [create sim ~src ~dst ~rate ~delay ()] is an idle link.  [queue]
-    defaults to {!Nqueue.unbounded}.  Raises [Invalid_argument] on a
-    negative [delay]. *)
+    defaults to {!Nqueue.unbounded}; [flights] defaults to a pool of
+    the link's own.  Raises [Invalid_argument] on a negative [delay]. *)
 
 val src : t -> Node_id.t
 val dst : t -> Node_id.t
@@ -76,10 +93,11 @@ val send : t -> ?on_transmit:(int -> unit) -> Packet.t -> unit
     the wire — and receives the packet's id, so a caller reusing one
     closure across many sends can tell which packet fired it (packet
     ids are monotone, which makes the id usable as a staleness
-    watermark).  It never fires for a dropped packet, but a
-    registration for a queued packet is only discarded on tail drop or
-    outage — a caller that loses interest in a queued packet must be
-    prepared to receive (and ignore) a late firing. *)
+    watermark).  The callback waits in the packet's queue slot and
+    fires at most once.  It never fires for a dropped packet, but it
+    cannot be withdrawn while its packet is queued — a caller that
+    loses interest in a queued packet must be prepared to receive (and
+    ignore) a late firing. *)
 
 val busy : t -> bool
 (** Whether a packet is currently being serialized. *)

@@ -1,94 +1,139 @@
 type t = {
   topo : Topology.t;
-  (* next_hop.(src).(dst) is the neighbour to forward to, -1 if
-     unreachable, src itself if dst = src. *)
-  next_hop : int array array;
+  (* fwd.(a).(b) is the outgoing link of node a on the route to b, or
+     [no_route] when b is unreachable from a or b = a: forwarding is
+     one array read. *)
+  fwd : Link.t array array;
+  no_route : Link.t;
   local : (Packet.t -> unit) option array;
   mutable undeliverable : int;
 }
 
 (* Dijkstra from every source.  Cost = propagation delay in ns, with one
-   extra ns per hop so equal-delay routes prefer fewer hops (and ties
-   are broken deterministically by node id via the priority queue's
-   ordering). *)
+   extra ns per hop so equal-delay routes prefer fewer hops.  The
+   frontier is a binary min-heap of (distance, node) pairs in
+   lexicographic order, so equal distances pop in node-id order and the
+   routes are deterministic.  Returns next_hop.(src).(dst): the
+   neighbour to forward to, -1 if unreachable, src itself if
+   dst = src. *)
 let compute_routes topo =
   let n = Topology.node_count topo in
+  let out = Array.init n (fun i -> Topology.out_links topo (Node_id.of_int i)) in
   let next_hop = Array.make_matrix n n (-1) in
-  let nodes = Array.of_list (Topology.nodes topo) in
-  let dijkstra src =
-    let dist = Array.make n max_int in
-    let prev = Array.make n (-1) in
-    let visited = Array.make n false in
-    let src_i = Node_id.to_int src in
-    dist.(src_i) <- 0;
-    let module Pq = Set.Make (struct
-      type t = int * int
-
-      let compare (d1, n1) (d2, n2) =
-        match Int.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
-    end) in
-    let pq = ref (Pq.singleton (0, src_i)) in
-    while not (Pq.is_empty !pq) do
-      let ((_, u) as min_elt) = Pq.min_elt !pq in
-      pq := Pq.remove min_elt !pq;
+  (* Each edge is relaxed at most once per source: one push per edge
+     plus the source bounds the heap. *)
+  let cap = 1 + Array.fold_left (fun acc ls -> acc + Array.length ls) 0 out in
+  let heap_d = Array.make cap 0 and heap_v = Array.make cap 0 in
+  let size = ref 0 in
+  let before i j =
+    heap_d.(i) < heap_d.(j) || (heap_d.(i) = heap_d.(j) && heap_v.(i) < heap_v.(j))
+  in
+  let swap i j =
+    let d = heap_d.(i) and v = heap_v.(i) in
+    heap_d.(i) <- heap_d.(j);
+    heap_v.(i) <- heap_v.(j);
+    heap_d.(j) <- d;
+    heap_v.(j) <- v
+  in
+  let push d v =
+    let i = ref !size in
+    heap_d.(!i) <- d;
+    heap_v.(!i) <- v;
+    incr size;
+    while !i > 0 && before !i ((!i - 1) / 2) do
+      swap !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+  in
+  let pop () =
+    let v = heap_v.(0) in
+    decr size;
+    heap_d.(0) <- heap_d.(!size);
+    heap_v.(0) <- heap_v.(!size);
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let m = if l < !size && before l !i then l else !i in
+      let m = if l + 1 < !size && before (l + 1) m then l + 1 else m in
+      if m = !i then continue := false
+      else begin
+        swap !i m;
+        i := m
+      end
+    done;
+    v
+  in
+  let dist = Array.make n max_int in
+  let prev = Array.make n (-1) in
+  let visited = Array.make n false in
+  for src = 0 to n - 1 do
+    Array.fill dist 0 n max_int;
+    Array.fill prev 0 n (-1);
+    Array.fill visited 0 n false;
+    dist.(src) <- 0;
+    push 0 src;
+    while !size > 0 do
+      let u = pop () in
       if not visited.(u) then begin
         visited.(u) <- true;
-        List.iter
-          (fun v_id ->
-            let v = Node_id.to_int v_id in
-            match Topology.link topo nodes.(u) v_id with
-            | None -> ()
-            | Some l ->
-                let w = (Link.delay l :> int) + 1 in
-                let alt = dist.(u) + w in
-                if alt < dist.(v) then begin
-                  dist.(v) <- alt;
-                  prev.(v) <- u;
-                  pq := Pq.add (alt, v) !pq
-                end)
-          (Topology.neighbors topo nodes.(u))
+        Array.iter
+          (fun l ->
+            let v = Node_id.to_int (Link.dst l) in
+            let alt = dist.(u) + (Link.delay l :> int) + 1 in
+            if alt < dist.(v) then begin
+              dist.(v) <- alt;
+              prev.(v) <- u;
+              push alt v
+            end)
+          out.(u)
       end
     done;
     (* First hop toward each destination: walk prev back to src. *)
     for dst = 0 to n - 1 do
-      if dst = src_i then next_hop.(src_i).(dst) <- src_i
+      if dst = src then next_hop.(src).(dst) <- src
       else if prev.(dst) >= 0 then begin
         let hop = ref dst in
-        while prev.(!hop) <> src_i && prev.(!hop) >= 0 do
+        while prev.(!hop) <> src && prev.(!hop) >= 0 do
           hop := prev.(!hop)
         done;
-        if prev.(!hop) = src_i then next_hop.(src_i).(dst) <- !hop
+        if prev.(!hop) = src then next_hop.(src).(dst) <- !hop
       end
     done
-  in
-  Array.iter dijkstra nodes;
-  next_hop
+  done;
+  (out, next_hop)
 
 let create topo =
   let n = Topology.node_count topo in
-  let t =
-    { topo; next_hop = compute_routes topo; local = Array.make n None;
-      undeliverable = 0 }
+  let out, next_hop = compute_routes topo in
+  let no_route =
+    Link.create (Topology.sim topo) ~src:(Node_id.of_int 0) ~dst:(Node_id.of_int 0)
+      ~rate:(Engine.Units.Rate.mbit 1) ~delay:Engine.Time.zero ()
   in
+  let fwd =
+    Array.init n (fun a ->
+        (* The link toward each neighbour, then the route table row. *)
+        let toward = Array.make n no_route in
+        Array.iter (fun l -> toward.(Node_id.to_int (Link.dst l)) <- l) out.(a);
+        Array.map
+          (fun hop -> if hop < 0 || hop = a then no_route else toward.(hop))
+          next_hop.(a))
+  in
+  let t = { topo; fwd; no_route; local = Array.make n None; undeliverable = 0 } in
   (* Claim every link: arriving packets are either delivered locally or
      forwarded along the precomputed route. *)
-  let rec arrive node (p : Packet.t) =
+  let arrive node (p : Packet.t) =
     let node_i = Node_id.to_int node in
     if Node_id.equal node p.dst then
       match t.local.(node_i) with
       | Some f -> f p
       | None -> t.undeliverable <- t.undeliverable + 1
-    else forward node p
-  and forward node (p : Packet.t) =
-    let hop = t.next_hop.(Node_id.to_int node).(Node_id.to_int p.dst) in
-    if hop < 0 then
-      failwith
-        (Format.asprintf "Network: no route from %a to %a" Node_id.pp node Node_id.pp
-           p.dst)
     else
-      match Topology.link topo node (Node_id.of_int hop) with
-      | None -> assert false (* next_hop only points at neighbours *)
-      | Some l -> Link.send l p
+      let l = t.fwd.(node_i).(Node_id.to_int p.dst) in
+      if l == t.no_route then
+        failwith
+          (Format.asprintf "Network: no route from %a to %a" Node_id.pp node Node_id.pp
+             p.dst)
+      else Link.send l p
   in
   List.iter
     (fun l -> Link.set_receiver l (fun p -> arrive (Link.dst l) p))
@@ -108,11 +153,7 @@ let next_packet_id t = Packet.next_id (Topology.packet_ids t.topo)
 
 let send t ?on_transmit (p : Packet.t) =
   let src_i = Node_id.to_int p.src and dst_i = Node_id.to_int p.dst in
-  if src_i <> dst_i && t.next_hop.(src_i).(dst_i) < 0 then
-    failwith
-      (Format.asprintf "Network.send: no route from %a to %a" Node_id.pp p.src
-         Node_id.pp p.dst);
-  if Node_id.equal p.src p.dst then
+  if src_i = dst_i then
     (* Loopback: deliver after the current event finishes, preserving
        event-driven semantics. *)
     ignore
@@ -122,18 +163,21 @@ let send t ?on_transmit (p : Packet.t) =
            | Some f -> f p
            | None -> t.undeliverable <- t.undeliverable + 1))
   else
-    match Topology.link t.topo p.src (Node_id.of_int t.next_hop.(src_i).(dst_i)) with
-    | None -> assert false
-    | Some l -> Link.send l ?on_transmit p
+    let l = t.fwd.(src_i).(dst_i) in
+    if l == t.no_route then
+      failwith
+        (Format.asprintf "Network.send: no route from %a to %a" Node_id.pp p.src
+           Node_id.pp p.dst)
+    else Link.send l ?on_transmit p
 
 let path t a b =
   let a_i = Node_id.to_int a and b_i = Node_id.to_int b in
   if a_i = b_i then Some [ a ]
-  else if t.next_hop.(a_i).(b_i) < 0 then None
+  else if t.fwd.(a_i).(b_i) == t.no_route then None
   else begin
     let rec walk node acc =
       if node = b_i then List.rev (b_i :: acc)
-      else walk t.next_hop.(node).(b_i) (node :: acc)
+      else walk (Node_id.to_int (Link.dst t.fwd.(node).(b_i))) (node :: acc)
     in
     Some (List.map Node_id.of_int (walk a_i []))
   end

@@ -32,4 +32,9 @@ val make :
 (** [make ids ~src ~dst ~size ~now payload] is a fresh packet.  Raises
     [Invalid_argument] if [size <= 0]. *)
 
+val placeholder : t
+(** A packet that is never sent (id [-1]).  It fills the empty slots of
+    preallocated packet buffers, so a drained slot does not keep a
+    delivered packet alive. *)
+
 val pp : Format.formatter -> t -> unit

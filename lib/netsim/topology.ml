@@ -1,28 +1,42 @@
+(* Growable per-node out-link arrays, in insertion order. *)
+type out = { mutable dsts : int array; mutable links : Link.t array; mutable degree : int }
+
 type t = {
   sim : Engine.Sim.t;
   ids : Packet.id_state;
+  (* Propagation records shared by every link of the topology: the pool
+     holds at most the network-wide peak of packets in flight. *)
+  flights : Link.flight_pool;
   mutable node_names : string array;
+  (* Directed adjacency: out.(a) is the outgoing links of node a, in
+     insertion order. *)
+  mutable out : out array;
   mutable count : int;
-  (* Directed adjacency: links.(a) is the outgoing links of node a,
-     keyed by destination, in insertion order. *)
-  adjacency : (int, (int * Link.t) list ref) Hashtbl.t;
+  (* Nodes in the order they gained their first outgoing link; see
+     [links]. *)
+  mutable sources : int list;
 }
 
 let create sim =
-  { sim; ids = Packet.fresh_id_state (); node_names = [||]; count = 0;
-    adjacency = Hashtbl.create 64 }
+  { sim; ids = Packet.fresh_id_state (); flights = Link.flight_pool sim;
+    node_names = [||]; out = [||]; count = 0; sources = [] }
 
 let sim t = t.sim
 let packet_ids t = t.ids
 
 let add_node t ~name =
+  let o = { dsts = [||]; links = [||]; degree = 0 } in
   if t.count = Array.length t.node_names then begin
     let ncap = Stdlib.max 16 (t.count * 2) in
     let names = Array.make ncap "" in
     Array.blit t.node_names 0 names 0 t.count;
-    t.node_names <- names
+    t.node_names <- names;
+    let out = Array.make ncap o in
+    Array.blit t.out 0 out 0 t.count;
+    t.out <- out
   end;
   t.node_names.(t.count) <- name;
+  t.out.(t.count) <- o;
   let id = Node_id.of_int t.count in
   t.count <- t.count + 1;
   id
@@ -38,18 +52,18 @@ let name t id =
   if Node_id.to_int id >= t.count then raise Not_found;
   t.node_names.(Node_id.to_int id)
 
-let out_links t a =
-  match Hashtbl.find_opt t.adjacency (Node_id.to_int a) with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.add t.adjacency (Node_id.to_int a) r;
-      r
 
 let link t a b =
-  match Hashtbl.find_opt t.adjacency (Node_id.to_int a) with
-  | None -> None
-  | Some r -> List.assoc_opt (Node_id.to_int b) !r
+  let a = Node_id.to_int a and b = Node_id.to_int b in
+  if a >= t.count then None
+  else
+    let o = t.out.(a) in
+    let rec find i =
+      if i = o.degree then None
+      else if o.dsts.(i) = b then Some o.links.(i)
+      else find (i + 1)
+    in
+    find 0
 
 let connect_directed t a b ~rate ~delay ?(queue = Nqueue.unbounded) () =
   check_node t a;
@@ -59,21 +73,52 @@ let connect_directed t a b ~rate ~delay ?(queue = Nqueue.unbounded) () =
     invalid_arg
       (Format.asprintf "Topology.connect: %a->%a already connected" Node_id.pp a
          Node_id.pp b);
-  let l = Link.create t.sim ~src:a ~dst:b ~rate ~delay ~queue () in
-  let r = out_links t a in
-  r := !r @ [ (Node_id.to_int b, l) ]
+  let l = Link.create t.sim ~src:a ~dst:b ~rate ~delay ~queue ~flights:t.flights () in
+  let o = t.out.(Node_id.to_int a) in
+  if o.degree = 0 then t.sources <- Node_id.to_int a :: t.sources;
+  if o.degree = Array.length o.links then begin
+    let ncap = Stdlib.max 4 (2 * o.degree) in
+    let dsts = Array.make ncap 0 and links = Array.make ncap l in
+    Array.blit o.dsts 0 dsts 0 o.degree;
+    Array.blit o.links 0 links 0 o.degree;
+    o.dsts <- dsts;
+    o.links <- links
+  end;
+  o.dsts.(o.degree) <- Node_id.to_int b;
+  o.links.(o.degree) <- l;
+  o.degree <- o.degree + 1
 
 let connect t a b ~rate ~delay ?queue () =
   connect_directed t a b ~rate ~delay ?queue ();
   connect_directed t b a ~rate ~delay ?queue ()
 
-let neighbors t a =
-  match Hashtbl.find_opt t.adjacency (Node_id.to_int a) with
-  | None -> []
-  | Some r -> List.map (fun (b, _) -> Node_id.of_int b) !r
+let out_links t a =
+  check_node t a;
+  let o = t.out.(Node_id.to_int a) in
+  Array.sub o.links 0 o.degree
 
+let neighbors t a =
+  let a = Node_id.to_int a in
+  if a >= t.count then []
+  else List.init t.out.(a).degree (fun i -> Node_id.of_int t.out.(a).dsts.(i))
+
+(* The enumeration order is part of the observable behaviour: fault
+   schedules draw per link in this order, and float sums over links
+   depend on it.  It is the order of the [Hashtbl] of per-node lists
+   this topology used to keep — source nodes in that table's bucket
+   order, each node's links reversed — so the table is rebuilt here,
+   once per call, from the same insertion sequence. *)
 let links t =
-  Hashtbl.fold (fun _ r acc -> List.rev_append (List.map snd !r) acc) t.adjacency []
+  let order = Hashtbl.create 64 in
+  List.iter (fun a -> Hashtbl.add order a ()) (List.rev t.sources);
+  Hashtbl.fold
+    (fun a () acc ->
+      let o = t.out.(a) in
+      let rec rev_prepend i acc =
+        if i = o.degree then acc else rev_prepend (i + 1) (o.links.(i) :: acc)
+      in
+      rev_prepend 0 acc)
+    order []
 
 let line sim ~names ~rate ~delay ?queue () =
   if List.length names < 2 then invalid_arg "Topology.line: need at least two nodes";

@@ -3,7 +3,9 @@
     A topology owns its simulator handle, its nodes and its directed
     links (a duplex connection is two symmetric directed links).  It is
     the single source of packet ids for everything running on it, so a
-    whole run has densely numbered, reproducible packets.
+    whole run has densely numbered, reproducible packets.  Its links
+    share one {!Link.flight_pool}, so the propagation records of the
+    whole network number at most its peak of packets in flight.
 
     Builders for the shapes used in the paper's evaluation (line and
     star) live here; the random relay networks are composed on top by
@@ -58,8 +60,15 @@ val link : t -> Node_id.t -> Node_id.t -> Link.t option
 val neighbors : t -> Node_id.t -> Node_id.t list
 (** Nodes reachable over one outgoing link, in connection order. *)
 
+val out_links : t -> Node_id.t -> Link.t array
+(** The outgoing links of a node, in connection order (a fresh array).
+    Raises [Invalid_argument] for an unknown node. *)
+
 val links : t -> Link.t list
-(** All directed links. *)
+(** All directed links.  The order is deterministic for a given
+    sequence of {!connect} calls (it is neither connection order nor
+    node order); per-link random draws and float sums over links depend
+    on it. *)
 
 (** {1 Builders} *)
 

@@ -513,9 +513,124 @@ let prop_exit_recorded_once =
         script;
       !first_exit = C.exit_cwnd ctrl)
 
+(* --- sliding feedback window reference ---------------------------- *)
+
+(* The sliding feedback window as it was kept before it became a ring:
+   a deque of feedback instants, trimmed to three baseRtts on every
+   feedback and counted with a fold.  Frozen here as the reference the
+   ring and its 1-RTT cursor must match. *)
+module Ref_window = struct
+  type t = { q : Engine.Time.t Queue.t; mutable base : Engine.Time.t option }
+
+  let rate_window_rtts = 3
+  let create () = { q = Queue.create (); base = None }
+
+  let on_feedback w ~now ~rtt =
+    (match w.base with
+    | None -> w.base <- Some rtt
+    | Some b -> if Engine.Time.(rtt < b) then w.base <- Some rtt);
+    Queue.push now w.q;
+    match w.base with
+    | Some base ->
+        let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rate_window_rtts) in
+        let rec drop () =
+          match Queue.peek_opt w.q with
+          | Some ts when Engine.Time.(ts <= cutoff) ->
+              ignore (Queue.pop w.q : Engine.Time.t);
+              drop ()
+          | Some _ | None -> ()
+        in
+        drop ()
+    | None -> ()
+
+  let count_within w ~now ~rtts =
+    match w.base with
+    | None -> Queue.length w.q
+    | Some base ->
+        let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rtts) in
+        Queue.fold (fun acc ts -> if Engine.Time.(ts > cutoff) then acc + 1 else acc) 0 w.q
+
+  let sliding_rate_cells w =
+    int_of_float
+      (Float.round (float_of_int (Queue.length w.q) /. float_of_int rate_window_rtts))
+end
+
+(* Monotone feedback streams: gaps of 0 to 20 ms (same-instant bursts
+   included), RTTs of 1 to 120 ms, and shrink steps that cut the RTT
+   below the running minimum, so the base RTT moves down many times. *)
+let gen_monotone_stream =
+  QCheck2.Gen.(
+    list_size (int_range 1 600)
+      (triple (int_range 0 20_000) (int_range 1_000 120_000) (int_range 0 3)))
+
+let prop_window_matches_fold strategy name =
+  QCheck2.Test.make ~count:200 ~name gen_monotone_stream (fun stream ->
+      let ctrl = C.create strategy in
+      let w = Ref_window.create () in
+      let now = ref Engine.Time.zero and floor = ref max_int in
+      List.for_all
+        (fun (gap_us, rtt_us, shrink) ->
+          now := Engine.Time.add !now (Engine.Time.us gap_us);
+          (* One step in four undercuts the minimum by up to 10%. *)
+          let rtt_us =
+            if shrink = 0 && !floor < max_int then
+              Stdlib.max 1 (!floor - (rtt_us mod ((!floor / 10) + 1)))
+            else rtt_us
+          in
+          floor := Stdlib.min !floor rtt_us;
+          let rtt = Engine.Time.us rtt_us in
+          C.on_feedback ctrl ~now:!now ~rtt ();
+          Ref_window.on_feedback w ~now:!now ~rtt;
+          C.rtt_feedbacks ctrl = Ref_window.count_within w ~now:!now ~rtts:1
+          && C.sliding_rate_cells ctrl = Ref_window.sliding_rate_cells w)
+        stream)
+
+(* Clean rounds whose RTT shrinks by up to 0.5% per round: the window
+   signals must keep every strategy on its reference trajectory —
+   CircuitStart doubles per round, slow start adds one per feedback,
+   and predictive (zero-variance rounds) falls back at the first round
+   end and then probes one cell per calm round.  The shrink stays small
+   because a controller round straddles two of these rounds, and a
+   window of w cells reads a shrink s as a Vegas diff of about w·s:
+   past gamma that is a queue signal, and the ramp rightly ends. *)
+let prop_traces_match_references =
+  QCheck2.Test.make ~count:200
+    ~name:"cwnd traces of all three strategies follow the reference folds"
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(pair (int_range 5 200) (list_size (int_range 1 8) (int_range 0 5)))
+    (fun (base_ms, shrinks) ->
+      let trace strategy =
+        let ctrl = C.create strategy in
+        let t = ref Engine.Time.zero and rtt = ref (Engine.Time.ms base_ms) in
+        let fed = ref 0 in
+        List.map
+          (fun permille ->
+            rtt :=
+              Engine.Time.sub !rtt
+                (Engine.Time.div_int (Engine.Time.mul_int !rtt permille) 1000);
+            let w = C.cwnd ctrl in
+            t := feed ctrl ~from_:!t ~gap:(Engine.Time.div_int !rtt w) ~rtt:!rtt w;
+            fed := !fed + w;
+            (C.cwnd ctrl, !fed))
+          shrinks
+      in
+      let rounds = List.mapi (fun i _ -> i + 1) shrinks in
+      List.map fst (trace C.Circuit_start)
+      = List.map (fun k -> ref_circuitstart_cwnd ~rounds:k) rounds
+      && List.for_all
+           (fun (cwnd, fed) -> cwnd = ref_slow_start_cwnd ~feedbacks:fed)
+           (trace C.Slow_start)
+      && List.map fst (trace C.Predictive)
+         = List.map (fun k -> P.default.P.initial_cwnd + (k - 1)) rounds)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_window_matches_fold C.Circuit_start
+        "ring window matches the deque fold (circuitstart)";
+      prop_window_matches_fold C.Predictive
+        "ring window matches the deque fold (predictive)";
+      prop_traces_match_references;
       prop_cwnd_bounded C.Circuit_start "circuitstart cwnd stays in [min, max]";
       prop_cwnd_bounded C.Slow_start "slow start cwnd stays in [min, max]";
       prop_cwnd_bounded C.Predictive "predictive cwnd stays in [min, max]";

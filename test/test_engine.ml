@@ -1109,6 +1109,105 @@ let test_alloc_timer () =
   Alcotest.(check (float 0.)) "Sim.Timer rearm: minor words per firing" 0.
     ((long -. short) /. 90_000.)
 
+(* A paced leaf -> hub -> leaf stream over a three-leaf star, [n]
+   sends long: the minor words the whole run allocates.  The caller
+   builds one packet and sends it again on every tick (the substrate
+   keeps no per-packet state), two at a time so the access link queues
+   the second behind the first, each with a transmit callback. *)
+let forward_run_words n =
+  let sim = Engine.Sim.create () in
+  let rate = Engine.Units.Rate.mbit 10 and delay = Engine.Time.ms 5 in
+  let topo, _hub, leaves =
+    Netsim.Topology.star sim ~hub:"hub"
+      ~leaves:[ ("a", rate, delay); ("b", rate, delay); ("c", rate, delay) ]
+      ()
+  in
+  let net = Netsim.Network.create topo in
+  let a, b = match leaves with a :: b :: _ -> (a, b) | _ -> assert false in
+  let delivered = ref 0 and transmitted = ref 0 in
+  Netsim.Network.set_local_handler net b (fun _ -> incr delivered);
+  let on_transmit = Some (fun _ -> incr transmitted) in
+  let p = Netsim.Network.make_packet net ~src:a ~dst:b ~size:514 (Netsim.Payload.Raw "") in
+  let sent = ref 0 in
+  let self = ref None in
+  (* Two 514-byte cells (411 us each at 10 Mbit/s) per 1 ms tick. *)
+  let tick () =
+    Netsim.Network.send net ?on_transmit p;
+    Netsim.Network.send net ?on_transmit p;
+    sent := !sent + 2;
+    if !sent < n then Engine.Sim.Timer.arm_after sim (Option.get !self) (Engine.Time.ms 1)
+  in
+  let timer = Engine.Sim.Timer.create sim tick in
+  self := Some timer;
+  Engine.Sim.Timer.arm_after sim timer (Engine.Time.ms 1);
+  let before = Gc.minor_words () in
+  Engine.Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every packet delivered" n !delivered;
+  Alcotest.(check int) "every send transmitted once" n !transmitted;
+  words
+
+let test_alloc_forwarding () =
+  ignore (forward_run_words 1_000);
+  let short = forward_run_words 10_000 in
+  let long = forward_run_words 100_000 in
+  (* Two hops per packet. *)
+  Alcotest.(check (float 0.)) "leaf->hub->leaf: minor words per hop" 0.
+    ((long -. short) /. 180_000.)
+
+(* [n] feedbacks of a stream that drives a controller through its whole
+   cycle: clean (40 ms, with 0.2 ms of jitter so the predictive model
+   stays identifiable) until a ramp-up window reaches 32 cells, queued
+   (80 ms) while it stays in ramp-up beyond that, clean again in
+   avoidance.  With [adaptive], calm avoidance rounds re-enter ramp-up,
+   so CircuitStart and slow start cycle between the phases for good;
+   predictive stays in avoidance, replanning every round.  Returns the
+   minor words and the calls, split by the phase a call started in. *)
+let feedback_words strategy n =
+  let params = { Circuitstart.Params.default with adaptive = true; re_probe_after = 2 } in
+  let ctl = Circuitstart.Controller.create ~params strategy in
+  let words = [| 0.; 0. |] and calls = [| 0; 0 |] in
+  for i = 1 to n do
+    let phase, rtt_us =
+      match Circuitstart.Controller.phase ctl with
+      | Circuitstart.Controller.Ramp_up ->
+          let queued = Circuitstart.Controller.cwnd ctl >= 32 in
+          (0, if queued then 80_000 else 40_000 + (i land 1 * 200))
+      | Circuitstart.Controller.Avoidance -> (1, 40_000 + (i land 1 * 200))
+    in
+    let now = Engine.Time.ms i and rtt = Engine.Time.us rtt_us in
+    let before = Gc.minor_words () in
+    Circuitstart.Controller.on_feedback ctl ~now ~rtt ();
+    words.(phase) <- words.(phase) +. (Gc.minor_words () -. before);
+    calls.(phase) <- calls.(phase) + 1
+  done;
+  (words, calls, Circuitstart.Controller.ramp_up_exits ctl)
+
+let test_alloc_feedback () =
+  List.iter
+    (fun (name, strategy, cycles) ->
+      let short_w, short_c, _ = feedback_words strategy 20_000 in
+      let long_w, long_c, exits = feedback_words strategy 120_000 in
+      List.iteri
+        (fun phase label ->
+          let extra = long_c.(phase) - short_c.(phase) in
+          if cycles || phase = 1 then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s calls measured" name label)
+              true (extra > 0);
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s: minor words per %s call" name label)
+            0.
+            ((long_w.(phase) -. short_w.(phase)) /. float_of_int (Stdlib.max 1 extra)))
+        [ "ramp-up"; "avoidance" ];
+      if cycles then
+        Alcotest.(check bool) (name ^ ": re-probes keep cycling") true (exits > 100))
+    [
+      ("circuitstart", Circuitstart.Controller.Circuit_start, true);
+      ("slow start", Circuitstart.Controller.Slow_start, true);
+      ("predictive", Circuitstart.Controller.Predictive, false);
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let qtests =
@@ -1225,6 +1324,8 @@ let () =
           Alcotest.test_case "Rate.transmission_time" `Quick
             test_alloc_transmission_time;
           Alcotest.test_case "self-rearming Sim.Timer" `Quick test_alloc_timer;
+          Alcotest.test_case "leaf->hub->leaf forwarding" `Quick test_alloc_forwarding;
+          Alcotest.test_case "Controller.on_feedback" `Quick test_alloc_feedback;
         ] );
       ("properties", qtests);
     ]

@@ -529,8 +529,307 @@ let test_flow_monitor () =
   Alcotest.(check int) "total rx" 207 (Netsim.Flow_monitor.total_rx_bytes fm)
 
 (* ------------------------------------------------------------------ *)
+(* Dense adjacency: frozen references *)
 
-let qtests = List.map QCheck_alcotest.to_alcotest [ prop_nqueue_conservation ]
+(* The routing the network used before its adjacency became arrays,
+   frozen as a reference: Dijkstra from every source over an ordered
+   set of (distance, node) pairs, scanning the topology's link table
+   per edge.  Returns next_hop.(src).(dst): the neighbour to forward
+   to, -1 if unreachable, src itself if dst = src. *)
+let ref_compute_routes topo =
+  let n = Netsim.Topology.node_count topo in
+  let next_hop = Array.make_matrix n n (-1) in
+  let nodes = Array.of_list (Netsim.Topology.nodes topo) in
+  let dijkstra src =
+    let dist = Array.make n max_int in
+    let prev = Array.make n (-1) in
+    let visited = Array.make n false in
+    let src_i = Netsim.Node_id.to_int src in
+    dist.(src_i) <- 0;
+    let module Pq = Set.Make (struct
+      type t = int * int
+
+      let compare (d1, n1) (d2, n2) =
+        match Int.compare d1 d2 with 0 -> Int.compare n1 n2 | c -> c
+    end) in
+    let pq = ref (Pq.singleton (0, src_i)) in
+    while not (Pq.is_empty !pq) do
+      let ((_, u) as min_elt) = Pq.min_elt !pq in
+      pq := Pq.remove min_elt !pq;
+      if not visited.(u) then begin
+        visited.(u) <- true;
+        List.iter
+          (fun v_id ->
+            let v = Netsim.Node_id.to_int v_id in
+            match Netsim.Topology.link topo nodes.(u) v_id with
+            | None -> ()
+            | Some l ->
+                let w = (Netsim.Link.delay l :> int) + 1 in
+                let alt = dist.(u) + w in
+                if alt < dist.(v) then begin
+                  dist.(v) <- alt;
+                  prev.(v) <- u;
+                  pq := Pq.add (alt, v) !pq
+                end)
+          (Netsim.Topology.neighbors topo nodes.(u))
+      end
+    done;
+    for dst = 0 to n - 1 do
+      if dst = src_i then next_hop.(src_i).(dst) <- src_i
+      else if prev.(dst) >= 0 then begin
+        let hop = ref dst in
+        while prev.(!hop) <> src_i && prev.(!hop) >= 0 do
+          hop := prev.(!hop)
+        done;
+        if prev.(!hop) = src_i then next_hop.(src_i).(dst) <- !hop
+      end
+    done
+  in
+  Array.iter dijkstra nodes;
+  next_hop
+
+(* The network's next hop from [a] toward [b], read off its route. *)
+let next_hop net a b =
+  match Netsim.Network.path net (Netsim.Node_id.of_int a) (Netsim.Node_id.of_int b) with
+  | None -> -1
+  | Some [ x ] -> Netsim.Node_id.to_int x
+  | Some (_ :: h :: _) -> Netsim.Node_id.to_int h
+  | Some [] -> assert false
+
+(* A random topology, built by replaying a list of connect calls (so the
+   reference below can replay the same sequence).  Delays come from a
+   three-value set, zero included, so equal-cost routes tie often. *)
+type shape =
+  | Graph of int * (int * int * int * bool) list  (* nodes, (a, b, delay, duplex) *)
+  | Star of int list  (* leaf delays *)
+  | Line of int * int  (* nodes, delay *)
+  | Dumbbell of int list * int list * int
+
+let delay_of k = Engine.Time.ms k
+
+let build_shape shape =
+  let sim = Engine.Sim.create () in
+  let rate = Engine.Units.Rate.mbit 8 in
+  let leaves ds = List.mapi (fun i d -> (Printf.sprintf "l%d" i, rate, delay_of d)) ds in
+  match shape with
+  | Graph (n, edges) ->
+      let topo = Netsim.Topology.create sim in
+      let ids =
+        Array.init n (fun i -> Netsim.Topology.add_node topo ~name:(string_of_int i))
+      in
+      List.iter
+        (fun (a, b, d, duplex) ->
+          let a = ids.(a mod n) and b = ids.(b mod n) in
+          let free x y = Netsim.Topology.link topo x y = None in
+          if not (Netsim.Node_id.equal a b) then
+            if duplex then begin
+              if free a b && free b a then
+                Netsim.Topology.connect topo a b ~rate ~delay:(delay_of d) ()
+            end
+            else if free a b then
+              Netsim.Topology.connect_directed topo a b ~rate ~delay:(delay_of d) ())
+        edges;
+      topo
+  | Star ds ->
+      let topo, _, _ = Netsim.Topology.star sim ~hub:"hub" ~leaves:(leaves ds) () in
+      topo
+  | Line (n, d) ->
+      fst
+        (Netsim.Topology.line sim
+           ~names:(List.init n string_of_int)
+           ~rate ~delay:(delay_of d) ())
+  | Dumbbell (l, r, d) ->
+      fst
+        (Netsim.Topology.dumbbell sim ~left:(leaves l) ~right:(leaves r)
+           ~bottleneck_rate:rate ~bottleneck_delay:(delay_of d) ())
+
+let gen_shape =
+  QCheck2.Gen.(
+    let delay = int_range 0 2 in
+    oneof
+      [
+        (* Graph nodes beyond the edges' reach stay disconnected. *)
+        (let* n = int_range 1 12 in
+         let* edges =
+           list_size (int_range 0 30) (quad (int_range 0 11) (int_range 0 11) delay bool)
+         in
+         return (Graph (n, edges)));
+        map (fun ds -> Star ds) (list_size (int_range 1 12) delay);
+        map2 (fun n d -> Line (n, d)) (int_range 2 10) delay;
+        map3
+          (fun l r d -> Dumbbell (l, r, d))
+          (list_size (int_range 1 5) delay)
+          (list_size (int_range 1 5) delay)
+          delay;
+      ])
+
+let prop_routes_match_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"array Dijkstra gives the frozen set-based next-hop table"
+    gen_shape
+    (fun shape ->
+      let topo = build_shape shape in
+      let want = ref_compute_routes topo in
+      let net = Netsim.Network.create topo in
+      let n = Netsim.Topology.node_count topo in
+      let ok = ref true in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if next_hop net a b <> want.(a).(b) then ok := false
+        done
+      done;
+      !ok)
+
+(* [Topology.links] must enumerate in the order of the table of
+   per-node assoc lists it replaced: fault schedules draw per link in
+   that order.  The reference replays the same directed connections,
+   in the same order, into that table. *)
+let ref_link_order connections =
+  let adjacency = Hashtbl.create 64 in
+  List.iter
+    (fun (a, b) ->
+      let r =
+        match Hashtbl.find_opt adjacency a with
+        | Some r -> r
+        | None ->
+            let r = ref [] in
+            Hashtbl.add adjacency a r;
+            r
+      in
+      r := !r @ [ (b, ()) ])
+    connections;
+  Hashtbl.fold
+    (fun a r acc -> List.rev_append (List.map (fun (b, ()) -> (a, b)) !r) acc)
+    adjacency []
+
+(* Random connection sequences over up to 300 nodes — past the 128
+   sources at which the old table resized — or a star's sequence. *)
+let gen_connections =
+  QCheck2.Gen.(
+    oneof
+      [
+        (let* n = int_range 2 300 in
+         let* pairs =
+           list_size (int_range 0 400) (triple (int_range 0 299) (int_range 0 299) bool)
+         in
+         return (n, List.map (fun (a, b, duplex) -> (a mod n, b mod n, duplex)) pairs));
+        map
+          (fun n -> (n, List.init (n - 1) (fun i -> (i + 1, 0, true))))
+          (int_range 2 300);
+      ])
+
+let prop_links_order_matches_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"links enumerate in the order of the old per-node table"
+    gen_connections
+    (fun (n, pairs) ->
+      let sim = Engine.Sim.create () in
+      let topo = Netsim.Topology.create sim in
+      let ids =
+        Array.init n (fun i -> Netsim.Topology.add_node topo ~name:(string_of_int i))
+      in
+      let made = ref [] in
+      let connect a b =
+        Netsim.Topology.connect_directed topo ids.(a) ids.(b)
+          ~rate:(Engine.Units.Rate.mbit 8) ~delay:Engine.Time.zero ();
+        made := (a, b) :: !made
+      in
+      let free a b = Netsim.Topology.link topo ids.(a) ids.(b) = None in
+      List.iter
+        (fun (a, b, duplex) ->
+          if a <> b && free a b && ((not duplex) || free b a) then begin
+            connect a b;
+            if duplex then connect b a
+          end)
+        pairs;
+      let ends l =
+        ( Netsim.Node_id.to_int (Netsim.Link.src l),
+          Netsim.Node_id.to_int (Netsim.Link.dst l) )
+      in
+      List.map ends (Netsim.Topology.links topo) = ref_link_order (List.rev !made))
+
+(* ------------------------------------------------------------------ *)
+(* Ring queue and flight pool *)
+
+(* Random pushes and takes against a FIFO model: order, byte count and
+   the callback riding with each packet survive wrap-around and
+   growth. *)
+let prop_nqueue_ring_matches_fifo =
+  QCheck2.Test.make ~count:300 ~name:"ring queue matches a FIFO model"
+    QCheck2.Gen.(list_size (int_range 1 300) (pair bool (int_range 1 50)))
+    (fun ops ->
+      let ids = Netsim.Packet.fresh_id_state () in
+      let q = Netsim.Nqueue.create (Netsim.Nqueue.packets 40) in
+      let model = Queue.create () in
+      let fired = ref (-1) in
+      List.for_all
+        (fun (push, size) ->
+          if push then begin
+            let p = mk_packet ids ~src:0 ~dst:1 ~size in
+            let cb = if size land 1 = 0 then Some (fun id -> fired := id) else None in
+            let room = Queue.length model < 40 in
+            let accepted = Netsim.Nqueue.push q p cb in
+            if accepted then Queue.push (p, cb <> None) model;
+            accepted = room
+          end
+          else
+            match Queue.take_opt model with
+            | None -> Netsim.Nqueue.is_empty q
+            | Some (want, has_cb) ->
+                fired := -1;
+                (match Netsim.Nqueue.head_on_transmit q with
+                | Some f -> f want.Netsim.Packet.id
+                | None -> ());
+                let got = Netsim.Nqueue.take q in
+                got == want
+                && !fired = (if has_cb then want.Netsim.Packet.id else -1)
+                && Netsim.Nqueue.length q = Queue.length model
+                && Netsim.Nqueue.byte_length q
+                   = Queue.fold (fun acc (p, _) -> acc + p.Netsim.Packet.size) 0 model)
+        ops)
+
+(* Two links share one pool: records are reused across links, so the
+   pool's size is the peak number of packets propagating at once on
+   either, not the sum of each link's peak. *)
+let test_flight_pool_shared_peak () =
+  let sim = Engine.Sim.create () in
+  let flights = Netsim.Link.flight_pool sim in
+  let mk () =
+    (* 1000 bytes at 8 Mbit/s: 1 ms on the wire, then 10 ms in flight. *)
+    Netsim.Link.create sim ~src:(Netsim.Node_id.of_int 0) ~dst:(Netsim.Node_id.of_int 1)
+      ~rate:(Engine.Units.Rate.mbit 8) ~delay:(Engine.Time.ms 10) ~flights ()
+  in
+  let a = mk () and b = mk () in
+  let delivered = ref 0 in
+  Netsim.Link.set_receiver a (fun _ -> incr delivered);
+  Netsim.Link.set_receiver b (fun _ -> incr delivered);
+  let ids = Netsim.Packet.fresh_id_state () in
+  for _ = 1 to 4 do
+    Netsim.Link.send a (mk_packet ids ~src:0 ~dst:1 ~size:1000)
+  done;
+  (* Link b's burst starts after all of a's packets have landed. *)
+  ignore
+    (Engine.Sim.schedule_at sim (Engine.Time.ms 30) (fun () ->
+         for _ = 1 to 3 do
+           Netsim.Link.send b (mk_packet ids ~src:0 ~dst:1 ~size:1000)
+         done)
+      : Engine.Sim.handle);
+  Engine.Sim.run sim;
+  Alcotest.(check int) "all delivered" 7 !delivered;
+  Alcotest.(check int) "records = peak in flight" 4 (Netsim.Link.flight_records flights);
+  Alcotest.(check int) "nothing left in flight" 0
+    (Netsim.Link.packets_in_flight a + Netsim.Link.packets_in_flight b)
+
+(* ------------------------------------------------------------------ *)
+
+let qtests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_nqueue_conservation;
+      prop_nqueue_ring_matches_fifo;
+      prop_routes_match_reference;
+      prop_links_order_matches_reference;
+    ]
 
 let () =
   Alcotest.run "netsim"
@@ -562,6 +861,8 @@ let () =
             test_link_on_transmit_not_fired_on_drop;
           Alcotest.test_case "set_rate" `Quick test_link_set_rate;
           Alcotest.test_case "utilization" `Quick test_link_utilization;
+          Alcotest.test_case "flight pool holds the shared peak" `Quick
+            test_flight_pool_shared_peak;
         ] );
       ( "topology",
         [
