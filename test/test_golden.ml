@@ -52,8 +52,149 @@ let cli_fixture args () =
   if rc <> 0 then Alcotest.failf "torsim %s exited %d" args rc;
   text
 
+(* ------------------------------------------------------------------ *)
+(* End-to-end cell latency.  [torsim cdf] does not print it, so these
+   runs pin the per-cell departure stamps and their consumption at the
+   sink directly: count, mean and max at full float precision. *)
+
+let latency_line name stats =
+  Printf.sprintf "%s count=%d mean=%h max=%h\n" name
+    (Engine.Stats.Online.count stats)
+    (Engine.Stats.Online.mean stats)
+    (Engine.Stats.Online.max stats)
+
+let star_latency (label, transport) =
+  let config =
+    { Workload.Star_experiment.default_config with
+      Workload.Star_experiment.transport;
+      circuit_count = 10;
+      relay_count = 12;
+      transfer_bytes = Engine.Units.kib 64;
+      seed = 7;
+    }
+  in
+  latency_line ("star/" ^ label)
+    (Workload.Star_experiment.run config).Workload.Star_experiment.cell_latency
+
+(* The three-stream world of examples/multi_stream.ml: a 1 MiB download
+   and two 64 KiB fetches interleaved over one CircuitStart circuit
+   through a 5 Mbit/s middle relay. *)
+let multi_stream_latency () =
+  let sim = Engine.Sim.create () in
+  let b = Workload.Tor_net.builder sim () in
+  List.iter
+    (fun (name, mbit) ->
+      Workload.Tor_net.add_relay b
+        { Workload.Relay_gen.nickname = name;
+          bandwidth = Engine.Units.Rate.mbit mbit;
+          latency = Engine.Time.ms 10;
+          flags =
+            [ Tor_model.Relay_info.Guard; Tor_model.Relay_info.Exit;
+              Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ] })
+    [ ("guard", 50); ("middle", 5); ("exit", 50) ];
+  let endpoint name =
+    Workload.Tor_net.add_endpoint b ~name ~rate:(Engine.Units.Rate.mbit 100)
+      ~delay:(Engine.Time.ms 10)
+  in
+  let client = endpoint "client" in
+  let server = endpoint "server" in
+  let net = Workload.Tor_net.finalize b in
+  let circuit =
+    Tor_model.Circuit.make
+      ~id:(Tor_model.Circuit_id.next (Workload.Tor_net.circuit_ids net))
+      ~client
+      ~relays:(Tor_model.Directory.relays (Workload.Tor_net.directory net))
+      ~server
+  in
+  let transfer = ref None in
+  Tor_model.Circuit_builder.build
+    (Workload.Tor_net.switchboard net client)
+    circuit
+    ~on_done:(function
+      | Tor_model.Circuit_builder.Established _ ->
+          let d =
+            Backtap.Transfer.deploy_streams
+              ~node_of:(Workload.Tor_net.backtap_node net)
+              ~circuit
+              ~streams:
+                [ (1, Engine.Units.mib 1); (2, Engine.Units.kib 64);
+                  (3, Engine.Units.kib 64) ]
+              ~strategy:Circuitstart.Controller.Circuit_start
+              ~on_complete:(fun _ -> Engine.Sim.stop sim)
+              ()
+          in
+          Backtap.Transfer.start d;
+          transfer := Some d
+      | _ -> Alcotest.fail "multi-stream circuit not established")
+    ();
+  Engine.Sim.run sim ~until:(Engine.Time.s 60);
+  match !transfer with
+  | Some d -> latency_line "multi_stream" (Backtap.Transfer.cell_latency_stats d)
+  | None -> Alcotest.fail "multi-stream transfer never deployed"
+
+(* Resumed transfers over a client -> 3 relays -> server star: the
+   source and sink start past an already-delivered prefix, so the cells
+   on the wire carry sequence numbers that do not start at 0. *)
+let resumed_latency () =
+  let deploy_on ~name run =
+    let sim = Engine.Sim.create () in
+    let rate = Engine.Units.Rate.mbit 10 and delay = Engine.Time.ms 5 in
+    let topo, _, leaves =
+      Netsim.Topology.star sim ~hub:"hub"
+        ~leaves:(List.init 5 (fun i -> (Printf.sprintf "l%d" i, rate, delay)))
+        ()
+    in
+    let net = Netsim.Network.create topo in
+    let leaves = Array.of_list leaves in
+    let bts =
+      Array.map
+        (fun n -> Backtap.Node.install (Tor_model.Switchboard.install net n))
+        leaves
+    in
+    let relays =
+      List.init 3 (fun i ->
+          Tor_model.Relay_info.make ~nickname:(Printf.sprintf "r%d" i)
+            ~node:leaves.(i + 1) ~bandwidth:rate ~latency:delay ())
+    in
+    let circuit =
+      Tor_model.Circuit.make ~id:(Tor_model.Circuit_id.of_int 0)
+        ~client:leaves.(0) ~relays ~server:leaves.(4)
+    in
+    let node_of n =
+      let rec find i =
+        if Netsim.Node_id.equal leaves.(i) n then bts.(i) else find (i + 1)
+      in
+      find 0
+    in
+    let d = run ~node_of ~circuit in
+    Backtap.Transfer.start d;
+    Engine.Sim.run sim ~until:(Engine.Time.s 60);
+    latency_line name (Backtap.Transfer.cell_latency_stats d)
+  in
+  deploy_on ~name:"resumed/offset" (fun ~node_of ~circuit ->
+      Backtap.Transfer.deploy ~node_of ~circuit ~bytes:(Engine.Units.kib 200)
+        ~strategy:Circuitstart.Controller.Circuit_start ~stream_id:5
+        ~offset:(100 * Tor_model.Cell.payload_capacity) ())
+  ^ deploy_on ~name:"resumed/streams" (fun ~node_of ~circuit ->
+        Backtap.Transfer.deploy_streams ~node_of ~circuit
+          ~streams:[ (1, Engine.Units.kib 96); (2, Engine.Units.kib 160) ]
+          ~offsets:[ (2, 40 * Tor_model.Cell.payload_capacity) ]
+          ~strategy:Circuitstart.Controller.Slow_start ())
+
+let cell_latency_fixture () =
+  String.concat ""
+    (List.map star_latency
+       [
+         ("cs", Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start);
+         ("ss", Workload.Star_experiment.Backtap Circuitstart.Controller.Slow_start);
+         ("pr", Workload.Star_experiment.Backtap Circuitstart.Controller.Predictive);
+         ("sendme", Workload.Star_experiment.Legacy_sendme);
+       ])
+  ^ multi_stream_latency () ^ resumed_latency ()
+
 let fixtures =
   [
+    ("cell_latency.txt", cell_latency_fixture);
     ( "faults_events.csv",
       fun () ->
         Test_util.events_csv (fault_run ()).Workload.Fault_experiment.events );
