@@ -31,6 +31,16 @@ for transport in cs ss pr sendme; do
   case "$last" in "completed 10/10 "*) ;; *) echo "star smoke failed" >&2; exit 1 ;; esac
 done
 
+echo "== examples smoke: multi_stream (three streams over one circuit) =="
+# The only caller of Transfer.deploy_streams: each of its three streams
+# must report its completion.
+out=$(dune exec examples/multi_stream.exe)
+printf '%s\n' "$out"
+for id in 1 2 3; do
+  printf '%s\n' "$out" | grep -q "^stream $id (.*): done after " \
+    || { echo "multi_stream smoke failed: stream $id did not finish" >&2; exit 1; }
+done
+
 echo "== network smoke: torsim network (consensus-scale, small) =="
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7
 

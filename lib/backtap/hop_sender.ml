@@ -15,10 +15,10 @@ type pending = {
   mutable backoff : int;  (* doublings applied to the next RTO *)
   mutable attempts : int;  (* retransmissions of this cell so far *)
   mutable on_wire : bool;  (* did the current attempt reach the wire? *)
-  mutable ack : (unit -> unit) option;
-  (* The forwarded cell's upstream hop sequence, handed to the sender's
-     [forward_ack] on first transmission; -1 for a cell submitted with
-     its own [ack] (or none). *)
+  (* Handed to the sender's [forward_ack] on first transmission: the
+     index the owner passed to [forward] (a relay's upstream hop
+     sequence); -1 for a cell queued with [submit], which acks
+     nothing. *)
   mutable ack_seq : int;
   mutable in_use : bool;  (* false once recycled into the pool *)
   (* Packet-id watermark of the current incarnation: the network's
@@ -68,11 +68,10 @@ type t = {
   rto_min : Engine.Time.t;
   rto_initial : Engine.Time.t;
   max_retries : int;
-  (* Backlog ring: [bl_len] cells from [bl_head], each with its [ack]
-     and upstream sequence (see [pending.ack_seq]) in the parallel
-     arrays.  Doubled when full, never shrunk. *)
+  (* Backlog ring: [bl_len] cells from [bl_head], each with its
+     [ack_seq] (see [pending.ack_seq]) in the parallel array.  Doubled
+     when full, never shrunk. *)
   mutable bl_cells : Tor_model.Cell.t array;
-  mutable bl_acks : (unit -> unit) option array;
   mutable bl_seqs : int array;
   mutable bl_head : int;
   mutable bl_len : int;
@@ -87,8 +86,8 @@ type t = {
   (* Recycled pendings, a stack in [free.(0 .. nfree - 1)]. *)
   mutable free : pending array;
   mutable nfree : int;
-  (* The ack of a cell submitted with {!forward}: the sender's one
-     callback, applied to the cell's upstream sequence. *)
+  (* The ack of a cell queued with {!forward}: the sender's one
+     callback, applied to the cell's [ack_seq]. *)
   mutable forward_ack : int -> unit;
   mutable next_seq : int;
   mutable sent : int;
@@ -128,7 +127,6 @@ let blank_pending circuit timer =
     backoff = 0;
     attempts = 0;
     on_wire = false;
-    ack = None;
     ack_seq = -1;
     in_use = false;
     wire_floor = max_int;
@@ -153,7 +151,6 @@ let create ~sb ~circuit ~succ ~controller ?(rto_min = Engine.Time.ms 400)
     rto_initial;
     max_retries;
     bl_cells = Array.make 16 vacant.cell;
-    bl_acks = Array.make 16 None;
     bl_seqs = Array.make 16 (-1);
     bl_head = 0;
     bl_len = 0;
@@ -259,7 +256,6 @@ let abort t =
       if p != t.vacant then begin
         Engine.Sim.Timer.cancel t.sim p.timer;
         p.in_use <- false;
-        p.ack <- None;
         t.slots.(slot t seq) <- t.vacant
       end
     done;
@@ -267,8 +263,7 @@ let abort t =
     t.lowest <- t.next_seq;
     for i = 0 to t.bl_len - 1 do
       let j = (t.bl_head + i) land (Array.length t.bl_cells - 1) in
-      t.bl_cells.(j) <- t.vacant.cell;
-      t.bl_acks.(j) <- None
+      t.bl_cells.(j) <- t.vacant.cell
     done;
     t.bl_len <- 0;
     (* Release every byte still charged against the node's occupancy
@@ -293,12 +288,13 @@ let trip t =
 (* Put the cell on the wire.  All timing is anchored at the actual wire
    departure (the access link's serialization start): the RTT clock and
    the retransmission timer start there, and — on the first
-   transmission only — [ack] fires there, because that instant is this
-   node's act of forwarding (the predecessor's feedback is due then,
-   not when the cell was merely queued).  The retransmission timer
-   backs off exponentially: Karn's rule freezes the estimator during
-   retransmissions, so without backoff an RTO below the loaded RTT
-   would retransmit every cell forever (congestion collapse).  Each
+   transmission only — the cell's ack fires there, because that
+   instant is this node's act of forwarding (the predecessor's feedback
+   is due then, not when the cell was merely queued).  The
+   retransmission timer backs off exponentially: Karn's rule freezes
+   the estimator during retransmissions, so without backoff an RTO
+   below the loaded RTT would retransmit every cell forever
+   (congestion collapse).  Each
    cell's retransmissions are bounded by [max_retries]; exhausting the
    budget trips the whole sender into its terminal aborted state. *)
 let rec wire_send t (p : pending) =
@@ -331,7 +327,7 @@ and on_timer t (p : pending) =
   end
 
 (* Wire departure of an attempt: stop the watchdog, stamp the RTT
-   clock, deliver the one-shot [ack], and rearm the same timer as the
+   clock, run [forward_ack] once per cell, and rearm the same timer as the
    retransmission clock.  Guarded against stale firings (see
    [wire_floor]): a leftover callback from before this record was
    recycled — or one firing while the record sits idle in the pool —
@@ -357,11 +353,7 @@ and transmit_done t (p : pending) pkt_id =
     let first = not p.transmitted in
     p.transmitted <- true;
     p.sent_at <- Engine.Sim.now t.sim;
-    if first then begin
-      match p.ack with
-      | Some f -> f ()
-      | None -> if p.ack_seq >= 0 then t.forward_ack p.ack_seq
-    end;
+    if first && p.ack_seq >= 0 then t.forward_ack p.ack_seq;
     let delay = Engine.Time.mul_int (rto t) (1 lsl p.backoff) in
     Engine.Sim.Timer.arm_after t.sim p.timer delay
   end
@@ -391,7 +383,6 @@ let alloc_pending t =
 let release t p =
   Engine.Sim.Timer.cancel t.sim p.timer;
   p.in_use <- false;
-  p.ack <- None;
   p.cell <- t.vacant.cell;
   if t.nfree = Array.length t.free then begin
     let free = Array.make (Stdlib.max 8 (2 * t.nfree)) p in
@@ -409,9 +400,8 @@ let rec pump t =
     && t.bl_len > 0
   then begin
     let j = t.bl_head in
-    let cell = t.bl_cells.(j) and ack = t.bl_acks.(j) and ack_seq = t.bl_seqs.(j) in
+    let cell = t.bl_cells.(j) and ack_seq = t.bl_seqs.(j) in
     t.bl_cells.(j) <- t.vacant.cell;
-    t.bl_acks.(j) <- None;
     t.bl_head <- (j + 1) land (Array.length t.bl_cells - 1);
     t.bl_len <- t.bl_len - 1;
     let hop_seq = t.next_seq in
@@ -425,7 +415,6 @@ let rec pump t =
     p.retransmitted <- false;
     p.backoff <- 0;
     p.attempts <- 0;
-    p.ack <- ack;
     p.ack_seq <- ack_seq;
     p.in_use <- true;
     (* Stamp the incarnation watermark before the first attempt: every
@@ -437,32 +426,28 @@ let rec pump t =
     pump t
   end
 
-let push_backlog t cell ack ack_seq =
+let push_backlog t cell ack_seq =
   if t.bl_len = Array.length t.bl_cells then begin
     let cap = Array.length t.bl_cells in
     let cells = Array.make (2 * cap) t.vacant.cell
-    and acks = Array.make (2 * cap) None
     and seqs = Array.make (2 * cap) (-1) in
     for i = 0 to t.bl_len - 1 do
       let j = (t.bl_head + i) land (cap - 1) in
       cells.(i) <- t.bl_cells.(j);
-      acks.(i) <- t.bl_acks.(j);
       seqs.(i) <- t.bl_seqs.(j)
     done;
     t.bl_cells <- cells;
-    t.bl_acks <- acks;
     t.bl_seqs <- seqs;
     t.bl_head <- 0
   end;
   let j = (t.bl_head + t.bl_len) land (Array.length t.bl_cells - 1) in
   t.bl_cells.(j) <- cell;
-  t.bl_acks.(j) <- ack;
   t.bl_seqs.(j) <- ack_seq;
   t.bl_len <- t.bl_len + 1
 
-let enqueue t cell ack ack_seq =
+let enqueue t cell ack_seq =
   if not t.aborted then begin
-    push_backlog t cell ack ack_seq;
+    push_backlog t cell ack_seq;
     t.charged <- t.charged + Wire.cell_size;
     (* The charge can trip the node's OOM responder, which may abort
        this very sender re-entrantly (crediting the bytes back and
@@ -472,8 +457,9 @@ let enqueue t cell ack ack_seq =
     if not t.aborted then pump t
   end
 
-let submit t ?ack cell = enqueue t cell ack (-1)
-let forward t ~ack_seq cell = enqueue t cell None ack_seq
+let submit t cell = enqueue t cell (-1)
+
+let forward t ~ack_seq cell = enqueue t cell ack_seq
 
 let sample_rtt t rtt =
   let rtt_s = sec_of_time rtt in

@@ -7,11 +7,14 @@
     and retransmits cells whose feedback does not arrive (Jacobson RTO,
     Karn's rule for samples).
 
-    The caller attaches an [ack] to each submitted cell; it fires at
-    the instant the cell is put on the wire towards the successor —
-    "when forwarding a cell to its successor, each relay issues a
-    feedback message to its predecessor" (paper §2) is implemented by
-    passing the feedback emission as that [ack]. *)
+    There is one way to ack a cell: the sender's single
+    {!set_forward_ack} callback, run with the integer the cell was
+    queued under by {!forward}, at the instant the cell first goes on
+    the wire towards the successor.  "When forwarding a cell to its
+    successor, each relay issues a feedback message to its
+    predecessor" (paper §2) is implemented by making that callback emit
+    the feedback; the client's sender uses it to stamp the cell's wire
+    departure.  No per-cell closure exists. *)
 
 type t
 
@@ -39,20 +42,22 @@ val create :
     bound: a dead successor is declared unreachable after at most
     [sum of the backed-off RTOs] rather than retransmitting forever. *)
 
-val submit : t -> ?ack:(unit -> unit) -> Tor_model.Cell.t -> unit
-(** Queue a cell; it is transmitted as soon as the window allows.
-    [ack] (default none) fires when the cell first goes on the wire. *)
+val submit : t -> Tor_model.Cell.t -> unit
+(** Queue a cell that needs no ack; it is transmitted as soon as the
+    window allows. *)
 
 val set_forward_ack : t -> (int -> unit) -> unit
-(** Install the ack of the cells queued with {!forward} (default: does
-    nothing). *)
+(** Install the sender's one ack callback, run for the cells queued
+    with {!forward} (default: does nothing). *)
 
 val forward : t -> ack_seq:int -> Tor_model.Cell.t -> unit
-(** [forward t ~ack_seq cell] is {!submit} for a relay forwarding
-    [cell]: when the cell first goes on the wire, the {!set_forward_ack}
-    callback runs with [ack_seq] (the cell's hop sequence on the
-    upstream hop, [>= 0]).  One callback per sender, instead of one
-    closure per cell, so forwarding allocates nothing per cell. *)
+(** [forward t ~ack_seq cell] queues [cell] like {!submit}; when the
+    cell first goes on the wire (never again on a retransmission), the
+    {!set_forward_ack} callback runs with [ack_seq].  A relay passes
+    the cell's hop sequence on the upstream hop; the client passes the
+    index of the cell's departure stamp.  One callback per sender,
+    instead of one closure per cell, so queueing and acking allocate
+    nothing per cell.  [ack_seq] must be [>= 0]. *)
 
 val on_feedback : t -> hop_seq:int -> unit
 (** Process a feedback message from the successor: frees the window

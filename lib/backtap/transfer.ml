@@ -1,5 +1,8 @@
 type stream_state = {
   stream_id : int;
+  (* The departure stamp of this stream's cell [seq] is
+     [departures.(base + seq)]. *)
+  base : int;
   source : Tor_model.Stream.Source.t;
   str_sink : Tor_model.Stream.Sink.t;
   mutable str_completed_at : Engine.Time.t option;
@@ -10,14 +13,15 @@ type state = Running | Completed | Failed
 type t = {
   circuit : Tor_model.Circuit.t;
   node_of : Netsim.Node_id.t -> Node.t;
-  streams : stream_state list;  (* at least one; cells interleave round-robin *)
+  streams : stream_state array;  (* at least one; cells interleave round-robin *)
   sim : Engine.Sim.t;
   senders : Hop_sender.t array;  (* position 0 = client, one per hop *)
   trace : (Engine.Trace.t * string) option;
-  (* (stream, seq) -> client wire-departure instant, for end-to-end cell
-     latency; entries are consumed at first delivery so duplicates do
+  (* Client wire-departure instant in ns of every cell of every stream
+     (-1 = none), for end-to-end cell latency.  Stamped by the client
+     sender's forward ack, cleared at first delivery so duplicates do
      not sample twice. *)
-  cell_departures : (int * int, Engine.Time.t) Hashtbl.t;
+  departures : int array;
   cell_latency : Engine.Stats.Online.t;
   mutable started : bool;
   mutable first_sent_at : Engine.Time.t option;
@@ -27,10 +31,22 @@ type t = {
   mutable on_fail : (Engine.Time.t -> unit) option;
 }
 
-let stream_of t id = List.find_opt (fun s -> s.stream_id = id) t.streams
-let all_complete t = List.for_all (fun s -> Tor_model.Stream.Sink.complete s.str_sink) t.streams
+(* Index of stream [id] in [streams] from [i] on, or -1: a plain scan
+   with no closure, so the per-cell lookup at the server allocates
+   nothing. *)
+let rec index_from streams id i =
+  if i = Array.length streams then -1
+  else if streams.(i).stream_id = id then i
+  else index_from streams id (i + 1)
 
-let sb_of t node = Node.switchboard (t.node_of node)
+let stream_index t id = index_from t.streams id 0
+
+let stream_of t id =
+  let i = stream_index t id in
+  if i < 0 then None else Some t.streams.(i)
+
+let all_complete t =
+  Array.for_all (fun s -> Tor_model.Stream.Sink.complete s.str_sink) t.streams
 
 let teardown t =
   List.iter
@@ -58,8 +74,8 @@ let fail t ~pos =
     match t.on_fail with Some f -> f now | None -> ()
   end
 
-let feedback_to t node ~pred ~hop_seq =
-  Tor_model.Switchboard.send_payload (sb_of t node) ~dst:pred ~size:Wire.feedback_size
+let feedback_to t sb ~pred ~hop_seq =
+  Tor_model.Switchboard.send_payload sb ~dst:pred ~size:Wire.feedback_size
     (Wire.Bt_feedback { circuit = t.circuit.Tor_model.Circuit.id; hop_seq })
 
 (* Flow at a forwarding relay (has both a predecessor and a successor).
@@ -67,7 +83,8 @@ let feedback_to t node ~pred ~hop_seq =
    the cell's upstream hop sequence: one closure per relay, not one per
    cell. *)
 let relay_flow t ~node ~pred ~sender =
-  Hop_sender.set_forward_ack sender (fun hop_seq -> feedback_to t node ~pred ~hop_seq);
+  let sb = Node.switchboard (t.node_of node) in
+  Hop_sender.set_forward_ack sender (fun hop_seq -> feedback_to t sb ~pred ~hop_seq);
   {
     Node.on_cell =
       (fun ~from ~hop_seq cell ->
@@ -76,41 +93,49 @@ let relay_flow t ~node ~pred ~sender =
     on_feedback = (fun ~hop_seq -> Hop_sender.on_feedback sender ~hop_seq);
   }
 
+(* The data cell of stream [st] with sequence [seq] reached the sink:
+   sample its latency (once: the stamp is cleared), deliver it, and
+   complete the stream, and perhaps the transfer, with it.  A [seq]
+   outside the stream makes [Sink.deliver] raise. *)
+let deliver t st ~now ~seq cmd =
+  let i = st.base + seq in
+  let dep = t.departures.(i) in
+  if dep >= 0 then begin
+    t.departures.(i) <- -1;
+    Engine.Stats.Online.add t.cell_latency
+      (Engine.Time.to_sec_f (Engine.Time.diff now (Engine.Time.ns dep)))
+  end;
+  let was_complete = Tor_model.Stream.Sink.complete st.str_sink in
+  Tor_model.Stream.Sink.deliver st.str_sink ~now cmd;
+  if (not was_complete) && Tor_model.Stream.Sink.complete st.str_sink then begin
+    st.str_completed_at <- Some now;
+    if all_complete t then begin
+      match t.on_complete with Some f -> f now | None -> ()
+    end
+  end
+
 (* Flow at the server endpoint: deliver and acknowledge immediately. *)
 let server_flow t ~pred =
-  let server = t.circuit.Tor_model.Circuit.server in
+  let sb = Node.switchboard (t.node_of t.circuit.Tor_model.Circuit.server) in
   {
     Node.on_cell =
       (fun ~from ~hop_seq cell ->
         if Netsim.Node_id.equal from pred then begin
-          (match Tor_model.Crypto_sim.exposed cell with
-          | Some cmd ->
-              let now = Engine.Sim.now t.sim in
-              (match cmd with
-              | Tor_model.Cell.Relay_data { stream_id; seq; _ } -> (
-                  (match Hashtbl.find_opt t.cell_departures (stream_id, seq) with
-                  | Some dep ->
-                      Hashtbl.remove t.cell_departures (stream_id, seq);
-                      Engine.Stats.Online.add t.cell_latency
-                        (Engine.Time.to_sec_f (Engine.Time.diff now dep))
-                  | None -> ());
-                  match stream_of t stream_id with
-                  | Some st ->
-                      let was_complete = Tor_model.Stream.Sink.complete st.str_sink in
-                      Tor_model.Stream.Sink.deliver st.str_sink ~now cmd;
-                      if (not was_complete) && Tor_model.Stream.Sink.complete st.str_sink
-                      then begin
-                        st.str_completed_at <- Some now;
-                        if all_complete t then begin
-                          match t.on_complete with Some f -> f now | None -> ()
-                        end
-                      end
-                  | None -> () (* data for an unknown stream: drop *))
-              | Tor_model.Cell.Relay_sendme _ | Tor_model.Cell.Relay_end _ -> ())
-          | None ->
+          (match cell.Tor_model.Cell.command with
+          | Tor_model.Cell.Relay
+              { layers = 0; cmd = Tor_model.Cell.Relay_data { stream_id; seq; _ } as cmd }
+            ->
+              let i = stream_index t stream_id in
+              (* Data for an unknown stream is dropped. *)
+              if i >= 0 then deliver t t.streams.(i) ~now:(Engine.Sim.now t.sim) ~seq cmd
+          | Tor_model.Cell.Relay
+              { layers = 0; cmd = Tor_model.Cell.Relay_sendme _ | Tor_model.Cell.Relay_end _ }
+            ->
+              ()
+          | _ ->
               (* A still-wrapped cell at the server is a layering bug. *)
               failwith "Backtap.Transfer: cell reached server with layers left");
-          feedback_to t server ~pred ~hop_seq
+          feedback_to t sb ~pred ~hop_seq
         end);
     on_feedback = (fun ~hop_seq:_ -> ());
   }
@@ -159,25 +184,31 @@ let deploy_streams ~node_of ~circuit ~streams ~strategy
       ?rto_min ?rto_initial ?max_retries ()
   in
   let senders = Array.init hops make_sender in
+  let base = ref 0 in
+  let streams =
+    Array.of_list
+      (List.map
+         (fun (stream_id, bytes) ->
+           let start_byte = offset_of stream_id in
+           let source = Tor_model.Stream.Source.create ~start_byte ~stream_id ~bytes () in
+           let st =
+             { stream_id; base = !base; source;
+               str_sink = Tor_model.Stream.Sink.create ~start_byte ~expected_bytes:bytes ();
+               str_completed_at = None }
+           in
+           base := !base + Tor_model.Stream.Source.cell_count source;
+           st)
+         streams)
+  in
   let t =
     {
       circuit;
       node_of;
-      streams =
-        List.map
-          (fun (stream_id, bytes) ->
-            let start_byte = offset_of stream_id in
-            { stream_id;
-              source =
-                Tor_model.Stream.Source.create ~start_byte ~stream_id ~bytes ();
-              str_sink =
-                Tor_model.Stream.Sink.create ~start_byte ~expected_bytes:bytes ();
-              str_completed_at = None })
-          streams;
+      streams;
       sim;
       senders;
       trace;
-      cell_departures = Hashtbl.create 256;
+      departures = Array.make !base (-1);
       cell_latency = Engine.Stats.Online.create ();
       started = false;
       first_sent_at = None;
@@ -188,6 +219,11 @@ let deploy_streams ~node_of ~circuit ~streams ~strategy
     }
   in
   Array.iteri (fun pos s -> Hop_sender.set_on_abort s (fun () -> fail t ~pos)) senders;
+  (* The client acks a cell by stamping its wire departure (not the
+     submit — the whole file is queued up-front) for end-to-end
+     latency; [start] queues each cell under its stamp's index. *)
+  Hop_sender.set_forward_ack senders.(0) (fun i ->
+      t.departures.(i) <- (Engine.Sim.now sim :> int));
   (* Client flow at position 0. *)
   Node.register_flow
     (node_of circuit.Tor_model.Circuit.client)
@@ -222,38 +258,23 @@ let start t =
   t.started <- true;
   t.first_sent_at <- Some (Engine.Sim.now t.sim);
   let layers = Tor_model.Circuit.layer_count t.circuit in
-  let submit cell =
-    (* Stamp the client's wire departure (not the submit — the whole
-       file is queued up-front) for end-to-end latency. *)
-    let ack =
-      match Tor_model.Cell.relay_cmd cell with
-      | Some (Tor_model.Cell.Relay_data { stream_id; seq; _ }) ->
-          Some
-            (fun () ->
-              Hashtbl.replace t.cell_departures (stream_id, seq) (Engine.Sim.now t.sim))
-      | _ -> None
-    in
-    Hop_sender.submit t.senders.(0) ?ack cell
-  in
+  let id = t.circuit.Tor_model.Circuit.id in
   (* Round-robin across streams so concurrent streams share the circuit
-     fairly (as Tor's cell scheduler interleaves streams). *)
-  let rec feed pending =
-    let progressed, still =
-      List.fold_left
-        (fun (progressed, still) st ->
-          match
-            Tor_model.Stream.Source.next_cell st.source t.circuit.Tor_model.Circuit.id
-              ~layers
-          with
-          | Some cell ->
-              submit cell;
-              (true, st :: still)
-          | None -> (progressed, still))
-        (false, []) pending
-    in
-    if progressed then feed (List.rev still)
-  in
-  feed t.streams
+     fairly (as Tor's cell scheduler interleaves streams): each round
+     takes one cell from every stream that still has one. *)
+  let progressed = ref true in
+  while !progressed do
+    progressed := false;
+    for i = 0 to Array.length t.streams - 1 do
+      let st = t.streams.(i) in
+      if Tor_model.Stream.Source.remaining st.source > 0 then begin
+        let ack_seq = st.base + Tor_model.Stream.Source.next_seq st.source in
+        Hop_sender.forward t.senders.(0) ~ack_seq
+          (Tor_model.Stream.Source.take_cell st.source id ~layers);
+        progressed := true
+      end
+    done
+  done
 
 let circuit t = t.circuit
 let complete t = all_complete t
@@ -267,15 +288,12 @@ let state t =
 
 let completed_at t =
   (* The instant the *last* stream finished, once every stream has. *)
-  List.fold_left
+  Array.fold_left
     (fun acc st ->
       match (acc, st.str_completed_at) with
       | Some a, Some b -> Some (Engine.Time.max a b)
       | _, None | None, _ -> None)
-    (match t.streams with
-    | st :: _ -> st.str_completed_at
-    | [] -> None)
-    (match t.streams with [] -> [] | _ :: rest -> rest)
+    t.streams.(0).str_completed_at t.streams
 
 let time_to_last_byte t =
   match (t.first_sent_at, completed_at t) with
@@ -283,19 +301,18 @@ let time_to_last_byte t =
   | _ -> None
 
 let delivered_bytes t =
-  List.fold_left
+  Array.fold_left
     (fun acc st -> acc + Tor_model.Stream.Sink.delivered_bytes st.str_sink)
     0 t.streams
 
-let sink t =
-  match t.streams with st :: _ -> st.str_sink | [] -> assert false
+let sink t = t.streams.(0).str_sink
 
 let stream_sink t stream_id = Option.map (fun st -> st.str_sink) (stream_of t stream_id)
 
 let stream_completed_at t stream_id =
   Option.bind (stream_of t stream_id) (fun st -> st.str_completed_at)
 
-let stream_ids t = List.map (fun st -> st.stream_id) t.streams
+let stream_ids t = Array.to_list (Array.map (fun st -> st.stream_id) t.streams)
 
 let sender_at t pos =
   if pos >= 0 && pos < Array.length t.senders then Some t.senders.(pos) else None

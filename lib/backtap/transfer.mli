@@ -5,11 +5,12 @@
 
     - the {b client} owns a {!Hop_sender} towards the guard and feeds
       it the whole transfer (the window, not the application, paces the
-      wire);
+      wire); its ack stamps each cell's wire departure, for
+      {!cell_latency_stats};
     - each {b relay} owns a sender towards its successor; an incoming
-      cell is peeled one onion layer and submitted with an [ack] that
-      emits the BackTap feedback to the predecessor at the forwarding
-      instant;
+      cell is peeled one onion layer and forwarded, and the sender's
+      ack emits the BackTap feedback to the predecessor at the
+      forwarding instant;
     - the {b server} delivers exposed cells to the sink and emits
       feedback immediately (delivery is its act of forwarding).
 

@@ -76,16 +76,19 @@ let compute_routes topo =
       let u = pop () in
       if not visited.(u) then begin
         visited.(u) <- true;
-        Array.iter
-          (fun l ->
-            let v = Node_id.to_int (Link.dst l) in
-            let alt = dist.(u) + (Link.delay l :> int) + 1 in
-            if alt < dist.(v) then begin
-              dist.(v) <- alt;
-              prev.(v) <- u;
-              push alt v
-            end)
-          out.(u)
+        (* A plain loop: an [Array.iter] closure here would capture [u]
+           and be allocated once per visited node. *)
+        let links = out.(u) in
+        for k = 0 to Array.length links - 1 do
+          let l = links.(k) in
+          let v = Node_id.to_int (Link.dst l) in
+          let alt = dist.(u) + (Link.delay l :> int) + 1 in
+          if alt < dist.(v) then begin
+            dist.(v) <- alt;
+            prev.(v) <- u;
+            push alt v
+          end
+        done
       end
     done;
     (* First hop toward each destination: walk prev back to src. *)

@@ -33,7 +33,9 @@ type t = {
   (* Server-side delivery counters that trigger SENDME emission. *)
   mutable circ_since_sendme : int;
   mutable stream_since_sendme : int;
-  cell_departures : (int, Engine.Time.t) Hashtbl.t;
+  (* Client departure instant in ns of each cell, indexed by seq (-1 =
+     none); cleared at first delivery. *)
+  departures : int array;
   cell_latency : Engine.Stats.Online.t;
 }
 
@@ -47,25 +49,20 @@ let guard_node t =
    pacing below the window, which is exactly its failure mode. *)
 let pump t =
   let client_sb = t.sb_of t.circuit.Circuit.client in
+  let guard = guard_node t in
   let layers = Circuit.layer_count t.circuit in
-  let rec go () =
-    if t.circ_credit > 0 && t.stream_credit > 0 then
-      match Stream.Source.next_cell t.source t.circuit.Circuit.id ~layers with
-      | None -> ()
-      | Some cell ->
-          if t.first_sent_at = None then t.first_sent_at <- Some (Engine.Sim.now t.sim);
-          t.circ_credit <- t.circ_credit - 1;
-          t.stream_credit <- t.stream_credit - 1;
-          (match Cell.relay_cmd cell with
-          | Some (Cell.Relay_data { seq; _ }) ->
-              (* Stamped at the send decision: legacy Tor's own access
-                 queue is part of the latency it inflicts. *)
-              Hashtbl.replace t.cell_departures seq (Engine.Sim.now t.sim)
-          | Some (Cell.Relay_sendme _ | Cell.Relay_end _) | None -> ());
-          Switchboard.send_cell client_sb ~dst:(guard_node t) cell;
-          go ()
-  in
-  go ()
+  while
+    t.circ_credit > 0 && t.stream_credit > 0 && Stream.Source.remaining t.source > 0
+  do
+    if t.first_sent_at = None then t.first_sent_at <- Some (Engine.Sim.now t.sim);
+    t.circ_credit <- t.circ_credit - 1;
+    t.stream_credit <- t.stream_credit - 1;
+    (* Stamped at the send decision: legacy Tor's own access queue is
+       part of the latency it inflicts. *)
+    t.departures.(Stream.Source.next_seq t.source) <- (Engine.Sim.now t.sim :> int);
+    Switchboard.send_cell client_sb ~dst:guard
+      (Stream.Source.take_cell t.source t.circuit.Circuit.id ~layers)
+  done
 
 let client_handler t ~from:_ (cell : Cell.t) =
   match Cell.relay_cmd cell with
@@ -81,58 +78,41 @@ let client_handler t ~from:_ (cell : Cell.t) =
 
 (* A relay forwards data cells onward (peeling one layer) and SENDME
    credits backward, deciding direction by which neighbour delivered
-   the cell. *)
-let relay_handler t node ~from (cell : Cell.t) =
-  let sb = t.sb_of node in
-  let pred = Circuit.predecessor t.circuit node in
-  let succ = Circuit.successor t.circuit node in
-  let from_pred = match pred with Some p -> Netsim.Node_id.equal p from | None -> false in
-  if from_pred then
-    match succ with
-    | Some next -> Switchboard.send_cell sb ~dst:next (Crypto_sim.peel cell)
-    | None -> ()
-  else
-    match pred with
-    | Some prev -> Switchboard.send_cell sb ~dst:prev cell
-    | None -> ()
+   the cell.  Its neighbours are resolved once, at deploy. *)
+let relay_handler ~sb ~pred ~succ ~from (cell : Cell.t) =
+  if Netsim.Node_id.equal pred from then
+    Switchboard.send_cell sb ~dst:succ (Crypto_sim.peel cell)
+  else Switchboard.send_cell sb ~dst:pred cell
 
-let server_handler t ~from:_ (cell : Cell.t) =
-  match Crypto_sim.exposed cell with
-  | None -> ()
-  | Some cmd -> (
+(* A SENDME from the server to its predecessor [prev]. *)
+let send_back t ~sb ~prev cmd =
+  Switchboard.send_cell sb ~dst:prev
+    (Cell.make t.circuit.Circuit.id (Cell.Relay { layers = 0; cmd }))
+
+let server_handler t ~sb ~prev ~from:_ (cell : Cell.t) =
+  match cell.command with
+  | Cell.Relay { layers = 0; cmd = Cell.Relay_data { stream_id; seq; _ } as cmd } ->
       let now = Engine.Sim.now t.sim in
-      (match cmd with
-      | Cell.Relay_data { seq; _ } -> (
-          match Hashtbl.find_opt t.cell_departures seq with
-          | Some dep ->
-              Hashtbl.remove t.cell_departures seq;
-              Engine.Stats.Online.add t.cell_latency
-                (Engine.Time.to_sec_f (Engine.Time.diff now dep))
-          | None -> ())
-      | Cell.Relay_sendme _ | Cell.Relay_end _ -> ());
+      let dep = t.departures.(seq) in
+      if dep >= 0 then begin
+        t.departures.(seq) <- -1;
+        Engine.Stats.Online.add t.cell_latency
+          (Engine.Time.to_sec_f (Engine.Time.diff now (Engine.Time.ns dep)))
+      end;
       Stream.Sink.deliver t.sink ~now cmd;
-      match cmd with
-      | Cell.Relay_data { stream_id; _ } ->
-          let sb = t.sb_of t.circuit.Circuit.server in
-          let back dst_cmd =
-            match Circuit.predecessor t.circuit t.circuit.Circuit.server with
-            | Some prev ->
-                Switchboard.send_cell sb ~dst:prev
-                  (Cell.make t.circuit.Circuit.id
-                     (Cell.Relay { layers = 0; cmd = dst_cmd }))
-            | None -> assert false
-          in
-          t.circ_since_sendme <- t.circ_since_sendme + 1;
-          t.stream_since_sendme <- t.stream_since_sendme + 1;
-          if t.circ_since_sendme >= t.config.circuit_increment then begin
-            t.circ_since_sendme <- 0;
-            back (Cell.Relay_sendme { stream_id = None })
-          end;
-          if t.stream_since_sendme >= t.config.stream_increment then begin
-            t.stream_since_sendme <- 0;
-            back (Cell.Relay_sendme { stream_id = Some stream_id })
-          end
-      | Cell.Relay_sendme _ | Cell.Relay_end _ -> ())
+      t.circ_since_sendme <- t.circ_since_sendme + 1;
+      t.stream_since_sendme <- t.stream_since_sendme + 1;
+      if t.circ_since_sendme >= t.config.circuit_increment then begin
+        t.circ_since_sendme <- 0;
+        send_back t ~sb ~prev (Cell.Relay_sendme { stream_id = None })
+      end;
+      if t.stream_since_sendme >= t.config.stream_increment then begin
+        t.stream_since_sendme <- 0;
+        send_back t ~sb ~prev (Cell.Relay_sendme { stream_id = Some stream_id })
+      end
+  | Cell.Relay _ | Cell.Create | Cell.Created | Cell.Extend _ | Cell.Extended
+  | Cell.Refused _ | Cell.Gone | Cell.Destroy ->
+      ()
 
 let deploy ~sb_of ~circuit ~bytes ?(config = default_config) ?(stream_id = 0) () =
   let config =
@@ -142,11 +122,12 @@ let deploy ~sb_of ~circuit ~bytes ?(config = default_config) ?(stream_id = 0) ()
   in
   let client_sb = sb_of circuit.Circuit.client in
   let sim = Netsim.Network.sim (Switchboard.network client_sb) in
+  let source = Stream.Source.create ~stream_id ~bytes () in
   let t =
     {
       config;
       circuit;
-      source = Stream.Source.create ~stream_id ~bytes ();
+      source;
       sink = Stream.Sink.create ~expected_bytes:bytes ();
       sb_of;
       sim;
@@ -157,18 +138,24 @@ let deploy ~sb_of ~circuit ~bytes ?(config = default_config) ?(stream_id = 0) ()
       sendmes = 0;
       circ_since_sendme = 0;
       stream_since_sendme = 0;
-      cell_departures = Hashtbl.create 256;
+      departures = Array.make (Stream.Source.cell_count source) (-1);
       cell_latency = Engine.Stats.Online.create ();
     }
+  in
+  let neighbour f node =
+    match f circuit node with Some n -> n | None -> assert false
   in
   Switchboard.register_circuit client_sb circuit.Circuit.id (client_handler t);
   List.iter
     (fun (r : Relay_info.t) ->
       Switchboard.register_circuit (sb_of r.node) circuit.Circuit.id
-        (relay_handler t r.node))
+        (relay_handler ~sb:(sb_of r.node)
+           ~pred:(neighbour Circuit.predecessor r.node)
+           ~succ:(neighbour Circuit.successor r.node)))
     circuit.Circuit.relays;
-  Switchboard.register_circuit (sb_of circuit.Circuit.server) circuit.Circuit.id
-    (server_handler t);
+  let server = circuit.Circuit.server in
+  Switchboard.register_circuit (sb_of server) circuit.Circuit.id
+    (server_handler t ~sb:(sb_of server) ~prev:(neighbour Circuit.predecessor server));
   t
 
 let start t =

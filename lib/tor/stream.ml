@@ -22,24 +22,26 @@ module Source = struct
   let cell_count t =
     (t.total + Cell.payload_capacity - 1) / Cell.payload_capacity
 
-  let next_cell t circuit ~layers =
+  let next_seq t = t.next_seq
+
+  let take_cell t circuit ~layers =
     let rem = remaining t in
-    if rem = 0 then None
-    else begin
-      let length = Stdlib.min rem Cell.payload_capacity in
-      let last = length = rem in
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.sent <- t.sent + length;
-      Some
-        (Cell.data circuit ~layers ~stream_id:t.stream_id ~seq ~length ~last)
-    end
+    if rem = 0 then invalid_arg "Stream.Source.take_cell: source drained";
+    let length = Stdlib.min rem Cell.payload_capacity in
+    let last = length = rem in
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    t.sent <- t.sent + length;
+    Cell.data circuit ~layers ~stream_id:t.stream_id ~seq ~length ~last
 end
 
 module Sink = struct
   type t = {
     expected : int;
-    seen : (int, int) Hashtbl.t;  (* seq -> payload length *)
+    (* Payload length of each delivered cell, indexed by seq; 0 = not
+       yet seen (a data cell carries at least one byte).  Sized by the
+       stream's cell count, so delivering allocates nothing. *)
+    seen : int array;
     mutable received : int;
     mutable cells : int;
     mutable duplicates : int;
@@ -58,26 +60,24 @@ module Sink = struct
       invalid_arg "Stream.Sink.create: start_byte out of range";
     if start_byte mod Cell.payload_capacity <> 0 then
       invalid_arg "Stream.Sink.create: start_byte must be cell-aligned";
-    { expected = expected_bytes; seen = Hashtbl.create 64; received = start_byte;
+    let cells = (expected_bytes + Cell.payload_capacity - 1) / Cell.payload_capacity in
+    { expected = expected_bytes; seen = Array.make cells 0; received = start_byte;
       cells = 0; duplicates = 0; next_contig = start_byte / Cell.payload_capacity;
       contig_bytes = start_byte; completed_at = None }
 
   let advance_contig t =
-    let rec go () =
-      match Hashtbl.find_opt t.seen t.next_contig with
-      | Some length ->
-          t.contig_bytes <- t.contig_bytes + length;
-          t.next_contig <- t.next_contig + 1;
-          go ()
-      | None -> ()
-    in
-    go ()
+    while t.next_contig < Array.length t.seen && t.seen.(t.next_contig) > 0 do
+      t.contig_bytes <- t.contig_bytes + t.seen.(t.next_contig);
+      t.next_contig <- t.next_contig + 1
+    done
 
   let deliver t ~now = function
     | Cell.Relay_data { seq; length; _ } ->
-        if Hashtbl.mem t.seen seq then t.duplicates <- t.duplicates + 1
+        if seq < 0 || seq >= Array.length t.seen then
+          invalid_arg "Stream.Sink.deliver: seq out of range";
+        if t.seen.(seq) > 0 then t.duplicates <- t.duplicates + 1
         else begin
-          Hashtbl.add t.seen seq length;
+          t.seen.(seq) <- length;
           t.received <- t.received + length;
           t.cells <- t.cells + 1;
           if seq = t.next_contig then advance_contig t;

@@ -26,11 +26,15 @@ module Source : sig
   val cell_count : t -> int
   (** Total RELAY_DATA cells this transfer needs. *)
 
-  val next_cell : t -> Circuit_id.t -> layers:int -> Cell.t option
+  val next_seq : t -> int
+  (** The sequence number the next cell will carry. *)
+
+  val take_cell : t -> Circuit_id.t -> layers:int -> Cell.t
   (** Produce the next data cell (consuming up to
       {!Cell.payload_capacity} bytes), wrapped in [layers] onion
-      layers; [None] when the source is drained.  The final cell
-      carries [last = true]. *)
+      layers.  The final cell carries [last = true].  Raises
+      [Invalid_argument] when the source is drained
+      ([remaining = 0]). *)
 end
 
 module Sink : sig
@@ -46,7 +50,12 @@ module Sink : sig
   val deliver : t -> now:Engine.Time.t -> Cell.relay_command -> unit
   (** Account an exposed relay command.  Duplicate data cells (same
       seq) are counted once — retransmissions must not complete a
-      transfer early.  Non-data commands are ignored. *)
+      transfer early.  Non-data commands are ignored.  The sink keeps
+      one slot per cell of the stream, so a data cell's [seq] must lie
+      in [\[0, cells)], where [cells] is the stream's cell count
+      ([expected_bytes] over {!Cell.payload_capacity}, rounded up);
+      raises [Invalid_argument] otherwise.  Delivering allocates
+      nothing except the [completed_at] of the completing cell. *)
 
   val received_bytes : t -> int
   val cells_received : t -> int

@@ -154,11 +154,19 @@ let refresh_overload t =
     match t.on_byte_overload with Some f -> f over | None -> ()
   end
 
+(* The shared answer of [entry] for a circuit with no occupancy entry.
+   Never stored in the table and never written. *)
+let no_entry = ref 0
+
+(* The occupancy counter of [key], or [no_entry]: unlike
+   [Hashtbl.find_opt], finding it allocates no [Some] — charge and
+   credit run twice per cell per hop. *)
+let entry t key = try Hashtbl.find t.occupancy key with Not_found -> no_entry
+
 let charge t circuit bytes =
   let key = Circuit_id.to_int circuit in
-  (match Hashtbl.find_opt t.occupancy key with
-  | Some r -> r := !r + bytes
-  | None -> Hashtbl.add t.occupancy key (ref bytes));
+  let r = entry t key in
+  if r == no_entry then Hashtbl.add t.occupancy key (ref bytes) else r := !r + bytes;
   t.queued_bytes <- t.queued_bytes + bytes;
   if t.queued_bytes > t.byte_hwm then t.byte_hwm <- t.queued_bytes;
   refresh_overload t;
@@ -169,12 +177,12 @@ let credit t circuit bytes =
   (* A circuit whose entry was force-dropped ([drop_circuit_occupancy])
      may still see late credits from its sender: clamp to the entry's
      balance so those can never push the totals negative. *)
-  (match Hashtbl.find_opt t.occupancy (Circuit_id.to_int circuit) with
-  | Some r ->
-      let applied = Stdlib.min bytes !r in
-      r := !r - applied;
-      t.queued_bytes <- t.queued_bytes - applied
-  | None -> ());
+  let r = entry t (Circuit_id.to_int circuit) in
+  if r != no_entry then begin
+    let applied = Stdlib.min bytes !r in
+    r := !r - applied;
+    t.queued_bytes <- t.queued_bytes - applied
+  end;
   refresh_overload t
 
 let drop_circuit_occupancy t circuit =

@@ -132,14 +132,18 @@ let test_hop_sender_ack_at_wire () =
       on_feedback = (fun ~hop_seq -> Backtap.Hop_sender.on_feedback sender ~hop_seq);
     };
   echo_successor sbs bts ~at:1 ~to_:leaves.(0);
+  (* The one ack path: the forward ack runs with the index each cell
+     was queued under, at the cell's first wire departure. *)
   let acks = ref [] in
-  Backtap.Hop_sender.submit sender ~ack:(fun () -> acks := Engine.Sim.now sim :: !acks)
-    (data_cell 0);
-  Backtap.Hop_sender.submit sender ~ack:(fun () -> acks := Engine.Sim.now sim :: !acks)
-    (data_cell 1);
+  Backtap.Hop_sender.set_forward_ack sender (fun i ->
+      acks := (i, Engine.Sim.now sim) :: !acks);
+  Backtap.Hop_sender.forward sender ~ack_seq:10 (data_cell 0);
+  Backtap.Hop_sender.forward sender ~ack_seq:11 (data_cell 1);
   Engine.Sim.run sim;
   (match List.rev !acks with
-  | [ t0; t1 ] ->
+  | [ (i0, t0); (i1, t1) ] ->
+      Alcotest.(check (pair int int)) "each cell acks under its own index" (10, 11)
+        (i0, i1);
       Alcotest.check time "first ack at serialization start" Engine.Time.zero t0;
       (* 520 bytes at 10 Mbit/s = 416 us serialization. *)
       Alcotest.check time "second ack one serialization later" (Engine.Time.us 416) t1
@@ -323,12 +327,12 @@ let test_hop_sender_stale_transmit_after_recycle () =
   (* t=300ms: feedback for B recycles its pending while both attempts
      are still queued; cell C (hop_seq 2) immediately reuses it. *)
   let ack_times = ref [] in
+  Backtap.Hop_sender.set_forward_ack sender (fun _ ->
+      ack_times := Engine.Sim.now sim :: !ack_times);
   ignore @@
   Engine.Sim.schedule_after sim (Engine.Time.ms 300) (fun () ->
       Backtap.Hop_sender.on_feedback sender ~hop_seq:1;
-      Backtap.Hop_sender.submit sender
-        ~ack:(fun () -> ack_times := Engine.Sim.now sim :: !ack_times)
-        (data_cell 2));
+      Backtap.Hop_sender.forward sender ~ack_seq:2 (data_cell 2));
   ignore @@
   Engine.Sim.schedule_after sim (Engine.Time.ms 2200) (fun () ->
       Backtap.Hop_sender.on_feedback sender ~hop_seq:2);

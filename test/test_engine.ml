@@ -1208,6 +1208,118 @@ let test_alloc_feedback () =
       ("predictive", Circuitstart.Controller.Predictive, false);
     ]
 
+(* Occupancy accounting on a circuit that already has its entry: the
+   hot path of every hop sender, twice per cell. *)
+let test_alloc_switchboard () =
+  let sim = Engine.Sim.create () in
+  let topo, _, leaves =
+    Netsim.Topology.star sim ~hub:"hub"
+      ~leaves:[ ("a", Engine.Units.Rate.mbit 10, Engine.Time.ms 5) ]
+      ()
+  in
+  let sb = Tor_model.Switchboard.install (Netsim.Network.create topo) (List.hd leaves) in
+  let c = Tor_model.Circuit_id.of_int 3 in
+  Tor_model.Switchboard.charge sb c 514;
+  check_no_alloc "Switchboard.charge" (fun () -> Tor_model.Switchboard.charge sb c 514);
+  check_no_alloc "Switchboard.credit" (fun () -> Tor_model.Switchboard.credit sb c 514);
+  Alcotest.(check int) "charges and credits balance" 514
+    (Tor_model.Switchboard.circuit_queued_bytes sb c)
+
+(* The sink's per-cell accounting: a fresh cell and a duplicate.  The
+   commands are built up front, so the loop only delivers. *)
+let test_alloc_sink () =
+  let cells = 130_000 in
+  let cmds =
+    Array.init cells (fun seq ->
+        Tor_model.Cell.Relay_data
+          { stream_id = 0; seq; length = Tor_model.Cell.payload_capacity; last = false })
+  in
+  (* One cell more than is delivered, so the stream never completes. *)
+  let sink =
+    Tor_model.Stream.Sink.create
+      ~expected_bytes:((cells + 1) * Tor_model.Cell.payload_capacity) ()
+  in
+  let next = ref 0 and now = Engine.Time.ms 1 in
+  check_no_alloc "Sink.deliver of a fresh cell" (fun () ->
+      Tor_model.Stream.Sink.deliver sink ~now cmds.(!next);
+      incr next);
+  Alcotest.(check int) "every cell fresh" !next (Tor_model.Stream.Sink.cells_received sink);
+  check_no_alloc "Sink.deliver of a duplicate" (fun () ->
+      Tor_model.Stream.Sink.deliver sink ~now cmds.(0));
+  Alcotest.(check int) "contiguous prefix" (!next * Tor_model.Cell.payload_capacity)
+    (Tor_model.Stream.Sink.delivered_bytes sink)
+
+(* Minor words one [cells]-cell Fixed-window transfer allocates inside
+   [Sim.run], over client -> 3 relays -> server on a five-leaf star.
+   [start] has already queued every cell, so what is measured is the
+   per-cell path from the client's wire to the sink. *)
+let transfer_run_words cells =
+  let sim = Engine.Sim.create () in
+  let rate = Engine.Units.Rate.mbit 10 and delay = Engine.Time.ms 5 in
+  let topo, _, leaves =
+    Netsim.Topology.star sim ~hub:"hub"
+      ~leaves:(List.init 5 (fun i -> (Printf.sprintf "l%d" i, rate, delay)))
+      ()
+  in
+  let net = Netsim.Network.create topo in
+  let leaves = Array.of_list leaves in
+  let bts =
+    Array.map (fun n -> Backtap.Node.install (Tor_model.Switchboard.install net n)) leaves
+  in
+  let relays =
+    List.init 3 (fun i ->
+        Tor_model.Relay_info.make ~nickname:(Printf.sprintf "r%d" i) ~node:leaves.(i + 1)
+          ~bandwidth:rate ~latency:delay ())
+  in
+  let circuit =
+    Tor_model.Circuit.make ~id:(Tor_model.Circuit_id.of_int 0) ~client:leaves.(0) ~relays
+      ~server:leaves.(4)
+  in
+  let node_of n =
+    let rec find i = if Netsim.Node_id.equal leaves.(i) n then bts.(i) else find (i + 1) in
+    find 0
+  in
+  let d =
+    Backtap.Transfer.deploy ~node_of ~circuit
+      ~bytes:(cells * Tor_model.Cell.payload_capacity)
+      ~strategy:(Circuitstart.Controller.Fixed 8) ()
+  in
+  Backtap.Transfer.start d;
+  let before = Gc.minor_words () in
+  Engine.Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "transfer complete" true (Backtap.Transfer.complete d);
+  Alcotest.(check int) "no retransmissions" 0 (Backtap.Transfer.total_retransmissions d);
+  Alcotest.(check int) "every cell sampled" cells
+    (Engine.Stats.Online.count (Backtap.Transfer.cell_latency_stats d));
+  words
+
+(* What each cell still allocates between the client's wire and the
+   sink, in words on a 64-bit host (a block costs its fields plus one
+   header word):
+   - per hop (4: client, 3 relays): the data packet (a 6-field
+     [Packet.t], 7 words) with its [Bt_cell] payload (an extension
+     constructor with 2 fields, 4 words), and the feedback packet (7)
+     with its [Bt_feedback] (4): 22 words;
+   - per relay (3): the peeled cell, a [Cell.t] (3 words) holding a
+     fresh [Relay] command (3 words): 6 words;
+   - at the server: the latency sample, 8 words — the boxed float
+     handed to [Engine.Stats.Online.add] (2), and the three float
+     fields (sum, mean, m2) that [add] rewrites, each a fresh box
+     because [Online.t] mixes an int count with its floats (3 x 2).
+     (The min and max fields are rewritten only on a new extreme, which
+     this uncongested path reaches within the short run.)
+   Latency stamps, acks, occupancy, the sink and the hop senders'
+   records add nothing. *)
+let cell_budget = (4 * (7 + 4 + 7 + 4)) + (3 * (3 + 3)) + (2 + (3 * 2))
+
+let test_alloc_transfer () =
+  ignore (transfer_run_words 100);
+  let short = transfer_run_words 1_000 in
+  let long = transfer_run_words 3_000 in
+  Alcotest.(check (float 0.)) "minor words per cell = the packet budget"
+    (float_of_int cell_budget) ((long -. short) /. 2_000.)
+
 (* ------------------------------------------------------------------ *)
 
 let qtests =
@@ -1326,6 +1438,9 @@ let () =
           Alcotest.test_case "self-rearming Sim.Timer" `Quick test_alloc_timer;
           Alcotest.test_case "leaf->hub->leaf forwarding" `Quick test_alloc_forwarding;
           Alcotest.test_case "Controller.on_feedback" `Quick test_alloc_feedback;
+          Alcotest.test_case "Switchboard.charge and credit" `Quick test_alloc_switchboard;
+          Alcotest.test_case "Sink.deliver" `Quick test_alloc_sink;
+          Alcotest.test_case "Fixed-window transfer per cell" `Quick test_alloc_transfer;
         ] );
       ("properties", qtests);
     ]

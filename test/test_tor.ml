@@ -515,10 +515,22 @@ let test_source_slicing () =
   let src = Tor_model.Stream.Source.create ~stream_id:7 ~bytes:1000 () in
   let c = Tor_model.Circuit_id.of_int 0 in
   Alcotest.(check int) "cell count" 3 (Tor_model.Stream.Source.cell_count src);
-  let c1 = Option.get (Tor_model.Stream.Source.next_cell src c ~layers:2) in
-  let c2 = Option.get (Tor_model.Stream.Source.next_cell src c ~layers:2) in
-  let c3 = Option.get (Tor_model.Stream.Source.next_cell src c ~layers:2) in
-  Alcotest.(check bool) "drained" true (Tor_model.Stream.Source.next_cell src c ~layers:2 = None);
+  let take () =
+    let seq = Tor_model.Stream.Source.next_seq src in
+    let cell = Tor_model.Stream.Source.take_cell src c ~layers:2 in
+    (match Tor_model.Cell.relay_cmd cell with
+    | Some (Tor_model.Cell.Relay_data d) ->
+        Alcotest.(check int) "next_seq names the cell taken" seq d.seq
+    | _ -> ());
+    cell
+  in
+  let c1 = take () in
+  let c2 = take () in
+  let c3 = take () in
+  Alcotest.(check int) "drained" 0 (Tor_model.Stream.Source.remaining src);
+  Alcotest.check_raises "take from a drained source"
+    (Invalid_argument "Stream.Source.take_cell: source drained") (fun () ->
+      ignore (Tor_model.Stream.Source.take_cell src c ~layers:2));
   let get_len cell =
     match Tor_model.Cell.relay_cmd cell with
     | Some (Tor_model.Cell.Relay_data { length; last; seq; _ }) -> (length, last, seq)
@@ -535,12 +547,11 @@ let prop_source_conserves_bytes =
       let src = Tor_model.Stream.Source.create ~stream_id:0 ~bytes () in
       let c = Tor_model.Circuit_id.of_int 0 in
       let rec total acc =
-        match Tor_model.Stream.Source.next_cell src c ~layers:1 with
-        | None -> acc
-        | Some cell -> (
-            match Tor_model.Cell.relay_cmd cell with
-            | Some (Tor_model.Cell.Relay_data { length; _ }) -> total (acc + length)
-            | _ -> acc)
+        if Tor_model.Stream.Source.remaining src = 0 then acc
+        else
+          match Tor_model.Cell.relay_cmd (Tor_model.Stream.Source.take_cell src c ~layers:1) with
+          | Some (Tor_model.Cell.Relay_data { length; _ }) -> total (acc + length)
+          | _ -> acc
       in
       total 0 = bytes && Tor_model.Stream.Source.remaining src = 0)
 
@@ -575,11 +586,10 @@ let test_stream_resume_offset () =
     | _ -> Alcotest.fail "not a data cell"
   in
   Alcotest.(check (triple int int bool)) "first resumed cell" (1, 498, false)
-    (seq_of (Option.get (Tor_model.Stream.Source.next_cell src c ~layers:1)));
+    (seq_of (Tor_model.Stream.Source.take_cell src c ~layers:1));
   Alcotest.(check (triple int int bool)) "final cell" (2, 4, true)
-    (seq_of (Option.get (Tor_model.Stream.Source.next_cell src c ~layers:1)));
-  Alcotest.(check bool) "drained" true
-    (Tor_model.Stream.Source.next_cell src c ~layers:1 = None);
+    (seq_of (Tor_model.Stream.Source.take_cell src c ~layers:1));
+  Alcotest.(check int) "drained" 0 (Tor_model.Stream.Source.remaining src);
   (* The matching sink counts the prefix as delivered and tracks the
      contiguous prefix through holes. *)
   let sink = Tor_model.Stream.Sink.create ~start_byte:498 ~expected_bytes:1000 () in
@@ -607,6 +617,106 @@ let test_stream_offset_validation () =
   Alcotest.check_raises "sink offset out of range"
     (Invalid_argument "Stream.Sink.create: start_byte out of range") (fun () ->
       ignore (Tor_model.Stream.Sink.create ~start_byte:996 ~expected_bytes:996 ()))
+
+let test_sink_seq_out_of_range () =
+  (* 996 bytes are two cells: seqs 0 and 1. *)
+  let sink = Tor_model.Stream.Sink.create ~expected_bytes:996 () in
+  let deliver seq () =
+    Tor_model.Stream.Sink.deliver sink ~now:Engine.Time.zero
+      (Tor_model.Cell.Relay_data { stream_id = 0; seq; length = 498; last = false })
+  in
+  Alcotest.check_raises "seq past the last cell"
+    (Invalid_argument "Stream.Sink.deliver: seq out of range") (deliver 2);
+  Alcotest.check_raises "negative seq"
+    (Invalid_argument "Stream.Sink.deliver: seq out of range") (deliver (-1));
+  deliver 1 ();
+  Alcotest.(check int) "in-range seq accepted" 498
+    (Tor_model.Stream.Sink.received_bytes sink)
+
+(* The sink as it was before its per-seq table became a dense array,
+   frozen as the reference the array-backed sink must agree with. *)
+module Reference_sink = struct
+  type t = {
+    expected : int;
+    seen : (int, int) Hashtbl.t;
+    mutable received : int;
+    mutable cells : int;
+    mutable duplicates : int;
+    mutable next_contig : int;
+    mutable contig_bytes : int;
+    mutable completed_at : Engine.Time.t option;
+  }
+
+  let create ~start_byte ~expected_bytes =
+    { expected = expected_bytes; seen = Hashtbl.create 64; received = start_byte;
+      cells = 0; duplicates = 0;
+      next_contig = start_byte / Tor_model.Cell.payload_capacity;
+      contig_bytes = start_byte; completed_at = None }
+
+  let advance_contig t =
+    let rec go () =
+      match Hashtbl.find_opt t.seen t.next_contig with
+      | Some length ->
+          t.contig_bytes <- t.contig_bytes + length;
+          t.next_contig <- t.next_contig + 1;
+          go ()
+      | None -> ()
+    in
+    go ()
+
+  let deliver t ~now = function
+    | Tor_model.Cell.Relay_data { seq; length; _ } ->
+        if Hashtbl.mem t.seen seq then t.duplicates <- t.duplicates + 1
+        else begin
+          Hashtbl.add t.seen seq length;
+          t.received <- t.received + length;
+          t.cells <- t.cells + 1;
+          if seq = t.next_contig then advance_contig t;
+          if t.received >= t.expected && t.completed_at = None then
+            t.completed_at <- Some now
+        end
+    | Tor_model.Cell.Relay_sendme _ | Tor_model.Cell.Relay_end _ -> ()
+end
+
+(* Random streams (cell count, final cell length, cell-aligned resume
+   offset) and delivery orders: every cell from the resume point on,
+   plus random extra seqs that arrive as duplicates, shuffled
+   together.  After every delivery the two sinks must agree on every
+   observable. *)
+let prop_sink_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"array sink agrees with the Hashtbl reference"
+    QCheck2.Gen.(
+      let* cells = int_range 1 40 in
+      let* last_length = int_range 1 Tor_model.Cell.payload_capacity in
+      let* first = int_range 0 (cells - 1) in
+      let* extra = list_size (int_range 0 (2 * cells)) (int_range 0 (cells - 1)) in
+      let+ order = shuffle_l (extra @ List.init (cells - first) (fun i -> first + i)) in
+      (cells, last_length, first, order))
+    (fun (cells, last_length, first, order) ->
+      let capacity = Tor_model.Cell.payload_capacity in
+      let expected_bytes = ((cells - 1) * capacity) + last_length in
+      let start_byte = first * capacity in
+      let sink = Tor_model.Stream.Sink.create ~start_byte ~expected_bytes () in
+      let reference = Reference_sink.create ~start_byte ~expected_bytes in
+      let agree () =
+        Tor_model.Stream.Sink.received_bytes sink = reference.received
+        && Tor_model.Stream.Sink.delivered_bytes sink = reference.contig_bytes
+        && Tor_model.Stream.Sink.cells_received sink = reference.cells
+        && Tor_model.Stream.Sink.duplicates sink = reference.duplicates
+        && Tor_model.Stream.Sink.completed_at sink = reference.completed_at
+      in
+      List.for_all
+        (fun (i, seq) ->
+          let length = if seq = cells - 1 then last_length else capacity in
+          let cmd =
+            Tor_model.Cell.Relay_data { stream_id = 0; seq; length; last = seq = cells - 1 }
+          in
+          let now = Engine.Time.ms i in
+          Tor_model.Stream.Sink.deliver sink ~now cmd;
+          Reference_sink.deliver reference ~now cmd;
+          agree ())
+        (List.mapi (fun i seq -> (i, seq)) order)
+      && Tor_model.Stream.Sink.complete sink)
 
 (* ------------------------------------------------------------------ *)
 (* Legacy SENDME transport *)
@@ -691,7 +801,7 @@ let test_sendme_teardown () =
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_peel_inverse_of_wrap; prop_source_conserves_bytes ]
+    [ prop_peel_inverse_of_wrap; prop_source_conserves_bytes; prop_sink_matches_reference ]
 
 let () =
   Alcotest.run "tor_model"
@@ -751,6 +861,8 @@ let () =
           Alcotest.test_case "offset validation" `Quick test_stream_offset_validation;
           Alcotest.test_case "sink dedup and completion" `Quick
             test_sink_dedup_and_completion;
+          Alcotest.test_case "sink rejects out-of-range seq" `Quick
+            test_sink_seq_out_of_range;
         ] );
       ( "sendme",
         [
