@@ -765,23 +765,24 @@ let table_recovery () =
           "dup"; "retx"; "goodput" ]
   in
   let crash =
-    { Workload.Recovery_experiment.default_config with
+    { Workload.Overload_experiment.recovery_config with
       crash_at = Some (Engine.Time.ms 300) }
   in
+  let seconds = function
+    | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+    | None -> "-"
+  in
   paired_rows
-    (module Workload.Recovery_experiment)
-    (fun r -> r.Workload.Recovery_experiment.wall_events)
+    (module Workload.Overload_experiment)
+    (fun r -> r.Workload.Overload_experiment.wall_events)
     t
-    (fun (r : Workload.Recovery_experiment.result) ->
+    (fun (r : Workload.Overload_experiment.result) ->
+      let s = List.hd r.per_session in
       [
-        Workload.Recovery_experiment.outcome_to_string r.outcome;
-        (match r.time_to_last_byte with
-        | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-        | None -> "-");
+        Workload.Overload_experiment.outcome_to_string s.outcome;
+        seconds r.mean_ttlb;
         string_of_int r.rebuilds;
-        (match r.time_to_recover with
-        | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-        | None -> "-");
+        seconds (List.nth_opt s.recovery_times 0);
         string_of_int r.delivered_bytes;
         string_of_int r.duplicates;
         string_of_int r.retransmissions;

@@ -655,16 +655,17 @@ let run_recover crash position selection max_rebuilds kib strategy seed jobs
         (false, Printf.sprintf "unknown selection policy %S (bandwidth|uniform)" selection)
   | Some selection ->
       run_paired
-        (module Workload.Recovery_experiment)
+        (module Workload.Overload_experiment)
         ~columns:
           [ "outcome"; "ttlb"; "rebuilds"; "recovery"; "delivered"; "dup";
             "retx"; "drops"; "queue hwm"; "goodput" ]
-        ~row:(fun (r : Workload.Recovery_experiment.result) ->
+        ~row:(fun (r : Workload.Overload_experiment.result) ->
+          let s = List.hd r.per_session in
           [
-            Workload.Recovery_experiment.outcome_to_string r.outcome;
-            seconds_cell r.time_to_last_byte;
+            Workload.Overload_experiment.outcome_to_string s.outcome;
+            seconds_cell r.mean_ttlb;
             string_of_int r.rebuilds;
-            seconds_cell r.time_to_recover;
+            seconds_cell (List.nth_opt s.recovery_times 0);
             string_of_int r.delivered_bytes;
             string_of_int r.duplicates;
             string_of_int r.retransmissions;
@@ -674,17 +675,17 @@ let run_recover crash position selection max_rebuilds kib strategy seed jobs
             mbit_cell r.goodput_bps;
           ])
         ~paired:(fun c ->
-          let cs = c.circuit_start.Workload.Recovery_experiment.goodput_bps
-          and ss = c.slow_start.Workload.Recovery_experiment.goodput_bps in
+          let cs = c.circuit_start.Workload.Overload_experiment.goodput_bps
+          and ss = c.slow_start.Workload.Overload_experiment.goodput_bps in
           if cs > 0. && ss > 0. then
             Printf.printf "goodput gap (circuitstart / slowstart): %.2fx\n"
               (cs /. ss))
         ?events:
-          (if verbose then Some (fun r -> r.Workload.Recovery_experiment.events)
+          (if verbose then Some (fun r -> r.Workload.Overload_experiment.events)
            else None)
         strategy seed jobs
-        { Workload.Recovery_experiment.default_config with
-          Workload.Recovery_experiment.transfer_bytes = Engine.Units.kib kib;
+        { Workload.Overload_experiment.recovery_config with
+          Workload.Overload_experiment.transfer_bytes = Engine.Units.kib kib;
           crash_at = Option.map Engine.Time.of_sec_f crash;
           crash_position = position;
           selection;

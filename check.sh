@@ -16,7 +16,14 @@ echo "== fault smoke: torsim faults --loss 0.01 =="
 dune exec bin/torsim.exe -- faults --loss 0.01 --kib 128
 
 echo "== recovery smoke: torsim recover --crash-at 0.2 =="
-dune exec bin/torsim.exe -- recover --crash-at 0.2 --kib 128 --seed 7
+# The crash preset of the session world: every arm must survive the
+# crash and complete its transfer.
+out=$(dune exec bin/torsim.exe -- recover --crash-at 0.2 --kib 128 --seed 7)
+printf '%s\n' "$out"
+for arm in circuitstart slowstart predictive; do
+  printf '%s\n' "$out" | grep -q "^$arm  *completed " \
+    || { echo "recovery smoke failed: $arm did not complete" >&2; exit 1; }
+done
 
 echo "== overload smoke: torsim overload (flash crowd vs budgets) =="
 dune exec bin/torsim.exe -- overload --sessions 8 --kib 32 --seed 7

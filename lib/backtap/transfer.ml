@@ -170,14 +170,6 @@ let deploy_streams ~node_of ~circuit ~streams ~strategy
       (Printf.sprintf "%s/hop%d"
          (Tor_model.Circuit_id.to_int circuit.Tor_model.Circuit.id |> string_of_int)
          pos);
-    (match trace with
-    | Some (registry, prefix) ->
-        let key = Printf.sprintf "%s/cwnd/%d" prefix pos in
-        Engine.Trace.record registry key (Engine.Sim.now sim)
-          (float_of_int (Circuitstart.Controller.cwnd controller));
-        Circuitstart.Controller.set_on_change controller (fun ~now v ->
-            Engine.Trace.record registry key now (float_of_int v))
-    | None -> ());
     Hop_sender.create
       ~sb:(Node.switchboard (node_of node_arr.(pos)))
       ~circuit:circuit.Tor_model.Circuit.id ~succ:node_arr.(pos + 1) ~controller
@@ -318,6 +310,17 @@ let sender_at t pos =
   if pos >= 0 && pos < Array.length t.senders then Some t.senders.(pos) else None
 
 let senders t = Array.to_list t.senders
+
+let trace_cwnd t (registry, prefix) =
+  Array.iteri
+    (fun pos sender ->
+      let controller = Hop_sender.controller sender in
+      let key = Printf.sprintf "%s/cwnd/%d" prefix pos in
+      Engine.Trace.record registry key (Engine.Sim.now t.sim)
+        (float_of_int (Circuitstart.Controller.cwnd controller));
+      Circuitstart.Controller.set_on_change controller (fun ~now v ->
+          Engine.Trace.record registry key now (float_of_int v)))
+    t.senders
 
 let cell_latency_stats t = t.cell_latency
 

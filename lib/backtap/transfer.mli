@@ -50,10 +50,9 @@ val deploy :
     only the remainder crosses the wire (see {!Tor_model.Stream} for
     the cell-alignment requirement).  [node_of] must
     return the BackTap node state of every node on the path.  With
-    [trace = (registry, prefix)], each hop's window is recorded as
-    series ["<prefix>/cwnd/<position>"] in cells (position 0 = client),
-    with an initial point at deployment time, and a circuit failure is
-    recorded as an {!Engine.Trace.Abort} event under [prefix].
+    [trace = (registry, prefix)], a circuit failure is recorded as an
+    {!Engine.Trace.Abort} event under [prefix]; {!trace_cwnd} also
+    records the windows.
     [rto_min], [rto_initial] and [max_retries] are handed to every
     {!Hop_sender} (see {!Hop_sender.create} for defaults); together
     they bound how long a dead successor can stall the circuit before
@@ -136,6 +135,14 @@ val sender_at : t -> int -> Hop_sender.t option
 
 val senders : t -> Hop_sender.t list
 (** All hop senders, client first. *)
+
+val trace_cwnd : t -> Engine.Trace.t * string -> unit
+(** [trace_cwnd t (registry, prefix)] records each hop's window as
+    series ["<prefix>/cwnd/<position>"] in cells (position 0 = client),
+    starting with a point at the current instant.  Call it before
+    {!start} for the whole trajectory.  It is passive, and its own
+    call: a series point per window change is worth paying for only
+    where the windows are read. *)
 
 val cell_latency_stats : t -> Engine.Stats.Online.t
 (** End-to-end per-cell latency samples: client wire departure to

@@ -83,72 +83,72 @@ let churn_violations (r : Workload.Network_experiment.result) =
          ]);
     ]
 
+(* What the harness needs of one scenario kind: its experiment config,
+   one run with the oracle's probes attached (round-level kinds have
+   no cells or links to probe and ignore it), the laws read off the
+   result record, and the plain pool runner. *)
+type runner =
+  | Runner : {
+      config : Scenario.t -> 'c;
+      probed : Oracle.t -> int -> 'c -> 'r;
+      audit : 'r -> Oracle.violation list;
+      run_many : ?jobs:int -> (int * 'c) list -> 'r list;
+    }
+      -> runner
+
+(* Recovery and overload scenarios are two configs of the one
+   packet-level session world. *)
+let session_runner config =
+  Runner
+    {
+      config;
+      probed =
+        (fun oracle seed c ->
+          Workload.Overload_experiment.run ~seed ~probe:(Oracle.attach oracle)
+            ~relay_probe:(Oracle.attach_relays oracle) c);
+      audit = (fun _ -> []);
+      run_many = Workload.Overload_experiment.run_many;
+    }
+
+let network_runner config audit =
+  Runner
+    {
+      config;
+      probed = (fun _ seed c -> Workload.Network_experiment.run ~seed c);
+      audit;
+      run_many = Workload.Network_experiment.run_many;
+    }
+
+let runner = function
+  | Scenario.Faults ->
+      Runner
+        {
+          config = Scenario.fault_config;
+          probed =
+            (fun oracle seed c ->
+              Workload.Fault_experiment.run ~seed ~probe:(Oracle.attach oracle) c);
+          audit = (fun _ -> []);
+          run_many = Workload.Fault_experiment.run_many;
+        }
+  | Scenario.Recovery -> session_runner Scenario.recovery_config
+  | Scenario.Overload -> session_runner Scenario.overload_config
+  | Scenario.Network -> network_runner Scenario.network_config pool_violations
+  | Scenario.Churn ->
+      network_runner Scenario.churn_config (fun r ->
+          pool_violations r @ churn_violations r)
+
 (* One oracle-instrumented run of a scenario.  Returns the result
    digest and the violations the oracles recorded. *)
 let instrumented_run ~selection sc =
-  match sc.Scenario.kind with
-  | Scenario.Network ->
-      let r =
-        Workload.Network_experiment.run ~seed:sc.Scenario.seed
-          (Scenario.network_config sc)
-      in
-      (digest r, pool_violations r)
-  | Scenario.Churn ->
-      let r =
-        Workload.Network_experiment.run ~seed:sc.Scenario.seed
-          (Scenario.churn_config sc)
-      in
-      (digest r, pool_violations r @ churn_violations r)
-  | Scenario.Faults | Scenario.Recovery | Scenario.Overload ->
-      let oracle = Oracle.create ~selection () in
-      let d =
-        match sc.Scenario.kind with
-        | Scenario.Faults ->
-            digest
-              (Workload.Fault_experiment.run ~seed:sc.Scenario.seed
-                 ~probe:(Oracle.attach oracle) (Scenario.fault_config sc))
-        | Scenario.Recovery ->
-            digest
-              (Workload.Recovery_experiment.run ~seed:sc.Scenario.seed
-                 ~probe:(Oracle.attach oracle) (Scenario.recovery_config sc))
-        | Scenario.Overload ->
-            digest
-              (Workload.Overload_experiment.run ~seed:sc.Scenario.seed
-                 ~probe:(Oracle.attach oracle)
-                 ~relay_probe:(Oracle.attach_relays oracle)
-                 (Scenario.overload_config sc))
-        | Scenario.Network | Scenario.Churn -> assert false
-      in
-      Oracle.finish oracle;
-      (d, Oracle.violations oracle)
+  let (Runner k) = runner sc.Scenario.kind in
+  let oracle = Oracle.create ~selection () in
+  let r = k.probed oracle sc.Scenario.seed (k.config sc) in
+  Oracle.finish oracle;
+  (digest r, Oracle.violations oracle @ k.audit r)
 
 let plain_run_jobs1 sc =
-  match sc.Scenario.kind with
-  | Scenario.Faults ->
-      digest
-        (List.hd
-           (Workload.Fault_experiment.run_many ~jobs:1
-              [ (sc.Scenario.seed, Scenario.fault_config sc) ]))
-  | Scenario.Recovery ->
-      digest
-        (List.hd
-           (Workload.Recovery_experiment.run_many ~jobs:1
-              [ (sc.Scenario.seed, Scenario.recovery_config sc) ]))
-  | Scenario.Overload ->
-      digest
-        (List.hd
-           (Workload.Overload_experiment.run_many ~jobs:1
-              [ (sc.Scenario.seed, Scenario.overload_config sc) ]))
-  | Scenario.Network ->
-      digest
-        (List.hd
-           (Workload.Network_experiment.run_many ~jobs:1
-              [ (sc.Scenario.seed, Scenario.network_config sc) ]))
-  | Scenario.Churn ->
-      digest
-        (List.hd
-           (Workload.Network_experiment.run_many ~jobs:1
-              [ (sc.Scenario.seed, Scenario.churn_config sc) ]))
+  let (Runner k) = runner sc.Scenario.kind in
+  digest (List.hd (k.run_many ~jobs:1 [ (sc.Scenario.seed, k.config sc) ]))
 
 (* The round-level engine promises the same result for every shard
    count; audit it by running every round-level scenario at shards=1
@@ -201,41 +201,21 @@ let check_scenario ~selection sc =
 (* Run 4: the whole batch of surviving scenarios through the domain
    pool with 4 workers; each result must match its jobs=1 digest. *)
 let jobs_differential passed =
-  let of_kind k = List.filter (fun (_, sc, _) -> sc.Scenario.kind = k) passed in
-  let mismatches = ref [] in
-  let compare_batch scenarios run_many config_of =
-    match scenarios with
-    | [] -> ()
-    | _ ->
-        let results =
-          run_many
-            (List.map (fun (_, sc, _) -> (sc.Scenario.seed, config_of sc))
-               scenarios)
-        in
-        List.iter2
-          (fun (i, sc, d1) d -> if d <> d1 then mismatches := (i, sc) :: !mismatches)
-          scenarios results
-  in
-  compare_batch (of_kind Scenario.Faults)
-    (fun tasks -> List.map digest (Workload.Fault_experiment.run_many ~jobs:4 tasks))
-    Scenario.fault_config;
-  compare_batch (of_kind Scenario.Recovery)
-    (fun tasks ->
-      List.map digest (Workload.Recovery_experiment.run_many ~jobs:4 tasks))
-    Scenario.recovery_config;
-  compare_batch (of_kind Scenario.Overload)
-    (fun tasks ->
-      List.map digest (Workload.Overload_experiment.run_many ~jobs:4 tasks))
-    Scenario.overload_config;
-  compare_batch (of_kind Scenario.Network)
-    (fun tasks ->
-      List.map digest (Workload.Network_experiment.run_many ~jobs:4 tasks))
-    Scenario.network_config;
-  compare_batch (of_kind Scenario.Churn)
-    (fun tasks ->
-      List.map digest (Workload.Network_experiment.run_many ~jobs:4 tasks))
-    Scenario.churn_config;
-  List.rev !mismatches
+  List.concat_map
+    (fun kind ->
+      match List.filter (fun (_, sc, _) -> sc.Scenario.kind = kind) passed with
+      | [] -> []
+      | batch ->
+          let (Runner k) = runner kind in
+          let results =
+            k.run_many ~jobs:4
+              (List.map (fun (_, sc, _) -> (sc.Scenario.seed, k.config sc)) batch)
+          in
+          List.concat
+            (List.map2
+               (fun (i, sc, d1) r -> if digest r <> d1 then [ (i, sc) ] else [])
+               batch results))
+    Scenario.[ Faults; Recovery; Overload; Network; Churn ]
 
 (* Greedy shrink: walk to structurally simpler scenarios while the
    failure (any failure) persists.  Bounded, so a flaky non-failure

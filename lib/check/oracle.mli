@@ -80,11 +80,11 @@ val attach : t -> Engine.Sim.t -> Netsim.Link.t list -> Backtap.Transfer.t -> un
 (** Attach the selected probes to one deployed (not yet started)
     transfer and its substrate.  The signature matches the [?probe]
     hook of {!Workload.Fault_experiment.run} and
-    {!Workload.Recovery_experiment.run}, so
-    [~probe:(Oracle.attach oracle)] wires it in; the recovery
-    experiment calls it once per circuit generation, which is
-    supported (attachments accumulate; the fire probe installs once
-    per simulator). *)
+    {!Workload.Overload_experiment.run}, so
+    [~probe:(Oracle.attach oracle)] wires it in; the session world
+    calls it once per circuit generation, which is supported
+    (attachments accumulate; the fire probe installs once per
+    simulator). *)
 
 val attach_relays : t -> Engine.Sim.t -> Tor_model.Relay_ctl.t list -> unit
 (** Put budgeted relays under watch: their occupancy is checked at

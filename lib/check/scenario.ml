@@ -247,8 +247,8 @@ let gen_kind (only : kind option) : t QCheck2.Gen.t =
   let* position =
     match kind with
     | Faults -> int_range 1 relays
-    | Recovery -> int_range 1 recovery_hops
-    | Overload | Network | Churn -> pure 1
+    | Recovery | Overload -> int_range 1 recovery_hops
+    | Network | Churn -> pure 1
   in
   let* bytes =
     map (fun k -> k * 1024)
@@ -257,9 +257,11 @@ let gen_kind (only : kind option) : t QCheck2.Gen.t =
       | Network | Churn -> int_range 4 16
       | Faults | Recovery -> int_range 8 64)
   in
-  (* Overload scenarios stress the budgets, not the links: no loss, no
-     outage, no crash — every failure they see is admission control or
-     the OOM responder.  Network and churn scenarios are round-level:
+  (* Overload scenarios stress the budgets, not the links: no loss and
+     no outage — every failure they see is admission control, the OOM
+     responder or (in a third of them) a relay crash, so the crash and
+     budget axes of the session world are explored together.  Network
+     and churn scenarios are round-level:
      links, queues and crashes do not exist at that granularity, only
      the admission budgets, the pooled circuit state and (for churn)
      the departure schedule do. *)
@@ -284,7 +286,8 @@ let gen_kind (only : kind option) : t QCheck2.Gen.t =
     match kind with
     | Faults -> frequency [ (8, pure None); (2, map Option.some (int_range 100 800)) ]
     | Recovery -> map Option.some (int_range 50 500)
-    | Overload | Network | Churn -> pure None
+    | Overload -> frequency [ (2, pure None); (1, map Option.some (int_range 50 500)) ]
+    | Network | Churn -> pure None
   in
   let* sessions =
     match kind with
@@ -407,7 +410,7 @@ let shrink_candidates t =
   if t.burst then add { t with burst = false };
   if t.outage_ms <> None then add { t with outage_ms = None };
   (match (t.kind, t.crash_ms) with
-  | Faults, Some _ -> add { t with crash_ms = None }
+  | (Faults | Overload), Some _ -> add { t with crash_ms = None }
   | _ -> ());
   if t.queue_cells <> 0 then add { t with queue_cells = 0 };
   (match t.kind with
@@ -505,7 +508,7 @@ let recovery_config t =
   if t.kind <> Recovery then
     invalid_arg "Scenario.recovery_config: not a recovery scenario";
   {
-    Workload.Recovery_experiment.default_config with
+    Workload.Overload_experiment.recovery_config with
     relay_count = t.relays;
     hops = recovery_hops;
     endpoint_rate = Engine.Units.Rate.bps (t.endpoint_kbps * 1000);
@@ -533,6 +536,8 @@ let overload_config t =
     max_circuits = (if t.oload_circuits <= 0 then None else Some t.oload_circuits);
     max_queued_bytes =
       (if t.oload_kib <= 0 then None else Some (t.oload_kib * 1024));
+    crash_at = Option.map Engine.Time.ms t.crash_ms;
+    crash_position = t.position;
     max_rebuilds = t.max_rebuilds;
   }
 

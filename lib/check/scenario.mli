@@ -2,10 +2,11 @@
 
     A scenario is a small, fully serializable description of one
     oracle-checked run: which experiment family to drive (a fault-
-    injected star via {!Workload.Fault_experiment}, a crash-and-
-    rebuild session via {!Workload.Recovery_experiment}, a flash
-    crowd against budgeted relays via
-    {!Workload.Overload_experiment}, a small consensus-scale
+    injected star via {!Workload.Fault_experiment}; the packet-level
+    session world {!Workload.Overload_experiment}, either as one
+    crash-and-rebuild session ([Recovery], built from its
+    [recovery_config]) or as a flash crowd against budgeted relays
+    that may also see a crash ([Overload]); a small consensus-scale
     round-level population via {!Workload.Network_experiment}, whose
     pooled circuit recycling the harness audits, or the same
     round-level population under a seeded churn schedule — joins,
@@ -36,13 +37,14 @@ type t = {
   seed : int;  (** Drives the experiment RNG (faults, path draws). *)
   relays : int;
   position : int;
-      (** Bottleneck distance (faults) or crash position (recovery),
-          1-based. *)
+      (** Bottleneck distance (faults) or crash position (recovery and
+          overload), 1-based. *)
   bytes : int;  (** Transfer size. *)
   loss_ppm : int;  (** Wire loss in parts per million; 0 = none. *)
   burst : bool;  (** Gilbert–Elliott instead of Bernoulli loss. *)
   outage_ms : (int * int) option;  (** [(down, up)] offsets, ms. *)
-  crash_ms : int option;  (** Relay crash offset, ms. *)
+  crash_ms : int option;
+      (** Relay crash offset, ms (faults, recovery and overload). *)
   queue_cells : int;  (** Link queue capacity in packets; 0 = unbounded. *)
   strategy : strategy;
   bottleneck_kbps : int;  (** Derived from the seed; stored for replay. *)
@@ -120,14 +122,17 @@ val generate :
 
 val shrink_candidates : t -> t list
 (** Structurally simpler variants, simplest-first: fewer bytes, no
-    loss, no outage, no crash, fewer relays, unbounded queue.  The
+    loss, no outage, no crash (faults and overload), fewer relays,
+    unbounded queue.  The
     harness greedily re-runs candidates to shrink a failure. *)
 
 val fault_config : t -> Workload.Fault_experiment.config
 (** Raises [Invalid_argument] unless [kind = Faults]. *)
 
-val recovery_config : t -> Workload.Recovery_experiment.config
-(** Raises [Invalid_argument] unless [kind = Recovery]. *)
+val recovery_config : t -> Workload.Overload_experiment.config
+(** {!Workload.Overload_experiment.recovery_config} with the scenario's
+    topology, transfer, crash and strategy.  Raises [Invalid_argument]
+    unless [kind = Recovery]. *)
 
 val overload_config : t -> Workload.Overload_experiment.config
 (** Raises [Invalid_argument] unless [kind = Overload]. *)

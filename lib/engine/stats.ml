@@ -1,6 +1,9 @@
 module Online = struct
+  (* All fields are floats, count included, so the record is stored
+     flat: [add] rewrites fields in place and allocates nothing.  The
+     count stays exact as a float up to 2^53 samples. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable mn : float;
@@ -8,15 +11,15 @@ module Online = struct
     mutable total : float;
   }
 
-  let create () = { n = 0; mean = 0.; m2 = 0.; mn = nan; mx = nan; total = 0. }
+  let create () = { n = 0.; mean = 0.; m2 = 0.; mn = nan; mx = nan; total = 0. }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.;
     t.total <- t.total +. x;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if t.n = 1 then begin
+    if t.n = 1. then begin
       t.mn <- x;
       t.mx <- x
     end
@@ -25,25 +28,22 @@ module Online = struct
       if x > t.mx then t.mx <- x
     end
 
-  let count t = t.n
-  let mean t = if t.n = 0 then nan else t.mean
-  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0. then nan else t.mean
+  let variance t = if t.n < 2. then 0. else t.m2 /. (t.n -. 1.)
   let stddev t = Float.sqrt (variance t)
   let min t = t.mn
   let max t = t.mx
   let sum t = t.total
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0. then { b with n = b.n }
+    else if b.n = 0. then { a with n = a.n }
     else begin
-      let n = a.n + b.n in
+      let n = a.n +. b.n in
       let delta = b.mean -. a.mean in
-      let nf = float_of_int n in
-      let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
-      let m2 =
-        a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf)
-      in
+      let mean = a.mean +. (delta *. b.n /. n) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
       {
         n;
         mean;
@@ -55,10 +55,10 @@ module Online = struct
     end
 
   let pp fmt t =
-    if t.n = 0 then Format.fprintf fmt "(no samples)"
+    if t.n = 0. then Format.fprintf fmt "(no samples)"
     else
-      Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t)
-        (stddev t) t.mn t.mx
+      Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" (count t)
+        (mean t) (stddev t) t.mn t.mx
 end
 
 module Histogram = struct

@@ -13,13 +13,16 @@ type t = {
    extra ns per hop so equal-delay routes prefer fewer hops.  The
    frontier is a binary min-heap of (distance, node) pairs in
    lexicographic order, so equal distances pop in node-id order and the
-   routes are deterministic.  Returns next_hop.(src).(dst): the
-   neighbour to forward to, -1 if unreachable, src itself if
-   dst = src. *)
-let compute_routes topo =
-  let n = Topology.node_count topo in
-  let out = Array.init n (fun i -> Topology.out_links topo (Node_id.of_int i)) in
-  let next_hop = Array.make_matrix n n (-1) in
+   routes are deterministic.  Returns the forwarding table:
+   fwd.(src).(dst) is src's link toward the first hop of the route, or
+   [no_route] if dst is unreachable or dst = src.  The table is the
+   only n x n allocation: each source's row is written straight from
+   its shortest-path tree through one reused [toward] row. *)
+let compute_routes ~out ~no_route =
+  let n = Array.length out in
+  let fwd = Array.make_matrix n n no_route in
+  (* toward.(v) is the current source's link to neighbour v. *)
+  let toward = Array.make n no_route in
   (* Each edge is relaxed at most once per source: one push per edge
      plus the source bounds the heap. *)
   let cap = 1 + Array.fold_left (fun acc ls -> acc + Array.length ls) 0 out in
@@ -92,38 +95,38 @@ let compute_routes topo =
       end
     done;
     (* First hop toward each destination: walk prev back to src. *)
+    let links = out.(src) in
+    for k = 0 to Array.length links - 1 do
+      toward.(Node_id.to_int (Link.dst links.(k))) <- links.(k)
+    done;
+    let row = fwd.(src) in
     for dst = 0 to n - 1 do
-      if dst = src then next_hop.(src).(dst) <- src
-      else if prev.(dst) >= 0 then begin
+      if dst <> src && prev.(dst) >= 0 then begin
         let hop = ref dst in
         while prev.(!hop) <> src && prev.(!hop) >= 0 do
           hop := prev.(!hop)
         done;
-        if prev.(!hop) = src then next_hop.(src).(dst) <- !hop
+        if prev.(!hop) = src then row.(dst) <- toward.(!hop)
       end
+    done;
+    for k = 0 to Array.length links - 1 do
+      toward.(Node_id.to_int (Link.dst links.(k))) <- no_route
     done
   done;
-  (out, next_hop)
+  fwd
 
 let create topo =
   let n = Topology.node_count topo in
-  let out, next_hop = compute_routes topo in
   let no_route =
     Link.create (Topology.sim topo) ~src:(Node_id.of_int 0) ~dst:(Node_id.of_int 0)
       ~rate:(Engine.Units.Rate.mbit 1) ~delay:Engine.Time.zero ()
   in
-  let fwd =
-    Array.init n (fun a ->
-        (* The link toward each neighbour, then the route table row. *)
-        let toward = Array.make n no_route in
-        Array.iter (fun l -> toward.(Node_id.to_int (Link.dst l)) <- l) out.(a);
-        Array.map
-          (fun hop -> if hop < 0 || hop = a then no_route else toward.(hop))
-          next_hop.(a))
-  in
+  let out = Array.init n (fun i -> Topology.out_links topo (Node_id.of_int i)) in
+  let fwd = compute_routes ~out ~no_route in
   let t = { topo; fwd; no_route; local = Array.make n None; undeliverable = 0 } in
-  (* Claim every link: arriving packets are either delivered locally or
-     forwarded along the precomputed route. *)
+  (* Claim every link (each is some node's out-link): arriving packets
+     are either delivered locally or forwarded along the precomputed
+     route. *)
   let arrive node (p : Packet.t) =
     let node_i = Node_id.to_int node in
     if Node_id.equal node p.dst then
@@ -138,9 +141,9 @@ let create topo =
              p.dst)
       else Link.send l p
   in
-  List.iter
-    (fun l -> Link.set_receiver l (fun p -> arrive (Link.dst l) p))
-    (Topology.links topo);
+  Array.iter
+    (Array.iter (fun l -> Link.set_receiver l (fun p -> arrive (Link.dst l) p)))
+    out;
   t
 
 let topology t = t.topo

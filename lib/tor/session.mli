@@ -17,8 +17,8 @@
     can be deployed at a byte offset and report delivered-prefix
     progress (see {!type:deploy}).  [Backtap.Transfer] satisfies this
     via its [offset] / [delivered_bytes] support; the wiring lives in
-    [Workload.Recovery_experiment] so this module stays free of a
-    dependency cycle.
+    [Workload.Overload_experiment] (the packet-level session world) so
+    this module stays free of a dependency cycle.
 
     Recovery is bounded: at most [max_rebuilds] rebuild attempts are
     made before the session gives up with a terminal

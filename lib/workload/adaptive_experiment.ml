@@ -141,6 +141,7 @@ let run ?(seed = 7) config =
               ~strategy:Circuitstart.Controller.Circuit_start ~params
               ~trace:(trace, "adaptive") ()
           in
+          Backtap.Transfer.trace_cwnd d (trace, "adaptive");
           transfer := Some d;
           Backtap.Transfer.start d;
           (* Raise the bottleneck's access links (both directions) at

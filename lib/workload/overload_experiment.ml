@@ -14,6 +14,8 @@ type config = {
   max_queued_bytes : int option;
   selection : Tor_model.Directory.selection;
   max_rebuilds : int;
+  crash_at : Engine.Time.t option;
+  crash_position : int;
   rto_min : Engine.Time.t;
   rto_initial : Engine.Time.t;
   max_retries : int;
@@ -37,16 +39,34 @@ let default_config =
     max_queued_bytes = Some (Engine.Units.kib 48);
     selection = Tor_model.Directory.Bandwidth_weighted;
     max_rebuilds = 6;
+    crash_at = None;
+    crash_position = 2;
     rto_min = Engine.Time.ms 300;
     rto_initial = Engine.Time.ms 500;
     max_retries = 4;
     horizon = Engine.Time.s 180;
   }
 
+let recovery_config =
+  {
+    default_config with
+    relay_count = 8;
+    relay_base_rate = Engine.Units.Rate.mbit 6;
+    sessions = 1;
+    transfer_bytes = Engine.Units.kib 512;
+    max_circuits = None;
+    max_queued_bytes = None;
+    max_rebuilds = 3;
+    crash_position = 2;
+    horizon = Engine.Time.s 120;
+  }
+
 let validate_config c =
   if c.hops < 1 then Error "hops must be positive"
   else if c.relay_count <= c.hops then
     Error "relay_count must exceed hops (refused sessions need spare relays)"
+  else if c.crash_position < 1 || c.crash_position > c.hops then
+    Error "crash_position must be in [1, hops]"
   else if c.sessions < 1 then Error "sessions must be positive"
   else if c.transfer_bytes <= 0 then Error "transfer_bytes must be positive"
   else if Engine.Time.(c.mean_interarrival <= Engine.Time.zero) then
@@ -64,11 +84,29 @@ let validate_config c =
     | Error msg -> Error msg
     | Ok _ -> Ok c
 
+type outcome =
+  | Completed
+  | Exhausted of Tor_model.Session.reason
+  | Timed_out
+
+let outcome_to_string = function
+  | Completed -> "completed"
+  | Exhausted reason ->
+      "exhausted:" ^ Tor_model.Session.reason_to_string reason
+  | Timed_out -> "timed-out"
+
+type session_result = {
+  outcome : outcome;
+  recovery_times : Engine.Time.t list;
+  excluded : Netsim.Node_id.t list;
+}
+
 type result = {
   sessions : int;
   completed : int;
   exhausted : int;
   timed_out : int;
+  per_session : session_result list;
   rebuilds : int;
   refused_builds : int;
   admitted : int;
@@ -77,6 +115,10 @@ type result = {
   oom_kills : int;
   overload_enters : int;
   delivered_bytes : int;
+  duplicates : int;
+  retransmissions : int;
+  drops : Netsim.Link.drop_counts;
+  queue_high_watermark_bytes : int;
   mean_ttlb : Engine.Time.t option;
   max_ttlb : Engine.Time.t option;
   goodput_bps : float;
@@ -85,9 +127,10 @@ type result = {
   wall_events : int;
 }
 
-(* Same four-tier bandwidth cycle as the recovery experiment, so
-   bandwidth-weighted selection concentrates the crowd on the fat
-   relays — which is precisely what makes them overload first. *)
+(* Relay bandwidths cycle over four tiers so the two selection policies
+   actually differ: bandwidth-weighted selection concentrates the crowd
+   on the fat relays — which is precisely what makes them overload
+   first — while uniform selection spreads it. *)
 let relay_rate base i =
   Engine.Units.Rate.bps (Engine.Units.Rate.to_bps base * (1 + (i mod 4)))
 
@@ -123,6 +166,7 @@ let run ?(seed = 42) ?probe ?relay_probe config =
       ~delay:config.access_delay
   in
   let net = Tor_net.finalize b in
+  let links = Netsim.Topology.links (Netsim.Network.topology (Tor_net.network net)) in
   let trace = Engine.Trace.create () in
   let budget =
     { Tor_model.Switchboard.max_circuits = config.max_circuits;
@@ -153,15 +197,37 @@ let run ?(seed = 42) ?probe ?relay_probe config =
         !t)
   in
   let ttlbs = Engine.Stats.Online.create () in
+  (* The crash is armed once, when session 0's first transfer starts:
+     the victim is whatever relay that session drew at path position
+     [crash_position], so the schedule is a function of the seed alone
+     and identical for every strategy of a paired comparison. *)
+  let arm_crash circuit =
+    match config.crash_at with
+    | None -> ()
+    | Some after ->
+        (* crash_position <= hops, validated; node 0 is the client. *)
+        let victim = List.nth (Tor_model.Circuit.nodes circuit) config.crash_position in
+        ignore
+          (Engine.Sim.schedule_after sim after (fun () ->
+               Engine.Trace.record_event trace Engine.Trace.Fault
+                 ~subject:(Format.asprintf "relay/%a" Netsim.Node_id.pp victim)
+                 ~detail:"crash" (Engine.Sim.now sim);
+               Tor_model.Relay_ctl.crash (Tor_net.relay_ctl net victim))
+            : Engine.Sim.handle)
+  in
   let make_session i =
     let client = clients.(i) in
+    let generation = ref 0 in
     let deploy ~circuit ~offset ~on_complete ~on_fail =
+      let gen = !generation in
+      incr generation;
       let dr = ref None in
       let d =
         Backtap.Transfer.deploy
           ~node_of:(Tor_net.backtap_node net)
           ~circuit ~bytes:config.transfer_bytes ~strategy:config.strategy
           ~params:config.params
+          ~trace:(trace, Printf.sprintf "transfer/s%d/g%d" i gen)
           ~rto_min:config.rto_min ~rto_initial:config.rto_initial
           ~max_retries:config.max_retries ~offset ~on_complete
           ~on_fail:(fun at ->
@@ -171,15 +237,12 @@ let run ?(seed = 42) ?probe ?relay_probe config =
       in
       dr := Some d;
       transfers := d :: !transfers;
-      (match probe with
-      | Some f ->
-          f sim
-            (Netsim.Topology.links
-               (Netsim.Network.topology (Tor_net.network net)))
-            d
-      | None -> ());
+      (match probe with Some f -> f sim links d | None -> ());
       {
-        Tor_model.Session.start = (fun () -> Backtap.Transfer.start d);
+        Tor_model.Session.start =
+          (fun () ->
+            if i = 0 && gen = 0 then arm_crash circuit;
+            Backtap.Transfer.start d);
         delivered = (fun () -> Backtap.Transfer.delivered_bytes d);
         teardown =
           (fun () ->
@@ -216,24 +279,31 @@ let run ?(seed = 42) ?probe ?relay_probe config =
           : Engine.Sim.handle))
     sessions;
   Engine.Sim.run sim ~until:config.horizon;
-  let completed = ref 0 and exhausted = ref 0 and timed_out = ref 0 in
   let last_terminal = ref Engine.Time.zero in
-  Array.iter
-    (fun session ->
-      match Tor_model.Session.outcome session with
-      | Some (Tor_model.Session.Completed { at; _ }) ->
-          incr completed;
-          last_terminal := Engine.Time.max !last_terminal at
-      | Some (Tor_model.Session.Exhausted { at; _ }) ->
-          incr exhausted;
-          last_terminal := Engine.Time.max !last_terminal at
-      | None ->
-          incr timed_out;
-          last_terminal := Engine.Time.max !last_terminal (Engine.Sim.now sim))
-    sessions;
+  let per_session =
+    Array.to_list
+      (Array.map
+         (fun session ->
+           let outcome, at =
+             match Tor_model.Session.outcome session with
+             | Some (Tor_model.Session.Completed { at; _ }) -> (Completed, at)
+             | Some (Tor_model.Session.Exhausted { at; reason; _ }) ->
+                 (Exhausted reason, at)
+             | None -> (Timed_out, Engine.Sim.now sim)
+           in
+           last_terminal := Engine.Time.max !last_terminal at;
+           {
+             outcome;
+             recovery_times = Tor_model.Session.recovery_times session;
+             excluded = Tor_model.Session.excluded session;
+           })
+         sessions)
+  in
+  let count f = List.length (List.filter (fun s -> f s.outcome) per_session) in
   let sum_sessions f =
     Array.fold_left (fun acc s -> acc + f s) 0 sessions
   in
+  let sum_transfers f = List.fold_left (fun acc d -> acc + f d) 0 !transfers in
   let sum_relays f =
     List.fold_left (fun acc ctl -> acc + f ctl) 0 relay_ctls
   in
@@ -248,9 +318,10 @@ let run ?(seed = 42) ?probe ?relay_probe config =
   in
   {
     sessions = config.sessions;
-    completed = !completed;
-    exhausted = !exhausted;
-    timed_out = !timed_out;
+    completed = count (( = ) Completed);
+    exhausted = count (function Exhausted _ -> true | Completed | Timed_out -> false);
+    timed_out = count (( = ) Timed_out);
+    per_session;
     rebuilds = sum_sessions Tor_model.Session.rebuilds;
     refused_builds = sum_sessions Tor_model.Session.refused_builds;
     admitted;
@@ -262,6 +333,15 @@ let run ?(seed = 42) ?probe ?relay_probe config =
     oom_kills = sum_relays Tor_model.Relay_ctl.oom_kills;
     overload_enters = sum_relays Tor_model.Relay_ctl.overload_enters;
     delivered_bytes = delivered;
+    duplicates =
+      sum_transfers (fun d ->
+          Tor_model.Stream.Sink.duplicates (Backtap.Transfer.sink d));
+    retransmissions = sum_transfers Backtap.Transfer.total_retransmissions;
+    drops = Netsim.Flow_monitor.link_drops links;
+    queue_high_watermark_bytes =
+      List.fold_left
+        (fun acc l -> Stdlib.max acc (Netsim.Link.queue_high_watermark_bytes l))
+        0 links;
     mean_ttlb =
       (if Engine.Stats.Online.count ttlbs > 0 then
          Some (Engine.Time.of_sec_f (Engine.Stats.Online.mean ttlbs))

@@ -1,27 +1,34 @@
-(** Flash crowd against budgeted relays: overload protection end to
-    end.
+(** The packet-level session world: sessions over a tiered star of
+    relays, under admission budgets and an optional relay crash.
 
-    A small star of [relay_count] relays, every one carrying the same
-    resource budget ({!Tor_model.Switchboard.budget}), and [sessions]
-    independent clients arriving as a Poisson process (exponential
-    inter-arrival times, mean [mean_interarrival]) all transferring to
-    one server.  The crowd drives the relays over budget, exercising
-    the full protection stack: CREATEs are refused under admission
-    control (sessions back off and redraw without excluding the busy
-    relay), byte-budget overflows trigger the OOM responder (the
-    heaviest circuit is destroyed, its session rebuilds elsewhere), and
-    the result reports the build-refusal rate, OOM kills, per-session
-    time-to-last-byte and aggregate goodput.
+    A small star of [relay_count] relays (bandwidths cycling over four
+    tiers so the two {!Tor_model.Directory.selection} policies differ),
+    every one carrying the same resource budget
+    ({!Tor_model.Switchboard.budget}), and [sessions] independent
+    clients arriving as a Poisson process (exponential inter-arrival
+    times, mean [mean_interarrival]) all transferring to one server.
+    Each session is a {!Tor_model.Session}: it builds a circuit, and
+    when the circuit dies it excludes the suspect, draws an alternate
+    path, rebuilds and resumes from the last contiguously delivered
+    byte.
 
-    {!Experiment.compare} pairs CircuitStart against slow start on the
-    identical arrival schedule and path draws: the aggressive ramp
-    queues more bytes at the relays sooner, so the comparison shows
-    what the startup strategy costs (or saves) under contention. *)
+    Two adversities drive the rebuilds.  Budgets: CREATEs are refused
+    under admission control (sessions back off and redraw without
+    excluding the busy relay) and byte-budget overflows trigger the OOM
+    responder (the heaviest circuit is destroyed, its session rebuilds
+    elsewhere).  A crash: with [crash_at] set, the relay at path
+    position [crash_position] of session 0's {e first} circuit dies
+    [crash_at] after that transfer starts.  The victim is a function of
+    the seed alone, so {!Experiment.compare} runs every startup
+    strategy against the byte-identical schedule.
+
+    {!default_config} is a flash crowd against tight budgets;
+    {!recovery_config} is one session surviving a crash. *)
 
 type config = {
   relay_count : int;
-      (** Must exceed [hops]: refused sessions need spare relays to
-          redraw from. *)
+      (** Must exceed [hops]: refused and crashed sessions need spare
+          relays to redraw from. *)
   hops : int;
   relay_base_rate : Engine.Units.Rate.t;
       (** Tier 0 bandwidth; relay [i] gets [base * (1 + i mod 4)]. *)
@@ -41,24 +48,56 @@ type config = {
   selection : Tor_model.Directory.selection;
   max_rebuilds : int;
       (** Per-session rebuild budget — refusals consume it too. *)
+  crash_at : Engine.Time.t option;
+      (** Crash offset from session 0's first transfer start; [None] =
+          no crash. *)
+  crash_position : int;
+      (** Path position of the crash victim, 1-based (1 = guard). *)
   rto_min : Engine.Time.t;
   rto_initial : Engine.Time.t;
-  max_retries : int;
+  max_retries : int;  (** Per-cell retransmission budget. *)
   horizon : Engine.Time.t;
 }
 
 val default_config : config
 (** A 12-session crowd (mean gap 150 ms) of 64 KiB transfers over 3 of
     4 relays, each relay budgeted at 6 circuits and 48 KiB of queued
-    cells — tight enough that both refusals and OOM kills occur. *)
+    cells — tight enough that both refusals and OOM kills occur.  No
+    crash. *)
+
+val recovery_config : config
+(** One session of 512 KiB over 3 of 8 relays (6 Mbit/s base), no
+    budgets, 3 rebuilds, a 120 s horizon and crash position 2 (the
+    middle relay); [crash_at] is [None], so callers set the crash.
+    Failure detection ([rto_min] 300 ms, [max_retries] 4) is tight
+    enough that a crash is detected in seconds. *)
 
 val validate_config : config -> (config, string) result
+
+type outcome =
+  | Completed  (** Every byte delivered, possibly across rebuilds. *)
+  | Exhausted of Tor_model.Session.reason
+      (** The session gave up; terminal in bounded simulated time. *)
+  | Timed_out  (** Still running at [horizon]. *)
+
+val outcome_to_string : outcome -> string
+(** ["completed"], ["exhausted:<reason>"] or ["timed-out"]. *)
+
+type session_result = {
+  outcome : outcome;
+  recovery_times : Engine.Time.t list;
+      (** Per successful rebuild, oldest first: failure to resumed
+          start. *)
+  excluded : Netsim.Node_id.t list;
+      (** Relays the session ended up excluding. *)
+}
 
 type result = {
   sessions : int;
   completed : int;
   exhausted : int;  (** Sessions that gave up (budget or no path). *)
   timed_out : int;  (** Sessions still running at [horizon]. *)
+  per_session : session_result list;  (** In session order. *)
   rebuilds : int;  (** Summed over sessions. *)
   refused_builds : int;
       (** Client-side build attempts that ended in a REFUSED, summed
@@ -73,19 +112,28 @@ type result = {
   overload_enters : int;
       (** Relay transitions into the overloaded state. *)
   delivered_bytes : int;
+      (** Contiguous prefixes at the sinks, across generations. *)
+  duplicates : int;
+      (** Cells delivered twice, summed over every circuit generation —
+          resume must keep this at 0. *)
+  retransmissions : int;  (** Summed over every circuit generation. *)
+  drops : Netsim.Link.drop_counts;  (** Summed over every link. *)
+  queue_high_watermark_bytes : int;
+      (** Deepest any single link queue ever got, in bytes. *)
   mean_ttlb : Engine.Time.t option;
       (** Mean session arrival→completion span, over completed
-          sessions. *)
+          sessions; it includes the first circuit build. *)
   max_ttlb : Engine.Time.t option;
   goodput_bps : float;
       (** Delivered bits per second from the first arrival to the last
-          terminal instant. *)
+          terminal instant, recovery dead time included. *)
   relay_byte_hwm : int;
       (** Highest queued-byte occupancy any relay ever reached —
           bounded by [max_queued_bytes] plus one in-flight charge. *)
   events : Engine.Trace.event list;
-      (** Refused / oom-kill / overload / rebuild / resume log. *)
-  wall_events : int;
+      (** Crash / abort / refused / oom-kill / overload / rebuild /
+          resume / exhausted log, oldest first. *)
+  wall_events : int;  (** Simulator events executed (cost metric). *)
 }
 
 val run :
@@ -94,13 +142,15 @@ val run :
   ?relay_probe:(Engine.Sim.t -> Tor_model.Relay_ctl.t list -> unit) ->
   config ->
   result
-(** Deterministic per [(seed, config)].  Raises [Invalid_argument] if
-    the config does not validate.  [probe] fires once per deployed
-    circuit generation (before it starts), as in
-    {!Recovery_experiment.run}; [relay_probe] fires once, right after
-    the network is finalized and budgets are set, with every budgeted
-    relay's control automaton — the budget and teardown oracles attach
-    through it.  Probes must be passive. *)
+(** Deterministic per [(seed, config)]: every session draws its path
+    from its own split RNG, so identical seeds yield byte-identical
+    results.  Raises [Invalid_argument] if the config does not
+    validate.  [probe] fires once per deployed circuit generation
+    (before it starts) with the simulator, every link and the new
+    transfer, so invariant oracles can re-attach across rebuilds;
+    [relay_probe] fires once, right after the network is finalized and
+    budgets are set, with every relay's control automaton — the budget
+    and teardown oracles attach through it.  Probes must be passive. *)
 
 val run_many : ?jobs:int -> (int * config) list -> result list
 (** One {!run} per replicate on a domain pool; results in task order,

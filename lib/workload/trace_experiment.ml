@@ -124,6 +124,7 @@ let run ?(seed = 42) config =
               ~on_complete:(fun _ -> Engine.Sim.stop sim)
               ()
           in
+          Backtap.Transfer.trace_cwnd d (trace, "trace");
           transfer := Some d;
           Backtap.Transfer.start d)
     ();

@@ -412,6 +412,7 @@ let test_transfer_senders_exposed () =
 let test_transfer_trace_recorded () =
   let trace = Engine.Trace.create () in
   let sim, d = mk_transfer ~trace:(trace, "x") () in
+  Backtap.Transfer.trace_cwnd d (trace, "x");
   Backtap.Transfer.start d;
   Engine.Sim.run sim ~until:(Engine.Time.s 60);
   List.iter

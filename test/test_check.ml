@@ -139,6 +139,21 @@ let test_replay_rejects_invalid_config () =
         (contains ~needle:"invalid scenario" msg)
   | Ok _ -> Alcotest.fail "invalid config was not rejected"
 
+let test_old_recovery_line_replays () =
+  (* Recovery scenarios now run the session world's crash preset; a
+     recovery reproducer line written before that still parses and
+     replays. *)
+  let line =
+    "k=r seed=5 relays=5 pos=2 bytes=16384 loss=0 burst=0 odown=-1 oup=-1 \
+     crash=200 queue=0 strat=cs bn=1000 fast=2000 ep=100000 rebuilds=3"
+  in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  match Check.Harness.replay ~selection line ppf with
+  | Ok true -> ()
+  | Ok false -> Alcotest.fail ("old recovery line failed: " ^ Buffer.contents buf)
+  | Error e -> Alcotest.fail e
+
 let test_of_string_accepts_pre_overload_lines () =
   (* Reproducer lines written before the overload fields existed must
      keep parsing, with the inert defaults. *)
@@ -446,7 +461,7 @@ let test_scenario_config_jobs_deterministic () =
             [ (sc.Check.Scenario.seed, Check.Scenario.fault_config sc) ])
   | Check.Scenario.Recovery ->
       Test_util.check_jobs_deterministic (fun jobs ->
-          Workload.Recovery_experiment.run_many ~jobs
+          Workload.Overload_experiment.run_many ~jobs
             [ (sc.Check.Scenario.seed, Check.Scenario.recovery_config sc) ])
   | Check.Scenario.Overload ->
       Test_util.check_jobs_deterministic (fun jobs ->
@@ -485,6 +500,8 @@ let () =
             test_replay_rejects_invalid_config;
           Alcotest.test_case "pre-overload lines parse" `Quick
             test_of_string_accepts_pre_overload_lines;
+          Alcotest.test_case "old recovery line replays" `Quick
+            test_old_recovery_line_replays;
           Alcotest.test_case "strategy dimension" `Quick test_strategy_dimension;
           Alcotest.test_case "jobs-deterministic config" `Slow
             test_scenario_config_jobs_deterministic;

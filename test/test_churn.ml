@@ -1,7 +1,6 @@
 (* Tests for the churn subsystem: directory epochs and incarnations,
    session behaviour against busy / draining / departed relays, the
-   packet-level churn driver, the round-level churn schedule in the
-   network experiment, and the churn oracles in the check harness
+   round-level churn schedule in the network experiment, and the churn oracles in the check harness
    (including the guard-flip acceptance test). *)
 
 let contains ~needle haystack =
@@ -280,94 +279,6 @@ let test_restart_forgives_exclusion () =
   Tor_model.Directory.mark_up dir victim;
   Alcotest.(check int) "exclusion forgiven after restart" 0
     (List.length (Tor_model.Session.excluded session))
-
-(* ------------------------------------------------------------------ *)
-(* The packet-level churn driver *)
-
-let driver_config =
-  {
-    Tor_model.Churn_driver.leave_rate = 0.3;
-    join_rate = 0.4;
-    crash_fraction = 0.5;
-    drain_grace = Engine.Time.s 1;
-    epoch_period = Engine.Time.s 2;
-    tick = Engine.Time.ms 500;
-    min_up = 3;
-    horizon = Engine.Time.s 30;
-  }
-
-let drive ~seed config =
-  let _sim, net, _, _ = make_world ~relays:8 () in
-  let sim = Workload.Tor_net.sim net in
-  let dir = Workload.Tor_net.directory net in
-  let controlled =
-    List.map
-      (fun (r : Tor_model.Relay_info.t) ->
-        (r, Workload.Tor_net.relay_ctl net r.node))
-      (Tor_model.Directory.relays dir)
-  in
-  let driver =
-    Tor_model.Churn_driver.create ~sim ~rng:(Engine.Rng.create seed)
-      ~directory:dir ~relays:controlled ~config ()
-  in
-  Tor_model.Churn_driver.start driver;
-  Engine.Sim.run sim;
-  let up =
-    List.length
-      (List.filter
-         (fun (r : Tor_model.Relay_info.t) ->
-           Tor_model.Directory.status dir r.node = Tor_model.Directory.Up)
-         (Tor_model.Directory.relays dir))
-  in
-  ( Tor_model.Churn_driver.departs driver,
-    Tor_model.Churn_driver.crashes driver,
-    Tor_model.Churn_driver.drains_completed driver,
-    Tor_model.Churn_driver.restarts driver,
-    Tor_model.Directory.epoch dir,
-    up )
-
-let test_driver_schedule_runs_and_is_deterministic () =
-  let (departs, crashes, drains, restarts, epochs, up) as a =
-    drive ~seed:5 driver_config
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "departures happen (%d)" departs)
-    true (departs > 0);
-  Alcotest.(check bool) "crash/drain split" true (crashes + drains <= departs);
-  Alcotest.(check bool)
-    (Printf.sprintf "restarts happen (%d)" restarts)
-    true (restarts > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "epochs advance (%d)" epochs)
-    true (epochs >= 10);
-  (* The min-up floor holds at the end (and, by construction, at every
-     departure decision along the way). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "min_up floor holds (%d up)" up)
-    true (up >= driver_config.Tor_model.Churn_driver.min_up);
-  let b = drive ~seed:5 driver_config in
-  Alcotest.(check bool) "same seed, same schedule" true (a = b);
-  let c = drive ~seed:6 driver_config in
-  Alcotest.(check bool) "different seed, different schedule" true (a <> c)
-
-let test_driver_validates_config () =
-  let bad f =
-    let _sim, net, _, _ = make_world ~relays:4 () in
-    let sim = Workload.Tor_net.sim net in
-    match
-      Tor_model.Churn_driver.create ~sim ~rng:(Engine.Rng.create 1)
-        ~directory:(Workload.Tor_net.directory net)
-        ~relays:[] ~config:(f driver_config) ()
-    with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
-  Alcotest.(check bool) "negative rate rejected" true
-    (bad (fun c -> { c with Tor_model.Churn_driver.leave_rate = -0.1 }));
-  Alcotest.(check bool) "crash fraction > 1 rejected" true
-    (bad (fun c -> { c with Tor_model.Churn_driver.crash_fraction = 1.5 }));
-  Alcotest.(check bool) "zero tick rejected" true
-    (bad (fun c -> { c with Tor_model.Churn_driver.tick = Engine.Time.zero }))
 
 (* ------------------------------------------------------------------ *)
 (* Round-level churn in the network experiment *)
@@ -660,13 +571,6 @@ let () =
             test_gone_excludes_until_restart;
           Alcotest.test_case "restart forgives the exclusion" `Quick
             test_restart_forgives_exclusion;
-        ] );
-      ( "driver",
-        [
-          Alcotest.test_case "schedule runs deterministically" `Quick
-            test_driver_schedule_runs_and_is_deterministic;
-          Alcotest.test_case "config validated" `Quick
-            test_driver_validates_config;
         ] );
       ( "network",
         [

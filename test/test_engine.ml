@@ -1082,6 +1082,18 @@ let test_alloc_transmission_time () =
       bytes := (!bytes + 509) land 0xffff;
       t := Engine.Units.Rate.transmission_time r !bytes)
 
+(* [Online.add] on a float the caller already holds boxed (the
+   constants here): the accumulator is an all-float record, so [add]
+   rewrites its fields in place and allocates nothing. *)
+let test_alloc_online () =
+  let acc = Engine.Stats.Online.create () and i = ref 0 in
+  check_no_alloc "Online.add" (fun () ->
+      incr i;
+      Engine.Stats.Online.add acc (if !i land 1 = 0 then 0.25 else 4.5));
+  Alcotest.(check int) "every sample counted" !i (Engine.Stats.Online.count acc);
+  Alcotest.(check (float 0.)) "min" 0.25 (Engine.Stats.Online.min acc);
+  Alcotest.(check (float 0.)) "max" 4.5 (Engine.Stats.Online.max acc)
+
 (* One self-rearming timer fired [n] times inside a single [Sim.run]:
    the minor words the whole run allocates. *)
 let timer_run_words n =
@@ -1154,6 +1166,31 @@ let test_alloc_forwarding () =
   (* Two hops per packet. *)
   Alcotest.(check (float 0.)) "leaf->hub->leaf: minor words per hop" 0.
     ((long -. short) /. 180_000.)
+
+(* Route set-up on the flash crowd's hub: a star of 217 leaves, so
+   n = 218 nodes.  The forwarding table is n rows of n links, about
+   n^2 words; everything else [Network.create] allocates (the
+   Dijkstra scratch, one reused row of neighbour links, the receiver
+   closures) is linear in n and the link count, hence the 1.2 n^2
+   bound.  Building next-hop and per-node neighbour tables first would
+   cost about 3 n^2. *)
+let test_alloc_network_create () =
+  let sim = Engine.Sim.create () in
+  let rate = Engine.Units.Rate.mbit 10 and delay = Engine.Time.ms 5 in
+  let topo, _, _ =
+    Netsim.Topology.star sim ~hub:"hub"
+      ~leaves:(List.init 217 (fun i -> (Printf.sprintf "l%d" i, rate, delay)))
+      ()
+  in
+  let n = Netsim.Topology.node_count topo in
+  Alcotest.(check int) "nodes" 218 n;
+  let before = Gc.minor_words () in
+  ignore (Netsim.Network.create topo : Netsim.Network.t);
+  let words = Gc.minor_words () -. before in
+  let bound = 1.2 *. float_of_int (n * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Network.create: %.0f minor words < 1.2 n^2 = %.0f" words bound)
+    true (words < bound)
 
 (* [n] feedbacks of a stream that drives a controller through its whole
    cycle: clean (40 ms, with 0.2 ms of jitter so the predictive model
@@ -1303,15 +1340,13 @@ let transfer_run_words cells =
      with its [Bt_feedback] (4): 22 words;
    - per relay (3): the peeled cell, a [Cell.t] (3 words) holding a
      fresh [Relay] command (3 words): 6 words;
-   - at the server: the latency sample, 8 words — the boxed float
-     handed to [Engine.Stats.Online.add] (2), and the three float
-     fields (sum, mean, m2) that [add] rewrites, each a fresh box
-     because [Online.t] mixes an int count with its floats (3 x 2).
-     (The min and max fields are rewritten only on a new extreme, which
-     this uncongested path reaches within the short run.)
+   - at the server: the latency sample, 2 words — the boxed float
+     handed across the module boundary to [Engine.Stats.Online.add].
+     [Online.t] is an all-float record, so [add] itself rewrites its
+     fields in place (see the [Online.add] test).
    Latency stamps, acks, occupancy, the sink and the hop senders'
    records add nothing. *)
-let cell_budget = (4 * (7 + 4 + 7 + 4)) + (3 * (3 + 3)) + (2 + (3 * 2))
+let cell_budget = (4 * (7 + 4 + 7 + 4)) + (3 * (3 + 3)) + 2
 
 let test_alloc_transfer () =
   ignore (transfer_run_words 100);
@@ -1433,10 +1468,13 @@ let () =
         [
           Alcotest.test_case "Rng.int and Rng.bool" `Quick test_alloc_rng;
           Alcotest.test_case "Time.add" `Quick test_alloc_time;
+          Alcotest.test_case "Online.add" `Quick test_alloc_online;
           Alcotest.test_case "Rate.transmission_time" `Quick
             test_alloc_transmission_time;
           Alcotest.test_case "self-rearming Sim.Timer" `Quick test_alloc_timer;
           Alcotest.test_case "leaf->hub->leaf forwarding" `Quick test_alloc_forwarding;
+          Alcotest.test_case "Network.create on a 218-node star" `Quick
+            test_alloc_network_create;
           Alcotest.test_case "Controller.on_feedback" `Quick test_alloc_feedback;
           Alcotest.test_case "Switchboard.charge and credit" `Quick test_alloc_switchboard;
           Alcotest.test_case "Sink.deliver" `Quick test_alloc_sink;

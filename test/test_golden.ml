@@ -30,7 +30,7 @@ let fault_run () =
     Test_util.golden_fault_config
 
 let recovery_run () =
-  Workload.Recovery_experiment.run ~seed:Test_util.golden_seed
+  Workload.Overload_experiment.run ~seed:Test_util.golden_seed
     Test_util.golden_recovery_config
 
 let trace_run config () =
@@ -201,7 +201,7 @@ let fixtures =
     ( "recovery_events.csv",
       fun () ->
         Test_util.events_csv
-          (recovery_run ()).Workload.Recovery_experiment.events );
+          (recovery_run ()).Workload.Overload_experiment.events );
     (* One cwnd trace per startup strategy over the same seeded world, so
        a behaviour change in one controller diffs exactly one fixture. *)
     ("trace_cwnd.csv", trace_fixture Test_util.golden_trace_config);
@@ -278,6 +278,6 @@ let () =
                  r.Workload.Fault_experiment.events));
           Alcotest.test_case "recovery events" `Slow
             (test_events_round_trip recovery_run (fun r ->
-                 r.Workload.Recovery_experiment.events));
+                 r.Workload.Overload_experiment.events));
         ] );
     ]

@@ -201,6 +201,29 @@ let test_refusals_drain_to_completion () =
     true (r.completed >= r.sessions - 1);
   Alcotest.(check int) "none stuck at the horizon" 0 r.timed_out
 
+(* The crash and budget axes of the session world compose: a relay of
+   session 0's first circuit dies mid-crowd while the budgets are
+   refusing and OOM-killing, and still every session reaches a
+   terminal outcome, the byte budget holds, and no resumed transfer
+   delivers a cell twice. *)
+let test_crash_under_budgets () =
+  let config =
+    { Workload.Overload_experiment.default_config with
+      crash_at = Some (Engine.Time.ms 300) }
+  in
+  let r = Workload.Overload_experiment.run ~seed:42 config in
+  Alcotest.(check bool) "the relay crashed" true
+    (List.mem Engine.Trace.Fault (kinds_of r.events));
+  Alcotest.(check int) "none stuck at the horizon" 0 r.timed_out;
+  Alcotest.(check int) "every session terminated" r.sessions
+    (r.completed + r.exhausted);
+  let cap = Option.get config.max_queued_bytes in
+  Alcotest.(check bool)
+    (Printf.sprintf "relay hwm %d within cap %d + one cell" r.relay_byte_hwm cap)
+    true
+    (r.relay_byte_hwm <= cap + Backtap.Wire.cell_size);
+  Alcotest.(check int) "no cell delivered twice" 0 r.duplicates
+
 let test_compare_strategies_paired () =
   let c =
     Workload.Experiment.compare
@@ -242,6 +265,8 @@ let () =
             test_busy_then_idle_relay_is_reused;
           Alcotest.test_case "refusals drain to completion" `Quick
             test_refusals_drain_to_completion;
+          Alcotest.test_case "crash under budgets" `Quick
+            test_crash_under_budgets;
         ] );
       ( "experiment",
         [

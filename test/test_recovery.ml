@@ -1,34 +1,42 @@
-(* Tests for the session/recovery layer: a relay crash mid-transfer is
-   survived by rebuilding onto an alternate path and resuming at the
-   delivered prefix; the rebuild budget is honoured; and results are
-   byte-identical for a fixed seed across --jobs values. *)
+(* Tests for the session/recovery layer, through the session world's
+   crash preset: a relay crash mid-transfer is survived by rebuilding
+   onto an alternate path and resuming at the delivered prefix; the
+   rebuild budget is honoured; and results are byte-identical for a
+   fixed seed across --jobs values. *)
+
+module X = Workload.Overload_experiment
 
 let crash_config =
-  { Workload.Recovery_experiment.default_config with
+  { X.recovery_config with
     transfer_bytes = Engine.Units.kib 64;
     crash_at = Some (Engine.Time.ms 200);
   }
+
+(* The preset runs one session. *)
+let session (r : X.result) = List.hd r.per_session
+let outcome r = X.outcome_to_string (session r).outcome
 
 let kinds_of events =
   List.sort_uniq compare (List.map (fun e -> e.Engine.Trace.kind) events)
 
 let test_clean_run_never_rebuilds () =
+  (* The probe fires once per deployed circuit generation. *)
+  let generations = ref 0 in
   let r =
-    Workload.Recovery_experiment.run ~seed:3
+    X.run ~seed:3
+      ~probe:(fun _ _ _ -> incr generations)
       { crash_config with crash_at = None }
   in
-  Alcotest.(check string) "completed" "completed"
-    (Workload.Recovery_experiment.outcome_to_string r.outcome);
+  Alcotest.(check string) "completed" "completed" (outcome r);
   Alcotest.(check int) "no rebuilds" 0 r.rebuilds;
-  Alcotest.(check int) "one generation" 1 r.generations;
+  Alcotest.(check int) "one generation" 1 !generations;
   Alcotest.(check int) "all bytes" (Engine.Units.kib 64) r.delivered_bytes;
-  Alcotest.(check bool) "no recovery time" true (r.time_to_recover = None);
-  Alcotest.(check bool) "nothing excluded" true (r.excluded = [])
+  Alcotest.(check bool) "no recovery time" true ((session r).recovery_times = []);
+  Alcotest.(check bool) "nothing excluded" true ((session r).excluded = [])
 
 let test_session_recovers_after_crash () =
-  let r = Workload.Recovery_experiment.run ~seed:7 crash_config in
-  Alcotest.(check string) "completed despite crash" "completed"
-    (Workload.Recovery_experiment.outcome_to_string r.outcome);
+  let r = X.run ~seed:7 crash_config in
+  Alcotest.(check string) "completed despite crash" "completed" (outcome r);
   Alcotest.(check bool)
     (Printf.sprintf "rebuilt at least once (%d)" r.rebuilds)
     true (r.rebuilds >= 1);
@@ -36,10 +44,10 @@ let test_session_recovers_after_crash () =
     r.delivered_bytes;
   Alcotest.(check int) "no cell delivered twice" 0 r.duplicates;
   Alcotest.(check bool) "time-to-recover measured" true
-    (r.time_to_recover <> None);
+    ((session r).recovery_times <> []);
   Alcotest.(check int) "one recovery per rebuild that resumed" r.rebuilds
-    (List.length r.recovery_times);
-  Alcotest.(check bool) "suspects excluded" true (r.excluded <> []);
+    (List.length (session r).recovery_times);
+  Alcotest.(check bool) "suspects excluded" true ((session r).excluded <> []);
   (* The event log tells the whole story: the crash, the rebuild
      decisions, and the resume with its recovery latency. *)
   let kinds = kinds_of r.events in
@@ -51,7 +59,7 @@ let test_session_recovers_after_crash () =
     [ Engine.Trace.Fault; Engine.Trace.Rebuild; Engine.Trace.Resume ]
 
 let test_resume_event_carries_offset () =
-  let r = Workload.Recovery_experiment.run ~seed:7 crash_config in
+  let r = X.run ~seed:7 crash_config in
   match
     List.find_opt (fun e -> e.Engine.Trace.kind = Engine.Trace.Resume) r.events
   with
@@ -65,38 +73,27 @@ let test_resume_event_carries_offset () =
         = Some true)
 
 let test_exhausts_with_zero_budget () =
-  let r =
-    Workload.Recovery_experiment.run ~seed:7
-      { crash_config with max_rebuilds = 0 }
-  in
-  Alcotest.(check string) "exhausted" "exhausted:rebuild-budget"
-    (Workload.Recovery_experiment.outcome_to_string r.outcome);
+  let r = X.run ~seed:7 { crash_config with max_rebuilds = 0 } in
+  Alcotest.(check string) "exhausted" "exhausted:rebuild-budget" (outcome r);
   Alcotest.(check int) "no rebuild attempted" 0 r.rebuilds;
   Alcotest.(check bool) "partial delivery only" true
     (r.delivered_bytes < Engine.Units.kib 64);
   (* Terminal in bounded simulated time, not parked until the horizon. *)
-  Alcotest.(check bool) "not timed out" true
-    (r.outcome <> Workload.Recovery_experiment.Timed_out);
+  Alcotest.(check bool) "not timed out" true ((session r).outcome <> X.Timed_out);
   let kinds = kinds_of r.events in
   Alcotest.(check bool) "exhausted event recorded" true
     (List.mem Engine.Trace.Exhausted kinds)
 
 let test_uniform_selection_recovers () =
   let r =
-    Workload.Recovery_experiment.run ~seed:9
-      { crash_config with selection = Tor_model.Directory.Uniform }
+    X.run ~seed:9 { crash_config with selection = Tor_model.Directory.Uniform }
   in
-  Alcotest.(check string) "completed" "completed"
-    (Workload.Recovery_experiment.outcome_to_string r.outcome);
+  Alcotest.(check string) "completed" "completed" (outcome r);
   Alcotest.(check int) "all bytes" (Engine.Units.kib 64) r.delivered_bytes
 
 let test_guard_crash_recovers () =
-  let r =
-    Workload.Recovery_experiment.run ~seed:11
-      { crash_config with crash_position = 1 }
-  in
-  Alcotest.(check string) "completed" "completed"
-    (Workload.Recovery_experiment.outcome_to_string r.outcome);
+  let r = X.run ~seed:11 { crash_config with crash_position = 1 } in
+  Alcotest.(check string) "completed" "completed" (outcome r);
   Alcotest.(check int) "no duplicates" 0 r.duplicates
 
 let test_deterministic_across_jobs () =
@@ -107,19 +104,14 @@ let test_deterministic_across_jobs () =
   (* Structural equality covers every field, including the full trace
      event list — ordering must not depend on the pool. *)
   Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Recovery_experiment.run_many ~jobs tasks)
+      X.run_many ~jobs tasks)
 
 let test_compare_strategies_paired () =
-  let c =
-    Workload.Experiment.compare
-      (module Workload.Recovery_experiment)
-      ~seed:7 crash_config
-  in
+  let c = Workload.Experiment.compare (module X) ~seed:7 crash_config in
   (* Both face the same crash schedule; both must finish the transfer. *)
   List.iter
-    (fun (label, (r : Workload.Recovery_experiment.result)) ->
-      Alcotest.(check string) (label ^ " completed") "completed"
-        (Workload.Recovery_experiment.outcome_to_string r.outcome);
+    (fun (label, (r : X.result)) ->
+      Alcotest.(check string) (label ^ " completed") "completed" (outcome r);
       Alcotest.(check int) (label ^ " all bytes") (Engine.Units.kib 64)
         r.delivered_bytes;
       Alcotest.(check int) (label ^ " no duplicates") 0 r.duplicates)
@@ -128,7 +120,7 @@ let test_compare_strategies_paired () =
   let crash_event r =
     List.find_opt
       (fun e -> e.Engine.Trace.kind = Engine.Trace.Fault)
-      r.Workload.Recovery_experiment.events
+      r.X.events
   in
   match (crash_event c.circuit_start, crash_event c.slow_start) with
   | Some a, Some b ->
@@ -140,10 +132,7 @@ let test_compare_strategies_paired () =
 
 let test_config_validation () =
   let bad mutate msg =
-    match
-      Workload.Recovery_experiment.validate_config
-        (mutate Workload.Recovery_experiment.default_config)
-    with
+    match X.validate_config (mutate X.recovery_config) with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail ("validated: " ^ msg)
   in

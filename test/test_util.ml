@@ -80,8 +80,8 @@ let golden_fault_config =
 
 let golden_recovery_config =
   {
-    Workload.Recovery_experiment.default_config with
-    Workload.Recovery_experiment.transfer_bytes = Engine.Units.kib 32;
+    Workload.Overload_experiment.recovery_config with
+    Workload.Overload_experiment.transfer_bytes = Engine.Units.kib 32;
     crash_at = Some (Engine.Time.ms 200);
   }
 
