@@ -192,9 +192,94 @@ let cell_latency_fixture () =
        ])
   ^ multi_stream_latency () ^ resumed_latency ()
 
+(* ------------------------------------------------------------------ *)
+(* Consensus-scale axes.  [torsim network]/[churn-scale] tables round
+   their numbers; this fixture pins every counter of one small run per
+   strategy and shard count with everything switched on that makes a
+   step read its clock or shared state: a diurnal think rate (think
+   reads [now]), a circuit budget (admissions refused), churn with
+   spare relays (kills, resumes, epochs), and [retain_exact]. *)
+
+let network_axes_config strategy shards =
+  { Workload.Network_experiment.default_config with
+    Workload.Network_experiment.relays = 40;
+    slots = 150;
+    target_lifetimes = 900;
+    budget =
+      { Tor_model.Switchboard.no_budget with
+        Tor_model.Switchboard.max_circuits = Some 14 };
+    mean_think = Engine.Time.ms 200;
+    diurnal_amplitude = 0.6;
+    diurnal_period = Engine.Time.s 4;
+    elephant_fraction = 0.1;
+    elephant_cells = 512;
+    leave_hazard = 0.05;
+    join_hazard = 0.2;
+    drain_grace = Engine.Time.ms 500;
+    epoch_period = Engine.Time.s 2;
+    churn_tick = Engine.Time.ms 250;
+    spare_relays = 6;
+    strategy;
+    retain_exact = true;
+    shards;
+  }
+
+let network_axes_line (label, strategy) shards =
+  let r =
+    Workload.Network_experiment.run ~seed:Test_util.golden_seed
+      (network_axes_config strategy shards)
+  in
+  let open Workload.Network_experiment in
+  let sketch name s =
+    let q p =
+      match Engine.Stats.Sketch.quantile_opt s p with
+      | Some x -> Printf.sprintf "%h" x
+      | None -> "-"
+    in
+    Printf.sprintf " %s=%d/%s/%s/%h/%h" name (Engine.Stats.Sketch.count s)
+      (q 0.5) (q 0.99) (Engine.Stats.Sketch.mean s) (Engine.Stats.Sketch.max s)
+  in
+  let exact =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ","
+            (Array.to_list (Array.map (Printf.sprintf "%h") r.ttlb_exact))))
+  in
+  Printf.sprintf
+    "%s shards=%d completed=%d mice=%d elephants=%d arrivals=%d bulk=%d \
+     refused=%d redraws=%d abandoned=%d cells=%d rounds=%d recycles=%d \
+     peak=%d orphans=%d/%d departs=%d crashes=%d drains=%d restarts=%d \
+     epochs=%d kills=%d resumed=%d gone=%d draining=%d through_down=%d \
+     residue=%d end=%d events=%d%s%s%s exact=%d:%s\n"
+    label shards r.completed r.mice r.elephants r.arrivals
+    r.elephant_arrivals r.refused_arrivals r.admission_redraws r.abandoned
+    r.delivered_cells r.rounds r.pool_recycles r.peak_active
+    r.orphaned_circuits r.orphaned_cells r.churn_departs r.churn_crashes
+    r.churn_drains_completed r.churn_restarts r.churn_epochs r.churn_kills
+    r.resumed r.gone_draws r.draining_refusals r.rounds_through_down
+    r.depart_residue
+    (r.end_time :> int)
+    r.wall_events
+    (sketch "all" r.ttlb_all)
+    (sketch "mice" r.ttlb_mice)
+    (sketch "elephants" r.ttlb_elephants)
+    (Array.length r.ttlb_exact) exact
+
+let network_axes_fixture () =
+  String.concat ""
+    (List.concat_map
+       (fun strategy ->
+         List.map (network_axes_line strategy) [ 1; 3 ])
+       [
+         ("cs", Circuitstart.Controller.Circuit_start);
+         ("ss", Circuitstart.Controller.Slow_start);
+         ("pr", Circuitstart.Controller.Predictive);
+       ])
+
 let fixtures =
   [
     ("cell_latency.txt", cell_latency_fixture);
+    ("network_axes.txt", network_axes_fixture);
     ( "faults_events.csv",
       fun () ->
         Test_util.events_csv (fault_run ()).Workload.Fault_experiment.events );
