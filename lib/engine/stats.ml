@@ -101,7 +101,18 @@ module Sketch = struct
      are order-independent), so two sketches fed the same samples in
      any order are structurally equal, and [merge] — plain count
      addition — is associative and commutative.  O(bins) memory
-     regardless of stream length. *)
+     regardless of stream length.
+
+     The running extremes and sum live in their own all-float record,
+     stored flat like {!Online.t}: [add] rewrites them in place and
+     allocates nothing, where a float field of the mixed record would
+     box a fresh float on every write. *)
+  type extremes = {
+    mutable mn : float;
+    mutable mx : float;
+    mutable sum : float;
+  }
+
   type t = {
     lo : float;
     width : float;
@@ -109,9 +120,7 @@ module Sketch = struct
     mutable underflow : int;  (* samples below [lo] *)
     mutable overflow : int;  (* samples at or above [hi] *)
     mutable total : int;
-    mutable mn : float;
-    mutable mx : float;
-    mutable sum : float;
+    ext : extremes;
   }
 
   let create ?(bins = 512) ~lo ~hi () =
@@ -125,29 +134,28 @@ module Sketch = struct
       underflow = 0;
       overflow = 0;
       total = 0;
-      mn = nan;
-      mx = nan;
-      sum = 0.;
+      ext = { mn = nan; mx = nan; sum = 0. };
     }
 
   let bins t = Array.length t.counts
   let range t = (t.lo, t.lo +. (t.width *. float_of_int (bins t)))
   let count t = t.total
-  let min t = t.mn
-  let max t = t.mx
-  let mean t = if t.total = 0 then nan else t.sum /. float_of_int t.total
+  let min t = t.ext.mn
+  let max t = t.ext.mx
+  let mean t = if t.total = 0 then nan else t.ext.sum /. float_of_int t.total
 
   let add t x =
     if not (Float.is_finite x) then invalid_arg "Sketch.add: non-finite sample";
     t.total <- t.total + 1;
-    t.sum <- t.sum +. x;
+    let e = t.ext in
+    e.sum <- e.sum +. x;
     if t.total = 1 then begin
-      t.mn <- x;
-      t.mx <- x
+      e.mn <- x;
+      e.mx <- x
     end
     else begin
-      if x < t.mn then t.mn <- x;
-      if x > t.mx then t.mx <- x
+      if x < e.mn then e.mn <- x;
+      if x > e.mx then e.mx <- x
     end;
     let b = int_of_float (Float.floor ((x -. t.lo) /. t.width)) in
     if b < 0 then t.underflow <- t.underflow + 1
@@ -167,15 +175,18 @@ module Sketch = struct
       underflow = a.underflow + b.underflow;
       overflow = a.overflow + b.overflow;
       total = a.total + b.total;
-      mn =
-        (if a.total = 0 then b.mn
-         else if b.total = 0 then a.mn
-         else Stdlib.min a.mn b.mn);
-      mx =
-        (if a.total = 0 then b.mx
-         else if b.total = 0 then a.mx
-         else Stdlib.max a.mx b.mx);
-      sum = a.sum +. b.sum;
+      ext =
+        {
+          mn =
+            (if a.total = 0 then b.ext.mn
+             else if b.total = 0 then a.ext.mn
+             else Stdlib.min a.ext.mn b.ext.mn);
+          mx =
+            (if a.total = 0 then b.ext.mx
+             else if b.total = 0 then a.ext.mx
+             else Stdlib.max a.ext.mx b.ext.mx);
+          sum = a.ext.sum +. b.ext.sum;
+        };
     }
 
   (* Float addition is not associative, so a sum accumulated shard by
@@ -187,7 +198,7 @@ module Sketch = struct
   let set_sum t sum =
     if not (Float.is_finite sum) then
       invalid_arg "Sketch.set_sum: non-finite sum";
-    t.sum <- sum
+    t.ext.sum <- sum
 
   (* Smallest x with (estimated) fraction-below >= q — the same
      convention as {!Cdf.quantile}, with linear interpolation inside
@@ -201,9 +212,9 @@ module Sketch = struct
       Stdlib.max 1
         (int_of_float (Float.ceil (q *. float_of_int t.total)))
     in
-    if k <= t.underflow then t.mn
+    if k <= t.underflow then t.ext.mn
     else begin
-      let clamp x = Float.min t.mx (Float.max t.mn x) in
+      let clamp x = Float.min t.ext.mx (Float.max t.ext.mn x) in
       let cum = ref t.underflow in
       let result = ref nan in
       let i = ref 0 in
@@ -221,7 +232,7 @@ module Sketch = struct
           incr i
         end
       done;
-      if Float.is_nan !result then t.mx else !result
+      if Float.is_nan !result then t.ext.mx else !result
     end
 
   (* The total-function face of [quantile]: an empty sketch is a
@@ -245,8 +256,8 @@ module Sketch = struct
         let c = t.counts.(i) in
         if c > 0 then begin
           let edge =
-            Float.min t.mx
-              (Float.max t.mn (t.lo +. (t.width *. float_of_int (i + 1))))
+            Float.min t.ext.mx
+              (Float.max t.ext.mn (t.lo +. (t.width *. float_of_int (i + 1))))
           in
           acc :=
             (edge, float_of_int (t.total - t.overflow - !above) /. nf) :: !acc
@@ -255,12 +266,12 @@ module Sketch = struct
       done;
       let points =
         if t.underflow > 0 then
-          (t.mn, float_of_int t.underflow /. nf) :: !acc
+          (t.ext.mn, float_of_int t.underflow /. nf) :: !acc
         else !acc
       in
       match List.rev points with
-      | (_, f) :: _ when f < 1. -> points @ [ (t.mx, 1.) ]
-      | [] -> [ (t.mx, 1.) ]
+      | (_, f) :: _ when f < 1. -> points @ [ (t.ext.mx, 1.) ]
+      | [] -> [ (t.ext.mx, 1.) ]
       | _ -> points
     end
 end
