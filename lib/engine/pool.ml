@@ -212,14 +212,16 @@ module Team = struct
       done;
       Mutex.unlock t.mutex
     end;
-    (* Lowest shard's exception wins, same protocol as [Pool.map]. *)
-    Array.iter
-      (function
-        | Some (e, bt) ->
-            Array.fill t.fails 0 (Array.length t.fails) None;
-            Printexc.raise_with_backtrace e bt
-        | None -> ())
-      t.fails
+    (* Lowest shard's exception wins, same protocol as [Pool.map].  A
+       plain loop, not a closure over [t]: a run that raises nothing
+       allocates nothing. *)
+    for j = 0 to Array.length t.fails - 1 do
+      match t.fails.(j) with
+      | Some (e, bt) ->
+          Array.fill t.fails 0 (Array.length t.fails) None;
+          Printexc.raise_with_backtrace e bt
+      | None -> ()
+    done
 
   let minor_words t = Array.fold_left ( +. ) 0. t.words
 

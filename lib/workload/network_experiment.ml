@@ -3,11 +3,20 @@
    The packet-level experiments (star / fault / overload) model every
    cell on every link; at thousands of relays and 10^5 concurrent
    circuits that is billions of events per run.  This experiment keeps
-   the same timer-wheel engine and the same controller *semantics* but
-   moves the data plane up one level: a circuit is advanced once per
-   RTT round, delivering [min cwnd bdp] cells against its bottleneck
-   hop's fair share.  One event per circuit per round is what makes a
-   million circuit lifetimes per run affordable.
+   the controller *semantics* but moves the data plane up one level: a
+   circuit is advanced once per RTT round, delivering [min cwnd bdp]
+   cells against its bottleneck hop's fair share.  One event per
+   circuit per round is what makes a million circuit lifetimes per run
+   affordable.
+
+   There is no event queue.  Each slot holds one pending instant in
+   [s_next] (a slot hosts one session, so it never has two), and time
+   advances in exchange windows: per window, each shard sweeps its
+   slot range once in ascending order and runs every slot's due
+   events.  Inside a window a step reads only slot-local state or
+   shared state frozen at the last barrier, so per-slot order is as
+   good as time order, and a step costs one array read and a cache
+   line of its record instead of a heap or wheel operation.
 
    All hot-path state is flat and preallocated:
 
@@ -21,7 +30,7 @@
      O(1) memory per circuit.
 
    Per-slot RNG streams are split from the master seed in a fixed order
-   at setup, and the windowed drive loop ([run_sharded]) lets the shard
+   at setup, and the window loop ([run_sharded]) lets the shard
    count choose only how the schedule executes (the guarantee is stated
    once, on [shards] in the interface).  Paired CS-vs-SS comparisons
    share the identical population, arrival and size draws. *)
@@ -216,7 +225,10 @@ let unsafe_disable_churn_kill = ref false
    harness's shard differential catches the divergence and shrinks it
    to a replayable line.  While it is set, a window's shards step in
    sequence on the calling domain, so the planted bug is deterministic
-   rather than a data race. *)
+   rather than a data race.  They step in descending shard order: each
+   shard sweeps its slots in ascending order, so an ascending shard
+   order would apply the in-place writes in global slot order for
+   every shard count, and the differential could not see them. *)
 let unsafe_unordered_exchange = ref false
 
 (* Live relay status at round level (mirrors [Tor_model.Directory.status]). *)
@@ -250,7 +262,13 @@ let stride = 10
 
 type state = {
   config : config;
-  sim : Engine.Sim.t;
+  (* This shard's contiguous slot range [lo, hi). *)
+  lo : int;
+  hi : int;
+  (* The shard's clock in ns: the instant of the step being run, and
+     the window's end between windows. *)
+  mutable now : int;
+  mutable executed : int;  (* steps run *)
   (* Relay population (struct of arrays). *)
   cap_cps : float array;  (* bandwidth in cells/sec *)
   lat_ns : int array;
@@ -287,9 +305,10 @@ type state = {
      misses — at a million events per second that locality is the
      difference, not the arithmetic. *)
   circ : int array;  (* slots * stride; field offsets [f_*] above *)
-  (* Session slots.  [s_timer] is filled right after construction (its
-     callbacks close over the state record). *)
-  mutable s_timer : Engine.Sim.Timer.t array;
+  (* Session slots.  [s_next.(i)] is slot [i]'s next event instant in
+     ns ([max_int] = none): its arrival while thinking, its next round
+     while it hosts a circuit. *)
+  s_next : int array;
   s_rng : Engine.Rng.t array;
   s_circ : int array;  (* pool index, or -1 while thinking *)
   (* Counters and streaming analysis. *)
@@ -328,34 +347,34 @@ type state = {
   exact : Engine.Stats.Samples.t option;
   cell_bytes : int;
   (* Shard plumbing.  Each state owns one contiguous slot range and
-     shares every relay-level array (and the slot-level stash/record
-     arrays) with its [peers]; each has its own [sim], counters and
-     sketches.  While [defer] is set — the parallel phase of an
+     shares every relay-level array (and the slot-level arrays) with
+     the other shards; each has its own clock, counters and sketches.
+     While [defer] is set — the parallel phase of an
      exchange window — relay occupancy writes are added into the
      shard-local dense deltas [d_active]/[d_load] (one cell per relay)
      and folded into the shared counters at the barrier, so every shard
      reads the same frozen snapshot regardless of what its peers are
      doing. *)
   mutable defer : bool;
-  mutable peers : state array;
   d_active : int array;
   d_load : int array;
 }
 
-let now_ns st = (Engine.Sim.now st.sim :> int)
-
 (* [f st i] for every slot [i] in slot order, [st] its owner's state:
    shards own contiguous ascending ranges, so no per-slot lookup. *)
 let iter_slots states f =
-  Array.iteri
-    (fun j st ->
-      let lo, hi =
-        Shard.slot_range ~slots:st.config.slots ~shards:st.config.shards j
-      in
-      for i = lo to hi - 1 do
+  Array.iter
+    (fun st ->
+      for i = st.lo to st.hi - 1 do
         f st i
       done)
     states
+
+(* Slot [i]'s next event, [delay_ns] after the shard's clock, with the
+   saturating arithmetic of {!Engine.Time.add}. *)
+let schedule st i delay_ns =
+  st.s_next.(i) <-
+    (Engine.Time.add (Engine.Time.ns st.now) (Engine.Time.ns delay_ns) :> int)
 
 (* Bandwidth-weighted draw: binary search for the first cumulative
    weight exceeding a uniform draw over the total. *)
@@ -480,7 +499,7 @@ let diurnal_factor st =
   let a = st.config.diurnal_amplitude in
   if a = 0. then 1.
   else
-    let t = Engine.Time.to_sec_f (Engine.Sim.now st.sim) in
+    let t = float_of_int st.now /. 1e9 in
     let period = Engine.Time.to_sec_f st.config.diurnal_period in
     1. +. (a *. Float.sin (2. *. Float.pi *. t /. period))
 
@@ -489,10 +508,10 @@ let think st i =
     Engine.Time.to_sec_f st.config.mean_think /. diurnal_factor st
   in
   let delay = Engine.Rng.exponential st.s_rng.(i) ~mean in
-  Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.of_sec_f delay)
+  schedule st i (Engine.Time.of_sec_f delay :> int)
 
 let complete st i p =
-  let dt_ns = now_ns st - st.circ.(p + f_started_ns) in
+  let dt_ns = st.now - st.circ.(p + f_started_ns) in
   let ttlb = float_of_int dt_ns *. 1e-9 in
   st.ns_all <- st.ns_all + dt_ns;
   Engine.Stats.Sketch.add st.ttlb_all ttlb;
@@ -615,8 +634,7 @@ let round st i p =
       charge_hop st h2 delta;
       st.circ.(p + f_cwnd) <- cwnd'
     end;
-    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i)
-      (Engine.Time.ns st.circ.(p + f_rtt_ns))
+    schedule st i st.circ.(p + f_rtt_ns)
   end
 
 let register st r cwnd =
@@ -631,7 +649,9 @@ let register st r cwnd =
    record on its slot (the transfer carries on over a fresh path with
    its original start time), releases its pooled record — crediting all
    three hops — and falls back to thinking.  [release] + [think] only
-   recycle and rearm, so the sweep allocates nothing. *)
+   recycle and reschedule, so the sweep allocates nothing.  It runs at
+   a barrier, where every shard's clock reads the barrier instant, so
+   [st] may stand in for the slot's owning shard. *)
 let kill_through st r =
   if not !unsafe_disable_churn_kill then
     for i = 0 to Array.length st.s_circ - 1 do
@@ -645,15 +665,9 @@ let kill_through st r =
         st.s_res_rem.(i) <- st.circ.(p + f_remaining);
         st.s_res_kind.(i) <- st.circ.(p + f_kind);
         st.s_res_started.(i) <- st.circ.(p + f_started_ns);
-        (* Timers are bound to their creating sim, so the release and
-           the rearm must go through the slot's owning shard's state. *)
-        let ow =
-          st.peers.(Shard.owner_of_slot ~slots:st.config.slots
-                      ~shards:st.config.shards i)
-        in
-        release ow p;
+        release st p;
         st.s_circ.(i) <- -1;
-        think ow i
+        think st i
       end
     done;
   (* Churn oracle 2's counter: a finished departure leaves zero circuit
@@ -671,7 +685,7 @@ let churn_step st =
   let dt = Engine.Time.to_sec_f c.churn_tick in
   let p_leave = Float.min 1. (c.leave_hazard *. dt) in
   let p_join = Float.min 1. (c.join_hazard *. dt) in
-  let now = now_ns st in
+  let now = st.now in
   for r = 0 to st.n_total - 1 do
     if st.rstatus.(r) = st_up then begin
       if p_leave > 0. && Engine.Rng.float st.churn_rng 1. < p_leave then
@@ -779,7 +793,7 @@ let try_arrival st i =
         st.circ.(p + f_phase) <- phase_ramp);
     st.circ.(p + f_kind) <- (if elephant then 1 else 0);
     st.circ.(p + f_started_ns) <-
-      (if resume then st.s_res_started.(i) else now_ns st);
+      (if resume then st.s_res_started.(i) else st.now);
     if resume then begin
       st.resumed <- st.resumed + 1;
       st.s_res_rem.(i) <- -1
@@ -795,15 +809,27 @@ let try_arrival st i =
     register st !e cwnd;
     st.s_circ.(i) <- p;
     st.live <- st.live + 1;
-    Engine.Sim.Timer.arm_after st.sim st.s_timer.(i) (Engine.Time.ns rtt_ns)
+    schedule st i rtt_ns
   end
 
-let step st i =
-  let p = st.s_circ.(i) in
-  if p < 0 then try_arrival st i else round st i p
+(* One window of one shard: every slot in ascending order, each running
+   its events due by [b] — [<= b], so an event at exactly the boundary
+   comes before the barrier's churn and epoch ticks.  The clock is set
+   to each step's instant before it runs, and to [b] at the end. *)
+let sweep st b =
+  let s_next = st.s_next in
+  for i = st.lo to st.hi - 1 do
+    while s_next.(i) <= b do
+      st.now <- s_next.(i);
+      st.executed <- st.executed + 1;
+      let p = st.s_circ.(i) in
+      if p < 0 then try_arrival st i else round st i p
+    done
+  done;
+  st.now <- b
 
-(* Construction: the population, the weight tables, the slot/relay
-   arrays and the per-slot timers.  The RNG split order (population,
+(* Construction: the population, the weight tables and the slot/relay
+   arrays, with every slot's first think drawn.  The RNG split order (population,
    then one stream per slot, then churn) is fixed, so every draw is a
    pure function of (seed, slot) — independent of the shard count.
    Returns the states in shard order. *)
@@ -865,7 +891,6 @@ let build_states ~seed config =
   in
   let slots = config.slots in
   let k = Shard.count ~slots ~shards in
-  let ranges = Array.init k (fun j -> Shard.slot_range ~slots ~shards j) in
   (* Relay-level and slot-level arrays are shared by every shard state:
      relay occupancy is frozen during parallel windows (writes go
      through the dense deltas), and each slot's record/stash/rng cells
@@ -892,21 +917,16 @@ let build_states ~seed config =
   let s_res_started = Array.make slots 0 in
   let circ = Array.make (slots * stride) 0 in
   let s_circ = Array.make slots (-1) in
+  let s_next = Array.make slots max_int in
   let states =
     Array.init k (fun j ->
-        let lo, hi = ranges.(j) in
-        (* RTT-scale round timers and sub-second think timers dominate
-           this workload; widen the wheel window to ~1.07 s (2^20 ns
-           ticks, 1024 slots) so the 10^5-strong steady-state timer
-           population stays O(1) slot inserts instead of overflow-heap
-           churn.  Geometry never affects firing order, only speed. *)
-        let sim =
-          Engine.Sim.create ~capacity:(Stdlib.max 256 (hi - lo)) ~tick_bits:20
-            ~wheel_slots:1024 ()
-        in
+        let lo, hi = Shard.slot_range ~slots ~shards j in
         {
           config;
-          sim;
+          lo;
+          hi;
+          now = 0;
+          executed = 0;
           cap_cps;
           lat_ns;
           active;
@@ -927,7 +947,7 @@ let build_states ~seed config =
           s_res_kind;
           s_res_started;
           circ;
-          s_timer = [||];
+          s_next;
           s_rng = slot_rngs;
           s_circ;
           completed = 0;
@@ -963,22 +983,10 @@ let build_states ~seed config =
              else None);
           cell_bytes = Backtap.Wire.cell_size;
           defer = false;
-          peers = [||];
           d_active = Array.make n_total 0;
           d_load = Array.make n_total 0;
         })
   in
-  Array.iter (fun st -> st.peers <- states) states;
-  (* One timer per slot, created on the owning shard's sim (a timer is
-     bound to the sim that made it), in slot order. *)
-  let s_timer =
-    let j = ref 0 in
-    Array.init slots (fun i ->
-        if i >= snd ranges.(!j) then incr j;
-        let ow = states.(!j) in
-        Engine.Sim.Timer.create ow.sim (fun () -> step ow i))
-  in
-  Array.iter (fun st -> st.s_timer <- s_timer) states;
   iter_slots states think;
   states
 
@@ -999,9 +1007,9 @@ let teardown states =
   let orphaned_cells = Array.fold_left ( + ) 0 st0.load_cells in
   (!abandoned, orphaned_circuits, orphaned_cells)
 
-(* The drive loop.  Time advances in exchange windows no wider than
+(* The window loop.  Time advances in exchange windows no wider than
    the smallest achievable circuit RTT: within a window every shard
-   runs its own sim against the relay occupancy snapshot frozen at the
+   sweeps its slots against the relay occupancy snapshot frozen at the
    last barrier (occupancy writes divert to per-shard dense deltas),
    and at the barrier each relay's owner folds every shard's deltas
    for it into the shared counters, churn and epoch ticks fire at
@@ -1010,8 +1018,10 @@ let teardown states =
    window than its arrival, so every round already sees its own
    registration; everything else a round reads is either frozen shared
    state or slot-local, making the result a pure function of (seed,
-   config) — the same for every shard count.  Returns the result plus
-   the worker domains' minor-words total. *)
+   config) — the same for every shard count, and the same whether a
+   shard runs its window's events in time order or, as [sweep] does,
+   slot by slot.  Returns the result plus the worker domains'
+   minor-words total. *)
 let run_sharded ~seed states =
   let st0 = states.(0) in
   let k = Array.length states in
@@ -1036,44 +1046,57 @@ let run_sharded ~seed states =
   let peak = ref 0 in
   let extra_events = ref 0 in
   let running = ref true in
+  (* The two per-window jobs are built once, reading the window's end
+     from [bound], so a window allocates nothing. *)
+  let bound = ref 0 in
+  let sweep_shard j = sweep states.(j) !bound in
+  (* Exchange: deltas are additive ints, so summing every shard's cells
+     for the relays a member owns, and zeroing them — disjoint writes
+     by ownership — lands totals independent of application order and
+     of the shard count. *)
+  let exchange j =
+    let active = st0.active and load = st0.load_cells in
+    for r = 0 to st0.n_total - 1 do
+      if relay_owner.(r) = j then
+        for s = 0 to k - 1 do
+          let src = states.(s) in
+          active.(r) <- active.(r) + src.d_active.(r);
+          load.(r) <- load.(r) + src.d_load.(r);
+          src.d_active.(r) <- 0;
+          src.d_load.(r) <- 0
+        done
+    done
+  in
+  let set_defer defer =
+    for j = 0 to k - 1 do
+      states.(j).defer <- defer
+    done
+  in
   while !running do
-    let now = now_ns st0 in
-    let b = ref (now + window_ns) in
+    let b = ref (st0.now + window_ns) in
     if churn then begin
       if !next_churn < !b then b := !next_churn;
       if !next_epoch < !b then b := !next_epoch
     end;
     if duration_ns > 0 && duration_ns < !b then b := duration_ns;
     let b = !b in
-    let until = Engine.Time.ns b in
     (* The [unsafe_unordered_exchange] hook reverts to mid-window
        in-place application — the broken ordering the barrier protocol
        exists to prevent; see the hook's comment.  Under the hook the
-       shards step one after another on this domain, so the in-place
-       writes land in a fixed shard order instead of racing. *)
-    let defer = not !unsafe_unordered_exchange in
-    Array.iter (fun st -> st.defer <- defer) states;
-    if defer then
-      Engine.Pool.Team.run team (fun j -> Engine.Sim.run states.(j).sim ~until)
-    else Array.iter (fun st -> Engine.Sim.run st.sim ~until) states;
-    Array.iter (fun st -> st.defer <- false) states;
-    if defer then
-      (* Exchange: deltas are additive ints, so summing every shard's
-         cells for the relays a member owns, and zeroing them — disjoint
-         writes by ownership — lands totals independent of application
-         order and of the shard count. *)
-      Engine.Pool.Team.run team (fun j ->
-          let active = st0.active and load = st0.load_cells in
-          for r = 0 to st0.n_total - 1 do
-            if relay_owner.(r) = j then
-              for s = 0 to k - 1 do
-                let src = states.(s) in
-                active.(r) <- active.(r) + src.d_active.(r);
-                load.(r) <- load.(r) + src.d_load.(r);
-                src.d_active.(r) <- 0;
-                src.d_load.(r) <- 0
-              done
-          done);
+       shards step one after another on this domain, in descending
+       shard order, so the in-place writes land in a fixed order that
+       differs between shard counts instead of racing. *)
+    if !unsafe_unordered_exchange then
+      for j = k - 1 downto 0 do
+        sweep states.(j) b
+      done
+    else begin
+      bound := b;
+      set_defer true;
+      Engine.Pool.Team.run team sweep_shard;
+      set_defer false;
+      Engine.Pool.Team.run team exchange
+    end;
     let live = Array.fold_left (fun acc st -> acc + st.live) 0 states in
     if live > !peak then peak := live;
     if churn && b = !next_churn then begin
@@ -1155,9 +1178,8 @@ let run_sharded ~seed states =
       draining_refusals = sum (fun st -> st.draining_refusals);
       rounds_through_down = sum (fun st -> st.rounds_through_down);
       depart_residue = sum (fun st -> st.depart_residue);
-      end_time = Engine.Sim.now st0.sim;
-      wall_events =
-        sum (fun st -> Engine.Sim.events_executed st.sim) + !extra_events;
+      end_time = Engine.Time.ns st0.now;
+      wall_events = sum (fun st -> st.executed) + !extra_events;
     },
     Engine.Pool.Team.minor_words team )
 

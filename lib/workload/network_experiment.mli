@@ -32,8 +32,11 @@
     ceiling; [elephant_fraction] of arrivals are bulk transfers, the
     rest mice, and an optional diurnal wave modulates the arrival rate.
 
-    The run advances in exchange windows no wider than the smallest
-    achievable circuit RTT.  Within a window every shard reads relay
+    There is no event queue: each slot holds its one pending event
+    instant, and the run advances in exchange windows no wider than
+    the smallest achievable circuit RTT.  Per window each shard sweeps
+    its slots once in ascending order, running each slot's events due
+    by the window's end.  Within a window every shard reads relay
     occupancy as it stood at the last barrier; occupancy changes are
     folded in, and churn and epoch ticks fire, at the barriers.  Paired
     strategies share every population, arrival and size draw. *)
@@ -95,9 +98,9 @@ type config = {
   shards : int;
       (** Within-run parallelism, at least 1 (the default).  The
           circuit slots are partitioned into [min shards slots]
-          contiguous shards ({!Shard.slot_range}), each driven by its
-          own sim on its own domain, advancing in lockstep exchange
-          windows with a barrier at every boundary.  The result is a
+          contiguous shards ({!Shard.slot_range}), each swept on its
+          own domain, advancing in lockstep exchange windows with a
+          barrier at every boundary.  The result is a
           function of (seed, config) alone, whatever [--jobs] and
           [--shards] are: the shard count chooses how the schedule
           executes, never what it computes. *)
@@ -199,8 +202,9 @@ val unsafe_unordered_exchange : bool ref
     co-hosts and runs with different shard counts diverge.  The check
     harness's shards=1-vs-4 differential catches the divergence and
     shrinks it to a replayable line.  While it is set, each window's
-    shards step in sequence on the calling domain, so the divergence
-    is deterministic.  Reset it. *)
+    shards step in sequence on the calling domain, in descending shard
+    order, so the divergence is deterministic and differs between
+    shard counts.  Reset it. *)
 
 val run : ?seed:int -> config -> result
 (** One run ([seed] defaults to 42; see [shards] for what the result

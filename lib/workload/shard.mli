@@ -2,7 +2,7 @@
 
     Pure functions of [(seed, population, shards)]: the sharded
     {!Network_experiment} engine derives every ownership decision —
-    which shard runs a circuit slot, which shard applies a relay's
+    which shard sweeps a circuit slot, which shard applies a relay's
     occupancy deltas during the exchange phase — from these, so the
     partition is identical on every machine and across every
     [--jobs]/[--shards] setting. *)
