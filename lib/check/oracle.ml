@@ -80,7 +80,7 @@ let selection_to_string sel =
    recovery experiments attach once per circuit generation, all sharing
    one simulator. *)
 type attachment = {
-  links : Netsim.Link.t list;
+  links : Netsim.Link.t array;
   transfer : Backtap.Transfer.t;
   mutable last_delivered : int;
 }
@@ -168,7 +168,7 @@ let check_budget t ~at w =
 
 let sweep t ~at =
   if t.sel.link then
-    List.iter (fun a -> List.iter (check_link t ~at) a.links) t.attachments;
+    List.iter (fun a -> Array.iter (check_link t ~at) a.links) t.attachments;
   if t.sel.delivery then List.iter (check_delivery t ~at) t.attachments;
   if t.sel.budget then List.iter (check_budget t ~at) t.relays
 

@@ -76,7 +76,7 @@ val create : ?selection:selection -> unit -> t
 (** A fresh oracle with no attachments ([selection] defaults to
     {!all}). *)
 
-val attach : t -> Engine.Sim.t -> Netsim.Link.t list -> Backtap.Transfer.t -> unit
+val attach : t -> Engine.Sim.t -> Netsim.Link.t array -> Backtap.Transfer.t -> unit
 (** Attach the selected probes to one deployed (not yet started)
     transfer and its substrate.  The signature matches the [?probe]
     hook of {!Workload.Fault_experiment.run} and

@@ -62,6 +62,6 @@ let flows t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compa
 let total_rx_bytes t = Hashtbl.fold (fun _ a acc -> acc + a.a_rx_bytes) t 0
 
 let link_drops links =
-  List.fold_left
+  Array.fold_left
     (fun acc l -> Link.add_drop_counts acc (Link.drop_counts l))
     Link.no_drops links

@@ -32,7 +32,7 @@ val flows : t -> int list
 
 val total_rx_bytes : t -> int
 
-val link_drops : Link.t list -> Link.drop_counts
+val link_drops : Link.t array -> Link.drop_counts
 (** Aggregate drop counters over a set of links, split by reason
     (queue-full vs fault-injected vs outage) — the loss ledger an
     experiment reads next to its per-flow byte counts.  Pass

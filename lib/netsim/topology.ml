@@ -15,11 +15,15 @@ type t = {
   (* Nodes in the order they gained their first outgoing link; see
      [links]. *)
   mutable sources : int list;
+  (* [links]' array, built on the first call after a [connect]. *)
+  mutable all_links : Link.t array;
+  mutable all_links_fresh : bool;
 }
 
 let create sim =
   { sim; ids = Packet.fresh_id_state (); flights = Link.flight_pool sim;
-    node_names = [||]; out = [||]; count = 0; sources = [] }
+    node_names = [||]; out = [||]; count = 0; sources = [];
+    all_links = [||]; all_links_fresh = true }
 
 let sim t = t.sim
 let packet_ids t = t.ids
@@ -86,7 +90,8 @@ let connect_directed t a b ~rate ~delay ?(queue = Nqueue.unbounded) () =
   end;
   o.dsts.(o.degree) <- Node_id.to_int b;
   o.links.(o.degree) <- l;
-  o.degree <- o.degree + 1
+  o.degree <- o.degree + 1;
+  t.all_links_fresh <- false
 
 let connect t a b ~rate ~delay ?queue () =
   connect_directed t a b ~rate ~delay ?queue ();
@@ -106,19 +111,27 @@ let neighbors t a =
    schedules draw per link in this order, and float sums over links
    depend on it.  It is the order of the [Hashtbl] of per-node lists
    this topology used to keep — source nodes in that table's bucket
-   order, each node's links reversed — so the table is rebuilt here,
-   once per call, from the same insertion sequence. *)
+   order, each node's links reversed — so the table is rebuilt from the
+   same insertion sequence, once per change of the link set, and the
+   array is kept for every later call. *)
 let links t =
-  let order = Hashtbl.create 64 in
-  List.iter (fun a -> Hashtbl.add order a ()) (List.rev t.sources);
-  Hashtbl.fold
-    (fun a () acc ->
-      let o = t.out.(a) in
-      let rec rev_prepend i acc =
-        if i = o.degree then acc else rev_prepend (i + 1) (o.links.(i) :: acc)
-      in
-      rev_prepend 0 acc)
-    order []
+  if not t.all_links_fresh then begin
+    let order = Hashtbl.create 64 in
+    List.iter (fun a -> Hashtbl.add order a ()) (List.rev t.sources);
+    t.all_links <-
+      Array.of_list
+        (Hashtbl.fold
+           (fun a () acc ->
+             let o = t.out.(a) in
+             let rec rev_prepend i acc =
+               if i = o.degree then acc
+               else rev_prepend (i + 1) (o.links.(i) :: acc)
+             in
+             rev_prepend 0 acc)
+           order []);
+    t.all_links_fresh <- true
+  end;
+  t.all_links
 
 let line sim ~names ~rate ~delay ?queue () =
   if List.length names < 2 then invalid_arg "Topology.line: need at least two nodes";

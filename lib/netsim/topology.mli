@@ -64,11 +64,13 @@ val out_links : t -> Node_id.t -> Link.t array
 (** The outgoing links of a node, in connection order (a fresh array).
     Raises [Invalid_argument] for an unknown node. *)
 
-val links : t -> Link.t list
+val links : t -> Link.t array
 (** All directed links.  The order is deterministic for a given
     sequence of {!connect} calls (it is neither connection order nor
     node order); per-link random draws and float sums over links depend
-    on it. *)
+    on it.  The array is built on the first call after a connection and
+    kept: later calls return the same array and allocate nothing.
+    Callers must not mutate it. *)
 
 (** {1 Builders} *)
 

@@ -237,7 +237,7 @@ let run ?(seed = 42) ?probe config =
     retransmissions = Backtap.Transfer.total_retransmissions d;
     drops = Netsim.Flow_monitor.link_drops (Netsim.Topology.links topo);
     queue_high_watermark_bytes =
-      List.fold_left
+      Array.fold_left
         (fun acc l -> Stdlib.max acc (Netsim.Link.queue_high_watermark_bytes l))
         0 (Netsim.Topology.links topo);
     blackholed_cells =

@@ -86,7 +86,7 @@ type result = {
 
 val run :
   ?seed:int ->
-  ?probe:(Engine.Sim.t -> Netsim.Link.t list -> Backtap.Transfer.t -> unit) ->
+  ?probe:(Engine.Sim.t -> Netsim.Link.t array -> Backtap.Transfer.t -> unit) ->
   config ->
   result
 (** Deterministic per [(seed, config)]: identical seeds yield

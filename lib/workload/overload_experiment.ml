@@ -339,7 +339,7 @@ let run ?(seed = 42) ?probe ?relay_probe config =
     retransmissions = sum_transfers Backtap.Transfer.total_retransmissions;
     drops = Netsim.Flow_monitor.link_drops links;
     queue_high_watermark_bytes =
-      List.fold_left
+      Array.fold_left
         (fun acc l -> Stdlib.max acc (Netsim.Link.queue_high_watermark_bytes l))
         0 links;
     mean_ttlb =

@@ -138,7 +138,7 @@ type result = {
 
 val run :
   ?seed:int ->
-  ?probe:(Engine.Sim.t -> Netsim.Link.t list -> Backtap.Transfer.t -> unit) ->
+  ?probe:(Engine.Sim.t -> Netsim.Link.t array -> Backtap.Transfer.t -> unit) ->
   ?relay_probe:(Engine.Sim.t -> Tor_model.Relay_ctl.t list -> unit) ->
   config ->
   result

@@ -260,7 +260,7 @@ let run config =
     |> Array.of_list
   in
   let hwms =
-    List.map Netsim.Link.queue_high_watermark_bytes
+    Array.map Netsim.Link.queue_high_watermark_bytes
       (Netsim.Topology.links (Netsim.Network.topology (Tor_net.network net)))
   in
   {
@@ -269,11 +269,11 @@ let run config =
     total = List.length circuits;
     ttlb_seconds;
     wall_events = Engine.Sim.events_executed sim;
-    max_link_queue_bytes = List.fold_left Stdlib.max 0 hwms;
+    max_link_queue_bytes = Array.fold_left Stdlib.max 0 hwms;
     mean_link_queue_hwm_bytes =
-      (let n = List.length hwms in
+      (let n = Array.length hwms in
        if n = 0 then 0.
-       else float_of_int (List.fold_left ( + ) 0 hwms) /. float_of_int n);
+       else float_of_int (Array.fold_left ( + ) 0 hwms) /. float_of_int n);
     cell_latency =
       List.fold_left
         (fun acc runner -> Engine.Stats.Online.merge acc (runner.latency ()))

@@ -280,7 +280,7 @@ let test_topology_build () =
   Alcotest.(check bool) "b->a link" true (Netsim.Topology.link topo b a <> None);
   Alcotest.(check (list int)) "neighbors" [ Netsim.Node_id.to_int b ]
     (List.map Netsim.Node_id.to_int (Netsim.Topology.neighbors topo a));
-  Alcotest.(check int) "links" 2 (List.length (Netsim.Topology.links topo))
+  Alcotest.(check int) "links" 2 (Array.length (Netsim.Topology.links topo))
 
 let test_topology_errors () =
   let sim = Engine.Sim.create () in
@@ -683,7 +683,9 @@ let prop_routes_match_reference =
 (* [Topology.links] must enumerate in the order of the table of
    per-node assoc lists it replaced: fault schedules draw per link in
    that order.  The reference replays the same directed connections,
-   in the same order, into that table. *)
+   in the same order, into that table.  [links] keeps its array, so the
+   property also reads it halfway through the connections: a connection
+   made after a call must show in the next one. *)
 let ref_link_order connections =
   let adjacency = Hashtbl.create 64 in
   List.iter
@@ -735,18 +737,25 @@ let prop_links_order_matches_reference =
         made := (a, b) :: !made
       in
       let free a b = Netsim.Topology.link topo ids.(a) ids.(b) = None in
-      List.iter
-        (fun (a, b, duplex) ->
+      let ends l =
+        ( Netsim.Node_id.to_int (Netsim.Link.src l),
+          Netsim.Node_id.to_int (Netsim.Link.dst l) )
+      in
+      let matches () =
+        Array.to_list (Array.map ends (Netsim.Topology.links topo))
+        = ref_link_order (List.rev !made)
+      in
+      let half = List.length pairs / 2 in
+      let midway = ref true in
+      List.iteri
+        (fun i (a, b, duplex) ->
+          if i = half then midway := matches ();
           if a <> b && free a b && ((not duplex) || free b a) then begin
             connect a b;
             if duplex then connect b a
           end)
         pairs;
-      let ends l =
-        ( Netsim.Node_id.to_int (Netsim.Link.src l),
-          Netsim.Node_id.to_int (Netsim.Link.dst l) )
-      in
-      List.map ends (Netsim.Topology.links topo) = ref_link_order (List.rev !made))
+      !midway && matches ())
 
 (* ------------------------------------------------------------------ *)
 (* Ring queue and flight pool *)
