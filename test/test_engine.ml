@@ -1094,6 +1094,19 @@ let test_alloc_online () =
   Alcotest.(check (float 0.)) "min" 0.25 (Engine.Stats.Online.min acc);
   Alcotest.(check (float 0.)) "max" 4.5 (Engine.Stats.Online.max acc)
 
+(* [Sketch.add] likewise: the bin counters are ints and the running
+   min/max/sum sit in an all-float record, so an in-range sample, an
+   overflow and an underflow all cost nothing. *)
+let test_alloc_sketch () =
+  let sk = Engine.Stats.Sketch.create ~bins:64 ~lo:0. ~hi:8. () and i = ref 0 in
+  check_no_alloc "Sketch.add" (fun () ->
+      incr i;
+      Engine.Stats.Sketch.add sk
+        (match !i land 3 with 0 -> 0.25 | 1 -> 4.5 | 2 -> 9.75 | _ -> -1.5));
+  Alcotest.(check int) "every sample counted" !i (Engine.Stats.Sketch.count sk);
+  Alcotest.(check (float 0.)) "min" (-1.5) (Engine.Stats.Sketch.min sk);
+  Alcotest.(check (float 0.)) "max" 9.75 (Engine.Stats.Sketch.max sk)
+
 (* One self-rearming timer fired [n] times inside a single [Sim.run]:
    the minor words the whole run allocates. *)
 let timer_run_words n =
@@ -1245,6 +1258,23 @@ let test_alloc_feedback () =
       ("predictive", Circuitstart.Controller.Predictive, false);
     ]
 
+(* [Topology.links] builds its array once, on flash-crowd's 218-node
+   hub shape, and every later call returns the kept array.  Fault,
+   star and session runs read it once per run or more. *)
+let test_alloc_topology_links () =
+  let sim = Engine.Sim.create () in
+  let rate = Engine.Units.Rate.mbit 10 and delay = Engine.Time.ms 5 in
+  let topo, _, _ =
+    Netsim.Topology.star sim ~hub:"hub"
+      ~leaves:(List.init 217 (fun i -> (Printf.sprintf "l%d" i, rate, delay)))
+      ()
+  in
+  let first = Netsim.Topology.links topo in
+  Alcotest.(check int) "every directed link" 434 (Array.length first);
+  check_no_alloc "Topology.links, repeated" (fun () ->
+      ignore (Netsim.Topology.links topo : Netsim.Link.t array));
+  Alcotest.(check bool) "the same array" true (Netsim.Topology.links topo == first)
+
 (* Occupancy accounting on a circuit that already has its entry: the
    hot path of every hop sender, twice per cell. *)
 let test_alloc_switchboard () =
@@ -1354,6 +1384,46 @@ let test_alloc_transfer () =
   let long = transfer_run_words 3_000 in
   Alcotest.(check (float 0.)) "minor words per cell = the packet budget"
     (float_of_int cell_budget) ((long -. short) /. 2_000.)
+
+(* Minor words per round of the consensus-scale workload.  Every slot
+   hosts an elephant that cannot finish ([elephant_cells] = 2^40), and
+   the mean think time is 20 ms, so all 2000 slots have arrived well
+   inside the shorter 2 s horizon: from then on a step is a round and
+   nothing else.  Subtracting the 2 s run from the 6 s run cancels
+   set-up, arrivals (their boxed [Rng] floats), teardown and the
+   result, leaving rounds and exchange windows.  A round allocates
+   nothing: the share and window arithmetic stays in registers, and it
+   schedules its next round by writing one int into [s_next].  A window
+   allocates nothing either: the sweep and exchange jobs are built once
+   per run, and a one-shard [Pool.Team.run] allocates nothing.  So the
+   budget is 0; the bound of 0.01 words per round would show even one
+   word per window at this size (~10^3 rounds per window). *)
+let test_alloc_round () =
+  let run seconds =
+    Workload.Network_experiment.run_instrumented ~seed:3
+      { Workload.Network_experiment.default_config with
+        Workload.Network_experiment.relays = 60;
+        slots = 2_000;
+        duration = Engine.Time.s seconds;
+        mean_think = Engine.Time.ms 20;
+        elephant_fraction = 1.;
+        elephant_cells = 1 lsl 40;
+      }
+  in
+  ignore (run 1);
+  let short, short_words = run 2 in
+  let long, long_words = run 6 in
+  List.iter
+    (fun (r : Workload.Network_experiment.result) ->
+      Alcotest.(check int) "every slot arrived" 2_000 r.arrivals;
+      Alcotest.(check int) "no lifetime completed" 0 r.completed)
+    [ short; long ];
+  let rounds = long.rounds - short.rounds in
+  Alcotest.(check bool) "the longer run took more rounds" true (rounds > 50_000);
+  let per_round = (long_words -. short_words) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per round < 0.01" per_round)
+    true (per_round < 0.01)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1469,6 +1539,7 @@ let () =
           Alcotest.test_case "Rng.int and Rng.bool" `Quick test_alloc_rng;
           Alcotest.test_case "Time.add" `Quick test_alloc_time;
           Alcotest.test_case "Online.add" `Quick test_alloc_online;
+          Alcotest.test_case "Sketch.add" `Quick test_alloc_sketch;
           Alcotest.test_case "Rate.transmission_time" `Quick
             test_alloc_transmission_time;
           Alcotest.test_case "self-rearming Sim.Timer" `Quick test_alloc_timer;
@@ -1476,9 +1547,12 @@ let () =
           Alcotest.test_case "Network.create on a 218-node star" `Quick
             test_alloc_network_create;
           Alcotest.test_case "Controller.on_feedback" `Quick test_alloc_feedback;
+          Alcotest.test_case "Topology.links, repeated" `Quick
+            test_alloc_topology_links;
           Alcotest.test_case "Switchboard.charge and credit" `Quick test_alloc_switchboard;
           Alcotest.test_case "Sink.deliver" `Quick test_alloc_sink;
           Alcotest.test_case "Fixed-window transfer per cell" `Quick test_alloc_transfer;
+          Alcotest.test_case "consensus round step" `Quick test_alloc_round;
         ] );
       ("properties", qtests);
     ]
