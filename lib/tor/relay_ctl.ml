@@ -200,12 +200,20 @@ let set_trace t trace = t.trace <- Some trace
 let set_probe t f = t.probe <- f
 let switchboard t = t.sb
 
-(* A crash loses all volatile state: the routing table is gone, and
-   the node stops dispatching.  No DESTROYs are sent — a dead relay
-   cannot say goodbye; its neighbours find out by timing out. *)
+(* A crash loses all volatile state: the relay's own data-plane
+   senders die with it (their retransmission timers must not outlive
+   the process, or the dead relay's sender could be the one to exhaust
+   its budget and the session would blame its live successor), the
+   routing table is gone, and the node stops dispatching.  No DESTROYs
+   are sent — a dead relay cannot say goodbye; its neighbours find out
+   by timing out.  Senders are aborted in circuit-id order, like
+   [finish_drain]'s victims. *)
 let crash t =
   t.crashes <- t.crashes + 1;
   t.draining <- false;
+  Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
+  |> List.sort compare
+  |> List.iter (fun k -> Switchboard.kill_data t.sb (Circuit_id.of_int k));
   Hashtbl.reset t.table;
   Switchboard.set_down t.sb true
 

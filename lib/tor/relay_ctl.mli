@@ -99,11 +99,13 @@ val set_probe : t -> (probe_event -> unit) option -> unit
 (** {1 Crash injection} *)
 
 val crash : t -> unit
-(** Kill the relay: every circuit routing entry is lost and the
-    switchboard is taken down (incoming cells black-holed, outgoing
-    sends refused).  No DESTROY cells are emitted — a crashed relay
-    disappears silently; its neighbours discover the failure through
-    their own retransmission timeouts. *)
+(** Kill the relay: the data-plane sender of every routed circuit is
+    aborted ({!Switchboard.kill_data}, crediting its bytes back), every
+    circuit routing entry is lost and the switchboard is taken down
+    (incoming cells black-holed, outgoing sends refused).  No DESTROY
+    cells are emitted — a crashed relay disappears silently; its
+    neighbours discover the failure through their own retransmission
+    timeouts. *)
 
 val restart : t -> unit
 (** Bring the node back up (after a crash {e or} a completed drain —

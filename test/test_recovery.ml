@@ -96,6 +96,38 @@ let test_guard_crash_recovers () =
   Alcotest.(check string) "completed" "completed" (outcome r);
   Alcotest.(check int) "no duplicates" 0 r.duplicates
 
+(* A crashed guard's own hop sender must die with it.  If it kept its
+   retransmission timer, it would be the one to exhaust its budget and
+   the session would blame hop 1 (guard -> middle): it would exclude
+   the live middle relay, rebuild through the dead guard and wait out a
+   build timeout before routing around it.  The default 512 KiB
+   transfer of [torsim recover --crash-at 0.3 --crash-position 1
+   --seed 42]. *)
+let test_guard_crash_blames_the_guard () =
+  let first = ref None in
+  let r =
+    X.run ~seed:42
+      ~probe:(fun _ _ d ->
+        if !first = None then first := Some (Backtap.Transfer.circuit d))
+      { X.recovery_config with
+        crash_at = Some (Engine.Time.ms 300);
+        crash_position = 1;
+      }
+  in
+  Alcotest.(check string) "completed" "completed" (outcome r);
+  Alcotest.(check int) "one rebuild" 1 r.rebuilds;
+  match !first with
+  | None -> Alcotest.fail "no circuit deployed"
+  | Some c -> (
+      match c.Tor_model.Circuit.relays with
+      | guard :: middle :: _ ->
+          let excluded = (session r).excluded in
+          Alcotest.(check bool) "the crashed guard is excluded" true
+            (List.mem guard.Tor_model.Relay_info.node excluded);
+          Alcotest.(check bool) "the live middle relay is not excluded" false
+            (List.mem middle.Tor_model.Relay_info.node excluded)
+      | _ -> Alcotest.fail "first circuit has fewer than two relays")
+
 let test_deterministic_across_jobs () =
   let tasks =
     [ (7, crash_config); (8, crash_config);
@@ -159,6 +191,8 @@ let () =
             test_uniform_selection_recovers;
           Alcotest.test_case "guard crash recovers" `Quick
             test_guard_crash_recovers;
+          Alcotest.test_case "guard crash blames the guard" `Quick
+            test_guard_crash_blames_the_guard;
         ] );
       ( "experiment",
         [
