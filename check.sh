@@ -68,6 +68,15 @@ dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000
 diff "$s1" "$s2"
 rm -f "$s1" "$s2"
 
+echo "== churn shard smoke: churn-scale --shards 2 --jobs 2 byte-identical to the default =="
+# The same guarantee with churn on: kill sweeps, resumes and epoch
+# refreshes at the barriers may not depend on the partition either.
+c1=$(mktemp) && c2=$(mktemp)
+dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 > "$c1"
+dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$c2"
+cmp "$c1" "$c2"
+rm -f "$c1" "$c2"
+
 echo "== scheduler smoke: ubench --smoke (wheel vs heap A/B) =="
 dune exec bench/ubench.exe -- --smoke --json /dev/null | grep "ubench summary"
 

@@ -349,12 +349,11 @@ type state = {
   (* Shard plumbing.  Each state owns one contiguous slot range and
      shares every relay-level array (and the slot-level arrays) with
      the other shards; each has its own clock, counters and sketches.
-     While [defer] is set — the parallel phase of an
-     exchange window — relay occupancy writes are added into the
-     shard-local dense deltas [d_active]/[d_load] (one cell per relay)
-     and folded into the shared counters at the barrier, so every shard
-     reads the same frozen snapshot regardless of what its peers are
-     doing. *)
+     While [defer] is set — the parallel phase of an exchange window —
+     relay occupancy writes are added into the shard-local dense deltas
+     [d_active]/[d_load] (one cell per relay) and folded into the
+     shared counters at the barrier, so every shard reads the same
+     frozen snapshot regardless of what its peers are doing. *)
   mutable defer : bool;
   d_active : int array;
   d_load : int array;
@@ -829,10 +828,10 @@ let sweep st b =
   st.now <- b
 
 (* Construction: the population, the weight tables and the slot/relay
-   arrays, with every slot's first think drawn.  The RNG split order (population,
-   then one stream per slot, then churn) is fixed, so every draw is a
-   pure function of (seed, slot) — independent of the shard count.
-   Returns the states in shard order. *)
+   arrays, with every slot's first think drawn.  The RNG split order
+   (population, then one stream per slot, then churn) is fixed, so
+   every draw is a pure function of (seed, slot) — independent of the
+   shard count.  Returns the states in shard order. *)
 let build_states ~seed config =
   let shards = config.shards in
   let rng = Engine.Rng.create seed in
