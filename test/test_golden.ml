@@ -224,10 +224,34 @@ let network_axes_config strategy shards =
     shards;
   }
 
-let network_axes_line (label, strategy) shards =
+(* A churn burst: a dozen relays and three spares under hazards high
+   enough that most churn ticks complete two or more departures, mixing
+   crashes with drain deadlines (the grace is one tick), and some
+   circuits run through two hops that depart in the same tick. *)
+let network_churn_burst_config strategy shards =
+  { Workload.Network_experiment.default_config with
+    Workload.Network_experiment.relays = 12;
+    slots = 60;
+    target_lifetimes = 600;
+    mean_think = Engine.Time.ms 200;
+    elephant_fraction = 0.1;
+    elephant_cells = 256;
+    leave_hazard = 1.5;
+    join_hazard = 3.0;
+    crash_fraction = 0.5;
+    drain_grace = Engine.Time.ms 250;
+    epoch_period = Engine.Time.s 1;
+    churn_tick = Engine.Time.ms 250;
+    spare_relays = 3;
+    strategy;
+    retain_exact = true;
+    shards;
+  }
+
+let network_line config (label, strategy) shards =
   let r =
     Workload.Network_experiment.run ~seed:Test_util.golden_seed
-      (network_axes_config strategy shards)
+      (config strategy shards)
   in
   let open Workload.Network_experiment in
   let sketch name s =
@@ -265,11 +289,11 @@ let network_axes_line (label, strategy) shards =
     (sketch "elephants" r.ttlb_elephants)
     (Array.length r.ttlb_exact) exact
 
-let network_axes_fixture () =
+let network_fixture config () =
   String.concat ""
     (List.concat_map
        (fun strategy ->
-         List.map (network_axes_line strategy) [ 1; 3 ])
+         List.map (network_line config strategy) [ 1; 3 ])
        [
          ("cs", Circuitstart.Controller.Circuit_start);
          ("ss", Circuitstart.Controller.Slow_start);
@@ -279,7 +303,8 @@ let network_axes_fixture () =
 let fixtures =
   [
     ("cell_latency.txt", cell_latency_fixture);
-    ("network_axes.txt", network_axes_fixture);
+    ("network_axes.txt", network_fixture network_axes_config);
+    ("network_churn_burst.txt", network_fixture network_churn_burst_config);
     ( "faults_events.csv",
       fun () ->
         Test_util.events_csv (fault_run ()).Workload.Fault_experiment.events );
