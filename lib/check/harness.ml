@@ -55,8 +55,8 @@ let pool_violations (r : Workload.Network_experiment.result) =
     ]
 
 (* The churn oracles, also result-record checks: (1) no circuit may
-   take a round through a relay whose departure completed — the kill
-   sweep must have torn it down first; (2) a completed departure leaves
+   take a round through a relay whose departure completed — its churn
+   tick's kill pass must have torn it down first; (2) a completed departure leaves
    the relay with zero routing entries and zero queued bytes — drain
    and crash teardown alike release everything they charged. *)
 let churn_violations (r : Workload.Network_experiment.result) =

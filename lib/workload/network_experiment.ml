@@ -210,11 +210,12 @@ type result = {
    harness's pool oracle flags. *)
 let unsafe_disable_pool_release = ref false
 
-(* Test/fuzz hook: when set, a completed departure (crash or drain
-   deadline) skips the kill sweep, so circuits keep extending through
-   the departed relay and its occupancy survives the departure — the
-   two regressions the churn oracles exist to catch
-   ([rounds_through_down] and [depart_residue] go nonzero). *)
+(* Test/fuzz hook: when set, a churn tick skips its kill pass, so
+   circuits keep extending through the relays whose departure (crash
+   or drain deadline) completed in it, and their occupancy survives the
+   departure — the two regressions the churn oracles exist to catch
+   ([rounds_through_down] and [depart_residue] go nonzero; the residue
+   check still runs for every departure). *)
 let unsafe_disable_churn_kill = ref false
 
 (* Test/fuzz hook: when set, runs skip the deferred deltas and apply
@@ -286,6 +287,8 @@ type state = {
   rstatus : int array;
   vis : int array;
   is_exit : bool array;
+  (* A draining relay's deadline; a down relay's departure instant
+     (0 for a spare that never ran). *)
   drain_deadline_ns : int array;
   churn_rng : Engine.Rng.t;
   mutable up_relays : int;
@@ -418,20 +421,19 @@ let draw_distinct st rng cum ~a ~b =
 (* Exits are drawn first (no distinctness constraint yet), but must be
    snapshot-visible; the scan fallback walks the exit sub-population,
    not all relays.  [-1] when no exit is visible.  Draws index the exit
-   sub-population and map through [exit_ids]. *)
+   sub-population and map through [exit_ids]; the scan starts after the
+   last drawn index, so the fallback needs no lookup and no closure. *)
 let draw_exit st rng =
-  let r = ref st.exit_ids.(draw_weighted rng st.cum_exit) in
+  let x = ref (draw_weighted rng st.cum_exit) in
   let tries = ref 0 in
-  while st.vis.(!r) = 0 && !tries < 8 do
-    r := st.exit_ids.(draw_weighted rng st.cum_exit);
+  while st.vis.(st.exit_ids.(!x)) = 0 && !tries < 8 do
+    x := draw_weighted rng st.cum_exit;
     incr tries
   done;
-  if st.vis.(!r) = 1 then !r
+  if st.vis.(st.exit_ids.(!x)) = 1 then st.exit_ids.(!x)
   else begin
     let k = Array.length st.exit_ids in
-    let start = ref 0 in
-    Array.iteri (fun i id -> if id = !r then start := i) st.exit_ids;
-    let c = ref ((!start + 1) mod k) in
+    let c = ref ((!x + 1) mod k) in
     let steps = ref 0 in
     while st.vis.(st.exit_ids.(!c)) = 0 && !steps < k do
       c := (!c + 1) mod k;
@@ -544,7 +546,7 @@ let round st i p =
   and h2 = st.circ.(p + f_hop2) in
   (* Churn oracle 1's counter: a correctly swept departure leaves no
      circuit to take a round through a down relay, so this stays zero
-     unless the kill sweep is broken.  One boolean guard in churn-free
+     unless the kill pass is broken.  One boolean guard in churn-free
      runs. *)
   if
     st.churn
@@ -643,48 +645,55 @@ let register st r cwnd =
     st.load_cells.(r) <- st.load_cells.(r) + cwnd
   end
 
-(* A departure completed at relay [r] (crash, or drain deadline): kill
-   every circuit routed through it.  Each victim stashes a resume
-   record on its slot (the transfer carries on over a fresh path with
-   its original start time), releases its pooled record — crediting all
-   three hops — and falls back to thinking.  [release] + [think] only
-   recycle and reschedule, so the sweep allocates nothing.  It runs at
-   a barrier, where every shard's clock reads the barrier instant, so
-   [st] may stand in for the slot's owning shard. *)
-let kill_through st r =
-  if not !unsafe_disable_churn_kill then
-    for i = 0 to Array.length st.s_circ - 1 do
-      let p = st.s_circ.(i) in
-      if
-        p >= 0
-        && (st.circ.(p + f_hop0) = r || st.circ.(p + f_hop1) = r
-            || st.circ.(p + f_hop2) = r)
-      then begin
-        st.churn_kills <- st.churn_kills + 1;
-        st.s_res_rem.(i) <- st.circ.(p + f_remaining);
-        st.s_res_kind.(i) <- st.circ.(p + f_kind);
-        st.s_res_started.(i) <- st.circ.(p + f_started_ns);
-        release st p;
-        st.s_circ.(i) <- -1;
-        think st i
-      end
-    done;
-  (* Churn oracle 2's counter: a finished departure leaves zero circuit
-     slots and zero queued cells at the relay — unless the sweep was
-     sabotaged. *)
-  if st.active.(r) <> 0 || st.load_cells.(r) <> 0 then
-    st.depart_residue <- st.depart_residue + 1
+(* The churn tick's kill pass: kill every live circuit with a down
+   hop.  A relay that went down in an earlier tick carries no circuit
+   ([hop_ok] refuses down relays, and its own tick's pass killed the
+   rest), so this selects exactly the circuits through a relay whose
+   departure completed in this tick, each once however many of its
+   hops departed.  Each victim stashes a resume record on its slot (the
+   transfer carries on over a fresh path with its original start time),
+   releases its pooled record — crediting all three hops — and falls
+   back to thinking.  [release] + [think] only recycle and reschedule,
+   so the pass allocates nothing.  A kill touches only its slot, the
+   relay occupancy counters and [churn_kills], and [think] draws from
+   the slot's own rng at the barrier instant, so the slot order of the
+   kills changes no draw.  It runs at a barrier, where every shard's
+   clock reads the barrier instant, so [st] may stand in for each
+   slot's owning shard. *)
+let kill_through_down st =
+  for i = 0 to Array.length st.s_circ - 1 do
+    let p = st.s_circ.(i) in
+    if
+      p >= 0
+      && (st.rstatus.(st.circ.(p + f_hop0)) = st_down
+          || st.rstatus.(st.circ.(p + f_hop1)) = st_down
+          || st.rstatus.(st.circ.(p + f_hop2)) = st_down)
+    then begin
+      st.churn_kills <- st.churn_kills + 1;
+      st.s_res_rem.(i) <- st.circ.(p + f_remaining);
+      st.s_res_kind.(i) <- st.circ.(p + f_kind);
+      st.s_res_started.(i) <- st.circ.(p + f_started_ns);
+      release st p;
+      st.s_circ.(i) <- -1;
+      think st i
+    end
+  done
 
 (* One churn tick: a Bernoulli trial per relay in id order (the whole
    schedule is a pure function of [churn_rng]), with floors keeping the
    up population path-feasible.  Draining relays check their deadline;
-   down relays try the join hazard. *)
+   down relays try the join hazard.  The relay loop only records a
+   completed departure (crash, or drain deadline): the relay goes down
+   and [drain_deadline_ns] is stamped with the tick's instant.  The
+   loop's decisions read nothing a kill writes, so one kill pass after
+   the loop serves every departure of the tick. *)
 let churn_step st =
   let c = st.config in
   let dt = Engine.Time.to_sec_f c.churn_tick in
   let p_leave = Float.min 1. (c.leave_hazard *. dt) in
   let p_join = Float.min 1. (c.join_hazard *. dt) in
   let now = st.now in
+  let departed = ref 0 in
   for r = 0 to st.n_total - 1 do
     if st.rstatus.(r) = st_up then begin
       if p_leave > 0. && Engine.Rng.float st.churn_rng 1. < p_leave then
@@ -701,7 +710,8 @@ let churn_step st =
           then begin
             st.churn_crashes <- st.churn_crashes + 1;
             st.rstatus.(r) <- st_down;
-            kill_through st r
+            st.drain_deadline_ns.(r) <- now;
+            incr departed
           end
           else begin
             st.rstatus.(r) <- st_draining;
@@ -714,7 +724,8 @@ let churn_step st =
       if now >= st.drain_deadline_ns.(r) then begin
         st.churn_drains_completed <- st.churn_drains_completed + 1;
         st.rstatus.(r) <- st_down;
-        kill_through st r
+        st.drain_deadline_ns.(r) <- now;
+        incr departed
       end
     end
     else if p_join > 0. && Engine.Rng.float st.churn_rng 1. < p_join then begin
@@ -723,7 +734,21 @@ let churn_step st =
       st.up_relays <- st.up_relays + 1;
       if st.is_exit.(r) then st.up_exits <- st.up_exits + 1
     end
-  done
+  done;
+  if !departed > 0 then begin
+    if not !unsafe_disable_churn_kill then kill_through_down st;
+    (* Churn oracle 2's counter: a finished departure leaves zero
+       circuit slots and zero queued cells at the relay — unless the
+       kill pass was sabotaged.  Ticks are strictly increasing, so the
+       stamp picks out exactly this tick's departures. *)
+    for r = 0 to st.n_total - 1 do
+      if
+        st.rstatus.(r) = st_down
+        && st.drain_deadline_ns.(r) = now
+        && (st.active.(r) <> 0 || st.load_cells.(r) <> 0)
+      then st.depart_residue <- st.depart_residue + 1
+    done
+  end
 
 (* The consensus refresh: clients start seeing the live population as
    of this instant (draining relays stay listed, down relays drop

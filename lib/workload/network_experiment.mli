@@ -174,11 +174,14 @@ type result = {
           [Refused (Draining)]. *)
   rounds_through_down : int;
       (** Churn oracle 1's counter: rounds taken by a circuit with a
-          departed hop.  Always 0 unless the kill sweep is disabled. *)
+          departed hop.  Always 0 unless the kill pass is disabled. *)
   depart_residue : int;
       (** Churn oracle 2's counter: completed departures that left
-          nonzero slot or byte occupancy.  Always 0 unless the kill
-          sweep is disabled. *)
+          nonzero slot or byte occupancy once their churn tick's kill
+          pass ran.  Each churn tick makes one pass over the slots,
+          killing every circuit through any relay that departed in
+          it, then checks each of those relays.  Always 0 unless the
+          kill pass is disabled. *)
   end_time : Engine.Time.t;
   wall_events : int;
 }
@@ -190,10 +193,12 @@ val unsafe_disable_pool_release : bool ref
     harness's pool oracle flags (and shrinks).  Reset it. *)
 
 val unsafe_disable_churn_kill : bool ref
-(** Test/fuzz hook: when [true], completed departures skip the kill
-    sweep — circuits keep extending through departed relays and their
-    occupancy survives.  [rounds_through_down] and [depart_residue] go
-    nonzero, which the churn oracles flag (and shrink).  Reset it. *)
+(** Test/fuzz hook: when [true], each churn tick skips its one kill
+    pass over the slots — circuits keep extending through the relays
+    that departed in it and their occupancy survives.  The tick's
+    residue check still runs, so [rounds_through_down] and
+    [depart_residue] go nonzero, which the churn oracles flag (and
+    shrink).  Reset it. *)
 
 val unsafe_unordered_exchange : bool ref
 (** Test/fuzz hook: when [true], runs apply relay occupancy deltas in
