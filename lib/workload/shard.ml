@@ -5,7 +5,7 @@
    every run, and every jobs setting — which is what lets the sharded
    engine promise bit-identical results across shard counts.  Slots are
    split into contiguous balanced ranges (shard-local circuit state
-   stays cache-friendly and the owner of a slot is O(1) arithmetic);
+   stays cache-friendly and each shard sweeps one ascending range);
    relays are split by a seeded SplitMix64 hash so the ownership map
    used during the exchange phase is independent of relay ordering. *)
 
@@ -23,16 +23,6 @@ let slot_range ~slots ~shards k =
   let lo = (k * base) + Stdlib.min k extra in
   let hi = lo + base + if k < extra then 1 else 0 in
   (lo, hi)
-
-let owner_of_slot ~slots ~shards i =
-  let n = count ~slots ~shards in
-  if i < 0 || i >= slots then
-    invalid_arg "Shard.owner_of_slot: slot out of range";
-  let base = slots / n and extra = slots mod n in
-  (* Invert [slot_range]: the first [extra] shards span [base + 1]
-     slots each. *)
-  let wide = extra * (base + 1) in
-  if i < wide then i / (base + 1) else extra + ((i - wide) / base)
 
 (* SplitMix64's output mix — a strong, cheap finalizer.  Folding the
    seed in through the same constants keeps distinct seeds on distinct

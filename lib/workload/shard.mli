@@ -17,11 +17,6 @@ val slot_range : slots:int -> shards:int -> int -> int * int
     tile [0, slots) exactly, in order, balanced to within one slot.
     Raises [Invalid_argument] if [k] is outside [0, count). *)
 
-val owner_of_slot : slots:int -> shards:int -> int -> int
-(** The shard whose {!slot_range} contains slot [i] — the O(1) inverse
-    of {!slot_range}.  Raises [Invalid_argument] if [i] is outside
-    [0, slots). *)
-
 val relay_shard : seed:int -> shards:int -> int -> int
 (** [relay_shard ~seed ~shards r] is the shard that owns relay [r]'s
     occupancy counters during the exchange phase: a seeded SplitMix64
