@@ -86,4 +86,10 @@ echo "== invariant smoke: torsim check --runs 25 --seed 42 (60s budget) =="
 # "torsim check --replay '<line>'" reproducer.
 timeout 60 dune exec bin/torsim.exe -- check --runs 25 --seed 42
 
+echo "== churn invariant smoke: torsim check --kind churn --runs 100 --seed 42 =="
+# 100 churn scenarios (about a second) under the churn oracles: a kill
+# pass that misses a circuit through a departed relay shows up as a
+# round through a down relay or as departure residue.
+timeout 60 dune exec bin/torsim.exe -- check --kind churn --runs 100 --seed 42
+
 echo "OK"
