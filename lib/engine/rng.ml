@@ -62,6 +62,7 @@ let float_in t lo hi =
   lo +. (unit_float t *. (hi -. lo))
 
 let bool t = Int64.logand (bits64 t) 1L <> 0L
+let bernoulli t p = unit_float t < p
 
 let exponential t ~mean =
   if not (Float.is_finite mean) || mean <= 0. then
@@ -128,3 +129,69 @@ let sample_without_replacement t k arr =
     idx.(j) <- tmp
   done;
   Array.init k (fun i -> arr.(idx.(i)))
+
+(* Guide-table (cutpoint) search, Chen & Asau 1974; Devroye,
+   Non-Uniform Random Variate Generation, III.2.4.  [0, total] is cut
+   into n equal buckets by [bucket], and [guide.(b)] is the first index
+   whose cumulative weight lies in bucket [b] or later.  [bucket] is
+   monotone (rounding and truncation both are), so every index before
+   [guide.(bucket x)] has a cumulative weight below [x]: the walk from
+   there finds the same index as a binary search.  It passes only the
+   cumulative weights inside [x]'s bucket, which hold one index on
+   average over a uniform [x], whatever the skew. *)
+module Weighted = struct
+  type t = {
+    cum : float array;  (* cumulative weights, left-to-right sums *)
+    guide : int array;
+    scale : float;  (* buckets per unit of weight *)
+    last : int;
+  }
+
+  let[@inline] bucket w x =
+    let b = Float.to_int (x *. w.scale) in
+    if b > w.last then w.last else if b < 0 then 0 else b
+
+  let create weights =
+    let n = Array.length weights in
+    if n = 0 then invalid_arg "Rng.Weighted.create: no weights";
+    let cum = Array.make n 0. in
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      let x = weights.(i) in
+      if Float.is_nan x || x < 0. then
+        invalid_arg "Rng.Weighted.create: weights must be non-negative";
+      acc := !acc +. x;
+      cum.(i) <- !acc
+    done;
+    let total = cum.(n - 1) in
+    if not (Float.is_finite total) || total <= 0. then
+      invalid_arg "Rng.Weighted.create: total weight must be positive and finite";
+    (* A total so small that n / total overflows gets one bucket: still
+       exact, only linear. *)
+    let scale =
+      let s = float_of_int n /. total in
+      if Float.is_finite s then s else 0.
+    in
+    let w = { cum; guide = Array.make n (n - 1); scale; last = n - 1 } in
+    let b = ref 0 in
+    for i = 0 to n - 1 do
+      let bi = bucket w cum.(i) in
+      while !b <= bi do
+        w.guide.(!b) <- i;
+        incr b
+      done
+    done;
+    w
+
+  let total w = w.cum.(w.last)
+
+  let[@inline] find w x =
+    let i = ref w.guide.(bucket w x) in
+    while !i < w.last && w.cum.(!i) <= x do
+      incr i
+    done;
+    !i
+
+  let draw w t = find w (unit_float t *. w.cum.(w.last))
+end
+

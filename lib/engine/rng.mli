@@ -12,8 +12,9 @@
     64-bit state, 64-bit output, passes BigCrush, and supports cheap
     splitting by deriving a child seed from the parent stream.  The
     state is kept unboxed, so the integer draws ({!int}, {!int_in},
-    {!bool}) allocate nothing; draws that return a [float] or an
-    [int64] box their result when the call is not inlined. *)
+    {!bool}, {!bernoulli}, {!Weighted.draw}) allocate nothing; draws
+    that return a [float] or an [int64] box their result when the call
+    is not inlined. *)
 
 type t
 (** A mutable generator. *)
@@ -52,6 +53,11 @@ val float_in : t -> float -> float -> float
 val bool : t -> bool
 (** A fair coin flip. *)
 
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [true] with probability [p]: one uniform in
+    [\[0, 1)] below [p].  It draws exactly what [float t 1. < p] does,
+    and allocates nothing. *)
+
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from Exp(1/mean).  [mean] must be
     positive. *)
@@ -85,3 +91,39 @@ val sample_without_replacement : t -> int -> 'a array -> 'a array
 (** [sample_without_replacement t k arr] is [k] distinct elements of
     [arr], uniformly.  Raises [Invalid_argument] if [k < 0] or
     [k > Array.length arr]. *)
+
+(** Bandwidth-weighted index draws in O(1) expected time.
+
+    [create] sums the weights left to right and builds a guide table
+    (the cutpoint method: Chen & Asau, 1974; Devroye, {i Non-Uniform
+    Random Variate Generation}, III.2.4) in one O(n) pass, with n
+    buckets for n weights.  A {!draw} is then one uniform over the
+    total, a table read and a short forward walk: O(1) expected steps
+    for any weight skew, and no allocation.  It returns exactly the
+    index that a binary search for the first cumulative weight above
+    [float t total] returns. *)
+module Weighted : sig
+  type rng := t
+
+  type t
+  (** An immutable table, safe to share between domains. *)
+
+  val create : float array -> t
+  (** [create weights] is the table over [weights].  Raises
+      [Invalid_argument] if [weights] is empty, holds a negative or NaN
+      weight, or sums to a total that is not positive and finite. *)
+
+  val total : t -> float
+  (** The sum of the weights, added left to right. *)
+
+  val find : t -> float -> int
+  (** [find w x] is the first index whose cumulative weight exceeds
+      [x], or the last index if none does (for [x >= total w]).  A
+      zero weight is never found for [x] in [\[0, total w)]. *)
+
+  val draw : t -> rng -> int
+  (** [draw w t] is [find w (float t (total w))]: index [i] with
+      probability proportional to its weight.  Advances [t] by one
+      draw. *)
+end
+

@@ -275,9 +275,11 @@ type state = {
   lat_ns : int array;
   active : int array;  (* circuits currently routed through the relay *)
   load_cells : int array;  (* queued cells charged by those circuits *)
-  cum_all : float array;  (* cumulative bandwidth weights, all relays *)
+  (* Bandwidth-weighted draw tables: all relays, and the exits by
+     their index in [exit_ids]. *)
+  w_all : Engine.Rng.Weighted.t;
   exit_ids : int array;
-  cum_exit : float array;
+  w_exit : Engine.Rng.Weighted.t;
   (* Churn state.  [rstatus] is the live status; [vis] is the epoch
      snapshot clients draw from (copied from [rstatus] at each epoch
      boundary, draining relays stay visible).  Both all-up/all-visible
@@ -378,18 +380,6 @@ let schedule st i delay_ns =
   st.s_next.(i) <-
     (Engine.Time.add (Engine.Time.ns st.now) (Engine.Time.ns delay_ns) :> int)
 
-(* Bandwidth-weighted draw: binary search for the first cumulative
-   weight exceeding a uniform draw over the total. *)
-let draw_weighted rng cum =
-  let n = Array.length cum in
-  let u = Engine.Rng.float rng cum.(n - 1) in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cum.(mid) <= u then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 (* Draw a relay distinct from [a] and [b] and visible in the current
    snapshot: a few weighted redraws, then a deterministic bounded scan
    so selection can never loop.  [-1] when no eligible relay exists.
@@ -399,11 +389,11 @@ let draw_weighted rng cum =
    allocates no closure. *)
 let eligible st ~a ~b r = r <> a && r <> b && st.vis.(r) = 1
 
-let draw_distinct st rng cum ~a ~b =
-  let r = ref (draw_weighted rng cum) in
+let draw_distinct st rng ~a ~b =
+  let r = ref (Engine.Rng.Weighted.draw st.w_all rng) in
   let tries = ref 0 in
   while (not (eligible st ~a ~b !r)) && !tries < 8 do
-    r := draw_weighted rng cum;
+    r := Engine.Rng.Weighted.draw st.w_all rng;
     incr tries
   done;
   if eligible st ~a ~b !r then !r
@@ -424,10 +414,10 @@ let draw_distinct st rng cum ~a ~b =
    sub-population and map through [exit_ids]; the scan starts after the
    last drawn index, so the fallback needs no lookup and no closure. *)
 let draw_exit st rng =
-  let x = ref (draw_weighted rng st.cum_exit) in
+  let x = ref (Engine.Rng.Weighted.draw st.w_exit rng) in
   let tries = ref 0 in
   while st.vis.(st.exit_ids.(!x)) = 0 && !tries < 8 do
-    x := draw_weighted rng st.cum_exit;
+    x := Engine.Rng.Weighted.draw st.w_exit rng;
     incr tries
   done;
   if st.vis.(st.exit_ids.(!x)) = 1 then st.exit_ids.(!x)
@@ -696,7 +686,7 @@ let churn_step st =
   let departed = ref 0 in
   for r = 0 to st.n_total - 1 do
     if st.rstatus.(r) = st_up then begin
-      if p_leave > 0. && Engine.Rng.float st.churn_rng 1. < p_leave then
+      if p_leave > 0. && Engine.Rng.bernoulli st.churn_rng p_leave then
         if
           st.up_relays > min_up_relays
           && ((not st.is_exit.(r)) || st.up_exits > min_up_exits)
@@ -706,7 +696,7 @@ let churn_step st =
           if st.is_exit.(r) then st.up_exits <- st.up_exits - 1;
           if
             c.crash_fraction > 0.
-            && Engine.Rng.float st.churn_rng 1. < c.crash_fraction
+            && Engine.Rng.bernoulli st.churn_rng c.crash_fraction
           then begin
             st.churn_crashes <- st.churn_crashes + 1;
             st.rstatus.(r) <- st_down;
@@ -728,7 +718,7 @@ let churn_step st =
         incr departed
       end
     end
-    else if p_join > 0. && Engine.Rng.float st.churn_rng 1. < p_join then begin
+    else if p_join > 0. && Engine.Rng.bernoulli st.churn_rng p_join then begin
       st.churn_restarts <- st.churn_restarts + 1;
       st.rstatus.(r) <- st_up;
       st.up_relays <- st.up_relays + 1;
@@ -770,9 +760,9 @@ let try_arrival st i =
     incr tries;
     e := draw_exit st rng;
     if !e >= 0 then begin
-      g := draw_distinct st rng st.cum_all ~a:!e ~b:(-1);
+      g := draw_distinct st rng ~a:!e ~b:(-1);
       if !g >= 0 then begin
-        m := draw_distinct st rng st.cum_all ~a:!e ~b:!g;
+        m := draw_distinct st rng ~a:!e ~b:!g;
         if !m >= 0 then
           admitted := hop_ok st !g && hop_ok st !m && hop_ok st !e
       end
@@ -795,7 +785,7 @@ let try_arrival st i =
       if resume then st.s_res_kind.(i) = 1
       else
         st.config.elephant_fraction > 0.
-        && Engine.Rng.float rng 1. < st.config.elephant_fraction
+        && Engine.Rng.bernoulli rng st.config.elephant_fraction
     in
     st.arrivals <- st.arrivals + 1;
     if elephant then st.elephant_arrivals <- st.elephant_arrivals + 1;
@@ -880,12 +870,7 @@ let build_states ~seed config =
       (fun (s : Relay_gen.spec) -> (s.latency :> int))
       specs
   in
-  let cum_all = Array.make n 0. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. cap_cps.(i);
-    cum_all.(i) <- !acc
-  done;
+  let w_all = Engine.Rng.Weighted.create cap_cps in
   let exit_ids =
     specs
     |> Array.to_list
@@ -901,13 +886,9 @@ let build_states ~seed config =
      must be able to route on its own. *)
   if not (Array.exists (fun id -> id < config.relays) exit_ids) then
     invalid_arg "Network_experiment.run: no exit relay among the initial population";
-  let cum_exit = Array.make (Array.length exit_ids) 0. in
-  let acc = ref 0. in
-  Array.iteri
-    (fun i id ->
-      acc := !acc +. cap_cps.(id);
-      cum_exit.(i) <- !acc)
-    exit_ids;
+  let w_exit =
+    Engine.Rng.Weighted.create (Array.map (fun id -> cap_cps.(id)) exit_ids)
+  in
   let sketch () =
     Engine.Stats.Sketch.create ~bins:config.sketch_bins ~lo:0.
       ~hi:(Engine.Time.to_sec_f config.sketch_max)
@@ -955,9 +936,9 @@ let build_states ~seed config =
           lat_ns;
           active;
           load_cells;
-          cum_all;
+          w_all;
           exit_ids;
-          cum_exit;
+          w_exit;
           churn = config.leave_hazard > 0. || config.join_hazard > 0.;
           n_total;
           rstatus;

@@ -1039,6 +1039,114 @@ let test_trace_events_csv_roundtrip () =
   Alcotest.(check int) "garbage lines skipped" 0
     (List.length (Engine.Trace.events_of_csv "not,a,valid\nrow\n"))
 
+(* The binary search that bandwidth-weighted relay draws used before
+   the guide table, frozen as the reference: the first index whose
+   cumulative weight exceeds [u], or the last index if none does. *)
+let ref_weighted_index cum u =
+  let lo = ref 0 and hi = ref (Array.length cum - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cum.(mid) <= u then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Left-to-right cumulative sums, the order [Rng.Weighted.create]
+   promises. *)
+let cumulative weights =
+  let acc = ref 0. in
+  Array.map
+    (fun x ->
+      acc := !acc +. x;
+      !acc)
+    weights
+
+(* [n] weights of one shape: uniform, mostly zeros, one dominant
+   weight, Pareto and lognormal tails, or all equal (every cumulative
+   weight then sits exactly on a bucket edge).  Never all zero. *)
+let gen_weights ~seed ~shape n =
+  let r = Engine.Rng.create seed in
+  let w =
+    match shape with
+    | 0 -> Array.init n (fun _ -> Engine.Rng.float r 1_000.)
+    | 1 ->
+        Array.init n (fun _ ->
+            if Engine.Rng.bernoulli r 0.7 then 0. else Engine.Rng.float r 10.)
+    | 2 ->
+        let w = Array.init n (fun _ -> Engine.Rng.float r 1.) in
+        w.(Engine.Rng.int r n) <- 1e9;
+        w
+    | 3 ->
+        let shape = Engine.Rng.float_in r 0.5 1.5 in
+        Array.init n (fun _ -> Engine.Rng.pareto r ~shape ~scale:1.)
+    | 4 -> Array.init n (fun _ -> Engine.Rng.lognormal r ~mu:0. ~sigma:3.)
+    | _ -> Array.make n 1.
+  in
+  if Array.for_all (fun x -> x = 0.) w then w.(Engine.Rng.int r n) <- 1.;
+  w
+
+let prop_weighted_matches_binary_search =
+  QCheck2.Test.make ~name:"Rng.Weighted.draw matches a binary search" ~count:200
+    QCheck2.Gen.(quad int (int_range 1 3_000) (int_range 0 5) int)
+    (fun (data_seed, n, shape, seed) ->
+      let module W = Engine.Rng.Weighted in
+      let weights = gen_weights ~seed:data_seed ~shape n in
+      let cum = cumulative weights in
+      let total = cum.(n - 1) in
+      let w = W.create weights in
+      let rng = Engine.Rng.create seed in
+      let draws_agree =
+        List.for_all
+          (fun _ ->
+            let u = Engine.Rng.float (Engine.Rng.copy rng) total in
+            let i = W.draw w rng in
+            i = ref_weighted_index cum u && W.find w u = i)
+          (List.init 500 Fun.id)
+      in
+      (* Bucket-edge errors show at the cumulative weights themselves:
+         search each one and its floating-point neighbours. *)
+      let edges_agree =
+        Array.for_all
+          (fun c ->
+            List.for_all
+              (fun x -> W.find w x = ref_weighted_index cum x)
+              [ Float.pred c; c; Float.succ c ])
+          cum
+      in
+      Int64.equal (Int64.bits_of_float (W.total w)) (Int64.bits_of_float total)
+      && draws_agree && edges_agree)
+
+let test_rng_weighted_edges () =
+  let module W = Engine.Rng.Weighted in
+  (* A uniform at the total (the largest one below 1 never rounds up
+     to it, but [find] keeps the binary search's fallback) gives the
+     last index, even when its weight is zero. *)
+  let weights = [| 0.; 0.; 1.; 1. -. epsilon_float; 0. |] in
+  let w = W.create weights in
+  let total = W.total w in
+  Alcotest.(check (float 0.)) "total" (2. -. epsilon_float) total;
+  Alcotest.(check int) "uniform 0: first positive weight" 2 (W.find w 0.);
+  Alcotest.(check int) "uniform at the total: last index" 4 (W.find w total);
+  Alcotest.(check int) "reference agrees" 4
+    (ref_weighted_index (cumulative weights) total);
+  Alcotest.(check int) "single weight" 0 (W.find (W.create [| 5. |]) 4.9);
+  (* A subnormal total overflows n / total: one bucket, still exact. *)
+  let tiny = W.create [| 0.; 0.; 5e-324 |] in
+  Alcotest.(check int) "subnormal total" 2 (W.find tiny 0.)
+
+let test_rng_weighted_errors () =
+  let module W = Engine.Rng.Weighted in
+  let rejects name weights =
+    match W.create weights with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "empty" [||];
+  rejects "zero total" [| 0.; 0. |];
+  rejects "negative weight" [| -1.; 2. |];
+  rejects "NaN weight" [| 1.; Float.nan |];
+  rejects "infinite weight" [| 1.; Float.infinity |];
+  rejects "total overflows" [| Float.max_float; Float.max_float |]
+
 (* ------------------------------------------------------------------ *)
 (* Allocation: the primitives every layer calls must not allocate *)
 
@@ -1070,6 +1178,19 @@ let test_alloc_rng () =
       sink := !sink lxor Engine.Rng.int rng (max_int - 7));
   check_no_alloc "Rng.bool" (fun () ->
       if Engine.Rng.bool rng then incr sink)
+
+let test_alloc_weighted () =
+  let rng = Engine.Rng.create 13 in
+  (* A consensus-sized table with skewed weights. *)
+  let w =
+    Engine.Rng.Weighted.create
+      (Array.init 2_200 (fun _ -> Engine.Rng.lognormal rng ~mu:0. ~sigma:2.))
+  in
+  let sink = ref 0 in
+  check_no_alloc "Rng.Weighted.draw" (fun () ->
+      sink := !sink + Engine.Rng.Weighted.draw w rng);
+  check_no_alloc "Rng.bernoulli" (fun () ->
+      if Engine.Rng.bernoulli rng 0.3 then incr sink)
 
 let test_alloc_time () =
   let t = ref Engine.Time.zero and d = Engine.Time.ns 7 in
@@ -1431,7 +1552,8 @@ let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_time_order; prop_time_add_sub; prop_time_ns64_roundtrip;
       prop_time_compare_int64; prop_transmission_additive;
-      prop_rng_int_unbiased; prop_rng_matches_reference; prop_queue_sorted_drain; prop_queue_matches_model;
+      prop_rng_int_unbiased; prop_rng_matches_reference;
+      prop_weighted_matches_binary_search; prop_queue_sorted_drain; prop_queue_matches_model;
       prop_online_matches_direct; prop_cdf_monotone; prop_samples_match_array ]
 
 let () =
@@ -1468,6 +1590,8 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick
             test_rng_sample_without_replacement;
           Alcotest.test_case "pareto scale bound" `Quick test_rng_pareto_scale;
+          Alcotest.test_case "weighted draw edges" `Quick test_rng_weighted_edges;
+          Alcotest.test_case "weighted create errors" `Quick test_rng_weighted_errors;
         ] );
       ( "event_queue",
         [
@@ -1537,6 +1661,8 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "Rng.int and Rng.bool" `Quick test_alloc_rng;
+          Alcotest.test_case "Rng.Weighted.draw and Rng.bernoulli" `Quick
+            test_alloc_weighted;
           Alcotest.test_case "Time.add" `Quick test_alloc_time;
           Alcotest.test_case "Online.add" `Quick test_alloc_online;
           Alcotest.test_case "Sketch.add" `Quick test_alloc_sketch;
