@@ -44,10 +44,9 @@ let loc_buffer = -3
 (* Default wheel geometry: 2^16 ns = 65.536us per tick, 256 slots, so
    the window covers ~16.8ms — cell serialization, propagation delays
    and feedback clocks land in slots; RTO-scale timers take the heap.
-   Both knobs are per-queue ([create ?tick_bits ?wheel_slots]): the
-   consensus-scale round-level workload widens the window to RTT scale
-   so its 10^5 pending round timers stay O(1) wheel inserts instead of
-   overflow-heap churn.  Geometry is perf-only — firing order is exact
+   Every simulation in the library uses this default.  Both knobs stay
+   per-queue ([create ?tick_bits ?wheel_slots]) so a caller can measure
+   another geometry.  Geometry is perf-only — firing order is exact
    (time, seq) for any setting, because every drained tick is sorted. *)
 let default_tick_bits = 16
 let default_wheel_slots = 256

@@ -41,10 +41,9 @@ val create : ?capacity:int -> ?tick_bits:int -> ?wheel_slots:int -> unit -> 'a t
     window are O(1) slot inserts; events beyond it take the overflow
     heap at O(log n).  Geometry is purely a performance knob — the
     firing order is exact (time, seq) for every setting, because each
-    drained tick is sorted before it fires.  Widen the window when the
-    steady-state timer population sits far beyond the default ~16.8 ms
-    (RTT-scale round clocks at consensus scale), where overflow-heap
-    churn would otherwise dominate the run.
+    drained tick is sorted before it fires.  Every simulation in the
+    library runs the default (~16.8 ms window); the knobs let a
+    benchmark time other geometries.
 
     Raises [Invalid_argument] if [capacity < 1], [tick_bits] is outside
     [\[1, 40\]], or [wheel_slots] is not a power of two [>= 2]. *)

@@ -24,9 +24,8 @@ val create : ?capacity:int -> ?tick_bits:int -> ?wheel_slots:int -> unit -> t
     [capacity] pre-sizes the future event list and
     [tick_bits]/[wheel_slots] set the timer-wheel geometry (see
     {!Event_queue.create}) — geometry only affects performance, never
-    firing order.  Workloads whose steady-state timers are much longer
-    than the default ~16.8 ms window (e.g. RTT-scale round clocks)
-    should widen it to keep insertion O(1). *)
+    firing order.  Every simulation in the library runs the default
+    ~16.8 ms window. *)
 
 val now : t -> Time.t
 (** The current simulated instant. *)
