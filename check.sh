@@ -59,23 +59,28 @@ echo "== predictive smoke: torsim network --strategy predictive =="
 # consensus-scale run must complete under the planner alone.
 dune exec bin/torsim.exe -- network --strategy predictive --relays 100 --circuits 400 --lifetimes 2000 --seed 7
 
-echo "== shard smoke: --shards 2 --jobs 2 byte-identical to the default =="
+echo "== shard smoke: --shards 2 and 4 (--jobs 2) byte-identical to the default =="
 # The result is a function of (seed, config), whatever --jobs and
-# --shards are.
-s1=$(mktemp) && s2=$(mktemp)
+# --shards are.  At four shards every shard domain reads the shared
+# relay draw tables at once.
+s1=$(mktemp) && s2=$(mktemp) && s4=$(mktemp)
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 > "$s1"
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$s2"
+dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 4 --jobs 2 > "$s4"
 diff "$s1" "$s2"
-rm -f "$s1" "$s2"
+diff "$s1" "$s4"
+rm -f "$s1" "$s2" "$s4"
 
-echo "== churn shard smoke: churn-scale --shards 2 --jobs 2 byte-identical to the default =="
+echo "== churn shard smoke: churn-scale --shards 2 and 4 (--jobs 2) byte-identical to the default =="
 # The same guarantee with churn on: kill sweeps, resumes and epoch
 # refreshes at the barriers may not depend on the partition either.
-c1=$(mktemp) && c2=$(mktemp)
+c1=$(mktemp) && c2=$(mktemp) && c4=$(mktemp)
 dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 > "$c1"
 dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$c2"
+dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 4 --jobs 2 > "$c4"
 cmp "$c1" "$c2"
-rm -f "$c1" "$c2"
+cmp "$c1" "$c4"
+rm -f "$c1" "$c2" "$c4"
 
 echo "== scheduler smoke: ubench --smoke (wheel vs heap A/B) =="
 dune exec bench/ubench.exe -- --smoke --json /dev/null | grep "ubench summary"
