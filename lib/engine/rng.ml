@@ -64,11 +64,21 @@ let float_in t lo hi =
 let bool t = Int64.logand (bits64 t) 1L <> 0L
 let bernoulli t p = unit_float t < p
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   if not (Float.is_finite mean) || mean <= 0. then
     invalid_arg "Rng.exponential: mean must be positive";
   let u = 1. -. unit_float t in
   -.mean *. Float.log u
+
+(* The draw and the rounding of [Time.of_sec_f] in one function, so
+   that the float never crosses a module boundary and is never boxed.
+   The draw is never negative, so only the upper clamp (2^62, as in
+   [Time]) can apply. *)
+let exponential_ns t ~mean =
+  let x = exponential t ~mean *. 1e9 in
+  if not (Float.is_finite x) then invalid_arg "Rng.exponential_ns: non-finite duration";
+  let r = Float.round x in
+  if r >= 4611686018427387904. then max_int else int_of_float r
 
 let normal t ~mu ~sigma =
   if not (Float.is_finite sigma) || sigma < 0. then

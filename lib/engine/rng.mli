@@ -12,9 +12,9 @@
     64-bit state, 64-bit output, passes BigCrush, and supports cheap
     splitting by deriving a child seed from the parent stream.  The
     state is kept unboxed, so the integer draws ({!int}, {!int_in},
-    {!bool}, {!bernoulli}, {!Weighted.draw}) allocate nothing; draws
-    that return a [float] or an [int64] box their result when the call
-    is not inlined. *)
+    {!bool}, {!bernoulli}, {!exponential_ns}, {!Weighted.draw})
+    allocate nothing; draws that return a [float] or an [int64] box
+    their result when the call is not inlined. *)
 
 type t
 (** A mutable generator. *)
@@ -61,6 +61,14 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from Exp(1/mean).  [mean] must be
     positive. *)
+
+val exponential_ns : t -> mean:float -> int
+(** [exponential_ns t ~mean] is [Time.of_sec_f (exponential t ~mean)]
+    as an int: the same draw of seconds, rounded to the nearest
+    nanosecond and clamped to [Time.max_value].  It allocates nothing
+    when [mean] is already boxed (a record field, a constant), where
+    [exponential] boxes its result.  Raises [Invalid_argument] if
+    [mean] is not positive and finite, or the duration is not finite. *)
 
 val normal : t -> mu:float -> sigma:float -> float
 (** [normal t ~mu ~sigma] draws from N(mu, sigma^2) via Box–Muller.

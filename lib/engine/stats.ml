@@ -144,7 +144,7 @@ module Sketch = struct
   let max t = t.ext.mx
   let mean t = if t.total = 0 then nan else t.ext.sum /. float_of_int t.total
 
-  let add t x =
+  let[@inline] add t x =
     if not (Float.is_finite x) then invalid_arg "Sketch.add: non-finite sample";
     t.total <- t.total + 1;
     let e = t.ext in
@@ -161,6 +161,10 @@ module Sketch = struct
     if b < 0 then t.underflow <- t.underflow + 1
     else if b >= Array.length t.counts then t.overflow <- t.overflow + 1
     else t.counts.(b) <- t.counts.(b) + 1
+
+  (* The conversion happens here, next to [add], so that the caller
+     hands over an int and no float is boxed. *)
+  let add_ns t ns = add t (float_of_int ns *. 1e-9)
 
   let compatible a b =
     Float.equal a.lo b.lo && Float.equal a.width b.width && bins a = bins b

@@ -83,6 +83,12 @@ module Sketch : sig
   val add : t -> float -> unit
   (** Raises [Invalid_argument] on non-finite samples. *)
 
+  val add_ns : t -> int -> unit
+  (** [add_ns t ns] is [add t (float_of_int ns *. 1e-9)]: a duration in
+      integer nanoseconds, recorded in seconds.  It allocates nothing,
+      where a float computed by the caller is boxed to cross into
+      [add]. *)
+
   val count : t -> int
   val bins : t -> int
   val range : t -> float * float

@@ -263,6 +263,9 @@ let stride = 10
 
 type state = {
   config : config;
+  (* [config.mean_think] in seconds, boxed once here: [think] hands it
+     to [Rng.exponential_ns] as it is. *)
+  think_mean_s : float;
   (* This shard's contiguous slot range [lo, hi). *)
   lo : int;
   hi : int;
@@ -494,30 +497,34 @@ let diurnal_factor st =
     let period = Engine.Time.to_sec_f st.config.diurnal_period in
     1. +. (a *. Float.sin (2. *. Float.pi *. t /. period))
 
+(* Without diurnal modulation the mean is the stored float itself
+   ([x /. 1.] is [x]), so the draw boxes nothing. *)
 let think st i =
-  let mean =
-    Engine.Time.to_sec_f st.config.mean_think /. diurnal_factor st
+  let rng = st.s_rng.(i) in
+  let delay_ns =
+    if st.config.diurnal_amplitude = 0. then
+      Engine.Rng.exponential_ns rng ~mean:st.think_mean_s
+    else
+      Engine.Rng.exponential_ns rng ~mean:(st.think_mean_s /. diurnal_factor st)
   in
-  let delay = Engine.Rng.exponential st.s_rng.(i) ~mean in
-  schedule st i (Engine.Time.of_sec_f delay :> int)
+  schedule st i delay_ns
 
 let complete st i p =
   let dt_ns = st.now - st.circ.(p + f_started_ns) in
-  let ttlb = float_of_int dt_ns *. 1e-9 in
   st.ns_all <- st.ns_all + dt_ns;
-  Engine.Stats.Sketch.add st.ttlb_all ttlb;
+  Engine.Stats.Sketch.add_ns st.ttlb_all dt_ns;
   if st.circ.(p + f_kind) = 1 then begin
     st.elephants_done <- st.elephants_done + 1;
     st.ns_elephants <- st.ns_elephants + dt_ns;
-    Engine.Stats.Sketch.add st.ttlb_elephants ttlb
+    Engine.Stats.Sketch.add_ns st.ttlb_elephants dt_ns
   end
   else begin
     st.mice_done <- st.mice_done + 1;
     st.ns_mice <- st.ns_mice + dt_ns;
-    Engine.Stats.Sketch.add st.ttlb_mice ttlb
+    Engine.Stats.Sketch.add_ns st.ttlb_mice dt_ns
   end;
   (match st.exact with
-  | Some samples -> Engine.Stats.Samples.add samples ttlb
+  | Some samples -> Engine.Stats.Samples.add samples (float_of_int dt_ns *. 1e-9)
   | None -> ());
   release st p;
   st.s_circ.(i) <- -1;
@@ -928,6 +935,7 @@ let build_states ~seed config =
         let lo, hi = Shard.slot_range ~slots ~shards j in
         {
           config;
+          think_mean_s = Engine.Time.to_sec_f config.mean_think;
           lo;
           hi;
           now = 0;

@@ -1147,6 +1147,33 @@ let test_rng_weighted_errors () =
   rejects "infinite weight" [| 1.; Float.infinity |];
   rejects "total overflows" [| Float.max_float; Float.max_float |]
 
+(* [exponential_ns] is [Time.of_sec_f] of [exponential] on the same
+   stream, for means from nanoseconds to past the saturation point (a
+   mean of 1e8 s reaches 2^62 ns at u below about e^-46, rarely; 1e12
+   s saturates often, and 1e300 s overflows to a non-finite duration,
+   which both reject). *)
+let prop_exponential_ns_matches_of_sec_f =
+  QCheck2.Test.make ~name:"Rng.exponential_ns is Time.of_sec_f of Rng.exponential"
+    ~count:200
+    QCheck2.Gen.(pair int (oneofl [ 1e-9; 3e-7; 0.02; 0.5; 1.; 7.25; 1e8; 1e12; 1e300 ]))
+    (fun (seed, mean) ->
+      let rng = Engine.Rng.create seed in
+      let ns t =
+        match Engine.Rng.exponential_ns t ~mean with
+        | n -> Some n
+        | exception Invalid_argument _ -> None
+      in
+      let reference t =
+        match Engine.Time.of_sec_f (Engine.Rng.exponential t ~mean) with
+        | d -> Some (d :> int)
+        | exception Invalid_argument _ -> None
+      in
+      List.for_all
+        (fun _ ->
+          let expected = reference (Engine.Rng.copy rng) in
+          ns rng = expected)
+        (List.init 200 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Allocation: the primitives every layer calls must not allocate *)
 
@@ -1191,6 +1218,19 @@ let test_alloc_weighted () =
       sink := !sink + Engine.Rng.Weighted.draw w rng);
   check_no_alloc "Rng.bernoulli" (fun () ->
       if Engine.Rng.bernoulli rng 0.3 then incr sink)
+
+(* The consensus engine's think time and TTLB record: the float stays
+   inside [Rng] and [Stats], so neither call boxes one.  The mean is a
+   constant, as [think] passes a stored field. *)
+let test_alloc_exponential_ns () =
+  let rng = Engine.Rng.create 17 in
+  let sk = Engine.Stats.Sketch.create ~bins:64 ~lo:0. ~hi:8. () in
+  let sink = ref 0 in
+  check_no_alloc "Rng.exponential_ns" (fun () ->
+      sink := !sink + Engine.Rng.exponential_ns rng ~mean:0.5);
+  check_no_alloc "Sketch.add_ns" (fun () ->
+      sink := (!sink + 123_456_789) land 0x3_ffff_ffff;
+      Engine.Stats.Sketch.add_ns sk !sink)
 
 let test_alloc_time () =
   let t = ref Engine.Time.zero and d = Engine.Time.ns 7 in
@@ -1511,8 +1551,8 @@ let test_alloc_transfer () =
    the mean think time is 20 ms, so all 2000 slots have arrived well
    inside the shorter 2 s horizon: from then on a step is a round and
    nothing else.  Subtracting the 2 s run from the 6 s run cancels
-   set-up, arrivals (their boxed [Rng] floats), teardown and the
-   result, leaving rounds and exchange windows.  A round allocates
+   set-up, arrivals, teardown and the result, leaving rounds and
+   exchange windows.  A round allocates
    nothing: the share and window arithmetic stays in registers, and it
    schedules its next round by writing one int into [s_next].  A window
    allocates nothing either: the sweep and exchange jobs are built once
@@ -1546,6 +1586,34 @@ let test_alloc_round () =
     (Printf.sprintf "%.4f minor words per round < 0.01" per_round)
     true (per_round < 0.01)
 
+(* Minor words per lifetime of the same world with circuits that
+   finish: every slot cycles through think, arrival, rounds and
+   completion.  Subtracting a 4,000-lifetime run from a 24,000-lifetime
+   one cancels set-up, teardown and the result.  A completion records
+   its TTLB with [Sketch.add_ns], and [think] draws the next gap with
+   [Rng.exponential_ns] from the stored mean, so no float is boxed and
+   a whole lifetime allocates nothing; the bound of 0.01 would show one
+   word in every hundred lifetimes. *)
+let test_alloc_lifetime () =
+  let run target_lifetimes =
+    Workload.Network_experiment.run_instrumented ~seed:3
+      { Workload.Network_experiment.default_config with
+        Workload.Network_experiment.relays = 60;
+        slots = 2_000;
+        target_lifetimes;
+        mean_think = Engine.Time.ms 20;
+      }
+  in
+  ignore (run 2_000);
+  let short, short_words = run 4_000 in
+  let long, long_words = run 24_000 in
+  let lifetimes = long.completed - short.completed in
+  Alcotest.(check bool) "the longer run completed more lifetimes" true (lifetimes > 19_000);
+  let per_lifetime = (long_words -. short_words) /. float_of_int lifetimes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per lifetime < 0.01" per_lifetime)
+    true (per_lifetime < 0.01)
+
 (* ------------------------------------------------------------------ *)
 
 let qtests =
@@ -1553,7 +1621,8 @@ let qtests =
     [ prop_time_order; prop_time_add_sub; prop_time_ns64_roundtrip;
       prop_time_compare_int64; prop_transmission_additive;
       prop_rng_int_unbiased; prop_rng_matches_reference;
-      prop_weighted_matches_binary_search; prop_queue_sorted_drain; prop_queue_matches_model;
+      prop_weighted_matches_binary_search; prop_exponential_ns_matches_of_sec_f;
+      prop_queue_sorted_drain; prop_queue_matches_model;
       prop_online_matches_direct; prop_cdf_monotone; prop_samples_match_array ]
 
 let () =
@@ -1663,6 +1732,8 @@ let () =
           Alcotest.test_case "Rng.int and Rng.bool" `Quick test_alloc_rng;
           Alcotest.test_case "Rng.Weighted.draw and Rng.bernoulli" `Quick
             test_alloc_weighted;
+          Alcotest.test_case "Rng.exponential_ns and Sketch.add_ns" `Quick
+            test_alloc_exponential_ns;
           Alcotest.test_case "Time.add" `Quick test_alloc_time;
           Alcotest.test_case "Online.add" `Quick test_alloc_online;
           Alcotest.test_case "Sketch.add" `Quick test_alloc_sketch;
@@ -1679,6 +1750,7 @@ let () =
           Alcotest.test_case "Sink.deliver" `Quick test_alloc_sink;
           Alcotest.test_case "Fixed-window transfer per cell" `Quick test_alloc_transfer;
           Alcotest.test_case "consensus round step" `Quick test_alloc_round;
+          Alcotest.test_case "consensus lifetime" `Quick test_alloc_lifetime;
         ] );
       ("properties", qtests);
     ]
