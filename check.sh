@@ -97,4 +97,28 @@ echo "== churn invariant smoke: torsim check --kind churn --runs 100 --seed 42 =
 # round through a down relay or as departure residue.
 timeout 60 dune exec bin/torsim.exe -- check --kind churn --runs 100 --seed 42
 
+echo "== export report: lib/**/*.mli vals by outside use (report only) =="
+# A name-based scan: a val whose name no other OCaml file mentions has
+# no user; one mentioned only under test/ is used by tests alone.  A
+# grep cannot see through [open], a record field or a shadowing local
+# of the same name, so the lists are leads to read, not a gate.
+unused="" test_only=""
+for mli in $(find lib -name '*.mli' | sort); do
+  base=${mli%.mli}
+  for name in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
+    users=$(grep -rlw --include='*.ml' --include='*.mli' -e "$name" \
+              lib bin bench examples test perfbench \
+            | grep -v -x -e "$base.ml" -e "$base.mli" || true)
+    if [ -z "$users" ]; then
+      unused="$unused $mli:$name"
+    elif [ -z "$(printf '%s\n' "$users" | grep -v '^test/' || true)" ]; then
+      test_only="$test_only $mli:$name"
+    fi
+  done
+done
+echo "no user outside the defining module ($(echo $unused | wc -w)):"
+for v in $unused; do echo "  $v"; done
+echo "used only under test/ ($(echo $test_only | wc -w)):"
+for v in $test_only; do echo "  $v"; done
+
 echo "OK"

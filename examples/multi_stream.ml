@@ -41,7 +41,7 @@ let () =
     ~on_done:(fun outcome ->
       match outcome with
       | Tor_model.Circuit_builder.Failed msg -> failwith msg
-      | Tor_model.Circuit_builder.Refused _ | Tor_model.Circuit_builder.Gone _ ->
+      | Tor_model.Circuit_builder.Refused _ ->
           failwith "refused"
       | Tor_model.Circuit_builder.Established _ ->
           let d =

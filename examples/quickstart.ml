@@ -55,7 +55,7 @@ let () =
     ~on_done:(fun outcome ->
       match outcome with
       | Tor_model.Circuit_builder.Failed msg -> failwith msg
-      | Tor_model.Circuit_builder.Refused _ | Tor_model.Circuit_builder.Gone _ ->
+      | Tor_model.Circuit_builder.Refused _ ->
           failwith "refused"
       | Tor_model.Circuit_builder.Established { at } ->
           Printf.printf "circuit established after %s\n" (Engine.Time.to_string at);

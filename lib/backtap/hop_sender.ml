@@ -186,7 +186,6 @@ let set_probe t f = t.probe <- f
 let idle t = t.bl_len = 0 && t.live = 0
 let aborted t = t.aborted
 let set_on_abort t f = t.on_abort <- Some f
-let charged_bytes t = t.charged
 
 let set_forward_ack t f = t.forward_ack <- f
 

@@ -95,13 +95,6 @@ val idle : t -> bool
 val srtt : t -> Engine.Time.t option
 (** Smoothed RTT estimate, once at least one sample exists. *)
 
-val charged_bytes : t -> int
-(** Bytes this sender currently holds against its node's resource
-    budget ([Tor_model.Switchboard] occupancy): [Wire.cell_size] per
-    backlogged or in-flight cell.  Charged at {!submit}, credited
-    per-cell on matching feedback and wholesale on {!abort} — so it is
-    0 for an idle or aborted sender. *)
-
 (** {1 Failure} *)
 
 val aborted : t -> bool

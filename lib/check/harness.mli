@@ -59,4 +59,3 @@ val shrink : selection:Oracle.selection -> Scenario.t -> Scenario.t
 (** Greedy structural shrink while the failure persists (bounded).
     Exposed for the test suite. *)
 
-val pp_failure : Format.formatter -> failure -> unit

@@ -96,7 +96,6 @@ type relay_watch = {
 type t = {
   sel : selection;
   mutable violations : violation list;  (* newest first, capped *)
-  mutable dropped : int;  (* violations beyond the cap *)
   mutable attachments : attachment list;
   mutable relays : relay_watch list;
   mutable sims : Engine.Sim.t list;  (* sims with an installed fire probe *)
@@ -105,15 +104,14 @@ type t = {
 let max_recorded = 32
 
 let create ?(selection = all) () =
-  { sel = selection; violations = []; dropped = 0; attachments = [];
+  { sel = selection; violations = []; attachments = [];
     relays = []; sims = [] }
 
 let violations t = List.rev t.violations
-let violation_count t = List.length t.violations + t.dropped
 
 let violate t ~oracle ~at detail =
-  if List.length t.violations >= max_recorded then t.dropped <- t.dropped + 1
-  else t.violations <- { oracle; at; detail } :: t.violations
+  if List.length t.violations < max_recorded then
+    t.violations <- { oracle; at; detail } :: t.violations
 
 (* --- per-link conservation -------------------------------------- *)
 

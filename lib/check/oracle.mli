@@ -60,11 +60,9 @@ type selection = {
 val all : selection
 val none : selection
 
-val oracle_names : string list
-(** The names accepted by {!selection_of_string}. *)
-
 val selection_of_string : string -> (selection, string) result
-(** ["all"], or a comma-separated subset of {!oracle_names}. *)
+(** ["all"], or a comma-separated subset of the field names of
+    {!selection}. *)
 
 val selection_to_string : selection -> string
 
@@ -99,7 +97,3 @@ val finish : t -> unit
 
 val violations : t -> violation list
 (** Violations recorded so far, oldest first.  At most 32 are kept. *)
-
-val violation_count : t -> int
-(** Total violations observed, including any beyond the recording
-    cap. *)

@@ -86,9 +86,6 @@ type t = {
           shards=1-vs-4 result-digest differential. *)
 }
 
-val recovery_hops : int
-(** Path length used by recovery scenarios (3). *)
-
 val to_string : t -> string
 (** One-line [key=value] form, the replayable "(seed, scenario)"
     reproducer. *)
@@ -104,10 +101,6 @@ val equal : t -> t -> bool
 
 val gen : t QCheck2.Gen.t
 (** The QCheck generator behind {!generate}. *)
-
-val gen_kind : kind option -> t QCheck2.Gen.t
-(** Like {!gen}, but [Some k] pins every scenario to kind [k] —
-    the engine behind [torsim check --kind]. *)
 
 val generate :
   ?only:kind -> ?strat:strategy -> seed:int -> index:int -> unit -> t

@@ -47,7 +47,6 @@ type t = {
   mutable rounds : int;
   mutable exits : int;
   mutable exit_cwnd : int option;
-  mutable exit_acked : int option;
   (* Countdown: re-apply rate-based compensation over the first few
      avoidance rounds.  Right after a ramp-up exit the bottleneck is
      still draining the overshoot at exactly its service rate, so the
@@ -131,7 +130,6 @@ let create ?(params = Params.default) strategy =
     rounds = 0;
     exits = 0;
     exit_cwnd = None;
-    exit_acked = None;
     recalibrate = 0;
     calm_rounds = 0;
     fb = Array.make 16 Engine.Time.zero;
@@ -162,9 +160,7 @@ let latest_diff t = if Float.is_nan t.f.latest_diff then None else Some t.f.late
 let rounds_completed t = t.rounds
 let ramp_up_exits t = t.exits
 let exit_cwnd t = t.exit_cwnd
-let exit_acked t = t.exit_acked
 let acked_in_round t = t.acked_in_round
-let round_target t = t.round_target
 let planned_trajectory t = Array.copy t.plan
 let plan_generation t = t.plan_generation
 let fallen_back t = t.fallen_back
@@ -345,10 +341,6 @@ let leave_ramp_up t ~now ~new_cwnd ~recalibrate =
     Printf.eprintf "[%8.1fms] %s EXIT ramp-up: cwnd %d -> %d (sliding=%d)\n"
       (Engine.Time.to_ms_f now) t.debug_label t.cwnd new_cwnd (sliding_rate_cells t);
   t.exits <- t.exits + 1;
-  (* Record the feedback count of the exiting round before [set_cwnd]
-     runs the change hooks, so an oracle in the hook can compare the
-     compensated window against it. *)
-  if t.exit_acked = None then t.exit_acked <- Some t.acked_in_round;
   set_cwnd t ~now new_cwnd;
   if t.exit_cwnd = None then t.exit_cwnd <- Some t.cwnd;
   t.phase <- Avoidance;
@@ -487,7 +479,6 @@ let predictive_ramp_round_end t ~now =
          [leave_ramp_up]'s bookkeeping, with the committed window taken
          from the plan instead of the compensation estimate. *)
       t.exits <- t.exits + 1;
-      if t.exit_acked = None then t.exit_acked <- Some t.acked_in_round;
       plan_and_commit t ~now ~target:w_star;
       if t.exit_cwnd = None then t.exit_cwnd <- Some t.cwnd;
       t.phase <- Avoidance;

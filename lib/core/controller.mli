@@ -122,16 +122,8 @@ val exit_cwnd : t -> int option
 (** The window chosen at the first ramp-up exit (the compensated value
     for [Circuit_start], the halved value for [Slow_start]). *)
 
-val exit_acked : t -> int option
-(** The number of feedbacks accounted in the round during which
-    ramp-up was first left — the acked-in-round train length that
-    [Acked_count] compensation clamps the exit window to. *)
-
 val acked_in_round : t -> int
 (** Feedbacks accounted in the current round so far. *)
-
-val round_target : t -> int
-(** Feedback count that ends the current round. *)
 
 val planned_trajectory : t -> int array
 (** Snapshot of the current receding-horizon plan ([horizon] windows,

@@ -61,39 +61,6 @@ module Online = struct
         (mean t) (stddev t) t.mn t.mx
 end
 
-module Histogram = struct
-  (* Counts live in the table as plain ints — no [int ref] box per
-     bin, no indirection per increment. *)
-  type t = { width : float; counts : (int, int) Hashtbl.t; mutable total : int }
-
-  let create ~bin_width =
-    if not (Float.is_finite bin_width) || bin_width <= 0. then
-      invalid_arg "Histogram.create: bin width must be positive";
-    { width = bin_width; counts = Hashtbl.create 64; total = 0 }
-
-  let bin_of t x = int_of_float (Float.floor (x /. t.width))
-
-  let add t x =
-    let b = bin_of t x in
-    let c = match Hashtbl.find_opt t.counts b with Some c -> c | None -> 0 in
-    Hashtbl.replace t.counts b (c + 1);
-    t.total <- t.total + 1
-
-  let count t = t.total
-
-  let bins t =
-    Hashtbl.fold (fun b c acc -> (float_of_int b *. t.width, c) :: acc) t.counts []
-    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-
-  let mode_bin t =
-    List.fold_left
-      (fun best (edge, c) ->
-        match best with
-        | Some (_, bc) when bc >= c -> best
-        | _ -> Some (edge, c))
-      None (bins t)
-end
-
 module Sketch = struct
   (* A fixed-bin mergeable histogram over [\[lo, hi)], with side counts
      for samples outside the range and exact min/max/sum tracking.  The

@@ -2,9 +2,8 @@
 
     {!Online} accumulates count/mean/variance/min/max in O(1) memory
     (Welford's algorithm) — used for per-flow and per-queue counters
-    that live for a whole simulation.  {!Histogram} buckets samples at a
-    fixed width.  The array helpers compute percentiles and empirical
-    CDFs for the evaluation figures. *)
+    that live for a whole simulation.  The array helpers compute
+    percentiles and empirical CDFs for the evaluation figures. *)
 
 module Online : sig
   type t
@@ -33,24 +32,6 @@ module Online : sig
       sample streams (Chan's parallel update). *)
 
   val pp : Format.formatter -> t -> unit
-end
-
-module Histogram : sig
-  type t
-
-  val create : bin_width:float -> t
-  (** Bins are [\[k*w, (k+1)*w)].  Raises [Invalid_argument] if
-      [bin_width <= 0.]. *)
-
-  val add : t -> float -> unit
-  (** Add a sample.  Negative samples go to negative bins. *)
-
-  val count : t -> int
-  val bins : t -> (float * int) list
-  (** Non-empty bins as [(lower_edge, count)], sorted by edge. *)
-
-  val mode_bin : t -> (float * int) option
-  (** The fullest bin, ties broken towards the lower edge. *)
 end
 
 (** {1 Streaming quantile sketch} *)

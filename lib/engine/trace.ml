@@ -9,9 +9,6 @@ type kind =
   | Oom_kill
   | Overload_enter
   | Overload_exit
-  | Drain_begin
-  | Drain_end
-  | Churn
 
 type event = { time : Time.t; kind : kind; subject : string; detail : string }
 
@@ -48,9 +45,6 @@ let kind_to_string = function
   | Oom_kill -> "oom-kill"
   | Overload_enter -> "overload-enter"
   | Overload_exit -> "overload-exit"
-  | Drain_begin -> "drain-begin"
-  | Drain_end -> "drain-end"
-  | Churn -> "churn"
 
 let kind_of_string = function
   | "fault" -> Some Fault
@@ -63,9 +57,6 @@ let kind_of_string = function
   | "oom-kill" -> Some Oom_kill
   | "overload-enter" -> Some Overload_enter
   | "overload-exit" -> Some Overload_exit
-  | "drain-begin" -> Some Drain_begin
-  | "drain-end" -> Some Drain_end
-  | "churn" -> Some Churn
   | _ -> None
 
 let record_event t kind ~subject ?(detail = "") time =

@@ -52,11 +52,6 @@ type kind =
           back under its byte budget. *)
   | Overload_enter  (** A relay crossed into its overloaded state. *)
   | Overload_exit  (** A relay dropped back below its budgets. *)
-  | Drain_begin  (** A relay started its graceful drain. *)
-  | Drain_end
-      (** A relay's drain deadline passed: surviving circuits were
-          destroyed and the relay departed. *)
-  | Churn  (** A directory-population event: join, departure, restart. *)
 
 type event = {
   time : Time.t;

@@ -38,18 +38,16 @@ let loss_state model =
   | Ok model -> { model; in_bad = false }
 
 (* One per-packet step: advance the channel state, then draw the loss
-   from the state the packet sees. *)
+   from the state the packet sees.  Every coin is an [Rng.bernoulli],
+   which keeps the uniform unboxed: a lossy link costs no allocation
+   per packet. *)
 let decide st rng =
   match st.model with
-  | Bernoulli p -> Engine.Rng.float rng 1.0 < p
+  | Bernoulli p -> Engine.Rng.bernoulli rng p
   | Gilbert_elliott { p_good_to_bad; p_bad_to_good; loss_good; loss_bad } ->
-      let flip = Engine.Rng.float rng 1.0 in
-      (if st.in_bad then begin
-         if flip < p_bad_to_good then st.in_bad <- false
-       end
-       else if flip < p_good_to_bad then st.in_bad <- true);
-      let loss = if st.in_bad then loss_bad else loss_good in
-      Engine.Rng.float rng 1.0 < loss
+      let leave = if st.in_bad then p_bad_to_good else p_good_to_bad in
+      if Engine.Rng.bernoulli rng leave then st.in_bad <- not st.in_bad;
+      Engine.Rng.bernoulli rng (if st.in_bad then loss_bad else loss_good)
 
 let attach_loss ~rng link model =
   let st = loss_state model in
@@ -82,11 +80,6 @@ let schedule_outage ?trace sim link ~down_at ~up_at =
                ~subject:(link_subject link) ~detail:"outage ends"
                (Engine.Sim.now sim)
          | None -> ()))
-
-let schedule_outages ?trace sim link windows =
-  List.iter
-    (fun (down_at, up_at) -> schedule_outage ?trace sim link ~down_at ~up_at)
-    windows
 
 let schedule_rates sim link steps =
   List.iter

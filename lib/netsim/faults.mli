@@ -67,14 +67,6 @@ val schedule_outage :
     {!Engine.Trace.Recovery} events.  Raises [Invalid_argument] if
     [up_at <= down_at]. *)
 
-val schedule_outages :
-  ?trace:Engine.Trace.t ->
-  Engine.Sim.t ->
-  Link.t ->
-  (Engine.Time.t * Engine.Time.t) list ->
-  unit
-(** A list of [(down_at, up_at)] windows (link flapping). *)
-
 val schedule_rates :
   Engine.Sim.t -> Link.t -> (Engine.Time.t * Engine.Units.Rate.t) list -> unit
 (** Rate-degradation schedule: at each instant, the link's rate is

@@ -194,7 +194,6 @@ let send t ?on_transmit p =
 
 let busy t = t.busy
 let queue_length t = Nqueue.length t.queue
-let queue_bytes t = Nqueue.byte_length t.queue
 let queue_drops t = Nqueue.drops t.queue
 let queue_high_watermark_bytes t = Nqueue.high_watermark_bytes t.queue
 let packets_delivered t = t.delivered

@@ -103,7 +103,6 @@ val busy : t -> bool
 (** Whether a packet is currently being serialized. *)
 
 val queue_length : t -> int
-val queue_bytes : t -> int
 val queue_drops : t -> int
 
 val queue_high_watermark_bytes : t -> int

@@ -6,17 +6,12 @@ type relay_command =
   | Relay_sendme of { stream_id : int option }
   | Relay_end of { stream_id : int }
 
-type refusal_reason = Busy | Draining
-
-let refusal_reason_to_string = function Busy -> "busy" | Draining -> "draining"
-
 type command =
   | Create
   | Created
   | Extend of { next : Netsim.Node_id.t }
   | Extended
-  | Refused of { reason : refusal_reason }
-  | Gone
+  | Refused
   | Destroy
   | Relay of { layers : int; cmd : relay_command }
 
@@ -51,10 +46,7 @@ let pp fmt t =
   | Extend { next } ->
       Format.fprintf fmt "%a EXTEND->%a" Circuit_id.pp t.circuit Netsim.Node_id.pp next
   | Extended -> Format.fprintf fmt "%a EXTENDED" Circuit_id.pp t.circuit
-  | Refused { reason } ->
-      Format.fprintf fmt "%a REFUSED %s" Circuit_id.pp t.circuit
-        (refusal_reason_to_string reason)
-  | Gone -> Format.fprintf fmt "%a GONE" Circuit_id.pp t.circuit
+  | Refused -> Format.fprintf fmt "%a REFUSED busy" Circuit_id.pp t.circuit
   | Destroy -> Format.fprintf fmt "%a DESTROY" Circuit_id.pp t.circuit
   | Relay { layers; cmd } ->
       Format.fprintf fmt "%a RELAY[%d] %a" Circuit_id.pp t.circuit layers

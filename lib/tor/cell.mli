@@ -25,32 +25,18 @@ type relay_command =
       (** Legacy flow-control credit; [None] = circuit-level. *)
   | Relay_end of { stream_id : int }
 
-type refusal_reason =
-  | Busy  (** The relay is over its circuit or byte budget. *)
-  | Draining
-      (** The relay is gracefully departing: it refuses new circuits
-          but keeps forwarding for existing ones until its drain
-          deadline.  Like [Busy], a transient "try elsewhere". *)
-
-val refusal_reason_to_string : refusal_reason -> string
-
 type command =
   | Create
   | Created
   | Extend of { next : Netsim.Node_id.t }
       (** Ask the receiving relay to extend the circuit to [next]. *)
   | Extended
-  | Refused of { reason : refusal_reason }
-      (** Typed admission-control refusal of a CREATE: travels back
-          along the built prefix to the client instead of CREATED.
-          Distinct from {!Destroy} — refusal means "try elsewhere",
-          not "this circuit is dead". *)
-  | Gone
-      (** The addressed relay has cleanly left the network (its drain
-          completed or it departed between directory epochs).  Travels
-          back along the built prefix like {!Refused}, but names a
-          *permanent* condition for this consensus: the client should
-          exclude the relay until it is observed to restart. *)
+  | Refused
+      (** Admission-control refusal of a CREATE (the relay is over its
+          circuit or byte budget): travels back along the built prefix
+          to the client instead of CREATED.  Distinct from {!Destroy}
+          — refusal means "try elsewhere", not "this circuit is
+          dead". *)
   | Destroy
   | Relay of { layers : int; cmd : relay_command }
       (** [layers] onion layers still wrapped around [cmd]. *)

@@ -1,7 +1,6 @@
 type outcome =
   | Established of { at : Engine.Time.t }
-  | Refused of { at : Engine.Time.t; reason : Cell.refusal_reason }
-  | Gone of { at : Engine.Time.t; node : Netsim.Node_id.t }
+  | Refused of { at : Engine.Time.t }
   | Failed of string
 
 let build sb (circuit : Circuit.t) ?(timeout = Engine.Time.s 30) ~on_done () =
@@ -33,9 +32,6 @@ let build sb (circuit : Circuit.t) ?(timeout = Engine.Time.s 30) ~on_done () =
         Switchboard.send_cell sb ~dst:guard (Cell.make circuit.id Cell.Destroy);
         finish (Failed "circuit establishment timed out"))
   in
-  (* The node the outstanding CREATE/EXTEND is addressed to — the one a
-     REFUSED or GONE answer is about. *)
-  let current_target = ref guard in
   let extend_next () =
     match !remaining with
     | [] ->
@@ -43,40 +39,30 @@ let build sb (circuit : Circuit.t) ?(timeout = Engine.Time.s 30) ~on_done () =
         finish (Established { at = Engine.Sim.now sim })
     | next :: rest ->
         remaining := rest;
-        current_target := next;
         Switchboard.send_cell sb ~dst:guard
           (Cell.make circuit.id (Cell.Extend { next }))
   in
   (* Nodes attached so far: one per CREATED/EXTENDED received.  When a
      refusal arrives we only need to DESTROY if a prefix exists. *)
   let attached = ref 0 in
-  let teardown_prefix () =
-    Engine.Sim.cancel sim watchdog;
-    if !attached > 0 then
-      Switchboard.send_cell sb ~dst:guard (Cell.make circuit.id Cell.Destroy)
-  in
   let handler ~from (cell : Cell.t) =
     if Netsim.Node_id.equal from guard then
       match cell.command with
       | Cell.Created | Cell.Extended ->
           incr attached;
           extend_next ()
-      | Cell.Refused { reason } ->
-          (* Some node along the ladder is over budget (or draining).
-             The refusing relay kept no state and its predecessor
-             rolled back, so only the attached prefix needs tearing
-             down.  Distinct from [Failed]: the path is healthy, just
-             unavailable right now — the caller should retry elsewhere
-             without suspecting anyone of being dead. *)
-          teardown_prefix ();
-          finish (Refused { at = Engine.Sim.now sim; reason })
-      | Cell.Gone ->
-          (* The extension target has cleanly left the network: same
-             rollback discipline as a refusal, but the answer names a
-             relay that will stay gone until it restarts — the caller
-             should exclude it, not merely retry. *)
-          teardown_prefix ();
-          finish (Gone { at = Engine.Sim.now sim; node = !current_target })
+      | Cell.Refused ->
+          (* Some node along the ladder is over budget.  The refusing
+             relay kept no state and its predecessor rolled back, so
+             only the attached prefix needs tearing down.  Distinct
+             from [Failed]: the path is healthy, just unavailable right
+             now — the caller should retry elsewhere without suspecting
+             anyone of being dead. *)
+          Engine.Sim.cancel sim watchdog;
+          if !attached > 0 then
+            Switchboard.send_cell sb ~dst:guard
+              (Cell.make circuit.id Cell.Destroy);
+          finish (Refused { at = Engine.Sim.now sim })
       | Cell.Destroy -> finish (Failed "circuit destroyed during establishment")
       | Cell.Create | Cell.Extend _ | Cell.Relay _ -> ()
   in

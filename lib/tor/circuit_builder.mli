@@ -14,18 +14,12 @@
 
 type outcome =
   | Established of { at : Engine.Time.t }
-  | Refused of { at : Engine.Time.t; reason : Cell.refusal_reason }
-      (** A relay along the ladder answered REFUSED — [Busy] under
-          admission control, [Draining] while gracefully departing:
-          the path is alive but unavailable.  Retryable — the caller
-          should back off and draw another path {e without} suspecting
-          any relay of having crashed.  The built prefix is torn down
-          before this fires. *)
-  | Gone of { at : Engine.Time.t; node : Netsim.Node_id.t }
-      (** The extension target [node] has cleanly departed the network
-          (our directory snapshot was stale).  The built prefix is
-          torn down like a refusal, but [node] should be excluded from
-          future draws until it is observed to restart. *)
+  | Refused of { at : Engine.Time.t }
+      (** A relay along the ladder answered REFUSED under admission
+          control: the path is alive but unavailable.  Retryable — the
+          caller should back off and draw another path {e without}
+          suspecting any relay of having crashed.  The built prefix is
+          torn down before this fires. *)
   | Failed of string
 
 val build :

@@ -1,20 +1,4 @@
-type status = Up | Draining | Down
-
-let status_to_string = function
-  | Up -> "up"
-  | Draining -> "draining"
-  | Down -> "down"
-
-type t = {
-  mutable relays : Relay_info.t list;  (* live population, insertion order *)
-  mutable snapshot : Relay_info.t list option;
-      (* What clients see: the population as of the last epoch boundary.
-         [None] until the first [advance_epoch] — before any epoch, the
-         live view doubles as the snapshot (bootstrap). *)
-  mutable epoch : int;
-  status : (int, status) Hashtbl.t;  (* node id -> live status *)
-  incarnation : (int, int) Hashtbl.t;  (* node id -> restart count *)
-}
+type t = { mutable relays : Relay_info.t list (* insertion order *) }
 
 type selection = Bandwidth_weighted | Uniform
 
@@ -28,71 +12,15 @@ let selection_of_string s =
   | "uniform" | "random" -> Some Uniform
   | _ -> None
 
-let create () =
-  { relays = []; snapshot = None; epoch = 0;
-    status = Hashtbl.create 32; incarnation = Hashtbl.create 32 }
+let create () = { relays = [] }
 
-let key node = Netsim.Node_id.to_int node
-
-let add t r =
-  t.relays <- t.relays @ [ r ];
-  Hashtbl.replace t.status (key r.Relay_info.node) Up;
-  if not (Hashtbl.mem t.incarnation (key r.Relay_info.node)) then
-    Hashtbl.replace t.incarnation (key r.Relay_info.node) 0;
-  (* Bootstrap relays are immediately visible: extend the standing
-     snapshot too, so [add] keeps its pre-epoch "clients can use this
-     relay now" meaning even after epochs have started advancing. *)
-  match t.snapshot with
-  | None -> ()
-  | Some snap -> t.snapshot <- Some (snap @ [ r ])
-
-let join t r =
-  t.relays <- t.relays @ [ r ];
-  Hashtbl.replace t.status (key r.Relay_info.node) Up;
-  if not (Hashtbl.mem t.incarnation (key r.Relay_info.node)) then
-    Hashtbl.replace t.incarnation (key r.Relay_info.node) 0
+let add t r = t.relays <- t.relays @ [ r ]
 
 let relays t = t.relays
 let count t = List.length t.relays
 
 let find_by_node t node =
   List.find_opt (fun (r : Relay_info.t) -> Netsim.Node_id.equal r.node node) t.relays
-
-(* --- epochs and churn status --------------------------------------- *)
-
-let epoch t = t.epoch
-
-let status t node =
-  match Hashtbl.find_opt t.status (key node) with
-  | Some s -> s
-  | None -> Down
-
-let incarnation t node =
-  match Hashtbl.find_opt t.incarnation (key node) with Some i -> i | None -> 0
-
-let mark_draining t node = Hashtbl.replace t.status (key node) Draining
-let mark_down t node = Hashtbl.replace t.status (key node) Down
-
-let mark_up t node =
-  (match Hashtbl.find_opt t.status (key node) with
-  | Some Down | None ->
-      (* Coming back from the dead (crash restart or post-drain
-         rejoin): a new incarnation, so clients holding a grudge
-         against the old one can tell the difference. *)
-      Hashtbl.replace t.incarnation (key node) (incarnation t node + 1)
-  | Some Up | Some Draining -> ());
-  Hashtbl.replace t.status (key node) Up
-
-let advance_epoch t =
-  t.epoch <- t.epoch + 1;
-  t.snapshot <-
-    Some
-      (List.filter
-         (fun (r : Relay_info.t) -> status t r.node <> Down)
-         t.relays)
-
-let snapshot_relays t =
-  match t.snapshot with Some snap -> snap | None -> t.relays
 
 (* --- path selection ------------------------------------------------ *)
 
@@ -121,12 +49,6 @@ let select_path t rng ?(selection = Bandwidth_weighted) ?(exclude = []) ~hops ()
     | Bandwidth_weighted -> weighted_choice
     | Uniform -> uniform_choice
   in
-  (* Clients draw from the epoch snapshot, deliberately ignoring live
-     status: a relay that departed since the boundary is still drawn,
-     and the resulting build races the departure — that staleness is
-     the consensus model, not a bug.  Freshness comes only from
-     [advance_epoch] and from the caller's own [exclude] list. *)
-  let view = snapshot_relays t in
   let banned (r : Relay_info.t) =
     List.exists (Netsim.Node_id.equal r.node) exclude
   in
@@ -139,7 +61,7 @@ let select_path t rng ?(selection = Bandwidth_weighted) ?(exclude = []) ~hops ()
       (not (excluded chosen r))
       && match flag with None -> true | Some f -> Relay_info.has_flag r f
     in
-    choose rng (List.filter ok view)
+    choose rng (List.filter ok t.relays)
   in
   (* Tor fills guard, then exit, then middles; we follow suit so flag
      scarcity (few exits) constrains the right position. *)

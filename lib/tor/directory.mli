@@ -1,5 +1,4 @@
-(** The directory: the set of known relays, epoch snapshots and path
-    selection.
+(** The directory: the set of known relays and path selection.
 
     Path selection follows Tor's essentials: positions are filled
     guard → exit → middle, each choice is weighted by relay bandwidth
@@ -8,36 +7,11 @@
     what makes the random star networks of the CDF experiment exhibit
     realistic bottleneck diversity.
 
-    {2 The epoch/staleness model}
-
-    Real Tor clients never see the live relay population; they see a
-    consensus document refreshed on a period.  This directory models
-    that with {e epoch snapshots}: churn ({!join}, {!mark_draining},
-    {!mark_down}, {!mark_up}) mutates the live population immediately,
-    but {!select_path} draws from the snapshot taken at the last
-    {!advance_epoch} — deliberately ignoring live status.  A client can
-    therefore draw a relay that departed after the boundary and race
-    its departure; the build then fails with a typed
-    {!Circuit_builder.Gone} (cleanly departed relay) or a timeout
-    (crash), and {!Session} absorbs it with its backoff/redraw
-    machinery.  That staleness window, [0, epoch period), is the model
-    — not a bug.
-
-    Draining relays stay {e in} snapshots (they are still listed in the
-    consensus while they drain), so clients also exercise the
-    [Refused (Draining)] path.  Relays marked [Down] at the boundary
-    drop out of the next snapshot.
-
-    Until the first [advance_epoch] the live view doubles as the
-    snapshot, so churn-free users of this module see the historical
-    behaviour unchanged.
-
-    Each relay also carries an {e incarnation} counter, bumped every
-    time it returns from [Down] ({!mark_up}).  Clients that excluded a
-    relay for being gone or crashed compare the stored incarnation
-    against the current one to learn that the relay restarted and is
-    worth trying again — "crashed relays stay excluded {e until
-    restart}" falls out of this counter. *)
+    The relay set is static: clients draw from every relay ever
+    {!add}ed, and live status is never consulted.  A crashed relay
+    stays selectable; sessions route around it with their own
+    exclusion list ({!Session}).  Relay churn is modelled at round
+    level, in [Workload.Network_experiment]. *)
 
 type t
 
@@ -57,60 +31,15 @@ val selection_of_string : string -> selection option
 val create : unit -> t
 
 val add : t -> Relay_info.t -> unit
-(** Bootstrap: the relay enters the live population {e and} the
-    standing snapshot, so it is selectable immediately.  Status [Up],
-    incarnation 0. *)
+(** The relay joins the population and is selectable immediately. *)
 
 val relays : t -> Relay_info.t list
-(** The live population, insertion order. *)
+(** The population, insertion order. *)
 
 val count : t -> int
-(** Live population size. *)
+(** Population size. *)
 
 val find_by_node : t -> Netsim.Node_id.t -> Relay_info.t option
-
-(** {1 Epochs and churn} *)
-
-type status = Up | Draining | Down
-
-val status_to_string : status -> string
-
-val join : t -> Relay_info.t -> unit
-(** A mid-run join: the relay enters the live population now but
-    becomes selectable only at the next {!advance_epoch} — new relays
-    must wait for a consensus that lists them. *)
-
-val mark_draining : t -> Netsim.Node_id.t -> unit
-(** The relay announced a clean departure.  It stays in snapshots
-    until it is marked [Down]. *)
-
-val mark_down : t -> Netsim.Node_id.t -> unit
-(** The relay is gone (drain completed, or crashed).  It drops out of
-    the {e next} snapshot; the current one still lists it. *)
-
-val mark_up : t -> Netsim.Node_id.t -> unit
-(** The relay is up.  Coming from [Down] bumps its incarnation —
-    clients use the bump to forgive exclusions (see the model notes
-    above).  Selectable again at the next epoch boundary. *)
-
-val status : t -> Netsim.Node_id.t -> status
-(** Live status; unknown nodes read as [Down]. *)
-
-val incarnation : t -> Netsim.Node_id.t -> int
-(** Times this relay returned from [Down]; 0 for a relay that never
-    died (and for unknown nodes). *)
-
-val advance_epoch : t -> unit
-(** Take a new snapshot: every live relay whose status is not [Down]
-    (so [Up] and [Draining]) becomes the population clients select
-    from, and {!epoch} increments. *)
-
-val epoch : t -> int
-(** Boundaries crossed so far; 0 before the first {!advance_epoch}. *)
-
-val snapshot_relays : t -> Relay_info.t list
-(** What clients currently select from: the last snapshot, or the live
-    population if no epoch has ever been taken. *)
 
 val select_path :
   t ->
@@ -121,11 +50,9 @@ val select_path :
   unit ->
   Relay_info.t list option
 (** [select_path dir rng ~hops] draws a path of [hops] distinct relays
-    from {!snapshot_relays} (the last epoch snapshot — live status is
-    deliberately not consulted, see the staleness model above):
-    position 0 needs [Guard], the last position needs [Exit], middles
-    need no flag.  [selection] (default [Bandwidth_weighted]) picks the
-    drawing policy; relays whose node appears in [exclude] (default
-    none) are never chosen — sessions use this to route around
-    suspected-dead relays.  [None] if the directory cannot satisfy the
+    from {!relays}: position 0 needs [Guard], the last position needs
+    [Exit], middles need no flag.  [selection] (default
+    [Bandwidth_weighted]) picks the drawing policy; relays whose node
+    appears in [exclude] (default none) are never chosen — sessions use
+    this to route around suspected-dead relays.  [None] if the directory cannot satisfy the
     constraints.  Raises [Invalid_argument] if [hops < 1]. *)

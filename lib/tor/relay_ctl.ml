@@ -12,9 +12,6 @@ type t = {
   mutable oom_kills : int;
   mutable overload_enters : int;
   mutable overloaded : bool;  (* byte-overloaded or circuit table full *)
-  mutable draining : bool;
-  mutable drain_refusals : int;
-  mutable drain_kills : int;
   mutable trace : (Engine.Trace.t * string) option;
   mutable probe : (probe_event -> unit) option;
 }
@@ -101,18 +98,7 @@ let handle t ~from (cell : Cell.t) =
   let c = cell.circuit in
   match cell.command with
   | Cell.Create ->
-      if t.draining && not (Hashtbl.mem t.table (key c)) then begin
-        (* Draining: no new circuits, but existing ones keep forwarding
-           until the drain deadline.  Same REFUSED path as admission
-           control, distinct reason so clients can tell them apart. *)
-        t.drain_refusals <- t.drain_refusals + 1;
-        record t Engine.Trace.Refused
-          (Printf.sprintf "circuit=%d draining" (key c));
-        notify t (Refused_build c);
-        Switchboard.send_cell t.sb ~dst:from
-          (Cell.make c (Cell.Refused { reason = Cell.Draining }))
-      end
-      else if admits t c then begin
+      if admits t c then begin
         t.admitted <- t.admitted + 1;
         Hashtbl.replace t.table (key c) { prev = from; next = None };
         refresh_overload t;
@@ -126,7 +112,7 @@ let handle t ~from (cell : Cell.t) =
              (Switchboard.queued_bytes t.sb));
         notify t (Refused_build c);
         Switchboard.send_cell t.sb ~dst:from
-          (Cell.make c (Cell.Refused { reason = Cell.Busy }))
+          (Cell.make c Cell.Refused)
       end
   | Cell.Extend { next } -> (
       match Hashtbl.find_opt t.table (key c) with
@@ -149,11 +135,10 @@ let handle t ~from (cell : Cell.t) =
       | Some { prev; next = Some succ } when Netsim.Node_id.equal succ from ->
           Switchboard.send_cell t.sb ~dst:prev cell
       | Some _ | None -> ())
-  | Cell.Refused _ | Cell.Gone -> (
-      (* Our extension target refused the circuit (or has departed the
-         network): it never became part of it, so roll the routing
-         entry back to end-of-circuit and pass the answer towards the
-         client. *)
+  | Cell.Refused -> (
+      (* Our extension target refused the circuit: it never became part
+         of it, so roll the routing entry back to end-of-circuit and
+         pass the refusal towards the client. *)
       match Hashtbl.find_opt t.table (key c) with
       | Some ({ prev; next = Some succ } as entry)
         when Netsim.Node_id.equal succ from ->
@@ -185,7 +170,6 @@ let create sb =
   let t =
     { sb; table = Hashtbl.create 16; destroyed = 0; crashes = 0; admitted = 0;
       refusals = 0; oom_kills = 0; overload_enters = 0; overloaded = false;
-      draining = false; drain_refusals = 0; drain_kills = 0;
       trace = None; probe = None }
   in
   Switchboard.set_control_handler sb (fun ~from cell -> handle t ~from cell);
@@ -206,63 +190,15 @@ let switchboard t = t.sb
    its budget and the session would blame its live successor), the
    routing table is gone, and the node stops dispatching.  No DESTROYs
    are sent — a dead relay cannot say goodbye; its neighbours find out
-   by timing out.  Senders are aborted in circuit-id order, like
-   [finish_drain]'s victims. *)
+   by timing out.  Senders are aborted in circuit-id order, so the
+   abort order does not depend on hash internals. *)
 let crash t =
   t.crashes <- t.crashes + 1;
-  t.draining <- false;
   Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
   |> List.sort compare
   |> List.iter (fun k -> Switchboard.kill_data t.sb (Circuit_id.of_int k));
   Hashtbl.reset t.table;
   Switchboard.set_down t.sb true
-
-let restart t =
-  t.draining <- false;
-  Switchboard.set_departed t.sb false;
-  Switchboard.set_down t.sb false
-
-(* --- graceful drain ------------------------------------------------ *)
-
-let begin_drain t =
-  if not t.draining then begin
-    t.draining <- true;
-    record t Engine.Trace.Drain_begin
-      (Printf.sprintf "circuits=%d" (Hashtbl.length t.table))
-  end
-
-let draining t = t.draining
-
-(* The drain deadline: surviving circuits are destroyed towards both
-   neighbours (unlike a crash, a departing relay says goodbye), the
-   local data-plane senders are aborted, and the node flips to the
-   departed state where setup attempts bounce back as GONE.  Iterating
-   a sorted snapshot keeps the DESTROY order independent of hash
-   internals, so runs stay byte-identical across [--jobs]. *)
-let finish_drain t =
-  let victims =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
-  in
-  List.iter
-    (fun k ->
-      let c = Circuit_id.of_int k in
-      match Hashtbl.find_opt t.table k with
-      | None -> ()
-      | Some { prev; next } ->
-          t.drain_kills <- t.drain_kills + 1;
-          Switchboard.kill_data t.sb c;
-          Hashtbl.remove t.table k;
-          List.iter
-            (fun dst ->
-              Switchboard.send_cell t.sb ~dst (Cell.make c Cell.Destroy))
-            (prev :: Option.to_list next);
-          Switchboard.drop_circuit_occupancy t.sb c)
-    victims;
-  refresh_overload t;
-  record t Engine.Trace.Drain_end
-    (Printf.sprintf "killed=%d" (List.length victims));
-  t.draining <- false;
-  Switchboard.set_departed t.sb true
 
 let route t c = Hashtbl.find_opt t.table (key c)
 
@@ -277,5 +213,3 @@ let refusals t = t.refusals
 let oom_kills t = t.oom_kills
 let overload_enters t = t.overload_enters
 let overloaded t = t.overloaded
-let drain_refusals t = t.drain_refusals
-let drain_kills t = t.drain_kills

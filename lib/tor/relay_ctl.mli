@@ -107,42 +107,5 @@ val crash : t -> unit
     neighbours discover the failure through their own retransmission
     timeouts. *)
 
-val restart : t -> unit
-(** Bring the node back up (after a crash {e or} a completed drain —
-    the departed flag is cleared too).  The routing table stays empty:
-    circuits that ran through the relay are gone and must be rebuilt,
-    exactly like a real relay restart. *)
-
 val crashes : t -> int
 (** Crashes injected so far. *)
-
-(** {1 Graceful drain}
-
-    A cleanly departing relay drains instead of crashing: from
-    {!begin_drain} it refuses new CREATEs with a typed
-    [Refused (Draining)] (reusing the admission-control REFUSED path)
-    but keeps forwarding for circuits already routed through it.  At
-    the drain deadline the churn driver calls {!finish_drain}: every
-    surviving circuit is killed locally and DESTROYed towards both
-    neighbours (a departing relay, unlike a crashed one, says goodbye),
-    all routing entries and byte occupancy are released, and the
-    switchboard flips to the {e departed} state where later setup
-    attempts bounce back as {!Cell.Gone}. *)
-
-val begin_drain : t -> unit
-(** Start refusing new circuits (idempotent).  Traced as
-    [Drain_begin]. *)
-
-val finish_drain : t -> unit
-(** The drain deadline: destroy surviving circuits (sorted circuit-id
-    order, so the cell order is deterministic), release every routing
-    entry and all occupancy, and mark the node departed.  Traced as
-    [Drain_end]. *)
-
-val draining : t -> bool
-
-val drain_refusals : t -> int
-(** CREATEs refused with reason [Draining]. *)
-
-val drain_kills : t -> int
-(** Circuits destroyed at drain deadlines. *)

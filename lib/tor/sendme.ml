@@ -111,7 +111,7 @@ let server_handler t ~sb ~prev ~from:_ (cell : Cell.t) =
         send_back t ~sb ~prev (Cell.Relay_sendme { stream_id = Some stream_id })
       end
   | Cell.Relay _ | Cell.Create | Cell.Created | Cell.Extend _ | Cell.Extended
-  | Cell.Refused _ | Cell.Gone | Cell.Destroy ->
+  | Cell.Refused | Cell.Destroy ->
       ()
 
 let deploy ~sb_of ~circuit ~bytes ?(config = default_config) ?(stream_id = 0) () =

@@ -40,18 +40,13 @@ type t = {
   trace : (Engine.Trace.t * string) option;
   on_outcome : (outcome -> unit) option;
   mutable phase : phase;
-  (* node -> the relay's Directory incarnation when we excluded it.  An
-     exclusion is forgiven once the directory shows a later incarnation
-     (the relay restarted): crashed or departed relays stay excluded
-     exactly until they come back. *)
-  mutable exclusions : int Netsim.Node_id.Map.t;
+  (* Relays suspected dead: never drawn again by this session. *)
+  mutable exclusions : Netsim.Node_id.Set.t;
   mutable current : Circuit.t option;
   mutable handle : transfer_handle option;
   mutable rebuild_count : int;
   mutable gen_count : int;
   mutable refused_builds : int;
-  mutable gone_builds : int;
-  mutable drain_refused_builds : int;
   (* The failure that the in-progress recovery is recovering from;
      cleared when the resumed transfer starts. *)
   mutable failure_at : Engine.Time.t option;
@@ -83,14 +78,12 @@ let create ~sb ~directory ~ids ~server ~rng ~hops ~deploy
     sb; dir = directory; ids; server; rng; hops; deploy; selection; max_rebuilds;
     build_timeout; backoff_base; backoff_cap; backoff_jitter; trace; on_outcome;
     phase = Idle;
-    exclusions = Netsim.Node_id.Map.empty;
+    exclusions = Netsim.Node_id.Set.empty;
     current = None;
     handle = None;
     rebuild_count = 0;
     gen_count = 0;
     refused_builds = 0;
-    gone_builds = 0;
-    drain_refused_builds = 0;
     failure_at = None;
     recoveries = [];
   }
@@ -109,17 +102,7 @@ let finish t outcome =
   | Completed _ -> ());
   match t.on_outcome with Some f -> f outcome | None -> ()
 
-let exclude t node =
-  t.exclusions <-
-    Netsim.Node_id.Map.add node (Directory.incarnation t.dir node) t.exclusions
-
-(* Forgive exclusions whose relay has restarted since: the directory's
-   incarnation counter moved past the one we recorded. *)
-let prune_exclusions t =
-  t.exclusions <-
-    Netsim.Node_id.Map.filter
-      (fun node inc -> Directory.incarnation t.dir node <= inc)
-      t.exclusions
+let exclude t node = t.exclusions <- Netsim.Node_id.Set.add node t.exclusions
 
 (* Tear the failed generation down: the data plane unregisters its
    per-node state, and a DESTROY from the client walks the control
@@ -134,12 +117,9 @@ let teardown_generation t (circuit : Circuit.t) =
   | [] -> ()
 
 let rec attempt t =
-  prune_exclusions t;
-  let exclude_list =
-    List.map fst (Netsim.Node_id.Map.bindings t.exclusions)
-  in
   match
-    Directory.select_path t.dir t.rng ~selection:t.selection ~exclude:exclude_list
+    Directory.select_path t.dir t.rng ~selection:t.selection
+      ~exclude:(Netsim.Node_id.Set.elements t.exclusions)
       ~hops:t.hops ()
   with
   | None ->
@@ -160,34 +140,17 @@ let rec attempt t =
               List.iter (fun (r : Relay_info.t) -> exclude t r.node) relays;
               if t.failure_at = None then t.failure_at <- Some (now t);
               handle_failure t (Printf.sprintf "build failed: %s" msg)
-          | Circuit_builder.Refused { reason; _ } ->
-              (* Busy (or draining) is not crashed: a refusing relay is
-                 healthy — busy ones may be the best choice once load
-                 drains, draining ones come back as a fresh incarnation
-                 after restart — so nobody joins the exclusion list;
-                 the backoff plus a fresh path draw is the whole
-                 response. *)
-              (match reason with
-              | Cell.Busy -> t.refused_builds <- t.refused_builds + 1
-              | Cell.Draining ->
-                  t.drain_refused_builds <- t.drain_refused_builds + 1);
-              let reason_s = Cell.refusal_reason_to_string reason in
+          | Circuit_builder.Refused _ ->
+              (* Busy is not crashed: a busy relay may be the best
+                 choice once its load drains, so nobody joins the
+                 exclusion list; the backoff plus a fresh path draw is
+                 the whole response. *)
+              t.refused_builds <- t.refused_builds + 1;
               record t Engine.Trace.Refused
-                (Printf.sprintf "build refused (%s); refusals %d+%d" reason_s
-                   t.refused_builds t.drain_refused_builds);
+                (Printf.sprintf "build refused (busy); refusals %d"
+                   t.refused_builds);
               if t.failure_at = None then t.failure_at <- Some (now t);
-              handle_failure t
-                (Printf.sprintf "build refused: relay %s" reason_s)
-          | Circuit_builder.Gone { node; _ } ->
-              (* The target cleanly departed under a stale snapshot:
-                 exclude exactly that relay (the rest of the path is
-                 fine) until the directory shows it restarted. *)
-              t.gone_builds <- t.gone_builds + 1;
-              exclude t node;
-              if t.failure_at = None then t.failure_at <- Some (now t);
-              handle_failure t
-                (Format.asprintf "build hit departed relay %a"
-                   Netsim.Node_id.pp node)
+              handle_failure t "build refused: relay busy"
           | Circuit_builder.Established _ ->
               let off = offset t in
               let handle =
@@ -307,12 +270,8 @@ let start t =
 let outcome t = match t.phase with Finished o -> Some o | _ -> None
 let rebuilds t = t.rebuild_count
 let refused_builds t = t.refused_builds
-let gone_builds t = t.gone_builds
-let drain_refused_builds t = t.drain_refused_builds
 let generation t = t.gen_count
 let circuit t = t.current
 let delivered_bytes t = offset t
-let excluded t =
-  prune_exclusions t;
-  List.map fst (Netsim.Node_id.Map.bindings t.exclusions)
+let excluded t = Netsim.Node_id.Set.elements t.exclusions
 let recovery_times t = List.rev t.recoveries

@@ -27,23 +27,16 @@
     {!Engine.Trace.t} (kinds [Rebuild], [Resume], [Exhausted]), with
     the time-to-recover in the resume detail.
 
-    Two failure shapes deliberately skip the exclusion step, because
-    the relay involved is {e busy}, not suspected-crashed: an
-    admission-control refusal during establishment
-    ({!Circuit_builder.Refused}, reason [Busy] or [Draining]), and a
-    remote DESTROY arriving mid-transfer (an overloaded relay's OOM
-    responder shedding the circuit).  Both back off and redraw a path;
-    permanently blacklisting a hot relay would starve the network's
-    best capacity.
-
-    A typed {!Circuit_builder.Gone} (the build raced a clean departure
-    under a stale directory snapshot) {e does} exclude — but only the
-    departed relay, and only until it restarts: exclusions are tagged
-    with the relay's {!Directory.incarnation} at exclusion time and
-    forgiven once the directory shows a later incarnation.  The same
-    forgiveness applies to relays excluded on build timeouts and
-    transfer failures (crashes), so "crashed relays stay excluded until
-    restart" holds without any relay being blacklisted forever. *)
+    Two failure modes reach a session.  A {e crash} shows as a build
+    timeout or a transfer failure: the suspected relays (the whole
+    path after a timeout, the failed hop's successor after a transfer
+    failure) are excluded from every later draw.  A {e busy} relay
+    shows as an admission-control refusal during establishment
+    ({!Circuit_builder.Refused}) or as a remote DESTROY mid-transfer
+    (an overloaded relay's OOM responder shedding the circuit).  Busy
+    is not suspected-crashed, so both back off and redraw a path
+    without excluding anyone; permanently blacklisting a hot relay
+    would starve the network's best capacity. *)
 
 type reason =
   | Rebuild_budget  (** Every allowed rebuild attempt failed. *)
@@ -128,21 +121,10 @@ val rebuilds : t -> int
 
 val refused_builds : t -> int
 (** Build attempts that ended in an admission-control refusal
-    ({!Circuit_builder.Refused} with reason [Busy]).  Refusals back off
-    and redraw like any failure but {e never} add the busy relay to
-    the exclusion list — busy is not suspected-crashed, and a hot
-    relay must remain selectable once its load drains. *)
-
-val drain_refused_builds : t -> int
-(** Build attempts refused with reason [Draining].  Like busy
-    refusals, these exclude nobody: the draining relay departs and
-    returns as a fresh incarnation, at which point it is selectable
-    again. *)
-
-val gone_builds : t -> int
-(** Build attempts that hit a departed relay
-    ({!Circuit_builder.Gone}).  The departed relay joins the exclusion
-    list until the directory shows it restarted. *)
+    ({!Circuit_builder.Refused}).  Refusals back off and redraw like
+    any failure but {e never} add the busy relay to the exclusion list
+    — busy is not suspected-crashed, and a hot relay must remain
+    selectable once its load drains. *)
 
 val generation : t -> int
 (** Circuit generations deployed so far (0 until the first circuit is
@@ -156,9 +138,8 @@ val delivered_bytes : t -> int
     across generations; readable after exhaustion). *)
 
 val excluded : t -> Netsim.Node_id.t list
-(** Relays currently excluded from path selection.  Prunes first:
-    relays whose {!Directory.incarnation} advanced since their
-    exclusion (they restarted) are forgiven and do not appear. *)
+(** Relays excluded from path selection, in {!Netsim.Node_id.compare}
+    order.  An exclusion lasts for the rest of the session. *)
 
 val recovery_times : t -> Engine.Time.t list
 (** Time-to-recover of each successful rebuild, oldest first: the span

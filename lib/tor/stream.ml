@@ -16,7 +16,6 @@ module Source = struct
       next_seq = start_byte / Cell.payload_capacity }
 
   let stream_id t = t.stream_id
-  let total_bytes t = t.total
   let remaining t = t.total - t.sent
 
   let cell_count t =

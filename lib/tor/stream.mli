@@ -20,7 +20,6 @@ module Source : sig
       transfer is incomplete). *)
 
   val stream_id : t -> int
-  val total_bytes : t -> int
   val remaining : t -> int
 
   val cell_count : t -> int

@@ -29,10 +29,8 @@ type t = {
   mutable aux : (Netsim.Packet.t -> unit) option;
   mutable orphans : int;
   mutable down : bool;
-  mutable departed : bool;
   mutable blackholed : int;
   mutable refused : int;
-  mutable gone_replies : int;
   (* Resource accounting: bytes a data-plane sender at this node holds
      (backlog + in flight) per circuit, and their sum.  The per-circuit
      counter is a ref allocated on the circuit's first charge; the
@@ -47,20 +45,8 @@ type t = {
   mutable data_kill : (Circuit_id.t -> unit) option;
 }
 
-(* Forward declaration: [dispatch] on a departed node replies GONE via
-   [send_cell], defined below. *)
-let rec dispatch t (p : Netsim.Packet.t) =
+let dispatch t (p : Netsim.Packet.t) =
   if t.down then t.blackholed <- t.blackholed + 1
-  else if t.departed then
-    (* A cleanly departed relay: its listener is gone, but (unlike a
-       crash) the neighbour gets an immediate, typed answer.  Circuit
-       setup attempts bounce back as GONE on the same circuit id; all
-       other traffic is dropped like a crash would drop it. *)
-    match p.payload with
-    | Cell.Wire ({ command = Cell.Create | Cell.Extend _; _ } as cell) ->
-        t.gone_replies <- t.gone_replies + 1;
-        send_cell t ~dst:p.src (Cell.make cell.circuit Cell.Gone)
-    | _ -> t.blackholed <- t.blackholed + 1
   else
     match p.payload with
     | Cell.Wire cell -> (
@@ -76,19 +62,18 @@ let rec dispatch t (p : Netsim.Packet.t) =
         | Some h -> h p
         | None -> t.orphans <- t.orphans + 1)
 
-and send_payload t ?on_transmit ~dst ~size payload =
+let send_payload t ?on_transmit ~dst ~size payload =
   if t.down then t.refused <- t.refused + 1
   else
     let p = Netsim.Network.make_packet t.net ~src:t.node ~dst ~size payload in
     Netsim.Network.send t.net ?on_transmit p
 
-and send_cell t ~dst cell = send_payload t ~dst ~size:Cell.size (Cell.Wire cell)
+let send_cell t ~dst cell = send_payload t ~dst ~size:Cell.size (Cell.Wire cell)
 
 let install net node =
   let t =
     { net; node; circuits = Hashtbl.create 16; control = None; aux = None;
-      orphans = 0; down = false; departed = false; blackholed = 0; refused = 0;
-      gone_replies = 0;
+      orphans = 0; down = false; blackholed = 0; refused = 0;
       occupancy = Hashtbl.create 16; queued_bytes = 0; byte_hwm = 0;
       budget = no_budget; overloaded = false; on_overflow = None;
       on_byte_overload = None; data_kill = None }
@@ -115,11 +100,8 @@ let orphan_cells t = t.orphans
 
 let set_down t down = t.down <- down
 let is_down t = t.down
-let set_departed t departed = t.departed <- departed
-let is_departed t = t.departed
 let blackholed_cells t = t.blackholed
 let refused_sends t = t.refused
-let gone_replies t = t.gone_replies
 
 (* --- resource accounting ------------------------------------------ *)
 

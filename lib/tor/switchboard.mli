@@ -67,23 +67,6 @@ val set_down : t -> bool -> unit
 
 val is_down : t -> bool
 
-(** {1 Clean departure}
-
-    A relay that has finished its graceful drain (or left between
-    directory epochs) is {e departed}: unlike a crash, incoming circuit
-    setup attempts (CREATE/EXTEND) get an immediate typed {!Cell.Gone}
-    reply on the same circuit id, so a client racing a stale directory
-    snapshot fails fast instead of waiting out a build timeout.  All
-    other incoming traffic is black-holed like a crash.  A restart
-    ([set_departed t false], driven by {!Relay_ctl.restart}) rejoins
-    the network. *)
-
-val set_departed : t -> bool -> unit
-val is_departed : t -> bool
-
-val gone_replies : t -> int
-(** GONE cells sent in reply to setup attempts while departed. *)
-
 val blackholed_cells : t -> int
 (** Packets that arrived while the node was down. *)
 

@@ -130,7 +130,7 @@ let run ?(seed = 7) config =
       match outcome with
       | Tor_model.Circuit_builder.Failed msg ->
           failwith ("Adaptive_experiment: establishment failed: " ^ msg)
-      | Tor_model.Circuit_builder.Refused _ | Tor_model.Circuit_builder.Gone _ ->
+      | Tor_model.Circuit_builder.Refused _ ->
           (* No budgets are set in this experiment, so a refusal is a bug. *)
           failwith "Adaptive_experiment: establishment refused"
       | Tor_model.Circuit_builder.Established _ ->

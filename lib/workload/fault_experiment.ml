@@ -175,7 +175,7 @@ let run ?(seed = 42) ?probe config =
       match outcome with
       | Tor_model.Circuit_builder.Failed msg ->
           failwith ("Fault_experiment: circuit establishment failed: " ^ msg)
-      | Tor_model.Circuit_builder.Refused _ | Tor_model.Circuit_builder.Gone _ ->
+      | Tor_model.Circuit_builder.Refused _ ->
           (* No budgets are set in this experiment, so a refusal is a bug. *)
           failwith "Fault_experiment: circuit establishment refused"
       | Tor_model.Circuit_builder.Established { at } ->

@@ -232,7 +232,7 @@ let unsafe_disable_churn_kill = ref false
    every shard count, and the differential could not see them. *)
 let unsafe_unordered_exchange = ref false
 
-(* Live relay status at round level (mirrors [Tor_model.Directory.status]). *)
+(* Live relay status at round level. *)
 let st_down = 0
 let st_draining = 1
 let st_up = 2
@@ -442,8 +442,8 @@ let admits st r =
 
 (* Admission consults *live* status where the draw consulted the stale
    snapshot — this gap is the staleness race: a hop that departed since
-   the epoch boundary answers like a GONE (down) or a draining REFUSED,
-   failing the attempt. *)
+   the epoch boundary fails the attempt as a gone draw (down) or a
+   draining refusal. *)
 let hop_ok st r =
   if not st.churn then admits st r
   else if st.rstatus.(r) = st_down then begin

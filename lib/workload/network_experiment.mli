@@ -166,12 +166,11 @@ type result = {
           original start time, so the rebuild gap lands in the TTLB
           tail). *)
   gone_draws : int;
-      (** Admission checks that hit a relay already down — the
-          round-level analog of a build racing a departure into a
-          typed GONE. *)
+      (** Admission checks that hit a relay already down: a draw from
+          a stale epoch snapshot racing a departure. *)
   draining_refusals : int;
-      (** Admission checks that hit a draining relay — the analog of
-          [Refused (Draining)]. *)
+      (** Admission checks that hit a draining relay, which refuses
+          new circuits. *)
   rounds_through_down : int;
       (** Churn oracle 1's counter: rounds taken by a circuit with a
           departed hop.  Always 0 unless the kill pass is disabled. *)

@@ -231,7 +231,7 @@ let run config =
           match outcome with
           | Tor_model.Circuit_builder.Failed msg ->
               failwith ("Star_experiment: establishment failed: " ^ msg)
-          | Tor_model.Circuit_builder.Refused _ | Tor_model.Circuit_builder.Gone _ ->
+          | Tor_model.Circuit_builder.Refused _ ->
               failwith "Star_experiment: establishment refused"
           | Tor_model.Circuit_builder.Established _ ->
               ignore

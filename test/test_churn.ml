@@ -1,284 +1,13 @@
-(* Tests for the churn subsystem: directory epochs and incarnations,
-   session behaviour against busy / draining / departed relays, the
-   round-level churn schedule in the network experiment, and the churn oracles in the check harness
-   (including the guard-flip acceptance test). *)
+(* Tests for relay churn, which is modelled at round level only: the
+   churn schedule in the network experiment (leave/join hazards,
+   crashes, drains, directory epochs), the churn oracles in the check
+   harness (including the guard-flip acceptance test) and the
+   churn-scale CLI. *)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   nl = 0 || go 0
-
-(* ------------------------------------------------------------------ *)
-(* A tiny packet-level world: [relays] all-position relays on a star,
-   plus a client and a server endpoint. *)
-
-let make_world ?(relays = 5) () =
-  let sim = Engine.Sim.create () in
-  let b = Workload.Tor_net.builder sim () in
-  List.iter (Workload.Tor_net.add_relay b)
-    (List.init relays (fun i ->
-         {
-           Workload.Relay_gen.nickname = Printf.sprintf "relay%d" i;
-           bandwidth = Engine.Units.Rate.mbit 6;
-           latency = Engine.Time.ms 10;
-           flags =
-             [ Tor_model.Relay_info.Guard; Tor_model.Relay_info.Exit;
-               Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ];
-         }));
-  let endpoint name =
-    Workload.Tor_net.add_endpoint b ~name ~rate:(Engine.Units.Rate.mbit 100)
-      ~delay:(Engine.Time.ms 10)
-  in
-  let client = endpoint "client" in
-  let server = endpoint "server" in
-  let net = Workload.Tor_net.finalize b in
-  (sim, net, client, server)
-
-let relay_nodes net =
-  List.map
-    (fun (r : Tor_model.Relay_info.t) -> r.node)
-    (Tor_model.Directory.relays (Workload.Tor_net.directory net))
-
-(* ------------------------------------------------------------------ *)
-(* Directory epochs and incarnations *)
-
-let test_epoch_snapshot_lags_live_population () =
-  let _sim, net, _, _ = make_world ~relays:4 () in
-  let dir = Workload.Tor_net.directory net in
-  let victim = List.hd (relay_nodes net) in
-  Alcotest.(check int) "epoch starts at 0" 0 (Tor_model.Directory.epoch dir);
-  Alcotest.(check int) "bootstrap view has all" 4
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  (* Before any epoch: live view doubles as snapshot, and a down relay
-     is still listed — status never filters the selectable view. *)
-  Tor_model.Directory.mark_down dir victim;
-  Alcotest.(check int) "down relay still in pre-epoch view" 4
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  Tor_model.Directory.advance_epoch dir;
-  Alcotest.(check int) "epoch advanced" 1 (Tor_model.Directory.epoch dir);
-  Alcotest.(check int) "down relay dropped at the boundary" 3
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  (* Coming back up: invisible until the next boundary. *)
-  Tor_model.Directory.mark_up dir victim;
-  Alcotest.(check int) "restart invisible until next epoch" 3
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  Tor_model.Directory.advance_epoch dir;
-  Alcotest.(check int) "restart visible after the boundary" 4
-    (List.length (Tor_model.Directory.snapshot_relays dir))
-
-let test_draining_stays_in_snapshot () =
-  let _sim, net, _, _ = make_world ~relays:4 () in
-  let dir = Workload.Tor_net.directory net in
-  let victim = List.hd (relay_nodes net) in
-  Tor_model.Directory.mark_draining dir victim;
-  Tor_model.Directory.advance_epoch dir;
-  (* A draining relay is still listed in the consensus. *)
-  Alcotest.(check int) "draining relay still listed" 4
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  Tor_model.Directory.mark_down dir victim;
-  Tor_model.Directory.advance_epoch dir;
-  Alcotest.(check int) "gone after the drain completes" 3
-    (List.length (Tor_model.Directory.snapshot_relays dir))
-
-let test_join_waits_for_next_epoch () =
-  let _sim, net, _, _ = make_world ~relays:4 () in
-  let dir = Workload.Tor_net.directory net in
-  Tor_model.Directory.advance_epoch dir;
-  let existing = List.hd (relay_nodes net) in
-  let joiner =
-    Tor_model.Relay_info.make ~nickname:"joiner" ~node:existing
-      ~bandwidth:(Engine.Units.Rate.mbit 6) ~latency:(Engine.Time.ms 10) ()
-  in
-  (* [join] is invisible until a consensus lists it; [add] (bootstrap)
-     extends the standing snapshot immediately. *)
-  Tor_model.Directory.join dir joiner;
-  Alcotest.(check int) "join invisible pre-boundary" 4
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  Tor_model.Directory.advance_epoch dir;
-  Alcotest.(check int) "join visible post-boundary" 5
-    (List.length (Tor_model.Directory.snapshot_relays dir));
-  Tor_model.Directory.add dir joiner;
-  Alcotest.(check int) "add visible immediately" 6
-    (List.length (Tor_model.Directory.snapshot_relays dir))
-
-let test_incarnation_bumps_only_on_return_from_down () =
-  let _sim, net, _, _ = make_world ~relays:4 () in
-  let dir = Workload.Tor_net.directory net in
-  let victim = List.hd (relay_nodes net) in
-  Alcotest.(check int) "starts at 0" 0
-    (Tor_model.Directory.incarnation dir victim);
-  Tor_model.Directory.mark_up dir victim;
-  Alcotest.(check int) "up -> up: no bump" 0
-    (Tor_model.Directory.incarnation dir victim);
-  Tor_model.Directory.mark_draining dir victim;
-  Tor_model.Directory.mark_up dir victim;
-  Alcotest.(check int) "draining -> up: no bump (never died)" 0
-    (Tor_model.Directory.incarnation dir victim);
-  Tor_model.Directory.mark_down dir victim;
-  Tor_model.Directory.mark_up dir victim;
-  Alcotest.(check int) "down -> up: bump" 1
-    (Tor_model.Directory.incarnation dir victim);
-  Tor_model.Directory.mark_down dir victim;
-  Tor_model.Directory.mark_up dir victim;
-  Alcotest.(check int) "each restart bumps" 2
-    (Tor_model.Directory.incarnation dir victim)
-
-(* ------------------------------------------------------------------ *)
-(* Session vs busy / draining / departed relays *)
-
-let deploy_of net ~bytes : Tor_model.Session.deploy =
- fun ~circuit ~offset ~on_complete ~on_fail ->
-  let d =
-    Backtap.Transfer.deploy
-      ~node_of:(Workload.Tor_net.backtap_node net)
-      ~circuit ~bytes ~strategy:Circuitstart.Controller.Circuit_start ~offset
-      ~on_complete
-      ~on_fail:(fun at -> on_fail ~failed_hop:None at)
-      ()
-  in
-  {
-    Tor_model.Session.start = (fun () -> Backtap.Transfer.start d);
-    delivered = (fun () -> Backtap.Transfer.delivered_bytes d);
-    teardown = (fun () -> Backtap.Transfer.teardown d);
-  }
-
-(* One session run against a world prepared by [prepare], which
-   receives the net and the victim relay's node and control handle.
-   Returns (session, victim). *)
-let session_run ~seed ~prepare =
-  let sim, net, client, server = make_world ~relays:5 () in
-  let victim = List.hd (relay_nodes net) in
-  prepare net victim (Workload.Tor_net.relay_ctl net victim);
-  let session =
-    Tor_model.Session.create
-      ~sb:(Workload.Tor_net.switchboard net client)
-      ~directory:(Workload.Tor_net.directory net)
-      ~ids:(Workload.Tor_net.circuit_ids net)
-      ~server ~rng:(Engine.Rng.create seed) ~hops:3
-      ~deploy:(deploy_of net ~bytes:(Engine.Units.kib 16))
-      ~max_rebuilds:8
-      ~on_outcome:(fun _ -> Engine.Sim.stop sim)
-      ()
-  in
-  Tor_model.Session.start session;
-  Engine.Sim.run sim ~until:(Engine.Time.s 120);
-  (session, victim)
-
-let completed session =
-  match Tor_model.Session.outcome session with
-  | Some (Tor_model.Session.Completed _) -> true
-  | _ -> false
-
-(* Hunt the seed space for a run where [interesting] fires — the draw
-   is deterministic per seed, so the hunt is too. *)
-let hunt ~prepare ~interesting =
-  let rec go seed =
-    if seed > 50 then None
-    else
-      let session, victim = session_run ~seed ~prepare in
-      if interesting session then Some (session, victim) else go (seed + 1)
-  in
-  go 1
-
-let test_draining_refusal_excludes_nobody () =
-  match
-    hunt
-      ~prepare:(fun _net _victim ctl -> Tor_model.Relay_ctl.begin_drain ctl)
-      ~interesting:(fun s -> Tor_model.Session.drain_refused_builds s > 0)
-  with
-  | None -> Alcotest.fail "no seed routed a build through the draining relay"
-  | Some (session, _) ->
-      Alcotest.(check bool) "completed around the draining relay" true
-        (completed session);
-      (* Draining is not suspected-crashed: nothing is excluded, the
-         relay stays selectable for its post-restart life. *)
-      Alcotest.(check int) "nothing excluded" 0
-        (List.length (Tor_model.Session.excluded session));
-      Alcotest.(check int) "no busy refusals conflated" 0
-        (Tor_model.Session.refused_builds session)
-
-let test_busy_refusal_excludes_nobody () =
-  match
-    hunt
-      ~prepare:(fun net victim _ctl ->
-        Tor_model.Switchboard.set_budget
-          (Workload.Tor_net.switchboard net victim)
-          {
-            Tor_model.Switchboard.max_circuits = Some 0;
-            max_queued_bytes = None;
-          })
-      ~interesting:(fun s -> Tor_model.Session.refused_builds s > 0)
-  with
-  | None -> Alcotest.fail "no seed routed a build through the budgeted relay"
-  | Some (session, _) ->
-      Alcotest.(check bool) "completed around the busy relay" true
-        (completed session);
-      Alcotest.(check int) "nothing excluded" 0
-        (List.length (Tor_model.Session.excluded session));
-      Alcotest.(check int) "no drain refusals conflated" 0
-        (Tor_model.Session.drain_refused_builds session)
-
-(* One world where the victim has cleanly departed (drain begun and
-   finished, directory live view knows) before the session starts: the
-   pre-epoch snapshot still lists the relay, so builds race into a
-   typed GONE.  Hunts the seed space until a run actually draws the
-   departed relay; returns the run's world so callers can restart the
-   victim afterwards. *)
-let gone_run () =
-  let rec go seed =
-    if seed > 50 then
-      Alcotest.fail "no seed routed a build through the departed relay"
-    else begin
-      let sim, net, client, server = make_world ~relays:5 () in
-      let dir = Workload.Tor_net.directory net in
-      let victim = List.hd (relay_nodes net) in
-      let ctl = Workload.Tor_net.relay_ctl net victim in
-      Tor_model.Relay_ctl.begin_drain ctl;
-      Tor_model.Relay_ctl.finish_drain ctl;
-      Tor_model.Directory.mark_down dir victim;
-      let session =
-        Tor_model.Session.create
-          ~sb:(Workload.Tor_net.switchboard net client)
-          ~directory:dir
-          ~ids:(Workload.Tor_net.circuit_ids net)
-          ~server ~rng:(Engine.Rng.create seed) ~hops:3
-          ~deploy:(deploy_of net ~bytes:(Engine.Units.kib 16))
-          ~max_rebuilds:8
-          ~on_outcome:(fun _ -> Engine.Sim.stop sim)
-          ()
-      in
-      Tor_model.Session.start session;
-      Engine.Sim.run sim ~until:(Engine.Time.s 120);
-      if Tor_model.Session.gone_builds session > 0 then
-        (session, victim, ctl, dir)
-      else go (seed + 1)
-    end
-  in
-  go 1
-
-let test_gone_excludes_until_restart () =
-  let session, victim, _ctl, _dir = gone_run () in
-  Alcotest.(check bool) "completed around the departed relay" true
-    (completed session);
-  (* GONE excludes — exactly the departed relay, nobody else. *)
-  match Tor_model.Session.excluded session with
-  | [ node ] ->
-      Alcotest.(check bool) "exactly the departed relay excluded" true
-        (Netsim.Node_id.equal node victim)
-  | other ->
-      Alcotest.fail
-        (Printf.sprintf "expected 1 exclusion, got %d" (List.length other))
-
-let test_restart_forgives_exclusion () =
-  let session, victim, ctl, dir = gone_run () in
-  Alcotest.(check int) "departed relay excluded while down" 1
-    (List.length (Tor_model.Session.excluded session));
-  (* The relay restarts: switchboard state cleared, directory marks it
-     up, incarnation bumps — and the grudge is forgiven. *)
-  Tor_model.Relay_ctl.restart ctl;
-  Tor_model.Directory.mark_up dir victim;
-  Alcotest.(check int) "exclusion forgiven after restart" 0
-    (List.length (Tor_model.Session.excluded session))
 
 (* ------------------------------------------------------------------ *)
 (* Round-level churn in the network experiment *)
@@ -550,28 +279,6 @@ let test_cli_churn_scale_runs () =
 let () =
   Alcotest.run "churn"
     [
-      ( "directory",
-        [
-          Alcotest.test_case "epoch snapshot lags live" `Quick
-            test_epoch_snapshot_lags_live_population;
-          Alcotest.test_case "draining stays listed" `Quick
-            test_draining_stays_in_snapshot;
-          Alcotest.test_case "join waits for epoch" `Quick
-            test_join_waits_for_next_epoch;
-          Alcotest.test_case "incarnation bumps on restart" `Quick
-            test_incarnation_bumps_only_on_return_from_down;
-        ] );
-      ( "session",
-        [
-          Alcotest.test_case "draining refusal excludes nobody" `Quick
-            test_draining_refusal_excludes_nobody;
-          Alcotest.test_case "busy refusal excludes nobody" `Quick
-            test_busy_refusal_excludes_nobody;
-          Alcotest.test_case "gone excludes the departed relay" `Quick
-            test_gone_excludes_until_restart;
-          Alcotest.test_case "restart forgives the exclusion" `Quick
-            test_restart_forgives_exclusion;
-        ] );
       ( "network",
         [
           Alcotest.test_case "churn counters live" `Quick

@@ -825,18 +825,6 @@ let test_cdf_points () =
     [ (1., 0.25); (2., 0.5); (3., 1.) ]
     pts
 
-let test_histogram () =
-  let h = Engine.Stats.Histogram.create ~bin_width:1. in
-  List.iter (Engine.Stats.Histogram.add h) [ 0.1; 0.9; 1.5; 2.1; 2.2; 2.9 ];
-  Alcotest.(check int) "count" 6 (Engine.Stats.Histogram.count h);
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "bins"
-    [ (0., 2); (1., 1); (2., 3) ]
-    (Engine.Stats.Histogram.bins h);
-  Alcotest.(check (option (pair (float 1e-9) int)))
-    "mode" (Some (2., 3))
-    (Engine.Stats.Histogram.mode_bin h)
-
 let test_samples_basic () =
   let s = Engine.Stats.Samples.create () in
   Alcotest.(check bool) "empty" true (Engine.Stats.Samples.is_empty s);
@@ -952,15 +940,6 @@ let test_every_invalid_period () =
   let sim = Engine.Sim.create () in
   Alcotest.check_raises "zero period" (Invalid_argument "Sim.every: period must be positive")
     (fun () -> Engine.Sim.every sim Engine.Time.zero (fun () -> ()) ~stop:(fun () -> true))
-
-let test_histogram_negative_bins () =
-  let h = Engine.Stats.Histogram.create ~bin_width:1. in
-  Engine.Stats.Histogram.add h (-0.5);
-  Engine.Stats.Histogram.add h 0.5;
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "negative bin kept separate"
-    [ (-1., 1); (0., 1) ]
-    (Engine.Stats.Histogram.bins h)
 
 let test_negative_time_pp () =
   Alcotest.(check string) "sign rendered" "-2.50ms"
@@ -1218,6 +1197,22 @@ let test_alloc_weighted () =
       sink := !sink + Engine.Rng.Weighted.draw w rng);
   check_no_alloc "Rng.bernoulli" (fun () ->
       if Engine.Rng.bernoulli rng 0.3 then incr sink)
+
+(* A loss coin per packet on a lossy link: both models read their
+   probabilities from the stored model, so [decide] boxes nothing. *)
+let test_alloc_faults_decide () =
+  let rng = Engine.Rng.create 19 and sink = ref 0 in
+  let decide model =
+    let st = Netsim.Faults.loss_state model in
+    fun () -> if Netsim.Faults.decide st rng then incr sink
+  in
+  check_no_alloc "Faults.decide Bernoulli"
+    (decide (Netsim.Faults.Bernoulli 0.3));
+  check_no_alloc "Faults.decide Gilbert_elliott"
+    (decide
+       (Netsim.Faults.Gilbert_elliott
+          { p_good_to_bad = 0.2; p_bad_to_good = 0.4; loss_good = 0.05;
+            loss_bad = 0.6 }))
 
 (* The consensus engine's think time and TTLB record: the float stays
    inside [Rng] and [Stats], so neither call boxes one.  The mean is a
@@ -1709,9 +1704,6 @@ let () =
           Alcotest.test_case "online merge" `Quick test_online_merge;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "cdf points" `Quick test_cdf_points;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "histogram negative bins" `Quick
-            test_histogram_negative_bins;
           Alcotest.test_case "samples basic" `Quick test_samples_basic;
           Alcotest.test_case "samples cache invalidation" `Quick
             test_samples_cache_invalidation;
@@ -1734,6 +1726,7 @@ let () =
             test_alloc_weighted;
           Alcotest.test_case "Rng.exponential_ns and Sketch.add_ns" `Quick
             test_alloc_exponential_ns;
+          Alcotest.test_case "Faults.decide" `Quick test_alloc_faults_decide;
           Alcotest.test_case "Time.add" `Quick test_alloc_time;
           Alcotest.test_case "Online.add" `Quick test_alloc_online;
           Alcotest.test_case "Sketch.add" `Quick test_alloc_sketch;
