@@ -347,6 +347,12 @@ let fixtures =
     ( "cli_cdf_sendme.txt",
       cli_fixture
         "cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport sendme" );
+    (* A 2201-node star: 1000 clients, 1000 servers and 200 relays
+       around one hub, so route set-up and forwarding are exercised at a
+       size the 33-node fixtures above do not reach. *)
+    ( "cli_cdf_large_star.txt",
+      cli_fixture
+        "cdf --circuits 1000 --relays 200 --kib 1 --seed 7 --transport cs" );
   ]
 
 let update_dir = Sys.getenv_opt "CIRCUITSTART_UPDATE_GOLDEN"
