@@ -1,26 +1,41 @@
 type t = {
   topo : Topology.t;
-  (* fwd.(a).(b) is the outgoing link of node a on the route to b, or
-     [no_route] when b is unreachable from a or b = a: forwarding is
-     one array read. *)
-  fwd : Link.t array array;
+  (* A node with exactly one out-link, whose neighbour at the far end
+     has two or more, reaches every other node only through that link:
+     uplink.(a) is the link, and routes.(a) is the shared empty row.
+     Every other node has uplink.(a) == no_route and a full row:
+     routes.(a).(b) is its outgoing link on the route to b, or
+     [no_route] when b is unreachable or b = a.  In a star only the hub
+     has a row, so the state is linear in the node count, and
+     forwarding is at most three array reads (see [next_link]). *)
+  uplink : Link.t array;
+  routes : Link.t array array;
   no_route : Link.t;
   local : (Packet.t -> unit) option array;
   mutable undeliverable : int;
 }
 
-(* Dijkstra from every source.  Cost = propagation delay in ns, with one
-   extra ns per hop so equal-delay routes prefer fewer hops.  The
-   frontier is a binary min-heap of (distance, node) pairs in
-   lexicographic order, so equal distances pop in node-id order and the
-   routes are deterministic.  Returns the forwarding table:
-   fwd.(src).(dst) is src's link toward the first hop of the route, or
-   [no_route] if dst is unreachable or dst = src.  The table is the
-   only n x n allocation: each source's row is written straight from
-   its shortest-path tree through one reused [toward] row. *)
-let compute_routes ~out ~no_route =
+(* The nodes that forward everything over their one out-link: a single
+   out-link whose far end has two or more out-links of its own.  The
+   neighbour then keeps a row, so a lookup needs one indirection at
+   most.  Two single-link nodes facing each other (a 2-node component,
+   the end of a one-way chain) keep rows instead. *)
+let single_uplink ~out a =
+  Array.length out.(a) = 1
+  && Array.length out.(Node_id.to_int (Link.dst out.(a).(0))) >= 2
+
+(* Dijkstra from every node that needs a row.  Cost = propagation delay
+   in ns, with one extra ns per hop so equal-delay routes prefer fewer
+   hops.  The frontier is a binary min-heap of (distance, node) pairs
+   in lexicographic order, so equal distances pop in node-id order and
+   the routes are deterministic.  Returns the rows: routes.(src).(dst)
+   is src's link toward the first hop of the route, or [no_route] if
+   dst is unreachable or dst = src; nodes with an uplink share the
+   empty row.  Each row is written straight from its shortest-path tree
+   through one reused [toward] row. *)
+let compute_routes ~out ~uplink ~no_route =
   let n = Array.length out in
-  let fwd = Array.make_matrix n n no_route in
+  let routes = Array.make n [||] in
   (* toward.(v) is the current source's link to neighbour v. *)
   let toward = Array.make n no_route in
   (* Each edge is relaxed at most once per source: one push per edge
@@ -70,50 +85,61 @@ let compute_routes ~out ~no_route =
   let prev = Array.make n (-1) in
   let visited = Array.make n false in
   for src = 0 to n - 1 do
-    Array.fill dist 0 n max_int;
-    Array.fill prev 0 n (-1);
-    Array.fill visited 0 n false;
-    dist.(src) <- 0;
-    push 0 src;
-    while !size > 0 do
-      let u = pop () in
-      if not visited.(u) then begin
-        visited.(u) <- true;
-        (* A plain loop: an [Array.iter] closure here would capture [u]
-           and be allocated once per visited node. *)
-        let links = out.(u) in
-        for k = 0 to Array.length links - 1 do
-          let l = links.(k) in
-          let v = Node_id.to_int (Link.dst l) in
-          let alt = dist.(u) + (Link.delay l :> int) + 1 in
-          if alt < dist.(v) then begin
-            dist.(v) <- alt;
-            prev.(v) <- u;
-            push alt v
-          end
-        done
-      end
-    done;
-    (* First hop toward each destination: walk prev back to src. *)
-    let links = out.(src) in
-    for k = 0 to Array.length links - 1 do
-      toward.(Node_id.to_int (Link.dst links.(k))) <- links.(k)
-    done;
-    let row = fwd.(src) in
-    for dst = 0 to n - 1 do
-      if dst <> src && prev.(dst) >= 0 then begin
-        let hop = ref dst in
-        while prev.(!hop) <> src && prev.(!hop) >= 0 do
-          hop := prev.(!hop)
-        done;
-        if prev.(!hop) = src then row.(dst) <- toward.(!hop)
-      end
-    done;
-    for k = 0 to Array.length links - 1 do
-      toward.(Node_id.to_int (Link.dst links.(k))) <- no_route
-    done
+    if uplink.(src) == no_route then begin
+      Array.fill dist 0 n max_int;
+      Array.fill prev 0 n (-1);
+      Array.fill visited 0 n false;
+      dist.(src) <- 0;
+      push 0 src;
+      while !size > 0 do
+        let u = pop () in
+        if not visited.(u) then begin
+          visited.(u) <- true;
+          (* A plain loop: an [Array.iter] closure here would capture [u]
+             and be allocated once per visited node. *)
+          let links = out.(u) in
+          for k = 0 to Array.length links - 1 do
+            let l = links.(k) in
+            let v = Node_id.to_int (Link.dst l) in
+            let alt = dist.(u) + (Link.delay l :> int) + 1 in
+            if alt < dist.(v) then begin
+              dist.(v) <- alt;
+              prev.(v) <- u;
+              push alt v
+            end
+          done
+        end
+      done;
+      (* First hop toward each destination: walk prev back to src. *)
+      let links = out.(src) in
+      for k = 0 to Array.length links - 1 do
+        toward.(Node_id.to_int (Link.dst links.(k))) <- links.(k)
+      done;
+      let row = Array.make n no_route in
+      for dst = 0 to n - 1 do
+        if dst <> src && prev.(dst) >= 0 then begin
+          let hop = ref dst in
+          while prev.(!hop) <> src && prev.(!hop) >= 0 do
+            hop := prev.(!hop)
+          done;
+          if prev.(!hop) = src then row.(dst) <- toward.(!hop)
+        end
+      done;
+      for k = 0 to Array.length links - 1 do
+        toward.(Node_id.to_int (Link.dst links.(k))) <- no_route
+      done;
+      routes.(src) <- row
+    end
   done;
-  fwd
+  routes
+
+(* [a]'s outgoing link on the route to [b <> a], or [no_route]. *)
+let next_link t a b =
+  let up = t.uplink.(a) in
+  if up == t.no_route then t.routes.(a).(b)
+  else
+    let via = Node_id.to_int (Link.dst up) in
+    if b = via || t.routes.(via).(b) != t.no_route then up else t.no_route
 
 let create topo =
   let n = Topology.node_count topo in
@@ -122,8 +148,11 @@ let create topo =
       ~rate:(Engine.Units.Rate.mbit 1) ~delay:Engine.Time.zero ()
   in
   let out = Array.init n (fun i -> Topology.out_links topo (Node_id.of_int i)) in
-  let fwd = compute_routes ~out ~no_route in
-  let t = { topo; fwd; no_route; local = Array.make n None; undeliverable = 0 } in
+  let uplink =
+    Array.init n (fun a -> if single_uplink ~out a then out.(a).(0) else no_route)
+  in
+  let routes = compute_routes ~out ~uplink ~no_route in
+  let t = { topo; uplink; routes; no_route; local = Array.make n None; undeliverable = 0 } in
   (* Claim every link (each is some node's out-link): arriving packets
      are either delivered locally or forwarded along the precomputed
      route. *)
@@ -134,7 +163,7 @@ let create topo =
       | Some f -> f p
       | None -> t.undeliverable <- t.undeliverable + 1
     else
-      let l = t.fwd.(node_i).(Node_id.to_int p.dst) in
+      let l = next_link t node_i (Node_id.to_int p.dst) in
       if l == t.no_route then
         failwith
           (Format.asprintf "Network: no route from %a to %a" Node_id.pp node Node_id.pp
@@ -169,38 +198,31 @@ let send t ?on_transmit (p : Packet.t) =
            | Some f -> f p
            | None -> t.undeliverable <- t.undeliverable + 1))
   else
-    let l = t.fwd.(src_i).(dst_i) in
+    let l = next_link t src_i dst_i in
     if l == t.no_route then
       failwith
         (Format.asprintf "Network.send: no route from %a to %a" Node_id.pp p.src
            Node_id.pp p.dst)
     else Link.send l ?on_transmit p
 
-let path t a b =
-  let a_i = Node_id.to_int a and b_i = Node_id.to_int b in
-  if a_i = b_i then Some [ a ]
-  else if t.fwd.(a_i).(b_i) == t.no_route then None
-  else begin
-    let rec walk node acc =
-      if node = b_i then List.rev (b_i :: acc)
-      else walk (Node_id.to_int (Link.dst t.fwd.(node).(b_i))) (node :: acc)
-    in
-    Some (List.map Node_id.of_int (walk a_i []))
-  end
+(* [Some] of [f] folded over the links of the route from [a] to [b],
+   first hop first, or [None] if [b] is unreachable from [a]. *)
+let fold_route t a b f acc =
+  let b = Node_id.to_int b in
+  let rec go node acc =
+    if node = b then Some acc
+    else
+      let l = next_link t node b in
+      if l == t.no_route then None else go (Node_id.to_int (Link.dst l)) (f acc l)
+  in
+  go (Node_id.to_int a) acc
 
-let hop_count t a b = Option.map (fun p -> List.length p - 1) (path t a b)
+let path t a b =
+  Option.map List.rev (fold_route t a b (fun acc l -> Link.dst l :: acc) [ a ])
+
+let hop_count t a b = fold_route t a b (fun k _ -> k + 1) 0
 
 let path_delay t a b =
-  match path t a b with
-  | None -> None
-  | Some nodes ->
-      let rec total acc = function
-        | x :: (y :: _ as rest) -> (
-            match Topology.link t.topo x y with
-            | None -> assert false
-            | Some l -> total (Engine.Time.add acc (Link.delay l)) rest)
-        | [ _ ] | [] -> acc
-      in
-      Some (total Engine.Time.zero nodes)
+  fold_route t a b (fun acc l -> Engine.Time.add acc (Link.delay l)) Engine.Time.zero
 
 let undeliverable t = t.undeliverable

@@ -1,5 +1,5 @@
 (* Growable per-node out-link arrays, in insertion order. *)
-type out = { mutable dsts : int array; mutable links : Link.t array; mutable degree : int }
+type out = { mutable links : Link.t array; mutable degree : int }
 
 type t = {
   sim : Engine.Sim.t;
@@ -11,6 +11,9 @@ type t = {
   (* Directed adjacency: out.(a) is the outgoing links of node a, in
      insertion order. *)
   mutable out : out array;
+  (* Every directed link by its (source, destination) pair, so finding
+     one costs the same at a hub as at a leaf. *)
+  by_ends : (int * int, Link.t) Hashtbl.t;
   mutable count : int;
   (* Nodes in the order they gained their first outgoing link; see
      [links]. *)
@@ -22,14 +25,14 @@ type t = {
 
 let create sim =
   { sim; ids = Packet.fresh_id_state (); flights = Link.flight_pool sim;
-    node_names = [||]; out = [||]; count = 0; sources = [];
+    node_names = [||]; out = [||]; by_ends = Hashtbl.create 64; count = 0; sources = [];
     all_links = [||]; all_links_fresh = true }
 
 let sim t = t.sim
 let packet_ids t = t.ids
 
 let add_node t ~name =
-  let o = { dsts = [||]; links = [||]; degree = 0 } in
+  let o = { links = [||]; degree = 0 } in
   if t.count = Array.length t.node_names then begin
     let ncap = Stdlib.max 16 (t.count * 2) in
     let names = Array.make ncap "" in
@@ -56,24 +59,13 @@ let name t id =
   if Node_id.to_int id >= t.count then raise Not_found;
   t.node_names.(Node_id.to_int id)
 
-
-let link t a b =
-  let a = Node_id.to_int a and b = Node_id.to_int b in
-  if a >= t.count then None
-  else
-    let o = t.out.(a) in
-    let rec find i =
-      if i = o.degree then None
-      else if o.dsts.(i) = b then Some o.links.(i)
-      else find (i + 1)
-    in
-    find 0
+let link t a b = Hashtbl.find_opt t.by_ends (Node_id.to_int a, Node_id.to_int b)
 
 let connect_directed t a b ~rate ~delay ?(queue = Nqueue.unbounded) () =
   check_node t a;
   check_node t b;
   if Node_id.equal a b then invalid_arg "Topology.connect: self-loop";
-  if link t a b <> None then
+  if Hashtbl.mem t.by_ends (Node_id.to_int a, Node_id.to_int b) then
     invalid_arg
       (Format.asprintf "Topology.connect: %a->%a already connected" Node_id.pp a
          Node_id.pp b);
@@ -82,14 +74,12 @@ let connect_directed t a b ~rate ~delay ?(queue = Nqueue.unbounded) () =
   if o.degree = 0 then t.sources <- Node_id.to_int a :: t.sources;
   if o.degree = Array.length o.links then begin
     let ncap = Stdlib.max 4 (2 * o.degree) in
-    let dsts = Array.make ncap 0 and links = Array.make ncap l in
-    Array.blit o.dsts 0 dsts 0 o.degree;
+    let links = Array.make ncap l in
     Array.blit o.links 0 links 0 o.degree;
-    o.dsts <- dsts;
     o.links <- links
   end;
-  o.dsts.(o.degree) <- Node_id.to_int b;
   o.links.(o.degree) <- l;
+  Hashtbl.add t.by_ends (Node_id.to_int a, Node_id.to_int b) l;
   o.degree <- o.degree + 1;
   t.all_links_fresh <- false
 
@@ -105,7 +95,7 @@ let out_links t a =
 let neighbors t a =
   let a = Node_id.to_int a in
   if a >= t.count then []
-  else List.init t.out.(a).degree (fun i -> Node_id.of_int t.out.(a).dsts.(i))
+  else List.init t.out.(a).degree (fun i -> Link.dst t.out.(a).links.(i))
 
 (* The enumeration order is part of the observable behaviour: fault
    schedules draw per link in this order, and float sums over links

@@ -55,7 +55,9 @@ val connect_directed :
 (** One direction only; same error conditions as {!connect}. *)
 
 val link : t -> Node_id.t -> Node_id.t -> Link.t option
-(** The directed link [a->b], if connected. *)
+(** The directed link [a->b], if connected.  A hash lookup, so its
+    cost does not grow with [a]'s out-degree (nor does the duplicate
+    check of {!connect}). *)
 
 val neighbors : t -> Node_id.t -> Node_id.t list
 (** Nodes reachable over one outgoing link, in connection order. *)

@@ -8,18 +8,25 @@ type builder = {
   topo : Netsim.Topology.t;
   hub : Netsim.Node_id.t;
   queue : Netsim.Nqueue.capacity;
+  (* Newest first; [finalize] reverses them into declaration order. *)
   mutable leaves : leaf list;
   mutable finalized : bool;
+}
+
+(* The machinery of one leaf. *)
+type station = {
+  sb : Tor_model.Switchboard.t;
+  bt : Backtap.Node.t;
+  ctl : Tor_model.Relay_ctl.t;
+  spec : Optmodel.Path_model.node_spec;
 }
 
 type t = {
   net : Netsim.Network.t;
   b_hub : Netsim.Node_id.t;
   dir : Tor_model.Directory.t;
-  switchboards : Tor_model.Switchboard.t Netsim.Node_id.Map.t;
-  backtaps : Backtap.Node.t Netsim.Node_id.Map.t;
-  ctls : Tor_model.Relay_ctl.t Netsim.Node_id.Map.t;
-  specs : Optmodel.Path_model.node_spec Netsim.Node_id.Map.t;
+  (* Indexed by node id; [None] for the hub. *)
+  stations : station option array;
   ids : Tor_model.Circuit_id.gen;
 }
 
@@ -33,7 +40,7 @@ let add_leaf b ~name ~rate ~delay relay =
   let node = Netsim.Topology.add_node b.topo ~name in
   Netsim.Topology.connect b.topo node b.hub ~rate ~delay ~queue:b.queue ();
   b.leaves <-
-    b.leaves @ [ { node; spec = { Optmodel.Path_model.rate; access_delay = delay }; relay } ];
+    { node; spec = { Optmodel.Path_model.rate; access_delay = delay }; relay } :: b.leaves;
   node
 
 let add_relay b (spec : Relay_gen.spec) =
@@ -50,43 +57,37 @@ let finalize b =
   Backtap.Wire.register_printer ();
   let net = Netsim.Network.create b.topo in
   let dir = Tor_model.Directory.create () in
-  let add_maps (sbs, bts, ctls, specs) leaf =
-    let sb = Tor_model.Switchboard.install net leaf.node in
-    let bt = Backtap.Node.install sb in
-    let ctl = Tor_model.Relay_ctl.create sb in
-    (match leaf.relay with
-    | Some (r : Relay_gen.spec) ->
-        Tor_model.Directory.add dir
-          (Tor_model.Relay_info.make ~nickname:r.nickname ~node:leaf.node
-             ~bandwidth:r.bandwidth ~latency:r.latency ~flags:r.flags ())
-    | None -> ());
-    ( Netsim.Node_id.Map.add leaf.node sb sbs,
-      Netsim.Node_id.Map.add leaf.node bt bts,
-      Netsim.Node_id.Map.add leaf.node ctl ctls,
-      Netsim.Node_id.Map.add leaf.node leaf.spec specs )
-  in
-  let switchboards, backtaps, ctls, specs =
-    List.fold_left add_maps
-      Netsim.Node_id.Map.(empty, empty, empty, empty)
-      b.leaves
-  in
-  { net; b_hub = b.hub; dir; switchboards; backtaps; ctls; specs;
-    ids = Tor_model.Circuit_id.generator () }
+  let stations = Array.make (Netsim.Topology.node_count b.topo) None in
+  (* In declaration order: relay draws depend on the directory's. *)
+  List.iter
+    (fun leaf ->
+      let sb = Tor_model.Switchboard.install net leaf.node in
+      let bt = Backtap.Node.install sb in
+      let ctl = Tor_model.Relay_ctl.create sb in
+      (match leaf.relay with
+      | Some (r : Relay_gen.spec) ->
+          Tor_model.Directory.add dir
+            (Tor_model.Relay_info.make ~nickname:r.nickname ~node:leaf.node
+               ~bandwidth:r.bandwidth ~latency:r.latency ~flags:r.flags ())
+      | None -> ());
+      stations.(Netsim.Node_id.to_int leaf.node) <- Some { sb; bt; ctl; spec = leaf.spec })
+    (List.rev b.leaves);
+  { net; b_hub = b.hub; dir; stations; ids = Tor_model.Circuit_id.generator () }
 
 let sim t = Netsim.Network.sim t.net
 let network t = t.net
 let directory t = t.dir
 let hub t = t.b_hub
 
-let find map node =
-  match Netsim.Node_id.Map.find_opt node map with
-  | Some x -> x
-  | None -> raise Not_found
+let station t node =
+  let i = Netsim.Node_id.to_int node in
+  if i >= Array.length t.stations then raise Not_found;
+  match t.stations.(i) with Some s -> s | None -> raise Not_found
 
-let switchboard t node = find t.switchboards node
-let backtap_node t node = find t.backtaps node
-let relay_ctl t node = find t.ctls node
-let access_spec t node = find t.specs node
+let switchboard t node = (station t node).sb
+let backtap_node t node = (station t node).bt
+let relay_ctl t node = (station t node).ctl
+let access_spec t node = (station t node).spec
 
 let path_model t circuit =
   Optmodel.Path_model.of_specs

@@ -2,7 +2,9 @@
 
     Two-phase construction, because routes are computed once over the
     finished graph: declare every participant on a {!builder}, then
-    {!finalize}.  Finalization creates the {!Netsim.Network.t}, one
+    {!finalize}.  Declaring a leaf takes constant time, and finalizing
+    a star of n nodes O(n log n) time and O(n) words: only the hub
+    keeps a routing row (see {!Netsim.Network}).  Finalization creates the {!Netsim.Network.t}, one
     {!Tor_model.Switchboard.t} per leaf, a {!Tor_model.Relay_ctl.t}
     on every leaf (so any node can take part in circuit
     establishment), a {!Backtap.Node.t} on every leaf, and a
@@ -39,6 +41,9 @@ val network : t -> Netsim.Network.t
 val directory : t -> Tor_model.Directory.t
 val hub : t -> Netsim.Node_id.t
 
+(** The lookups below read one node-indexed array: constant time,
+    whatever the number of leaves. *)
+
 val switchboard : t -> Netsim.Node_id.t -> Tor_model.Switchboard.t
 (** Raises [Not_found] for the hub or unknown nodes. *)
 
@@ -50,7 +55,7 @@ val relay_ctl : t -> Netsim.Node_id.t -> Tor_model.Relay_ctl.t
 
 val access_spec : t -> Netsim.Node_id.t -> Optmodel.Path_model.node_spec
 (** The declared rate/delay of a leaf.  Raises [Not_found] for the
-    hub. *)
+    hub or unknown nodes. *)
 
 val path_model : t -> Tor_model.Circuit.t -> Optmodel.Path_model.t
 (** Analytic path description of a circuit over this network. *)

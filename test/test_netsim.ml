@@ -643,6 +643,63 @@ let build_shape shape =
         (Netsim.Topology.dumbbell sim ~left:(leaves l) ~right:(leaves r)
            ~bottleneck_rate:rate ~bottleneck_delay:(delay_of d) ())
 
+(* Shapes rich in single-link nodes, as [Graph] connect sequences: every
+   node of a tree but the inner ones, leaves at the end of pendant
+   chains, both ends of a 2-node component, nodes whose one link points
+   only out (or only in), and isolated nodes. *)
+let gen_single_link_graph =
+  QCheck2.Gen.(
+    let delay = int_range 0 2 in
+    (* 0 = duplex, 1 = child -> parent only, 2 = parent -> child only. *)
+    let direction = frequency [ (6, pure 0); (1, pure 1); (1, pure 2) ] in
+    let edge ~dir a b d =
+      match dir with
+      | 0 -> (a, b, d, true)
+      | 1 -> (b, a, d, false)
+      | _ -> (a, b, d, false)
+    in
+    oneof
+      [
+        (* A random tree: node i hangs off an earlier node. *)
+        (let* n = int_range 2 16 in
+         let* links = list_repeat (n - 1) (triple (int_range 0 15) delay direction) in
+         return
+           (Graph
+              ( n,
+                List.mapi (fun i (p, d, dir) -> edge ~dir (p mod (i + 1)) (i + 1) d) links
+              )));
+        (* A hub with leaves, some of them extended by a pendant chain. *)
+        (let* chains = list_size (int_range 1 6) (pair (int_range 0 3) delay) in
+         let* dir = direction in
+         let next = ref 1 in
+         let edges =
+           List.concat_map
+             (fun (len, d) ->
+               let leaf = !next in
+               incr next;
+               let chain =
+                 List.init len (fun k ->
+                     let a = if k = 0 then leaf else !next - 1 in
+                     let b = !next in
+                     incr next;
+                     edge ~dir:(if k = len - 1 then dir else 0) a b d)
+               in
+               (0, leaf, d, true) :: chain)
+             chains
+         in
+         return (Graph (!next, edges)));
+        (* 2-node components, one-way pairs and isolated nodes beside a
+           small star. *)
+        (let* pairs = list_size (int_range 0 4) (pair delay direction) in
+         let* leaves = list_size (int_range 0 4) delay in
+         let* isolated = int_range 0 3 in
+         let pair_edges = List.mapi (fun i (d, dir) -> edge ~dir (2 * i) ((2 * i) + 1) d) pairs in
+         let hub = 2 * List.length pairs in
+         let star_edges = List.mapi (fun i d -> (hub, hub + 1 + i, d, true)) leaves in
+         return
+           (Graph (hub + 1 + List.length leaves + isolated, pair_edges @ star_edges)));
+      ])
+
 let gen_shape =
   QCheck2.Gen.(
     let delay = int_range 0 2 in
@@ -661,10 +718,41 @@ let gen_shape =
           (list_size (int_range 1 5) delay)
           (list_size (int_range 1 5) delay)
           delay;
+        gen_single_link_graph;
       ])
 
+(* Hop count and summed propagation delay of the reference route from
+   [a] to [b], walked through the reference next-hop table. *)
+let ref_route_metrics topo want a b =
+  if want.(a).(b) < 0 then None
+  else
+    let rec walk x hops delay =
+      if x = b then Some (hops, delay)
+      else
+        let y = want.(x).(b) in
+        match Netsim.Topology.link topo (Netsim.Node_id.of_int x) (Netsim.Node_id.of_int y) with
+        | None -> assert false
+        | Some l -> walk y (hops + 1) (Engine.Time.add delay (Netsim.Link.delay l))
+    in
+    walk a 0 Engine.Time.zero
+
+(* [Network.send] from [a] to [b]: [`Delivered] if the packet reached
+   [b]'s handler, or the [Failure] message.  [arrived] is set by every
+   node's handler to that node. *)
+let send_outcome net arrived a b =
+  let src = Netsim.Node_id.of_int a and dst = Netsim.Node_id.of_int b in
+  arrived := -1;
+  match
+    Netsim.Network.send net
+      (Netsim.Network.make_packet net ~src ~dst ~size:100 (Netsim.Payload.Raw ""))
+  with
+  | exception Failure msg -> `Failed msg
+  | () ->
+      Engine.Sim.run (Netsim.Network.sim net);
+      if !arrived = b then `Delivered else `Lost
+
 let prop_routes_match_reference =
-  QCheck2.Test.make ~count:300
+  QCheck2.Test.make ~count:500
     ~name:"array Dijkstra gives the frozen set-based next-hop table"
     gen_shape
     (fun shape ->
@@ -672,10 +760,25 @@ let prop_routes_match_reference =
       let want = ref_compute_routes topo in
       let net = Netsim.Network.create topo in
       let n = Netsim.Topology.node_count topo in
+      let arrived = ref (-1) in
+      for b = 0 to n - 1 do
+        Netsim.Network.set_local_handler net (Netsim.Node_id.of_int b) (fun _ ->
+            arrived := b)
+      done;
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          if next_hop net a b <> want.(a).(b) then ok := false
+          let ia = Netsim.Node_id.of_int a and ib = Netsim.Node_id.of_int b in
+          let metrics = ref_route_metrics topo want a b in
+          if next_hop net a b <> want.(a).(b) then ok := false;
+          if Netsim.Network.hop_count net ia ib <> Option.map fst metrics then ok := false;
+          if Netsim.Network.path_delay net ia ib <> Option.map snd metrics then ok := false;
+          let expected =
+            if metrics <> None then `Delivered
+            else
+              `Failed (Format.asprintf "Network.send: no route from n%d to n%d" a b)
+          in
+          if send_outcome net arrived a b <> expected then ok := false
         done
       done;
       !ok)
