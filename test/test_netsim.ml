@@ -643,10 +643,10 @@ let build_shape shape =
         (Netsim.Topology.dumbbell sim ~left:(leaves l) ~right:(leaves r)
            ~bottleneck_rate:rate ~bottleneck_delay:(delay_of d) ())
 
-(* Shapes rich in single-link nodes, as [Graph] connect sequences: every
-   node of a tree but the inner ones, leaves at the end of pendant
-   chains, both ends of a 2-node component, nodes whose one link points
-   only out (or only in), and isolated nodes. *)
+(* Shapes rich in single-link nodes, as [Graph] connect sequences: the
+   leaves of random trees, the ends of pendant chains off a hub, both
+   ends of a 2-node component, nodes whose one link points only out (or
+   only in), and isolated nodes. *)
 let gen_single_link_graph =
   QCheck2.Gen.(
     let delay = int_range 0 2 in

@@ -66,22 +66,34 @@ let test_tor_net_assembly () =
   let sim = Engine.Sim.create () in
   let b = Workload.Tor_net.builder sim () in
   let rng = Engine.Rng.create 4 in
-  List.iter (Workload.Tor_net.add_relay b)
-    (Workload.Relay_gen.generate rng Workload.Relay_gen.default_config ~n:5);
+  let relays = Workload.Relay_gen.generate rng Workload.Relay_gen.default_config ~n:5 in
+  List.iter (Workload.Tor_net.add_relay b) relays;
   let client =
     Workload.Tor_net.add_endpoint b ~name:"c" ~rate:(Engine.Units.Rate.mbit 100)
       ~delay:(Engine.Time.ms 10)
   in
   let net = Workload.Tor_net.finalize b in
-  Alcotest.(check int) "directory size" 5
-    (Tor_model.Directory.count (Workload.Tor_net.directory net));
+  (* Relay draws depend on the directory's order: declaration order. *)
+  Alcotest.(check (list string)) "directory in declaration order"
+    (List.map (fun (r : Workload.Relay_gen.spec) -> r.nickname) relays)
+    (List.map
+       (fun (r : Tor_model.Relay_info.t) -> r.nickname)
+       (Tor_model.Directory.relays (Workload.Tor_net.directory net)));
   (* Every leaf has a switchboard, a backtap node and a control
-     automaton; the hub has none. *)
+     automaton; the hub and unknown nodes have none. *)
   ignore (Workload.Tor_net.switchboard net client);
   ignore (Workload.Tor_net.backtap_node net client);
   ignore (Workload.Tor_net.relay_ctl net client);
-  Alcotest.check_raises "hub has no switchboard" Not_found (fun () ->
-      ignore (Workload.Tor_net.switchboard net (Workload.Tor_net.hub net)));
+  List.iter
+    (fun (what, node) ->
+      let raises name f =
+        Alcotest.check_raises (Printf.sprintf "%s has no %s" what name) Not_found f
+      in
+      raises "switchboard" (fun () -> ignore (Workload.Tor_net.switchboard net node));
+      raises "backtap node" (fun () -> ignore (Workload.Tor_net.backtap_node net node));
+      raises "relay control" (fun () -> ignore (Workload.Tor_net.relay_ctl net node));
+      raises "access spec" (fun () -> ignore (Workload.Tor_net.access_spec net node)))
+    [ ("hub", Workload.Tor_net.hub net); ("unknown node", Netsim.Node_id.of_int 1000) ];
   let spec = Workload.Tor_net.access_spec net client in
   Alcotest.(check int) "endpoint rate recorded" 100_000_000
     (Engine.Units.Rate.to_bps spec.Optmodel.Path_model.rate)
