@@ -52,6 +52,9 @@ let cli_fixture args () =
   if rc <> 0 then Alcotest.failf "torsim %s exited %d" args rc;
   text
 
+(* stdout of several [torsim] runs, concatenated in order. *)
+let cli_fixtures runs () = String.concat "" (List.map (fun args -> cli_fixture args ()) runs)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end cell latency.  [torsim cdf] does not print it, so these
    runs pin the per-cell departure stamps and their consumption at the
@@ -353,6 +356,20 @@ let fixtures =
     ( "cli_cdf_large_star.txt",
       cli_fixture
         "cdf --circuits 1000 --relays 200 --kib 1 --seed 7 --transport cs" );
+    (* The exact world of perfbench's star-paired workload (Figure 1c:
+       50 circuits, 30 relays), one run per transport: about 215k events
+       each, serialization and propagation clocks and retransmission
+       watchdogs that are almost always disarmed. *)
+    ( "cli_cdf_star_paired.txt",
+      cli_fixtures
+        (List.map
+           (fun t ->
+             "cdf --circuits 50 --relays 30 --kib 64 --seed 1 --transport " ^ t)
+           [ "cs"; "ss"; "pr" ]) );
+    (* flash-crowd's scale with its event log: watchdogs, backoffs and
+       rebuild timers from microseconds to build timeouts. *)
+    ( "cli_overload_crowd.txt",
+      cli_fixture "overload --sessions 200 --relays 16 --seed 7 --events" );
   ]
 
 let update_dir = Sys.getenv_opt "CIRCUITSTART_UPDATE_GOLDEN"
