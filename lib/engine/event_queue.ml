@@ -1,96 +1,103 @@
-(* A hierarchical timer wheel fronting the old binary heap.
+(* A two-level timing wheel over an int slab, with an overflow heap
+   behind it (Varghese & Lauck, "Hashed and Hierarchical Timing
+   Wheels", SOSP 1987).
 
-   Layout: events within [wheel_slots] ticks of the cursor live in fixed
-   wheel slots (one unsorted bag per tick); events beyond that horizon
-   spill into the overflow heap, ordered exactly as the old scheduler
-   ordered everything.  As the cursor advances, overflow entries whose
-   tick enters the window migrate into slots, and the slot under the
-   cursor is drained into a small per-tick min-heap that fires entries
-   in strict (time, seq) order — so the observable firing order is
-   bit-identical to the heap-only implementation.
+   Every queued event owns one slot of the slab: [stride] ints (time,
+   seq, container, next-or-heap-index, prev) plus one cell of the
+   parallel [entries] array that holds its entry record.  The
+   containers hold slot ids, so scheduling, firing and cancelling move
+   ints and pay no write barrier; only [entries] holds pointers, and
+   only the slot's owner writes it (once when the slot is taken, once
+   when it is given back).
 
-   The payoff is the hot path: inserting a short-horizon event is O(1)
-   array writes (no sift, no comparisons), and [pop_before] returns the
-   payload directly with no Option or tuple boxing.  Reusable [timer]
-   entries are preallocated once by callers and rearmed in place, so a
-   steady-state simulation schedules and fires events without allocating
-   at all.
+   - L0 is a ring of [wheel_slots] ticks of [2^tick_bits] ns covering
+     the cursor's block (one L0 revolution, aligned).  Each tick is an
+     intrusive doubly linked list threaded through the slab, and an
+     occupancy bitmap finds the next occupied tick.
+   - L1 holds the next [l1_slots - 1] blocks, one list per block.  When
+     the cursor enters a block, that block's list cascades into L0.
+   - The overflow heap holds deadlines past L1, ordered by (time, seq);
+     its entries migrate into the wheel as the cursor's block advances.
+   - The drain heap holds the entries of ticks at or before the cursor,
+     ordered by (time, seq), so firing order is exact for any geometry.
 
-   Timestamps are immediate ints ([Time.t] is a private [int] of
-   nanoseconds), so an entry's time is compared, shifted into a tick and
-   stored with plain int operations: no boxing and no external calls. *)
+   An entry holds a slot only while it is queued: firing, cancelling or
+   disarming gives the slot back and overwrites its [entries] cell, so
+   a dropped timer or handle, and the payload of a popped or cancelled
+   event, stay collectable.  Cancellation is eager, so nothing dead is
+   ever stored and no sweep exists. *)
 
 type 'a entry = {
-  mutable time : Time.t;
-  mutable seq : int;
-  mutable payload : 'a;
-  mutable cancelled : bool;
-  mutable fired : bool;
-  (* Intrusive location tracking, so reusable timers can be pulled out
-     of whichever container holds them in O(1)/O(log n):
-     [where] is [loc_free] (not queued), [loc_heap], [loc_buffer], or a
-     wheel slot index; [pos] is the index within that container. *)
-  mutable where : int;
-  mutable pos : int;
+  payload : 'a;
+  (* The entry's slab slot while it is queued, else [idle] or
+     [cancelled]. *)
+  mutable slot : int;
 }
 
-type handle = H : 'a entry -> handle
+type handle = H : 'a entry -> handle [@@unboxed]
 type 'a timer = 'a entry
 
-let loc_free = -1
-let loc_heap = -2
-let loc_buffer = -3
+let idle = -1 (* not queued: never armed, fired or disarmed *)
+let cancelled = -2 (* not queued: a cancelled or cleared handle *)
+let nil = -1
 
-(* Default wheel geometry: 2^16 ns = 65.536us per tick, 256 slots, so
-   the window covers ~16.8ms — cell serialization, propagation delays
-   and feedback clocks land in slots; RTO-scale timers take the heap.
-   Every simulation in the library uses this default.  Both knobs stay
-   per-queue ([create ?tick_bits ?wheel_slots]) so a caller can measure
-   another geometry.  Geometry is perf-only — firing order is exact
-   (time, seq) for any setting, because every drained tick is sorted. *)
-let default_tick_bits = 16
-let default_wheel_slots = 256
+(* The slab's [stride] fields per slot: time, seq, container (an L0
+   tick below [wheel_slots], an L1 block from there up, or a heap),
+   list successor or heap index or free-list successor, and list
+   predecessor. *)
+let stride = 5 and f_time = 0 and f_seq = 1 and f_where = 2 and f_next = 3 and f_prev = 4
+let in_drain = -1 and in_overflow = -2
+let l1_slots = 256
+
+(* Default geometry: 2^12 ns = 4.1 µs ticks and 4096 of them, so L0
+   covers ~16.8 ms (serialization and propagation clocks) and L1 ~4.3 s
+   (retransmission watchdogs).  Every simulation in the library uses
+   this default. *)
+let default_tick_bits = 12
+let default_wheel_slots = 4096
+
+(* Small, so that a fresh slab (5 ints per slot) is a minor-heap block:
+   every world built creates a simulation, and a major-heap slab there
+   showed in set-up time.  The slab doubles as it fills. *)
+let default_capacity = 32
 
 type 'a t = {
-  (* Wheel geometry (fixed at creation). *)
   tick_bits : int;
   wheel_slots : int;
-  wheel_mask : int;
-  (* Overflow heap (beyond the wheel window), ordered by (time, seq).
-     Slots >= [heap_len] hold [dummy], never a popped entry: a fired
-     event's payload must become collectable the moment the caller
-     drops it. *)
-  mutable heap : 'a entry array;
-  mutable heap_len : int;
-  (* The wheel: one unsorted bag of entries per tick in the window
-     (cursor, cursor + wheel_slots).  [slot_len] is the bag fill;
-     [wheel_count] the total across all bags (cancelled included). *)
-  slots : 'a entry array array;
-  slot_len : int array;
-  mutable wheel_count : int;
+  l0_bits : int;
+  l0_mask : int;
+  mutable slab : int array;
+  mutable entries : 'a entry array;
+  mutable free : int;
+  (* List heads of the L0 ticks, then of the L1 blocks. *)
+  heads : int array;
+  (* L0 occupancy, 32 ticks per word. *)
+  bitmap : int array;
+  mutable l0_count : int;
+  mutable l1_count : int;
+  mutable drain : int array;
+  mutable drain_len : int;
+  mutable over : int array;
+  mutable over_len : int;
+  (* Every tick at or before the cursor has been drained. *)
   mutable cursor : int;
-  (* The drain buffer: all entries due at ticks <= cursor, kept as a
-     small (time, seq) min-heap of its own so same-tick inserts while
-     the tick drains stay O(log k) — a sorted array here would re-sort
-     per insert and go quadratic under same-instant bursts.  Inserts
-     at or before the cursor tick push here. *)
-  mutable buffer : 'a entry array;
-  mutable buf_len : int;
   mutable next_seq : int;
   mutable live : int;
   mutable popped_time : Time.t;
+  (* The filler of free [entries] cells.  Its payload is never read, so
+     an immediate stands in for the uninhabitable ['a] — the trick the
+     stdlib's [Dynarray] uses for its empty cells. *)
   dummy : 'a entry;
 }
 
-(* The filler for unused array slots.  Its payload is never read, never
-   compared and never returned — the length fields guard every access —
-   so an immediate stands in for the uninhabitable ['a].  This is the
-   same trick the stdlib's [Dynarray] uses for its empty slots. *)
-let make_dummy () : 'a entry =
-  { time = Time.zero; seq = min_int; payload = Obj.magic ();
-    cancelled = true; fired = true; where = loc_free; pos = -1 }
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let default_capacity = 256
+(* Push slots [hi - 1] down to [lo] onto the free list. *)
+let thread_free q lo hi =
+  for s = hi - 1 downto lo do
+    q.slab.((s * stride) + f_next) <- q.free;
+    q.free <- s
+  done
 
 let create ?(capacity = default_capacity) ?(tick_bits = default_tick_bits)
     ?(wheel_slots = default_wheel_slots) () =
@@ -99,31 +106,17 @@ let create ?(capacity = default_capacity) ?(tick_bits = default_tick_bits)
     invalid_arg "Event_queue.create: tick_bits must be in [1, 40]";
   if wheel_slots < 2 || wheel_slots land (wheel_slots - 1) <> 0 then
     invalid_arg "Event_queue.create: wheel_slots must be a power of two >= 2";
-  let dummy = make_dummy () in
-  {
-    tick_bits;
-    wheel_slots;
-    wheel_mask = wheel_slots - 1;
-    heap = Array.make capacity dummy;
-    heap_len = 0;
-    slots = Array.init wheel_slots (fun _ -> [||]);
-    slot_len = Array.make wheel_slots 0;
-    wheel_count = 0;
-    cursor = 0;
-    buffer = Array.make 64 dummy;
-    buf_len = 0;
-    next_seq = 0;
-    live = 0;
-    popped_time = Time.zero;
-    dummy;
-  }
-
-(* Strict (time, seq) order, monomorphised: timestamps compare as plain
-   int nanoseconds, so the hot path never goes through a closure or a
-   polymorphic comparison. *)
-let entry_before a b =
-  let ta = (a.time :> int) and tb = (b.time :> int) in
-  if ta <> tb then ta < tb else a.seq < b.seq
+  let dummy = { payload = Obj.magic (); slot = idle } in
+  let q =
+    { tick_bits; wheel_slots; l0_bits = log2 wheel_slots; l0_mask = wheel_slots - 1;
+      slab = Array.make (capacity * stride) 0; entries = Array.make capacity dummy;
+      free = nil; heads = Array.make (wheel_slots + l1_slots) nil;
+      bitmap = Array.make ((wheel_slots + 31) / 32) 0; l0_count = 0; l1_count = 0;
+      drain = Array.make 64 0; drain_len = 0; over = Array.make 64 0; over_len = 0;
+      cursor = 0; next_seq = 0; live = 0; popped_time = Time.zero; dummy }
+  in
+  thread_free q 0 capacity;
+  q
 
 let fresh_seq q =
   let s = q.next_seq in
@@ -133,332 +126,360 @@ let fresh_seq q =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Heap machinery, shared by the overflow heap and the drain buffer.
-   Both are binary min-heaps over (time, seq) with intrusive [pos]
-   maintenance, differing only in which array/length pair they live
-   in. *)
+(* The slab *)
 
-let rec sift_up arr i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before arr.(i) arr.(parent) then begin
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(parent);
-      arr.(parent) <- tmp;
-      arr.(i).pos <- i;
-      tmp.pos <- parent;
-      sift_up arr parent
+let grow q =
+  let cap = Array.length q.entries in
+  let slab = Array.make (2 * cap * stride) 0 in
+  Array.blit q.slab 0 slab 0 (cap * stride);
+  let entries = Array.make (2 * cap) q.dummy in
+  Array.blit q.entries 0 entries 0 cap;
+  q.slab <- slab;
+  q.entries <- entries;
+  thread_free q cap (2 * cap)
+
+let alloc q e =
+  if q.free = nil then grow q;
+  let s = q.free in
+  q.free <- q.slab.((s * stride) + f_next);
+  q.entries.(s) <- e;
+  e.slot <- s;
+  s
+
+let release q s =
+  q.entries.(s) <- q.dummy;
+  q.slab.((s * stride) + f_next) <- q.free;
+  q.free <- s
+
+let tick_of q s = q.slab.((s * stride) + f_time) asr q.tick_bits
+
+(* ------------------------------------------------------------------ *)
+(* Binary heaps of slot ids ordered by (time, seq), each slot's heap
+   index kept in its [f_next] field: the drain heap and the overflow
+   heap.  The [int array] annotations matter: inferred polymorphic, [<]
+   would be the generic compare and every store a generic array
+   write. *)
+
+let before (slab : int array) a b =
+  let ta = slab.(a * stride) and tb = slab.(b * stride) in
+  if ta <> tb then ta < tb else slab.((a * stride) + f_seq) < slab.((b * stride) + f_seq)
+
+let put (slab : int array) (h : int array) i s =
+  h.(i) <- s;
+  slab.((s * stride) + f_next) <- i
+
+(* Fill the hole at [i] with [s], moving it towards the root. *)
+let rec sift_up slab h i s =
+  if i > 0 && before slab s h.((i - 1) / 2) then begin
+    put slab h i h.((i - 1) / 2);
+    sift_up slab h ((i - 1) / 2) s
+  end
+  else put slab h i s
+
+(* Fill the hole at [i] of a heap of [len] with [s], moving it towards
+   the leaves. *)
+let rec sift_down slab h len i s =
+  let l = (2 * i) + 1 in
+  if l >= len then put slab h i s
+  else begin
+    let c = if l + 1 < len && before slab h.(l + 1) h.(l) then l + 1 else l in
+    if before slab h.(c) s then begin
+      put slab h i h.(c);
+      sift_down slab h len c s
     end
+    else put slab h i s
   end
 
-let rec sift_down arr ~len i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < len && entry_before arr.(l) arr.(!smallest) then smallest := l;
-  if r < len && entry_before arr.(r) arr.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(!smallest);
-    arr.(!smallest) <- tmp;
-    arr.(i).pos <- i;
-    tmp.pos <- !smallest;
-    sift_down arr ~len !smallest
+(* Take index [i] out of a heap of [len]; the caller shrinks it. *)
+let heap_delete slab h len i =
+  let last = h.(len - 1) in
+  if i < len - 1 then
+    if before slab last h.(i) then sift_up slab h i last
+    else sift_down slab h (len - 1) i last
+
+let grown h = Array.append h h
+
+let drain_push q s =
+  if q.drain_len = Array.length q.drain then q.drain <- grown q.drain;
+  q.slab.((s * stride) + f_where) <- in_drain;
+  sift_up q.slab q.drain q.drain_len s;
+  q.drain_len <- q.drain_len + 1
+
+let over_push q s =
+  if q.over_len = Array.length q.over then q.over <- grown q.over;
+  q.slab.((s * stride) + f_where) <- in_overflow;
+  sift_up q.slab q.over q.over_len s;
+  q.over_len <- q.over_len + 1
+
+(* ------------------------------------------------------------------ *)
+(* Wheel lists *)
+
+(* Each list is circular: its head's [f_prev] is its tail.  Appending
+   at the tail keeps a tick's entries in insertion order, so a drained
+   burst of same-instant events is already sorted and the drain heap's
+   branches stay predictable. *)
+let link q s c =
+  let b = s * stride and h = q.heads.(c) in
+  q.slab.(b + f_where) <- c;
+  if h = nil then begin
+    q.heads.(c) <- s;
+    q.slab.(b + f_next) <- s;
+    q.slab.(b + f_prev) <- s
+  end
+  else begin
+    let t = q.slab.((h * stride) + f_prev) in
+    q.slab.((t * stride) + f_next) <- s;
+    q.slab.(b + f_prev) <- t;
+    q.slab.(b + f_next) <- h;
+    q.slab.((h * stride) + f_prev) <- s
+  end
+
+let unlink q s c =
+  let b = s * stride in
+  let nx = q.slab.(b + f_next) in
+  if nx = s then q.heads.(c) <- nil
+  else begin
+    let pv = q.slab.(b + f_prev) in
+    q.slab.((pv * stride) + f_next) <- nx;
+    q.slab.((nx * stride) + f_prev) <- pv;
+    if q.heads.(c) = s then q.heads.(c) <- nx
+  end
+
+let set_bit q c = q.bitmap.(c lsr 5) <- q.bitmap.(c lsr 5) lor (1 lsl (c land 31))
+let clear_bit q c = q.bitmap.(c lsr 5) <- q.bitmap.(c lsr 5) land lnot (1 lsl (c land 31))
+
+(* Count trailing zeros of a nonzero 32-bit word: isolate the lowest
+   set bit and index a de Bruijn sequence with it. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz32 x = debruijn.((((x land -x) * 0x077C_B531) land 0xFFFF_FFFF) lsr 27)
+
+(* Queue slot [s] where its tick belongs: the drain heap at or before
+   the cursor, L0 in the cursor's block, L1 in the next [l1_slots - 1]
+   blocks, the overflow heap beyond.  Ticks of negative times are
+   negative and never exceed the cursor, which starts at 0; every tick,
+   even that of [Time.max_value], is a plain int. *)
+let place q s =
+  let tk = tick_of q s in
+  if tk <= q.cursor then drain_push q s
+  else begin
+    let blk = tk asr q.l0_bits and cur = q.cursor asr q.l0_bits in
+    if blk = cur then begin
+      let c = tk land q.l0_mask in
+      if q.heads.(c) = nil then set_bit q c;
+      link q s c;
+      q.l0_count <- q.l0_count + 1
+    end
+    else if blk - cur < l1_slots then begin
+      link q s (q.wheel_slots + (blk land (l1_slots - 1)));
+      q.l1_count <- q.l1_count + 1
+    end
+    else over_push q s
+  end
+
+(* Take queued slot [s] out of its container. *)
+let remove q s =
+  let b = s * stride in
+  let w = q.slab.(b + f_where) in
+  if w >= q.wheel_slots then begin
+    unlink q s w;
+    q.l1_count <- q.l1_count - 1
+  end
+  else if w >= 0 then begin
+    unlink q s w;
+    if q.heads.(w) = nil then clear_bit q w;
+    q.l0_count <- q.l0_count - 1
+  end
+  else if w = in_drain then begin
+    heap_delete q.slab q.drain q.drain_len q.slab.(b + f_next);
+    q.drain_len <- q.drain_len - 1
+  end
+  else begin
+    heap_delete q.slab q.over q.over_len q.slab.(b + f_next);
+    q.over_len <- q.over_len - 1
   end
 
 (* ------------------------------------------------------------------ *)
-(* Overflow heap *)
+(* Advancing the cursor.  Top-level loops, not local closures over [q]:
+   they run once per drained tick and must not allocate. *)
 
-let heap_grow q =
-  let cap = Array.length q.heap in
-  if q.heap_len = cap then begin
-    let nheap = Array.make (cap * 2) q.dummy in
-    Array.blit q.heap 0 nheap 0 q.heap_len;
-    q.heap <- nheap
-  end
+(* The first occupied L0 slot at or after the one whose bitmap word is
+   [w], given that word's remaining [bits].  Precondition: one exists. *)
+let rec next_slot q w bits =
+  if bits <> 0 then (w lsl 5) + ctz32 bits else next_slot q (w + 1) q.bitmap.(w + 1)
 
-let heap_push q e =
-  heap_grow q;
-  q.heap.(q.heap_len) <- e;
-  e.where <- loc_heap;
-  e.pos <- q.heap_len;
-  q.heap_len <- q.heap_len + 1;
-  sift_up q.heap (q.heap_len - 1)
+(* The earliest occupied L0 tick.  Precondition: [l0_count > 0], and
+   every L0 tick is after the cursor in the cursor's block. *)
+let next_l0_tick q =
+  let i = (q.cursor land q.l0_mask) + 1 in
+  let w = i lsr 5 in
+  q.cursor - (q.cursor land q.l0_mask) + next_slot q w (q.bitmap.(w) land (-1 lsl (i land 31)))
 
-(* Remove the entry at heap index [i], restoring heap order. *)
-let heap_remove_at q i =
-  let e = q.heap.(i) in
-  q.heap_len <- q.heap_len - 1;
-  if i < q.heap_len then begin
-    let last = q.heap.(q.heap_len) in
-    q.heap.(i) <- last;
-    last.pos <- i;
-    q.heap.(q.heap_len) <- q.dummy;
-    if entry_before last e then sift_up q.heap i
-    else sift_down q.heap ~len:q.heap_len i
-  end
-  else q.heap.(i) <- q.dummy;
-  e.where <- loc_free;
-  e
+(* The earliest occupied L1 block.  Precondition: [l1_count > 0]. *)
+let rec next_block q blk =
+  if q.heads.(q.wheel_slots + (blk land (l1_slots - 1))) <> nil then blk
+  else next_block q (blk + 1)
 
-(* The heap half of the lazy-deletion sweep: discard cancelled entries
-   sitting at the heap top.  True iff a live top remains. *)
-let rec heap_settle q =
-  q.heap_len > 0
-  &&
-  if q.heap.(0).cancelled then begin
-    ignore (heap_remove_at q 0);
-    heap_settle q
-  end
-  else true
+(* Move the list of L0 tick [c] into the (empty) drain heap: append
+   from head [h] round to the tail, then heapify bottom-up. *)
+let rec append_list q h s =
+  let nx = q.slab.((s * stride) + f_next) in
+  if q.drain_len = Array.length q.drain then q.drain <- grown q.drain;
+  q.slab.((s * stride) + f_where) <- in_drain;
+  put q.slab q.drain q.drain_len s;
+  q.drain_len <- q.drain_len + 1;
+  q.l0_count <- q.l0_count - 1;
+  if nx <> h then append_list q h nx
 
-(* ------------------------------------------------------------------ *)
-(* Wheel slots and drain buffer *)
-
-(* Tick of an entry: its time shifted right by the tick width.  An
-   arithmetic shift floors, so negative times land on negative ticks,
-   which never exceed the cursor (it starts at 0 and only advances) and
-   go straight to the drain buffer.  Every tick is below [max_int], the
-   "nothing pending" sentinel of [advance], even for [Time.max_value]
-   ("never"): all "never" entries share its tick and fire last, in
-   (time, seq) order like every drained tick. *)
-let tick_of_entry q e = (e.time :> int) asr q.tick_bits
-
-let slot_insert q e tk =
-  let s = tk land q.wheel_mask in
-  let len = q.slot_len.(s) in
-  let arr = q.slots.(s) in
-  let arr =
-    if Array.length arr = len then begin
-      let narr = Array.make (Stdlib.max 8 (2 * len)) q.dummy in
-      Array.blit arr 0 narr 0 len;
-      q.slots.(s) <- narr;
-      narr
-    end
-    else arr
-  in
-  arr.(len) <- e;
-  e.where <- s;
-  e.pos <- len;
-  q.slot_len.(s) <- len + 1;
-  q.wheel_count <- q.wheel_count + 1
-
-let slot_remove q e =
-  let s = e.where in
-  let len = q.slot_len.(s) - 1 in
-  let arr = q.slots.(s) in
-  let last = arr.(len) in
-  arr.(e.pos) <- last;
-  last.pos <- e.pos;
-  arr.(len) <- q.dummy;
-  q.slot_len.(s) <- len;
-  q.wheel_count <- q.wheel_count - 1;
-  e.where <- loc_free
-
-let ensure_buffer q extra =
-  let need = q.buf_len + extra in
-  let cap = Array.length q.buffer in
-  if need > cap then begin
-    let ncap = ref cap in
-    while !ncap < need do
-      ncap := !ncap * 2
-    done;
-    let nbuf = Array.make !ncap q.dummy in
-    Array.blit q.buffer 0 nbuf 0 q.buf_len;
-    q.buffer <- nbuf
-  end
-
-let buffer_push q e =
-  ensure_buffer q 1;
-  q.buffer.(q.buf_len) <- e;
-  e.where <- loc_buffer;
-  e.pos <- q.buf_len;
-  q.buf_len <- q.buf_len + 1;
-  sift_up q.buffer (q.buf_len - 1)
-
-(* Remove the entry at buffer index [i], restoring heap order. *)
-let buffer_remove_at q i =
-  let e = q.buffer.(i) in
-  q.buf_len <- q.buf_len - 1;
-  if i < q.buf_len then begin
-    let last = q.buffer.(q.buf_len) in
-    q.buffer.(i) <- last;
-    last.pos <- i;
-    q.buffer.(q.buf_len) <- q.dummy;
-    if entry_before last e then sift_up q.buffer i
-    else sift_down q.buffer ~len:q.buf_len i
-  end
-  else q.buffer.(i) <- q.dummy;
-  e.where <- loc_free;
-  e
-
-(* Drain the bag for slot [s] into the buffer: bulk-append, then one
-   bottom-up heapify over the whole buffer — O(k), where per-entry
-   pushes would be O(k log k).  Vacated bag cells are dummy-filled so
-   drained payloads never stay pinned by the wheel. *)
-let load_slot q s =
-  let len = q.slot_len.(s) in
-  if len > 0 then begin
-    ensure_buffer q len;
-    let arr = q.slots.(s) in
-    for i = 0 to len - 1 do
-      let e = arr.(i) in
-      arr.(i) <- q.dummy;
-      q.buffer.(q.buf_len) <- e;
-      e.where <- loc_buffer;
-      e.pos <- q.buf_len;
-      q.buf_len <- q.buf_len + 1
-    done;
-    q.slot_len.(s) <- 0;
-    q.wheel_count <- q.wheel_count - len;
-    for i = (q.buf_len / 2) - 1 downto 0 do
-      sift_down q.buffer ~len:q.buf_len i
-    done
-  end
-
-(* Earliest occupied tick in the wheel window.  Precondition:
-   [wheel_count > 0], which guarantees the scan terminates inside the
-   window (every wheel entry's tick is in (cursor, cursor+wheel_slots)).
-   A top-level loop, not a local closure over [q]: the scan runs once
-   per drained tick and must not allocate. *)
-let rec next_wheel_tick_from q i =
-  let s = (q.cursor + i) land q.wheel_mask in
-  if q.slot_len.(s) > 0 then q.cursor + i else next_wheel_tick_from q (i + 1)
-
-let next_wheel_tick q = next_wheel_tick_from q 1
-
-(* Pull overflow entries whose tick has entered the wheel window (or
-   passed the cursor) out of the heap.  Each entry migrates at most
-   once, because the cursor never moves backwards. *)
-let migrate_overflow q =
-  let continue = ref true in
-  while !continue && heap_settle q do
-    let tk = tick_of_entry q q.heap.(0) in
-    if tk <= q.cursor then buffer_push q (heap_remove_at q 0)
-    else if tk - q.cursor < q.wheel_slots then begin
-      let e = heap_remove_at q 0 in
-      slot_insert q e tk
-    end
-    else continue := false
+let load_tick q c =
+  let h = q.heads.(c) in
+  q.heads.(c) <- nil;
+  clear_bit q c;
+  append_list q h h;
+  for i = (q.drain_len / 2) - 1 downto 0 do
+    sift_down q.slab q.drain q.drain_len i q.drain.(i)
   done
 
-(* Advance the cursor to the next occupied tick (from the wheel or the
-   overflow heap) and stage that tick's entries in the drain buffer.
-   False iff nothing is pending at all.  Precondition: the buffer is
-   empty. *)
-let advance q =
-  let w = if q.wheel_count > 0 then next_wheel_tick q else max_int in
-  let h = if heap_settle q then tick_of_entry q q.heap.(0) else max_int in
-  let target = if w < h then w else h in
-  if target = max_int then false
-  else begin
-    q.cursor <- target;
-    migrate_overflow q;
-    load_slot q (target land q.wheel_mask);
-    assert (q.buf_len > 0);
+(* Move the list (head [h]) of the L1 block the cursor just entered
+   into L0, or into the drain heap for the block's first tick. *)
+let rec cascade q h s =
+  let nx = q.slab.((s * stride) + f_next) in
+  q.l1_count <- q.l1_count - 1;
+  place q s;
+  if nx <> h then cascade q h nx
+
+(* After the cursor's block advanced: pull overflow entries whose block
+   now falls within L1's reach back into the wheel.  Each entry leaves
+   the overflow heap at most once. *)
+let rec migrate q =
+  if q.over_len > 0 then begin
+    let s = q.over.(0) in
+    if (tick_of q s asr q.l0_bits) - (q.cursor asr q.l0_bits) < l1_slots then begin
+      heap_delete q.slab q.over q.over_len 0;
+      q.over_len <- q.over_len - 1;
+      place q s;
+      migrate q
+    end
+  end
+
+(* Advance the cursor to the next occupied tick and stage its entries
+   in the drain heap.  False iff nothing is queued.  Precondition: the
+   drain heap is empty. *)
+let rec advance q =
+  if q.l0_count > 0 then begin
+    let tk = next_l0_tick q in
+    q.cursor <- tk;
+    load_tick q (tk land q.l0_mask);
     true
   end
+  else if q.l1_count > 0 then begin
+    let blk = next_block q ((q.cursor asr q.l0_bits) + 1) in
+    let c = q.wheel_slots + (blk land (l1_slots - 1)) in
+    let s = q.heads.(c) in
+    q.heads.(c) <- nil;
+    q.cursor <- blk lsl q.l0_bits;
+    cascade q s s;
+    migrate q;
+    q.drain_len > 0 || advance q
+  end
+  else if q.over_len > 0 then begin
+    q.cursor <- tick_of q q.over.(0);
+    migrate q;
+    true
+  end
+  else false
 
-(* The lazy-deletion sweep, shared by every read-or-pop operation:
-   discard cancelled entries from the buffer root (and, via [advance],
-   from the heap top), advancing the cursor as ticks drain.  After
-   [settle q] returns true, [q.buffer.(0)] is the earliest live entry
-   in the whole queue. *)
-let rec settle q =
-  if q.buf_len > 0 then
-    if q.buffer.(0).cancelled then begin
-      ignore (buffer_remove_at q 0);
-      settle q
-    end
-    else true
-  else advance q && settle q
+let settle q = q.drain_len > 0 || advance q
 
 (* ------------------------------------------------------------------ *)
-(* Insertion and the public API *)
+(* The public API *)
 
-let insert q e =
-  let tk = tick_of_entry q e in
-  if tk <= q.cursor then buffer_push q e
-  else if tk - q.cursor < q.wheel_slots then slot_insert q e tk
-  else heap_push q e
-
-let add q ~time payload =
-  let entry =
-    { time; seq = fresh_seq q; payload;
-      cancelled = false; fired = false; where = loc_free; pos = -1 }
+(* Queue [e] at [time] with a fresh sequence number, reusing its slot
+   if it is already queued. *)
+let schedule q e time =
+  let seq = fresh_seq q in
+  let s =
+    if e.slot >= 0 then begin
+      remove q e.slot;
+      e.slot
+    end
+    else begin
+      q.live <- q.live + 1;
+      alloc q e
+    end
   in
-  insert q entry;
-  q.live <- q.live + 1;
-  H entry
+  q.slab.((s * stride) + f_time) <- (time : Time.t :> int);
+  q.slab.((s * stride) + f_seq) <- seq;
+  place q s
 
-let cancel q (H entry) =
-  (* Cancelling an event that already fired must be a no-op, and must
-     not touch [live]: the pop already accounted for it. *)
-  if not entry.cancelled && not entry.fired then begin
-    entry.cancelled <- true;
-    q.live <- q.live - 1
+(* Take [e] out of the queue, if it is queued, and give its slot back;
+   it is then in [state]. *)
+let dequeue q e state =
+  if e.slot >= 0 then begin
+    remove q e.slot;
+    release q e.slot;
+    q.live <- q.live - 1;
+    e.slot <- state
   end
 
-let is_cancelled _q (H entry) = entry.cancelled
+let add q ~time payload =
+  let e = { payload; slot = idle } in
+  schedule q e time;
+  H e
 
-let fire q e =
-  ignore (buffer_remove_at q 0);
-  e.fired <- true;
+let cancel q (H e) = dequeue q e cancelled
+
+let is_cancelled _q (H e) = e.slot = cancelled
+
+(* Remove and return the drain heap's root, the earliest event. *)
+let fire q =
+  let s = q.drain.(0) in
+  let e = q.entries.(s) in
+  q.popped_time <- Time.ns q.slab.((s * stride) + f_time);
+  q.drain_len <- q.drain_len - 1;
+  if q.drain_len > 0 then sift_down q.slab q.drain q.drain_len 0 q.drain.(q.drain_len);
+  release q s;
+  e.slot <- idle;
   q.live <- q.live - 1;
-  q.popped_time <- e.time
+  e
 
 let pop q =
   if settle q then begin
-    let e = q.buffer.(0) in
-    fire q e;
-    Some (e.time, e.payload)
+    let e = fire q in
+    Some (q.popped_time, e.payload)
   end
   else None
 
 let pop_before q ~limit ~none =
-  if settle q then begin
-    let e = q.buffer.(0) in
-    if (e.time :> int) <= (limit : Time.t :> int) then begin
-      fire q e;
-      e.payload
-    end
-    else none
-  end
+  if settle q && q.slab.(q.drain.(0) * stride) <= (limit : Time.t :> int) then
+    (fire q).payload
   else none
 
 let popped_time q = q.popped_time
 
-let peek_time q = if settle q then Some q.buffer.(0).time else None
+let peek_time q =
+  if settle q then Some (Time.ns q.slab.(q.drain.(0) * stride)) else None
+
 let size q = q.live
 let is_empty q = q.live = 0
 
 let clear q =
-  (* Null out every populated cell: a cleared queue must not pin the
-     payloads it used to hold.  The entries themselves are marked
-     cancelled so a handle kept across the clear cannot corrupt [live].
+  (* Every queued entry leaves the queue (a pending handle reads as
+     cancelled, an armed timer as unarmed) and no payload stays pinned.
      [next_seq] and the cursor restart too, so a reused queue is
      indistinguishable from a fresh one. *)
-  for i = 0 to q.heap_len - 1 do
-    q.heap.(i).cancelled <- true;
-    q.heap.(i).where <- loc_free;
-    q.heap.(i) <- q.dummy
-  done;
-  q.heap_len <- 0;
-  for s = 0 to q.wheel_slots - 1 do
-    let arr = q.slots.(s) in
-    for i = 0 to q.slot_len.(s) - 1 do
-      arr.(i).cancelled <- true;
-      arr.(i).where <- loc_free;
-      arr.(i) <- q.dummy
-    done;
-    q.slot_len.(s) <- 0
-  done;
-  q.wheel_count <- 0;
-  for i = 0 to q.buf_len - 1 do
-    q.buffer.(i).cancelled <- true;
-    q.buffer.(i).where <- loc_free;
-    q.buffer.(i) <- q.dummy
-  done;
-  q.buf_len <- 0;
+  Array.iter (fun e -> if e != q.dummy then e.slot <- cancelled) q.entries;
+  Array.fill q.entries 0 (Array.length q.entries) q.dummy;
+  q.free <- nil;
+  thread_free q 0 (Array.length q.entries);
+  Array.fill q.heads 0 (Array.length q.heads) nil;
+  Array.fill q.bitmap 0 (Array.length q.bitmap) 0;
+  q.l0_count <- 0;
+  q.l1_count <- 0;
+  q.drain_len <- 0;
+  q.over_len <- 0;
   q.cursor <- 0;
   q.live <- 0;
   q.next_seq <- 0
@@ -466,37 +487,11 @@ let clear q =
 (* ------------------------------------------------------------------ *)
 (* Reusable timers *)
 
-let timer _q payload =
-  { time = Time.zero; seq = 0; payload; cancelled = true;
-    fired = false; where = loc_free; pos = -1 }
+let timer _q payload = { payload; slot = idle }
+let timer_armed e = e.slot >= 0
+let arm q e ~time = schedule q e time
 
-let timer_armed e = e.where <> loc_free
-
-(* Pull an armed timer out of whichever container holds it: O(1) from
-   a slot bag, O(log n) from either heap. *)
-let remove q e =
-  if e.where >= 0 then slot_remove q e
-  else if e.where = loc_heap then ignore (heap_remove_at q e.pos)
-  else if e.where = loc_buffer then ignore (buffer_remove_at q e.pos)
-
-let arm q e ~time =
-  if e.where <> loc_free then begin
-    remove q e;
-    q.live <- q.live - 1
-  end;
-  e.time <- time;
-  e.seq <- fresh_seq q;
-  e.cancelled <- false;
-  e.fired <- false;
-  insert q e;
-  q.live <- q.live + 1
-
-let disarm q e =
-  if e.where <> loc_free then begin
-    remove q e;
-    q.live <- q.live - 1
-  end;
-  e.cancelled <- true
+let disarm q e = dequeue q e idle
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,28 +1,34 @@
 (** The simulator's future event list.
 
-    A hierarchical timer wheel in front of a binary min-heap: events
-    within ~16.8ms of the scheduler's cursor sit in fixed wheel slots
-    (O(1) insertion, no comparisons), and longer-horizon events spill
-    into an overflow heap, migrating into the wheel as the cursor
-    approaches their deadline.  Firing order is exactly (time, insertion
-    sequence number), bit-identical to the heap-only scheduler this
-    replaced: two events scheduled for the same instant fire in the
-    order they were scheduled.  That stability matters — a relay that
-    enqueues a cell and then arms a timer for the same instant relies on
-    the cell handler running first — and it is what makes whole
-    simulations deterministic.
+    A two-level timing wheel over an int slab, with an overflow heap
+    behind it (Varghese & Lauck, "Hashed and Hierarchical Timing
+    Wheels", SOSP 1987).  L0 is a ring of [wheel_slots] ticks of
+    [2^tick_bits] ns (by default 4096 ticks of 4.1 µs, ~16.8 ms); each
+    tick is an intrusive list and an occupancy bitmap finds the next
+    occupied one.  L1 holds the next 255 L0 revolutions (~4.3 s by
+    default), one list per revolution, and moves a revolution into L0
+    when the cursor enters it.  Deadlines past L1 wait in an overflow
+    heap and move into the wheel as the cursor approaches.  Every queued
+    event owns one slot of a slab of ints, and the containers hold slot
+    ids, so scheduling, firing and cancelling move ints and pay no write
+    barrier.
 
-    Cancellation of a {!handle} is lazy: a cancelled event stays where
-    it is, marked, and is discarded when it surfaces.  This keeps
-    [cancel] O(1) at the cost of occupied cells, which is the right
-    trade-off for retransmission timers that are almost always
-    cancelled.  The discard pass is the {e lazy-deletion sweep}: every
-    read-or-pop operation ({!pop}, {!pop_before}, {!peek_time}) first
-    settles the queue by discarding cancelled entries at the head until
-    a live one surfaces.  The sweep mutates internal structure (and
-    advances the internal cursor) but never changes the set of live
-    events — so [peek_time], despite its read-only name, may reorganize
-    the queue; observably it is pure. *)
+    Firing order is exactly (time, insertion sequence number): the
+    entries of a drained tick pass through a small heap ordered by
+    (time, seq), for every geometry.  Two events scheduled for the same
+    instant fire in the order they were scheduled.  That stability
+    matters — a relay that enqueues a cell and then arms a timer for the
+    same instant relies on the cell handler running first — and it is
+    what makes whole simulations deterministic.
+
+    Cancellation is eager: cancelling a {!handle}, like disarming a
+    {!timer}, takes the event out of its container at once (O(1) in the
+    wheel, O(log n) in a heap) and gives its slot back.  Nothing dead is
+    ever stored, so the payload of a cancelled, popped or cleared event
+    is never pinned by the queue.  {!pop}, {!pop_before} and
+    {!peek_time} may advance the internal cursor to the earliest event's
+    tick (moving entries between levels on the way), but never change
+    the set of queued events: observably, [peek_time] is pure. *)
 
 type 'a t
 (** A queue of events carrying payloads of type ['a]. *)
@@ -31,18 +37,19 @@ type handle
 (** Names a scheduled event so it can be cancelled. *)
 
 val create : ?capacity:int -> ?tick_bits:int -> ?wheel_slots:int -> unit -> 'a t
-(** A fresh, empty queue.  [capacity] pre-sizes the overflow heap
-    (default 256) so a simulation's steady-state event population never
-    pays for growth doublings; it is a hint, not a bound.
+(** A fresh, empty queue.  [capacity] pre-sizes the slab (default 32
+    events queued at once; it doubles as it fills), so a caller that
+    knows its steady-state event population can skip the growth
+    doublings; it is a hint, not a bound.
 
-    [tick_bits] (default 16: 65.536 µs ticks) and [wheel_slots]
-    (default 256, must be a power of two) set the wheel geometry; the
-    window covers [2^tick_bits * wheel_slots] ns.  Events inside the
-    window are O(1) slot inserts; events beyond it take the overflow
-    heap at O(log n).  Geometry is purely a performance knob — the
-    firing order is exact (time, seq) for every setting, because each
-    drained tick is sorted before it fires.  Every simulation in the
-    library runs the default (~16.8 ms window); the knobs let a
+    [tick_bits] (default 12: 4.096 µs ticks) and [wheel_slots] (default
+    4096, must be a power of two) set the geometry: L0 covers
+    [wheel_slots] ticks of [2^tick_bits] ns, and L1 the next 255 such
+    revolutions.  Inserting into either level, and removing from it, is
+    O(1); deadlines beyond L1 take the overflow heap at O(log n).
+    Geometry is purely a performance knob — the firing order is exact
+    (time, seq) for every setting.  Every simulation in the library
+    runs the default (a ~16.8 ms L0 and a ~4.3 s L1); the knobs let a
     benchmark time other geometries.
 
     Raises [Invalid_argument] if [capacity < 1], [tick_bits] is outside
@@ -58,22 +65,23 @@ val add : 'a t -> time:Time.t -> 'a -> handle
     wrapped sequence would corrupt same-instant ordering). *)
 
 val cancel : 'a t -> handle -> unit
-(** [cancel q h] marks the event named by [h] as cancelled.  Cancelling
-    twice, or cancelling an already-fired event, is a no-op. *)
+(** [cancel q h] takes the event named by [h] out of the queue at once.
+    Cancelling twice, or cancelling an already-fired event, is a
+    no-op. *)
 
 val is_cancelled : 'a t -> handle -> bool
 (** Whether the event was cancelled (fired events report [false]). *)
 
 val pop : 'a t -> (Time.t * 'a) option
-(** [pop q] removes and returns the earliest live event, skipping
-    cancelled entries.  [None] iff no live events remain.  Allocates an
+(** [pop q] removes and returns the earliest event.  [None] iff the
+    queue is empty.  Allocates an
     option and a tuple per call; the simulator's hot loop uses
     {!pop_before} instead. *)
 
 val pop_before : 'a t -> limit:Time.t -> none:'a -> 'a
 (** [pop_before q ~limit ~none] removes and returns the payload of the
-    earliest live event whose time is at or before [limit], or returns
-    [none] — physically, the very value passed — when no live event is
+    earliest event if its time is at or before [limit], or returns
+    [none] — physically, the very value passed — when no event is
     due by [limit] (the queue is untouched in that case, so this also
     subsumes the old peek-then-pop double traversal).  The fired event's
     timestamp is readable via {!popped_time}.  The caller must compare
@@ -86,13 +94,13 @@ val popped_time : 'a t -> Time.t
     {!pop}.  Meaningless before the first pop. *)
 
 val peek_time : 'a t -> Time.t option
-(** The instant of the earliest live event, without removing it.  Runs
-    the lazy-deletion sweep first (see the module preamble): cancelled
-    entries at the head are discarded, so the call may mutate internal
-    structure, but the live-event set is unchanged. *)
+(** The instant of the earliest event, without removing it.  The call
+    may advance the internal cursor (see the module preamble), but the
+    set of queued events is unchanged. *)
 
 val size : 'a t -> int
-(** Number of live (non-cancelled, non-popped) events. *)
+(** Number of queued events: added or armed, and not yet fired,
+    cancelled or disarmed. *)
 
 val is_empty : 'a t -> bool
 (** [is_empty q] iff {!size} is zero. *)
@@ -111,9 +119,9 @@ val clear : 'a t -> unit
     bound to one payload at creation and to at most one pending
     occurrence at a time; rearming a pending timer reschedules it
     (equivalent to cancel-then-add, including taking a fresh insertion
-    sequence number).  Arm and disarm are eager — the entry really
-    leaves the queue — so, unlike lazily-cancelled handles, a disarmed
-    timer occupies nothing. *)
+    sequence number).  A timer holds a slab slot only while it is armed:
+    a disarmed or fired timer occupies nothing, and one that is dropped
+    is collected. *)
 
 type 'a timer
 

@@ -408,9 +408,9 @@ let test_queue_clear_resets () =
     (List.init 2 (fun _ -> snd (Option.get (Engine.Event_queue.pop q))))
 
 let test_queue_slots_released () =
-  (* Popped and cleared entries must not pin their payloads: the heap
-     array overwrites vacated slots with a dummy, so the only remaining
-     reference is the caller's. *)
+  (* Popped and cleared entries must not pin their payloads: a slot
+     given back overwrites its entry cell with a dummy, so the only
+     remaining reference is the caller's. *)
   let q = Engine.Event_queue.create () in
   let w = Weak.create 4 in
   for i = 0 to 3 do
@@ -456,7 +456,7 @@ let test_queue_pop_before_skips_cancelled () =
   ignore (Engine.Event_queue.add q ~time:(Engine.Time.ms 2) "live");
   Engine.Event_queue.cancel q h;
   let none = "NONE" in
-  Alcotest.(check string) "sweep discards cancelled head" "live"
+  Alcotest.(check string) "the cancelled head is gone" "live"
     (Engine.Event_queue.pop_before q ~limit:(Engine.Time.ms 3) ~none);
   Alcotest.(check bool) "then empty" true (Engine.Event_queue.is_empty q)
 
@@ -497,8 +497,8 @@ let test_queue_live_bookkeeping () =
   Alcotest.(check bool) "is_empty agrees" true (Engine.Event_queue.is_empty q)
 
 let test_queue_wheel_horizons () =
-  (* Deadlines on both sides of the wheel window (~16.8ms): short ones
-     live in wheel slots, long ones in the overflow heap and must
+  (* Deadlines in L0 (~16.8 ms), in L1 (~4.3 s) and in the overflow
+     heap beyond: L1 blocks cascade into L0, and overflow entries
      migrate into the wheel as the cursor approaches.  Order must come
      out globally sorted regardless of where each entry started. *)
   let q = Engine.Event_queue.create () in
@@ -561,9 +561,9 @@ let prop_queue_sorted_drain =
 
 let prop_queue_matches_model =
   (* Random add/cancel/pop programs checked op-for-op against a naive
-     list model ordered by (time, insertion sequence).  Times span the
-     wheel window, so programs exercise slot insertion, the overflow
-     heap, migration, and the lazy-deletion sweep together. *)
+     list model ordered by (time, insertion sequence).  Times span
+     100 ms, so programs exercise L0, L1 and cascades, and cancels of
+     queued, fired and cancelled events. *)
   QCheck2.Test.make ~name:"wheel agrees with a sorted-list model"
     QCheck2.Gen.(list_size (int_range 1 300) (pair (int_range 0 2) (int_range 0 100)))
     (fun ops ->
@@ -605,6 +605,174 @@ let prop_queue_matches_model =
                   | _ -> ok := false)))
         ops;
       !ok && Engine.Event_queue.size q = List.length !model)
+
+(* Timer programs: [add], [cancel], [arm] (a re-arm when the timer is
+   pending), [disarm], [pop_before] with a limit, [pop] and [peek_time],
+   replayed on a queue of the given geometry ([None] = the default) and
+   on a list model ordered by (time, seq); true iff they agree after
+   every op.  An op is [(kind, horizon, x, pick)]: deadlines and limits
+   are offsets from the last popped instant, drawn by [horizon] from
+   [x] in the current tick, across the L0 ring, across L1 (to 4.3 s at
+   the default geometry), just past L1, hours ahead, at
+   [Time.max_value], in the past, or exactly [x] ns ahead; [pick] names
+   a handle or one of four timers. *)
+let run_timer_program geometry ops =
+  let module Q = Engine.Event_queue in
+  let q =
+    match geometry with
+    | None -> Q.create ()
+    | Some (tick_bits, wheel_slots) -> Q.create ~tick_bits ~wheel_slots ()
+  in
+  let tick_bits, slots = Option.value geometry ~default:(12, 4096) in
+  let l0 = (1 lsl tick_bits) * slots in
+  let l1 = l0 * 256 in
+  let offset horizon x =
+    match horizon with
+    | 0 -> x land ((1 lsl tick_bits) - 1)
+    | 1 -> x mod l0
+    | 2 -> x mod l1
+    | 3 -> l1 + (x mod (2 * l1))
+    | 4 -> max_int
+    | 5 -> -(x mod 1_000_000)
+    | 6 -> x
+    | _ -> 3_600_000_000_000 + (x mod 3_600_000_000_000)
+  in
+  let now = ref 0 and seq = ref 0 and ok = ref true in
+  let at horizon x =
+    if horizon = 4 then Engine.Time.max_value
+    else Engine.Time.add (Engine.Time.ns !now) (Engine.Time.ns (offset horizon x))
+  in
+  (* The model: pending (time, seq, payload); timers carry payload
+     [-(i + 1)], handles their index. *)
+  let model = ref [] in
+  let timers = Array.init 4 (fun i -> Q.timer q (-(i + 1))) in
+  let handles = ref [||] and states = ref [||] in
+  let enqueue time id =
+    model := ((time : Engine.Time.t :> int), !seq, id) :: !model;
+    incr seq
+  in
+  let drop id = model := List.filter (fun (_, _, i) -> i <> id) !model in
+  let earliest () =
+    List.fold_left
+      (fun acc ((t, s, _) as e) ->
+        match acc with
+        | Some (t', s', _) when t' < t || (t' = t && s' < s) -> acc
+        | _ -> Some e)
+      None !model
+  in
+  let fired id =
+    drop id;
+    if id >= 0 then !states.(id) <- `Fired
+  in
+  let check b = if not b then ok := false in
+  List.iter
+    (fun (kind, horizon, x, pick) ->
+      (match kind with
+      | 0 ->
+          let time = at horizon x in
+          let id = Array.length !handles in
+          handles := Array.append !handles [| Q.add q ~time id |];
+          states := Array.append !states [| `Pending |];
+          enqueue time id
+      | 1 ->
+          let n = Array.length !handles in
+          if n > 0 then begin
+            let id = pick mod n in
+            Q.cancel q !handles.(id);
+            if !states.(id) = `Pending then begin
+              drop id;
+              !states.(id) <- `Cancelled
+            end;
+            check (Q.is_cancelled q !handles.(id) = (!states.(id) = `Cancelled))
+          end
+      | 2 ->
+          let i = pick mod 4 and time = at horizon x in
+          Q.arm q timers.(i) ~time;
+          drop (-(i + 1));
+          enqueue time (-(i + 1))
+      | 3 ->
+          let i = pick mod 4 in
+          Q.disarm q timers.(i);
+          drop (-(i + 1))
+      | 4 -> (
+          let limit = at horizon x in
+          let got = Q.pop_before q ~limit ~none:min_int in
+          match earliest () with
+          | Some (t, _, id) when t <= (limit :> int) ->
+              check (got = id && (Q.popped_time q :> int) = t);
+              now := t;
+              fired id
+          | _ -> check (got == min_int))
+      | 5 -> (
+          match (Q.pop q, earliest ()) with
+          | None, None -> ()
+          | Some (t, id'), Some (t', _, id) ->
+              check (id' = id && (t :> int) = t');
+              now := t';
+              fired id
+          | _ -> ok := false)
+      | _ ->
+          check
+            (Option.map (fun (t : Engine.Time.t) -> (t :> int)) (Q.peek_time q)
+            = Option.map (fun (t, _, _) -> t) (earliest ())));
+      check (Q.size q = List.length !model);
+      Array.iteri
+        (fun i tm ->
+          check (Q.timer_armed tm = List.exists (fun (_, _, id) -> id = -(i + 1)) !model))
+        timers)
+    ops;
+  (* Drain what is left: the model's order to the end. *)
+  let rec drain () =
+    match (Q.pop q, earliest ()) with
+    | None, None -> ()
+    | Some (t, id'), Some (t', _, id) ->
+        check (id' = id && (t :> int) = t');
+        fired id;
+        drain ()
+    | _ -> ok := false
+  in
+  drain ();
+  !ok && Q.is_empty q
+
+let prop_queue_timers_match_model =
+  let geometry =
+    QCheck2.Gen.(
+      oneof
+        [
+          pure None;
+          pure (Some (20, 1024));
+          map2 (fun b k -> Some (b, 1 lsl k)) (int_range 1 3) (int_range 1 3);
+        ])
+  in
+  let op =
+    QCheck2.Gen.(quad (int_range 0 6) (int_range 0 7) (int_bound (1 lsl 42)) (int_bound 1_000))
+  in
+  let print (g, ops) =
+    Printf.sprintf "%s: %s"
+      (match g with None -> "default" | Some (b, k) -> Printf.sprintf "(%d, %d)" b k)
+      (String.concat "; "
+         (List.map (fun (k, h, x, p) -> Printf.sprintf "(%d,%d,%d,%d)" k h x p) ops))
+  in
+  QCheck2.Test.make ~name:"timers, cancels and bounded pops match a model" ~count:500 ~print
+    QCheck2.Gen.(pair geometry (list_size (int_range 1 300) op))
+    (fun (g, ops) -> run_timer_program g ops)
+
+(* A sparse program, one event per 10 ms: 600 adds 10 ms apart (6 s,
+   past L1 at the default geometry), popped with limits that reach
+   one at a time, then a timer rearmed 10 ms after each firing.  Every
+   tick in between is empty, so the bitmap skips whole words, the
+   cursor crosses L1 blocks and the late adds migrate from the
+   overflow heap. *)
+let test_queue_sparse_program () =
+  let ten_ms = 10_000_000 in
+  let adds = List.init 600 (fun k -> (0, 6, (k + 1) * ten_ms, 0)) in
+  let pops = List.init 600 (fun _ -> (4, 6, ten_ms, 0)) in
+  let rearms = List.concat (List.init 600 (fun _ -> [ (2, 6, ten_ms, 0); (5, 0, 0, 0) ])) in
+  List.iter
+    (fun g ->
+      Alcotest.(check bool) "agrees with the model" true
+        (run_timer_program g (adds @ pops @ rearms)))
+    [ None; Some (20, 1024); Some (1, 2); Some (3, 8) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)
@@ -1290,6 +1458,103 @@ let test_alloc_timer () =
   Alcotest.(check (float 0.)) "Sim.Timer rearm: minor words per firing" 0.
     ((long -. short) /. 90_000.)
 
+(* A self-rearming timer fired [n] times at one horizon [delay]; each
+   firing also arms a watchdog at the same horizon (from idle, or a
+   re-arm while it is pending) and disarms it every other firing.  The
+   minor words the whole run allocates. *)
+let horizon_run_words delay n =
+  let sim = Engine.Sim.create () in
+  let fired = ref 0 and self = ref None in
+  let watchdog = Engine.Sim.Timer.create sim (fun () -> Alcotest.fail "watchdog fired") in
+  (* The watchdog is armed after the timer, for the same instant, so it
+     always has the later sequence number and is superseded in time. *)
+  let tick () =
+    incr fired;
+    if !fired < n then begin
+      Engine.Sim.Timer.arm_after sim (Option.get !self) delay;
+      Engine.Sim.Timer.arm_after sim watchdog delay;
+      if !fired land 1 = 0 then Engine.Sim.Timer.cancel sim watchdog
+    end
+    else Engine.Sim.Timer.cancel sim watchdog
+  in
+  let timer = Engine.Sim.Timer.create sim tick in
+  self := Some timer;
+  Engine.Sim.Timer.arm_after sim timer delay;
+  let before = Gc.minor_words () in
+  Engine.Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every firing ran" n !fired;
+  words
+
+(* L0 (10 us), L1 (1 s) and the overflow heap (1 h): the wheel's
+   containers hold slot ids, so no level allocates. *)
+let test_alloc_timer_horizons () =
+  List.iter
+    (fun (level, delay) ->
+      ignore (horizon_run_words delay 1_000);
+      let short = horizon_run_words delay 10_000 in
+      let long = horizon_run_words delay 100_000 in
+      Alcotest.(check (float 0.))
+        (level ^ ": minor words per arm, disarm and firing")
+        0.
+        ((long -. short) /. 90_000.))
+    [ ("L0", Engine.Time.us 10); ("L1", Engine.Time.s 1); ("overflow", Engine.Time.s 3_600) ]
+
+(* Timers at each level, disarmed or fired, then dropped: the queue
+   keeps no entry that is not queued, so each timer and its payload are
+   collected while the queue lives on. *)
+let[@inline never] queue_dropped_timers q timers payloads =
+  List.iteri
+    (fun i delay ->
+      for fire = 0 to 1 do
+        let payload = ref i in
+        let tm = Engine.Event_queue.timer q payload in
+        Weak.set payloads ((2 * i) + fire) (Some payload);
+        Weak.set timers ((2 * i) + fire) (Some tm);
+        Engine.Event_queue.arm q tm ~time:delay;
+        if fire = 0 then Engine.Event_queue.disarm q tm
+      done)
+    [ Engine.Time.ms 1; Engine.Time.s 1; Engine.Time.s 3_600 ];
+  for _ = 1 to 3 do
+    ignore (Engine.Event_queue.pop_before q ~limit:(Engine.Time.s 3_600) ~none:(ref (-1)))
+  done
+
+let test_queue_timers_released () =
+  let q = Engine.Event_queue.create () in
+  let keep = ref 99 in
+  ignore (Engine.Event_queue.add q ~time:(Engine.Time.s 36_000) keep);
+  let timers = Weak.create 6 and payloads = Weak.create 6 in
+  queue_dropped_timers q timers payloads;
+  Gc.full_major ();
+  for i = 0 to 5 do
+    let what = Printf.sprintf "timer %d (%s)" i (if i land 1 = 0 then "disarmed" else "fired") in
+    Alcotest.(check bool) (what ^ " collected") true (Weak.get timers i = None);
+    Alcotest.(check bool) (what ^ ": payload collected") true (Weak.get payloads i = None)
+  done;
+  Alcotest.(check int) "the queue lives on" 1 (Engine.Event_queue.size q)
+
+(* A cancelled one-shot leaves the queue at once: no later pop or sweep
+   is needed before its payload can be collected. *)
+let[@inline never] add_and_cancel q payloads =
+  List.iteri
+    (fun i time ->
+      let payload = ref i in
+      Weak.set payloads i (Some payload);
+      Engine.Event_queue.cancel q (Engine.Event_queue.add q ~time payload))
+    [ Engine.Time.ms 1; Engine.Time.s 1; Engine.Time.s 3_600 ]
+
+let test_queue_cancel_released () =
+  let q = Engine.Event_queue.create () in
+  ignore (Engine.Event_queue.add q ~time:(Engine.Time.ms 2) (ref 99));
+  let payloads = Weak.create 3 in
+  add_and_cancel q payloads;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "payload %d collected" i) true
+      (Weak.get payloads i = None)
+  done;
+  Alcotest.(check int) "the queue lives on" 1 (Engine.Event_queue.size q)
+
 (* A paced leaf -> hub -> leaf stream over a three-leaf star, [n]
    sends long: the minor words the whole run allocates.  The caller
    builds one packet and sends it again on every tick (the substrate
@@ -1650,7 +1915,7 @@ let qtests =
       prop_time_compare_int64; prop_transmission_additive;
       prop_rng_int_unbiased; prop_rng_matches_reference;
       prop_weighted_matches_binary_search; prop_exponential_ns_matches_of_sec_f;
-      prop_queue_sorted_drain; prop_queue_matches_model;
+      prop_queue_sorted_drain; prop_queue_matches_model; prop_queue_timers_match_model;
       prop_online_matches_direct; prop_cdf_monotone; prop_samples_match_array ]
 
 let () =
@@ -1709,6 +1974,7 @@ let () =
           Alcotest.test_case "wheel and heap horizons" `Quick
             test_queue_wheel_horizons;
           Alcotest.test_case "never fires last" `Quick test_queue_never_last;
+          Alcotest.test_case "sparse program" `Quick test_queue_sparse_program;
         ] );
       ( "sim",
         [
@@ -1766,6 +2032,12 @@ let () =
           Alcotest.test_case "Rate.transmission_time" `Quick
             test_alloc_transmission_time;
           Alcotest.test_case "self-rearming Sim.Timer" `Quick test_alloc_timer;
+          Alcotest.test_case "timers at L0, L1 and overflow horizons" `Quick
+            test_alloc_timer_horizons;
+          Alcotest.test_case "dropped timers are collected" `Quick
+            test_queue_timers_released;
+          Alcotest.test_case "cancelled one-shot released at once" `Quick
+            test_queue_cancel_released;
           Alcotest.test_case "leaf->hub->leaf forwarding" `Quick test_alloc_forwarding;
           Alcotest.test_case "Network.create on a 218-node star" `Quick
             test_alloc_network_create;
