@@ -73,7 +73,7 @@ let connect_directed t a b ~rate ~delay ?(queue = Nqueue.unbounded) () =
   let o = t.out.(Node_id.to_int a) in
   if o.degree = 0 then t.sources <- Node_id.to_int a :: t.sources;
   if o.degree = Array.length o.links then begin
-    let ncap = Stdlib.max 4 (2 * o.degree) in
+    let ncap = Stdlib.max 1 (2 * o.degree) in
     let links = Array.make ncap l in
     Array.blit o.links 0 links 0 o.degree;
     o.links <- links
@@ -87,10 +87,15 @@ let connect t a b ~rate ~delay ?queue () =
   connect_directed t a b ~rate ~delay ?queue ();
   connect_directed t b a ~rate ~delay ?queue ()
 
+(* The node's own array, trimmed to its degree on the first read after
+   a connection, so later reads copy nothing.  Capacity grows 1, 2, 4,
+   ..., so a node with one link (every leaf of a star) is never
+   trimmed. *)
 let out_links t a =
   check_node t a;
   let o = t.out.(Node_id.to_int a) in
-  Array.sub o.links 0 o.degree
+  if Array.length o.links > o.degree then o.links <- Array.sub o.links 0 o.degree;
+  o.links
 
 let neighbors t a =
   let a = Node_id.to_int a in

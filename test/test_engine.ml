@@ -1613,10 +1613,11 @@ let leaf_star sim n =
 
 (* Route set-up on the flash crowd's hub: a star of 217 leaves, so
    n = 218 nodes and 2 (n - 1) links.  Only the hub runs Dijkstra and
-   keeps a row; each leaf forwards over its uplink.  In words,
-   [Network.create] allocates
-   - the out-link arrays: n + 1 for the outer one, 2 per leaf and
-     n for the hub's, about 3 n;
+   keeps a row; each leaf forwards over its uplink.  [Topology.out_links]
+   returns the topology's own arrays, so no leaf's links are copied.  In
+   words, [Network.create] allocates
+   - the array of out-link arrays, n + 1, and on this first read the
+     hub's out-links trimmed to its degree, n;
    - the uplink, row and local-handler arrays and the hub's row,
      4 (n + 1);
    - the Dijkstra scratch: 4 (n + 1) for the neighbour links,
@@ -1625,17 +1626,18 @@ let leaf_star sim n =
      than 256 words, so not counted here);
    - per link a receiver closure of 5 words in a [Some] of 2,
      14 (n - 1);
-   about 29 n plus a constant in all, hence the 32 n bound.  An n x n
-   forwarding table alone would be n^2 = 218 n words. *)
+   about 24 n plus a constant in all (5,347 words), hence the 26 n
+   bound.  An n x n forwarding table alone would be n^2 = 218 n
+   words. *)
 let test_alloc_network_create () =
   let topo = leaf_star (Engine.Sim.create ()) 218 in
   let n = Netsim.Topology.node_count topo in
   let before = Gc.minor_words () in
   ignore (Netsim.Network.create topo : Netsim.Network.t);
   let words = Gc.minor_words () -. before in
-  let bound = 32. *. float_of_int n in
+  let bound = 26. *. float_of_int n in
   Alcotest.(check bool)
-    (Printf.sprintf "Network.create: %.0f minor words < 32 n = %.0f" words bound)
+    (Printf.sprintf "Network.create: %.0f minor words < 26 n = %.0f" words bound)
     true (words < bound)
 
 (* What a network retains beyond its topology, on a 4001-node star.

@@ -298,6 +298,24 @@ let test_topology_errors () =
        Netsim.Topology.connect topo a b ~rate:(Engine.Units.Rate.mbit 1)
          ~delay:Engine.Time.zero ();
        false
+     with Invalid_argument _ -> true);
+  (* Out-links are the topology's own array, trimmed to the degree: a
+     second read returns the same array, and a connection replaces it. *)
+  let first = Netsim.Topology.out_links topo a in
+  Alcotest.(check int) "one out-link" 1 (Array.length first);
+  Alcotest.(check bool) "read in place" true (Netsim.Topology.out_links topo a == first);
+  let c = Netsim.Topology.add_node topo ~name:"c" in
+  Netsim.Topology.connect topo a c ~rate:(Engine.Units.Rate.mbit 1) ~delay:Engine.Time.zero ();
+  Alcotest.(check (list int)) "in connection order, no spare slots"
+    [ Netsim.Node_id.to_int b; Netsim.Node_id.to_int c ]
+    (Array.to_list
+       (Array.map
+          (fun l -> Netsim.Node_id.to_int (Netsim.Link.dst l))
+          (Netsim.Topology.out_links topo a)));
+  Alcotest.(check bool) "unknown node" true
+    (try
+       ignore (Netsim.Topology.out_links topo (Netsim.Node_id.of_int 7) : Netsim.Link.t array);
+       false
      with Invalid_argument _ -> true)
 
 let test_topology_line () =
