@@ -1,10 +1,11 @@
 (** The discrete-event scheduler.
 
     A [Sim.t] owns the simulated clock and the future event list (a
-    two-level timing wheel, {!Event_queue}).  All model components schedule closures
-    against it; [run] drains the queue, advancing the clock to each
-    event's timestamp.  There is no global state: several independent
-    simulations can coexist, which the test suite uses extensively.
+    two-level timing wheel, {!Event_queue}).  All model components
+    schedule closures against it; [run] drains the queue, advancing the
+    clock to each event's timestamp.  There is no global state: several
+    independent simulations can coexist, which the test suite uses
+    extensively.
 
     Closures scheduled at the same instant run in scheduling order
     (see {!Event_queue}).
