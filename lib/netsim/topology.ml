@@ -87,15 +87,14 @@ let connect t a b ~rate ~delay ?queue () =
   connect_directed t a b ~rate ~delay ?queue ();
   connect_directed t b a ~rate ~delay ?queue ()
 
-(* The node's own array, trimmed to its degree on the first read after
-   a connection, so later reads copy nothing.  Capacity grows 1, 2, 4,
-   ..., so a node with one link (every leaf of a star) is never
-   trimmed. *)
+(* The node's own array when it has no spare capacity, else a copy.
+   Capacity grows 1, 2, 4, ..., so a node with one link (every leaf of
+   a star) is read in place.  Storing a trimmed copy back would hand
+   the old topology a young array to promote. *)
 let out_links t a =
   check_node t a;
   let o = t.out.(Node_id.to_int a) in
-  if Array.length o.links > o.degree then o.links <- Array.sub o.links 0 o.degree;
-  o.links
+  if Array.length o.links > o.degree then Array.sub o.links 0 o.degree else o.links
 
 let neighbors t a =
   let a = Node_id.to_int a in

@@ -63,12 +63,11 @@ val neighbors : t -> Node_id.t -> Node_id.t list
 (** Nodes reachable over one outgoing link, in connection order. *)
 
 val out_links : t -> Node_id.t -> Link.t array
-(** The outgoing links of a node, in connection order.  The array is
-    the topology's own, not a copy: callers must not mutate it, and a
-    later {!connect} from the node replaces it.  Repeated reads return
-    the same array and allocate nothing; only the first read after a
-    connection may drop spare capacity, once.  Raises
-    [Invalid_argument] for an unknown node. *)
+(** The outgoing links of a node, in connection order.  When the
+    node's storage has no spare capacity — always for a node with one
+    out-link, such as a leaf of a star — this is the topology's own
+    array and allocates nothing; otherwise it is a copy.  Callers must
+    not mutate it.  Raises [Invalid_argument] for an unknown node. *)
 
 val links : t -> Link.t array
 (** All directed links.  The order is deterministic for a given

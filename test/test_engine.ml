@@ -1614,10 +1614,10 @@ let leaf_star sim n =
 (* Route set-up on the flash crowd's hub: a star of 217 leaves, so
    n = 218 nodes and 2 (n - 1) links.  Only the hub runs Dijkstra and
    keeps a row; each leaf forwards over its uplink.  [Topology.out_links]
-   returns the topology's own arrays, so no leaf's links are copied.  In
-   words, [Network.create] allocates
-   - the array of out-link arrays, n + 1, and on this first read the
-     hub's out-links trimmed to its degree, n;
+   returns a leaf's own one-link array, so no leaf's links are copied.
+   In words, [Network.create] allocates
+   - the array of out-link arrays, n + 1, and a copy of the hub's
+     out-links (its storage has spare capacity), n;
    - the uplink, row and local-handler arrays and the hub's row,
      4 (n + 1);
    - the Dijkstra scratch: 4 (n + 1) for the neighbour links,

@@ -299,8 +299,9 @@ let test_topology_errors () =
          ~delay:Engine.Time.zero ();
        false
      with Invalid_argument _ -> true);
-  (* Out-links are the topology's own array, trimmed to the degree: a
-     second read returns the same array, and a connection replaces it. *)
+  (* A node with one out-link is read in place: a second read returns
+     the same array.  A copy, when the storage has spare capacity, holds
+     exactly the links. *)
   let first = Netsim.Topology.out_links topo a in
   Alcotest.(check int) "one out-link" 1 (Array.length first);
   Alcotest.(check bool) "read in place" true (Netsim.Topology.out_links topo a == first);
