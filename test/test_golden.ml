@@ -55,6 +55,52 @@ let cli_fixture args () =
 (* stdout of several [torsim] runs, concatenated in order. *)
 let cli_fixtures runs () = String.concat "" (List.map (fun args -> cli_fixture args ()) runs)
 
+let bench_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bench/main.exe"; "_build/default/bench/main.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "bench/main.exe not built"
+
+(* stdout of one [bench/main.exe] run of [targets] at --jobs 2, run in
+   a scratch directory that also takes the CSVs and reports.  The
+   "[csv] <path>" and "[json] <path>" notices name that directory, and
+   the closing wall-clock section (from the blank line and rule that
+   open it) holds timings, so both are cut. *)
+let bench_fixture targets () =
+  let exe = bench_exe () in
+  let exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
+  let dir = Filename.temp_dir "bench" "" in
+  let out = Filename.concat dir "stdout.txt" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "cd %s && %s %s --jobs 2 --out . > %s 2>/dev/null"
+         (Filename.quote dir) exe targets (Filename.quote out))
+  in
+  let text = read_file out in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  if rc <> 0 then Alcotest.failf "bench/main.exe %s exited %d" targets rc;
+  let lines =
+    List.filter
+      (fun l ->
+        not (String.starts_with ~prefix:"[csv] " l
+             || String.starts_with ~prefix:"[json] " l))
+      (String.split_on_char '\n' text)
+  in
+  let rec upto_timing i = function
+    | [] -> []
+    | l :: _ when String.starts_with ~prefix:"Wall-clock timing" l -> [ i ]
+    | _ :: rest -> upto_timing (i + 1) rest
+  in
+  let lines =
+    match upto_timing 0 lines with
+    | [ i ] -> List.filteri (fun j _ -> j < i - 2) lines @ [ "" ]
+    | _ -> lines
+  in
+  String.concat "\n" lines
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end cell latency.  [torsim cdf] does not print it, so these
    runs pin the per-cell departure stamps and their consumption at the
@@ -370,6 +416,13 @@ let fixtures =
        rebuild timers from microseconds to build timeouts. *)
     ( "cli_overload_crowd.txt",
       cli_fixture "overload --sessions 200 --relays 16 --seed 7 --events" );
+    (* The reproduction harness's figure and table output for the
+       targets that run in well under a second, so a refactor of its
+       shared table helpers cannot change what it prints. *)
+    ( "bench_tables.txt",
+      bench_fixture
+        "fig1a table-distance table-faults table-churn table-recovery \
+         table-overload" );
   ]
 
 let update_dir = Sys.getenv_opt "CIRCUITSTART_UPDATE_GOLDEN"
