@@ -5,8 +5,6 @@
    Every independent simulation inside a target runs on the domain pool
    (Engine.Pool); rendering stays sequential and in a fixed order, so
    the terminal/CSV output is byte-identical for every --jobs value.
-   The driver times each target, probes sequential-vs-parallel speedup
-   on a batch of small star runs, and records both in BENCH_pr2.json.
 
    Usage:
      bench/main.exe                 run every figure and table
@@ -14,16 +12,11 @@
                                     run a subset
      bench/main.exe --jobs N        worker domains for simulation
                                     batches (default: detected cores)
-     bench/main.exe --micro         additionally run Bechamel
-                                    micro-benchmarks
      bench/main.exe --out DIR       CSV output directory (default
-                                    results/)
-     bench/main.exe --bench-json F  timing report path (default
-                                    BENCH_pr2.json) *)
+                                    results/) *)
 
 let out_dir = ref "results"
 let jobs = ref (Engine.Pool.default_jobs ())
-let bench_json = ref "BENCH_pr2.json"
 
 let section title =
   Printf.printf "\n================================================================\n";
@@ -35,25 +28,8 @@ let write_csv name contents =
   Analysis.Csv_out.write_file ~path contents;
   Printf.printf "[csv] %s\n" path
 
-(* Simulated events executed by the current target — every batch of
-   runs passes through [noted], and the driver snapshots the sum per
-   target for the events/sec column of the timing report. *)
-let sim_events = ref 0
-let note_events n = sim_events := !sim_events + n
-
-let noted wall_events rs =
-  List.iter (fun r -> note_events (wall_events r)) rs;
-  rs
-
-let trace_many configs =
-  noted
-    (fun (r : Workload.Trace_experiment.result) -> r.wall_events)
-    (Workload.Trace_experiment.run_many ~jobs:!jobs configs)
-
-let star_many configs =
-  noted
-    (fun (r : Workload.Star_experiment.result) -> r.wall_events)
-    (Workload.Star_experiment.run_many ~jobs:!jobs configs)
+let trace_many configs = Workload.Trace_experiment.run_many ~jobs:!jobs configs
+let star_many configs = Workload.Star_experiment.run_many ~jobs:!jobs configs
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1, upper panels: source cwnd traces *)
@@ -77,7 +53,6 @@ let fig1_panel ~name ~distance () =
     Workload.Trace_experiment.run
       (trace_config ~strategy:Circuitstart.Controller.Circuit_start ~distance)
   in
-  note_events r.wall_events;
   let x_max = 600. in
   (* Resample the change points into a step function so the staircase
      of doubling rounds is visible in the plot. *)
@@ -411,13 +386,11 @@ let table_adaptive () =
   in
   let variants = [ true; false ] in
   let results =
-    noted
-      (fun (r : Workload.Adaptive_experiment.result) -> r.wall_events)
-      (Workload.Adaptive_experiment.run_many ~jobs:!jobs
-         (List.map
-            (fun adaptive ->
-              { Workload.Adaptive_experiment.default_config with adaptive })
-            variants))
+    Workload.Adaptive_experiment.run_many ~jobs:!jobs
+      (List.map
+         (fun adaptive ->
+           { Workload.Adaptive_experiment.default_config with adaptive })
+         variants)
   in
   List.iter2
     (fun adaptive (r : Workload.Adaptive_experiment.result) ->
@@ -445,7 +418,6 @@ let fig_backprop () =
     Workload.Trace_experiment.run
       (trace_config ~strategy:Circuitstart.Controller.Circuit_start ~distance:3)
   in
-  note_events r.wall_events;
   let x_max = 800. in
   let resample points =
     Array.init 121 (fun i ->
@@ -589,14 +561,12 @@ let table_cross () =
   in
   let loads = [ 0.; 0.25; 0.5; 0.75 ] in
   let results =
-    noted
-      (fun (r : Workload.Contention_experiment.result) -> r.wall_events)
-      (Workload.Contention_experiment.run_many ~jobs:!jobs
-         (List.map
-            (fun load ->
-              { Workload.Contention_experiment.default_config with
-                cbr_load = load })
-            loads))
+    Workload.Contention_experiment.run_many ~jobs:!jobs
+      (List.map
+         (fun load ->
+           { Workload.Contention_experiment.default_config with
+             cbr_load = load })
+         loads)
   in
   List.iter2
     (fun load (r : Workload.Contention_experiment.result) ->
@@ -630,7 +600,7 @@ let table_cross () =
    "<scenario> / <strategy>". *)
 let paired_rows (type c r)
     (module X : Workload.Experiment.S with type config = c and type result = r)
-    wall_events t row scenarios =
+    t row scenarios =
   let tasks =
     List.concat_map
       (fun (scenario, config) ->
@@ -645,18 +615,18 @@ let paired_rows (type c r)
   List.iter2
     (fun (label, _) r -> Analysis.Table.add_row t (label :: row r))
     tasks
-    (noted wall_events (X.run_many ~jobs:!jobs (List.map snd tasks)))
+    (X.run_many ~jobs:!jobs (List.map snd tasks))
 
 (* All three strategies of [config], printed as one row each under
    [columns]. *)
 let paired_table (type c r)
     (module X : Workload.Experiment.S with type config = c and type result = r)
-    wall_events ~columns row config =
+    ~columns row config =
   let c = Workload.Experiment.compare (module X) ~jobs:!jobs ~seed:42 config in
-  let rows = Workload.Experiment.labelled c in
-  List.iter (fun (_, r) -> note_events (wall_events r)) rows;
   let t = Analysis.Table.create ~columns:("strategy" :: columns) in
-  List.iter (fun (label, r) -> Analysis.Table.add_row t (label :: row r)) rows;
+  List.iter
+    (fun (label, r) -> Analysis.Table.add_row t (label :: row r))
+    (Workload.Experiment.labelled c);
   print_string (Analysis.Table.render t);
   c
 
@@ -705,10 +675,7 @@ let fault_table scenarios =
         [ "fault"; "outcome"; "ttlb"; "goodput Mbit/s"; "retx"; "wire drops";
           "failed after" ]
   in
-  paired_rows
-    (module Workload.Fault_experiment)
-    (fun r -> r.Workload.Fault_experiment.wall_events)
-    t fault_row scenarios;
+  paired_rows (module Workload.Fault_experiment) t fault_row scenarios;
   print_string (Analysis.Table.render t)
 
 let table_faults () =
@@ -774,7 +741,6 @@ let table_recovery () =
   in
   paired_rows
     (module Workload.Overload_experiment)
-    (fun r -> r.Workload.Overload_experiment.wall_events)
     t
     (fun (r : Workload.Overload_experiment.result) ->
       let s = List.hd r.per_session in
@@ -804,74 +770,35 @@ let table_recovery () =
 (* ------------------------------------------------------------------ *)
 (* table-overload: flash crowd against budgeted relays — admission
    refusals, OOM circuit kills, and the cost of the startup strategy
-   under contention.  Also writes BENCH_pr6.json with the headline
-   overload metrics for every strategy. *)
-
-let write_overload_json path ~(config : Workload.Overload_experiment.config) c
-    =
-  let side (r : Workload.Overload_experiment.result) =
-    Printf.sprintf
-      "{\"completed\": %d, \"sessions\": %d, \"refusals\": %d, \
-       \"refusal_rate\": %.4f, \"oom_kills\": %d, \"overload_enters\": %d, \
-       \"rebuilds\": %d, \"mean_ttlb_s\": %s, \"max_ttlb_s\": %s, \
-       \"goodput_bps\": %.1f, \"relay_byte_hwm\": %d, \"sim_events\": %d}"
-      r.completed r.sessions r.refusals r.refusal_rate r.oom_kills
-      r.overload_enters r.rebuilds
-      (match r.mean_ttlb with
-      | Some x -> Printf.sprintf "%.6f" (Engine.Time.to_sec_f x)
-      | None -> "null")
-      (match r.max_ttlb with
-      | Some x -> Printf.sprintf "%.6f" (Engine.Time.to_sec_f x)
-      | None -> "null")
-      r.goodput_bps r.relay_byte_hwm r.wall_events
-  in
-  let or_null = function Some n -> string_of_int n | None -> "null" in
-  write_json path
-    (Printf.sprintf
-       "{\n\
-       \  \"pr\": 6,\n\
-       \  \"jobs\": %d,\n\
-       \  \"config\": {\"sessions\": %d, \"relays\": %d, \"transfer_bytes\": \
-        %d, \"max_circuits\": %s, \"max_queued_bytes\": %s, \
-        \"mean_interarrival_ms\": %.1f},\n\
-        %s\n\
-        }\n"
-       !jobs config.sessions config.relay_count config.transfer_bytes
-       (or_null config.max_circuits)
-       (or_null config.max_queued_bytes)
-       (Engine.Time.to_ms_f config.mean_interarrival)
-       (json_paired ~indent:"  " side c))
+   under contention. *)
 
 let table_overload () =
   section "Table T-overload (extra): flash crowd against budgeted relays";
-  let config = Workload.Overload_experiment.default_config in
-  let c =
-    paired_table
-      (module Workload.Overload_experiment)
-      (fun r -> r.Workload.Overload_experiment.wall_events)
-      ~columns:
-        [ "done"; "refused"; "rate"; "oom"; "rebuilds"; "mean ttlb"; "goodput";
-          "relay hwm" ]
-      (fun (r : Workload.Overload_experiment.result) ->
-        [
-          Printf.sprintf "%d/%d" r.completed r.sessions;
-          string_of_int r.refusals;
-          Printf.sprintf "%.0f%%" (r.refusal_rate *. 100.);
-          string_of_int r.oom_kills;
-          string_of_int r.rebuilds;
-          (match r.mean_ttlb with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-          | None -> "-");
-          Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
-          Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;
-        ])
-      config
-  in
+  ignore
+    (paired_table
+       (module Workload.Overload_experiment)
+       ~columns:
+         [ "done"; "refused"; "rate"; "oom"; "rebuilds"; "mean ttlb"; "goodput";
+           "relay hwm" ]
+       (fun (r : Workload.Overload_experiment.result) ->
+         [
+           Printf.sprintf "%d/%d" r.completed r.sessions;
+           string_of_int r.refusals;
+           Printf.sprintf "%.0f%%" (r.refusal_rate *. 100.);
+           string_of_int r.oom_kills;
+           string_of_int r.rebuilds;
+           (match r.mean_ttlb with
+           | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+           | None -> "-");
+           Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
+           Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;
+         ])
+       Workload.Overload_experiment.default_config
+      : Workload.Overload_experiment.result Workload.Experiment.paired);
   print_string
     "Budgeted relays refuse CREATEs while overloaded (the session redraws\n\
      without excluding them) and destroy their heaviest circuit when the\n\
-     byte budget overflows - the crowd degrades, it does not collapse.\n";
-  write_overload_json "BENCH_pr6.json" ~config c
+     byte budget overflows - the crowd degrades, it does not collapse.\n"
 
 (* ------------------------------------------------------------------ *)
 (* The consensus-scale round-level workload: table-network,
@@ -892,10 +819,7 @@ let ttlb_cells (r : Workload.Network_experiment.result) =
   List.map (Printf.sprintf "%.3fs") (ttlb_quantiles r.ttlb_all)
 
 let network_table ~columns row config =
-  paired_table
-    (module Workload.Network_experiment)
-    (fun r -> r.Workload.Network_experiment.wall_events)
-    ~columns row config
+  paired_table (module Workload.Network_experiment) ~columns row config
 
 let print_gap ?(suffix = "") (c : Workload.Network_experiment.result Workload.Experiment.paired) =
   Printf.printf
@@ -995,7 +919,6 @@ let scale_run ~pr ~paired c config =
   let scale = Workload.Network_experiment.run ~seed:7 config in
   let seconds = Unix.gettimeofday () -. t0 in
   let minor_words = Gc.minor_words () -. minor0 in
-  note_events scale.wall_events;
   Format.printf "scale: %a@." Workload.Network_experiment.pp_result scale;
   Printf.printf
     "scale: %.1fs wall, %d events, %.0f events/sec, %.2f minor words/event\n"
@@ -1073,7 +996,6 @@ let shard_probe () =
       Workload.Network_experiment.run_instrumented ~seed:7 config
     in
     let seconds = Unix.gettimeofday () -. t0 in
-    note_events r.wall_events;
     (r, seconds, words)
   in
   let s1, s1_s, _ = timed_run 1 in
@@ -1195,167 +1117,6 @@ let table_predictive () =
        Circuitstart.Controller.Predictive (full_scale paired))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment plus the
-   engine hot paths, all grouped in one run. *)
-
-let micro () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let quick_trace distance () =
-    ignore
-      (Workload.Trace_experiment.run
-         { (trace_config ~strategy:Circuitstart.Controller.Circuit_start ~distance) with
-           Workload.Trace_experiment.transfer_bytes = Engine.Units.kib 64;
-           horizon = Engine.Time.s 3;
-         })
-  in
-  let quick_star transport () =
-    ignore
-      (Workload.Star_experiment.run
-         { (star_config transport) with
-           Workload.Star_experiment.circuit_count = 4;
-           relay_count = 8;
-           transfer_bytes = Engine.Units.kib 64;
-           horizon = Engine.Time.s 30;
-         })
-  in
-  let event_queue_churn () =
-    let q = Engine.Event_queue.create () in
-    for i = 0 to 999 do
-      ignore (Engine.Event_queue.add q ~time:(Engine.Time.us (i * 37 mod 1000)) i)
-    done;
-    let rec drain () = match Engine.Event_queue.pop q with Some _ -> drain () | None -> () in
-    drain ()
-  in
-  let rng_churn () =
-    let rng = Engine.Rng.create 1 in
-    for _ = 1 to 1000 do
-      ignore (Engine.Rng.int rng 1000)
-    done
-  in
-  let controller_churn () =
-    let c = Circuitstart.Controller.create Circuitstart.Controller.Circuit_start in
-    let now = ref Engine.Time.zero in
-    for _ = 1 to 1000 do
-      now := Engine.Time.add !now (Engine.Time.us 500);
-      Circuitstart.Controller.on_feedback c ~now:!now ~rtt:(Engine.Time.ms 40) ()
-    done
-  in
-  let tests =
-    Test.make_grouped ~name:"circuitstart"
-      [
-        Test.make ~name:"engine/event-queue-1k" (Staged.stage event_queue_churn);
-        Test.make ~name:"engine/rng-1k" (Staged.stage rng_churn);
-        Test.make ~name:"core/controller-1k-feedbacks" (Staged.stage controller_churn);
-        Test.make ~name:"fig1a/trace-d1" (Staged.stage (quick_trace 1));
-        Test.make ~name:"fig1b/trace-d3" (Staged.stage (quick_trace 3));
-        Test.make ~name:"fig1c/star-circuitstart"
-          (Staged.stage
-             (quick_star
-                (Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start)));
-        Test.make ~name:"t1/star-sendme"
-          (Staged.stage (quick_star Workload.Star_experiment.Legacy_sendme));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances tests in
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = benchmark () in
-  List.iter
-    (fun result ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ t ] -> Printf.printf "%-32s %12.0f ns/run\n" name t
-          | _ -> Printf.printf "%-32s (no estimate)\n" name)
-        result)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Timing, speedup probe and the BENCH json report *)
-
-(* A batch of identical-shape small star runs (different seeds), timed
-   once with one worker and once with the requested pool: the ratio is
-   the end-to-end speedup the pool delivers on this machine.  On a
-   single-core host the ratio is ~1 by construction. *)
-let speedup_probe () =
-  let tasks =
-    List.init
-      (2 * Stdlib.max 1 !jobs)
-      (fun i ->
-        { (star_config
-             (Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start))
-          with
-          Workload.Star_experiment.circuit_count = 4;
-          relay_count = 8;
-          transfer_bytes = Engine.Units.kib 64;
-          horizon = Engine.Time.s 30;
-          seed = i + 1;
-        })
-  in
-  let time j =
-    let t0 = Unix.gettimeofday () in
-    ignore (Workload.Star_experiment.run_many ~jobs:j tasks
-            : Workload.Star_experiment.result list);
-    Unix.gettimeofday () -. t0
-  in
-  let seq_seconds = time 1 in
-  let par_seconds = time !jobs in
-  (List.length tasks, seq_seconds, par_seconds)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_bench_json path ~timed ~probe =
-  let total_seconds = List.fold_left (fun acc (_, s, _) -> acc +. s) 0. timed in
-  let total_events = List.fold_left (fun acc (_, _, e) -> acc + e) 0 timed in
-  let probe_tasks, seq_s, par_s = probe in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": 2,\n  \"jobs\": %d,\n" !jobs);
-  Buffer.add_string buf "  \"targets\": [\n";
-  List.iteri
-    (fun i (name, seconds, events) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": \"%s\", \"seconds\": %.6f, \"sim_events\": %d}%s\n"
-           (json_escape name) seconds events
-           (if i = List.length timed - 1 then "" else ",")))
-    timed;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf (Printf.sprintf "  \"total_seconds\": %.6f,\n" total_seconds);
-  Buffer.add_string buf (Printf.sprintf "  \"total_sim_events\": %d,\n" total_events);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_per_sec\": %.1f,\n"
-       (if total_seconds > 0. then float_of_int total_events /. total_seconds else 0.));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"speedup_probe\": {\"tasks\": %d, \"seq_seconds\": %.6f, \"par_seconds\": \
-        %.6f, \"speedup\": %.3f}\n"
-       probe_tasks seq_s par_s
-       (if par_s > 0. then seq_s /. par_s else 1.));
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "[json] %s\n" path
-
-(* ------------------------------------------------------------------ *)
 
 let all_targets =
   [
@@ -1382,75 +1143,34 @@ let all_targets =
   ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse args acc_names micro_flag =
+  let rec parse args acc_names =
     match args with
-    | [] -> (List.rev acc_names, micro_flag)
-    | "--micro" :: rest -> parse rest acc_names true
+    | [] -> List.rev acc_names
     | "--out" :: dir :: rest ->
         out_dir := dir;
-        parse rest acc_names micro_flag
+        parse rest acc_names
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
         | Some j when j >= 1 ->
             jobs := j;
-            parse rest acc_names micro_flag
+            parse rest acc_names
         | _ ->
             prerr_endline "--jobs needs a positive integer";
             exit 2)
-    | "--bench-json" :: path :: rest ->
-        bench_json := path;
-        parse rest acc_names micro_flag
-    | name :: rest -> parse rest (name :: acc_names) micro_flag
+    | name :: rest -> parse rest (name :: acc_names)
   in
-  let names, micro_flag = parse args [] false in
   let targets =
-    match names with
-    | [] -> all_targets
+    match parse (List.tl (Array.to_list Sys.argv)) [] with
+    | [] -> List.map snd all_targets
     | names ->
         List.map
           (fun name ->
             match List.assoc_opt name all_targets with
-            | Some f -> (name, f)
+            | Some f -> f
             | None ->
                 Printf.eprintf "unknown target %s; known: %s\n" name
                   (String.concat ", " (List.map fst all_targets));
                 exit 2)
           names
   in
-  let timed =
-    List.map
-      (fun (name, f) ->
-        sim_events := 0;
-        let t0 = Unix.gettimeofday () in
-        f ();
-        (name, Unix.gettimeofday () -. t0, !sim_events))
-      targets
-  in
-  if micro_flag then micro ();
-  section (Printf.sprintf "Wall-clock timing (%d worker domain%s)" !jobs
-             (if !jobs = 1 then "" else "s"));
-  let t =
-    Analysis.Table.create ~columns:[ "target"; "seconds"; "sim events"; "events/s" ]
-  in
-  List.iter
-    (fun (name, seconds, events) ->
-      Analysis.Table.add_row t
-        [
-          name;
-          Printf.sprintf "%.3f" seconds;
-          string_of_int events;
-          (if seconds > 0. then Printf.sprintf "%.0f" (float_of_int events /. seconds)
-           else "-");
-        ])
-    timed;
-  print_string (Analysis.Table.render t);
-  let ((probe_tasks, seq_s, par_s) as probe) = speedup_probe () in
-  Printf.printf
-    "speedup probe: %d star runs  jobs=1: %.3fs  jobs=%d: %.3fs  speedup %.2fx\n"
-    probe_tasks seq_s !jobs par_s
-    (if par_s > 0. then seq_s /. par_s else 1.);
-  write_bench_json !bench_json ~timed ~probe;
-  Printf.printf "\nDone: %d target%s%s.\n" (List.length targets)
-    (if List.length targets = 1 then "" else "s")
-    (if micro_flag then " + micro benchmarks" else "")
+  List.iter (fun f -> f ()) targets

@@ -63,43 +63,25 @@ let bench_exe () =
   | Some p -> p
   | None -> Alcotest.fail "bench/main.exe not built"
 
-(* stdout of one [bench/main.exe] run of [targets] at --jobs 2, run in
-   a scratch directory that also takes the CSVs and reports.  The
-   "[csv] <path>" and "[json] <path>" notices name that directory, and
-   the closing wall-clock section (from the blank line and rule that
-   open it) holds timings, so both are cut. *)
+(* stdout of one [bench/main.exe] run of [targets] at --jobs 2, with
+   its CSVs written to a scratch directory.  The "[csv] <path>" notices
+   name that directory, so they are cut. *)
 let bench_fixture targets () =
-  let exe = bench_exe () in
-  let exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
   let dir = Filename.temp_dir "bench" "" in
-  let out = Filename.concat dir "stdout.txt" in
+  let out = Filename.temp_file "bench" ".txt" in
   let rc =
     Sys.command
-      (Printf.sprintf "cd %s && %s %s --jobs 2 --out . > %s 2>/dev/null"
-         (Filename.quote dir) exe targets (Filename.quote out))
+      (Printf.sprintf "%s %s --jobs 2 --out %s > %s 2>/dev/null" (bench_exe ())
+         targets (Filename.quote dir) out)
   in
   let text = read_file out in
+  Sys.remove out;
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir;
   if rc <> 0 then Alcotest.failf "bench/main.exe %s exited %d" targets rc;
-  let lines =
-    List.filter
-      (fun l ->
-        not (String.starts_with ~prefix:"[csv] " l
-             || String.starts_with ~prefix:"[json] " l))
-      (String.split_on_char '\n' text)
-  in
-  let rec upto_timing i = function
-    | [] -> []
-    | l :: _ when String.starts_with ~prefix:"Wall-clock timing" l -> [ i ]
-    | _ :: rest -> upto_timing (i + 1) rest
-  in
-  let lines =
-    match upto_timing 0 lines with
-    | [ i ] -> List.filteri (fun j _ -> j < i - 2) lines @ [ "" ]
-    | _ -> lines
-  in
-  String.concat "\n" lines
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"[csv] " l))
+  |> String.concat "\n"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end cell latency.  [torsim cdf] does not print it, so these
