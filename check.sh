@@ -82,8 +82,10 @@ cmp "$c1" "$c2"
 cmp "$c1" "$c4"
 rm -f "$c1" "$c2" "$c4"
 
-echo "== scheduler smoke: ubench --smoke (wheel vs heap A/B) =="
-dune exec bench/ubench.exe -- --smoke --json /dev/null | grep "ubench summary"
+echo "== perf gate: bench/trajectory.exe over the committed BENCH_*.json =="
+# The blessed floors of bench/perf_floors.txt hold on the reports in
+# the tree, at the gate's default tolerance.
+dune exec bench/trajectory.exe
 
 echo "== invariant smoke: torsim check --runs 25 --seed 42 (60s budget) =="
 # Bounded fuzz: 25 random scenarios under full oracles plus the
