@@ -623,10 +623,9 @@ let paired_table (type c r)
     (module X : Workload.Experiment.S with type config = c and type result = r)
     ~columns row config =
   let c = Workload.Experiment.compare (module X) ~jobs:!jobs ~seed:42 config in
+  let rows = Workload.Experiment.labelled c in
   let t = Analysis.Table.create ~columns:("strategy" :: columns) in
-  List.iter
-    (fun (label, r) -> Analysis.Table.add_row t (label :: row r))
-    (Workload.Experiment.labelled c);
+  List.iter (fun (label, r) -> Analysis.Table.add_row t (label :: row r)) rows;
   print_string (Analysis.Table.render t);
   c
 
@@ -793,8 +792,7 @@ let table_overload () =
            Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
            Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;
          ])
-       Workload.Overload_experiment.default_config
-      : Workload.Overload_experiment.result Workload.Experiment.paired);
+       Workload.Overload_experiment.default_config);
   print_string
     "Budgeted relays refuse CREATEs while overloaded (the session redraws\n\
      without excluding them) and destroy their heaviest circuit when the\n\

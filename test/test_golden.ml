@@ -55,14 +55,6 @@ let cli_fixture args () =
 (* stdout of several [torsim] runs, concatenated in order. *)
 let cli_fixtures runs () = String.concat "" (List.map (fun args -> cli_fixture args ()) runs)
 
-let bench_exe () =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bench/main.exe"; "_build/default/bench/main.exe" ]
-  with
-  | Some p -> p
-  | None -> Alcotest.fail "bench/main.exe not built"
-
 (* stdout of one [bench/main.exe] run of [targets] at --jobs 2, with
    its CSVs written to a scratch directory.  The "[csv] <path>" notices
    name that directory, so they are cut. *)
@@ -71,7 +63,8 @@ let bench_fixture targets () =
   let out = Filename.temp_file "bench" ".txt" in
   let rc =
     Sys.command
-      (Printf.sprintf "%s %s --jobs 2 --out %s > %s 2>/dev/null" (bench_exe ())
+      (Printf.sprintf "%s %s --jobs 2 --out %s > %s 2>/dev/null"
+         (Test_util.built_exe "bench/main.exe")
          targets (Filename.quote dir) out)
   in
   let text = read_file out in

@@ -106,15 +106,17 @@ let golden_trace_config_predictive =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The torsim binary, for tests that drive the CLI as a subprocess.
-   Under `dune runtest` the cwd is _build/default/test; under
-   `dune exec test/<name>.exe` it is the project root.  A missing
-   binary must be a loud failure, not a vacuous nonzero exit. *)
+(* A built executable ([path] relative to the project root), for tests
+   that drive it as a subprocess.  Under `dune runtest` the cwd is
+   _build/default/test; under `dune exec test/<name>.exe` it is the
+   project root.  A missing binary must be a loud failure, not a
+   vacuous nonzero exit. *)
 
-let torsim_exe () =
+let built_exe path =
   match
-    List.find_opt Sys.file_exists
-      [ "../bin/torsim.exe"; "_build/default/bin/torsim.exe" ]
+    List.find_opt Sys.file_exists [ "../" ^ path; "_build/default/" ^ path ]
   with
   | Some p -> p
-  | None -> Alcotest.fail "torsim.exe not built"
+  | None -> Alcotest.failf "%s not built" path
+
+let torsim_exe () = built_exe "bin/torsim.exe"
