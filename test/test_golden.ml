@@ -398,6 +398,15 @@ let fixtures =
       bench_fixture
         "fig1a table-distance table-faults table-churn table-recovery \
          table-overload" );
+    (* Every other target that runs on the single-circuit bottleneck
+       line (traces, adaptive step, CBR cross traffic), and the two CLI
+       subcommands on that line that no other fixture runs. *)
+    ( "bench_line_world.txt",
+      bench_fixture
+        "fig1b table-gamma table-compensation table-adaptive fig-backprop \
+         table-loss table-cross" );
+    ("cli_adaptive.txt", cli_fixtures [ "adaptive"; "adaptive --adaptive" ]);
+    ("cli_cross.txt", cli_fixture "cross");
   ]
 
 let update_dir = Sys.getenv_opt "CIRCUITSTART_UPDATE_GOLDEN"
