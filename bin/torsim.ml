@@ -347,24 +347,16 @@ let optimal_cmd =
 (* adaptive *)
 
 let run_adaptive adaptive step_mbit =
-  let config =
-    { Workload.Adaptive_experiment.default_config with
-      Workload.Adaptive_experiment.adaptive;
-      stepped_rate = Engine.Units.Rate.mbit step_mbit;
-    }
+  let r =
+    Workload.Adaptive_experiment.run
+      { adaptive; stepped_rate = Engine.Units.Rate.mbit step_mbit }
   in
-  match Workload.Adaptive_experiment.validate_config config with
-  | Error msg -> `Error (false, msg)
-  | Ok config ->
-      let r = Workload.Adaptive_experiment.run config in
-      Printf.printf
-        "optimal %d -> %d cells; window at step %.0f; reaction %s; final %.0f\n"
-        r.optimal_before_cells r.optimal_after_cells r.cwnd_at_step
-        (match r.reaction_time with
-        | Some t -> Printf.sprintf "%.0fms" (Engine.Time.to_ms_f t)
-        | None -> "never")
-        r.final_cwnd;
-      `Ok ()
+  Printf.printf "optimal %d -> %d cells; window at step %.0f; reaction %s; final %.0f\n"
+    r.optimal_before_cells r.optimal_after_cells r.cwnd_at_step
+    (match r.reaction_time with
+    | Some t -> Printf.sprintf "%.0fms" (Engine.Time.to_ms_f t)
+    | None -> "never")
+    r.final_cwnd
 
 let adaptive_cmd =
   let adaptive =
@@ -376,17 +368,14 @@ let adaptive_cmd =
       & info [ "step-mbit" ] ~docv:"MBIT" ~doc:"Bottleneck rate after the step, Mbit/s.")
   in
   let doc = "Mid-transfer bandwidth step: how fast does the window follow? (paper section 3)." in
-  Cmd.v (Cmd.info "adaptive" ~doc) Term.(ret (const run_adaptive $ adaptive $ step))
+  Cmd.v (Cmd.info "adaptive" ~doc) Term.(const run_adaptive $ adaptive $ step)
 
 (* ------------------------------------------------------------------ *)
 (* cross *)
 
 let run_cross load kib =
   let config =
-    { Workload.Contention_experiment.default_config with
-      Workload.Contention_experiment.cbr_load = load;
-      transfer_bytes = Engine.Units.kib kib;
-    }
+    { Workload.Contention_experiment.cbr_load = load; transfer_bytes = Engine.Units.kib kib }
   in
   match Workload.Contention_experiment.validate_config config with
   | Error msg -> `Error (false, msg)

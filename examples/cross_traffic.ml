@@ -17,10 +17,8 @@ let () =
     (fun load ->
       let r =
         Workload.Contention_experiment.run
-          { Workload.Contention_experiment.default_config with
-            Workload.Contention_experiment.cbr_load = load;
-            transfer_bytes = Engine.Units.mib 2;
-          }
+          { Workload.Contention_experiment.cbr_load = load;
+            transfer_bytes = Engine.Units.mib 2 }
       in
       Analysis.Table.add_row t
         [

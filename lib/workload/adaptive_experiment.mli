@@ -1,52 +1,42 @@
 (** The paper's §3 future work: reacting to capacity changes.
 
-    A single circuit ramps up against a bottleneck; mid-transfer the
-    bottleneck's access-link rate is multiplied by a step factor.  The
-    base algorithm only grows by one cell per RTT afterwards; with
+    A single circuit ramps up on the {!Line_world} (3 relays, a
+    3 Mbit/s bottleneck at distance 2, 50 Mbit/s elsewhere, 10 ms
+    access delay, 100 Mbit/s endpoints) during an 8 MiB CircuitStart
+    transfer.  2 s after the transfer starts, the bottleneck's access
+    link steps to [stepped_rate] in both directions.  The base
+    algorithm only grows by one cell per RTT afterwards; with
     {!Circuitstart.Params.t.adaptive} set, consecutive calm rounds
     re-enter ramp-up and the window doubles towards the new optimum.
-    The result records how long the source took to reach a fraction of
-    the new optimal window after the step. *)
+    The result records how long the source took to reach 70 % of the
+    new optimal window after the step.  The run ends at a 20 s
+    horizon. *)
 
 type config = {
-  relay_count : int;
-  bottleneck_distance : int;  (** 1-based relay index, as in traces. *)
-  bottleneck_rate : Engine.Units.Rate.t;  (** Before the step. *)
-  stepped_rate : Engine.Units.Rate.t;  (** After the step. *)
-  fast_rate : Engine.Units.Rate.t;
-  access_delay : Engine.Time.t;
-  endpoint_rate : Engine.Units.Rate.t;
-  step_after : Engine.Time.t;  (** Delay from transfer start to the step. *)
-  transfer_bytes : int;  (** Must outlast the horizon comfortably. *)
-  adaptive : bool;
-  params : Circuitstart.Params.t;  (** [adaptive]/[re_probe_after] overridden. *)
-  target_fraction : float;  (** Reaction = reaching this share of the new optimum. *)
-  horizon : Engine.Time.t;
+  adaptive : bool;  (** Enable the re-probe (with [re_probe_after = 3]). *)
+  stepped_rate : Engine.Units.Rate.t;  (** Bottleneck rate after the step. *)
 }
 
 val default_config : config
-(** 3 relays, bottleneck at distance 2, 3 → 12 Mbit/s step 2 s into an
-    8 MiB transfer, reaction target 0.7, 20 s horizon. *)
-
-val validate_config : config -> (config, string) result
+(** Adaptive, stepping 3 → 12 Mbit/s. *)
 
 type result = {
   optimal_before_cells : int;
   optimal_after_cells : int;
   cwnd_at_step : float;  (** Source window when the step happened. *)
   reaction_time : Engine.Time.t option;
-      (** Step → source window first reaches
-          [target_fraction * optimal_after]; [None] if never. *)
+      (** Step → source window first reaches 70 % of [optimal_after];
+          [None] if never. *)
   final_cwnd : float;  (** Source window at the horizon. *)
   source_cwnd : (Engine.Time.t * float) array;
       (** Full source trace, time since transfer start. *)
   wall_events : int;  (** Simulator events executed (cost metric). *)
 }
 
-val run : ?seed:int -> config -> result
+val run : config -> result
+(** Nothing in the run is random: equal configs give equal results. *)
 
-val run_many : ?jobs:int -> ?seed:int -> config list -> result list
+val run_many : ?jobs:int -> config list -> result list
 (** One {!run} per config on a domain pool of [jobs] workers
-    ({!Engine.Pool.default_jobs} when omitted), all with the same
-    [seed].  Results are in config order and byte-identical to mapping
-    {!run} sequentially. *)
+    ({!Engine.Pool.default_jobs} when omitted).  Results are in config
+    order and byte-identical to mapping {!run} sequentially. *)

@@ -3,28 +3,21 @@
     The paper motivates tailored transports with the wish that Tor
     traffic "behave much like background traffic", i.e. not fight other
     users of a relay aggressively.  Here a single CircuitStart circuit
-    shares the bottleneck relay's uplink with a CBR flow consuming a
+    on the {!Line_world} (3 relays, a 4 Mbit/s bottleneck at distance
+    2, 50 Mbit/s elsewhere, 10 ms access delay, 100 Mbit/s endpoints,
+    a 30 s horizon) shares the bottleneck relay's uplink with a CBR
+    flow, sent to an extra [cbr-sink] leaf, that consumes a
     configurable fraction of its capacity: a delay-based scheme should
     settle onto roughly the *residual* capacity, with a window near
     [(1 - load) * W*]. *)
 
 type config = {
-  relay_count : int;
-  bottleneck_distance : int;
-  bottleneck_rate : Engine.Units.Rate.t;
-  fast_rate : Engine.Units.Rate.t;
-  access_delay : Engine.Time.t;
-  endpoint_rate : Engine.Units.Rate.t;
-  transfer_bytes : int;
-  strategy : Circuitstart.Controller.strategy;
-  params : Circuitstart.Params.t;
   cbr_load : float;  (** Fraction of the bottleneck rate, in [0, 0.9]. *)
-  horizon : Engine.Time.t;
+  transfer_bytes : int;
 }
 
 val default_config : config
-(** 3 relays, bottleneck at distance 2 at 4 Mbit/s, 4 MiB transfer,
-    CircuitStart, 25 % CBR load, 30 s horizon. *)
+(** 25 % CBR load, 4 MiB transfer. *)
 
 val validate_config : config -> (config, string) result
 
@@ -40,10 +33,11 @@ type result = {
   wall_events : int;  (** Simulator events executed (cost metric). *)
 }
 
-val run : ?seed:int -> config -> result
+val run : config -> result
+(** Raises [Invalid_argument] on an invalid config.  Nothing in the run
+    is random: equal configs give equal results. *)
 
-val run_many : ?jobs:int -> ?seed:int -> config list -> result list
+val run_many : ?jobs:int -> config list -> result list
 (** One {!run} per config on a domain pool of [jobs] workers
-    ({!Engine.Pool.default_jobs} when omitted), all with the same
-    [seed].  Results are in config order and byte-identical to mapping
-    {!run} sequentially. *)
+    ({!Engine.Pool.default_jobs} when omitted).  Results are in config
+    order and byte-identical to mapping {!run} sequentially. *)

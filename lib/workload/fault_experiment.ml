@@ -12,9 +12,6 @@ type config = {
   loss : Netsim.Faults.loss_model option;
   outage : (Engine.Time.t * Engine.Time.t) option;
   crash_at : Engine.Time.t option;
-  rto_min : Engine.Time.t;
-  rto_initial : Engine.Time.t;
-  max_retries : int;
   horizon : Engine.Time.t;
 }
 
@@ -33,30 +30,28 @@ let default_config =
     loss = None;
     outage = None;
     crash_at = None;
-    rto_min = Engine.Time.ms 300;
-    rto_initial = Engine.Time.ms 500;
-    max_retries = 4;
     horizon = Engine.Time.s 60;
   }
 
+(* Tight failure detection, so a crash run fails in seconds, not
+   minutes; a fault-free run under these settings retransmits nothing,
+   so every retransmission in a faulty run is due to the fault. *)
+let rto_min = Engine.Time.ms 300
+let rto_initial = Engine.Time.ms 500
+let max_retries = 4
+
 let validate_config c =
-  if c.relay_count < 1 then Error "relay_count must be positive"
-  else if c.bottleneck_distance < 1 || c.bottleneck_distance > c.relay_count then
-    Error "bottleneck_distance must be in [1, relay_count]"
-  else if c.transfer_bytes <= 0 then Error "transfer_bytes must be positive"
-  else if c.max_retries < 1 then Error "max_retries must be positive"
-  else if Engine.Time.(c.horizon <= Engine.Time.zero) then Error "horizon must be positive"
-  else
-    match
-      ( Option.map Netsim.Faults.validate_loss c.loss,
-        c.outage,
-        Circuitstart.Params.validate c.params )
-    with
-    | Some (Error msg), _, _ -> Error msg
-    | _, Some (down, up), _ when Engine.Time.(up <= down) ->
-        Error "outage window must have up_at > down_at"
-    | _, _, Error msg -> Error msg
-    | _, _, Ok _ -> Ok c
+  match
+    ( Line_world.validate ~relay_count:c.relay_count
+        ~bottleneck_distance:c.bottleneck_distance ~transfer_bytes:c.transfer_bytes
+        ~horizon:c.horizon c.params,
+      Option.map Netsim.Faults.validate_loss c.loss,
+      c.outage )
+  with
+  | Error msg, _, _ | _, Some (Error msg), _ -> Error msg
+  | _, _, Some (down, up) when Engine.Time.(up <= down) ->
+      Error "outage window must have up_at > down_at"
+  | _ -> Ok c
 
 type outcome = Completed | Failed_circuit | Timed_out
 
@@ -94,49 +89,16 @@ let run ?(seed = 42) ?probe config =
     | Error msg -> invalid_arg ("Fault_experiment.run: " ^ msg)
   in
   let rng = Engine.Rng.create seed in
-  let sim = Engine.Sim.create () in
-  let b = Tor_net.builder sim ~queue:config.link_queue () in
-  let relay_specs =
-    List.init config.relay_count (fun i ->
-        let rate =
-          if i + 1 = config.bottleneck_distance then config.bottleneck_rate
-          else config.fast_rate
-        in
-        { Relay_gen.nickname = Printf.sprintf "relay%d" i; bandwidth = rate;
-          latency = config.access_delay;
-          flags =
-            [ Tor_model.Relay_info.Guard; Tor_model.Relay_info.Exit;
-              Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ] })
+  let w =
+    Line_world.create ~queue:config.link_queue ~relay_count:config.relay_count
+      ~bottleneck_distance:config.bottleneck_distance
+      ~bottleneck_rate:config.bottleneck_rate ~fast_rate:config.fast_rate
+      ~access_delay:config.access_delay ~endpoint_rate:config.endpoint_rate ()
   in
-  List.iter (Tor_net.add_relay b) relay_specs;
-  let client =
-    Tor_net.add_endpoint b ~name:"client" ~rate:config.endpoint_rate
-      ~delay:config.access_delay
-  in
-  let server =
-    Tor_net.add_endpoint b ~name:"server" ~rate:config.endpoint_rate
-      ~delay:config.access_delay
-  in
-  let net = Tor_net.finalize b in
-  let relays = Tor_model.Directory.relays (Tor_net.directory net) in
-  let circuit =
-    Tor_model.Circuit.make
-      ~id:(Tor_model.Circuit_id.next (Tor_net.circuit_ids net))
-      ~client ~relays ~server
-  in
-  let bottleneck =
-    (List.nth relays (config.bottleneck_distance - 1)).Tor_model.Relay_info.node
-  in
-  let topo = Netsim.Network.topology (Tor_net.network net) in
-  let hub = Tor_net.hub net in
-  let bottleneck_links =
-    List.filter_map
-      (fun (a, z) -> Netsim.Topology.link topo a z)
-      [ (bottleneck, hub); (hub, bottleneck) ]
-  in
+  let sim = w.sim in
+  let links = Netsim.Topology.links (Netsim.Network.topology (Tor_net.network w.net)) in
+  let bottleneck_links = Line_world.bottleneck_links w in
   let trace = Engine.Trace.create () in
-  let established_at = ref None in
-  let transfer = ref None in
   (* Faults are armed at transfer start, not at time zero: circuit
      establishment has no retransmission machinery, so a lost CREATE
      would hang the run before the transport under test ever runs.
@@ -163,53 +125,32 @@ let run ?(seed = 42) ?probe config =
         ignore @@
         Engine.Sim.schedule_at sim (Engine.Time.add now after) (fun () ->
             Engine.Trace.record_event trace Engine.Trace.Fault
-              ~subject:(Format.asprintf "relay/%a" Netsim.Node_id.pp bottleneck)
+              ~subject:(Format.asprintf "relay/%a" Netsim.Node_id.pp w.bottleneck)
               ~detail:"crash" (Engine.Sim.now sim);
-            Tor_model.Relay_ctl.crash (Tor_net.relay_ctl net bottleneck))
+            Tor_model.Relay_ctl.crash (Tor_net.relay_ctl w.net w.bottleneck))
     | None -> ()
   in
-  Tor_model.Circuit_builder.build
-    (Tor_net.switchboard net client)
-    circuit
-    ~on_done:(fun outcome ->
-      match outcome with
-      | Tor_model.Circuit_builder.Failed msg ->
-          failwith ("Fault_experiment: circuit establishment failed: " ^ msg)
-      | Tor_model.Circuit_builder.Refused _ ->
-          (* No budgets are set in this experiment, so a refusal is a bug. *)
-          failwith "Fault_experiment: circuit establishment refused"
-      | Tor_model.Circuit_builder.Established { at } ->
-          established_at := Some at;
-          let d =
-            Backtap.Transfer.deploy
-              ~node_of:(Tor_net.backtap_node net)
-              ~circuit ~bytes:config.transfer_bytes ~strategy:config.strategy
-              ~params:config.params ~trace:(trace, "transfer")
-              ~rto_min:config.rto_min ~rto_initial:config.rto_initial
-              ~max_retries:config.max_retries
-              ~on_complete:(fun _ -> Engine.Sim.stop sim)
-              ~on_fail:(fun _ -> Engine.Sim.stop sim)
-              ()
-          in
-          transfer := Some d;
-          (* Let the invariant oracles attach before the first cell
-             moves.  Probes are passive observers: an instrumented run
-             must stay schedule-identical to a plain one. *)
-          (match probe with
-          | Some f -> f sim (Netsim.Topology.links topo) d
-          | None -> ());
-          arm_faults ();
-          Backtap.Transfer.start d)
-    ();
-  Engine.Sim.run sim ~until:config.horizon;
-  let d =
-    match !transfer with
-    | Some d -> d
-    | None -> failwith "Fault_experiment: transfer never started"
+  let r =
+    Line_world.run w ~horizon:config.horizon (fun () ->
+        let d =
+          Backtap.Transfer.deploy
+            ~node_of:(Tor_net.backtap_node w.net)
+            ~circuit:w.circuit ~bytes:config.transfer_bytes ~strategy:config.strategy
+            ~params:config.params ~trace:(trace, "transfer") ~rto_min ~rto_initial
+            ~max_retries
+            ~on_complete:(fun _ -> Engine.Sim.stop sim)
+            ~on_fail:(fun _ -> Engine.Sim.stop sim)
+            ()
+        in
+        (* Let the invariant oracles attach before the first cell
+           moves.  Probes are passive observers: an instrumented run
+           must stay schedule-identical to a plain one. *)
+        Option.iter (fun f -> f sim links d) probe;
+        arm_faults ();
+        Backtap.Transfer.start d;
+        d)
   in
-  let started =
-    match Backtap.Transfer.first_sent_at d with Some t -> t | None -> assert false
-  in
+  let d = r.transfer in
   let outcome =
     match Backtap.Transfer.state d with
     | Backtap.Transfer.Completed -> Completed
@@ -222,29 +163,28 @@ let run ?(seed = 42) ?probe config =
     | Some t, _ | None, Some t -> t
     | None, None -> Engine.Sim.now sim
   in
-  let elapsed_s = Engine.Time.to_sec_f (Engine.Time.diff end_at started) in
+  let elapsed_s = Engine.Time.to_sec_f (Engine.Time.diff end_at r.started_at) in
   {
     outcome;
     time_to_last_byte = Backtap.Transfer.time_to_last_byte d;
     failed_after =
       Option.map
-        (fun t -> Engine.Time.diff t started)
+        (fun t -> Engine.Time.diff t r.started_at)
         (Backtap.Transfer.failed_at d);
     failed_hop = Backtap.Transfer.failed_hop d;
     goodput_bps =
       (if elapsed_s > 0. then float_of_int (8 * received) /. elapsed_s else 0.);
     received_bytes = received;
     retransmissions = Backtap.Transfer.total_retransmissions d;
-    drops = Netsim.Flow_monitor.link_drops (Netsim.Topology.links topo);
+    drops = Netsim.Flow_monitor.link_drops links;
     queue_high_watermark_bytes =
       Array.fold_left
         (fun acc l -> Stdlib.max acc (Netsim.Link.queue_high_watermark_bytes l))
-        0 (Netsim.Topology.links topo);
+        0 links;
     blackholed_cells =
-      Tor_model.Switchboard.blackholed_cells (Tor_net.switchboard net bottleneck);
-    circuit_established_in =
-      (match !established_at with Some t -> t | None -> assert false);
-    transfer_started_at = started;
+      Tor_model.Switchboard.blackholed_cells (Tor_net.switchboard w.net w.bottleneck);
+    circuit_established_in = r.established_in;
+    transfer_started_at = r.started_at;
     events = Engine.Trace.events trace;
     wall_events = Engine.Sim.events_executed sim;
   }

@@ -2,9 +2,9 @@
 
     The clean-network experiments answer "how fast does CircuitStart
     converge?"; this one answers "does the circuit survive, and at what
-    cost, when the network misbehaves?".  It builds the usual star
-    (client, [relay_count] relays with one bottleneck, server), runs
-    one transfer, and disturbs the bottleneck relay — the worst place
+    cost, when the network misbehaves?".  It runs one transfer on the
+    {!Line_world} (client, [relay_count] relays with one bottleneck,
+    server) and disturbs the bottleneck relay — the worst place
     for the circuit — in up to three ways:
 
     - a {!Netsim.Faults.loss_model} on both directions of its access
@@ -36,18 +36,16 @@ type config = {
       (** [(down, up)] offsets from transfer start. *)
   crash_at : Engine.Time.t option;
       (** Crash the bottleneck relay this long after transfer start. *)
-  rto_min : Engine.Time.t;
-  rto_initial : Engine.Time.t;
-  max_retries : int;  (** Per-cell retransmission budget. *)
   horizon : Engine.Time.t;
 }
 
 val default_config : config
 (** 512 KiB over 3 relays, 3 Mbit bottleneck at the middle hop, no
-    faults; tight failure detection ([rto_min] 300 ms, [max_retries]
-    4) so crash runs terminate in seconds, not minutes — while a
-    fault-free run under these defaults retransmits nothing, so every
-    retransmission in a faulty run is attributable to the fault. *)
+    faults.  Every run uses tight failure detection: every hop sender
+    has [rto_min] 300 ms, [rto_initial] 500 ms and a per-cell budget of
+    4 retransmissions, so crash runs terminate in seconds, not minutes,
+    while a fault-free run retransmits nothing, so every retransmission
+    in a faulty run is attributable to the fault. *)
 
 val validate_config : config -> (config, string) result
 

@@ -1,10 +1,10 @@
 (** Figure 1 (upper panels): single-circuit cwnd traces.
 
-    One circuit of [relay_count] relays in a star; every access link is
-    fast except the designated bottleneck relay's.  The circuit is
-    established through the control plane, then a fixed transfer runs
-    under the chosen startup strategy while every hop's congestion
-    window is traced.  The result carries the source trace (re-based to
+    One circuit of [relay_count] relays on the {!Line_world}; every
+    access link is fast except the designated bottleneck relay's.  The
+    circuit is established through the control plane, then a fixed
+    transfer runs under the chosen startup strategy while every hop's
+    congestion window is traced.  The result carries the source trace (re-based to
     the transfer start, as in the paper's time axis), the analytic
     optimum, and shape statistics (peak = overshoot, settled value,
     exit value). *)
@@ -53,13 +53,12 @@ type result = {
   wall_events : int;  (** Simulator events executed (cost metric). *)
 }
 
-val run : ?seed:int -> config -> result
+val run : config -> result
 (** Raises [Invalid_argument] on an invalid config, [Failure] if the
-    circuit cannot be established.  Pure per [(seed, config)];
-    independent runs are domain-safe. *)
+    circuit cannot be established.  Nothing in the run is random: equal
+    configs give equal results, and independent runs are domain-safe. *)
 
-val run_many : ?jobs:int -> ?seed:int -> config list -> result list
+val run_many : ?jobs:int -> config list -> result list
 (** One {!run} per config on a domain pool of [jobs] workers
-    ({!Engine.Pool.default_jobs} when omitted), all with the same
-    [seed].  Results are in config order and byte-identical to mapping
-    {!run} sequentially. *)
+    ({!Engine.Pool.default_jobs} when omitted).  Results are in config
+    order and byte-identical to mapping {!run} sequentially. *)

@@ -33,11 +33,8 @@ let recovery_run () =
   Workload.Overload_experiment.run ~seed:Test_util.golden_seed
     Test_util.golden_recovery_config
 
-let trace_run config () =
-  Workload.Trace_experiment.run ~seed:Test_util.golden_seed config
-
 let trace_fixture config () =
-  Test_util.cwnd_csv (trace_run config ()).Workload.Trace_experiment.source_cwnd
+  Test_util.cwnd_csv (Workload.Trace_experiment.run config).Workload.Trace_experiment.source_cwnd
 
 (* stdout of one [torsim] run; a nonzero exit fails the fixture. *)
 let cli_fixture args () =

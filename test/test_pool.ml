@@ -214,10 +214,8 @@ let test_contention_sweep_deterministic () =
   let configs =
     List.map
       (fun cbr_load ->
-        { Workload.Contention_experiment.default_config with
-          Workload.Contention_experiment.cbr_load;
-          transfer_bytes = Engine.Units.kib 256;
-        })
+        { Workload.Contention_experiment.cbr_load;
+          transfer_bytes = Engine.Units.kib 256 })
       [ 0.; 0.25; 0.5 ]
   in
   Test_util.check_jobs_deterministic ~jobs:[ 2; 3 ] (fun jobs ->

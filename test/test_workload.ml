@@ -138,6 +138,30 @@ let test_tor_net_path_model () =
   let pm = Workload.Tor_net.path_model net circuit in
   Alcotest.(check int) "5 nodes on the path" 5 (Optmodel.Path_model.node_count pm)
 
+(* The bottleneck line: one circuit through every relay in order, the
+   slow relay at the requested distance, both of its access links at
+   the slow rate, and the extra leaf declared after the server. *)
+let test_line_world_shape () =
+  let slow = Engine.Units.Rate.mbit 3 in
+  let w =
+    Workload.Line_world.create ~extra_leaf:"sink" ~relay_count:4 ~bottleneck_distance:3
+      ~bottleneck_rate:slow ~fast_rate:(Engine.Units.Rate.mbit 50)
+      ~access_delay:(Engine.Time.ms 10) ~endpoint_rate:(Engine.Units.Rate.mbit 100) ()
+  in
+  let nodes = Tor_model.Circuit.nodes w.circuit in
+  Alcotest.(check int) "client, 4 relays, server" 6 (List.length nodes);
+  Alcotest.(check bool) "bottleneck is the third relay" true
+    (Netsim.Node_id.equal w.bottleneck (List.nth nodes 3));
+  let links = Workload.Line_world.bottleneck_links w in
+  Alcotest.(check (list int)) "both directions at the slow rate"
+    [ Engine.Units.Rate.to_bps slow; Engine.Units.Rate.to_bps slow ]
+    (List.map (fun l -> Engine.Units.Rate.to_bps (Netsim.Link.rate l)) links);
+  Alcotest.(check bool) "uplink first" true
+    (Netsim.Node_id.equal (Netsim.Link.src (List.hd links)) w.bottleneck);
+  Alcotest.(check (option int)) "extra leaf follows the server"
+    (Some (Netsim.Node_id.to_int (List.nth nodes 5) + 1))
+    (Option.map Netsim.Node_id.to_int w.extra_leaf)
+
 (* ------------------------------------------------------------------ *)
 (* Experiment configs *)
 
@@ -165,16 +189,19 @@ let test_star_config_validation () =
   Alcotest.(check bool) "no circuits" true
     (bad { Workload.Star_experiment.default_config with circuit_count = 0 })
 
-let test_adaptive_config_validation () =
-  let bad c =
-    match Workload.Adaptive_experiment.validate_config c with Error _ -> true | Ok _ -> false
+let test_line_world_validation () =
+  let bad ?(relay_count = 3) ?(bottleneck_distance = 1) ?(transfer_bytes = 1)
+      ?(horizon = Engine.Time.s 1) () =
+    Result.is_error
+      (Workload.Line_world.validate ~relay_count ~bottleneck_distance
+         ~transfer_bytes ~horizon Circuitstart.Params.default)
   in
-  Alcotest.(check bool) "bad fraction" true
-    (bad { Workload.Adaptive_experiment.default_config with target_fraction = 0. });
-  Alcotest.(check bool) "horizon before step" true
-    (bad
-       { Workload.Adaptive_experiment.default_config with
-         step_after = Engine.Time.s 10; horizon = Engine.Time.s 5 })
+  Alcotest.(check bool) "no relays" true (bad ~relay_count:0 ());
+  Alcotest.(check bool) "distance 0" true (bad ~bottleneck_distance:0 ());
+  Alcotest.(check bool) "distance beyond relays" true (bad ~bottleneck_distance:4 ());
+  Alcotest.(check bool) "no bytes" true (bad ~transfer_bytes:0 ());
+  Alcotest.(check bool) "zero horizon" true (bad ~horizon:Engine.Time.zero ());
+  Alcotest.(check bool) "valid line ok" false (bad ~bottleneck_distance:3 ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: identical seeds give identical experiment outcomes *)
@@ -255,10 +282,8 @@ let test_star_teardown_lifecycle () =
 let test_contention_yields_residual () =
   let run load =
     Workload.Contention_experiment.run
-      { Workload.Contention_experiment.default_config with
-        Workload.Contention_experiment.cbr_load = load;
-        transfer_bytes = Engine.Units.mib 2;
-      }
+      { Workload.Contention_experiment.cbr_load = load;
+        transfer_bytes = Engine.Units.mib 2 }
   in
   let r = run 0.5 in
   Alcotest.(check bool)
@@ -296,12 +321,13 @@ let () =
           Alcotest.test_case "assembly" `Quick test_tor_net_assembly;
           Alcotest.test_case "builder single use" `Quick test_tor_net_builder_single_use;
           Alcotest.test_case "path model" `Quick test_tor_net_path_model;
+          Alcotest.test_case "line world" `Quick test_line_world_shape;
         ] );
       ( "configs",
         [
           Alcotest.test_case "trace" `Quick test_trace_config_validation;
           Alcotest.test_case "star" `Quick test_star_config_validation;
-          Alcotest.test_case "adaptive" `Quick test_adaptive_config_validation;
+          Alcotest.test_case "line world" `Quick test_line_world_validation;
         ] );
       ( "experiments",
         [
