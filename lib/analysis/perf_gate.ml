@@ -219,7 +219,7 @@ type row = {
   minor_words_per_event : float option;
   speedup_2 : float option;  (* shards=1 wall over shards=2 wall *)
   speedup_4 : float option;
-  sim_events : float;  (* all "sim_events" occurrences + totals *)
+  sim_events : float;  (* all "sim_events" occurrences, summed *)
   cumulative_events : float;  (* running sum across the PR sequence *)
 }
 
@@ -232,16 +232,8 @@ let trajectory reports =
   let total = ref 0. in
   List.map
     (fun (report, text) ->
-      let sum key = List.fold_left ( +. ) 0. (find_numbers ~key text) in
       let sim_events =
-        (* Prefer the report's own total; fall back to per-target
-           "sim_events" counts, then to the bare "events" key older
-           microbench reports use. *)
-        let totaled = sum "total_sim_events" in
-        if totaled > 0. then totaled
-        else
-          let per_target = sum "sim_events" in
-          if per_target > 0. then per_target else sum "events"
+        List.fold_left ( +. ) 0. (find_numbers ~key:"sim_events" text)
       in
       total := !total +. sim_events;
       {

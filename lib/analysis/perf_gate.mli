@@ -70,8 +70,7 @@ type row = {
           the report records one. *)
   speedup_4 : float option;
   sim_events : float;
-      (** Sum of the report's per-target counts (prefers
-          ["total_sim_events"] where present). *)
+      (** Sum of the report's per-target ["sim_events"] counts. *)
   cumulative_events : float;  (** Running sum across the sequence. *)
 }
 

@@ -726,12 +726,10 @@ let test_min_cores_floors () =
     (o.Analysis.Perf_gate.ok, o.Analysis.Perf_gate.skipped)
 
 let test_trajectory () =
-  let r1 = "{ \"events_per_sec\": 2.0e5, \"total_sim_events\": 1000, \"sim_events\": 999 }" in
+  let r1 = "{ \"events_per_sec\": 2.0e5, \"sim_events\": 1000 }" in
   let r2 = sample_report in
   match Analysis.Perf_gate.trajectory [ ("BENCH_a.json", r1); ("BENCH_pr7.json", r2) ] with
-  | [ a; b ] ->
-      Alcotest.(check (float 1e-9)) "total_sim_events preferred" 1000.
-        a.Analysis.Perf_gate.sim_events;
+  | [ _; b ] ->
       Alcotest.(check (float 1e-9)) "per-target counts summed" 50483243.
         b.Analysis.Perf_gate.sim_events;
       Alcotest.(check (float 1e-9)) "cumulative running sum" 50484243.
