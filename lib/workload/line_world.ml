@@ -1,7 +1,6 @@
 type t = {
   sim : Engine.Sim.t;
   net : Tor_net.t;
-  client : Netsim.Node_id.t;
   circuit : Tor_model.Circuit.t;
   bottleneck : Netsim.Node_id.t;
   extra_leaf : Netsim.Node_id.t option;
@@ -42,7 +41,7 @@ let create ?queue ?extra_leaf ~relay_count ~bottleneck_distance ~bottleneck_rate
   let bottleneck =
     (List.nth relays (bottleneck_distance - 1)).Tor_model.Relay_info.node
   in
-  { sim; net; client; circuit; bottleneck; extra_leaf }
+  { sim; net; circuit; bottleneck; extra_leaf }
 
 let bottleneck_links w =
   let topo = Netsim.Network.topology (Tor_net.network w.net) in
@@ -60,7 +59,7 @@ type run = {
 let run w ~horizon start =
   let established = ref None in
   Tor_model.Circuit_builder.build
-    (Tor_net.switchboard w.net w.client)
+    (Tor_net.switchboard w.net w.circuit.client)
     w.circuit
     ~on_done:(function
       | Tor_model.Circuit_builder.Failed msg ->

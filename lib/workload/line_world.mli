@@ -15,7 +15,6 @@
 type t = {
   sim : Engine.Sim.t;
   net : Tor_net.t;
-  client : Netsim.Node_id.t;
   circuit : Tor_model.Circuit.t;
   bottleneck : Netsim.Node_id.t;  (** The slow relay's node. *)
   extra_leaf : Netsim.Node_id.t option;  (** See [?extra_leaf] of {!create}. *)

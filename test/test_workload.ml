@@ -175,6 +175,10 @@ let test_trace_config_validation () =
     (bad { Workload.Trace_experiment.default_config with bottleneck_distance = 4 });
   Alcotest.(check bool) "no bytes" true
     (bad { Workload.Trace_experiment.default_config with transfer_bytes = 0 });
+  Alcotest.(check bool) "no relays" true
+    (bad { Workload.Trace_experiment.default_config with relay_count = 0 });
+  Alcotest.(check bool) "zero horizon" true
+    (bad { Workload.Trace_experiment.default_config with horizon = Engine.Time.zero });
   Alcotest.(check bool) "default ok" true
     (match Workload.Trace_experiment.validate_config Workload.Trace_experiment.default_config with
     | Ok _ -> true
@@ -188,20 +192,6 @@ let test_star_config_validation () =
     (bad { Workload.Star_experiment.default_config with relay_count = 2 });
   Alcotest.(check bool) "no circuits" true
     (bad { Workload.Star_experiment.default_config with circuit_count = 0 })
-
-let test_line_world_validation () =
-  let bad ?(relay_count = 3) ?(bottleneck_distance = 1) ?(transfer_bytes = 1)
-      ?(horizon = Engine.Time.s 1) () =
-    Result.is_error
-      (Workload.Line_world.validate ~relay_count ~bottleneck_distance
-         ~transfer_bytes ~horizon Circuitstart.Params.default)
-  in
-  Alcotest.(check bool) "no relays" true (bad ~relay_count:0 ());
-  Alcotest.(check bool) "distance 0" true (bad ~bottleneck_distance:0 ());
-  Alcotest.(check bool) "distance beyond relays" true (bad ~bottleneck_distance:4 ());
-  Alcotest.(check bool) "no bytes" true (bad ~transfer_bytes:0 ());
-  Alcotest.(check bool) "zero horizon" true (bad ~horizon:Engine.Time.zero ());
-  Alcotest.(check bool) "valid line ok" false (bad ~bottleneck_distance:3 ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: identical seeds give identical experiment outcomes *)
@@ -327,7 +317,6 @@ let () =
         [
           Alcotest.test_case "trace" `Quick test_trace_config_validation;
           Alcotest.test_case "star" `Quick test_star_config_validation;
-          Alcotest.test_case "line world" `Quick test_line_world_validation;
         ] );
       ( "experiments",
         [
