@@ -120,6 +120,22 @@ let bytes_arg default =
   let doc = "Transfer size in KiB." in
   Arg.(value & opt int default & info [ "kib" ] ~docv:"KIB" ~doc)
 
+(* Friendly numeric-flag validation (first failure wins).  A negative
+   budget must be a one-line usage error with a nonzero exit, not a
+   silent "unlimited": the  <= 0 -> None  translation of the paired
+   subcommands would otherwise swallow the typo. *)
+let flag_errors checks =
+  List.find_map (fun (ok, flag, want, got) ->
+      if ok then None
+      else Some (Printf.sprintf "%s must be %s (got %d)" flag want got))
+    checks
+
+(* The numbers of a comma-separated [flag] value, or its usage error. *)
+let number_list flag s =
+  let xs = List.map float_of_string_opt (String.split_on_char ',' s) in
+  if List.for_all Option.is_some xs then Ok (List.filter_map Fun.id xs)
+  else Error (Printf.sprintf "%s must be a comma-separated list of numbers (got %S)" flag s)
+
 let params_with_gamma gamma =
   Circuitstart.Params.with_gamma Circuitstart.Params.default gamma
 
@@ -130,15 +146,21 @@ let kb = Analysis.Series.kb_of_cells ~cell_size:Backtap.Wire.cell_size
 
 let run_trace strategy distance bottleneck_mbit kib gamma stats csv =
   let config =
-    { Workload.Trace_experiment.default_config with
-      Workload.Trace_experiment.strategy;
-      bottleneck_distance = distance;
-      bottleneck_rate = Engine.Units.Rate.mbit bottleneck_mbit;
-      transfer_bytes = Engine.Units.kib kib;
-      params = params_with_gamma gamma;
-    }
+    match
+      flag_errors [ (bottleneck_mbit > 0, "--bottleneck-mbit", "positive", bottleneck_mbit) ]
+    with
+    | Some msg -> Error msg
+    | None ->
+        Workload.Trace_experiment.validate_config
+          { Workload.Trace_experiment.default_config with
+            Workload.Trace_experiment.strategy;
+            bottleneck_distance = distance;
+            bottleneck_rate = Engine.Units.Rate.mbit bottleneck_mbit;
+            transfer_bytes = Engine.Units.kib kib;
+            params = params_with_gamma gamma;
+          }
   in
-  match Workload.Trace_experiment.validate_config config with
+  match config with
   | Error msg -> `Error (false, msg)
   | Ok config ->
       let t0 = Unix.gettimeofday () in
@@ -291,27 +313,30 @@ let cdf_cmd =
 
 let run_optimal rates delays =
   let specs =
-    try
-      let rates = List.map float_of_string (String.split_on_char ',' rates) in
-      let delays =
-        match delays with
-        | "" -> List.map (fun _ -> 10.) rates
-        | d -> List.map float_of_string (String.split_on_char ',' d)
-      in
-      if List.length rates <> List.length delays then
-        failwith "rates and delays must have the same length";
-      List.map2
-        (fun mbit d ->
-          { Optmodel.Path_model.rate = Engine.Units.Rate.mbit_f mbit;
-            access_delay = Engine.Time.of_ms_f d })
-        rates delays
-    with Failure msg -> (
-      prerr_endline msg;
-      exit 2)
+    let ( let* ) = Result.bind in
+    let* rates = number_list "--rates" rates in
+    let* delays =
+      match delays with
+      | "" -> Ok (List.map (fun _ -> 10.) rates)
+      | d -> number_list "--delays" d
+    in
+    if List.length rates <> List.length delays then
+      Error "--rates and --delays must have the same length"
+    else if not (List.for_all (fun r -> Float.is_finite r && r > 0.) rates) then
+      Error "--rates must all be positive"
+    else if not (List.for_all (fun d -> Float.is_finite d && d >= 0.) delays) then
+      Error "--delays must all be finite and >= 0"
+    else
+      Ok
+        (List.map2
+           (fun mbit d ->
+             { Optmodel.Path_model.rate = Engine.Units.Rate.mbit_f mbit;
+               access_delay = Engine.Time.of_ms_f d })
+           rates delays)
   in
-  match Optmodel.Path_model.of_specs specs with
-  | exception Invalid_argument msg -> `Error (false, msg)
-  | path ->
+  match Result.map Optmodel.Path_model.of_specs specs with
+  | Error msg | (exception Invalid_argument msg) -> `Error (false, msg)
+  | Ok path ->
       Printf.printf "bottleneck: %s at position %d\n"
         (Format.asprintf "%a" Engine.Units.Rate.pp (Optmodel.Optimal_window.bottleneck_rate path))
         (Optmodel.Optimal_window.bottleneck_position path);
@@ -347,16 +372,20 @@ let optimal_cmd =
 (* adaptive *)
 
 let run_adaptive adaptive step_mbit =
-  let r =
-    Workload.Adaptive_experiment.run
-      { adaptive; stepped_rate = Engine.Units.Rate.mbit step_mbit }
-  in
-  Printf.printf "optimal %d -> %d cells; window at step %.0f; reaction %s; final %.0f\n"
-    r.optimal_before_cells r.optimal_after_cells r.cwnd_at_step
-    (match r.reaction_time with
-    | Some t -> Printf.sprintf "%.0fms" (Engine.Time.to_ms_f t)
-    | None -> "never")
-    r.final_cwnd
+  match flag_errors [ (step_mbit > 0, "--step-mbit", "positive", step_mbit) ] with
+  | Some msg -> `Error (false, msg)
+  | None ->
+      let r =
+        Workload.Adaptive_experiment.run
+          { adaptive; stepped_rate = Engine.Units.Rate.mbit step_mbit }
+      in
+      Printf.printf "optimal %d -> %d cells; window at step %.0f; reaction %s; final %.0f\n"
+        r.optimal_before_cells r.optimal_after_cells r.cwnd_at_step
+        (match r.reaction_time with
+        | Some t -> Printf.sprintf "%.0fms" (Engine.Time.to_ms_f t)
+        | None -> "never")
+        r.final_cwnd;
+      `Ok ()
 
 let adaptive_cmd =
   let adaptive =
@@ -368,7 +397,7 @@ let adaptive_cmd =
       & info [ "step-mbit" ] ~docv:"MBIT" ~doc:"Bottleneck rate after the step, Mbit/s.")
   in
   let doc = "Mid-transfer bandwidth step: how fast does the window follow? (paper section 3)." in
-  Cmd.v (Cmd.info "adaptive" ~doc) Term.(const run_adaptive $ adaptive $ step)
+  Cmd.v (Cmd.info "adaptive" ~doc) Term.(ret (const run_adaptive $ adaptive $ step))
 
 (* ------------------------------------------------------------------ *)
 (* cross *)
@@ -407,61 +436,58 @@ let cross_cmd =
 (* sweep *)
 
 let run_sweep param values strategy jobs =
-  let values =
-    try List.map float_of_string (String.split_on_char ',' values)
-    with Failure _ ->
-      prerr_endline "values must be a comma-separated list of numbers";
-      exit 2
-  in
-  (* Each sweep point is an independent simulation: build the whole
-     config list up front and fan it out over the domain pool, then
-     render in order. *)
-  let tasks =
+  let ( let* ) = Result.bind in
+  let config_of v =
     match param with
     | "gamma" ->
-        List.map
-          (fun g ->
-            ( Printf.sprintf "%.0f" g,
-              { Workload.Trace_experiment.default_config with
-                Workload.Trace_experiment.strategy;
-                bottleneck_distance = 2;
-                params = params_with_gamma g;
-              } ))
-          values
+        Ok
+          { Workload.Trace_experiment.default_config with
+            Workload.Trace_experiment.strategy;
+            bottleneck_distance = 2;
+            params = params_with_gamma v;
+          }
     | "distance" ->
-        List.map
-          (fun d ->
-            ( Printf.sprintf "%.0f" d,
-              { Workload.Trace_experiment.default_config with
-                Workload.Trace_experiment.strategy;
-                relay_count = 4;
-                bottleneck_distance = int_of_float d;
-              } ))
-          values
-    | p ->
-        prerr_endline (Printf.sprintf "unknown sweep parameter %S (gamma|distance)" p);
-        exit 2
+        Ok
+          { Workload.Trace_experiment.default_config with
+            Workload.Trace_experiment.strategy;
+            relay_count = 4;
+            bottleneck_distance = int_of_float v;
+          }
+    | p -> Error (Printf.sprintf "unknown sweep parameter %S (gamma|distance)" p)
   in
-  let results = Workload.Trace_experiment.run_many ~jobs (List.map snd tasks) in
-  let t =
-    Analysis.Table.create ~columns:[ param; "peak"; "exit"; "settled"; "optimal"; "ttlb" ]
+  (* Each sweep point is an independent simulation: build and validate
+     the whole config list up front (the first bad value is the usage
+     error), fan it out over the domain pool, then render in order. *)
+  let rec build = function
+    | [] -> Ok []
+    | v :: rest ->
+        let* c = Result.bind (config_of v) Workload.Trace_experiment.validate_config in
+        let* tasks = build rest in
+        Ok ((Printf.sprintf "%.0f" v, c) :: tasks)
   in
-  List.iter2
-    (fun (label, _) (r : Workload.Trace_experiment.result) ->
-      Analysis.Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.0f" r.peak_cells;
-          (match r.exit_cells with Some c -> string_of_int c | None -> "-");
-          Printf.sprintf "%.0f" r.settled_cells;
-          string_of_int r.optimal_source_cells;
-          (match r.time_to_last_byte with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
-          | None -> "-");
-        ])
-    tasks results;
-  print_string (Analysis.Table.render t);
-  `Ok ()
+  match Result.bind (number_list "--values" values) build with
+  | Error msg -> `Error (false, msg)
+  | Ok tasks ->
+      let results = Workload.Trace_experiment.run_many ~jobs (List.map snd tasks) in
+      let t =
+        Analysis.Table.create ~columns:[ param; "peak"; "exit"; "settled"; "optimal"; "ttlb" ]
+      in
+      List.iter2
+        (fun (label, _) (r : Workload.Trace_experiment.result) ->
+          Analysis.Table.add_row t
+            [
+              label;
+              Printf.sprintf "%.0f" r.peak_cells;
+              (match r.exit_cells with Some c -> string_of_int c | None -> "-");
+              Printf.sprintf "%.0f" r.settled_cells;
+              string_of_int r.optimal_source_cells;
+              (match r.time_to_last_byte with
+              | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+              | None -> "-");
+            ])
+        tasks results;
+      print_string (Analysis.Table.render t);
+      `Ok ()
 
 let sweep_cmd =
   let param =
@@ -480,16 +506,6 @@ let sweep_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* Paired experiments: faults, recover, overload, network, churn-scale *)
-
-(* Friendly numeric-flag validation (first failure wins).  A negative
-   budget must be a one-line usage error with a nonzero exit, not a
-   silent "unlimited": the  <= 0 -> None  translation below would
-   otherwise swallow the typo. *)
-let flag_errors checks =
-  List.find_map (fun (ok, flag, want, got) ->
-      if ok then None
-      else Some (Printf.sprintf "%s must be %s (got %d)" flag want got))
-    checks
 
 let seconds_cell = function
   | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)

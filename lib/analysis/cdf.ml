@@ -35,18 +35,6 @@ let of_sketch_opt ?resolution sk =
 
 let count t = Array.length t.sorted
 
-(* Number of samples <= x, by binary search for the upper bound. *)
-let rank t x =
-  let n = Array.length t.sorted in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.sorted.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let fraction_below t x = float_of_int (rank t x) /. float_of_int (count t)
-
 let quantile t q =
   if not (Float.is_finite q) || q < 0. || q > 1. then
     invalid_arg "Cdf.quantile: q must be in [0, 1]";

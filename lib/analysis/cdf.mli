@@ -25,13 +25,10 @@ val of_sketch_opt : ?resolution:int -> Engine.Stats.Sketch.t -> t option
 
 val count : t -> int
 
-val fraction_below : t -> float -> float
-(** [fraction_below cdf x] is P(sample <= x), in [\[0, 1\]]. *)
-
 val quantile : t -> float -> float
 (** [quantile cdf q] for [q] in [\[0, 1\]]: the smallest sample [x]
-    with [fraction_below cdf x >= q].  Raises [Invalid_argument]
-    outside the range. *)
+    such that a fraction of at least [q] of the samples are [<= x].
+    Raises [Invalid_argument] outside the range. *)
 
 val points : t -> (float * float) list
 (** Step points [(value, cumulative fraction)], ascending, one per

@@ -22,10 +22,3 @@ let throughputs_bytes_per_sec ~bytes_each ttlb_seconds =
         invalid_arg "Fairness.throughputs_bytes_per_sec: times must be positive";
       float_of_int bytes_each /. t)
     ttlb_seconds
-
-let min_max_ratio xs =
-  check xs "Fairness.min_max_ratio";
-  let mn = Array.fold_left Float.min xs.(0) xs in
-  let mx = Array.fold_left Float.max xs.(0) xs in
-  if mx = 0. then invalid_arg "Fairness.min_max_ratio: all-zero allocation";
-  mn /. mx

@@ -16,7 +16,3 @@ val throughputs_bytes_per_sec : bytes_each:int -> float array -> float array
     equal-sized transfer completion times into per-circuit throughputs.
     Raises [Invalid_argument] if [bytes_each <= 0] or any time is not
     positive. *)
-
-val min_max_ratio : float array -> float
-(** [min_max_ratio xs] = min/max of the allocations (another common
-    fairness summary).  Same preconditions as {!jain_index}. *)

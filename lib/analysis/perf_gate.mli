@@ -40,11 +40,12 @@ type outcome = {
 
 val find_number : key:string -> string -> float option
 (** First numeric value bound to the quoted [key] in the text, if
-    any. *)
+    any.  Test reference: the gate's unit tests pin the scanner
+    directly; it goes with [Perf_gate] (ROADMAP item 3). *)
 
 val find_numbers : key:string -> string -> float list
 (** All numeric values bound to the quoted [key], in document
-    order. *)
+    order.  Test reference, like {!find_number}. *)
 
 val parse_floors : string -> (floor list, string) result
 (** Parse a floors file: one [file key min|max bound [min-cores=N]]

@@ -1,9 +1,6 @@
 type point = float * float
 type t = point array
 
-let of_timeseries ts ~x_of ~y_of =
-  Array.map (fun (time, v) -> (x_of time, y_of v)) (Engine.Timeseries.points ts)
-
 let resampled ts ~step ~stop ~x_of ~y_of =
   Array.map (fun (time, v) -> (x_of time, y_of v)) (Engine.Timeseries.resample ts ~step ~stop)
 
@@ -19,5 +16,3 @@ let constant ~x_max ~step y =
   Array.init n (fun i -> (float_of_int i *. step, y))
 
 let y_max t = Array.fold_left (fun acc (_, y) -> Float.max acc y) 0. t
-let last_y t = if Array.length t = 0 then None else Some (snd t.(Array.length t - 1))
-let map_y f t = Array.map (fun (x, y) -> (x, f y)) t

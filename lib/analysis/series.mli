@@ -7,13 +7,6 @@
 type point = float * float
 type t = point array
 
-val of_timeseries :
-  Engine.Timeseries.t ->
-  x_of:(Engine.Time.t -> float) ->
-  y_of:(float -> float) ->
-  t
-(** Convert every recorded point. *)
-
 val resampled :
   Engine.Timeseries.t ->
   step:Engine.Time.t ->
@@ -37,6 +30,3 @@ val constant : x_max:float -> step:float -> float -> t
 
 val y_max : t -> float
 (** Largest y (0. for an empty series). *)
-
-val last_y : t -> float option
-val map_y : (float -> float) -> t -> t

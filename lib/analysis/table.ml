@@ -9,8 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- t.rows @ [ row ]
 
-let row_count t = List.length t.rows
-
 let render t =
   let all = t.columns :: t.rows in
   let arity = List.length t.columns in
@@ -30,5 +28,4 @@ let render t =
   let rule = String.concat "  " (List.map (fun w -> String.make w '-') widths) in
   String.concat "\n" (render_row t.columns :: rule :: List.map render_row t.rows) ^ "\n"
 
-let cell_f x = Printf.sprintf "%.3f" x
 let cell_time t = Printf.sprintf "%.3fs" (Engine.Time.to_sec_f t)

@@ -11,13 +11,8 @@ val create : columns:string list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] if the arity differs from [columns]. *)
 
-val row_count : t -> int
-
 val render : t -> string
 (** The formatted table, including a header rule. *)
-
-val cell_f : float -> string
-(** Format a float cell with 3 significant decimals. *)
 
 val cell_time : Engine.Time.t -> string
 (** Format a time cell in seconds. *)

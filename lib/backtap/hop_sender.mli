@@ -77,6 +77,7 @@ val cells_sent : t -> int
 
 val retransmissions : t -> int
 val spurious_feedback : t -> int
+(** Feedbacks that matched no in-flight cell.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val feedback_received : t -> int
 (** Feedbacks that matched an in-flight cell (excludes spurious).  For
@@ -93,7 +94,7 @@ val idle : t -> bool
 (** No backlog and nothing in flight. *)
 
 val srtt : t -> Engine.Time.t option
-(** Smoothed RTT estimate, once at least one sample exists. *)
+(** Smoothed RTT estimate, once at least one sample exists.  Test-only: an accessor that ROADMAP item 4's probes replace. *)
 
 (** {1 Failure} *)
 

@@ -36,4 +36,5 @@ val unregister_flow : t -> Tor_model.Circuit_id.t -> unit
 (** Removes the circuit's flow and its kill switch, if any. *)
 
 val orphan_messages : t -> int
-(** Envelopes or feedback for circuits with no registered flow. *)
+(** Envelopes or feedback for circuits with no registered flow.
+    Test-only: a counter accessor that ROADMAP item 4's probes replace. *)

@@ -122,12 +122,15 @@ val sink : t -> Tor_model.Stream.Sink.t
 (** The first stream's sink (the only one for {!deploy}). *)
 
 val stream_sink : t -> int -> Tor_model.Stream.Sink.t option
-(** A specific stream's sink, by id. *)
+(** A specific stream's sink, by id.  Test-only: the multi-stream
+    tests read each stream's bytes through it (ROADMAP item 4). *)
 
 val stream_completed_at : t -> int -> Engine.Time.t option
 (** When that stream's last byte arrived. *)
 
 val stream_ids : t -> int list
+(** The transfer's stream ids, ascending.  Test-only, like
+    {!stream_sink}. *)
 
 val sender_at : t -> int -> Hop_sender.t option
 (** The hop sender at path position [i] (0 = client); [None] for the

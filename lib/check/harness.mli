@@ -52,8 +52,8 @@ val replay :
 val check_scenario :
   selection:Oracle.selection -> Scenario.t -> (string, string) result
 (** One scenario through the per-scenario checks (oracle run, repeat,
-    plain [--jobs 1]); [Ok digest] on success.  Exposed for the test
-    suite. *)
+    plain [--jobs 1]); [Ok digest] on success.  Test hook: the suite
+    runs single planted scenarios through it. *)
 
 val shrink : selection:Oracle.selection -> Scenario.t -> Scenario.t
 (** Greedy structural shrink while the failure persists (bounded).

@@ -96,7 +96,8 @@ val on_feedback :
     nothing. *)
 
 val base_rtt : t -> Engine.Time.t option
-(** Minimum RTT observed so far. *)
+(** Minimum RTT observed so far.  Test reference: the window-law
+    tests check the model against it (ROADMAP item 1). *)
 
 val latest_diff : t -> float option
 (** The Vegas [diff] (cells) computed at the most recent feedback. *)
@@ -104,16 +105,17 @@ val latest_diff : t -> float option
 val rtt_feedbacks : t -> int
 (** Feedbacks that arrived within one baseRtt of the most recent
     feedback: the 1-RTT count behind rate-based compensation and the
-    predictive model's W*. *)
+    predictive model's W*.  Test reference, like {!base_rtt}. *)
 
 val sliding_rate_cells : t -> int
 (** The burst-proof feedback rate: feedbacks within three baseRtts of
     the most recent feedback, divided by three and rounded.  The
     window slides with the clock, so [on_feedback]'s [now] must never
-    decrease (simulated time does not). *)
+    decrease (simulated time does not).  Test reference, like
+    {!base_rtt}. *)
 
 val rounds_completed : t -> int
-(** Number of completed rounds (ramp-up and avoidance). *)
+(** Number of completed rounds (ramp-up and avoidance).  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val ramp_up_exits : t -> int
 (** How many times ramp-up was left (> 1 only with [adaptive]). *)
@@ -144,11 +146,12 @@ val fallen_back : t -> bool
     Always [false] for other strategies. *)
 
 val predictive_plan : params:Params.t -> cwnd:int -> target:int -> int array
-(** The pure planner behind [Predictive], exposed for the reference-
-    model property tests: the greedy minimum-cost [horizon]-step
-    trajectory from [cwnd] toward [target] over the discrete moves
-    [{halve, -1, hold, +1, double}], each step clamped to
-    [min_cwnd..max_cwnd], ties broken toward the smaller window. *)
+(** The pure planner behind [Predictive]: the greedy minimum-cost
+    [horizon]-step trajectory from [cwnd] toward [target] over the
+    discrete moves [{halve, -1, hold, +1, double}], each step clamped
+    to [min_cwnd..max_cwnd], ties broken toward the smaller window.
+    Test reference: the reference-model property tests call it
+    directly. *)
 
 val unsafe_disable_plan_bounds : bool ref
 (** Test hook: commit the *last* planned step instead of the first,

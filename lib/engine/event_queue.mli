@@ -70,7 +70,8 @@ val cancel : 'a t -> handle -> unit
     no-op. *)
 
 val is_cancelled : 'a t -> handle -> bool
-(** Whether the event was cancelled (fired events report [false]). *)
+(** Whether the event was cancelled (fired events report [false]).
+    Test-only: the queue's cancel tests observe handles with it. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** [pop q] removes and returns the earliest event.  [None] iff the
@@ -96,7 +97,8 @@ val popped_time : 'a t -> Time.t
 val peek_time : 'a t -> Time.t option
 (** The instant of the earliest event, without removing it.  The call
     may advance the internal cursor (see the module preamble), but the
-    set of queued events is unchanged. *)
+    set of queued events is unchanged.  Test-only: the queue's
+    ordering tests peek with it. *)
 
 val size : 'a t -> int
 (** Number of queued events: added or armed, and not yet fired,
@@ -109,7 +111,8 @@ val clear : 'a t -> unit
 (** Drop all events, release every held payload for collection, and
     reset the insertion sequence and wheel cursor — the queue behaves as
     freshly created (pending handles become dead, armed timers become
-    unarmed). *)
+    unarmed).  Test-only: the release and sequence tests reset a
+    queue with it. *)
 
 (** {1 Reusable timers}
 
@@ -146,5 +149,7 @@ module Private : sig
   (** Test-only access; not part of the stable API. *)
 
   val next_seq : 'a t -> int
+
   val set_next_seq : 'a t -> int -> unit
+  (** Test hook: jump the insertion sequence to its ceiling. *)
 end

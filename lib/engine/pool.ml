@@ -61,18 +61,15 @@ let resolve_jobs ~who jobs n =
   Stdlib.min jobs n
 
 let map_outcomes ~jobs f tasks =
-  (* Shared driver for [map] and [map_counted]: every task runs, every
-     domain joins, and the per-domain minor-allocation deltas land in
-     [words] (slot 0 is the calling domain's own task work). *)
+  (* Every task runs and every domain joins before [finish] looks at
+     the outcomes. *)
   let n = Array.length tasks in
   let results = Array.make n None in
-  let words = Array.make (Stdlib.max 1 jobs) 0. in
   let cursor = Atomic.make 0 in
   (* Each slot is written by exactly one domain (the one that won the
      index at the cursor) and read only after the joins below — no
      data race under the OCaml memory model. *)
-  let worker slot () =
-    let w0 = Gc.minor_words () in
+  let worker () =
     let rec loop () =
       let i = Atomic.fetch_and_add cursor 1 in
       if i < n then begin
@@ -80,30 +77,19 @@ let map_outcomes ~jobs f tasks =
         loop ()
       end
     in
-    loop ();
-    words.(slot) <- Gc.minor_words () -. w0
+    loop ()
   in
-  if jobs <= 1 then worker 0 ()
-  else begin
-    let domains =
-      Array.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1)))
-    in
-    worker 0 ();
-    Array.iter Domain.join domains
-  end;
-  (results, Array.fold_left ( +. ) 0. words)
+  let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join domains;
+  results
 
 let map ?jobs f tasks =
   let jobs = resolve_jobs ~who:"Pool.map" jobs (Array.length tasks) in
   (* Sequential evaluation already fails on the lowest-indexed raising
      task, matching the parallel contract. *)
   if jobs <= 1 then Array.map f tasks
-  else finish (fst (map_outcomes ~jobs f tasks))
-
-let map_counted ?jobs f tasks =
-  let jobs = resolve_jobs ~who:"Pool.map_counted" jobs (Array.length tasks) in
-  let results, words = map_outcomes ~jobs f tasks in
-  (finish results, words)
+  else finish (map_outcomes ~jobs f tasks)
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 

@@ -44,14 +44,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     backtrace) — deterministic regardless of scheduling.  Raises
     [Invalid_argument] if [jobs < 1]. *)
 
-val map_counted : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array * float
-(** [map] plus allocation accounting: the second component is the sum
-    of the [Gc.minor_words] deltas of {e every} participating domain
-    (the spawned workers and the calling domain's own task work).  A
-    plain [Gc.minor_words] delta around a parallel [map] only sees the
-    calling domain and silently understates allocation — this is the
-    honest version behind the [minor_words_per_event] bench metric. *)
-
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over lists, preserving order. *)
 

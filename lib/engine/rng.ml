@@ -42,10 +42,6 @@ let int t bound =
   done;
   !result
 
-let int_in t lo hi =
-  if lo > hi then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let[@inline] unit_float t =
   (* 53 uniform mantissa bits in [0, 1). *)
   let r = Int64.shift_right_logical (bits64 t) 11 in
@@ -55,11 +51,6 @@ let float t bound =
   if not (Float.is_finite bound) || bound <= 0. then
     invalid_arg "Rng.float: bound must be positive and finite";
   unit_float t *. bound
-
-let float_in t lo hi =
-  if not (Float.is_finite lo && Float.is_finite hi) || lo >= hi then
-    invalid_arg "Rng.float_in: empty or non-finite range";
-  lo +. (unit_float t *. (hi -. lo))
 
 let bool t = Int64.logand (bits64 t) 1L <> 0L
 let bernoulli t p = unit_float t < p
@@ -89,20 +80,6 @@ let normal t ~mu ~sigma =
 
 let lognormal t ~mu ~sigma = Float.exp (normal t ~mu ~sigma)
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then
-    invalid_arg "Rng.pareto: shape and scale must be positive";
-  let u = 1. -. unit_float t in
-  scale /. Float.pow u (1. /. shape)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
@@ -126,19 +103,6 @@ let pick_weighted t arr =
       if x < acc then fst arr.(i) else go (i + 1) acc
   in
   go 0 0.
-
-let sample_without_replacement t k arr =
-  let n = Array.length arr in
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
-  let idx = Array.init n (fun i -> i) in
-  (* Partial Fisher-Yates: only the first k slots need shuffling. *)
-  for i = 0 to k - 1 do
-    let j = i + int t (n - i) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  Array.init k (fun i -> arr.(idx.(i)))
 
 (* Guide-table (cutpoint) search, Chen & Asau 1974; Devroye,
    Non-Uniform Random Variate Generation, III.2.4.  [0, total] is cut

@@ -11,7 +11,7 @@
     The core generator is SplitMix64 (Steele, Lea & Flood, OOPSLA'14):
     64-bit state, 64-bit output, passes BigCrush, and supports cheap
     splitting by deriving a child seed from the parent stream.  The
-    state is kept unboxed, so the integer draws ({!int}, {!int_in},
+    state is kept unboxed, so the integer draws ({!int},
     {!bool}, {!bernoulli}, {!exponential_ns}, {!Weighted.draw})
     allocate nothing; draws that return a [float] or an [int64] box
     their result when the call is not inlined. *)
@@ -32,23 +32,17 @@ val copy : t -> t
     same stream.  Useful for paired experiments. *)
 
 val bits64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output.  Test reference: the determinism tests
+    compare raw streams with it. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Raises
     [Invalid_argument] if [bound <= 0].  Unbiased (rejection
     sampling). *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive).  Raises
-    [Invalid_argument] if [lo > hi]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)].  [bound] must be
     positive and finite. *)
-
-val float_in : t -> float -> float -> float
-(** [float_in t lo hi] is uniform in [\[lo, hi)]. *)
 
 val bool : t -> bool
 (** A fair coin flip. *)
@@ -78,14 +72,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] draws X with ln X ~ N(mu, sigma^2) — the
     canonical heavy-tailed model for relay bandwidths. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** [pareto t ~shape ~scale] draws from a Pareto distribution with the
-    given shape (alpha) and scale (minimum value).  Both must be
-    positive. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val pick : t -> 'a array -> 'a
 (** [pick t arr] is a uniformly random element.  Raises
     [Invalid_argument] on an empty array. *)
@@ -94,11 +80,6 @@ val pick_weighted : t -> ('a * float) array -> 'a
 (** [pick_weighted t arr] picks an element with probability proportional
     to its weight.  Weights must be non-negative with a positive sum;
     raises [Invalid_argument] otherwise. *)
-
-val sample_without_replacement : t -> int -> 'a array -> 'a array
-(** [sample_without_replacement t k arr] is [k] distinct elements of
-    [arr], uniformly.  Raises [Invalid_argument] if [k < 0] or
-    [k > Array.length arr]. *)
 
 (** Bandwidth-weighted index draws in O(1) expected time.
 

@@ -74,7 +74,8 @@ module Timer : sig
 
   val arm_at : sim -> t -> Time.t -> unit
   (** Schedule (or reschedule) the timer for an absolute instant.
-      Raises [Invalid_argument] if the instant is before {!now}. *)
+      Raises [Invalid_argument] if the instant is before {!now}.
+      Test-only: the timer tests arm at exact instants with it. *)
 
   val arm_after : sim -> t -> Time.t -> unit
   (** [arm_after sim tm delay] is [arm_at sim tm (Time.add (now sim)
@@ -86,7 +87,8 @@ module Timer : sig
       the timer can be rearmed immediately. *)
 
   val is_armed : t -> bool
-  (** Whether the timer is currently scheduled. *)
+  (** Whether the timer is currently scheduled.  Test-only: the timer
+      tests observe arming with it. *)
 end
 
 val every : t -> Time.t -> (unit -> unit) -> stop:(unit -> bool) -> unit
@@ -114,7 +116,8 @@ val events_executed : t -> int
 
 val pending_events : t -> int
 (** Number of events still scheduled (cancelled ones are not
-    counted). *)
+    counted).  Test-only: the scheduler tests observe the queue with
+    it. *)
 
 val set_fire_probe : t -> (Time.t -> unit) option -> unit
 (** Install (or remove, with [None]) a passive observer called once

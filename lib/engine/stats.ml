@@ -333,13 +333,6 @@ module Samples = struct
         t.len <- t.len + 1;
         t.sorted <- None
 
-  let add_all t xs = Array.iter (add t) xs
-
-  let of_array xs =
-    let t = create ~capacity:(Stdlib.max 1 (Array.length xs)) () in
-    add_all t xs;
-    t
-
   let retained name t =
     match t.sketch with
     | Some _ ->

@@ -19,7 +19,6 @@ module Online : sig
   val variance : t -> float
   (** Unbiased sample variance; [0.] with fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** Smallest sample; [nan] if empty. *)
 
@@ -111,7 +110,8 @@ module Sketch : sig
   val cdf_points : t -> (float * float) list
   (** Ascending step points [(value, cumulative fraction)], one per
       non-empty bin at its (clamped) upper edge, closing at
-      [(max, 1.)].  Empty sketch gives []. *)
+      [(max, 1.)].  Empty sketch gives [].  Test-only: no figure reads
+      it; ROADMAP item 10's next cut weighs it. *)
 end
 
 (** {1 Sample buffers} *)
@@ -144,8 +144,6 @@ module Samples : sig
       if [capacity < 1] or the bounded layout is invalid. *)
 
   val add : t -> float -> unit
-  val add_all : t -> float array -> unit
-  val of_array : float array -> t
 
   val length : t -> int
   val is_empty : t -> bool
@@ -177,7 +175,8 @@ module Samples : sig
 
   val cdf_points : t -> (float * float) list
   (** Empirical CDF of the samples; same contract as the array
-      {!val:cdf_points}.  In [Bounded] mode, {!Sketch.cdf_points}. *)
+      {!val:cdf_points}.  In [Bounded] mode, {!Sketch.cdf_points}.
+      Test-only, like {!Sketch.cdf_points}. *)
 end
 
 (** {1 Array statistics} *)
@@ -194,4 +193,5 @@ val median : float array -> float
 val cdf_points : float array -> (float * float) list
 (** [cdf_points xs] is the empirical CDF as [(value, fraction <= value)]
     steps, sorted by value, one point per distinct sample.  Empty input
-    gives []. *)
+    gives [].  Test reference: the {!Samples} tests compare their curve
+    with it. *)

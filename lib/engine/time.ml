@@ -32,7 +32,6 @@ let of_ns64 n =
 
 let to_sec_f t = float_of_int t /. 1e9
 let to_ms_f t = float_of_int t /. 1e6
-let to_us_f t = float_of_int t /. 1e3
 
 (* Saturating addition: an event scheduled "never + delta" must stay
    "never", not wrap around to the distant past. *)
@@ -43,10 +42,6 @@ let add a b =
 let sub a b = a - b
 let diff later earlier = later - earlier
 let mul_int t k = t * k
-
-let div_int t k =
-  if k = 0 then raise Division_by_zero;
-  t / k
 
 let scale t x = of_float_ns (float_of_int t *. x)
 

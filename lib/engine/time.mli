@@ -62,9 +62,6 @@ val to_sec_f : t -> float
 val to_ms_f : t -> float
 (** [to_ms_f t] is [t] expressed in milliseconds. *)
 
-val to_us_f : t -> float
-(** [to_us_f t] is [t] expressed in microseconds. *)
-
 val add : t -> t -> t
 (** [add a b] is [a + b].  Saturates at [max_value] instead of wrapping. *)
 
@@ -76,10 +73,6 @@ val diff : t -> t -> t
 
 val mul_int : t -> int -> t
 (** [mul_int t k] is [t] scaled by the integer factor [k]. *)
-
-val div_int : t -> int -> t
-(** [div_int t k] is [t / k] (integer division).  Raises
-    [Division_by_zero] if [k = 0]. *)
 
 val scale : t -> float -> t
 (** [scale t x] is [t] scaled by the float factor [x], rounded to the

@@ -42,7 +42,6 @@ let index_at t time =
     Some !lo
   end
 
-let value_at t time = Option.map (fun i -> t.values.(i)) (index_at t time)
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
 let resample t ~step ~stop =
@@ -52,7 +51,7 @@ let resample t ~step ~stop =
     let samples = ref [] in
     let current = ref Time.zero in
     while Time.(!current <= stop) do
-      let v = match value_at t !current with Some v -> v | None -> t.values.(0) in
+      let v = match index_at t !current with Some i -> t.values.(i) | None -> t.values.(0) in
       samples := (!current, v) :: !samples;
       current := Time.add !current step
     done;
@@ -68,10 +67,3 @@ let max_value t =
     done;
     Some !best
   end
-
-let time_of_max t =
-  match max_value t with
-  | None -> None
-  | Some m ->
-      let rec find i = if Float.equal t.values.(i) m then t.times.(i) else find (i + 1) in
-      Some (find 0)

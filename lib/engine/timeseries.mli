@@ -22,10 +22,6 @@ val length : t -> int
 val points : t -> (Time.t * float) array
 (** All points, oldest first (fresh array). *)
 
-val value_at : t -> Time.t -> float option
-(** [value_at ts time] is the step-function value: the value of the
-    latest point at or before [time]; [None] before the first point. *)
-
 val last : t -> (Time.t * float) option
 
 val resample : t -> step:Time.t -> stop:Time.t -> (Time.t * float) array
@@ -37,6 +33,3 @@ val resample : t -> step:Time.t -> stop:Time.t -> (Time.t * float) array
 
 val max_value : t -> float option
 (** Largest recorded value. *)
-
-val time_of_max : t -> Time.t option
-(** Instant of the first occurrence of the largest value. *)

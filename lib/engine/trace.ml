@@ -15,10 +15,9 @@ type event = { time : Time.t; kind : kind; subject : string; detail : string }
 type t = {
   table : (string, Timeseries.t) Hashtbl.t;
   mutable events : event list;  (* newest first *)
-  mutable event_count : int;
 }
 
-let create () = { table = Hashtbl.create 32; events = []; event_count = 0 }
+let create () = { table = Hashtbl.create 32; events = [] }
 
 let series t key =
   match Hashtbl.find_opt t.table key with
@@ -60,25 +59,9 @@ let kind_of_string = function
   | _ -> None
 
 let record_event t kind ~subject ?(detail = "") time =
-  t.events <- { time; kind; subject; detail } :: t.events;
-  t.event_count <- t.event_count + 1
+  t.events <- { time; kind; subject; detail } :: t.events
 
 let events t = List.rev t.events
-let event_count t = t.event_count
-
-let events_with t kind = List.filter (fun e -> e.kind = kind) (events t)
-
-let to_csv t buf =
-  Buffer.add_string buf "series,time_s,value\n";
-  List.iter
-    (fun key ->
-      let ts = series t key in
-      Array.iter
-        (fun (time, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%.9f,%.6f\n" key (Time.to_sec_f time) v))
-        (Timeseries.points ts))
-    (keys t)
 
 let events_to_csv t buf =
   Buffer.add_string buf "time_s,kind,subject,detail\n";

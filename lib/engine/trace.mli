@@ -29,10 +29,6 @@ val record : t -> string -> Time.t -> float -> unit
 val keys : t -> string list
 (** All registered keys, sorted. *)
 
-val to_csv : t -> Buffer.t -> unit
-(** Append all series as CSV rows [series,time_s,value] (times in
-    seconds), grouped by key in sorted order. *)
-
 (** {1 Lifecycle events} *)
 
 type kind =
@@ -66,27 +62,26 @@ val record_event : t -> kind -> subject:string -> ?detail:string -> Time.t -> un
 val events : t -> event list
 (** All recorded events, oldest first. *)
 
-val events_with : t -> kind -> event list
-(** The events of one kind, oldest first. *)
-
-val event_count : t -> int
-
 val kind_to_string : kind -> string
 (** ["fault"], ["recovery"], ["abort"], ["rebuild"], ["resume"],
     ["exhausted"], ["refused"], ["oom-kill"], ["overload-enter"] or
-    ["overload-exit"]. *)
+    ["overload-exit"].  Test-only outside this module: tests name
+    kinds with it; the CSV and the printer use it inside. *)
 
 val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string}; [None] on anything else. *)
 
 val events_to_csv : t -> Buffer.t -> unit
-(** Append the event log as CSV rows [time_s,kind,subject,detail]. *)
+(** Append the event log as CSV rows [time_s,kind,subject,detail].
+    Test reference: the golden event logs under [test/golden/] are
+    written in this format. *)
 
 val events_of_csv : string -> event list
 (** Parse rows produced by {!events_to_csv} back into events (the
     header line and blank lines are skipped; unparseable rows are
     dropped).  Commas inside the detail field survive the round trip;
     kind and subject must not contain one.  Timestamps round-trip
-    exactly at the nanosecond resolution [events_to_csv] prints. *)
+    exactly at the nanosecond resolution [events_to_csv] prints.  Test
+    reference: the golden tests read the event logs back with it. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -13,7 +13,6 @@ module Rate = struct
     if n <= 0 then invalid_arg "Rate.bps: rate must be positive";
     n
 
-  let kbit n = bps (n * 1_000)
   let mbit n = bps (n * 1_000_000)
 
   let mbit_f x =
@@ -43,8 +42,6 @@ module Rate = struct
       let q = Int64.div num r64 in
       Time.of_ns64 (if Int64.equal (Int64.rem num r64) 0L then q else Int64.succ q)
     end
-
-  let bdp_bytes r rtt = int_of_float (to_bytes_per_sec r *. Time.to_sec_f rtt)
   let min a b = Stdlib.min a b
   let compare = Stdlib.compare
   let equal = Int.equal

@@ -26,9 +26,6 @@ module Rate : sig
   (** [bps n] is [n] bits per second.  Raises [Invalid_argument] if
       [n <= 0]. *)
 
-  val kbit : int -> t
-  (** [kbit n] is [n * 1000] bits per second. *)
-
   val mbit : int -> t
   (** [mbit n] is [n * 1_000_000] bits per second. *)
 
@@ -47,11 +44,6 @@ module Rate : sig
       [bytes] bytes onto a link of rate [r], rounded up to a whole
       nanosecond so that back-to-back transmissions never overlap.
       Raises [Invalid_argument] on negative [bytes]. *)
-
-  val bdp_bytes : t -> Time.t -> int
-  (** [bdp_bytes r rtt] is the bandwidth-delay product [r * rtt] in
-      bytes (rounded down) — the amount of data needed in flight to keep
-      a link of rate [r] busy across a feedback loop of [rtt]. *)
 
   val min : t -> t -> t
   (** The smaller of two rates. *)

@@ -28,3 +28,4 @@ val stop : t -> unit
 
 val packets_sent : t -> int
 val bytes_sent : t -> int
+(** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)

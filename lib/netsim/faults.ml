@@ -19,17 +19,6 @@ let validate_loss = function
       Error "Gilbert-Elliott parameters must all be in [0, 1]"
   | m -> Ok m
 
-let expected_loss_rate = function
-  | Bernoulli p -> p
-  | Gilbert_elliott { p_good_to_bad; p_bad_to_good; loss_good; loss_bad } ->
-      (* Stationary distribution of the two-state chain; a chain that
-         never transitions stays in its initial (good) state. *)
-      let denom = p_good_to_bad +. p_bad_to_good in
-      if denom = 0. then loss_good
-      else
-        let pi_bad = p_good_to_bad /. denom in
-        ((1. -. pi_bad) *. loss_good) +. (pi_bad *. loss_bad)
-
 type loss_state = { model : loss_model; mutable in_bad : bool }
 
 let loss_state model =
@@ -52,8 +41,6 @@ let decide st rng =
 let attach_loss ~rng link model =
   let st = loss_state model in
   Link.set_fault_filter link (Some (fun _p -> decide st rng))
-
-let detach_loss link = Link.set_fault_filter link None
 
 let link_subject link =
   Format.asprintf "link/%a->%a" Node_id.pp (Link.src link) Node_id.pp
@@ -80,9 +67,3 @@ let schedule_outage ?trace sim link ~down_at ~up_at =
                ~subject:(link_subject link) ~detail:"outage ends"
                (Engine.Sim.now sim)
          | None -> ()))
-
-let schedule_rates sim link steps =
-  List.iter
-    (fun (at, rate) ->
-      ignore (Engine.Sim.schedule_at sim at (fun () -> Link.set_rate link rate)))
-    steps

@@ -2,8 +2,8 @@
 
     Real anonymity-network paths are not clean pipes: they see random
     wire loss, bursty loss (a congested or flapping segment), whole
-    link outages and capacity degradation.  This module packages those
-    disturbance models and attaches them to any {!Link.t} through the
+    link outages and capacity degradation.  This module packages the
+    loss and outage models and attaches them to any {!Link.t} through the
     link's fault hooks — callers of {!Link.send} are oblivious; only
     the drop counters and the transport's retransmission machinery can
     tell a faulty run from a clean one.
@@ -29,30 +29,26 @@ type loss_model =
 val validate_loss : loss_model -> (loss_model, string) result
 (** All probabilities must lie in [\[0, 1\]]. *)
 
-val expected_loss_rate : loss_model -> float
-(** The model's long-run loss rate: the Bernoulli probability, or the
-    Gilbert–Elliott loss under the chain's stationary distribution. *)
-
 type loss_state
 (** The mutable channel state of one attached model. *)
 
 val loss_state : loss_model -> loss_state
 (** A fresh state (Gilbert–Elliott starts in the good state).  Raises
-    [Invalid_argument] if the model does not validate. *)
+    [Invalid_argument] if the model does not validate.  Test-only
+    outside this module, with {!decide}. *)
 
 val decide : loss_state -> Engine.Rng.t -> bool
 (** [decide st rng] advances the channel by one packet and returns
-    [true] if that packet is lost.  Exposed so tests can exercise the
-    models statistically without building a network. *)
+    [true] if that packet is lost.  Test reference: exposed so tests
+    can exercise the models statistically without building a network,
+    and pinned at 0 words per call. *)
 
 val attach_loss : rng:Engine.Rng.t -> Link.t -> loss_model -> unit
 (** Install the model as the link's fault filter (replacing any
     previous one).  Raises [Invalid_argument] if the model does not
     validate. *)
 
-val detach_loss : Link.t -> unit
-
-(** {1 Outages and degradation} *)
+(** {1 Outages} *)
 
 val schedule_outage :
   ?trace:Engine.Trace.t ->
@@ -66,9 +62,3 @@ val schedule_outage :
     transitions are recorded as {!Engine.Trace.Fault} and
     {!Engine.Trace.Recovery} events.  Raises [Invalid_argument] if
     [up_at <= down_at]. *)
-
-val schedule_rates :
-  Engine.Sim.t -> Link.t -> (Engine.Time.t * Engine.Units.Rate.t) list -> unit
-(** Rate-degradation schedule: at each instant, the link's rate is
-    changed to the given value (packets already serializing are
-    unaffected, as with {!Link.set_rate}). *)

@@ -19,7 +19,11 @@ type flow = {
 val create : unit -> t
 
 val on_tx : t -> flow:int -> bytes:int -> now:Engine.Time.t -> unit
+(** Test-only: no experiment feeds a flow monitor; only {!link_drops}
+    has a program caller (ROADMAP item 10's next cut). *)
+
 val on_rx : t -> flow:int -> bytes:int -> now:Engine.Time.t -> unit
+(** Test-only, like {!on_tx}. *)
 
 val stats : t -> flow:int -> flow option
 (** [None] if the flow was never seen. *)
@@ -31,6 +35,7 @@ val flows : t -> int list
 (** All observed flow ids, sorted. *)
 
 val total_rx_bytes : t -> int
+(** Test-only, like {!on_tx}. *)
 
 val link_drops : Link.t array -> Link.drop_counts
 (** Aggregate drop counters over a set of links, split by reason

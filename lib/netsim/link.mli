@@ -41,7 +41,7 @@ val flight_pool : Engine.Sim.t -> flight_pool
 
 val flight_records : flight_pool -> int
 (** Records the pool has ever created: the peak number of packets that
-    were propagating at one time on its links. *)
+    were propagating at one time on its links.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val create :
   Engine.Sim.t ->
@@ -83,6 +83,7 @@ val set_up : t -> bool -> unit
     killed instead of delivered.  Links start up. *)
 
 val is_up : t -> bool
+(** Test-only: a state accessor that ROADMAP item 4's probes replace. *)
 
 val send : t -> ?on_transmit:(int -> unit) -> Packet.t -> unit
 (** Hand a packet to the transmitter.  If the link is down the packet
@@ -110,6 +111,8 @@ val queue_high_watermark_bytes : t -> int
 
 val packets_delivered : t -> int
 val bytes_delivered : t -> int
+(** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
+
 val packets_blackholed : t -> int
 (** Packets that arrived with no receiver installed. *)
 
@@ -135,6 +138,8 @@ val drop_counts : t -> drop_counts
 (** All three drop counters in one read. *)
 
 val total_drops : drop_counts -> int
+(** The sum over every drop reason.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
+
 val add_drop_counts : drop_counts -> drop_counts -> drop_counts
 val no_drops : drop_counts
 val pp_drop_counts : Format.formatter -> drop_counts -> unit
@@ -142,6 +147,6 @@ val pp_drop_counts : Format.formatter -> drop_counts -> unit
 val utilization : t -> Engine.Time.t -> float
 (** [utilization t horizon] is the fraction of [\[0, horizon\]] the
     transmitter spent serializing, in [\[0, 1\]].  Raises
-    [Invalid_argument] if [horizon] is not positive. *)
+    [Invalid_argument] if [horizon] is not positive.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val pp : Format.formatter -> t -> unit

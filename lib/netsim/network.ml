@@ -222,7 +222,4 @@ let path t a b =
 
 let hop_count t a b = fold_route t a b (fun k _ -> k + 1) 0
 
-let path_delay t a b =
-  fold_route t a b (fun acc l -> Engine.Time.add acc (Link.delay l)) Engine.Time.zero
-
 let undeliverable t = t.undeliverable

@@ -60,9 +60,5 @@ val path : t -> Node_id.t -> Node_id.t -> Node_id.t list option
 val hop_count : t -> Node_id.t -> Node_id.t -> int option
 (** Number of links on the route. *)
 
-val path_delay : t -> Node_id.t -> Node_id.t -> Engine.Time.t option
-(** Sum of one-way propagation delays along the route (no
-    serialization or queueing). *)
-
 val undeliverable : t -> int
-(** Packets that reached a node with no local handler. *)
+(** Packets that reached a node with no local handler.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)

@@ -53,7 +53,7 @@ val length : t -> int
 (** Packets currently queued. *)
 
 val byte_length : t -> int
-(** Bytes currently queued. *)
+(** Bytes currently queued.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val is_empty : t -> bool
 
@@ -63,8 +63,11 @@ val drops : t -> int
 (** Packets rejected so far. *)
 
 val dropped_bytes : t -> int
+(** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
+
 val enqueued_total : t -> int
-(** Packets accepted so far (including those since dequeued). *)
+(** Packets accepted so far (including those since dequeued).
+    Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val high_watermark_bytes : t -> int
 (** Largest byte occupancy ever observed. *)

@@ -140,21 +140,6 @@ let line sim ~names ~rate ~delay ?queue () =
   wire ids;
   (t, ids)
 
-let dumbbell sim ~left ~right ~bottleneck_rate ~bottleneck_delay ?queue () =
-  if left = [] || right = [] then invalid_arg "Topology.dumbbell: empty side";
-  let t = create sim in
-  let router_l = add_node t ~name:"routerL" in
-  let router_r = add_node t ~name:"routerR" in
-  connect t router_l router_r ~rate:bottleneck_rate ~delay:bottleneck_delay ?queue ();
-  let attach router (name, rate, delay) =
-    let id = add_node t ~name in
-    connect t id router ~rate ~delay ?queue ();
-    id
-  in
-  let left_ids = List.map (attach router_l) left in
-  let right_ids = List.map (attach router_r) right in
-  (t, (left_ids, right_ids))
-
 let star sim ~hub ~leaves ?queue () =
   if leaves = [] then invalid_arg "Topology.star: no leaves";
   let t = create sim in

@@ -43,17 +43,6 @@ val connect :
     either node is unknown, if [a = b], or if the pair is already
     connected. *)
 
-val connect_directed :
-  t ->
-  Node_id.t ->
-  Node_id.t ->
-  rate:Engine.Units.Rate.t ->
-  delay:Engine.Time.t ->
-  ?queue:Nqueue.capacity ->
-  unit ->
-  unit
-(** One direction only; same error conditions as {!connect}. *)
-
 val link : t -> Node_id.t -> Node_id.t -> Link.t option
 (** The directed link [a->b], if connected.  A hash lookup, so its
     cost does not grow with [a]'s out-degree (nor does the duplicate
@@ -102,18 +91,3 @@ val star :
     the leaf's bandwidth and whose one-way delay is the leaf's access
     latency.  Returns (topology, hub id, leaf ids in list order).
     Raises [Invalid_argument] on an empty leaf list. *)
-
-val dumbbell :
-  Engine.Sim.t ->
-  left:(string * Engine.Units.Rate.t * Engine.Time.t) list ->
-  right:(string * Engine.Units.Rate.t * Engine.Time.t) list ->
-  bottleneck_rate:Engine.Units.Rate.t ->
-  bottleneck_delay:Engine.Time.t ->
-  ?queue:Nqueue.capacity ->
-  unit ->
-  t * (Node_id.t list * Node_id.t list)
-(** The classic shared-bottleneck shape: left leaves hang off one
-    router, right leaves off another, and the two routers are joined by
-    a single bottleneck link every left↔right flow must cross.
-    Returns (topology, (left leaf ids, right leaf ids)).  Raises
-    [Invalid_argument] if either side is empty. *)

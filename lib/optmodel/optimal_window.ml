@@ -43,10 +43,6 @@ let hop_window_cells ?cell_size ?feedback_size path i =
 let source_window_cells ?cell_size ?feedback_size path =
   hop_window_cells ?cell_size ?feedback_size path 0
 
-let source_window_bytes ?cell_size ?feedback_size path =
-  let cell = Option.value cell_size ~default:default_cell_size in
-  source_window_cells ?cell_size ?feedback_size path * cell
-
 let propagated_estimate_cells ?cell_size ?feedback_size path =
   let hops = Path_model.hop_count path in
   let rec go i best =

@@ -39,9 +39,6 @@ val hop_window_cells :
 val source_window_cells : ?cell_size:int -> ?feedback_size:int -> Path_model.t -> int
 (** [W*_0] — the dashed line of Figure 1. *)
 
-val source_window_bytes : ?cell_size:int -> ?feedback_size:int -> Path_model.t -> int
-(** [W*_0] in wire bytes ([cells * cell_size]). *)
-
 val propagated_estimate_cells :
   ?cell_size:int -> ?feedback_size:int -> Path_model.t -> int
 (** [min_i W*_i] — what backpropagation delivers to the source. *)

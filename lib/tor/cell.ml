@@ -27,8 +27,6 @@ let data circuit ~layers ~stream_id ~seq ~length ~last =
   if layers < 0 then invalid_arg "Cell.data: negative layer count";
   make circuit (Relay { layers; cmd = Relay_data { stream_id; seq; length; last } })
 
-let is_relay t = match t.command with Relay _ -> true | _ -> false
-
 let relay_cmd t = match t.command with Relay { cmd; _ } -> Some cmd | _ -> None
 
 let pp_relay_command fmt = function

@@ -55,8 +55,6 @@ val data :
     if [length] is not in [\[1, payload_capacity\]] or [seq < 0] or
     [layers < 0]. *)
 
-val is_relay : t -> bool
-
 val relay_cmd : t -> relay_command option
 (** The relay command if this is a RELAY cell. *)
 

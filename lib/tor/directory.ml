@@ -19,9 +19,6 @@ let add t r = t.relays <- t.relays @ [ r ]
 let relays t = t.relays
 let count t = List.length t.relays
 
-let find_by_node t node =
-  List.find_opt (fun (r : Relay_info.t) -> Netsim.Node_id.equal r.node node) t.relays
-
 (* --- path selection ------------------------------------------------ *)
 
 let weighted_choice rng candidates =

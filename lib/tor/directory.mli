@@ -39,8 +39,6 @@ val relays : t -> Relay_info.t list
 val count : t -> int
 (** Population size. *)
 
-val find_by_node : t -> Netsim.Node_id.t -> Relay_info.t option
-
 val select_path :
   t ->
   Engine.Rng.t ->

@@ -11,12 +11,7 @@ type t = {
 let make ~nickname ~node ~bandwidth ~latency ?(flags = [ Guard; Exit; Fast; Stable ]) () =
   { nickname; node; bandwidth; latency; flags }
 
-let flag_equal a b =
-  match (a, b) with
-  | Guard, Guard | Exit, Exit | Fast, Fast | Stable, Stable -> true
-  | (Guard | Exit | Fast | Stable), _ -> false
-
-let has_flag t f = List.exists (flag_equal f) t.flags
+let has_flag t f = List.mem f t.flags
 
 let pp fmt t =
   Format.fprintf fmt "%s@%a %a %a" t.nickname Netsim.Node_id.pp t.node

@@ -27,5 +27,4 @@ val make :
     allowed), which is what the paper's random networks use. *)
 
 val has_flag : t -> flag -> bool
-val flag_equal : flag -> flag -> bool
 val pp : Format.formatter -> t -> unit

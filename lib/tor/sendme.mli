@@ -56,9 +56,11 @@ val cell_latency_stats : t -> Engine.Stats.Online.t
     it). *)
 
 val client_credit : t -> int
-(** Remaining end-to-end credit (min of circuit and stream credit). *)
+(** Remaining end-to-end credit (min of circuit and stream credit).
+    Test-only: an accessor that ROADMAP item 4's probes replace. *)
 
 val sendmes_received : t -> int
+(** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 val teardown : t -> unit
 (** Unregister all of the circuit's handlers. *)

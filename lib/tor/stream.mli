@@ -58,6 +58,8 @@ module Sink : sig
 
   val received_bytes : t -> int
   val cells_received : t -> int
+  (** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
+
   val duplicates : t -> int
 
   val delivered_bytes : t -> int

@@ -54,7 +54,8 @@ val send_payload :
     link starts serializing the packet (see {!Netsim.Network.send}). *)
 
 val orphan_cells : t -> int
-(** Cells that found neither a circuit nor a control handler. *)
+(** Cells that found neither a circuit nor a control handler.
+    Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 (** {1 Crash injection} *)
 
@@ -66,12 +67,13 @@ val set_down : t -> bool -> unit
     restarts the node. *)
 
 val is_down : t -> bool
+(** Test-only: a state accessor that ROADMAP item 4's probes replace. *)
 
 val blackholed_cells : t -> int
 (** Packets that arrived while the node was down. *)
 
 val refused_sends : t -> int
-(** Sends attempted while the node was down. *)
+(** Sends attempted while the node was down.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
 (** {1 Resource accounting}
 

@@ -33,9 +33,8 @@ let default_config =
     horizon = Engine.Time.s 60;
   }
 
-(* Tight failure detection, so a crash run fails in seconds, not
-   minutes; a fault-free run under these settings retransmits nothing,
-   so every retransmission in a faulty run is due to the fault. *)
+(* Tight failure detection, shared with the session world (see the
+   interface). *)
 let rto_min = Engine.Time.ms 300
 let rto_initial = Engine.Time.ms 500
 let max_retries = 4

@@ -41,11 +41,23 @@ type config = {
 
 val default_config : config
 (** 512 KiB over 3 relays, 3 Mbit bottleneck at the middle hop, no
-    faults.  Every run uses tight failure detection: every hop sender
-    has [rto_min] 300 ms, [rto_initial] 500 ms and a per-cell budget of
-    4 retransmissions, so crash runs terminate in seconds, not minutes,
-    while a fault-free run retransmits nothing, so every retransmission
-    in a faulty run is attributable to the fault. *)
+    faults.  Every run uses the tight failure detection below. *)
+
+(** {1 Failure detection}
+
+    Every hop sender of this world and of {!Overload_experiment}'s uses
+    these, so crash runs terminate in seconds, not minutes, while a
+    fault-free run retransmits nothing: every retransmission in a
+    faulty run is attributable to the fault. *)
+
+val rto_min : Engine.Time.t
+(** 300 ms. *)
+
+val rto_initial : Engine.Time.t
+(** 500 ms. *)
+
+val max_retries : int
+(** 4 retransmissions per cell. *)
 
 val validate_config : config -> (config, string) result
 

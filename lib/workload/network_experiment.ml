@@ -48,10 +48,6 @@ type config = {
   elephant_fraction : float;
   elephant_cells : int;
   mice_cells : int;
-  initial_cwnd : int;
-  cwnd_cap : int;
-  access_delay : Engine.Time.t;
-  max_path_redraws : int;
   (* Relay churn, calibrated from the packet-level model: per-relay
      per-second hazards, tried once per [churn_tick] per relay.  A
      departing relay crashes with [crash_fraction] (instant kill) or
@@ -79,6 +75,15 @@ type config = {
   shards : int;
 }
 
+(* Fixed parameters of the round model, documented in the interface:
+   the ramp's first window and the window ceiling in cells, the
+   client/server access latency (10 ms) in ns, and how many times an
+   admission-refused arrival redraws its path. *)
+let initial_cwnd = 1
+let cwnd_cap = 10_000
+let access_delay_ns = 10_000_000
+let max_path_redraws = 4
+
 let default_config =
   {
     relays = 200;
@@ -93,10 +98,6 @@ let default_config =
     elephant_fraction = 0.05;
     elephant_cells = 4_096;
     mice_cells = 32;
-    initial_cwnd = 1;
-    cwnd_cap = 10_000;
-    access_delay = Engine.Time.ms 10;
-    max_path_redraws = 4;
     leave_hazard = 0.;
     join_hazard = 0.;
     crash_fraction = 0.5;
@@ -130,9 +131,6 @@ let validate_config c =
   then Error "elephant_fraction must be in [0, 1]"
   else if c.elephant_cells < 1 || c.mice_cells < 1 then
     Error "transfer sizes must be positive"
-  else if c.initial_cwnd < 1 then Error "initial_cwnd must be positive"
-  else if c.cwnd_cap < c.initial_cwnd then Error "cwnd_cap must be >= initial_cwnd"
-  else if c.max_path_redraws < 0 then Error "max_path_redraws must be >= 0"
   else if
     not (Float.is_finite c.leave_hazard) || c.leave_hazard < 0.
     || (not (Float.is_finite c.join_hazard)) || c.join_hazard < 0.
@@ -562,7 +560,7 @@ let round st i p =
   let rtt_s = float_of_int st.circ.(p + f_rtt_ns) *. 1e-9 in
   let bdp =
     let b = int_of_float (share_cps *. rtt_s) in
-    if b < 1 then 1 else if b > st.config.cwnd_cap then st.config.cwnd_cap else b
+    if b < 1 then 1 else if b > cwnd_cap then cwnd_cap else b
   in
   let cwnd = st.circ.(p + f_cwnd) in
   let remaining = st.circ.(p + f_remaining) in
@@ -597,12 +595,12 @@ let round st i p =
                  approaches capacity without overshooting past it. *)
               let d = cwnd * 2 in
               let d = if d > bdp then bdp else d in
-              if d > st.config.cwnd_cap then st.config.cwnd_cap else d
+              if d > cwnd_cap then cwnd_cap else d
           | Circuitstart.Controller.Circuit_start
           | Circuitstart.Controller.Slow_start
           | Circuitstart.Controller.Fixed _ ->
               let d = cwnd * 2 in
-              if d > st.config.cwnd_cap then st.config.cwnd_cap else d
+              if d > cwnd_cap then cwnd_cap else d
         end
       else begin
         match st.config.strategy with
@@ -758,7 +756,7 @@ let advance_epoch st =
 
 let try_arrival st i =
   let rng = st.s_rng.(i) in
-  let attempts = st.config.max_path_redraws + 1 in
+  let attempts = max_path_redraws + 1 in
   let admitted = ref false in
   let g = ref 0 and m = ref 0 and e = ref 0 in
   let tries = ref 0 in
@@ -806,11 +804,11 @@ let try_arrival st i =
     (match st.config.strategy with
     | Circuitstart.Controller.Fixed w ->
         st.circ.(p + f_cwnd) <-
-          Stdlib.min st.config.cwnd_cap (Stdlib.max 1 w);
+          Stdlib.min cwnd_cap (Stdlib.max 1 w);
         st.circ.(p + f_phase) <- phase_fixed
     | Circuitstart.Controller.Circuit_start | Circuitstart.Controller.Slow_start
     | Circuitstart.Controller.Predictive ->
-        st.circ.(p + f_cwnd) <- st.config.initial_cwnd;
+        st.circ.(p + f_cwnd) <- initial_cwnd;
         st.circ.(p + f_phase) <- phase_ramp);
     st.circ.(p + f_kind) <- (if elephant then 1 else 0);
     st.circ.(p + f_started_ns) <-
@@ -820,8 +818,7 @@ let try_arrival st i =
       st.s_res_rem.(i) <- -1
     end;
     let rtt_ns =
-      let access = (st.config.access_delay :> int) in
-      2 * (st.lat_ns.(!g) + st.lat_ns.(!m) + st.lat_ns.(!e) + (2 * access))
+      2 * (st.lat_ns.(!g) + st.lat_ns.(!m) + st.lat_ns.(!e) + (2 * access_delay_ns))
     in
     st.circ.(p + f_rtt_ns) <- rtt_ns;
     let cwnd = st.circ.(p + f_cwnd) in
@@ -1043,8 +1040,7 @@ let run_sharded ~seed states =
   let churn = st0.churn in
   let window_ns =
     let min_lat = Array.fold_left Stdlib.min max_int st0.lat_ns in
-    let access = (c.access_delay :> int) in
-    Stdlib.max 1 (2 * ((3 * min_lat) + (2 * access)))
+    Stdlib.max 1 (2 * ((3 * min_lat) + (2 * access_delay_ns)))
   in
   let tick_ns = (c.churn_tick :> int) in
   let epoch_ns = (c.epoch_period :> int) in

@@ -39,7 +39,14 @@
     by the window's end.  Within a window every shard reads relay
     occupancy as it stood at the last barrier; occupancy changes are
     folded in, and churn and epoch ticks fire, at the barriers.  Paired
-    strategies share every population, arrival and size draw. *)
+    strategies share every population, arrival and size draw.
+
+    Four parameters of the round model are constants, not config
+    fields: a ramp starts at a window of 1 cell ([initial_cwnd]), no
+    window exceeds 10 000 cells ([cwnd_cap]), every client and server
+    sits behind a 10 ms access link ([access_delay]), and an arrival
+    refused admission redraws its path up to 4 times
+    ([max_path_redraws]) before it counts in [refused_arrivals]. *)
 
 type config = {
   relays : int;  (** Population size; at least 4. *)
@@ -62,12 +69,6 @@ type config = {
   elephant_fraction : float;  (** Fraction of arrivals that are bulk. *)
   elephant_cells : int;
   mice_cells : int;
-  initial_cwnd : int;  (** Ramp start, cells. *)
-  cwnd_cap : int;
-  access_delay : Engine.Time.t;  (** Client/server access latency. *)
-  max_path_redraws : int;
-      (** Admission-refused arrivals redraw this many times before
-          giving up (counted in [refused_arrivals]). *)
   leave_hazard : float;
       (** Per-relay per-second hazard of an up relay leaving; tried
           once per [churn_tick].  [0] (with [join_hazard] 0) disables

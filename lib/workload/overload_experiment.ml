@@ -16,9 +16,6 @@ type config = {
   max_rebuilds : int;
   crash_at : Engine.Time.t option;
   crash_position : int;
-  rto_min : Engine.Time.t;
-  rto_initial : Engine.Time.t;
-  max_retries : int;
   horizon : Engine.Time.t;
 }
 
@@ -41,9 +38,6 @@ let default_config =
     max_rebuilds = 6;
     crash_at = None;
     crash_position = 2;
-    rto_min = Engine.Time.ms 300;
-    rto_initial = Engine.Time.ms 500;
-    max_retries = 4;
     horizon = Engine.Time.s 180;
   }
 
@@ -76,7 +70,6 @@ let validate_config c =
   else if (match c.max_queued_bytes with Some n -> n < 1 | None -> false) then
     Error "max_queued_bytes must be positive when set"
   else if c.max_rebuilds < 0 then Error "max_rebuilds must be >= 0"
-  else if c.max_retries < 1 then Error "max_retries must be positive"
   else if Engine.Time.(c.horizon <= Engine.Time.zero) then
     Error "horizon must be positive"
   else
@@ -228,8 +221,8 @@ let run ?(seed = 42) ?probe ?relay_probe config =
           ~circuit ~bytes:config.transfer_bytes ~strategy:config.strategy
           ~params:config.params
           ~trace:(trace, Printf.sprintf "transfer/s%d/g%d" i gen)
-          ~rto_min:config.rto_min ~rto_initial:config.rto_initial
-          ~max_retries:config.max_retries ~offset ~on_complete
+          ~rto_min:Fault_experiment.rto_min ~rto_initial:Fault_experiment.rto_initial
+          ~max_retries:Fault_experiment.max_retries ~offset ~on_complete
           ~on_fail:(fun at ->
             let failed_hop = Option.bind !dr Backtap.Transfer.failed_hop in
             on_fail ~failed_hop at)

@@ -23,7 +23,13 @@
     strategy against the byte-identical schedule.
 
     {!default_config} is a flash crowd against tight budgets;
-    {!recovery_config} is one session surviving a crash. *)
+    {!recovery_config} is one session surviving a crash.
+
+    Failure detection is not a config field: every hop sender uses the
+    fault world's tight constants {!Fault_experiment.rto_min} (300 ms),
+    {!Fault_experiment.rto_initial} (500 ms) and
+    {!Fault_experiment.max_retries} (4 retransmissions per cell), so a
+    crash is detected in seconds. *)
 
 type config = {
   relay_count : int;
@@ -53,9 +59,6 @@ type config = {
           no crash. *)
   crash_position : int;
       (** Path position of the crash victim, 1-based (1 = guard). *)
-  rto_min : Engine.Time.t;
-  rto_initial : Engine.Time.t;
-  max_retries : int;  (** Per-cell retransmission budget. *)
   horizon : Engine.Time.t;
 }
 
@@ -68,9 +71,7 @@ val default_config : config
 val recovery_config : config
 (** One session of 512 KiB over 3 of 8 relays (6 Mbit/s base), no
     budgets, 3 rebuilds, a 120 s horizon and crash position 2 (the
-    middle relay); [crash_at] is [None], so callers set the crash.
-    Failure detection ([rto_min] 300 ms, [max_retries] 4) is tight
-    enough that a crash is detected in seconds. *)
+    middle relay); [crash_at] is [None], so callers set the crash. *)
 
 val validate_config : config -> (config, string) result
 

@@ -12,11 +12,13 @@ type config = {
   relay_config : Relay_gen.config;
   endpoint_rate : Engine.Units.Rate.t;
   endpoint_delay : Engine.Time.t;
-  start_stagger : Engine.Time.t;
-  teardown_circuits : bool;
   horizon : Engine.Time.t;
   seed : int;
 }
+
+(* Each transfer starts uniformly within this window (200 ms) after
+   its circuit is up, which desynchronises the slow starts. *)
+let start_stagger_ns = 200_000_000
 
 let default_config =
   {
@@ -29,8 +31,6 @@ let default_config =
     relay_config = Relay_gen.default_config;
     endpoint_rate = Engine.Units.Rate.mbit 100;
     endpoint_delay = Engine.Time.ms 10;
-    start_stagger = Engine.Time.ms 200;
-    teardown_circuits = false;
     horizon = Engine.Time.s 60;
     seed = 1;
   }
@@ -41,7 +41,6 @@ let validate_config c =
   else if c.circuit_count < 1 then Error "circuit_count must be positive"
   else if c.relays_per_circuit < 1 then Error "relays_per_circuit must be positive"
   else if c.transfer_bytes <= 0 then Error "transfer_bytes must be positive"
-  else if Engine.Time.is_negative c.start_stagger then Error "start_stagger negative"
   else if Engine.Time.(c.horizon <= Engine.Time.zero) then Error "horizon must be positive"
   else
     match (Relay_gen.validate_config c.relay_config, Circuitstart.Params.validate c.params)
@@ -129,12 +128,8 @@ let run config =
   let staggers =
     List.map
       (fun _ ->
-        if Engine.Time.equal config.start_stagger Engine.Time.zero then Engine.Time.zero
-        else
-          Engine.Time.ns
-            (int_of_float
-               (Engine.Rng.float stagger_rng
-                  (float_of_int (config.start_stagger :> int)))))
+        Engine.Time.ns
+          (int_of_float (Engine.Rng.float stagger_rng (float_of_int start_stagger_ns))))
       circuits
   in
   let remaining = ref (List.length circuits) in
@@ -147,21 +142,6 @@ let run config =
             ~circuit ~bytes:config.transfer_bytes ~strategy ~params:config.params
             ~on_complete:(fun _ ->
               decr remaining;
-              if config.teardown_circuits then begin
-                (* Tor closes idle circuits: the client sends DESTROY,
-                   which the control automata propagate hop by hop. *)
-                let client = circuit.Tor_model.Circuit.client in
-                let guard =
-                  match circuit.Tor_model.Circuit.relays with
-                  | r :: _ -> r.Tor_model.Relay_info.node
-                  | [] -> assert false
-                in
-                Tor_model.Switchboard.send_cell
-                  (Tor_net.switchboard net client)
-                  ~dst:guard
-                  (Tor_model.Cell.make circuit.Tor_model.Circuit.id
-                     Tor_model.Cell.Destroy)
-              end;
               if !remaining = 0 then Engine.Sim.stop sim)
             ()
         in

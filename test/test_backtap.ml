@@ -308,7 +308,7 @@ let test_hop_sender_karn_rule () =
 let test_hop_sender_stale_transmit_after_recycle () =
   (* 8 kbit/s serializes one 520-byte envelope in exactly 520 ms, so
      queued attempts outlive a 200 ms RTO by a wide margin. *)
-  let sim, _, leaves, sbs, _ = mk_net ~rate:(Engine.Units.Rate.kbit 8) 2 in
+  let sim, _, leaves, sbs, _ = mk_net ~rate:(Engine.Units.Rate.bps 8_000) 2 in
   let controller = Circuitstart.Controller.create (Circuitstart.Controller.Fixed 2) in
   let sender =
     Backtap.Hop_sender.create ~sb:sbs.(0) ~circuit:circ ~succ:leaves.(1) ~controller

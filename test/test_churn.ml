@@ -268,6 +268,41 @@ let test_cli_rejects_bad_numeric_flags () =
       "churn-scale --shards=-1";
     ]
 
+(* Values the simulator itself would reject (a zero rate, a distance
+   past the path, a list that is not numbers) must come back as
+   cmdliner's usage error — exit 124 and one line on stderr — not as an
+   uncaught exception (125) or a bare exit 2. *)
+let test_cli_bad_values_are_usage_errors () =
+  let err = Filename.temp_file "torsim" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s >/dev/null 2>%s" (Test_util.torsim_exe ()) args
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (Printf.sprintf "torsim %s exits 124" args) 124 code;
+          let lines =
+            In_channel.with_open_text err In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "torsim %s prints one stderr line" args)
+            1 (List.length lines))
+        [
+          "adaptive --step-mbit 0";
+          "trace --bottleneck-mbit 0";
+          "optimal --rates 0";
+          "optimal --rates 3,x";
+          "sweep --param distance --values 9";
+          "sweep --param foo";
+          "sweep --values 1,x";
+        ])
+
 let test_cli_churn_scale_runs () =
   Alcotest.(check int) "tiny churn-scale run exits 0" 0
     (torsim
@@ -310,6 +345,8 @@ let () =
         [
           Alcotest.test_case "bad numeric flags rejected" `Quick
             test_cli_rejects_bad_numeric_flags;
+          Alcotest.test_case "bad values are one-line usage errors" `Quick
+            test_cli_bad_values_are_usage_errors;
           Alcotest.test_case "churn-scale smoke" `Quick
             test_cli_churn_scale_runs;
         ] );

@@ -17,11 +17,14 @@ let feed ?(window_limited = true) ctrl ~from_ ~gap ~rtt n =
 
 let base = Engine.Time.ms 40
 
+(* [t / k], truncated to a whole nanosecond. *)
+let div_int (t : Engine.Time.t) k = Engine.Time.ns ((t :> int) / k)
+
 (* Feed whole rounds at a steady clean RTT: each round is [cwnd]
    feedbacks spaced so that one round spans ~one RTT. *)
 let clean_round ctrl ~from_ =
   let w = C.cwnd ctrl in
-  let gap = Engine.Time.div_int base w in
+  let gap = div_int base w in
   feed ctrl ~from_ ~gap ~rtt:base w
 
 (* ------------------------------------------------------------------ *)
@@ -92,9 +95,9 @@ let saturated_feedback ctrl ~from_ ~bdp n =
     let w = C.cwnd ctrl in
     let queue = Stdlib.max 0 (w - bdp) in
     let rtt =
-      Engine.Time.add base (Engine.Time.mul_int (Engine.Time.div_int base bdp) queue)
+      Engine.Time.add base (Engine.Time.mul_int (div_int base bdp) queue)
     in
-    let pace = Engine.Time.div_int base (Stdlib.min w bdp) in
+    let pace = div_int base (Stdlib.min w bdp) in
     now := Engine.Time.add !now pace;
     C.on_feedback ctrl ~now:!now ~rtt ()
   done;
@@ -325,7 +328,7 @@ let prop_circuitstart_ramp_matches_reference =
       let ok = ref true in
       for k = 1 to rounds do
         let w = C.cwnd ctrl in
-        t := feed ctrl ~from_:!t ~gap:(Engine.Time.div_int rtt w) ~rtt w;
+        t := feed ctrl ~from_:!t ~gap:(div_int rtt w) ~rtt w;
         ok := !ok && C.cwnd ctrl = ref_circuitstart_cwnd ~rounds:k
       done;
       !ok && C.phase ctrl = C.Ramp_up && C.rounds_completed ctrl = rounds)
@@ -415,12 +418,12 @@ let noisy_saturated_feedback ctrl ~from_ ~bdp n =
     let queue = Stdlib.max 0 (w - bdp) in
     let rtt =
       Engine.Time.add base
-        (Engine.Time.mul_int (Engine.Time.div_int base bdp) queue)
+        (Engine.Time.mul_int (div_int base bdp) queue)
     in
     let rtt =
       if i land 1 = 0 then Engine.Time.add rtt (Engine.Time.us 200) else rtt
     in
-    let pace = Engine.Time.div_int base (Stdlib.min w bdp) in
+    let pace = div_int base (Stdlib.min w bdp) in
     now := Engine.Time.add !now pace;
     C.on_feedback ctrl ~now:!now ~rtt ()
   done;
@@ -607,9 +610,9 @@ let prop_traces_match_references =
           (fun permille ->
             rtt :=
               Engine.Time.sub !rtt
-                (Engine.Time.div_int (Engine.Time.mul_int !rtt permille) 1000);
+                (div_int (Engine.Time.mul_int !rtt permille) 1000);
             let w = C.cwnd ctrl in
-            t := feed ctrl ~from_:!t ~gap:(Engine.Time.div_int !rtt w) ~rtt:!rtt w;
+            t := feed ctrl ~from_:!t ~gap:(div_int !rtt w) ~rtt:!rtt w;
             fed := !fed + w;
             (C.cwnd ctrl, !fed))
           shrinks

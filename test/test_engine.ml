@@ -18,7 +18,6 @@ let test_time_arithmetic () =
   Alcotest.check time "sub" (Engine.Time.ms 2) (Engine.Time.sub a b);
   Alcotest.check time "diff" (Engine.Time.ms 2) (Engine.Time.diff a b);
   Alcotest.check time "mul_int" (Engine.Time.ms 15) (Engine.Time.mul_int a 3);
-  Alcotest.check time "div_int" (Engine.Time.ms 1) (Engine.Time.div_int b 3);
   Alcotest.check time "scale" (Engine.Time.ms 10) (Engine.Time.scale a 2.);
   Alcotest.(check (float 1e-9)) "ratio" (5. /. 3.) (Engine.Time.ratio a b);
   Alcotest.(check bool) "negative" true
@@ -56,8 +55,7 @@ let test_time_range_edges () =
 
 let test_time_conversions () =
   Alcotest.(check (float 1e-12)) "to_sec_f" 0.002 (Engine.Time.to_sec_f (Engine.Time.ms 2));
-  Alcotest.(check (float 1e-9)) "to_ms_f" 2. (Engine.Time.to_ms_f (Engine.Time.ms 2));
-  Alcotest.(check (float 1e-6)) "to_us_f" 2000. (Engine.Time.to_us_f (Engine.Time.ms 2))
+  Alcotest.(check (float 1e-9)) "to_ms_f" 2. (Engine.Time.to_ms_f (Engine.Time.ms 2))
 
 let test_time_pp () =
   Alcotest.(check string) "ns" "500ns" (Engine.Time.to_string (Engine.Time.ns 500));
@@ -67,9 +65,7 @@ let test_time_pp () =
 
 let test_time_invalid () =
   Alcotest.check_raises "non-finite" (Invalid_argument "Time: non-finite duration")
-    (fun () -> ignore (Engine.Time.of_sec_f Float.nan));
-  Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
-      ignore (Engine.Time.div_int (Engine.Time.s 1) 0))
+    (fun () -> ignore (Engine.Time.of_sec_f Float.nan))
 
 let prop_time_order =
   QCheck2.Test.make ~name:"time order is total and consistent with ns"
@@ -108,7 +104,6 @@ let prop_time_compare_int64 =
 (* Units *)
 
 let test_rate_constructors () =
-  Alcotest.(check int) "kbit" 2_000 (Engine.Units.Rate.to_bps (Engine.Units.Rate.kbit 2));
   Alcotest.(check int) "mbit" 3_000_000
     (Engine.Units.Rate.to_bps (Engine.Units.Rate.mbit 3));
   Alcotest.(check int) "mbit_f" 1_500_000
@@ -119,16 +114,12 @@ let test_rate_constructors () =
 let test_transmission_time () =
   Alcotest.check time "exact"
     (Engine.Time.s 1)
-    (Engine.Units.Rate.transmission_time (Engine.Units.Rate.kbit 8) 1000);
+    (Engine.Units.Rate.transmission_time (Engine.Units.Rate.bps 8_000) 1000);
   Alcotest.check time "ceil"
     (Engine.Time.of_ns64 2_666_666_667L)
     (Engine.Units.Rate.transmission_time (Engine.Units.Rate.bps 3) 1);
   Alcotest.check time "zero bytes" Engine.Time.zero
     (Engine.Units.Rate.transmission_time (Engine.Units.Rate.mbit 1) 0)
-
-let test_bdp () =
-  Alcotest.(check int) "bdp" 100_000
-    (Engine.Units.Rate.bdp_bytes (Engine.Units.Rate.mbit 8) (Engine.Time.ms 100))
 
 let test_sizes () =
   Alcotest.(check int) "kib" 2048 (Engine.Units.kib 2);
@@ -175,8 +166,6 @@ let test_rng_bounds () =
   for _ = 1 to 1000 do
     let x = Engine.Rng.int rng 7 in
     Alcotest.(check bool) "int in [0,7)" true (x >= 0 && x < 7);
-    let y = Engine.Rng.int_in rng (-3) 3 in
-    Alcotest.(check bool) "int_in [-3,3]" true (y >= -3 && y <= 3);
     let f = Engine.Rng.float rng 2.5 in
     Alcotest.(check bool) "float in [0,2.5)" true (f >= 0. && f < 2.5)
   done
@@ -197,7 +186,7 @@ let test_rng_moments () =
   Alcotest.(check bool) "normal mean ~5" true
     (Float.abs (Engine.Stats.Online.mean acc -. 5.) < 0.05);
   Alcotest.(check bool) "normal sd ~1" true
-    (Float.abs (Engine.Stats.Online.stddev acc -. 1.) < 0.05)
+    (Float.abs (Float.sqrt (Engine.Stats.Online.variance acc) -. 1.) < 0.05)
 
 let test_rng_lognormal_median () =
   let rng = Engine.Rng.create 6 in
@@ -211,14 +200,6 @@ let test_rng_lognormal_median () =
     true
     (med > 9. && med < 11.)
 
-let test_rng_shuffle_permutation () =
-  let rng = Engine.Rng.create 7 in
-  let arr = Array.init 50 (fun i -> i) in
-  Engine.Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
-
 let test_rng_pick_weighted () =
   let rng = Engine.Rng.create 8 in
   let counts = [| 0; 0 |] in
@@ -230,14 +211,6 @@ let test_rng_pick_weighted () =
   Alcotest.check_raises "zero weights"
     (Invalid_argument "Rng.pick_weighted: zero total weight") (fun () ->
       ignore (Engine.Rng.pick_weighted rng [| ((), 0.) |]))
-
-let test_rng_sample_without_replacement () =
-  let rng = Engine.Rng.create 9 in
-  let arr = Array.init 20 (fun i -> i) in
-  let s = Engine.Rng.sample_without_replacement rng 8 arr in
-  Alcotest.(check int) "size" 8 (Array.length s);
-  let distinct = List.sort_uniq Int.compare (Array.to_list s) in
-  Alcotest.(check int) "distinct" 8 (List.length distinct)
 
 let prop_rng_int_unbiased =
   QCheck2.Test.make ~name:"Rng.int covers the whole range"
@@ -993,6 +966,11 @@ let test_cdf_points () =
     [ (1., 0.25); (2., 0.5); (3., 1.) ]
     pts
 
+let samples_of xs =
+  let s = Engine.Stats.Samples.create () in
+  Array.iter (Engine.Stats.Samples.add s) xs;
+  s
+
 let test_samples_basic () =
   let s = Engine.Stats.Samples.create () in
   Alcotest.(check bool) "empty" true (Engine.Stats.Samples.is_empty s);
@@ -1012,14 +990,14 @@ let test_samples_basic () =
 let test_samples_cache_invalidation () =
   (* Query (populating the sorted cache), then add: the next query must
      see the new sample, not the stale cache. *)
-  let s = Engine.Stats.Samples.of_array [| 30.; 10.; 50. |] in
+  let s = samples_of [| 30.; 10.; 50. |] in
   Alcotest.(check (float 1e-9)) "median before" 30. (Engine.Stats.Samples.median s);
   Engine.Stats.Samples.add s 20.;
   Alcotest.(check (float 1e-9)) "median after add" 25. (Engine.Stats.Samples.median s);
-  Engine.Stats.Samples.add_all s [| 5.; 60. |];
-  Alcotest.(check (float 1e-9)) "p0 after add_all" 5.
+  Array.iter (Engine.Stats.Samples.add s) [| 5.; 60. |];
+  Alcotest.(check (float 1e-9)) "p0 after more adds" 5.
     (Engine.Stats.Samples.percentile s 0.);
-  Alcotest.(check (float 1e-9)) "p100 after add_all" 60.
+  Alcotest.(check (float 1e-9)) "p100 after more adds" 60.
     (Engine.Stats.Samples.percentile s 100.);
   Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
     "cdf points see every sample"
@@ -1031,7 +1009,7 @@ let prop_samples_match_array =
     QCheck2.Gen.(
       pair (list_size (int_range 1 50) (float_range 0. 100.)) (int_range 0 100))
     (fun (xs, p) ->
-      let s = Engine.Stats.Samples.of_array (Array.of_list xs) in
+      let s = samples_of (Array.of_list xs) in
       Float.abs
         (Engine.Stats.Samples.percentile s (float_of_int p)
         -. Engine.Stats.percentile (Array.of_list xs) (float_of_int p))
@@ -1066,16 +1044,8 @@ let test_timeseries_basic () =
   Engine.Timeseries.record ts (Engine.Time.ms 1) 1.;
   Engine.Timeseries.record ts (Engine.Time.ms 3) 3.;
   Alcotest.(check int) "length" 2 (Engine.Timeseries.length ts);
-  Alcotest.(check (option (float 1e-9))) "value_at before" None
-    (Engine.Timeseries.value_at ts Engine.Time.zero);
-  Alcotest.(check (option (float 1e-9))) "value_at step" (Some 1.)
-    (Engine.Timeseries.value_at ts (Engine.Time.ms 2));
-  Alcotest.(check (option (float 1e-9))) "value_at exact" (Some 3.)
-    (Engine.Timeseries.value_at ts (Engine.Time.ms 3));
   Alcotest.(check (option (float 1e-9))) "max" (Some 3.)
-    (Engine.Timeseries.max_value ts);
-  Alcotest.(check (option time)) "time of max" (Some (Engine.Time.ms 3))
-    (Engine.Timeseries.time_of_max ts)
+    (Engine.Timeseries.max_value ts)
 
 let test_timeseries_backwards_rejected () =
   let ts = Engine.Timeseries.create () in
@@ -1094,15 +1064,11 @@ let test_timeseries_resample () =
   Alcotest.(check int) "sample count" 3 (Array.length samples);
   Alcotest.(check (float 1e-9)) "before first repeats first" 10. (snd samples.(0));
   Alcotest.(check (float 1e-9)) "mid" 10. (snd samples.(1));
-  Alcotest.(check (float 1e-9)) "after second" 20. (snd samples.(2))
-
-let test_rng_pareto_scale () =
-  let rng = Engine.Rng.create 10 in
-  (* Pareto samples are never below the scale parameter. *)
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "above scale" true
-      (Engine.Rng.pareto rng ~shape:2. ~scale:3. >= 3.)
-  done
+  Alcotest.(check (float 1e-9)) "after second" 20. (snd samples.(2));
+  let exact =
+    Engine.Timeseries.resample ts ~step:(Engine.Time.ms 5) ~stop:(Engine.Time.ms 15)
+  in
+  Alcotest.(check (float 1e-9)) "at a recorded instant" 20. (snd exact.(3))
 
 let test_every_invalid_period () =
   let sim = Engine.Sim.create () in
@@ -1121,28 +1087,21 @@ let test_trace_registry () =
   Alcotest.(check (list string)) "keys sorted" [ "a/x"; "b/y" ] (Engine.Trace.keys tr);
   Alcotest.(check int) "series length" 2
     (Engine.Timeseries.length (Engine.Trace.series tr "a/x"));
-  Alcotest.(check bool) "find missing" true (Engine.Trace.find tr "zzz" = None);
-  let buf = Buffer.create 64 in
-  Engine.Trace.to_csv tr buf;
-  let csv = Buffer.contents buf in
-  Alcotest.(check bool) "csv header" true
-    (String.length csv > 0 && String.sub csv 0 19 = "series,time_s,value")
+  Alcotest.(check bool) "find missing" true (Engine.Trace.find tr "zzz" = None)
 
 let test_trace_events () =
   let tr = Engine.Trace.create () in
-  Alcotest.(check int) "empty" 0 (Engine.Trace.event_count tr);
+  Alcotest.(check int) "empty" 0 (List.length (Engine.Trace.events tr));
   Engine.Trace.record_event tr Engine.Trace.Fault ~subject:"link/a" ~detail:"down"
     (Engine.Time.ms 10);
   Engine.Trace.record_event tr Engine.Trace.Recovery ~subject:"link/a" ~detail:"up"
     (Engine.Time.ms 30);
   Engine.Trace.record_event tr Engine.Trace.Abort ~subject:"xfer" (Engine.Time.ms 20);
   let evs = Engine.Trace.events tr in
-  Alcotest.(check int) "count" 3 (Engine.Trace.event_count tr);
+  Alcotest.(check int) "count" 3 (List.length evs);
   Alcotest.(check (list string)) "insertion order preserved"
     [ "link/a"; "link/a"; "xfer" ]
     (List.map (fun e -> e.Engine.Trace.subject) evs);
-  Alcotest.(check int) "filter by kind" 1
-    (List.length (Engine.Trace.events_with tr Engine.Trace.Fault));
   Alcotest.(check string) "kind names" "fault,recovery,abort"
     (String.concat ","
        (List.map Engine.Trace.kind_to_string
@@ -1223,8 +1182,9 @@ let gen_weights ~seed ~shape n =
         w.(Engine.Rng.int r n) <- 1e9;
         w
     | 3 ->
-        let shape = Engine.Rng.float_in r 0.5 1.5 in
-        Array.init n (fun _ -> Engine.Rng.pareto r ~shape ~scale:1.)
+        (* Pareto by inversion, shape in [0.5, 1.5), scale 1. *)
+        let shape = 0.5 +. Engine.Rng.float r 1. in
+        Array.init n (fun _ -> 1. /. Float.pow (1. -. Engine.Rng.float r 1.) (1. /. shape))
     | 4 -> Array.init n (fun _ -> Engine.Rng.lognormal r ~mu:0. ~sigma:3.)
     | _ -> Array.make n 1.
   in
@@ -1938,7 +1898,6 @@ let () =
         [
           Alcotest.test_case "rate constructors" `Quick test_rate_constructors;
           Alcotest.test_case "transmission time" `Quick test_transmission_time;
-          Alcotest.test_case "bdp" `Quick test_bdp;
           Alcotest.test_case "sizes" `Quick test_sizes;
         ] );
       ( "rng",
@@ -1949,11 +1908,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "moments" `Slow test_rng_moments;
           Alcotest.test_case "lognormal median" `Slow test_rng_lognormal_median;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "weighted pick" `Slow test_rng_pick_weighted;
-          Alcotest.test_case "sample without replacement" `Quick
-            test_rng_sample_without_replacement;
-          Alcotest.test_case "pareto scale bound" `Quick test_rng_pareto_scale;
           Alcotest.test_case "weighted draw edges" `Quick test_rng_weighted_edges;
           Alcotest.test_case "weighted create errors" `Quick test_rng_weighted_errors;
         ] );

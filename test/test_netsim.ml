@@ -352,32 +352,52 @@ let test_topology_star () =
       Alcotest.(check bool) "no leaf-leaf" true (Netsim.Topology.link topo l0 l1 = None)
   | _ -> Alcotest.fail "expected two leaves"
 
+(* Two routers joined by one bottleneck link, [left] leaves on one and
+   [right] leaves on the other, each leaf a (rate, delay) access link. *)
+let dumbbell sim ~left ~right ~bottleneck_rate ~bottleneck_delay =
+  let topo = Netsim.Topology.create sim in
+  let router_l = Netsim.Topology.add_node topo ~name:"routerL" in
+  let router_r = Netsim.Topology.add_node topo ~name:"routerR" in
+  Netsim.Topology.connect topo router_l router_r ~rate:bottleneck_rate
+    ~delay:bottleneck_delay ();
+  let attach router (rate, delay) =
+    let id = Netsim.Topology.add_node topo ~name:"leaf" in
+    Netsim.Topology.connect topo id router ~rate ~delay ();
+    id
+  in
+  let ls = List.map (attach router_l) left in
+  let rs = List.map (attach router_r) right in
+  (topo, ls, rs)
+
+(* Summed one-way propagation delay of the links along [path], or
+   [None] when [path] is. *)
+let route_delay topo path =
+  let rec sum acc = function
+    | a :: (b :: _ as rest) -> (
+        match Netsim.Topology.link topo a b with
+        | Some l -> sum (Engine.Time.add acc (Netsim.Link.delay l)) rest
+        | None -> Alcotest.fail "route crosses a missing link")
+    | [ _ ] | [] -> acc
+  in
+  Option.map (sum Engine.Time.zero) path
+
 let test_topology_dumbbell () =
   let sim = Engine.Sim.create () in
   let fast = Engine.Units.Rate.mbit 10 and d = Engine.Time.ms 2 in
-  let topo, (ls, rs) =
-    Netsim.Topology.dumbbell sim
-      ~left:[ ("a", fast, d); ("b", fast, d) ]
-      ~right:[ ("x", fast, d) ]
+  let topo, ls, rs =
+    dumbbell sim ~left:[ (fast, d); (fast, d) ] ~right:[ (fast, d) ]
       ~bottleneck_rate:(Engine.Units.Rate.mbit 1)
-      ~bottleneck_delay:(Engine.Time.ms 20) ()
+      ~bottleneck_delay:(Engine.Time.ms 20)
   in
   Alcotest.(check int) "2 routers + 3 leaves" 5 (Netsim.Topology.node_count topo);
   let net = Netsim.Network.create topo in
-  (match (ls, rs) with
+  match (ls, rs) with
   | [ a; _ ], [ x ] ->
       Alcotest.(check (option int)) "a to x crosses 3 links" (Some 3)
         (Netsim.Network.hop_count net a x);
       Alcotest.(check (option time)) "path delay" (Some (Engine.Time.ms 24))
-        (Netsim.Network.path_delay net a x)
-  | _ -> Alcotest.fail "unexpected shape");
-  Alcotest.(check bool) "empty side rejected" true
-    (try
-       ignore
-         (Netsim.Topology.dumbbell sim ~left:[] ~right:[ ("x", fast, d) ]
-            ~bottleneck_rate:fast ~bottleneck_delay:d ());
-       false
-     with Invalid_argument _ -> true)
+        (route_delay topo (Netsim.Network.path net a x))
+  | _ -> Alcotest.fail "unexpected shape"
 
 (* ------------------------------------------------------------------ *)
 (* Network *)
@@ -404,7 +424,7 @@ let test_network_routing () =
         (Some [ Netsim.Node_id.to_int l0; Netsim.Node_id.to_int hub; Netsim.Node_id.to_int l1 ])
         (Option.map (List.map Netsim.Node_id.to_int) (Netsim.Network.path net l0 l1));
       Alcotest.(check (option time)) "path delay" (Some (Engine.Time.ms 10))
-        (Netsim.Network.path_delay net l0 l1)
+        (route_delay (Netsim.Network.topology net) (Netsim.Network.path net l0 l1))
   | _ -> Alcotest.fail "expected three leaves"
 
 let test_network_delivery () =
@@ -619,7 +639,7 @@ let next_hop net a b =
    reference below can replay the same sequence).  Delays come from a
    three-value set, zero included, so equal-cost routes tie often. *)
 type shape =
-  | Graph of int * (int * int * int * bool) list  (* nodes, (a, b, delay, duplex) *)
+  | Graph of int * (int * int * int) list  (* nodes, (a, b, delay) *)
   | Star of int list  (* leaf delays *)
   | Line of int * int  (* nodes, delay *)
   | Dumbbell of int list * int list * int
@@ -637,16 +657,10 @@ let build_shape shape =
         Array.init n (fun i -> Netsim.Topology.add_node topo ~name:(string_of_int i))
       in
       List.iter
-        (fun (a, b, d, duplex) ->
+        (fun (a, b, d) ->
           let a = ids.(a mod n) and b = ids.(b mod n) in
-          let free x y = Netsim.Topology.link topo x y = None in
-          if not (Netsim.Node_id.equal a b) then
-            if duplex then begin
-              if free a b && free b a then
-                Netsim.Topology.connect topo a b ~rate ~delay:(delay_of d) ()
-            end
-            else if free a b then
-              Netsim.Topology.connect_directed topo a b ~rate ~delay:(delay_of d) ())
+          if (not (Netsim.Node_id.equal a b)) && Netsim.Topology.link topo a b = None then
+            Netsim.Topology.connect topo a b ~rate ~delay:(delay_of d) ())
         edges;
       topo
   | Star ds ->
@@ -658,38 +672,28 @@ let build_shape shape =
            ~names:(List.init n string_of_int)
            ~rate ~delay:(delay_of d) ())
   | Dumbbell (l, r, d) ->
-      fst
-        (Netsim.Topology.dumbbell sim ~left:(leaves l) ~right:(leaves r)
-           ~bottleneck_rate:rate ~bottleneck_delay:(delay_of d) ())
+      let access ds = List.map (fun d -> (rate, delay_of d)) ds in
+      let topo, _, _ =
+        dumbbell sim ~left:(access l) ~right:(access r) ~bottleneck_rate:rate
+          ~bottleneck_delay:(delay_of d)
+      in
+      topo
 
 (* Shapes rich in single-link nodes, as [Graph] connect sequences: the
    leaves of random trees, the ends of pendant chains off a hub, both
-   ends of a 2-node component, nodes whose one link points only out (or
-   only in), and isolated nodes. *)
+   ends of a 2-node component, and isolated nodes. *)
 let gen_single_link_graph =
   QCheck2.Gen.(
     let delay = int_range 0 2 in
-    (* 0 = duplex, 1 = child -> parent only, 2 = parent -> child only. *)
-    let direction = frequency [ (6, pure 0); (1, pure 1); (1, pure 2) ] in
-    let edge ~dir a b d =
-      match dir with
-      | 0 -> (a, b, d, true)
-      | 1 -> (b, a, d, false)
-      | _ -> (a, b, d, false)
-    in
     oneof
       [
         (* A random tree: node i hangs off an earlier node. *)
         (let* n = int_range 2 16 in
-         let* links = list_repeat (n - 1) (triple (int_range 0 15) delay direction) in
+         let* links = list_repeat (n - 1) (pair (int_range 0 15) delay) in
          return
-           (Graph
-              ( n,
-                List.mapi (fun i (p, d, dir) -> edge ~dir (p mod (i + 1)) (i + 1) d) links
-              )));
+           (Graph (n, List.mapi (fun i (p, d) -> (p mod (i + 1), i + 1, d)) links)));
         (* A hub with leaves, some of them extended by a pendant chain. *)
         (let* chains = list_size (int_range 1 6) (pair (int_range 0 3) delay) in
-         let* dir = direction in
          let next = ref 1 in
          let edges =
            List.concat_map
@@ -701,20 +705,19 @@ let gen_single_link_graph =
                      let a = if k = 0 then leaf else !next - 1 in
                      let b = !next in
                      incr next;
-                     edge ~dir:(if k = len - 1 then dir else 0) a b d)
+                     (a, b, d))
                in
-               (0, leaf, d, true) :: chain)
+               (0, leaf, d) :: chain)
              chains
          in
          return (Graph (!next, edges)));
-        (* 2-node components, one-way pairs and isolated nodes beside a
-           small star. *)
-        (let* pairs = list_size (int_range 0 4) (pair delay direction) in
+        (* 2-node components and isolated nodes beside a small star. *)
+        (let* pairs = list_size (int_range 0 4) delay in
          let* leaves = list_size (int_range 0 4) delay in
          let* isolated = int_range 0 3 in
-         let pair_edges = List.mapi (fun i (d, dir) -> edge ~dir (2 * i) ((2 * i) + 1) d) pairs in
+         let pair_edges = List.mapi (fun i d -> (2 * i, (2 * i) + 1, d)) pairs in
          let hub = 2 * List.length pairs in
-         let star_edges = List.mapi (fun i d -> (hub, hub + 1 + i, d, true)) leaves in
+         let star_edges = List.mapi (fun i d -> (hub, hub + 1 + i, d)) leaves in
          return
            (Graph (hub + 1 + List.length leaves + isolated, pair_edges @ star_edges)));
       ])
@@ -727,7 +730,7 @@ let gen_shape =
         (* Graph nodes beyond the edges' reach stay disconnected. *)
         (let* n = int_range 1 12 in
          let* edges =
-           list_size (int_range 0 30) (quad (int_range 0 11) (int_range 0 11) delay bool)
+           list_size (int_range 0 30) (triple (int_range 0 11) (int_range 0 11) delay)
          in
          return (Graph (n, edges)));
         map (fun ds -> Star ds) (list_size (int_range 1 12) delay);
@@ -791,7 +794,8 @@ let prop_routes_match_reference =
           let metrics = ref_route_metrics topo want a b in
           if next_hop net a b <> want.(a).(b) then ok := false;
           if Netsim.Network.hop_count net ia ib <> Option.map fst metrics then ok := false;
-          if Netsim.Network.path_delay net ia ib <> Option.map snd metrics then ok := false;
+          if route_delay topo (Netsim.Network.path net ia ib) <> Option.map snd metrics
+          then ok := false;
           let expected =
             if metrics <> None then `Delivered
             else
@@ -804,8 +808,9 @@ let prop_routes_match_reference =
 
 (* [Topology.links] must enumerate in the order of the table of
    per-node assoc lists it replaced: fault schedules draw per link in
-   that order.  The reference replays the same directed connections,
-   in the same order, into that table.  [links] keeps its array, so the
+   that order.  The reference replays the same directed links, in the
+   same order ([a->b] then [b->a] for each duplex connection), into
+   that table.  [links] keeps its array, so the
    property also reads it halfway through the connections: a connection
    made after a call must show in the next one. *)
 let ref_link_order connections =
@@ -834,11 +839,11 @@ let gen_connections =
       [
         (let* n = int_range 2 300 in
          let* pairs =
-           list_size (int_range 0 400) (triple (int_range 0 299) (int_range 0 299) bool)
+           list_size (int_range 0 400) (pair (int_range 0 299) (int_range 0 299))
          in
-         return (n, List.map (fun (a, b, duplex) -> (a mod n, b mod n, duplex)) pairs));
+         return (n, List.map (fun (a, b) -> (a mod n, b mod n)) pairs));
         map
-          (fun n -> (n, List.init (n - 1) (fun i -> (i + 1, 0, true))))
+          (fun n -> (n, List.init (n - 1) (fun i -> (i + 1, 0))))
           (int_range 2 300);
       ])
 
@@ -854,11 +859,10 @@ let prop_links_order_matches_reference =
       in
       let made = ref [] in
       let connect a b =
-        Netsim.Topology.connect_directed topo ids.(a) ids.(b)
+        Netsim.Topology.connect topo ids.(a) ids.(b)
           ~rate:(Engine.Units.Rate.mbit 8) ~delay:Engine.Time.zero ();
-        made := (a, b) :: !made
+        made := (b, a) :: (a, b) :: !made
       in
-      let free a b = Netsim.Topology.link topo ids.(a) ids.(b) = None in
       let ends l =
         ( Netsim.Node_id.to_int (Netsim.Link.src l),
           Netsim.Node_id.to_int (Netsim.Link.dst l) )
@@ -870,12 +874,9 @@ let prop_links_order_matches_reference =
       let half = List.length pairs / 2 in
       let midway = ref true in
       List.iteri
-        (fun i (a, b, duplex) ->
+        (fun i (a, b) ->
           if i = half then midway := matches ();
-          if a <> b && free a b && ((not duplex) || free b a) then begin
-            connect a b;
-            if duplex then connect b a
-          end)
+          if a <> b && Netsim.Topology.link topo ids.(a) ids.(b) = None then connect a b)
         pairs;
       !midway && matches ())
 

@@ -179,8 +179,7 @@ let test_validate_config_rejects () =
   bad "no slots" { small_config with slots = 0 };
   bad "zero think" { small_config with mean_think = Engine.Time.zero };
   bad "diurnal amplitude > 0.95" { small_config with diurnal_amplitude = 1.2 };
-  bad "elephant fraction > 1" { small_config with elephant_fraction = 1.5 };
-  bad "cwnd cap below initial" { small_config with cwnd_cap = 0 }
+  bad "elephant fraction > 1" { small_config with elephant_fraction = 1.5 }
 
 (* Small-scale shape check against the paper's Figure 1c: on a paired
    seed, CircuitStart's early compensation beats slow start at the

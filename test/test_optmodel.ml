@@ -98,8 +98,7 @@ let prop_window_cells_match_closed_form =
          nanoseconds, the reference in float seconds, and the two can
          land on opposite sides of a ceil boundary. *)
       abs (got - reference) <= 1
-      && Optmodel.Optimal_window.source_window_cells p = got
-      && Optmodel.Optimal_window.source_window_bytes p = got * 520)
+      && Optmodel.Optimal_window.source_window_cells p = got)
 
 let prop_window_monotone_in_rate =
   QCheck2.Test.make ~name:"optimal window grows with bottleneck rate"

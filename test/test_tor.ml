@@ -31,10 +31,9 @@ let test_cell_data_validation () =
 let test_cell_predicates () =
   let c = Tor_model.Circuit_id.of_int 1 in
   let data = Tor_model.Cell.data c ~layers:2 ~stream_id:0 ~seq:0 ~length:10 ~last:false in
-  Alcotest.(check bool) "relay" true (Tor_model.Cell.is_relay data);
-  Alcotest.(check bool) "create not relay" false
-    (Tor_model.Cell.is_relay (Tor_model.Cell.make c Tor_model.Cell.Create));
-  Alcotest.(check bool) "relay_cmd" true (Tor_model.Cell.relay_cmd data <> None)
+  Alcotest.(check bool) "relay_cmd" true (Tor_model.Cell.relay_cmd data <> None);
+  Alcotest.(check bool) "create has no relay_cmd" true
+    (Tor_model.Cell.relay_cmd (Tor_model.Cell.make c Tor_model.Cell.Create) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Onion layering *)
@@ -152,14 +151,6 @@ let test_directory_bandwidth_bias () =
     (Printf.sprintf "fast relay chosen ~82%% (got %d/%d)" !fast_first n)
     true
     (!fast_first > (n * 7 / 10) && !fast_first < (n * 95 / 100))
-
-let test_directory_find_by_node () =
-  let dir = Tor_model.Directory.create () in
-  Tor_model.Directory.add dir (mk_relay ~node:3 ~mbit:1 ());
-  Alcotest.(check bool) "found" true
-    (Tor_model.Directory.find_by_node dir (Netsim.Node_id.of_int 3) <> None);
-  Alcotest.(check bool) "absent" true
-    (Tor_model.Directory.find_by_node dir (Netsim.Node_id.of_int 9) = None)
 
 let test_cell_printer () =
   Tor_model.Cell.register_printer ();
@@ -827,7 +818,6 @@ let () =
           Alcotest.test_case "exclusion honoured" `Slow test_directory_exclude;
           Alcotest.test_case "uniform selection" `Slow test_directory_uniform_selection;
           Alcotest.test_case "selection strings" `Quick test_selection_strings;
-          Alcotest.test_case "find by node" `Quick test_directory_find_by_node;
           Alcotest.test_case "cell printer" `Quick test_cell_printer;
         ] );
       ( "circuit",
