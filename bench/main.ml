@@ -83,7 +83,7 @@ let fig1_panel ~name ~distance () =
     optimal r.optimal_source_cells (kb r.peak_cells) (kb r.settled_cells)
     (match r.exit_cells with Some c -> string_of_int c | None -> "-")
     (match r.time_to_last_byte with
-    | Some t -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f t)
+    | Some t -> Analysis.Table.cell_time t
     | None -> "incomplete");
   write_csv
     (Printf.sprintf "%s_cwnd.csv" name)
@@ -237,7 +237,7 @@ let table_gamma () =
           Printf.sprintf "%.0f" r.settled_cells;
           Printf.sprintf "%.0f" (Float.abs (r.settled_cells -. float_of_int r.optimal_source_cells));
           (match r.time_to_last_byte with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+          | Some x -> Analysis.Table.cell_time x
           | None -> "-");
         ])
     gammas results;
@@ -283,7 +283,7 @@ let table_distance () =
           Printf.sprintf "%.0f" r.settled_cells;
           Printf.sprintf "%.0f" (Float.abs (r.settled_cells -. opt));
           (match r.time_to_last_byte with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+          | Some x -> Analysis.Table.cell_time x
           | None -> "-");
         ])
     cases results;
@@ -368,7 +368,7 @@ let table_compensation () =
           Printf.sprintf "%.0f" r.settled_cells;
           string_of_int r.optimal_source_cells;
           (match r.time_to_last_byte with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+          | Some x -> Analysis.Table.cell_time x
           | None -> "-");
         ])
     cases results;
@@ -491,7 +491,7 @@ let table_loss () =
           string_of_int r.retransmissions;
           Printf.sprintf "%.0f" r.settled_cells;
           (match r.time_to_last_byte with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+          | Some x -> Analysis.Table.cell_time x
           | None -> "-");
         ])
     cases results;
@@ -580,7 +580,7 @@ let table_cross () =
           | Some s -> Printf.sprintf "%.0f%%" (s *. 100.)
           | None -> "-");
           (match r.time_to_last_byte with
-          | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+          | Some x -> Analysis.Table.cell_time x
           | None -> "-");
         ])
     loads results;
@@ -657,13 +657,13 @@ let fault_row (r : Workload.Fault_experiment.result) =
   [
     Workload.Fault_experiment.outcome_to_string r.outcome;
     (match r.time_to_last_byte with
-    | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+    | Some x -> Analysis.Table.cell_time x
     | None -> "-");
     Printf.sprintf "%.2f" (r.goodput_bps /. 1e6);
     string_of_int r.retransmissions;
     string_of_int r.drops.Netsim.Link.fault_injected;
     (match r.failed_after with
-    | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+    | Some x -> Analysis.Table.cell_time x
     | None -> "-");
   ]
 
@@ -735,7 +735,7 @@ let table_recovery () =
       crash_at = Some (Engine.Time.ms 300) }
   in
   let seconds = function
-    | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+    | Some x -> Analysis.Table.cell_time x
     | None -> "-"
   in
   paired_rows
@@ -787,7 +787,7 @@ let table_overload () =
            string_of_int r.oom_kills;
            string_of_int r.rebuilds;
            (match r.mean_ttlb with
-           | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+           | Some x -> Analysis.Table.cell_time x
            | None -> "-");
            Printf.sprintf "%.2f Mbit/s" (r.goodput_bps /. 1e6);
            Format.asprintf "%a" Engine.Units.pp_bytes r.relay_byte_hwm;

@@ -130,6 +130,14 @@ let flag_errors checks =
       else Some (Printf.sprintf "%s must be %s (got %d)" flag want got))
     checks
 
+(* An optional [flag] value in seconds as a duration.  A non-finite
+   value is a usage error here: [Time.of_sec_f] rejects it with an
+   exception. *)
+let seconds_opt flag = function
+  | None -> Ok None
+  | Some x when Float.is_finite x -> Ok (Some (Engine.Time.of_sec_f x))
+  | Some x -> Error (Printf.sprintf "%s must be a finite number of seconds (got %g)" flag x)
+
 (* The numbers of a comma-separated [flag] value, or its usage error. *)
 let number_list flag s =
   let xs = List.map float_of_string_opt (String.split_on_char ',' s) in
@@ -184,7 +192,7 @@ let run_trace strategy distance bottleneck_mbit kib gamma stats csv =
         r.optimal_source_cells r.propagated_cells r.peak_cells r.settled_cells
         (match r.exit_cells with Some c -> string_of_int c | None -> "-")
         (match r.time_to_last_byte with
-        | Some t -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f t)
+        | Some t -> Analysis.Table.cell_time t
         | None -> "incomplete")
         r.retransmissions;
       if stats then
@@ -418,7 +426,7 @@ let run_cross load kib =
         | Some s -> Printf.sprintf "%.0f%%" (s *. 100.)
         | None -> "-")
         (match r.time_to_last_byte with
-        | Some t -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f t)
+        | Some t -> Analysis.Table.cell_time t
         | None -> "incomplete");
       `Ok ()
 
@@ -482,7 +490,7 @@ let run_sweep param values strategy jobs =
               Printf.sprintf "%.0f" r.settled_cells;
               string_of_int r.optimal_source_cells;
               (match r.time_to_last_byte with
-              | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+              | Some x -> Analysis.Table.cell_time x
               | None -> "-");
             ])
         tasks results;
@@ -508,7 +516,7 @@ let sweep_cmd =
 (* Paired experiments: faults, recover, overload, network, churn-scale *)
 
 let seconds_cell = function
-  | Some x -> Printf.sprintf "%.3fs" (Engine.Time.to_sec_f x)
+  | Some x -> Analysis.Table.cell_time x
   | None -> "-"
 
 let mbit_cell bps = Printf.sprintf "%.2f Mbit/s" (bps /. 1e6)
@@ -554,23 +562,37 @@ let run_paired (type c r)
 
 let run_faults loss burst outage crash distance kib strategy seed jobs verbose
     =
-  let loss_model =
-    match (loss, burst) with
-    | Some _, Some _ -> Error "use either --loss or --burst-loss, not both"
-    | Some p, None -> Ok (Some (Netsim.Faults.Bernoulli p))
-    | None, Some p ->
-        (* Fixed transition probabilities give a mean bad episode of 5
-           cells; --burst-loss sets how lossy those episodes are. *)
-        Ok
-          (Some
-             (Netsim.Faults.Gilbert_elliott
-                { p_good_to_bad = 0.01; p_bad_to_good = 0.2; loss_good = 0.;
-                  loss_bad = p }))
-    | None, None -> Ok None
+  let ( let* ) = Result.bind in
+  let config =
+    let* loss =
+      match (loss, burst) with
+      | Some _, Some _ -> Error "use either --loss or --burst-loss, not both"
+      | Some p, None -> Ok (Some (Netsim.Faults.Bernoulli p))
+      | None, Some p ->
+          (* Fixed transition probabilities give a mean bad episode of 5
+             cells; --burst-loss sets how lossy those episodes are. *)
+          Ok
+            (Some
+               (Netsim.Faults.Gilbert_elliott
+                  { p_good_to_bad = 0.01; p_bad_to_good = 0.2; loss_good = 0.;
+                    loss_bad = p }))
+      | None, None -> Ok None
+    in
+    let* down = seconds_opt "--outage" (Option.map fst outage) in
+    let* up = seconds_opt "--outage" (Option.map snd outage) in
+    let* crash_at = seconds_opt "--crash-at" crash in
+    Ok
+      { Workload.Fault_experiment.default_config with
+        Workload.Fault_experiment.bottleneck_distance = distance;
+        transfer_bytes = Engine.Units.kib kib;
+        loss;
+        outage = (match (down, up) with Some a, Some b -> Some (a, b) | _ -> None);
+        crash_at;
+      }
   in
-  match loss_model with
+  match config with
   | Error msg -> `Error (false, msg)
-  | Ok loss ->
+  | Ok config ->
       run_paired
         (module Workload.Fault_experiment)
         ~columns:
@@ -590,17 +612,7 @@ let run_faults loss burst outage crash distance kib strategy seed jobs verbose
         ?events:
           (if verbose then Some (fun r -> r.Workload.Fault_experiment.events)
            else None)
-        strategy seed jobs
-        { Workload.Fault_experiment.default_config with
-          Workload.Fault_experiment.bottleneck_distance = distance;
-          transfer_bytes = Engine.Units.kib kib;
-          loss;
-          outage =
-            Option.map
-              (fun (a, b) -> (Engine.Time.of_sec_f a, Engine.Time.of_sec_f b))
-              outage;
-          crash_at = Option.map Engine.Time.of_sec_f crash;
-        }
+        strategy seed jobs config
 
 let faults_cmd =
   let loss =
@@ -654,11 +666,15 @@ let faults_cmd =
 
 let run_recover crash position selection max_rebuilds kib strategy seed jobs
     verbose =
-  match Tor_model.Directory.selection_of_string selection with
-  | None ->
+  match
+    ( Tor_model.Directory.selection_of_string selection,
+      seconds_opt "--crash-at" crash )
+  with
+  | None, _ ->
       `Error
         (false, Printf.sprintf "unknown selection policy %S (bandwidth|uniform)" selection)
-  | Some selection ->
+  | _, Error msg -> `Error (false, msg)
+  | Some selection, Ok crash_at ->
       run_paired
         (module Workload.Overload_experiment)
         ~columns:
@@ -691,7 +707,7 @@ let run_recover crash position selection max_rebuilds kib strategy seed jobs
         strategy seed jobs
         { Workload.Overload_experiment.recovery_config with
           Workload.Overload_experiment.transfer_bytes = Engine.Units.kib kib;
-          crash_at = Option.map Engine.Time.of_sec_f crash;
+          crash_at;
           crash_position = position;
           selection;
           max_rebuilds;

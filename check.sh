@@ -28,16 +28,6 @@ done
 echo "== overload smoke: torsim overload (flash crowd vs budgets) =="
 dune exec bin/torsim.exe -- overload --sessions 8 --kib 32 --seed 7
 
-echo "== star smoke: torsim cdf, one run per transport (packet-level, small) =="
-# The paper's packet-level star (Figure 1c) end to end: every transport
-# must complete all of its circuits.
-for transport in cs ss pr sendme; do
-  out=$(dune exec bin/torsim.exe -- cdf --circuits 10 --relays 12 --kib 64 --seed 7 --transport "$transport")
-  last=$(printf '%s\n' "$out" | tail -n 1)
-  echo "$transport: $last"
-  case "$last" in "completed 10/10 "*) ;; *) echo "star smoke failed" >&2; exit 1 ;; esac
-done
-
 echo "== examples smoke: multi_stream (three streams over one circuit) =="
 # The only caller of Transfer.deploy_streams: each of its three streams
 # must report its completion.
@@ -48,34 +38,30 @@ for id in 1 2 3; do
     || { echo "multi_stream smoke failed: stream $id did not finish" >&2; exit 1; }
 done
 
-echo "== network smoke: torsim network (consensus-scale, small) =="
-dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7
-
-echo "== churn smoke: torsim churn-scale (moving consensus, small) =="
-dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7
-
 echo "== predictive smoke: torsim network --strategy predictive =="
 # The receding-horizon backend pinned end to end: a small
 # consensus-scale run must complete under the planner alone.
 dune exec bin/torsim.exe -- network --strategy predictive --relays 100 --circuits 400 --lifetimes 2000 --seed 7
 
-echo "== shard smoke: --shards 2 and 4 (--jobs 2) byte-identical to the default =="
+echo "== shard smoke: torsim network (consensus-scale, small), and --shards 2 and 4 (--jobs 2) byte-identical to it =="
 # The result is a function of (seed, config), whatever --jobs and
 # --shards are.  At four shards every shard domain reads the shared
 # relay draw tables at once.
 s1=$(mktemp) && s2=$(mktemp) && s4=$(mktemp)
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 > "$s1"
+cat "$s1"
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$s2"
 dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 4 --jobs 2 > "$s4"
 diff "$s1" "$s2"
 diff "$s1" "$s4"
 rm -f "$s1" "$s2" "$s4"
 
-echo "== churn shard smoke: churn-scale --shards 2 and 4 (--jobs 2) byte-identical to the default =="
+echo "== churn shard smoke: torsim churn-scale (moving consensus, small), and --shards 2 and 4 (--jobs 2) byte-identical to it =="
 # The same guarantee with churn on: kill sweeps, resumes and epoch
 # refreshes at the barriers may not depend on the partition either.
 c1=$(mktemp) && c2=$(mktemp) && c4=$(mktemp)
 dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 > "$c1"
+cat "$c1"
 dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$c2"
 dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 4 --jobs 2 > "$c4"
 cmp "$c1" "$c2"
@@ -99,28 +85,95 @@ echo "== churn invariant smoke: torsim check --kind churn --runs 100 --seed 42 =
 # round through a down relay or as departure residue.
 timeout 60 dune exec bin/torsim.exe -- check --kind churn --runs 100 --seed 42
 
-echo "== export report: lib/**/*.mli vals by outside use (report only) =="
-# A name-based scan: a val whose name no other OCaml file mentions has
-# no user; one mentioned only under test/ is used by tests alone.  A
-# grep cannot see through [open], a record field or a shadowing local
-# of the same name, so the lists are leads to read, not a gate.
-unused="" test_only=""
+echo "== export report: lib/**/*.mli vals by qualified outside use (report only) =="
+# A val [v] of [lib/<l>/<m>.mli] (module M) counts as used by another
+# .ml file that writes [M.v] ([Sub.v] for a val of submodule Sub, [A.v]
+# after [module A = M]), or a bare [v] after opening M ([open M],
+# [let open M in], [M.( ... )]).  Comments and string contents are
+# blanked first.  A module packed as [(module M)] uses the vals that a
+# module type declares; those are listed apart, by name.  Vals inside a
+# [module type] are not exports of their own.  Users are looked for in
+# lib, bin, bench, examples and perfbench; test/ is counted apart.  A
+# test-only export must say why in its doc paragraph: a test hook, a
+# test reference or the ROADMAP item that replaces it (a val of a
+# [Private] submodule is a test hook by its name).  The report never
+# fails the script.
+src=$(mktemp -d)
+for f in $(find lib bin bench examples perfbench test -name '*.ml' | sort); do
+  mkdir -p "$src/${f%/*}"
+  awk '{
+    out = ""; n = length($0)
+    for (i = 1; i <= n; i++) {
+      c = substr($0, i, 1); c2 = substr($0, i, 2)
+      if (str) { if (c == "\\") i++; else if (c == "\"") { str = 0; out = out c }; continue }
+      if (c2 == "(*") { depth++; i++; continue }
+      if (depth && c2 == "*)") { depth--; i++; continue }
+      if (depth) continue
+      if (c == "\"") str = 1
+      out = out c
+    }
+    print out
+  }' "$f" > "$src/$f"
+done
+# Names a module type declares, and the modules packed as first-class values.
+sig_vals=$(awk '/^ *module type .*sig *$/ { s = 1; next } s && /^ *end/ { s = 0 }
+  s && /^ *val / { sub(/^ *val /, ""); sub(/[ :].*/, ""); print }' $(find lib -name '*.mli') | sort -u)
+packed=$(grep -rhoE "\(module ([A-Z][A-Za-z0-9_]*\.)*[A-Z][A-Za-z0-9_]*\)" "$src"/lib "$src"/bin "$src"/bench "$src"/examples "$src"/perfbench \
+  | sed -E 's/.*[ .]([A-Z][A-Za-z0-9_]*)\)$/\1/' | sort -u)
+b="(^|[^A-Za-z0-9_'])" e="([^A-Za-z0-9_']|\$)"
+# Module aliases, one "file:Alias:Module" line each ([let] local ones too).
+aliases=$(grep -rHE "^ *(let )?module [A-Z][A-Za-z0-9_]* = [A-Z][A-Za-z0-9_.]*( in)? *$" "$src" \
+  | sed -E 's/^([^:]*): *(let )?module ([A-Za-z0-9_]*) = ([A-Za-z0-9_]*\.)*([A-Za-z0-9_]*).*/\1:\3:\5/')
 for mli in $(find lib -name '*.mli' | sort); do
-  base=${mli%.mli}
-  for name in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
-    users=$(grep -rlw --include='*.ml' --include='*.mli' -e "$name" \
-              lib bin bench examples test perfbench \
-            | grep -v -x -e "$base.ml" -e "$base.mli" || true)
-    if [ -z "$users" ]; then
-      unused="$unused $mli:$name"
-    elif [ -z "$(printf '%s\n' "$users" | grep -v '^test/' || true)" ]; then
-      test_only="$test_only $mli:$name"
+  base=${mli%.mli} m=$(basename "$base")
+  M=$(printf '%s' "$m" | cut -c1 | tr a-z A-Z)$(printf '%s' "$m" | cut -c2-)
+  others=$(find "$src" -name '*.ml' | grep -v -x "$src/$base.ml")
+  openers=$(grep -lE "${b}(open!? ([A-Z][A-Za-z0-9_]*\.)*$M$e|([A-Z][A-Za-z0-9_]*\.)*$M\.\()" $others || true)
+  # One line per exported val: its submodule ("-" at top level), its
+  # name, and 1 if its doc paragraph names a hook, reference or item.
+  awk '
+    function flush() {
+      doc = para ~ /[Tt]est (hook|reference)|Test-only|ROADMAP item|fuzz hook/
+      for (k = 1; k <= np; k++) print pend[k], doc
+      np = 0; para = ""
+    }
+    /^ *$/ { flush(); next }
+    { para = para " " $0; gsub(/  +/, " ", para) }
+    /^ *module type .*sig *$/ { flush(); stack[++d] = "#"; next }
+    /^ *module [A-Z][A-Za-z0-9_]* *: *sig *$/ { flush(); stack[++d] = $2; next }
+    /^ *end *$/ { flush(); d--; next }
+    /^ *val [a-z_]/ {
+      skip = 0; for (k = 1; k <= d; k++) if (stack[k] == "#") skip = 1
+      if (!skip) { v = $0; sub(/^ *val /, "", v); sub(/[ :].*/, "", v)
+        pend[++np] = (d ? stack[d] : "-") " " v }
+    }
+    END { flush() }' "$mli" | sort -u -k1,2 | while read -r sub v documented; do
+    if [ "$sub" = "-" ]; then q=$M name=$M.$v; else q=$sub name=$M.$sub.$v; fi
+    users=$( (grep -lE "$b$q\.$v$e" $others
+              for a in $(printf '%s\n' "$aliases" | grep ":$q\$"); do
+                f=${a%%:*} a=${a#*:}; grep -lE "$b${a%:*}\.$v$e" "$f"; done
+              [ -z "$openers" ] || grep -lE "$b$v$e" $openers) 2>/dev/null | sort -u || true)
+    prog=$(printf '%s\n' "$users" | grep -v -e "^$src/test/" -e '^$' || true)
+    if [ -n "$prog" ]; then continue; fi
+    if printf '%s\n' "$packed" | grep -qx "$M" && printf '%s\n' "$sig_vals" | grep -qx "$v"; then
+      echo "R $name"
+    elif [ -z "$users" ]; then
+      echo "U $name"
+    elif [ "$documented" = 1 ] || [ "$sub" = Private ]; then
+      echo "T $name"
+    else
+      echo "D $name"
     fi
   done
+done > "$src/report"
+for kind in "U:no user outside the defining module" \
+            "R:used only as a module type requires (no other program user)" \
+            "D:used only under test/, doc names no hook, reference or ROADMAP item" \
+            "T:used only under test/, documented"; do
+  k=${kind%%:*}
+  echo "${kind#*:} ($(grep -c "^$k " "$src/report" || true)):"
+  grep "^$k " "$src/report" | sed 's/^. /  /' || true
 done
-echo "no user outside the defining module ($(echo $unused | wc -w)):"
-for v in $unused; do echo "  $v"; done
-echo "used only under test/ ($(echo $test_only | wc -w)):"
-for v in $test_only; do echo "  $v"; done
+rm -rf "$src"
 
 echo "OK"

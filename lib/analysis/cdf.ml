@@ -52,9 +52,6 @@ let points t =
   in
   go (n - 1) []
 
-let min_value t = t.sorted.(0)
-let max_value t = t.sorted.(count t - 1)
-let mean t = Array.fold_left ( +. ) 0. t.sorted /. float_of_int (count t)
 
 let grid = Array.init 99 (fun i -> float_of_int (i + 1) /. 100.)
 

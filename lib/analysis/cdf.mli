@@ -23,8 +23,6 @@ val of_sketch_opt : ?resolution:int -> Engine.Stats.Sketch.t -> t option
     that completed nothing has no curve) instead of an exception.
     Still raises on [resolution < 1]. *)
 
-val count : t -> int
-
 val quantile : t -> float -> float
 (** [quantile cdf q] for [q] in [\[0, 1\]]: the smallest sample [x]
     such that a fraction of at least [q] of the samples are [<= x].
@@ -33,10 +31,6 @@ val quantile : t -> float -> float
 val points : t -> (float * float) list
 (** Step points [(value, cumulative fraction)], ascending, one per
     distinct value. *)
-
-val min_value : t -> float
-val max_value : t -> float
-val mean : t -> float
 
 val horizontal_gap : better:t -> worse:t -> float
 (** The largest [quantile worse q - quantile better q] over a fine grid

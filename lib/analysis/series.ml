@@ -1,9 +1,6 @@
 type point = float * float
 type t = point array
 
-let resampled ts ~step ~stop ~x_of ~y_of =
-  Array.map (fun (time, v) -> (x_of time, y_of v)) (Engine.Timeseries.resample ts ~step ~stop)
-
 let ms_of_time = Engine.Time.to_ms_f
 let kb_of_cells ~cell_size cells = cells *. float_of_int cell_size /. 1000.
 

@@ -7,15 +7,6 @@
 type point = float * float
 type t = point array
 
-val resampled :
-  Engine.Timeseries.t ->
-  step:Engine.Time.t ->
-  stop:Engine.Time.t ->
-  x_of:(Engine.Time.t -> float) ->
-  y_of:(float -> float) ->
-  t
-(** Step-function resample then convert (for uniform plot grids). *)
-
 val ms_of_time : Engine.Time.t -> float
 (** x-axis helper: time in milliseconds. *)
 

@@ -456,8 +456,6 @@ let enqueue t cell ack_seq =
     if not t.aborted then pump t
   end
 
-let submit t cell = enqueue t cell (-1)
-
 let forward t ~ack_seq cell = enqueue t cell ack_seq
 
 let sample_rtt t rtt =

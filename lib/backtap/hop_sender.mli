@@ -42,10 +42,6 @@ val create :
     bound: a dead successor is declared unreachable after at most
     [sum of the backed-off RTOs] rather than retransmitting forever. *)
 
-val submit : t -> Tor_model.Cell.t -> unit
-(** Queue a cell that needs no ack; it is transmitted as soon as the
-    window allows. *)
-
 val set_forward_ack : t -> (int -> unit) -> unit
 (** Install the sender's one ack callback, run for the cells queued
     with {!forward} (default: does nothing). *)
@@ -91,7 +87,8 @@ val next_hop_seq : t -> int
     feedback must name a sequence strictly below it. *)
 
 val idle : t -> bool
-(** No backlog and nothing in flight. *)
+(** No backlog and nothing in flight.  Test reference: the sender
+    tests check that a window drained with it. *)
 
 val srtt : t -> Engine.Time.t option
 (** Smoothed RTT estimate, once at least one sample exists.  Test-only: an accessor that ROADMAP item 4's probes replace. *)

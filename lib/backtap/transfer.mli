@@ -90,13 +90,13 @@ val start : t -> unit
     called twice. *)
 
 val circuit : t -> Tor_model.Circuit.t
+(** Test hook: a [?probe] on [Workload.Overload_experiment.run] reads
+    the circuit each generation runs on. *)
+
 val complete : t -> bool
 val first_sent_at : t -> Engine.Time.t option
 
 val state : t -> state
-
-val failed : t -> bool
-(** The circuit died before completing. *)
 
 val failed_at : t -> Engine.Time.t option
 (** When the circuit failed ([None] unless {!failed}). *)

@@ -57,5 +57,6 @@ val check_scenario :
 
 val shrink : selection:Oracle.selection -> Scenario.t -> Scenario.t
 (** Greedy structural shrink while the failure persists (bounded).
-    Exposed for the test suite. *)
+    Test hook: the planted-bug tests shrink their failing scenario
+    with it. *)
 

@@ -58,7 +58,6 @@ type selection = {
 }
 
 val all : selection
-val none : selection
 
 val selection_of_string : string -> (selection, string) result
 (** ["all"], or a comma-separated subset of the field names of

@@ -200,7 +200,6 @@ let of_string line =
       shards;
     }
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal a b = a = b
 
 (* --- generation --------------------------------------------------- *)

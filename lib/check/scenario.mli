@@ -96,11 +96,13 @@ val of_string : string -> (t, string) result
     from before they existed still parse; a missing [shards] key means
     1, and [shards] below 1 is a parse error. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
+(** Test reference: the round-trip, determinism and shrink tests
+    compare scenarios with it. *)
 
 val gen : t QCheck2.Gen.t
-(** The QCheck generator behind {!generate}. *)
+(** The QCheck generator behind {!generate}.  Test hook: the string
+    round-trip property draws from it. *)
 
 val generate :
   ?only:kind -> ?strat:strategy -> seed:int -> index:int -> unit -> t

@@ -50,10 +50,3 @@ let validate t =
   else Ok t
 
 let with_gamma t gamma = { t with gamma }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "initial=%d min=%d max=%d gamma=%.1f alpha=%.1f beta=%.1f adaptive=%b \
-     horizon=%d cq=%.1f cu=%.1f"
-    t.initial_cwnd t.min_cwnd t.max_cwnd t.gamma t.alpha t.beta t.adaptive
-    t.horizon t.cost_queue t.cost_under

@@ -73,5 +73,3 @@ val validate : t -> (t, string) result
 
 val with_gamma : t -> float -> t
 (** [with_gamma p g] is [p] with [gamma = g]. *)
-
-val pp : Format.formatter -> t -> unit

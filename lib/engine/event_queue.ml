@@ -463,7 +463,6 @@ let peek_time q =
   if settle q then Some (Time.ns q.slab.(q.drain.(0) * stride)) else None
 
 let size q = q.live
-let is_empty q = q.live = 0
 
 let clear q =
   (* Every queued entry leaves the queue (a pending handle reads as

@@ -77,7 +77,8 @@ val pop : 'a t -> (Time.t * 'a) option
 (** [pop q] removes and returns the earliest event.  [None] iff the
     queue is empty.  Allocates an
     option and a tuple per call; the simulator's hot loop uses
-    {!pop_before} instead. *)
+    {!pop_before} instead.  Test reference: the queue's ordering and
+    model tests drain with it. *)
 
 val pop_before : 'a t -> limit:Time.t -> none:'a -> 'a
 (** [pop_before q ~limit ~none] removes and returns the payload of the
@@ -103,9 +104,6 @@ val peek_time : 'a t -> Time.t option
 val size : 'a t -> int
 (** Number of queued events: added or armed, and not yet fired,
     cancelled or disarmed. *)
-
-val is_empty : 'a t -> bool
-(** [is_empty q] iff {!size} is zero. *)
 
 val clear : 'a t -> unit
 (** Drop all events, release every held payload for collection, and

@@ -84,14 +84,12 @@ let map_outcomes ~jobs f tasks =
   Array.iter Domain.join domains;
   results
 
-let map ?jobs f tasks =
-  let jobs = resolve_jobs ~who:"Pool.map" jobs (Array.length tasks) in
+let map_list ?jobs f xs =
+  let jobs = resolve_jobs ~who:"Pool.map_list" jobs (List.length xs) in
   (* Sequential evaluation already fails on the lowest-indexed raising
      task, matching the parallel contract. *)
-  if jobs <= 1 then Array.map f tasks
-  else finish (map_outcomes ~jobs f tasks)
-
-let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
+  if jobs <= 1 then List.map f xs
+  else Array.to_list (finish (map_outcomes ~jobs f (Array.of_list xs)))
 
 module Team = struct
   (* A reusable squad of [shards - 1] long-lived worker domains plus
@@ -174,8 +172,6 @@ module Team = struct
       Array.init (shards - 1) (fun i -> Domain.spawn (worker t (i + 1)));
     t
 
-  let shards t = t.shards
-
   let run t f =
     if t.stopped then invalid_arg "Pool.Team.run: team is shut down";
     if t.shards > 1 then begin
@@ -198,7 +194,7 @@ module Team = struct
       done;
       Mutex.unlock t.mutex
     end;
-    (* Lowest shard's exception wins, same protocol as [Pool.map].  A
+    (* Lowest shard's exception wins, same protocol as [map_list].  A
        plain loop, not a closure over [t]: a run that raises nothing
        allocates nothing. *)
     for j = 0 to Array.length t.fails - 1 do

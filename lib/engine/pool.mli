@@ -33,8 +33,8 @@ val default_jobs : unit -> int
     [CIRCUITSTART_JOBS] is ignored here — [default_jobs] stays total —
     and reported by {!env_jobs}. *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs f tasks] is [Array.map f tasks], computed by [jobs]
+val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map_list ~jobs f tasks] is [List.map f tasks], computed by [jobs]
     domains (clamped to the task count; [jobs <= 1] runs everything in
     the calling domain, spawning nothing).  Results are in task order.
 
@@ -43,9 +43,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     the {e lowest-indexed} failed task is re-raised (with its
     backtrace) — deterministic regardless of scheduling.  Raises
     [Invalid_argument] if [jobs < 1]. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map] over lists, preserving order. *)
 
 (** A reusable team of dedicated worker domains for sharded runs.
 
@@ -64,8 +61,6 @@ module Team : sig
   (** [shards] defaults to {!default_jobs}; raises [Invalid_argument]
       if [shards < 1].  [shards = 1] spawns nothing and [run] executes
       entirely in the calling domain. *)
-
-  val shards : t -> int
 
   val run : t -> (int -> unit) -> unit
   (** Execute [f shard] on every member concurrently (the caller runs

@@ -52,7 +52,6 @@ let float t bound =
     invalid_arg "Rng.float: bound must be positive and finite";
   unit_float t *. bound
 
-let bool t = Int64.logand (bits64 t) 1L <> 0L
 let bernoulli t p = unit_float t < p
 
 let[@inline] exponential t ~mean =
@@ -156,8 +155,6 @@ module Weighted = struct
       done
     done;
     w
-
-  let total w = w.cum.(w.last)
 
   let[@inline] find w x =
     let i = ref w.guide.(bucket w x) in

@@ -29,7 +29,8 @@ val split : t -> t
 
 val copy : t -> t
 (** [copy t] duplicates the current state; both copies then produce the
-    same stream.  Useful for paired experiments. *)
+    same stream.  Test hook: the tests replay a stream from a snapshot
+    to know the draw a call is about to make. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output.  Test reference: the determinism tests
@@ -43,9 +44,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)].  [bound] must be
     positive and finite. *)
-
-val bool : t -> bool
-(** A fair coin flip. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]: one uniform in
@@ -64,13 +62,10 @@ val exponential_ns : t -> mean:float -> int
     [exponential] boxes its result.  Raises [Invalid_argument] if
     [mean] is not positive and finite, or the duration is not finite. *)
 
-val normal : t -> mu:float -> sigma:float -> float
-(** [normal t ~mu ~sigma] draws from N(mu, sigma^2) via Box–Muller.
-    [sigma] must be non-negative. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
-(** [lognormal t ~mu ~sigma] draws X with ln X ~ N(mu, sigma^2) — the
-    canonical heavy-tailed model for relay bandwidths. *)
+(** [lognormal t ~mu ~sigma] draws X with ln X ~ N(mu, sigma^2) (a
+    Box–Muller normal, exponentiated) — the canonical heavy-tailed
+    model for relay bandwidths.  [sigma] must be non-negative. *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t arr] is a uniformly random element.  Raises
@@ -102,17 +97,15 @@ module Weighted : sig
       [Invalid_argument] if [weights] is empty, holds a negative or NaN
       weight, or sums to a total that is not positive and finite. *)
 
-  val total : t -> float
-  (** The sum of the weights, added left to right. *)
-
   val find : t -> float -> int
   (** [find w x] is the first index whose cumulative weight exceeds
-      [x], or the last index if none does (for [x >= total w]).  A
-      zero weight is never found for [x] in [\[0, total w)]. *)
+      [x], or the last index if none does.  Test reference: the
+      weighted-draw tests check the guide table against a binary search
+      with it, at every cumulative weight and its neighbours. *)
 
   val draw : t -> rng -> int
-  (** [draw w t] is [find w (float t (total w))]: index [i] with
-      probability proportional to its weight.  Advances [t] by one
-      draw. *)
+  (** [draw w t] is {!find} at a uniform draw below the total weight:
+      index [i] with probability proportional to its weight (a zero
+      weight is never drawn).  Advances [t] by one draw. *)
 end
 

@@ -5,20 +5,16 @@ module Online = struct
   type t = {
     mutable n : float;
     mutable mean : float;
-    mutable m2 : float;
     mutable mn : float;
     mutable mx : float;
-    mutable total : float;
   }
 
-  let create () = { n = 0.; mean = 0.; m2 = 0.; mn = nan; mx = nan; total = 0. }
+  let create () = { n = 0.; mean = 0.; mn = nan; mx = nan }
 
   let add t x =
     t.n <- t.n +. 1.;
-    t.total <- t.total +. x;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if t.n = 1. then begin
       t.mn <- x;
       t.mx <- x
@@ -30,11 +26,8 @@ module Online = struct
 
   let count t = int_of_float t.n
   let mean t = if t.n = 0. then nan else t.mean
-  let variance t = if t.n < 2. then 0. else t.m2 /. (t.n -. 1.)
-  let stddev t = Float.sqrt (variance t)
   let min t = t.mn
   let max t = t.mx
-  let sum t = t.total
 
   let merge a b =
     if a.n = 0. then { b with n = b.n }
@@ -42,23 +35,13 @@ module Online = struct
     else begin
       let n = a.n +. b.n in
       let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. b.n /. n) in
-      let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
       {
         n;
-        mean;
-        m2;
+        mean = a.mean +. (delta *. b.n /. n);
         mn = Stdlib.min a.mn b.mn;
         mx = Stdlib.max a.mx b.mx;
-        total = a.total +. b.total;
       }
     end
-
-  let pp fmt t =
-    if t.n = 0. then Format.fprintf fmt "(no samples)"
-    else
-      Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" (count t)
-        (mean t) (stddev t) t.mn t.mx
 end
 
 module Sketch = struct
@@ -105,7 +88,6 @@ module Sketch = struct
     }
 
   let bins t = Array.length t.counts
-  let range t = (t.lo, t.lo +. (t.width *. float_of_int (bins t)))
   let count t = t.total
   let min t = t.ext.mn
   let max t = t.ext.mx
@@ -210,50 +192,15 @@ module Sketch = struct
      normal state for a run that completed nothing (an all-refused
      admission sweep, a churn storm), not a programming error. *)
   let quantile_opt t q = if t.total = 0 then None else Some (quantile t q)
-
-  (* Step points for plotting: one per non-empty bin at its upper edge
-     (clamped to the observed extremes), preceded by the minimum when
-     samples fell below [lo] and closed at [(max, 1.)]. *)
-  let cdf_points t =
-    if t.total = 0 then []
-    else begin
-      let nf = float_of_int t.total in
-      let acc = ref [] in
-      (* Build right to left so the list comes out ascending; [above]
-         counts the samples in bins strictly after [i], so the fraction
-         at bin [i]'s upper edge is (total - overflow - above) / n. *)
-      let above = ref 0 in
-      for i = Array.length t.counts - 1 downto 0 do
-        let c = t.counts.(i) in
-        if c > 0 then begin
-          let edge =
-            Float.min t.ext.mx
-              (Float.max t.ext.mn (t.lo +. (t.width *. float_of_int (i + 1))))
-          in
-          acc :=
-            (edge, float_of_int (t.total - t.overflow - !above) /. nf) :: !acc
-        end;
-        above := !above + c
-      done;
-      let points =
-        if t.underflow > 0 then
-          (t.ext.mn, float_of_int t.underflow /. nf) :: !acc
-        else !acc
-      in
-      match List.rev points with
-      | (_, f) :: _ when f < 1. -> points @ [ (t.ext.mx, 1.) ]
-      | [] -> [ (t.ext.mx, 1.) ]
-      | _ -> points
-    end
 end
 
-(* Rank interpolation over an already-sorted array — the one
-   implementation behind both the array helpers and {!Samples}. *)
-let percentile_sorted sorted p =
-  let n = Array.length sorted in
+let percentile xs p =
+  let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty array";
   if not (Float.is_finite p) || p < 0. || p > 100. then
     invalid_arg "Stats.percentile: p must be in [0, 100]";
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
   let rank = p /. 100. *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor rank) in
   let hi = int_of_float (Float.ceil rank) in
@@ -262,137 +209,19 @@ let percentile_sorted sorted p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
 
-let cdf_points_sorted sorted =
-  let n = Array.length sorted in
-  if n = 0 then []
-  else begin
-    let nf = float_of_int n in
-    (* One step per distinct value, at the fraction of samples <= it. *)
-    let rec go i acc =
-      if i < 0 then acc
-      else if i < n - 1 && Float.equal sorted.(i) sorted.(i + 1) then go (i - 1) acc
-      else go (i - 1) ((sorted.(i), float_of_int (i + 1) /. nf) :: acc)
-    in
-    go (n - 1) []
-  end
-
-let percentile xs p =
-  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  percentile_sorted sorted p
-
-let median xs = percentile xs 50.
-
-let cdf_points xs =
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  cdf_points_sorted sorted
-
 module Samples = struct
-  type mode = Exact | Bounded of { bins : int; lo : float; hi : float }
+  type t = { mutable data : float array; mutable len : int }
 
-  type t = {
-    mutable data : float array;
-    mutable len : int;
-    (* Cached ascending copy of [data.(0..len-1)]; rebuilt at most once
-       per burst of queries and dropped by the next [add], so repeated
-       percentile reads stop re-sorting the whole sample set. *)
-    mutable sorted : float array option;
-    (* [Some sk] in bounded mode: samples feed the sketch and are NOT
-       retained; [data]/[len]/[sorted] stay untouched at their initial
-       values, so the default exact mode is byte-identical to the
-       sketch-free implementation. *)
-    sketch : Sketch.t option;
-  }
-
-  let create ?(capacity = 64) ?(mode = Exact) () =
-    if capacity < 1 then invalid_arg "Samples.create: capacity must be positive";
-    let sketch =
-      match mode with
-      | Exact -> None
-      | Bounded { bins; lo; hi } -> Some (Sketch.create ~bins ~lo ~hi ())
-    in
-    { data = Array.make capacity 0.; len = 0; sorted = None; sketch }
-
-  let length t =
-    match t.sketch with Some sk -> Sketch.count sk | None -> t.len
-
-  let is_empty t = length t = 0
+  let create () = { data = Array.make 64 0.; len = 0 }
 
   let add t x =
-    match t.sketch with
-    | Some sk -> Sketch.add sk x
-    | None ->
-        if t.len = Array.length t.data then begin
-          let ndata = Array.make (2 * t.len) 0. in
-          Array.blit t.data 0 ndata 0 t.len;
-          t.data <- ndata
-        end;
-        t.data.(t.len) <- x;
-        t.len <- t.len + 1;
-        t.sorted <- None
+    if t.len = Array.length t.data then begin
+      let ndata = Array.make (2 * t.len) 0. in
+      Array.blit t.data 0 ndata 0 t.len;
+      t.data <- ndata
+    end;
+    t.data.(t.len) <- x;
+    t.len <- t.len + 1
 
-  let retained name t =
-    match t.sketch with
-    | Some _ ->
-        invalid_arg
-          (Printf.sprintf "Samples.%s: samples are not retained in bounded mode"
-             name)
-    | None -> ()
-
-  let to_array t =
-    retained "to_array" t;
-    Array.sub t.data 0 t.len
-
-  let sorted_exn t =
-    match t.sorted with
-    | Some s -> s
-    | None ->
-        let s = Array.sub t.data 0 t.len in
-        Array.sort Float.compare s;
-        t.sorted <- Some s;
-        s
-
-  let sorted t =
-    retained "sorted" t;
-    sorted_exn t
-
-  let percentile t p =
-    match t.sketch with
-    | Some sk ->
-        if not (Float.is_finite p) || p < 0. || p > 100. then
-          invalid_arg "Stats.percentile: p must be in [0, 100]";
-        Sketch.quantile sk (p /. 100.)
-    | None -> percentile_sorted (sorted_exn t) p
-
-  let median t = percentile t 50.
-
-  let min t =
-    match t.sketch with
-    | Some sk -> Sketch.min sk
-    | None -> if t.len = 0 then nan else (sorted_exn t).(0)
-
-  let max t =
-    match t.sketch with
-    | Some sk -> Sketch.max sk
-    | None -> if t.len = 0 then nan else (sorted_exn t).(t.len - 1)
-
-  let mean t =
-    match t.sketch with
-    | Some sk -> Sketch.mean sk
-    | None ->
-        if t.len = 0 then nan
-        else begin
-          let acc = ref 0. in
-          for i = 0 to t.len - 1 do
-            acc := !acc +. t.data.(i)
-          done;
-          !acc /. float_of_int t.len
-        end
-
-  let cdf_points t =
-    match t.sketch with
-    | Some sk -> Sketch.cdf_points sk
-    | None -> cdf_points_sorted (sorted_exn t)
+  let to_array t = Array.sub t.data 0 t.len
 end

@@ -1,9 +1,10 @@
 (** Online and offline statistics.
 
-    {!Online} accumulates count/mean/variance/min/max in O(1) memory
-    (Welford's algorithm) — used for per-flow and per-queue counters
-    that live for a whole simulation.  The array helpers compute
-    percentiles and empirical CDFs for the evaluation figures. *)
+    {!Online} accumulates count/mean/min/max in O(1) memory (Welford's
+    running mean) — used for per-transfer cell latencies that live for
+    a whole simulation.  {!Sketch} answers streaming quantiles at
+    consensus scale, {!Samples} retains exact samples when a run asks
+    for them, and {!percentile} reads one percentile of an array. *)
 
 module Online : sig
   type t
@@ -16,21 +17,17 @@ module Online : sig
   val mean : t -> float
   (** Mean of the samples; [nan] if empty. *)
 
-  val variance : t -> float
-  (** Unbiased sample variance; [0.] with fewer than two samples. *)
-
   val min : t -> float
-  (** Smallest sample; [nan] if empty. *)
+  (** Smallest sample; [nan] if empty.  Test reference: the transport
+      tests check the smallest cell latency against the path's
+      propagation delay. *)
 
   val max : t -> float
   (** Largest sample; [nan] if empty. *)
 
-  val sum : t -> float
   val merge : t -> t -> t
   (** [merge a b] is a fresh accumulator equivalent to having seen both
       sample streams (Chan's parallel update). *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Streaming quantile sketch} *)
@@ -70,8 +67,6 @@ module Sketch : sig
       [add]. *)
 
   val count : t -> int
-  val bins : t -> int
-  val range : t -> float * float
 
   val min : t -> float
   (** Exact smallest sample; [nan] if empty. *)
@@ -80,7 +75,9 @@ module Sketch : sig
   (** Exact largest sample; [nan] if empty. *)
 
   val mean : t -> float
-  (** Exact mean; [nan] if empty. *)
+  (** Exact mean; [nan] if empty.  Test reference: the golden network
+      fixture prints it, and the merge tests compare it across shard
+      layouts. *)
 
   val merge : t -> t -> t
   (** Fresh sketch equivalent to having seen both streams.  Raises
@@ -106,77 +103,6 @@ module Sketch : sig
   (** Total variant of {!quantile}: [None] on an empty sketch — the
       normal outcome of a run that completed nothing — instead of an
       exception.  Still raises on [q] outside [\[0, 1\]]. *)
-
-  val cdf_points : t -> (float * float) list
-  (** Ascending step points [(value, cumulative fraction)], one per
-      non-empty bin at its (clamped) upper edge, closing at
-      [(max, 1.)].  Empty sketch gives [].  Test-only: no figure reads
-      it; ROADMAP item 10's next cut weighs it. *)
-end
-
-(** {1 Sample buffers} *)
-
-module Samples : sig
-  (** A growable buffer of float samples with a cached sorted view.
-
-      Experiments accumulate thousands of per-circuit samples and then
-      query several percentiles of the same data; this keeps the
-      samples in a flat, doubling float array (no list cells) and
-      sorts at most once per burst of queries — the cache is
-      invalidated by the next {!add}.
-
-      At consensus scale, exact retention is the memory bottleneck:
-      {!Bounded} mode feeds every sample to a {!Sketch} instead and
-      answers percentiles from it in O(bins) memory.  The default
-      {!Exact} mode is byte-identical to the historical behaviour. *)
-
-  type mode =
-    | Exact  (** Retain every sample; exact percentiles (default). *)
-    | Bounded of { bins : int; lo : float; hi : float }
-        (** Sketch-backed: O(bins) memory, percentile error bounded by
-            one bin width; {!to_array}/{!sorted} become unavailable. *)
-
-  type t
-
-  val create : ?capacity:int -> ?mode:mode -> unit -> t
-  (** An empty buffer; [capacity] pre-sizes the backing array (default
-      64) and is ignored in [Bounded] mode.  Raises [Invalid_argument]
-      if [capacity < 1] or the bounded layout is invalid. *)
-
-  val add : t -> float -> unit
-
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val to_array : t -> float array
-  (** The samples in insertion order (fresh array).  Raises
-      [Invalid_argument] in [Bounded] mode — samples are not
-      retained. *)
-
-  val sorted : t -> float array
-  (** The samples in ascending order.  The returned array is the cache
-      itself — treat it as read-only.  Raises [Invalid_argument] in
-      [Bounded] mode. *)
-
-  val percentile : t -> float -> float
-  (** Linear rank interpolation on the cached sorted view; same
-      contract as the array {!val:percentile}.  In [Bounded] mode,
-      answered by {!Sketch.quantile} (error at most one bin width). *)
-
-  val median : t -> float
-  val min : t -> float
-  (** Smallest sample; [nan] if empty. *)
-
-  val max : t -> float
-  (** Largest sample; [nan] if empty. *)
-
-  val mean : t -> float
-  (** Mean of the samples; [nan] if empty. *)
-
-  val cdf_points : t -> (float * float) list
-  (** Empirical CDF of the samples; same contract as the array
-      {!val:cdf_points}.  In [Bounded] mode, {!Sketch.cdf_points}.
-      Test-only, like {!Sketch.cdf_points}. *)
 end
 
 (** {1 Array statistics} *)
@@ -187,11 +113,19 @@ val percentile : float array -> float -> float
     made).  Raises [Invalid_argument] on an empty array or [p] outside
     the range. *)
 
-val median : float array -> float
-(** [median xs = percentile xs 50.]. *)
+(** {1 Sample buffers} *)
 
-val cdf_points : float array -> (float * float) list
-(** [cdf_points xs] is the empirical CDF as [(value, fraction <= value)]
-    steps, sorted by value, one point per distinct sample.  Empty input
-    gives [].  Test reference: the {!Samples} tests compare their curve
-    with it. *)
+module Samples : sig
+  (** A growable buffer of float samples: a flat, doubling float array
+      (no list cells), for runs that retain every sample exactly. *)
+
+  type t
+
+  val create : unit -> t
+  (** An empty buffer. *)
+
+  val add : t -> float -> unit
+
+  val to_array : t -> float array
+  (** The samples in insertion order (fresh array). *)
+end

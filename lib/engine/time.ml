@@ -39,11 +39,9 @@ let add a b =
   let r = a + b in
   if a > 0 && b > 0 && r < 0 then max_value else r
 
-let sub a b = a - b
 let diff later earlier = later - earlier
 let mul_int t k = t * k
 
-let scale t x = of_float_ns (float_of_int t *. x)
 
 let ratio a b =
   if b = 0 then raise Division_by_zero;

@@ -65,18 +65,11 @@ val to_ms_f : t -> float
 val add : t -> t -> t
 (** [add a b] is [a + b].  Saturates at [max_value] instead of wrapping. *)
 
-val sub : t -> t -> t
-(** [sub a b] is [a - b].  The result may be negative; see {!is_negative}. *)
-
 val diff : t -> t -> t
 (** [diff later earlier] is [sub later earlier]. *)
 
 val mul_int : t -> int -> t
 (** [mul_int t k] is [t] scaled by the integer factor [k]. *)
-
-val scale : t -> float -> t
-(** [scale t x] is [t] scaled by the float factor [x], rounded to the
-    nearest nanosecond and clamped to the representable range. *)
 
 val ratio : t -> t -> float
 (** [ratio a b] is [a / b] as a float.  Raises [Division_by_zero] if

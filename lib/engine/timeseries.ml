@@ -1,12 +1,10 @@
 type t = {
-  name : string;
   mutable times : Time.t array;
   mutable values : float array;
   mutable len : int;
 }
 
-let create ?(name = "") () = { name; times = [||]; values = [||]; len = 0 }
-let name t = t.name
+let create () = { times = [||]; values = [||]; len = 0 }
 
 let grow t =
   let cap = Array.length t.times in
@@ -27,7 +25,6 @@ let record t time v =
   t.values.(t.len) <- v;
   t.len <- t.len + 1
 
-let length t = t.len
 let points t = Array.init t.len (fun i -> (t.times.(i), t.values.(i)))
 
 (* Index of the latest point at or before [time], by binary search. *)
@@ -42,8 +39,6 @@ let index_at t time =
     Some !lo
   end
 
-let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
-
 let resample t ~step ~stop =
   if Time.(step <= Time.zero) then invalid_arg "Timeseries.resample: step must be positive";
   if t.len = 0 then [||]
@@ -56,14 +51,4 @@ let resample t ~step ~stop =
       current := Time.add !current step
     done;
     Array.of_list (List.rev !samples)
-  end
-
-let max_value t =
-  if t.len = 0 then None
-  else begin
-    let best = ref t.values.(0) in
-    for i = 1 to t.len - 1 do
-      if t.values.(i) > !best then best := t.values.(i)
-    done;
-    Some !best
   end

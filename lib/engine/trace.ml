@@ -23,15 +23,12 @@ let series t key =
   match Hashtbl.find_opt t.table key with
   | Some ts -> ts
   | None ->
-      let ts = Timeseries.create ~name:key () in
+      let ts = Timeseries.create () in
       Hashtbl.add t.table key ts;
       ts
 
 let find t key = Hashtbl.find_opt t.table key
 let record t key time v = Timeseries.record (series t key) time v
-
-let keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort String.compare
 
 let kind_to_string = function
   | Fault -> "fault"

@@ -15,19 +15,12 @@ type t
 
 val create : unit -> t
 
-val series : t -> string -> Timeseries.t
-(** [series t key] returns the series registered under [key], creating
-    an empty one on first use. *)
-
 val find : t -> string -> Timeseries.t option
 (** [find t key] is the series under [key], if any was created. *)
 
 val record : t -> string -> Time.t -> float -> unit
 (** [record t key time v] appends to the series under [key]
     (creating it if needed). *)
-
-val keys : t -> string list
-(** All registered keys, sorted. *)
 
 (** {1 Lifecycle events} *)
 
@@ -67,9 +60,6 @@ val kind_to_string : kind -> string
     ["exhausted"], ["refused"], ["oom-kill"], ["overload-enter"] or
     ["overload-exit"].  Test-only outside this module: tests name
     kinds with it; the CSV and the printer use it inside. *)
-
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}; [None] on anything else. *)
 
 val events_to_csv : t -> Buffer.t -> unit
 (** Append the event log as CSV rows [time_s,kind,subject,detail].

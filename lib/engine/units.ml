@@ -44,7 +44,6 @@ module Rate = struct
     end
   let min a b = Stdlib.min a b
   let compare = Stdlib.compare
-  let equal = Int.equal
 
   let scale r x =
     if not (Float.is_finite x) || x <= 0. then

@@ -49,7 +49,6 @@ module Rate : sig
   (** The smaller of two rates. *)
 
   val compare : t -> t -> int
-  val equal : t -> t -> bool
 
   val scale : t -> float -> t
   (** [scale r x] is [r] multiplied by [x] (at least 1 bit/s).

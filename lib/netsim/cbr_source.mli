@@ -20,12 +20,6 @@ val start :
     interval from now.  [packet_size] defaults to 512 bytes.  Raises
     [Invalid_argument] if [packet_size <= 0]. *)
 
-val set_rate : t -> Engine.Units.Rate.t -> unit
-(** Change the emission rate from the next packet onwards. *)
-
-val stop : t -> unit
-(** Cease emitting (idempotent). *)
-
 val packets_sent : t -> int
 val bytes_sent : t -> int
 (** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)

@@ -216,7 +216,11 @@ let add_drop_counts a b =
     fault_injected = a.fault_injected + b.fault_injected;
     outage = a.outage + b.outage }
 
-let no_drops = { queue_full = 0; fault_injected = 0; outage = 0 }
+let sum_drop_counts links =
+  Array.fold_left
+    (fun acc l -> add_drop_counts acc (drop_counts l))
+    { queue_full = 0; fault_injected = 0; outage = 0 }
+    links
 
 let pp_drop_counts fmt d =
   Format.fprintf fmt "{queue-full %d; fault %d; outage %d}" d.queue_full

@@ -60,6 +60,8 @@ val create :
 val src : t -> Node_id.t
 val dst : t -> Node_id.t
 val rate : t -> Engine.Units.Rate.t
+(** Test reference: the rate-schedule tests read a link's rate back. *)
+
 val delay : t -> Engine.Time.t
 
 val set_rate : t -> Engine.Units.Rate.t -> unit
@@ -140,8 +142,11 @@ val drop_counts : t -> drop_counts
 val total_drops : drop_counts -> int
 (** The sum over every drop reason.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
 
-val add_drop_counts : drop_counts -> drop_counts -> drop_counts
-val no_drops : drop_counts
+val sum_drop_counts : t array -> drop_counts
+(** Drop counters summed over a set of links, split by reason
+    (queue-full vs fault-injected vs outage): the loss ledger an
+    experiment reports.  Pass [Topology.links] for the whole network. *)
+
 val pp_drop_counts : Format.formatter -> drop_counts -> unit
 
 val utilization : t -> Engine.Time.t -> float

@@ -220,6 +220,4 @@ let fold_route t a b f acc =
 let path t a b =
   Option.map List.rev (fold_route t a b (fun acc l -> Link.dst l :: acc) [ a ])
 
-let hop_count t a b = fold_route t a b (fun k _ -> k + 1) 0
-
 let undeliverable t = t.undeliverable

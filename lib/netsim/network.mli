@@ -55,10 +55,9 @@ val send : t -> ?on_transmit:(int -> unit) -> Packet.t -> unit
 
 val path : t -> Node_id.t -> Node_id.t -> Node_id.t list option
 (** [path net a b] is the node sequence [a; ...; b] a packet follows,
-    or [None] if unreachable.  [path net a a = Some [a]]. *)
-
-val hop_count : t -> Node_id.t -> Node_id.t -> int option
-(** Number of links on the route. *)
+    or [None] if unreachable.  [path net a a = Some [a]].  Test
+    reference: the routing tests compare every route with a frozen
+    Dijkstra through it. *)
 
 val undeliverable : t -> int
 (** Packets that reached a node with no local handler.  Test-only: a counter accessor that ROADMAP item 4's probes replace. *)

@@ -6,8 +6,6 @@ let of_int i =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
-let hash = Hashtbl.hash
 let pp fmt t = Format.fprintf fmt "n%d" t
 
 module Map = Map.Make (Int)

@@ -6,10 +6,6 @@ let packets n =
   if n <= 0 then invalid_arg "Nqueue.packets: capacity must be positive";
   { max_packets = Some n; max_bytes = None }
 
-let bytes n =
-  if n <= 0 then invalid_arg "Nqueue.bytes: capacity must be positive";
-  { max_packets = None; max_bytes = Some n }
-
 (* A ring buffer: slot [(head + i) land (Array.length pkts - 1)] holds
    the i-th queued packet and, in [txs], the transmit callback riding
    with it.  The arrays double when full and never shrink, so a queue
@@ -64,8 +60,6 @@ let push t (p : Packet.t) on_transmit =
     false
   end
 
-let enqueue t p = push t p None
-
 let head_on_transmit t = if t.len = 0 then None else t.txs.(t.head)
 
 let take t =
@@ -78,8 +72,6 @@ let take t =
   t.cur_bytes <- t.cur_bytes - p.size;
   p
 
-let dequeue t = if t.len = 0 then None else Some (take t)
-let peek t = if t.len = 0 then None else Some t.pkts.(t.head)
 let length t = t.len
 let byte_length t = t.cur_bytes
 let is_empty t = t.len = 0

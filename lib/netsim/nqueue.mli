@@ -23,19 +23,12 @@ val packets : int -> capacity
 (** [packets n] limits to [n] packets; raises [Invalid_argument] if
     [n <= 0]. *)
 
-val bytes : int -> capacity
-(** [bytes n] limits to [n] bytes; raises [Invalid_argument] if
-    [n <= 0]. *)
-
 val create : capacity -> t
 
-val enqueue : t -> Packet.t -> bool
-(** [enqueue q p] appends [p]; [false] means the packet was dropped
-    because either limit would be exceeded. *)
-
 val push : t -> Packet.t -> (int -> unit) option -> bool
-(** [push q p on_transmit] is {!enqueue} with [on_transmit] stored
-    alongside [p]; a dropped packet's callback is discarded with it. *)
+(** [push q p on_transmit] appends [p] with [on_transmit] stored
+    alongside it; [false] means the packet was dropped because either
+    limit would be exceeded, and its callback is discarded with it. *)
 
 val head_on_transmit : t -> (int -> unit) option
 (** The callback stored with the head packet ([None] if there is none
@@ -45,10 +38,6 @@ val take : t -> Packet.t
 (** Remove and return the head packet, discarding its callback, without
     allocating.  Raises [Invalid_argument] on an empty queue. *)
 
-val dequeue : t -> Packet.t option
-(** Remove and return the head packet. *)
-
-val peek : t -> Packet.t option
 val length : t -> int
 (** Packets currently queued. *)
 

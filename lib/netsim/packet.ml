@@ -21,7 +21,3 @@ let make ids ~src ~dst ~size ~now payload =
 let placeholder =
   { id = -1; src = Node_id.of_int 0; dst = Node_id.of_int 0; size = 1;
     payload = Payload.Raw ""; sent_at = Engine.Time.zero }
-
-let pp fmt t =
-  Format.fprintf fmt "#%d %a->%a %dB %a" t.id Node_id.pp t.src Node_id.pp t.dst t.size
-    Payload.pp t.payload

@@ -36,5 +36,3 @@ val placeholder : t
 (** A packet that is never sent (id [-1]).  It fills the empty slots of
     preallocated packet buffers, so a drained slot does not keep a
     delivered packet alive. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,4 +16,6 @@ val describe : (t -> string option) -> unit
     tried in registration order; the first to return [Some] wins. *)
 
 val pp : Format.formatter -> t -> unit
-(** Print via the registered printers; falls back to ["<payload>"]. *)
+(** Print via the registered printers; falls back to ["<payload>"].
+    Test hook: the printer tests render payloads through it; no program
+    path prints a packet. *)

@@ -49,7 +49,6 @@ let add_node t ~name =
   id
 
 let node_count t = t.count
-let nodes t = List.init t.count Node_id.of_int
 
 let check_node t id =
   if Node_id.to_int id >= t.count then
@@ -126,19 +125,6 @@ let links t =
     t.all_links_fresh <- true
   end;
   t.all_links
-
-let line sim ~names ~rate ~delay ?queue () =
-  if List.length names < 2 then invalid_arg "Topology.line: need at least two nodes";
-  let t = create sim in
-  let ids = List.map (fun name -> add_node t ~name) names in
-  let rec wire = function
-    | a :: (b :: _ as rest) ->
-        connect t a b ~rate ~delay ?queue ();
-        wire rest
-    | [ _ ] | [] -> ()
-  in
-  wire ids;
-  (t, ids)
 
 let star sim ~hub ~leaves ?queue () =
   if leaves = [] then invalid_arg "Topology.star: no leaves";

@@ -22,11 +22,11 @@ val add_node : t -> name:string -> Node_id.t
     diagnostics only and need not be unique. *)
 
 val node_count : t -> int
-val nodes : t -> Node_id.t list
-(** All node ids, in creation order. *)
 
 val name : t -> Node_id.t -> string
-(** Raises [Not_found] for an unknown id. *)
+(** Raises [Not_found] for an unknown id.  Test reference: the builder
+    tests read names back with it; no program path prints a node by
+    name. *)
 
 val connect :
   t ->
@@ -67,17 +67,6 @@ val links : t -> Link.t array
     Callers must not mutate it. *)
 
 (** {1 Builders} *)
-
-val line :
-  Engine.Sim.t ->
-  names:string list ->
-  rate:Engine.Units.Rate.t ->
-  delay:Engine.Time.t ->
-  ?queue:Nqueue.capacity ->
-  unit ->
-  t * Node_id.t list
-(** A chain of nodes with uniform duplex links.  Raises
-    [Invalid_argument] if fewer than two names are given. *)
 
 val star :
   Engine.Sim.t ->

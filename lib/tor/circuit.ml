@@ -20,13 +20,6 @@ let make ~id ~client ~relays ~server =
 let hop_count t = List.length (nodes t) - 1
 let layer_count t = List.length t.relays
 
-let position t node =
-  let rec go i = function
-    | [] -> None
-    | n :: rest -> if Netsim.Node_id.equal n node then Some i else go (i + 1) rest
-  in
-  go 0 (nodes t)
-
 let successor t node =
   let rec go = function
     | a :: (b :: _ as rest) ->

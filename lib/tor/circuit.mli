@@ -32,9 +32,6 @@ val layer_count : t -> int
 (** Onion layers a client data cell carries = number of peeling nodes
     = [List.length relays]. *)
 
-val position : t -> Netsim.Node_id.t -> int option
-(** Index of a node in {!nodes} (client = 0). *)
-
 val successor : t -> Netsim.Node_id.t -> Netsim.Node_id.t option
 (** Next node towards the server; [None] for the server or unknown
     nodes. *)

@@ -5,7 +5,6 @@ let of_int i =
   i
 
 let to_int t = t
-let equal = Int.equal
 let compare = Int.compare
 let pp fmt t = Format.fprintf fmt "c%d" t
 

@@ -10,7 +10,6 @@ val of_int : int -> t
 (** [of_int i] for [i >= 0]; raises [Invalid_argument] otherwise. *)
 
 val to_int : t -> int
-val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 

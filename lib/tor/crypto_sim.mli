@@ -12,20 +12,6 @@
     cost away; at the simulated scale crypto CPU time is negligible
     compared to transmission and propagation delays. *)
 
-val wrap : hops:int -> Cell.relay_command -> Circuit_id.t -> Cell.t
-(** [wrap ~hops cmd circuit] is a RELAY cell wrapped in [hops] layers —
-    what a client sends for a circuit whose payload must traverse
-    [hops] forwarding nodes.  Raises [Invalid_argument] if
-    [hops < 1]. *)
-
 val peel : Cell.t -> Cell.t
 (** [peel cell] removes one layer.  Raises [Invalid_argument] if
     [cell] is not a RELAY cell or has no layers left. *)
-
-val exposed : Cell.t -> Cell.relay_command option
-(** [exposed cell] is the relay command if all layers are off (the
-    final hop may deliver it); [None] if still wrapped or not a RELAY
-    cell. *)
-
-val layers : Cell.t -> int option
-(** Remaining layer count of a RELAY cell. *)

@@ -17,7 +17,6 @@ let create () = { relays = [] }
 let add t r = t.relays <- t.relays @ [ r ]
 
 let relays t = t.relays
-let count t = List.length t.relays
 
 (* --- path selection ------------------------------------------------ *)
 

@@ -22,7 +22,8 @@ type selection =
   | Uniform  (** Each position is drawn uniformly from the candidates. *)
 
 val selection_to_string : selection -> string
-(** ["bandwidth"] or ["uniform"]. *)
+(** ["bandwidth"] or ["uniform"].  Test reference: the selection
+    strings test round-trips {!selection_of_string} through it. *)
 
 val selection_of_string : string -> selection option
 (** Accepts ["bandwidth"]/["bw"]/["weighted"] and
@@ -35,9 +36,6 @@ val add : t -> Relay_info.t -> unit
 
 val relays : t -> Relay_info.t list
 (** The population, insertion order. *)
-
-val count : t -> int
-(** Population size. *)
 
 val select_path :
   t ->

@@ -212,4 +212,3 @@ let admitted t = t.admitted
 let refusals t = t.refusals
 let oom_kills t = t.oom_kills
 let overload_enters t = t.overload_enters
-let overloaded t = t.overloaded

@@ -52,10 +52,12 @@ val route : t -> Circuit_id.t -> entry option
 (** The routing entry, if the circuit is known here. *)
 
 val circuits : t -> Circuit_id.t list
-(** Known circuits, sorted. *)
+(** Known circuits, sorted.  Test-only: a state accessor that ROADMAP
+    item 4's probes replace. *)
 
 val destroyed : t -> int
-(** DESTROY cells processed. *)
+(** DESTROY cells processed.  Test-only: a counter accessor that
+    ROADMAP item 4's probes replace. *)
 
 (** {1 Resource budgets} *)
 
@@ -76,9 +78,6 @@ val oom_kills : t -> int
 
 val overload_enters : t -> int
 (** Transitions into the overloaded state. *)
-
-val overloaded : t -> bool
-(** Currently over either budget (bytes or circuit count). *)
 
 val set_trace : t -> Engine.Trace.t * string -> unit
 (** Record refusals, OOM kills and overload transitions under the
@@ -108,4 +107,5 @@ val crash : t -> unit
     timeouts. *)
 
 val crashes : t -> int
-(** Crashes injected so far. *)
+(** Crashes injected so far.  Test-only: a counter accessor that
+    ROADMAP item 4's probes replace. *)

@@ -27,4 +27,3 @@ val make :
     allowed), which is what the paper's random networks use. *)
 
 val has_flag : t -> flag -> bool
-val pp : Format.formatter -> t -> unit

@@ -164,11 +164,9 @@ let start t =
   pump t
 
 let complete t = Stream.Sink.complete t.sink
-let first_sent_at t = t.first_sent_at
-let completed_at t = Stream.Sink.completed_at t.sink
 
 let time_to_last_byte t =
-  match (t.first_sent_at, completed_at t) with
+  match (t.first_sent_at, Stream.Sink.completed_at t.sink) with
   | Some a, Some b -> Some (Engine.Time.diff b a)
   | _ -> None
 
@@ -176,8 +174,3 @@ let sink t = t.sink
 let cell_latency_stats t = t.cell_latency
 let client_credit t = Stdlib.min t.circ_credit t.stream_credit
 let sendmes_received t = t.sendmes
-
-let teardown t =
-  List.iter
-    (fun node -> Switchboard.unregister_circuit (t.sb_of node) t.circuit.Circuit.id)
-    (Circuit.nodes t.circuit)

@@ -17,11 +17,6 @@ type config = {
   stream_increment : int;  (** Cells per stream-level SENDME. *)
 }
 
-val default_config : config
-(** Tor's classic values: 1000 / 500 / 100 / 50. *)
-
-val validate_config : config -> (config, string) result
-
 type t
 
 val deploy :
@@ -35,18 +30,17 @@ val deploy :
 (** Install forwarding handlers for [circuit] on every node's
     switchboard and prepare a [bytes]-byte transfer.  Nothing is sent
     until {!start}.  [sb_of] must return the (single) switchboard of
-    each node on the path.  Raises [Invalid_argument] on an invalid
-    [config]. *)
+    each node on the path.  [config] defaults to Tor's classic values
+    (1000 / 500 / 100 / 50).  Raises [Invalid_argument] if a window is
+    below 1 or an increment is outside [\[1, window\]]. *)
 
 val start : t -> unit
 (** Begin transmitting.  Raises [Invalid_argument] if called twice. *)
 
 val complete : t -> bool
-val first_sent_at : t -> Engine.Time.t option
-val completed_at : t -> Engine.Time.t option
 
 val time_to_last_byte : t -> Engine.Time.t option
-(** [completed_at - first_sent_at]. *)
+(** Time from the first cell sent to the last byte delivered. *)
 
 val sink : t -> Stream.Sink.t
 
@@ -61,6 +55,3 @@ val client_credit : t -> int
 
 val sendmes_received : t -> int
 (** Test-only: a counter accessor that ROADMAP item 4's probes replace. *)
-
-val teardown : t -> unit
-(** Unregister all of the circuit's handlers. *)

@@ -45,7 +45,6 @@ type t = {
   mutable current : Circuit.t option;
   mutable handle : transfer_handle option;
   mutable rebuild_count : int;
-  mutable gen_count : int;
   mutable refused_builds : int;
   (* The failure that the in-progress recovery is recovering from;
      cleared when the resumed transfer starts. *)
@@ -82,7 +81,6 @@ let create ~sb ~directory ~ids ~server ~rng ~hops ~deploy
     current = None;
     handle = None;
     rebuild_count = 0;
-    gen_count = 0;
     refused_builds = 0;
     failure_at = None;
     recoveries = [];
@@ -160,7 +158,6 @@ let rec attempt t =
                     on_transfer_fail t circuit ~failed_hop at)
               in
               t.handle <- Some handle;
-              t.gen_count <- t.gen_count + 1;
               t.phase <- Transferring;
               (* Watch the circuit for a remote DESTROY while the
                  transfer runs: an overloaded relay shedding load (OOM
@@ -270,8 +267,6 @@ let start t =
 let outcome t = match t.phase with Finished o -> Some o | _ -> None
 let rebuilds t = t.rebuild_count
 let refused_builds t = t.refused_builds
-let generation t = t.gen_count
-let circuit t = t.current
 let delivered_bytes t = offset t
 let excluded t = Netsim.Node_id.Set.elements t.exclusions
 let recovery_times t = List.rev t.recoveries

@@ -126,13 +126,6 @@ val refused_builds : t -> int
     — busy is not suspected-crashed, and a hot relay must remain
     selectable once its load drains. *)
 
-val generation : t -> int
-(** Circuit generations deployed so far (0 until the first circuit is
-    established). *)
-
-val circuit : t -> Circuit.t option
-(** The current generation's circuit, once one has been selected. *)
-
 val delivered_bytes : t -> int
 (** Contiguously delivered bytes of the logical transfer (survives
     across generations; readable after exhaustion). *)

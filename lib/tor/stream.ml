@@ -15,7 +15,6 @@ module Source = struct
     { stream_id; total = bytes; sent = start_byte;
       next_seq = start_byte / Cell.payload_capacity }
 
-  let stream_id t = t.stream_id
   let remaining t = t.total - t.sent
 
   let cell_count t =

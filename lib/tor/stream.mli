@@ -19,7 +19,6 @@ module Source : sig
       {!Sink.delivered_bytes}, which is always cell-aligned while the
       transfer is incomplete). *)
 
-  val stream_id : t -> int
   val remaining : t -> int
 
   val cell_count : t -> int

@@ -48,8 +48,12 @@ let validate_config c =
       c.outage )
   with
   | Error msg, _, _ | _, Some (Error msg), _ -> Error msg
+  | _, _, Some (down, _) when Engine.Time.is_negative down ->
+      Error "outage window must start at or after the transfer start"
   | _, _, Some (down, up) when Engine.Time.(up <= down) ->
       Error "outage window must have up_at > down_at"
+  | _ when Option.fold ~none:false ~some:Engine.Time.is_negative c.crash_at ->
+      Error "crash_at must not be negative"
   | _ -> Ok c
 
 type outcome = Completed | Failed_circuit | Timed_out
@@ -175,7 +179,7 @@ let run ?(seed = 42) ?probe config =
       (if elapsed_s > 0. then float_of_int (8 * received) /. elapsed_s else 0.);
     received_bytes = received;
     retransmissions = Backtap.Transfer.total_retransmissions d;
-    drops = Netsim.Flow_monitor.link_drops links;
+    drops = Netsim.Link.sum_drop_counts links;
     queue_high_watermark_bytes =
       Array.fold_left
         (fun acc l -> Stdlib.max acc (Netsim.Link.queue_high_watermark_bytes l))
@@ -192,17 +196,3 @@ let run_many ?jobs tasks =
   Engine.Pool.map_list ?jobs (fun (seed, config) -> run ~seed config) tasks
 
 let with_strategy strategy config = { config with strategy }
-
-let pp_result fmt r =
-  Format.fprintf fmt "%s" (outcome_to_string r.outcome);
-  (match r.time_to_last_byte with
-  | Some t -> Format.fprintf fmt ", ttlb %a" Engine.Time.pp t
-  | None -> ());
-  (match r.failed_after with
-  | Some t ->
-      Format.fprintf fmt ", failed after %a (hop %s)" Engine.Time.pp t
-        (match r.failed_hop with Some h -> string_of_int h | None -> "?")
-  | None -> ());
-  Format.fprintf fmt ", %.2f Mbit/s goodput, %d retx, drops %a, queue hwm %d B"
-    (r.goodput_bps /. 1e6) r.retransmissions Netsim.Link.pp_drop_counts r.drops
-    r.queue_high_watermark_bytes

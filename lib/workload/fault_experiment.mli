@@ -33,9 +33,10 @@ type config = {
   loss : Netsim.Faults.loss_model option;
       (** Attached to both directions of the bottleneck access link. *)
   outage : (Engine.Time.t * Engine.Time.t) option;
-      (** [(down, up)] offsets from transfer start. *)
+      (** [(down, up)] offsets from transfer start, [0 <= down < up]. *)
   crash_at : Engine.Time.t option;
-      (** Crash the bottleneck relay this long after transfer start. *)
+      (** Crash the bottleneck relay this long after transfer start (not
+          negative). *)
   horizon : Engine.Time.t;
 }
 
@@ -122,5 +123,3 @@ val with_strategy : Circuitstart.Controller.strategy -> config -> config
 (** The config with its startup strategy replaced; with
     {!validate_config} and {!run_many} this makes the module an
     {!Experiment.S}. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -70,6 +70,8 @@ let validate_config c =
   else if (match c.max_queued_bytes with Some n -> n < 1 | None -> false) then
     Error "max_queued_bytes must be positive when set"
   else if c.max_rebuilds < 0 then Error "max_rebuilds must be >= 0"
+  else if Option.fold ~none:false ~some:Engine.Time.is_negative c.crash_at then
+    Error "crash_at must not be negative"
   else if Engine.Time.(c.horizon <= Engine.Time.zero) then
     Error "horizon must be positive"
   else
@@ -330,7 +332,7 @@ let run ?(seed = 42) ?probe ?relay_probe config =
       sum_transfers (fun d ->
           Tor_model.Stream.Sink.duplicates (Backtap.Transfer.sink d));
     retransmissions = sum_transfers Backtap.Transfer.total_retransmissions;
-    drops = Netsim.Flow_monitor.link_drops links;
+    drops = Netsim.Link.sum_drop_counts links;
     queue_high_watermark_bytes =
       Array.fold_left
         (fun acc l -> Stdlib.max acc (Netsim.Link.queue_high_watermark_bytes l))
@@ -360,16 +362,3 @@ let run_many ?jobs tasks =
   Engine.Pool.map_list ?jobs (fun (seed, config) -> run ~seed config) tasks
 
 let with_strategy strategy config = { config with strategy }
-
-let pp_result fmt r =
-  Format.fprintf fmt "%d/%d completed (%d exhausted, %d timed out)" r.completed
-    r.sessions r.exhausted r.timed_out;
-  Format.fprintf fmt ", refusal rate %.1f%% (%d refused / %d admitted)"
-    (100. *. r.refusal_rate) r.refusals r.admitted;
-  Format.fprintf fmt ", %d oom kill%s" r.oom_kills
-    (if r.oom_kills = 1 then "" else "s");
-  (match r.mean_ttlb with
-  | Some t -> Format.fprintf fmt ", mean ttlb %a" Engine.Time.pp t
-  | None -> ());
-  Format.fprintf fmt ", %d B delivered, %.2f Mbit/s, hwm %d B"
-    r.delivered_bytes (r.goodput_bps /. 1e6) r.relay_byte_hwm

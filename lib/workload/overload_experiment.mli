@@ -55,8 +55,8 @@ type config = {
   max_rebuilds : int;
       (** Per-session rebuild budget — refusals consume it too. *)
   crash_at : Engine.Time.t option;
-      (** Crash offset from session 0's first transfer start; [None] =
-          no crash. *)
+      (** Crash offset from session 0's first transfer start (not
+          negative); [None] = no crash. *)
   crash_position : int;
       (** Path position of the crash victim, 1-based (1 = guard). *)
   horizon : Engine.Time.t;
@@ -161,5 +161,3 @@ val with_strategy : Circuitstart.Controller.strategy -> config -> config
 (** The config with its startup strategy replaced; with
     {!validate_config} and {!run_many} this makes the module an
     {!Experiment.S}. *)
-
-val pp_result : Format.formatter -> result -> unit

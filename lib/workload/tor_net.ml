@@ -74,7 +74,6 @@ let finalize b =
     (List.rev b.leaves);
   { net; b_hub = b.hub; dir; stations; ids = Tor_model.Circuit_id.generator () }
 
-let sim t = Netsim.Network.sim t.net
 let network t = t.net
 let directory t = t.dir
 let hub t = t.b_hub

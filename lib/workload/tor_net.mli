@@ -36,7 +36,6 @@ val finalize : builder -> t
 
 (** {1 Access} *)
 
-val sim : t -> Engine.Sim.t
 val network : t -> Netsim.Network.t
 val directory : t -> Tor_model.Directory.t
 val hub : t -> Netsim.Node_id.t

@@ -9,11 +9,13 @@ let contains hay needle =
 (* Cdf *)
 
 let test_cdf_basics () =
-  let cdf = Analysis.Cdf.of_samples [| 1.; 2.; 2.; 4. |] in
-  Alcotest.(check int) "count" 4 (Analysis.Cdf.count cdf);
-  Alcotest.(check (float 1e-9)) "min" 1. (Analysis.Cdf.min_value cdf);
-  Alcotest.(check (float 1e-9)) "max" 4. (Analysis.Cdf.max_value cdf);
-  Alcotest.(check (float 1e-9)) "mean" 2.25 (Analysis.Cdf.mean cdf)
+  let cdf = Analysis.Cdf.of_samples [| 4.; 2.; 1.; 2. |] in
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "one step per distinct value"
+    [ (1., 0.25); (2., 0.75); (4., 1.) ]
+    (Analysis.Cdf.points cdf);
+  Alcotest.(check (float 1e-9)) "min" 1. (Analysis.Cdf.quantile cdf 0.);
+  Alcotest.(check (float 1e-9)) "max" 4. (Analysis.Cdf.quantile cdf 1.)
 
 let test_cdf_quantiles () =
   let cdf = Analysis.Cdf.of_samples [| 10.; 20.; 30.; 40. |] in
@@ -47,9 +49,9 @@ let test_sketch_empty_guards () =
       (* One sample: the curve is clamped to the exact observed
          extremes, so it collapses onto the sample. *)
       Alcotest.(check (float 1e-9)) "of_sketch_opt min" 3.
-        (Analysis.Cdf.min_value cdf);
+        (Analysis.Cdf.quantile cdf 0.);
       Alcotest.(check (float 1e-9)) "of_sketch_opt max" 3.
-        (Analysis.Cdf.max_value cdf)
+        (Analysis.Cdf.quantile cdf 1.)
   | None -> Alcotest.fail "of_sketch_opt None on a non-empty sketch"
 
 let test_cdf_errors () =
@@ -94,15 +96,12 @@ let prop_fraction_below_quantile =
 (* Series *)
 
 let test_series_conversions () =
-  let ts = Engine.Timeseries.create () in
-  Engine.Timeseries.record ts (Engine.Time.ms 100) 10.;
-  Engine.Timeseries.record ts (Engine.Time.ms 200) 20.;
   let s =
-    Analysis.Series.resampled ts ~step:(Engine.Time.ms 100) ~stop:(Engine.Time.ms 200)
-      ~x_of:Analysis.Series.ms_of_time
-      ~y_of:(Analysis.Series.kb_of_cells ~cell_size:512)
+    Array.map
+      (fun (t, cells) ->
+        (Analysis.Series.ms_of_time t, Analysis.Series.kb_of_cells ~cell_size:512 cells))
+      [| (Engine.Time.zero, 10.); (Engine.Time.ms 100, 10.); (Engine.Time.ms 200, 20.) |]
   in
-  Alcotest.(check int) "points" 3 (Array.length s);
   Alcotest.(check (float 1e-9)) "x in ms" 100. (fst s.(1));
   Alcotest.(check (float 1e-9)) "y in kB" 5.12 (snd s.(1));
   Alcotest.(check (float 1e-9)) "y max" 10.24 (Analysis.Series.y_max s)

@@ -110,7 +110,7 @@ let test_hop_sender_window_gating () =
     };
   echo_successor sbs bts ~at:1 ~to_:leaves.(0);
   for seq = 0 to 9 do
-    Backtap.Hop_sender.submit sender (data_cell seq)
+    Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell seq)
   done;
   Alcotest.(check int) "window limits inflight" 2 (Backtap.Hop_sender.inflight sender);
   Alcotest.(check int) "rest queued" 8 (Backtap.Hop_sender.queue_length sender);
@@ -177,7 +177,7 @@ let test_hop_sender_retransmission () =
       on_feedback = (fun ~hop_seq:_ -> ());
     };
   for seq = 0 to 19 do
-    Backtap.Hop_sender.submit sender (data_cell seq)
+    Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell seq)
   done;
   Engine.Sim.run sim ~until:(Engine.Time.s 30);
   Alcotest.(check int) "all 20 delivered despite drops" 20 (Hashtbl.length received);
@@ -208,7 +208,7 @@ let test_hop_sender_spurious_feedback () =
           done);
       on_feedback = (fun ~hop_seq:_ -> ());
     };
-  Backtap.Hop_sender.submit sender (data_cell 0);
+  Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell 0);
   Engine.Sim.run sim;
   Alcotest.(check int) "one spurious" 1 (Backtap.Hop_sender.spurious_feedback sender)
 
@@ -232,7 +232,7 @@ let test_hop_sender_backoff_and_trip () =
   let aborted_at = ref None in
   Backtap.Hop_sender.set_on_abort sender (fun () ->
       aborted_at := Some (Engine.Sim.now sim));
-  Backtap.Hop_sender.submit sender (data_cell 0);
+  Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell 0);
   Engine.Sim.run sim ~until:(Engine.Time.s 10);
   Alcotest.(check int) "budget spent exactly" 3
     (Backtap.Hop_sender.retransmissions sender);
@@ -250,7 +250,7 @@ let test_hop_sender_backoff_and_trip () =
   Alcotest.(check bool) "no srtt without any sample" true
     (Backtap.Hop_sender.srtt sender = None);
   (* Terminal: submissions are ignored, the abort fires only once. *)
-  Backtap.Hop_sender.submit sender (data_cell 1);
+  Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell 1);
   Engine.Sim.run sim;
   Alcotest.(check int) "aborted sender sends nothing" 1
     (Backtap.Hop_sender.cells_sent sender)
@@ -288,7 +288,7 @@ let test_hop_sender_karn_rule () =
           end);
       on_feedback = (fun ~hop_seq:_ -> ());
     };
-  Backtap.Hop_sender.submit sender (data_cell 0);
+  Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell 0);
   Engine.Sim.run sim ~until:(Engine.Time.s 2);
   Alcotest.(check bool) "cell was retransmitted" true
     (Backtap.Hop_sender.retransmissions sender > 0);
@@ -316,8 +316,8 @@ let test_hop_sender_stale_transmit_after_recycle () =
   in
   (* Cells A (hop_seq 0) and B (hop_seq 1): A serializes immediately,
      B waits in the access-link queue behind it. *)
-  Backtap.Hop_sender.submit sender (data_cell 0);
-  Backtap.Hop_sender.submit sender (data_cell 1);
+  Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell 0);
+  Backtap.Hop_sender.forward sender ~ack_seq:0 (data_cell 1);
   (* t=150ms: feedback for A — seeds srtt=150ms (rto becomes 450 ms).
      At t=200ms B's queued-drop watchdog fires a spurious retransmit:
      two attempts of B now sit in the queue. *)
@@ -419,7 +419,7 @@ let test_transfer_trace_recorded () =
     (fun pos ->
       let key = Printf.sprintf "x/cwnd/%d" pos in
       match Engine.Trace.find trace key with
-      | Some ts -> Alcotest.(check bool) (key ^ " nonempty") true (Engine.Timeseries.length ts > 0)
+      | Some ts -> Alcotest.(check bool) (key ^ " nonempty") true (Array.length (Engine.Timeseries.points ts) > 0)
       | None -> Alcotest.fail (key ^ " missing"))
     [ 0; 1; 2; 3 ]
 

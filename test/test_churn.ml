@@ -301,6 +301,12 @@ let test_cli_bad_values_are_usage_errors () =
           "sweep --param distance --values 9";
           "sweep --param foo";
           "sweep --values 1,x";
+          "faults --crash-at=-0.5";
+          "faults --outage=-1:2";
+          "faults --outage=nan:1";
+          "recover --crash-at=-1";
+          "recover --crash-at=nan";
+          "faults --crash-at=inf";
         ])
 
 let test_cli_churn_scale_runs () =

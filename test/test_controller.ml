@@ -141,7 +141,7 @@ let test_latest_diff_reporting () =
   Alcotest.(check (option (float 0.01))) "diff 0 at base rtt" (Some 0.)
     (C.latest_diff ctrl);
   let _ =
-    feed ctrl ~from_:t ~gap:(Engine.Time.ms 1) ~rtt:(Engine.Time.scale base 2.) 1
+    feed ctrl ~from_:t ~gap:(Engine.Time.ms 1) ~rtt:(Engine.Time.mul_int base 2) 1
   in
   (match C.latest_diff ctrl with
   | Some d -> Alcotest.(check bool) "diff = cwnd at 2x rtt" true (Float.abs (d -. 2.) < 0.1)
@@ -164,7 +164,7 @@ let test_avoidance_shrinks_on_queue () =
   let ctrl, t = into_avoidance () in
   let w0 = C.cwnd ctrl in
   (* Sustained rtt inflation beyond beta shrinks one cell per round. *)
-  let inflated = Engine.Time.scale base 1.8 in
+  let inflated = div_int (Engine.Time.mul_int base 9) 5 in
   let _ = feed ctrl ~from_:t ~gap:(Engine.Time.ms 2) ~rtt:inflated (3 * w0) in
   Alcotest.(check bool)
     (Printf.sprintf "shrank from %d to %d" w0 (C.cwnd ctrl))
@@ -198,7 +198,7 @@ let test_avoidance_no_growth_unlimited () =
 let test_min_cwnd_floor () =
   let ctrl, t = into_avoidance () in
   (* Massive sustained inflation cannot push below the floor. *)
-  let awful = Engine.Time.scale base 10. in
+  let awful = Engine.Time.mul_int base 10 in
   let _ = feed ctrl ~from_:t ~gap:(Engine.Time.ms 2) ~rtt:awful 2000 in
   Alcotest.(check bool) "floor respected" true (C.cwnd ctrl >= P.default.P.min_cwnd)
 
@@ -535,7 +535,7 @@ module Ref_window = struct
     Queue.push now w.q;
     match w.base with
     | Some base ->
-        let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rate_window_rtts) in
+        let cutoff = Engine.Time.diff now (Engine.Time.mul_int base rate_window_rtts) in
         let rec drop () =
           match Queue.peek_opt w.q with
           | Some ts when Engine.Time.(ts <= cutoff) ->
@@ -550,7 +550,7 @@ module Ref_window = struct
     match w.base with
     | None -> Queue.length w.q
     | Some base ->
-        let cutoff = Engine.Time.sub now (Engine.Time.mul_int base rtts) in
+        let cutoff = Engine.Time.diff now (Engine.Time.mul_int base rtts) in
         Queue.fold (fun acc ts -> if Engine.Time.(ts > cutoff) then acc + 1 else acc) 0 w.q
 
   let sliding_rate_cells w =
@@ -609,7 +609,7 @@ let prop_traces_match_references =
         List.map
           (fun permille ->
             rtt :=
-              Engine.Time.sub !rtt
+              Engine.Time.diff !rtt
                 (div_int (Engine.Time.mul_int !rtt permille) 1000);
             let w = C.cwnd ctrl in
             t := feed ctrl ~from_:!t ~gap:(div_int !rtt w) ~rtt:!rtt w;

@@ -15,13 +15,11 @@ let test_time_constructors () =
 let test_time_arithmetic () =
   let a = Engine.Time.ms 5 and b = Engine.Time.ms 3 in
   Alcotest.check time "add" (Engine.Time.ms 8) (Engine.Time.add a b);
-  Alcotest.check time "sub" (Engine.Time.ms 2) (Engine.Time.sub a b);
   Alcotest.check time "diff" (Engine.Time.ms 2) (Engine.Time.diff a b);
   Alcotest.check time "mul_int" (Engine.Time.ms 15) (Engine.Time.mul_int a 3);
-  Alcotest.check time "scale" (Engine.Time.ms 10) (Engine.Time.scale a 2.);
   Alcotest.(check (float 1e-9)) "ratio" (5. /. 3.) (Engine.Time.ratio a b);
   Alcotest.(check bool) "negative" true
-    (Engine.Time.is_negative (Engine.Time.sub b a))
+    (Engine.Time.is_negative (Engine.Time.diff b a))
 
 let test_time_saturation () =
   let huge = Engine.Time.max_value in
@@ -45,13 +43,7 @@ let test_time_range_edges () =
   Alcotest.check time "of_sec_f beyond range saturates" huge (Engine.Time.of_sec_f 1e12);
   Alcotest.check time "of_sec_f below range saturates" lowest
     (Engine.Time.of_sec_f (-1e12));
-  Alcotest.check time "of_ms_f beyond range saturates" huge (Engine.Time.of_ms_f 1e15);
-  Alcotest.check time "scale beyond range saturates" huge
-    (Engine.Time.scale (Engine.Time.s 1_000_000_000) 10.);
-  Alcotest.check time "scale below range saturates" lowest
-    (Engine.Time.scale (Engine.Time.s 1_000_000_000) (-10.));
-  Alcotest.check time "scale of never by 1 stays never" huge
-    (Engine.Time.scale huge 1.)
+  Alcotest.check time "of_ms_f beyond range saturates" huge (Engine.Time.of_ms_f 1e15)
 
 let test_time_conversions () =
   Alcotest.(check (float 1e-12)) "to_sec_f" 0.002 (Engine.Time.to_sec_f (Engine.Time.ms 2));
@@ -81,7 +73,7 @@ let prop_time_add_sub =
     QCheck2.Gen.(pair (int_range (-1_000_000) 1_000_000) (int_range (-1_000_000) 1_000_000))
     (fun (a, b) ->
       let ta = Engine.Time.ns a and tb = Engine.Time.ns b in
-      Engine.Time.equal (Engine.Time.sub (Engine.Time.add ta tb) tb) ta)
+      Engine.Time.equal (Engine.Time.diff (Engine.Time.add ta tb) tb) ta)
 
 let gen_ns64_in_range =
   QCheck2.Gen.(
@@ -178,15 +170,7 @@ let test_rng_moments () =
     Engine.Stats.Online.add acc (Engine.Rng.exponential rng ~mean:2.)
   done;
   Alcotest.(check bool) "exponential mean ~2" true
-    (Float.abs (Engine.Stats.Online.mean acc -. 2.) < 0.1);
-  let acc = Engine.Stats.Online.create () in
-  for _ = 1 to n do
-    Engine.Stats.Online.add acc (Engine.Rng.normal rng ~mu:5. ~sigma:1.)
-  done;
-  Alcotest.(check bool) "normal mean ~5" true
-    (Float.abs (Engine.Stats.Online.mean acc -. 5.) < 0.05);
-  Alcotest.(check bool) "normal sd ~1" true
-    (Float.abs (Float.sqrt (Engine.Stats.Online.variance acc) -. 1.) < 0.05)
+    (Float.abs (Engine.Stats.Online.mean acc -. 2.) < 0.1)
 
 let test_rng_lognormal_median () =
   let rng = Engine.Rng.create 6 in
@@ -194,11 +178,18 @@ let test_rng_lognormal_median () =
   let xs =
     Array.init n (fun _ -> Engine.Rng.lognormal rng ~mu:(Float.log 10.) ~sigma:0.75)
   in
-  let med = Engine.Stats.median xs in
+  let med = Engine.Stats.percentile xs 50. in
   Alcotest.(check bool)
     (Printf.sprintf "lognormal median ~10 (got %.2f)" med)
     true
-    (med > 9. && med < 11.)
+    (med > 9. && med < 11.);
+  (* One sigma above the median of the underlying normal: the 84.13th
+     percentile is 10 e^0.75 ~ 21.2. *)
+  let p84 = Engine.Stats.percentile xs 84.13 in
+  Alcotest.(check bool)
+    (Printf.sprintf "lognormal p84 ~21.2 (got %.2f)" p84)
+    true
+    (p84 > 19.5 && p84 < 23.)
 
 let test_rng_pick_weighted () =
   let rng = Engine.Rng.create 8 in
@@ -261,10 +252,9 @@ module Ref_rng = struct
     Int64.to_float r *. (1. /. 9007199254740992.)
 
   let float t bound = unit_float t *. bound
-  let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 end
 
-type rng_op = Bits | Int of int | Float of float | Bool | Split | Copy
+type rng_op = Bits | Int of int | Float of float | Split | Copy
 
 let gen_rng_op =
   let bound =
@@ -279,7 +269,7 @@ let gen_rng_op =
     oneof
       [ pure Bits; map (fun b -> Int b) bound;
         map (fun x -> Float x) (float_range 1e-9 1e9);
-        pure Bool; pure Split; pure Copy ])
+        pure Split; pure Copy ])
 
 (* One random program of draws, run on the generator and the reference
    in lockstep.  [Split] continues on the child streams; [Copy] checks
@@ -300,7 +290,6 @@ let prop_rng_matches_reference =
               Int64.equal
                 (Int64.bits_of_float (R.float !t x))
                 (Int64.bits_of_float (Ref_rng.float !m x))
-          | Bool -> R.bool !t = Ref_rng.bool !m
           | Split ->
               t := R.split !t;
               m := Ref_rng.split !m;
@@ -360,7 +349,7 @@ let test_queue_peek_clear () =
   Alcotest.(check (option time)) "peek" (Some (Engine.Time.ms 5))
     (Engine.Event_queue.peek_time q);
   Engine.Event_queue.clear q;
-  Alcotest.(check bool) "empty" true (Engine.Event_queue.is_empty q)
+  Alcotest.(check bool) "empty" true (Engine.Event_queue.size q = 0)
 
 let test_queue_clear_resets () =
   let q = Engine.Event_queue.create () in
@@ -368,7 +357,7 @@ let test_queue_clear_resets () =
   ignore (Engine.Event_queue.add q ~time:(Engine.Time.ms 2) "older");
   Engine.Event_queue.clear q;
   Alcotest.(check int) "size" 0 (Engine.Event_queue.size q);
-  Alcotest.(check bool) "empty" true (Engine.Event_queue.is_empty q);
+  Alcotest.(check bool) "empty" true (Engine.Event_queue.size q = 0);
   (* A handle minted before the clear must be inert: cancelling it
      cannot drive the live count negative or disturb new entries. *)
   Engine.Event_queue.cancel q h;
@@ -431,7 +420,7 @@ let test_queue_pop_before_skips_cancelled () =
   let none = "NONE" in
   Alcotest.(check string) "the cancelled head is gone" "live"
     (Engine.Event_queue.pop_before q ~limit:(Engine.Time.ms 3) ~none);
-  Alcotest.(check bool) "then empty" true (Engine.Event_queue.is_empty q)
+  Alcotest.(check bool) "then empty" true (Engine.Event_queue.size q = 0)
 
 let test_queue_seq_overflow_guarded () =
   let q = Engine.Event_queue.create () in
@@ -467,7 +456,7 @@ let test_queue_live_bookkeeping () =
     (Engine.Event_queue.size q);
   Alcotest.(check bool) "pop on all-cancelled queue" true
     (Engine.Event_queue.pop q = None);
-  Alcotest.(check bool) "is_empty agrees" true (Engine.Event_queue.is_empty q)
+  Alcotest.(check bool) "is_empty agrees" true (Engine.Event_queue.size q = 0)
 
 let test_queue_wheel_horizons () =
   (* Deadlines in L0 (~16.8 ms), in L1 (~4.3 s) and in the overflow
@@ -485,7 +474,7 @@ let test_queue_wheel_horizons () =
   in
   Alcotest.(check (list int)) "drains sorted across horizons"
     (List.sort Int.compare deadlines) drained;
-  Alcotest.(check bool) "empty at the end" true (Engine.Event_queue.is_empty q)
+  Alcotest.(check bool) "empty at the end" true (Engine.Event_queue.size q = 0)
 
 let test_queue_never_last () =
   (* "Never" entries ([Time.max_value]) share the last tick: they fire
@@ -510,7 +499,7 @@ let test_queue_never_last () =
     drained;
   Alcotest.check time "popped time is never" never
     (Engine.Event_queue.popped_time q);
-  Alcotest.(check bool) "empty at the end" true (Engine.Event_queue.is_empty q)
+  Alcotest.(check bool) "empty at the end" true (Engine.Event_queue.size q = 0)
 
 let prop_queue_sorted_drain =
   QCheck2.Test.make ~name:"event queue drains in nondecreasing time order"
@@ -705,7 +694,7 @@ let run_timer_program geometry ops =
     | _ -> ok := false
   in
   drain ();
-  !ok && Q.is_empty q
+  !ok && Q.size q = 0
 
 let prop_queue_timers_match_model =
   let geometry =
@@ -933,10 +922,8 @@ let test_online_known () =
   List.iter (Engine.Stats.Online.add acc) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   Alcotest.(check int) "count" 8 (Engine.Stats.Online.count acc);
   Alcotest.(check (float 1e-9)) "mean" 5. (Engine.Stats.Online.mean acc);
-  Alcotest.(check (float 1e-9)) "variance" (32. /. 7.) (Engine.Stats.Online.variance acc);
   Alcotest.(check (float 1e-9)) "min" 2. (Engine.Stats.Online.min acc);
-  Alcotest.(check (float 1e-9)) "max" 9. (Engine.Stats.Online.max acc);
-  Alcotest.(check (float 1e-9)) "sum" 40. (Engine.Stats.Online.sum acc)
+  Alcotest.(check (float 1e-9)) "max" 9. (Engine.Stats.Online.max acc)
 
 let test_online_merge () =
   let a = Engine.Stats.Online.create () and b = Engine.Stats.Online.create () in
@@ -947,73 +934,28 @@ let test_online_merge () =
       if x < 5. then Engine.Stats.Online.add a x else Engine.Stats.Online.add b x)
     [ 1.; 2.; 3.; 6.; 7.; 8.; 9. ];
   let merged = Engine.Stats.Online.merge a b in
+  Alcotest.(check int) "merged count" 7 (Engine.Stats.Online.count merged);
   Alcotest.(check (float 1e-9)) "merged mean" (Engine.Stats.Online.mean all)
     (Engine.Stats.Online.mean merged);
-  Alcotest.(check (float 1e-9)) "merged var" (Engine.Stats.Online.variance all)
-    (Engine.Stats.Online.variance merged)
+  Alcotest.(check (float 0.)) "merged min" 1. (Engine.Stats.Online.min merged);
+  Alcotest.(check (float 0.)) "merged max" 9. (Engine.Stats.Online.max merged)
 
 let test_percentiles () =
   let xs = [| 15.; 20.; 35.; 40.; 50. |] in
-  Alcotest.(check (float 1e-9)) "median" 35. (Engine.Stats.median xs);
+  Alcotest.(check (float 1e-9)) "median" 35. (Engine.Stats.percentile xs 50.);
   Alcotest.(check (float 1e-9)) "p0" 15. (Engine.Stats.percentile xs 0.);
   Alcotest.(check (float 1e-9)) "p100" 50. (Engine.Stats.percentile xs 100.);
   Alcotest.(check (float 1e-9)) "p25 interpolates" 20. (Engine.Stats.percentile xs 25.)
 
-let test_cdf_points () =
-  let pts = Engine.Stats.cdf_points [| 3.; 1.; 3.; 2. |] in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "steps"
-    [ (1., 0.25); (2., 0.5); (3., 1.) ]
-    pts
-
-let samples_of xs =
-  let s = Engine.Stats.Samples.create () in
-  Array.iter (Engine.Stats.Samples.add s) xs;
-  s
-
 let test_samples_basic () =
+  (* Past the initial 64-slot array the buffer doubles; every sample
+     comes back in insertion order. *)
   let s = Engine.Stats.Samples.create () in
-  Alcotest.(check bool) "empty" true (Engine.Stats.Samples.is_empty s);
-  List.iter (Engine.Stats.Samples.add s) [ 30.; 10.; 50. ];
-  Alcotest.(check int) "length" 3 (Engine.Stats.Samples.length s);
-  Alcotest.(check (float 1e-9)) "median" 30. (Engine.Stats.Samples.median s);
-  Alcotest.(check (float 1e-9)) "p0" 10. (Engine.Stats.Samples.percentile s 0.);
-  Alcotest.(check (float 1e-9)) "p100" 50. (Engine.Stats.Samples.percentile s 100.);
-  Alcotest.(check (float 1e-9)) "mean" 30. (Engine.Stats.Samples.mean s);
-  Alcotest.(check (float 1e-9)) "min" 10. (Engine.Stats.Samples.min s);
-  Alcotest.(check (float 1e-9)) "max" 50. (Engine.Stats.Samples.max s);
-  Alcotest.(check (array (float 1e-9))) "sorted view" [| 10.; 30.; 50. |]
-    (Engine.Stats.Samples.sorted s);
-  Alcotest.(check (array (float 1e-9))) "to_array keeps insertion order"
-    [| 30.; 10.; 50. |] (Engine.Stats.Samples.to_array s)
-
-let test_samples_cache_invalidation () =
-  (* Query (populating the sorted cache), then add: the next query must
-     see the new sample, not the stale cache. *)
-  let s = samples_of [| 30.; 10.; 50. |] in
-  Alcotest.(check (float 1e-9)) "median before" 30. (Engine.Stats.Samples.median s);
-  Engine.Stats.Samples.add s 20.;
-  Alcotest.(check (float 1e-9)) "median after add" 25. (Engine.Stats.Samples.median s);
-  Array.iter (Engine.Stats.Samples.add s) [| 5.; 60. |];
-  Alcotest.(check (float 1e-9)) "p0 after more adds" 5.
-    (Engine.Stats.Samples.percentile s 0.);
-  Alcotest.(check (float 1e-9)) "p100 after more adds" 60.
-    (Engine.Stats.Samples.percentile s 100.);
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "cdf points see every sample"
-    (Engine.Stats.cdf_points [| 30.; 10.; 50.; 20.; 5.; 60. |])
-    (Engine.Stats.Samples.cdf_points s)
-
-let prop_samples_match_array =
-  QCheck2.Test.make ~name:"Samples.percentile matches array percentile"
-    QCheck2.Gen.(
-      pair (list_size (int_range 1 50) (float_range 0. 100.)) (int_range 0 100))
-    (fun (xs, p) ->
-      let s = samples_of (Array.of_list xs) in
-      Float.abs
-        (Engine.Stats.Samples.percentile s (float_of_int p)
-        -. Engine.Stats.percentile (Array.of_list xs) (float_of_int p))
-      < 1e-9)
+  Alcotest.(check (array (float 0.))) "empty" [||] (Engine.Stats.Samples.to_array s);
+  let xs = Array.init 200 (fun i -> float_of_int ((i * 37) mod 101)) in
+  Array.iter (Engine.Stats.Samples.add s) xs;
+  Alcotest.(check (array (float 0.))) "to_array keeps insertion order" xs
+    (Engine.Stats.Samples.to_array s)
 
 let prop_online_matches_direct =
   QCheck2.Test.make ~name:"Welford matches direct mean"
@@ -1024,28 +966,16 @@ let prop_online_matches_direct =
       let direct = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
       Float.abs (Engine.Stats.Online.mean acc -. direct) < 1e-6)
 
-let prop_cdf_monotone =
-  QCheck2.Test.make ~name:"cdf points are monotone and end at 1"
-    QCheck2.Gen.(list_size (int_range 1 100) (float_range 0. 100.))
-    (fun xs ->
-      let pts = Engine.Stats.cdf_points (Array.of_list xs) in
-      let fracs = List.map snd pts in
-      let rec monotone = function
-        | a :: (b :: _ as rest) -> a <= b && monotone rest
-        | _ -> true
-      in
-      monotone fracs && Float.equal (List.nth fracs (List.length fracs - 1)) 1.)
-
 (* ------------------------------------------------------------------ *)
 (* Timeseries / Trace *)
 
 let test_timeseries_basic () =
-  let ts = Engine.Timeseries.create ~name:"t" () in
+  let ts = Engine.Timeseries.create () in
   Engine.Timeseries.record ts (Engine.Time.ms 1) 1.;
   Engine.Timeseries.record ts (Engine.Time.ms 3) 3.;
-  Alcotest.(check int) "length" 2 (Engine.Timeseries.length ts);
-  Alcotest.(check (option (float 1e-9))) "max" (Some 3.)
-    (Engine.Timeseries.max_value ts)
+  Alcotest.(check (list (pair time (float 0.)))) "points in order"
+    [ (Engine.Time.ms 1, 1.); (Engine.Time.ms 3, 3.) ]
+    (Array.to_list (Engine.Timeseries.points ts))
 
 let test_timeseries_backwards_rejected () =
   let ts = Engine.Timeseries.create () in
@@ -1077,16 +1007,20 @@ let test_every_invalid_period () =
 
 let test_negative_time_pp () =
   Alcotest.(check string) "sign rendered" "-2.50ms"
-    (Engine.Time.to_string (Engine.Time.sub Engine.Time.zero (Engine.Time.us 2_500)))
+    (Engine.Time.to_string (Engine.Time.diff Engine.Time.zero (Engine.Time.us 2_500)))
 
 let test_trace_registry () =
   let tr = Engine.Trace.create () in
   Engine.Trace.record tr "a/x" (Engine.Time.ms 1) 1.;
   Engine.Trace.record tr "b/y" (Engine.Time.ms 2) 2.;
   Engine.Trace.record tr "a/x" (Engine.Time.ms 3) 3.;
-  Alcotest.(check (list string)) "keys sorted" [ "a/x"; "b/y" ] (Engine.Trace.keys tr);
-  Alcotest.(check int) "series length" 2
-    (Engine.Timeseries.length (Engine.Trace.series tr "a/x"));
+  let length key =
+    Option.map
+      (fun ts -> Array.length (Engine.Timeseries.points ts))
+      (Engine.Trace.find tr key)
+  in
+  Alcotest.(check (option int)) "series length" (Some 2) (length "a/x");
+  Alcotest.(check (option int)) "second series" (Some 1) (length "b/y");
   Alcotest.(check bool) "find missing" true (Engine.Trace.find tr "zzz" = None)
 
 let test_trace_events () =
@@ -1118,7 +1052,9 @@ let test_trace_events_csv_roundtrip () =
   let tr = Engine.Trace.create () in
   let kinds =
     [ Engine.Trace.Fault; Engine.Trace.Recovery; Engine.Trace.Abort;
-      Engine.Trace.Rebuild; Engine.Trace.Resume; Engine.Trace.Exhausted ]
+      Engine.Trace.Rebuild; Engine.Trace.Resume; Engine.Trace.Exhausted;
+      Engine.Trace.Refused; Engine.Trace.Oom_kill; Engine.Trace.Overload_enter;
+      Engine.Trace.Overload_exit ]
   in
   List.iteri
     (fun i kind ->
@@ -1134,14 +1070,16 @@ let test_trace_events_csv_roundtrip () =
   Alcotest.(check int) "all rows parsed" (List.length kinds) (List.length parsed);
   Alcotest.(check bool) "round trip is lossless" true
     (parsed = Engine.Trace.events tr);
-  List.iter
-    (fun kind ->
-      let s = Engine.Trace.kind_to_string kind in
-      Alcotest.(check bool) ("kind round trip: " ^ s) true
-        (Engine.Trace.kind_of_string s = Some kind))
-    kinds;
-  Alcotest.(check bool) "unknown kind rejected" true
-    (Engine.Trace.kind_of_string "bogus" = None);
+  (* The first row is the fault event: swap its kind for an unknown one. *)
+  let row = List.nth (String.split_on_char '\n' (Buffer.contents buf)) 1 in
+  let comma = String.index row ',' in
+  let bogus =
+    String.sub row 0 comma ^ ",bogus"
+    ^ String.sub row (comma + 6) (String.length row - comma - 6)
+  in
+  Alcotest.(check int) "the row parses" 1 (List.length (Engine.Trace.events_of_csv row));
+  Alcotest.(check int) "unknown kind rejected" 0
+    (List.length (Engine.Trace.events_of_csv bogus));
   Alcotest.(check int) "garbage lines skipped" 0
     (List.length (Engine.Trace.events_of_csv "not,a,valid\nrow\n"))
 
@@ -1219,8 +1157,7 @@ let prop_weighted_matches_binary_search =
               [ Float.pred c; c; Float.succ c ])
           cum
       in
-      Int64.equal (Int64.bits_of_float (W.total w)) (Int64.bits_of_float total)
-      && draws_agree && edges_agree)
+      draws_agree && edges_agree)
 
 let test_rng_weighted_edges () =
   let module W = Engine.Rng.Weighted in
@@ -1229,7 +1166,7 @@ let test_rng_weighted_edges () =
      last index, even when its weight is zero. *)
   let weights = [| 0.; 0.; 1.; 1. -. epsilon_float; 0. |] in
   let w = W.create weights in
-  let total = W.total w in
+  let total = (cumulative weights).(4) in
   Alcotest.(check (float 0.)) "total" (2. -. epsilon_float) total;
   Alcotest.(check int) "uniform 0: first positive weight" 2 (W.find w 0.);
   Alcotest.(check int) "uniform at the total: last index" 4 (W.find w total);
@@ -1309,9 +1246,7 @@ let test_alloc_rng () =
   let sink = ref 0 in
   check_no_alloc "Rng.int" (fun () -> sink := !sink + Engine.Rng.int rng 1_000);
   check_no_alloc "Rng.int near max_int" (fun () ->
-      sink := !sink lxor Engine.Rng.int rng (max_int - 7));
-  check_no_alloc "Rng.bool" (fun () ->
-      if Engine.Rng.bool rng then incr sink)
+      sink := !sink lxor Engine.Rng.int rng (max_int - 7))
 
 let test_alloc_weighted () =
   let rng = Engine.Rng.create 13 in
@@ -1878,7 +1813,7 @@ let qtests =
       prop_rng_int_unbiased; prop_rng_matches_reference;
       prop_weighted_matches_binary_search; prop_exponential_ns_matches_of_sec_f;
       prop_queue_sorted_drain; prop_queue_matches_model; prop_queue_timers_match_model;
-      prop_online_matches_direct; prop_cdf_monotone; prop_samples_match_array ]
+      prop_online_matches_direct ]
 
 let () =
   Alcotest.run "engine"
@@ -1959,10 +1894,7 @@ let () =
           Alcotest.test_case "online known values" `Quick test_online_known;
           Alcotest.test_case "online merge" `Quick test_online_merge;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
-          Alcotest.test_case "cdf points" `Quick test_cdf_points;
           Alcotest.test_case "samples basic" `Quick test_samples_basic;
-          Alcotest.test_case "samples cache invalidation" `Quick
-            test_samples_cache_invalidation;
         ] );
       ( "timeseries",
         [
@@ -1977,7 +1909,7 @@ let () =
         ] );
       ( "allocation",
         [
-          Alcotest.test_case "Rng.int and Rng.bool" `Quick test_alloc_rng;
+          Alcotest.test_case "Rng.int" `Quick test_alloc_rng;
           Alcotest.test_case "Rng.Weighted.draw and Rng.bernoulli" `Quick
             test_alloc_weighted;
           Alcotest.test_case "Rng.exponential_ns and Sketch.add_ns" `Quick

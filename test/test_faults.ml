@@ -279,6 +279,20 @@ let test_experiment_validation () =
          { quick_config with outage = Some (Engine.Time.ms 500, Engine.Time.ms 100) }
      with
     | Error _ -> true
+    | Ok _ -> false);
+  Alcotest.(check bool) "outage before the transfer start rejected" true
+    (match
+       Workload.Fault_experiment.validate_config
+         { quick_config with outage = Some (Engine.Time.ms (-1), Engine.Time.ms 100) }
+     with
+    | Error _ -> true
+    | Ok _ -> false);
+  Alcotest.(check bool) "negative crash_at rejected" true
+    (match
+       Workload.Fault_experiment.validate_config
+         { quick_config with crash_at = Some (Engine.Time.ms (-500)) }
+     with
+    | Error _ -> true
     | Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)

@@ -33,36 +33,40 @@ let test_payload_printer () =
 (* ------------------------------------------------------------------ *)
 (* Nqueue *)
 
+(* A packet with no transmit callback, and the head packet if any. *)
+let enqueue q p = Netsim.Nqueue.push q p None
+let dequeue q = if Netsim.Nqueue.is_empty q then None else Some (Netsim.Nqueue.take q)
+
 let test_nqueue_fifo () =
   let ids = Netsim.Packet.fresh_id_state () in
   let q = Netsim.Nqueue.create Netsim.Nqueue.unbounded in
   let ps = List.init 5 (fun _ -> mk_packet ids ~src:0 ~dst:1 ~size:10) in
-  List.iter (fun p -> ignore (Netsim.Nqueue.enqueue q p)) ps;
-  let out = List.init 5 (fun _ -> (Option.get (Netsim.Nqueue.dequeue q)).Netsim.Packet.id) in
+  List.iter (fun p -> ignore (enqueue q p)) ps;
+  let out = List.init 5 (fun _ -> (Option.get (dequeue q)).Netsim.Packet.id) in
   Alcotest.(check (list int)) "fifo order" [ 0; 1; 2; 3; 4 ] out;
   Alcotest.(check bool) "empty after drain" true (Netsim.Nqueue.is_empty q)
 
 let test_nqueue_packet_capacity () =
   let ids = Netsim.Packet.fresh_id_state () in
   let q = Netsim.Nqueue.create (Netsim.Nqueue.packets 2) in
-  Alcotest.(check bool) "1 fits" true (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
-  Alcotest.(check bool) "2 fits" true (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
-  Alcotest.(check bool) "3 dropped" false (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+  Alcotest.(check bool) "1 fits" true (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+  Alcotest.(check bool) "2 fits" true (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+  Alcotest.(check bool) "3 dropped" false (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
   Alcotest.(check int) "drops" 1 (Netsim.Nqueue.drops q);
   Alcotest.(check int) "dropped bytes" 10 (Netsim.Nqueue.dropped_bytes q);
-  ignore (Netsim.Nqueue.dequeue q);
+  ignore (dequeue q);
   Alcotest.(check bool) "fits after dequeue" true
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10))
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10))
 
 let test_nqueue_byte_capacity () =
   let ids = Netsim.Packet.fresh_id_state () in
-  let q = Netsim.Nqueue.create (Netsim.Nqueue.bytes 25) in
-  Alcotest.(check bool) "10B fits" true (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
-  Alcotest.(check bool) "10B fits" true (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+  let q = Netsim.Nqueue.create { Netsim.Nqueue.max_packets = None; max_bytes = Some 25 } in
+  Alcotest.(check bool) "10B fits" true (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+  Alcotest.(check bool) "10B fits" true (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
   Alcotest.(check bool) "10B dropped (would exceed)" false
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
   Alcotest.(check bool) "5B fits exactly" true
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:5));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:5));
   Alcotest.(check int) "byte length" 25 (Netsim.Nqueue.byte_length q);
   Alcotest.(check int) "hwm" 25 (Netsim.Nqueue.high_watermark_bytes q)
 
@@ -70,15 +74,15 @@ let test_nqueue_byte_capacity () =
    queue: it must be tail-dropped (and counted), not wedge the queue. *)
 let test_nqueue_oversized_packet () =
   let ids = Netsim.Packet.fresh_id_state () in
-  let q = Netsim.Nqueue.create (Netsim.Nqueue.bytes 10) in
+  let q = Netsim.Nqueue.create { Netsim.Nqueue.max_packets = None; max_bytes = Some 10 } in
   Alcotest.(check bool) "oversized dropped on empty queue" false
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:11));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:11));
   Alcotest.(check bool) "still empty" true (Netsim.Nqueue.is_empty q);
   Alcotest.(check int) "drop counted" 1 (Netsim.Nqueue.drops q);
   Alcotest.(check int) "dropped bytes counted" 11 (Netsim.Nqueue.dropped_bytes q);
   Alcotest.(check int) "hwm untouched" 0 (Netsim.Nqueue.high_watermark_bytes q);
   Alcotest.(check bool) "a fitting packet still goes through" true
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10))
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10))
 
 (* Packet and byte limits in force together: drops / dropped_bytes must
    attribute each rejection correctly whichever limit it tripped. *)
@@ -89,17 +93,17 @@ let test_nqueue_mixed_limits () =
       { Netsim.Nqueue.max_packets = Some 3; max_bytes = Some 25 }
   in
   Alcotest.(check bool) "10B fits" true
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
   Alcotest.(check bool) "10B fits" true
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
   (* Byte limit trips first: 2 packets < 3, but 20 + 10 > 25. *)
   Alcotest.(check bool) "byte limit trips" false
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:10));
   Alcotest.(check bool) "small packet still fits" true
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:2));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:2));
   (* Now the packet limit trips: 3 packets queued, bytes would fit. *)
   Alcotest.(check bool) "packet limit trips" false
-    (Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:1));
+    (enqueue q (mk_packet ids ~src:0 ~dst:1 ~size:1));
   Alcotest.(check int) "both drops counted" 2 (Netsim.Nqueue.drops q);
   Alcotest.(check int) "dropped bytes sum both causes" 11
     (Netsim.Nqueue.dropped_bytes q);
@@ -115,11 +119,11 @@ let prop_nqueue_conservation =
       let accepted = ref 0 in
       List.iter
         (fun size ->
-          if Netsim.Nqueue.enqueue q (mk_packet ids ~src:0 ~dst:1 ~size) then incr accepted)
+          if enqueue q (mk_packet ids ~src:0 ~dst:1 ~size) then incr accepted)
         sizes;
       let drained = ref 0 in
       let rec drain () =
-        match Netsim.Nqueue.dequeue q with
+        match dequeue q with
         | Some _ -> incr drained; drain ()
         | None -> ()
       in
@@ -319,11 +323,25 @@ let test_topology_errors () =
        false
      with Invalid_argument _ -> true)
 
+(* A chain of nodes with uniform duplex links, wired with [connect]
+   as the line world wires its circuit. *)
+let line sim ~names ~rate ~delay =
+  let topo = Netsim.Topology.create sim in
+  let ids = List.map (fun name -> Netsim.Topology.add_node topo ~name) names in
+  let rec wire = function
+    | a :: (b :: _ as rest) ->
+        Netsim.Topology.connect topo a b ~rate ~delay ();
+        wire rest
+    | [ _ ] | [] -> ()
+  in
+  wire ids;
+  (topo, ids)
+
 let test_topology_line () =
   let sim = Engine.Sim.create () in
   let topo, ids =
-    Netsim.Topology.line sim ~names:[ "a"; "b"; "c" ] ~rate:(Engine.Units.Rate.mbit 1)
-      ~delay:(Engine.Time.ms 1) ()
+    line sim ~names:[ "a"; "b"; "c" ] ~rate:(Engine.Units.Rate.mbit 1)
+      ~delay:(Engine.Time.ms 1)
   in
   Alcotest.(check int) "three nodes" 3 (Netsim.Topology.node_count topo);
   match ids with
@@ -369,6 +387,10 @@ let dumbbell sim ~left ~right ~bottleneck_rate ~bottleneck_delay =
   let rs = List.map (attach router_r) right in
   (topo, ls, rs)
 
+(* Links on the route from [a] to [b], or [None] when unreachable. *)
+let hop_count net a b =
+  Option.map (fun p -> List.length p - 1) (Netsim.Network.path net a b)
+
 (* Summed one-way propagation delay of the links along [path], or
    [None] when [path] is. *)
 let route_delay topo path =
@@ -394,7 +416,7 @@ let test_topology_dumbbell () =
   match (ls, rs) with
   | [ a; _ ], [ x ] ->
       Alcotest.(check (option int)) "a to x crosses 3 links" (Some 3)
-        (Netsim.Network.hop_count net a x);
+        (hop_count net a x);
       Alcotest.(check (option time)) "path delay" (Some (Engine.Time.ms 24))
         (route_delay topo (Netsim.Network.path net a x))
   | _ -> Alcotest.fail "unexpected shape"
@@ -418,7 +440,7 @@ let test_network_routing () =
   match leaves with
   | [ l0; l1; _ ] ->
       Alcotest.(check (option int)) "two hops leaf to leaf" (Some 2)
-        (Netsim.Network.hop_count net l0 l1);
+        (hop_count net l0 l1);
       Alcotest.(check (option (list int)))
         "path through hub"
         (Some [ Netsim.Node_id.to_int l0; Netsim.Node_id.to_int hub; Netsim.Node_id.to_int l1 ])
@@ -477,7 +499,7 @@ let test_network_no_route () =
   let a = Netsim.Topology.add_node topo ~name:"a" in
   let b = Netsim.Topology.add_node topo ~name:"b" in
   let net = Netsim.Network.create topo in
-  Alcotest.(check (option int)) "no hop count" None (Netsim.Network.hop_count net a b);
+  Alcotest.(check (option int)) "no hop count" None (hop_count net a b);
   let p = Netsim.Network.make_packet net ~src:a ~dst:b ~size:10 (Netsim.Payload.Raw "q") in
   Alcotest.(check bool) "send raises" true
     (try
@@ -521,52 +543,6 @@ let test_cbr_rate () =
         (Netsim.Cbr_source.bytes_sent cbr)
   | _ -> Alcotest.fail "expected three leaves"
 
-let test_cbr_stop_and_rate_change () =
-  let sim, _, net, _, leaves = star_net () in
-  match leaves with
-  | [ l0; l1; _ ] ->
-      Netsim.Network.set_local_handler net l1 (fun _ -> ());
-      let cbr =
-        Netsim.Cbr_source.start net ~src:l0 ~dst:l1 ~rate:(Engine.Units.Rate.mbit 1) ()
-      in
-      ignore
-        (Engine.Sim.schedule_at sim (Engine.Time.ms 100) (fun () ->
-             Netsim.Cbr_source.set_rate cbr (Engine.Units.Rate.mbit 4)));
-      ignore
-        (Engine.Sim.schedule_at sim (Engine.Time.ms 200) (fun () ->
-             Netsim.Cbr_source.stop cbr));
-      Engine.Sim.run sim ~until:(Engine.Time.s 1);
-      (* ~24 packets in the first 100 ms, ~98 in the next (4x), none after. *)
-      let sent = Netsim.Cbr_source.packets_sent cbr in
-      Alcotest.(check bool)
-        (Printf.sprintf "sent ~122 (got %d)" sent)
-        true
-        (sent >= 115 && sent <= 130);
-      Netsim.Cbr_source.stop cbr
-  | _ -> Alcotest.fail "expected three leaves"
-
-(* ------------------------------------------------------------------ *)
-(* Flow monitor *)
-
-let test_flow_monitor () =
-  let fm = Netsim.Flow_monitor.create () in
-  Netsim.Flow_monitor.on_tx fm ~flow:1 ~bytes:100 ~now:(Engine.Time.ms 1);
-  Netsim.Flow_monitor.on_tx fm ~flow:1 ~bytes:100 ~now:(Engine.Time.ms 2);
-  Netsim.Flow_monitor.on_rx fm ~flow:1 ~bytes:100 ~now:(Engine.Time.ms 11);
-  Netsim.Flow_monitor.on_rx fm ~flow:1 ~bytes:100 ~now:(Engine.Time.ms 12);
-  Netsim.Flow_monitor.on_rx fm ~flow:2 ~bytes:7 ~now:(Engine.Time.ms 5);
-  (match Netsim.Flow_monitor.stats fm ~flow:1 with
-  | Some s ->
-      Alcotest.(check int) "tx packets" 2 s.Netsim.Flow_monitor.tx_packets;
-      Alcotest.(check int) "rx bytes" 200 s.Netsim.Flow_monitor.rx_bytes
-  | None -> Alcotest.fail "missing flow");
-  Alcotest.(check (option time)) "ttlb" (Some (Engine.Time.ms 11))
-    (Netsim.Flow_monitor.time_to_last_byte fm ~flow:1);
-  Alcotest.(check (option time)) "incomplete flow has no ttlb" None
-    (Netsim.Flow_monitor.time_to_last_byte fm ~flow:2);
-  Alcotest.(check (list int)) "flows" [ 1; 2 ] (Netsim.Flow_monitor.flows fm);
-  Alcotest.(check int) "total rx" 207 (Netsim.Flow_monitor.total_rx_bytes fm)
-
 (* ------------------------------------------------------------------ *)
 (* Dense adjacency: frozen references *)
 
@@ -578,7 +554,7 @@ let test_flow_monitor () =
 let ref_compute_routes topo =
   let n = Netsim.Topology.node_count topo in
   let next_hop = Array.make_matrix n n (-1) in
-  let nodes = Array.of_list (Netsim.Topology.nodes topo) in
+  let nodes = Array.init n Netsim.Node_id.of_int in
   let dijkstra src =
     let dist = Array.make n max_int in
     let prev = Array.make n (-1) in
@@ -667,10 +643,7 @@ let build_shape shape =
       let topo, _, _ = Netsim.Topology.star sim ~hub:"hub" ~leaves:(leaves ds) () in
       topo
   | Line (n, d) ->
-      fst
-        (Netsim.Topology.line sim
-           ~names:(List.init n string_of_int)
-           ~rate ~delay:(delay_of d) ())
+      fst (line sim ~names:(List.init n string_of_int) ~rate ~delay:(delay_of d))
   | Dumbbell (l, r, d) ->
       let access ds = List.map (fun d -> (rate, delay_of d)) ds in
       let topo, _, _ =
@@ -793,7 +766,7 @@ let prop_routes_match_reference =
           let ia = Netsim.Node_id.of_int a and ib = Netsim.Node_id.of_int b in
           let metrics = ref_route_metrics topo want a b in
           if next_hop net a b <> want.(a).(b) then ok := false;
-          if Netsim.Network.hop_count net ia ib <> Option.map fst metrics then ok := false;
+          if hop_count net ia ib <> Option.map fst metrics then ok := false;
           if route_delay topo (Netsim.Network.path net ia ib) <> Option.map snd metrics
           then ok := false;
           let expected =
@@ -1017,8 +990,6 @@ let () =
       ( "cbr",
         [
           Alcotest.test_case "paces at the nominal rate" `Quick test_cbr_rate;
-          Alcotest.test_case "stop and rate change" `Quick test_cbr_stop_and_rate_change;
         ] );
-      ("flow_monitor", [ Alcotest.test_case "accounting" `Quick test_flow_monitor ]);
       ("properties", qtests);
     ]

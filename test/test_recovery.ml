@@ -172,7 +172,8 @@ let test_config_validation () =
   bad (fun c -> { c with crash_position = 0 }) "crash_position 0";
   bad (fun c -> { c with crash_position = 4 }) "crash_position > hops";
   bad (fun c -> { c with max_rebuilds = -1 }) "negative budget";
-  bad (fun c -> { c with transfer_bytes = 0 }) "empty transfer"
+  bad (fun c -> { c with transfer_bytes = 0 }) "empty transfer";
+  bad (fun c -> { c with crash_at = Some (Engine.Time.ms (-1)) }) "negative crash_at"
 
 let () =
   Alcotest.run "recovery"

@@ -38,29 +38,34 @@ let test_cell_predicates () =
 (* ------------------------------------------------------------------ *)
 (* Onion layering *)
 
+(* A RELAY cell wrapped in [hops] layers, as a client sends it. *)
+let wrap ~hops cmd c = Tor_model.Cell.make c (Tor_model.Cell.Relay { layers = hops; cmd })
+
+let layers (cell : Tor_model.Cell.t) =
+  match cell.command with Tor_model.Cell.Relay { layers; _ } -> Some layers | _ -> None
+
+(* The relay command once every layer is off. *)
+let exposed cell = if layers cell = Some 0 then Tor_model.Cell.relay_cmd cell else None
+
 let test_crypto_wrap_peel () =
   let c = Tor_model.Circuit_id.of_int 0 in
   let cell =
-    Tor_model.Crypto_sim.wrap ~hops:3
+    wrap ~hops:3
       (Tor_model.Cell.Relay_data { stream_id = 0; seq = 0; length = 5; last = false })
       c
   in
-  Alcotest.(check (option int)) "3 layers" (Some 3) (Tor_model.Crypto_sim.layers cell);
-  Alcotest.(check bool) "not exposed" true (Tor_model.Crypto_sim.exposed cell = None);
+  Alcotest.(check (option int)) "3 layers" (Some 3) (layers cell);
+  Alcotest.(check bool) "not exposed" true (exposed cell = None);
   let cell = Tor_model.Crypto_sim.peel cell in
   let cell = Tor_model.Crypto_sim.peel cell in
   let cell = Tor_model.Crypto_sim.peel cell in
-  Alcotest.(check (option int)) "0 layers" (Some 0) (Tor_model.Crypto_sim.layers cell);
-  Alcotest.(check bool) "exposed" true (Tor_model.Crypto_sim.exposed cell <> None);
+  Alcotest.(check (option int)) "0 layers" (Some 0) (layers cell);
+  Alcotest.(check bool) "exposed" true (exposed cell <> None);
   Alcotest.check_raises "over-peel" (Invalid_argument "Crypto_sim.peel: no layers left")
     (fun () -> ignore (Tor_model.Crypto_sim.peel cell))
 
 let test_crypto_errors () =
   let c = Tor_model.Circuit_id.of_int 0 in
-  Alcotest.check_raises "wrap 0 hops" (Invalid_argument "Crypto_sim.wrap: need at least one hop")
-    (fun () ->
-      ignore
-        (Tor_model.Crypto_sim.wrap ~hops:0 (Tor_model.Cell.Relay_end { stream_id = 0 }) c));
   Alcotest.check_raises "peel control" (Invalid_argument "Crypto_sim.peel: not a RELAY cell")
     (fun () -> ignore (Tor_model.Crypto_sim.peel (Tor_model.Cell.make c Tor_model.Cell.Create)))
 
@@ -70,11 +75,11 @@ let prop_peel_inverse_of_wrap =
     (fun hops ->
       let c = Tor_model.Circuit_id.of_int 9 in
       let cmd = Tor_model.Cell.Relay_sendme { stream_id = None } in
-      let cell = ref (Tor_model.Crypto_sim.wrap ~hops cmd c) in
+      let cell = ref (wrap ~hops cmd c) in
       for _ = 1 to hops do
         cell := Tor_model.Crypto_sim.peel !cell
       done;
-      Tor_model.Crypto_sim.exposed !cell = Some cmd)
+      exposed !cell = Some cmd)
 
 (* ------------------------------------------------------------------ *)
 (* Relay info and directory *)
@@ -104,7 +109,8 @@ let test_directory_select_distinct () =
     | Some relays ->
         Alcotest.(check int) "three relays" 3 (List.length relays);
         let nodes =
-          List.sort_uniq Netsim.Node_id.compare
+          List.sort_uniq
+            (fun a b -> Int.compare (Netsim.Node_id.to_int a) (Netsim.Node_id.to_int b))
             (List.map (fun (r : Tor_model.Relay_info.t) -> r.node) relays)
         in
         Alcotest.(check int) "distinct" 3 (List.length nodes)
@@ -252,8 +258,6 @@ let test_circuit_structure () =
   Alcotest.(check int) "layers" 3 (Tor_model.Circuit.layer_count c);
   Alcotest.(check (list int)) "nodes" [ 0; 1; 2; 3; 4 ]
     (List.map Netsim.Node_id.to_int (Tor_model.Circuit.nodes c));
-  Alcotest.(check (option int)) "position of middle" (Some 2)
-    (Tor_model.Circuit.position c (Netsim.Node_id.of_int 2));
   Alcotest.(check (option node)) "successor" (Some (Netsim.Node_id.of_int 3))
     (Tor_model.Circuit.successor c (Netsim.Node_id.of_int 2));
   Alcotest.(check (option node)) "predecessor" (Some (Netsim.Node_id.of_int 1))
@@ -711,7 +715,7 @@ let prop_sink_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* Legacy SENDME transport *)
 
-let sendme_setup ?(bytes = Engine.Units.kib 300) () =
+let sendme_setup ?(bytes = Engine.Units.kib 300) ?config () =
   let sim, _, leaves, sbs = mk_overlay 5 in
   let relays =
     List.init 3 (fun i -> mk_relay ~node:(Netsim.Node_id.to_int leaves.(i + 1)) ~mbit:5 ())
@@ -724,7 +728,7 @@ let sendme_setup ?(bytes = Engine.Units.kib 300) () =
     let rec find i = if Netsim.Node_id.equal leaves.(i) n then sbs.(i) else find (i + 1) in
     find 0
   in
-  let d = Tor_model.Sendme.deploy ~sb_of ~circuit ~bytes () in
+  let d = Tor_model.Sendme.deploy ~sb_of ~circuit ~bytes ?config () in
   (sim, d)
 
 let test_sendme_completes () =
@@ -762,12 +766,14 @@ let test_sendme_window_gates () =
 let test_sendme_config_validation () =
   Alcotest.(check bool) "bad increment rejected" true
     (match
-       Tor_model.Sendme.validate_config
-         { Tor_model.Sendme.circuit_window = 10; stream_window = 10;
-           circuit_increment = 20; stream_increment = 5 }
+       sendme_setup
+         ~config:
+           { Tor_model.Sendme.circuit_window = 10; stream_window = 10;
+             circuit_increment = 20; stream_increment = 5 }
+         ()
      with
-    | Error _ -> true
-    | Ok _ -> false)
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_sendme_cell_latency () =
   let sim, d = sendme_setup () in
@@ -778,14 +784,6 @@ let test_sendme_cell_latency () =
     (Tor_model.Stream.Sink.cells_received (Tor_model.Sendme.sink d))
     (Engine.Stats.Online.count lat);
   Alcotest.(check bool) "positive latencies" true (Engine.Stats.Online.min lat > 0.)
-
-let test_sendme_teardown () =
-  let sim, d = sendme_setup () in
-  Tor_model.Sendme.start d;
-  Engine.Sim.run sim ~until:(Engine.Time.s 30);
-  Tor_model.Sendme.teardown d;
-  (* After teardown a second deployment can claim the same circuit. *)
-  Alcotest.(check bool) "complete before teardown" true (Tor_model.Sendme.complete d)
 
 (* ------------------------------------------------------------------ *)
 
@@ -860,7 +858,6 @@ let () =
           Alcotest.test_case "window gates" `Quick test_sendme_window_gates;
           Alcotest.test_case "config validation" `Quick test_sendme_config_validation;
           Alcotest.test_case "cell latency" `Quick test_sendme_cell_latency;
-          Alcotest.test_case "teardown" `Quick test_sendme_teardown;
         ] );
       ("properties", qtests);
     ]
