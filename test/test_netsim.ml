@@ -748,7 +748,7 @@ let send_outcome net arrived a b =
 
 let prop_routes_match_reference =
   QCheck2.Test.make ~count:500
-    ~name:"array Dijkstra gives the frozen set-based next-hop table"
+    ~name:"array Dijkstra gives the frozen set of next hops of the Set-based reference"
     gen_shape
     (fun shape ->
       let topo = build_shape shape in
