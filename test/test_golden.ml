@@ -310,22 +310,33 @@ let network_line config (label, strategy) shards =
     (sketch "elephants" r.ttlb_elephants)
     (Array.length r.ttlb_exact) exact
 
-let network_fixture config () =
+let network_fixture ?(strategies =
+    [
+      ("cs", Circuitstart.Controller.Circuit_start);
+      ("ss", Circuitstart.Controller.Slow_start);
+      ("pr", Circuitstart.Controller.Predictive);
+    ]) config () =
   String.concat ""
     (List.concat_map
        (fun strategy ->
          List.map (network_line config strategy) [ 1; 3 ])
-       [
-         ("cs", Circuitstart.Controller.Circuit_start);
-         ("ss", Circuitstart.Controller.Slow_start);
-         ("pr", Circuitstart.Controller.Predictive);
-       ])
+       strategies)
 
 let fixtures =
   [
     ("cell_latency.txt", cell_latency_fixture);
     ("network_axes.txt", network_fixture network_axes_config);
     ("network_churn_burst.txt", network_fixture network_churn_burst_config);
+    (* The round law's constant-window arm: the window is clamped once at
+       arrival and never moves, whatever the share does. *)
+    ( "network_fixed.txt",
+      network_fixture
+        ~strategies:
+          [
+            ("fixed:1", Circuitstart.Controller.Fixed 1);
+            ("fixed:8", Circuitstart.Controller.Fixed 8);
+          ]
+        network_axes_config );
     ( "faults_events.csv",
       fun () ->
         Test_util.events_csv (fault_run ()).Workload.Fault_experiment.events );
