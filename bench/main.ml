@@ -44,6 +44,20 @@ let trace_config ~strategy ~distance =
 
 let kb = Analysis.Series.kb_of_cells ~cell_size:cell_wire_size
 
+(* A cwnd trace's change points [(t, cells)] as a step function in KB,
+   sampled at 121 evenly spaced instants over [0, x_max] ms, so the
+   staircase of doubling rounds shows in the plot; [before] is its value
+   before the first point. *)
+let resample_steps ~x_max ~before points =
+  Array.init 121 (fun i ->
+      let x = float_of_int i *. x_max /. 120. in
+      let v =
+        Array.fold_left
+          (fun acc (t, v) -> if Analysis.Series.ms_of_time t <= x then v else acc)
+          before points
+      in
+      (x, kb v))
+
 let fig1_panel ~name ~distance () =
   section
     (Printf.sprintf "Figure 1 (%s): source cwnd, distance to bottleneck: %d hop%s" name
@@ -54,20 +68,11 @@ let fig1_panel ~name ~distance () =
       (trace_config ~strategy:Circuitstart.Controller.Circuit_start ~distance)
   in
   let x_max = 600. in
-  (* Resample the change points into a step function so the staircase
-     of doubling rounds is visible in the plot. *)
   let series =
     let points = r.source_cwnd in
-    let n = 120 in
-    Array.init (n + 1) (fun i ->
-        let x = float_of_int i *. x_max /. float_of_int n in
-        let v =
-          Array.fold_left
-            (fun acc (t, v) -> if Analysis.Series.ms_of_time t <= x then v else acc)
-            (match points with [||] -> 0. | _ -> snd points.(0))
-            points
-        in
-        (x, kb v))
+    resample_steps ~x_max
+      ~before:(match points with [||] -> 0. | _ -> snd points.(0))
+      points
   in
   let optimal = kb (float_of_int r.optimal_source_cells) in
   let dashed = Analysis.Series.constant ~x_max ~step:25. optimal in
@@ -418,17 +423,7 @@ let fig_backprop () =
     Workload.Trace_experiment.run
       (trace_config ~strategy:Circuitstart.Controller.Circuit_start ~distance:3)
   in
-  let x_max = 800. in
-  let resample points =
-    Array.init 121 (fun i ->
-        let x = float_of_int i *. x_max /. 120. in
-        let v =
-          Array.fold_left
-            (fun acc (t, v) -> if Analysis.Series.ms_of_time t <= x then v else acc)
-            2. points
-        in
-        (x, kb v))
-  in
+  let resample = resample_steps ~x_max:800. ~before:2. in
   let glyphs = [| '0'; '1'; '2'; '3' |] in
   let specs =
     List.mapi

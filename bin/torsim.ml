@@ -26,23 +26,7 @@ open Cmdliner
 
 let strategy_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "circuitstart" | "cs" -> Ok Circuitstart.Controller.Circuit_start
-    | "slowstart" | "ss" -> Ok Circuitstart.Controller.Slow_start
-    | "predictive" | "pr" -> Ok Circuitstart.Controller.Predictive
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "fixed" -> (
-            match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-            | Some n when n > 0 -> Ok (Circuitstart.Controller.Fixed n)
-            | _ -> Error (`Msg "fixed:<n> needs a positive integer"))
-        | _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "unknown strategy %S (expected circuitstart, slowstart, \
-                     predictive or fixed:N)"
-                    s)))
+    Result.map_error (fun m -> `Msg m) (Workload.Experiment.strategy_of_string s)
   in
   let print fmt s = Format.pp_print_string fmt (Workload.Experiment.label s) in
   Arg.conv (parse, print)
@@ -76,8 +60,9 @@ let seed_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for independent simulation replicates (default: detected \
-     cores, or \\$(b,TORSIM_JOBS)).  Output is byte-identical for every value."
+    "Worker domains for independent simulation replicates (default: \
+     $(b,CIRCUITSTART_JOBS), or the detected cores).  Output is \
+     byte-identical for every value."
   in
   let positive_int =
     let parse s =
@@ -90,7 +75,7 @@ let jobs_arg =
   Arg.(
     value
     & opt positive_int (Engine.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc ~env:(Cmd.Env.info "TORSIM_JOBS"))
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
@@ -1170,16 +1155,11 @@ let run_check runs seed oracles kind strategy replay out =
     in
     let strat =
       match strategy with
-      | None -> Ok None
-      | Some s -> (
-          match Check.Scenario.strategy_of_string s with
-          | Some parsed -> Ok (Some parsed)
-          | None ->
-              Error
-                (Printf.sprintf
-                   "--strategy: unknown strategy %S (want circuitstart, \
-                    slowstart or predictive)"
-                   s))
+      | Some (Circuitstart.Controller.Fixed _) ->
+          Error
+            "--strategy: fixed:N is not a sampled strategy (want \
+             circuitstart, slowstart or predictive)"
+      | s -> Ok s
     in
     match (only, strat) with
     | Error msg, _ | _, Error msg -> `Error (false, msg)
@@ -1229,7 +1209,7 @@ let check_cmd =
   let strategy =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some strategy_conv) None
       & info [ "strategy" ] ~docv:"STRATEGY"
           ~doc:
             "Pin every sampled scenario's startup strategy: \

@@ -4,17 +4,3 @@ type Netsim.Payload.t +=
 
 let cell_size = Tor_model.Cell.size + 8
 let feedback_size = 43
-
-(* Compare-and-set so concurrent domains finalizing networks register
-   the printer exactly once. *)
-let registered = Atomic.make false
-
-let register_printer () =
-  if Atomic.compare_and_set registered false true then begin
-    Netsim.Payload.describe (function
-      | Bt_cell { hop_seq; cell } ->
-          Some (Format.asprintf "bt#%d %a" hop_seq Tor_model.Cell.pp cell)
-      | Bt_feedback { circuit; hop_seq } ->
-          Some (Format.asprintf "fb %a #%d" Tor_model.Circuit_id.pp circuit hop_seq)
-      | _ -> None)
-  end

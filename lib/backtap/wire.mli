@@ -22,6 +22,3 @@ val cell_size : int
 
 val feedback_size : int
 (** Feedback wire size: 43 bytes (circuit id, command, digest). *)
-
-val register_printer : unit -> unit
-(** Hook the constructors into {!Netsim.Payload.pp} (idempotent). *)

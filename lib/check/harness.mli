@@ -24,7 +24,7 @@ type report = { runs : int; seed : int; failures : failure list }
 val run :
   ?selection:Oracle.selection ->
   ?only:Scenario.kind ->
-  ?strat:Scenario.strategy ->
+  ?strat:Circuitstart.Controller.strategy ->
   ?out:string ->
   runs:int ->
   seed:int ->

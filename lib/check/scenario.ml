@@ -1,5 +1,4 @@
 type kind = Faults | Recovery | Overload | Network | Churn
-type strategy = Cs | Ss | Pr
 
 type t = {
   kind : kind;
@@ -12,7 +11,7 @@ type t = {
   outage_ms : (int * int) option;
   crash_ms : int option;
   queue_cells : int;
-  strategy : strategy;
+  strategy : Circuitstart.Controller.strategy;
   bottleneck_kbps : int;
   fast_kbps : int;
   endpoint_kbps : int;
@@ -62,14 +61,12 @@ let kind_of_string s =
   | "c" | "churn" -> Some Churn
   | _ -> None
 
-let strategy_code = function Cs -> "cs" | Ss -> "ss" | Pr -> "pr"
-
-let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "cs" | "circuitstart" -> Some Cs
-  | "ss" | "slowstart" -> Some Ss
-  | "pr" | "predictive" -> Some Pr
-  | _ -> None
+let strategy_code = function
+  | Circuitstart.Controller.Circuit_start -> "cs"
+  | Circuitstart.Controller.Slow_start -> "ss"
+  | Circuitstart.Controller.Predictive -> "pr"
+  | Circuitstart.Controller.Fixed _ ->
+      invalid_arg "Scenario.to_string: a fixed window is not a scenario strategy"
 
 let to_string t =
   let outage_down, outage_up =
@@ -142,11 +139,10 @@ let of_string line =
   let* queue_cells = int "queue" in
   let* strat = str "strat" in
   let* strategy =
-    match strat with
-    | "cs" -> Ok Cs
-    | "ss" -> Ok Ss
-    | "pr" -> Ok Pr
-    | other -> Error (Printf.sprintf "scenario line: unknown strategy %S" other)
+    match Workload.Experiment.strategy_of_string strat with
+    | Ok (Circuitstart.Controller.Fixed _) | Error _ ->
+        Error (Printf.sprintf "scenario line: unknown strategy %S" strat)
+    | Ok s -> Ok s
   in
   let* bottleneck_kbps = int "bn" in
   let* fast_kbps = int "fast" in
@@ -352,7 +348,10 @@ let gen_kind (only : kind option) : t QCheck2.Gen.t =
   let* endpoint_kbps =
     frequency [ (2, pure 100_000); (1, int_range 8 48) ]
   in
-  let+ strategy = frequencyl [ (3, Cs); (1, Ss); (2, Pr) ] in
+  let+ strategy =
+    let open Circuitstart.Controller in
+    frequencyl [ (3, Circuit_start); (1, Slow_start); (2, Predictive) ]
+  in
   let bottleneck_kbps, fast_kbps = rates_of_seed ~seed ~relays in
   let max_rebuilds = 3 in
   {
@@ -453,8 +452,8 @@ let shrink_candidates t =
   if t.epoch_ms > 500 then
     add { t with epoch_ms = Stdlib.max 500 (t.epoch_ms / 2) };
   if t.position > 1 then add { t with position = 1 };
-  if t.strategy = Ss then add { t with strategy = Cs };
-  if t.strategy = Pr then add { t with strategy = Cs };
+  if t.strategy <> Circuitstart.Controller.Circuit_start then
+    add { t with strategy = Circuitstart.Controller.Circuit_start };
   if t.shards > 1 then add { t with shards = 1 };
   List.rev !cands
 
@@ -477,12 +476,6 @@ let queue t =
   if t.queue_cells <= 0 then Netsim.Nqueue.unbounded
   else Netsim.Nqueue.packets t.queue_cells
 
-let controller_strategy t =
-  match t.strategy with
-  | Cs -> Circuitstart.Controller.Circuit_start
-  | Ss -> Circuitstart.Controller.Slow_start
-  | Pr -> Circuitstart.Controller.Predictive
-
 let fault_config t =
   if t.kind <> Faults then invalid_arg "Scenario.fault_config: not a fault scenario";
   {
@@ -493,7 +486,7 @@ let fault_config t =
     fast_rate = Engine.Units.Rate.bps (t.fast_kbps * 1000);
     endpoint_rate = Engine.Units.Rate.bps (t.endpoint_kbps * 1000);
     transfer_bytes = t.bytes;
-    strategy = controller_strategy t;
+    strategy = t.strategy;
     link_queue = queue t;
     loss = loss_model t;
     outage =
@@ -512,7 +505,7 @@ let recovery_config t =
     hops = recovery_hops;
     endpoint_rate = Engine.Units.Rate.bps (t.endpoint_kbps * 1000);
     transfer_bytes = t.bytes;
-    strategy = controller_strategy t;
+    strategy = t.strategy;
     link_queue = queue t;
     crash_at = Option.map Engine.Time.ms t.crash_ms;
     crash_position = t.position;
@@ -530,7 +523,7 @@ let overload_config t =
     sessions = t.sessions;
     mean_interarrival = Engine.Time.ms (Stdlib.max 1 t.arrival_ms);
     transfer_bytes = t.bytes;
-    strategy = controller_strategy t;
+    strategy = t.strategy;
     link_queue = queue t;
     max_circuits = (if t.oload_circuits <= 0 then None else Some t.oload_circuits);
     max_queued_bytes =
@@ -563,7 +556,7 @@ let base_network_config t =
     elephant_fraction = 0.1;
     elephant_cells = 256;
     mice_cells = Stdlib.max 4 (t.bytes / 512);
-    strategy = controller_strategy t;
+    strategy = t.strategy;
     sketch_bins = 256;
     sketch_max = Engine.Time.s 120;
     shards = t.shards;

@@ -20,17 +20,11 @@
     [torsim check --replay].  *)
 
 type kind = Faults | Recovery | Overload | Network | Churn
-type strategy = Cs | Ss | Pr
 
 val kind_of_string : string -> kind option
 (** Accepts the one-letter replay codes ([f]/[r]/[o]/[n]/[c]) and the
     full lowercase names; [None] otherwise.  Backs [torsim check
     --kind]. *)
-
-val strategy_of_string : string -> strategy option
-(** Accepts the replay codes ([cs]/[ss]/[pr]) and the full lowercase
-    names ([circuitstart]/[slowstart]/[predictive]); [None] otherwise.
-    Backs [torsim check --strategy]. *)
 
 type t = {
   kind : kind;
@@ -46,7 +40,9 @@ type t = {
   crash_ms : int option;
       (** Relay crash offset, ms (faults, recovery and overload). *)
   queue_cells : int;  (** Link queue capacity in packets; 0 = unbounded. *)
-  strategy : strategy;
+  strategy : Circuitstart.Controller.strategy;
+      (** Never [Fixed _]: replay lines name [cs], [ss] or [pr], and
+          {!to_string} raises [Invalid_argument] on a fixed window. *)
   bottleneck_kbps : int;  (** Derived from the seed; stored for replay. *)
   fast_kbps : int;
   endpoint_kbps : int;
@@ -105,7 +101,12 @@ val gen : t QCheck2.Gen.t
     round-trip property draws from it. *)
 
 val generate :
-  ?only:kind -> ?strat:strategy -> seed:int -> index:int -> unit -> t
+  ?only:kind ->
+  ?strat:Circuitstart.Controller.strategy ->
+  seed:int ->
+  index:int ->
+  unit ->
+  t
 (** The [index]-th scenario of master seed [seed] — deterministic, so
     [torsim check --runs N --seed S] samples the same scenarios on
     every machine.  [only] restricts generation to one kind (the

@@ -636,3 +636,65 @@ let on_feedback t ~now ~rtt ?(window_limited = true) () =
 let pp_phase fmt = function
   | Ramp_up -> Format.pp_print_string fmt "ramp-up"
   | Avoidance -> Format.pp_print_string fmt "avoidance"
+
+module Round_law = struct
+  let initial_cwnd = 1
+  let cwnd_cap = 10_000
+
+  (* Phase codes, stored as is in the consensus engine's int records. *)
+  let ramp = 0
+  let steady = 1
+  let fixed = 2
+
+  (* The phase sits in the low two bits, so a packed pair is one
+     immediate int. *)
+  let pack phase cwnd = (cwnd lsl 2) lor phase
+  let phase packed = packed land 3
+  let cwnd packed = packed asr 2
+
+  let initial = function
+    | Fixed w -> pack fixed (Stdlib.min cwnd_cap (Stdlib.max 1 w))
+    | Circuit_start | Slow_start | Predictive -> pack ramp initial_cwnd
+
+  let doubled cwnd =
+    let d = cwnd * 2 in
+    if d > cwnd_cap then cwnd_cap else d
+
+  let step strategy ~phase ~cwnd ~bdp =
+    if phase = fixed then pack fixed cwnd
+    else if phase = ramp then
+      if cwnd >= bdp then
+        pack steady
+          (match strategy with
+          | Circuit_start | Predictive -> bdp
+          | Slow_start ->
+              let h = cwnd / 2 in
+              if h < 1 then 1 else h
+          | Fixed _ -> cwnd)
+      else
+        pack ramp
+          (match strategy with
+          | Predictive ->
+              (* The doubling capped at the round's bdp, so the ramp
+                 approaches the target without overshooting it. *)
+              let d = doubled cwnd in
+              if d > bdp then bdp else d
+          | Circuit_start | Slow_start | Fixed _ -> doubled cwnd)
+    else
+      pack steady
+        (match strategy with
+        | Predictive ->
+            (* Half the gap to the bdp, at least one cell: O(log gap)
+               rounds where the one-cell tracker walks. *)
+            if cwnd < bdp then
+              let g = (bdp - cwnd) / 2 in
+              cwnd + (if g < 1 then 1 else g)
+            else if cwnd > bdp then
+              let g = (cwnd - bdp) / 2 in
+              cwnd - (if g < 1 then 1 else g)
+            else cwnd
+        | Circuit_start | Slow_start | Fixed _ ->
+            if cwnd < bdp then cwnd + 1
+            else if cwnd > bdp then cwnd - 1
+            else cwnd)
+end

@@ -168,3 +168,44 @@ val set_debug_label : t -> string -> unit
 (** Label used by the [CIRCUITSTART_DEBUG] diagnostic output. *)
 
 val pp_phase : Format.formatter -> phase -> unit
+
+(** The consensus engine's window law: one round of one circuit as a
+    pure step on ints ([Workload.Network_experiment] calls it once per
+    RTT round).
+
+    It moves the window like the controller above at round granularity
+    — double while ramping; on leaving the ramp compensate
+    ([Circuit_start], [Predictive]) or halve ([Slow_start]); then track
+    the target by one cell per round — but it is given the target
+    rather than measuring it: [bdp] is the engine's true fair-share
+    bandwidth-delay product at the circuit's bottleneck, an oracle no
+    packet-level sender sees.  The ramp ends when the window reaches
+    [bdp] (not on the Vegas [diff > gamma] test), and CircuitStart
+    compensates to exactly [bdp] (not to the cells acknowledged in the
+    round).  The [Predictive] arm is a stand-in, not {!predictive_plan}:
+    it caps the doubling at [bdp] and then halves the distance to it
+    every round.  A [Fixed] window is clamped once, at arrival, and
+    never moves.
+
+    A state is a phase code (ramp, steady or fixed) and a window in
+    cells, packed into one immediate int; {!phase} and {!cwnd} unpack
+    it.  Nothing here allocates. *)
+module Round_law : sig
+  val cwnd_cap : int
+  (** No window exceeds 10 000 cells; the engine clamps [bdp] to
+      [1..cwnd_cap] before each step.  (A ramp starts at 1 cell.) *)
+
+  val initial : strategy -> int
+  (** The packed state of a circuit at arrival: ramp-up at 1 cell, or
+      for [Fixed w] the fixed phase at [w] clamped to [1..cwnd_cap]. *)
+
+  val step : strategy -> phase:int -> cwnd:int -> bdp:int -> int
+  (** The packed state after one round taken in phase [phase] at
+      window [cwnd] against [bdp]. *)
+
+  val phase : int -> int
+  (** The phase code of a packed state. *)
+
+  val cwnd : int -> int
+  (** The window, in cells, of a packed state. *)
+end

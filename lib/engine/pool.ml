@@ -17,17 +17,12 @@ let env_jobs () =
                jobs_env_var raw))
 
 let default_jobs () =
-  (* Precedence: TORSIM_JOBS (tied to --jobs via cmdliner) over
-     CIRCUITSTART_JOBS over the detected core count.  [default_jobs]
-     must stay total, so a malformed CIRCUITSTART_JOBS falls through to
-     the detected count here; the CLIs call [env_jobs] at startup and
-     turn the [Error] into a friendly exit instead. *)
-  match Option.bind (Sys.getenv_opt "TORSIM_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | Some _ | None -> (
-      match env_jobs () with
-      | Ok (Some n) -> n
-      | Ok None | Error _ -> Domain.recommended_domain_count ())
+  (* [default_jobs] must stay total, so a malformed CIRCUITSTART_JOBS
+     falls through to the detected count here; the CLIs call [env_jobs]
+     at startup and turn the [Error] into a friendly exit instead. *)
+  match env_jobs () with
+  | Ok (Some n) -> n
+  | Ok None | Error _ -> Domain.recommended_domain_count ()
 
 (* A finished task is either a value or the exception it raised; the
    distinction is resolved only after every domain has joined, so a

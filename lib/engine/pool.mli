@@ -26,9 +26,8 @@ val env_jobs : unit -> (int option, string) result
     falling back. *)
 
 val default_jobs : unit -> int
-(** Worker count used when [?jobs] is omitted: [TORSIM_JOBS] from the
-    environment if set to a positive integer (it backs the [--jobs]
-    flag), else a valid [CIRCUITSTART_JOBS], else
+(** Worker count used when [?jobs] is omitted (and the default of the
+    CLIs' [--jobs] flag): a valid [CIRCUITSTART_JOBS], else
     [Domain.recommended_domain_count ()].  A malformed
     [CIRCUITSTART_JOBS] is ignored here — [default_jobs] stays total —
     and reported by {!env_jobs}. *)

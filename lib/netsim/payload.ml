@@ -1,20 +1,2 @@
 type t = ..
 type t += Raw of string
-
-(* The printer registry is process-global and experiments register into
-   it while sweeps run on several domains, so it is a lock-free atomic:
-   a CAS loop makes concurrent [describe]s linearisable instead of
-   losing one side's printer to a read-modify-write race. *)
-let printers : (t -> string option) list Atomic.t = Atomic.make []
-
-let rec describe f =
-  let cur = Atomic.get printers in
-  if not (Atomic.compare_and_set printers cur (cur @ [ f ])) then describe f
-
-let pp fmt p =
-  let builtin = function Raw s -> Some (Printf.sprintf "raw[%d]" (String.length s)) | _ -> None in
-  let rec try_printers = function
-    | [] -> "<payload>"
-    | f :: rest -> ( match f p with Some s -> s | None -> try_printers rest)
-  in
-  Format.pp_print_string fmt (try_printers (builtin :: Atomic.get printers))

@@ -10,12 +10,3 @@ type t = ..
 (** Extensible payload type. *)
 
 type t += Raw of string  (** Uninterpreted bytes, for tests and probes. *)
-
-val describe : (t -> string option) -> unit
-(** Register a printer for an upper layer's constructors.  Printers are
-    tried in registration order; the first to return [Some] wins. *)
-
-val pp : Format.formatter -> t -> unit
-(** Print via the registered printers; falls back to ["<payload>"].
-    Test hook: the printer tests render payloads through it; no program
-    path prints a packet. *)

@@ -57,8 +57,3 @@ val data :
 
 val relay_cmd : t -> relay_command option
 (** The relay command if this is a RELAY cell. *)
-
-val pp : Format.formatter -> t -> unit
-
-val register_printer : unit -> unit
-(** Hook cell printing into {!Netsim.Payload.pp} (idempotent). *)

@@ -6,6 +6,24 @@ let label = function
   | Circuitstart.Controller.Predictive -> "predictive"
   | Circuitstart.Controller.Fixed n -> Printf.sprintf "fixed:%d" n
 
+let strategy_of_string s =
+  match String.lowercase_ascii s with
+  | "circuitstart" | "cs" -> Ok Circuitstart.Controller.Circuit_start
+  | "slowstart" | "ss" -> Ok Circuitstart.Controller.Slow_start
+  | "predictive" | "pr" -> Ok Circuitstart.Controller.Predictive
+  | s -> (
+      match String.index_opt s ':' with
+      | Some i when String.sub s 0 i = "fixed" -> (
+          match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+          | Some n when n > 0 -> Ok (Circuitstart.Controller.Fixed n)
+          | _ -> Error "fixed:<n> needs a positive integer")
+      | _ ->
+          Error
+            (Printf.sprintf
+               "unknown strategy %S (expected circuitstart, slowstart, \
+                predictive or fixed:N)"
+               s))
+
 let labelled p =
   [
     (label Circuitstart.Controller.Circuit_start, p.circuit_start);

@@ -16,6 +16,13 @@ val label : Circuitstart.Controller.strategy -> string
 (** The name tables and reports print for a strategy: [circuitstart],
     [slowstart], [predictive] or [fixed:N]. *)
 
+val strategy_of_string :
+  string -> (Circuitstart.Controller.strategy, string) Stdlib.result
+(** The inverse of {!label}, case-insensitive, that also accepts the
+    short codes [cs], [ss] and [pr].  [fixed:N] needs [N > 0].  The one
+    strategy parser: [torsim]'s [--strategy] flags and the replay lines
+    of [Check.Scenario] read strategies through it. *)
+
 val labelled : 'r paired -> (string * 'r) list
 (** The three arms with their {!label}s, in the order CircuitStart,
     slow start, predictive. *)

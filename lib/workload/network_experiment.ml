@@ -2,12 +2,13 @@
 
    The packet-level experiments (star / fault / overload) model every
    cell on every link; at thousands of relays and 10^5 concurrent
-   circuits that is billions of events per run.  This experiment keeps
-   the controller *semantics* but moves the data plane up one level: a
-   circuit is advanced once per RTT round, delivering [min cwnd bdp]
-   cells against its bottleneck hop's fair share.  One event per
-   circuit per round is what makes a million circuit lifetimes per run
-   affordable.
+   circuits that is billions of events per run.  This experiment moves
+   the data plane up one level: a circuit is advanced once per RTT
+   round, delivering [min cwnd bdp] cells against its bottleneck hop's
+   fair share, and its window moves by [Controller.Round_law], a round
+   law fed the true fair-share bdp rather than the controller's
+   measurements.  One event per circuit per round is what makes a
+   million circuit lifetimes per run affordable.
 
    There is no event queue.  Each slot holds one pending instant in
    [s_next] (a slot hosts one session, so it never has two), and time
@@ -75,12 +76,11 @@ type config = {
   shards : int;
 }
 
+module Round_law = Circuitstart.Controller.Round_law
+
 (* Fixed parameters of the round model, documented in the interface:
-   the ramp's first window and the window ceiling in cells, the
-   client/server access latency (10 ms) in ns, and how many times an
-   admission-refused arrival redraws its path. *)
-let initial_cwnd = 1
-let cwnd_cap = 10_000
+   the client/server access latency (10 ms) in ns, and how many times
+   an admission-refused arrival redraws its path. *)
 let access_delay_ns = 10_000_000
 let max_path_redraws = 4
 
@@ -241,18 +241,13 @@ let st_up = 2
 let min_up_relays = 4
 let min_up_exits = 2
 
-(* Phases of the round-level controller. *)
-let phase_ramp = 0
-let phase_steady = 1
-let phase_fixed = 2  (* [Fixed _] strategy: the window never moves *)
-
 (* Field offsets within one strided circuit record ([state.circ]). *)
 let f_hop0 = 0
 let f_hop1 = 1
 let f_hop2 = 2
 let f_remaining = 3
 let f_cwnd = 4
-let f_phase = 5
+let f_phase = 5  (* a [Round_law] phase code *)
 let f_kind = 6  (* 0 = mouse, 1 = elephant *)
 let f_started_ns = 7
 let f_rtt_ns = 8
@@ -529,11 +524,10 @@ let complete st i p =
   st.completed <- st.completed + 1;
   think st i
 
-(* One RTT round: deliver against the bottleneck hop's fair share, then
-   advance the window exactly like the controller does at round
-   granularity — double while ramping, compensate to the BDP estimate
-   (CircuitStart) or halve (slow start) on saturation, then track the
-   share at one cell per round. *)
+(* One RTT round: deliver [min cwnd bdp] cells against the bottleneck
+   hop's fair share, then move the window by [Round_law.step].  [bdp]
+   is the true fair share times the RTT, an oracle the packet-level
+   controller never sees. *)
 let round st i p =
   st.rounds <- st.rounds + 1;
   let h0 = st.circ.(p + f_hop0)
@@ -560,7 +554,8 @@ let round st i p =
   let rtt_s = float_of_int st.circ.(p + f_rtt_ns) *. 1e-9 in
   let bdp =
     let b = int_of_float (share_cps *. rtt_s) in
-    if b < 1 then 1 else if b > cwnd_cap then cwnd_cap else b
+    let cap = Round_law.cwnd_cap in
+    if b < 1 then 1 else if b > cap then cap else b
   in
   let cwnd = st.circ.(p + f_cwnd) in
   let remaining = st.circ.(p + f_remaining) in
@@ -572,57 +567,12 @@ let round st i p =
   st.delivered_cells <- st.delivered_cells + deliver;
   if remaining - deliver <= 0 then complete st i p
   else begin
-    let cwnd' =
-      if st.circ.(p + f_phase) = phase_fixed then cwnd
-      else if st.circ.(p + f_phase) = phase_ramp then
-        if cwnd >= bdp then begin
-          st.circ.(p + f_phase) <- phase_steady;
-          match st.config.strategy with
-          | Circuitstart.Controller.Circuit_start
-          | Circuitstart.Controller.Predictive ->
-              bdp
-          | Circuitstart.Controller.Slow_start ->
-              let h = cwnd / 2 in
-              if h < 1 then 1 else h
-          | Circuitstart.Controller.Fixed _ -> cwnd
-        end
-        else begin
-          match st.config.strategy with
-          | Circuitstart.Controller.Predictive ->
-              (* Round-level receding horizon: the per-round bdp *is*
-                 the fitted model here, so the committed first step is
-                 the doubling capped at the modelled target — the ramp
-                 approaches capacity without overshooting past it. *)
-              let d = cwnd * 2 in
-              let d = if d > bdp then bdp else d in
-              if d > cwnd_cap then cwnd_cap else d
-          | Circuitstart.Controller.Circuit_start
-          | Circuitstart.Controller.Slow_start
-          | Circuitstart.Controller.Fixed _ ->
-              let d = cwnd * 2 in
-              if d > cwnd_cap then cwnd_cap else d
-        end
-      else begin
-        match st.config.strategy with
-        | Circuitstart.Controller.Predictive ->
-            (* Steady state replans every round: step half the gap to
-               the current bdp (at least one cell), converging in
-               O(log gap) rounds where the reactive tracker walks. *)
-            if cwnd < bdp then
-              let g = (bdp - cwnd) / 2 in
-              cwnd + (if g < 1 then 1 else g)
-            else if cwnd > bdp then
-              let g = (cwnd - bdp) / 2 in
-              cwnd - (if g < 1 then 1 else g)
-            else cwnd
-        | Circuitstart.Controller.Circuit_start
-        | Circuitstart.Controller.Slow_start
-        | Circuitstart.Controller.Fixed _ ->
-            if cwnd < bdp then cwnd + 1
-            else if cwnd > bdp then cwnd - 1
-            else cwnd
-      end
+    let next =
+      Round_law.step st.config.strategy ~phase:st.circ.(p + f_phase) ~cwnd
+        ~bdp
     in
+    st.circ.(p + f_phase) <- Round_law.phase next;
+    let cwnd' = Round_law.cwnd next in
     if cwnd' <> cwnd then begin
       let delta = cwnd' - cwnd in
       charge_hop st h0 delta;
@@ -801,15 +751,9 @@ let try_arrival st i =
       (if resume then st.s_res_rem.(i)
        else if elephant then st.config.elephant_cells
        else st.config.mice_cells);
-    (match st.config.strategy with
-    | Circuitstart.Controller.Fixed w ->
-        st.circ.(p + f_cwnd) <-
-          Stdlib.min cwnd_cap (Stdlib.max 1 w);
-        st.circ.(p + f_phase) <- phase_fixed
-    | Circuitstart.Controller.Circuit_start | Circuitstart.Controller.Slow_start
-    | Circuitstart.Controller.Predictive ->
-        st.circ.(p + f_cwnd) <- initial_cwnd;
-        st.circ.(p + f_phase) <- phase_ramp);
+    let init = Round_law.initial st.config.strategy in
+    st.circ.(p + f_cwnd) <- Round_law.cwnd init;
+    st.circ.(p + f_phase) <- Round_law.phase init;
     st.circ.(p + f_kind) <- (if elephant then 1 else 0);
     st.circ.(p + f_started_ns) <-
       (if resume then st.s_res_started.(i) else st.now);

@@ -6,12 +6,16 @@
     and 10^5+ concurrent circuits by moving the data plane from
     per-cell events to one event per circuit per RTT round.  Per round
     a circuit delivers [min cwnd bdp] cells against its bottleneck
-    relay's fair share ([capacity / active circuits]) and advances its
-    window with the controller's round-level semantics: double while
-    ramping, then on saturation either compensate to the BDP estimate
-    (CircuitStart) or halve and climb back linearly (slow start).  At
-    small scale the resulting TTLB CDFs reproduce the F1c star shape;
-    at full scale a run completes millions of circuit lifetimes.
+    relay's fair share ([capacity / active circuits]) and moves its
+    window by {!Circuitstart.Controller.Round_law}: double while
+    ramping, then on reaching [bdp] either compensate to it
+    (CircuitStart) or halve and climb back linearly (slow start).
+    [bdp] is the true fair share times the circuit's RTT, an oracle
+    that no packet-level controller sees, so this is not the
+    controller's own law at round granularity: the ramp exit and the
+    compensation target are given, not measured.  At small scale the
+    resulting TTLB CDFs reproduce the F1c star shape; at full scale a
+    run completes millions of circuit lifetimes.
 
     What makes that affordable:
 
@@ -42,11 +46,12 @@
     strategies share every population, arrival and size draw.
 
     Four parameters of the round model are constants, not config
-    fields: a ramp starts at a window of 1 cell ([initial_cwnd]), no
-    window exceeds 10 000 cells ([cwnd_cap]), every client and server
-    sits behind a 10 ms access link ([access_delay]), and an arrival
-    refused admission redraws its path up to 4 times
-    ([max_path_redraws]) before it counts in [refused_arrivals]. *)
+    fields: a ramp starts at a window of 1 cell and no window exceeds
+    10 000 cells (both in {!Circuitstart.Controller.Round_law}), every
+    client and server sits behind a 10 ms access link
+    ([access_delay]), and an arrival refused admission redraws its path
+    up to 4 times ([max_path_redraws]) before it counts in
+    [refused_arrivals]. *)
 
 type config = {
   relays : int;  (** Population size; at least 4. *)

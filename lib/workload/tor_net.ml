@@ -53,8 +53,6 @@ let add_endpoint b ~name ~rate ~delay = add_leaf b ~name ~rate ~delay None
 let finalize b =
   if b.finalized then invalid_arg "Tor_net.finalize: builder already finalized";
   b.finalized <- true;
-  Tor_model.Cell.register_printer ();
-  Backtap.Wire.register_printer ();
   let net = Netsim.Network.create b.topo in
   let dir = Tor_model.Directory.create () in
   let stations = Array.make (Netsim.Topology.node_count b.topo) None in

@@ -11,14 +11,6 @@ let test_wire_sizes () =
   Alcotest.(check int) "cell envelope" (Tor_model.Cell.size + 8) Backtap.Wire.cell_size;
   Alcotest.(check int) "feedback" 43 Backtap.Wire.feedback_size
 
-let test_wire_printer () =
-  Backtap.Wire.register_printer ();
-  let c = Tor_model.Circuit_id.of_int 3 in
-  let s =
-    Format.asprintf "%a" Netsim.Payload.pp (Backtap.Wire.Bt_feedback { circuit = c; hop_seq = 7 })
-  in
-  Alcotest.(check string) "feedback printed" "fb c3 #7" s
-
 (* ------------------------------------------------------------------ *)
 (* Fixtures: a two/three leaf star with switchboards + backtap nodes *)
 
@@ -689,7 +681,6 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "sizes" `Quick test_wire_sizes;
-          Alcotest.test_case "printer" `Quick test_wire_printer;
         ] );
       ( "node",
         [

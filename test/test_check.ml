@@ -190,7 +190,7 @@ let stale_prone =
     outage_ms = None;
     crash_ms = None;
     queue_cells = 0;
-    strategy = Check.Scenario.Cs;
+    strategy = Circuitstart.Controller.Circuit_start;
     bottleneck_kbps = 1000;
     fast_kbps = 2000;
     endpoint_kbps = 16;
@@ -276,7 +276,7 @@ let budget_prone =
     outage_ms = None;
     crash_ms = None;
     queue_cells = 0;
-    strategy = Check.Scenario.Cs;
+    strategy = Circuitstart.Controller.Circuit_start;
     bottleneck_kbps = 1000;
     fast_kbps = 2000;
     endpoint_kbps = 100_000;
@@ -358,7 +358,7 @@ let test_disabled_budget_is_caught () =
    straight to the tail. *)
 let plan_prone =
   { stale_prone with
-    Check.Scenario.strategy = Check.Scenario.Pr;
+    Check.Scenario.strategy = Circuitstart.Controller.Predictive;
     seed = 2;
     bytes = 64 * 1024;
     bottleneck_kbps = 500;
@@ -373,7 +373,7 @@ let find_failing_plan () =
       if index >= 40 then None
       else
         let sc =
-          Check.Scenario.generate ~strat:Check.Scenario.Pr ~seed:42 ~index ()
+          Check.Scenario.generate ~strat:Circuitstart.Controller.Predictive ~seed:42 ~index ()
         in
         if Result.is_error (check sc) then Some sc else go (index + 1)
     in
@@ -419,34 +419,46 @@ let test_disabled_plan_bounds_is_caught () =
 
 (* The --strategy dimension of the codec: "strat=pr" lines round-trip
    (the round-trip property already samples Pr), the CLI spellings
-   parse, and a pinned generation stream really is the unpinned stream
-   with only the strategy overridden. *)
+   parse through the one strategy parser, a replay line cannot name a
+   fixed window, and a pinned generation stream really is the unpinned
+   stream with only the strategy overridden. *)
 let test_strategy_dimension () =
   List.iter
     (fun (s, want) ->
       Alcotest.(check bool)
         (Printf.sprintf "%S parses" s)
         true
-        (Check.Scenario.strategy_of_string s = want))
+        (Result.to_option (Workload.Experiment.strategy_of_string s) = want))
     [
-      ("cs", Some Check.Scenario.Cs);
-      ("circuitstart", Some Check.Scenario.Cs);
-      ("ss", Some Check.Scenario.Ss);
-      ("slowstart", Some Check.Scenario.Ss);
-      ("pr", Some Check.Scenario.Pr);
-      ("predictive", Some Check.Scenario.Pr);
+      ("cs", Some Circuitstart.Controller.Circuit_start);
+      ("circuitstart", Some Circuitstart.Controller.Circuit_start);
+      ("ss", Some Circuitstart.Controller.Slow_start);
+      ("slowstart", Some Circuitstart.Controller.Slow_start);
+      ("pr", Some Circuitstart.Controller.Predictive);
+      ("predictive", Some Circuitstart.Controller.Predictive);
+      ("fixed:8", Some (Circuitstart.Controller.Fixed 8));
+      ("fixed:0", None);
       ("bogus", None);
     ];
+  let fixed_line =
+    Check.Scenario.to_string (Check.Scenario.generate ~seed:42 ~index:0 ())
+    |> String.split_on_char ' '
+    |> List.map (fun f ->
+           if String.starts_with ~prefix:"strat=" f then "strat=fixed:8" else f)
+    |> String.concat " "
+  in
+  Alcotest.(check bool) "a replay line cannot name a fixed window" true
+    (Result.is_error (Check.Scenario.of_string fixed_line));
   for index = 0 to 9 do
     let free = Check.Scenario.generate ~seed:42 ~index () in
     let pinned =
-      Check.Scenario.generate ~strat:Check.Scenario.Pr ~seed:42 ~index ()
+      Check.Scenario.generate ~strat:Circuitstart.Controller.Predictive ~seed:42 ~index ()
     in
     Alcotest.(check bool) "pinned strategy" true
-      (pinned.Check.Scenario.strategy = Check.Scenario.Pr);
+      (pinned.Check.Scenario.strategy = Circuitstart.Controller.Predictive);
     Alcotest.(check bool) "same world otherwise" true
       (Check.Scenario.equal pinned
-         { free with Check.Scenario.strategy = Check.Scenario.Pr })
+         { free with Check.Scenario.strategy = Circuitstart.Controller.Predictive })
   done
 
 (* The oracles in the harness agree with the per-jobs differential used

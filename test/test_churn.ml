@@ -109,7 +109,7 @@ let churn_prone =
     outage_ms = None;
     crash_ms = None;
     queue_cells = 0;
-    strategy = Check.Scenario.Cs;
+    strategy = Circuitstart.Controller.Circuit_start;
     bottleneck_kbps = 1000;
     fast_kbps = 2000;
     endpoint_kbps = 100_000;

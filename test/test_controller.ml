@@ -626,6 +626,104 @@ let prop_traces_match_references =
       && List.map fst (trace C.Predictive)
          = List.map (fun k -> P.default.P.initial_cwnd + (k - 1)) rounds)
 
+(* ------------------------------------------------------------------ *)
+(* The consensus engine's round law *)
+
+module L = C.Round_law
+
+(* Test reference: the window law as [Network_experiment.round] and
+   [try_arrival] wrote it inline before it became [Round_law], frozen
+   with its phase codes (0 ramp, 1 steady, 2 fixed) and its 10 000-cell
+   ceiling.  Returns the next (phase, cwnd). *)
+let ref_cwnd_cap = 10_000
+
+let ref_round_step strategy ~phase ~cwnd ~bdp =
+  let phase' = ref phase in
+  let cwnd' =
+    if phase = 2 then cwnd
+    else if phase = 0 then
+      if cwnd >= bdp then begin
+        phase' := 1;
+        match strategy with
+        | C.Circuit_start | C.Predictive -> bdp
+        | C.Slow_start ->
+            let h = cwnd / 2 in
+            if h < 1 then 1 else h
+        | C.Fixed _ -> cwnd
+      end
+      else begin
+        match strategy with
+        | C.Predictive ->
+            let d = cwnd * 2 in
+            let d = if d > bdp then bdp else d in
+            if d > ref_cwnd_cap then ref_cwnd_cap else d
+        | C.Circuit_start | C.Slow_start | C.Fixed _ ->
+            let d = cwnd * 2 in
+            if d > ref_cwnd_cap then ref_cwnd_cap else d
+      end
+    else begin
+      match strategy with
+      | C.Predictive ->
+          if cwnd < bdp then
+            let g = (bdp - cwnd) / 2 in
+            cwnd + (if g < 1 then 1 else g)
+          else if cwnd > bdp then
+            let g = (cwnd - bdp) / 2 in
+            cwnd - (if g < 1 then 1 else g)
+          else cwnd
+      | C.Circuit_start | C.Slow_start | C.Fixed _ ->
+          if cwnd < bdp then cwnd + 1
+          else if cwnd > bdp then cwnd - 1
+          else cwnd
+    end
+  in
+  (!phase', cwnd')
+
+let ref_round_initial = function
+  | C.Fixed w -> (2, Stdlib.min ref_cwnd_cap (Stdlib.max 1 w))
+  | C.Circuit_start | C.Slow_start | C.Predictive -> (0, 1)
+
+let unpack packed = (L.phase packed, L.cwnd packed)
+
+(* Windows and bdps 1..64, and at and above the ceiling. *)
+let round_law_domain =
+  List.init 64 (fun i -> i + 1)
+  @ [ ref_cwnd_cap - 1; ref_cwnd_cap; ref_cwnd_cap + 1; 2 * ref_cwnd_cap ]
+
+let test_round_law_step () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun phase ->
+          List.iter
+            (fun cwnd ->
+              List.iter
+                (fun bdp ->
+                  let want = ref_round_step strategy ~phase ~cwnd ~bdp in
+                  let got = unpack (L.step strategy ~phase ~cwnd ~bdp) in
+                  if got <> want then
+                    Alcotest.failf
+                      "%s phase=%d cwnd=%d bdp=%d: got (%d, %d), want (%d, %d)"
+                      (Workload.Experiment.label strategy)
+                      phase cwnd bdp (fst got) (snd got) (fst want) (snd want))
+                round_law_domain)
+            round_law_domain)
+        [ 0; 1; 2 ])
+    [ C.Circuit_start; C.Slow_start; C.Predictive; C.Fixed 8 ]
+
+let test_round_law_initial () =
+  List.iter
+    (fun strategy ->
+      Alcotest.(check (pair int int))
+        (Workload.Experiment.label strategy)
+        (ref_round_initial strategy)
+        (unpack (L.initial strategy)))
+    [
+      C.Circuit_start; C.Slow_start; C.Predictive; C.Fixed (-3); C.Fixed 0;
+      C.Fixed 1; C.Fixed 8; C.Fixed ref_cwnd_cap; C.Fixed (ref_cwnd_cap + 1);
+      C.Fixed max_int;
+    ]
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -691,6 +789,13 @@ let () =
             test_predictive_horizon_one_degenerates;
           Alcotest.test_case "planner params validation" `Quick
             test_predictive_params_validation;
+        ] );
+      ( "round_law",
+        [
+          Alcotest.test_case "step matches the frozen inline law" `Quick
+            test_round_law_step;
+          Alcotest.test_case "initial matches the frozen arrival" `Quick
+            test_round_law_initial;
         ] );
       ("params", [ Alcotest.test_case "validation" `Quick test_params_validation ]);
       ("properties", qtests);

@@ -1776,6 +1776,20 @@ let test_alloc_round () =
     (Printf.sprintf "%.4f minor words per round < 0.01" per_round)
     true (per_round < 0.01)
 
+(* The consensus engine's window law on its own: a packed state is an
+   immediate int, so a step allocates nothing for any strategy. *)
+let test_alloc_round_law () =
+  let module L = Circuitstart.Controller.Round_law in
+  List.iter
+    (fun strategy ->
+      let st = ref (L.initial strategy) and bdp = ref 1 in
+      check_no_alloc
+        ("Round_law.step " ^ Workload.Experiment.label strategy)
+        (fun () ->
+          bdp := ((!bdp * 7) + 3) land 127 + 1;
+          st := L.step strategy ~phase:(L.phase !st) ~cwnd:(L.cwnd !st) ~bdp:!bdp))
+    Circuitstart.Controller.[ Circuit_start; Slow_start; Predictive; Fixed 8 ]
+
 (* Minor words per lifetime of the same world with circuits that
    finish: every slot cycles through think, arrival, rounds and
    completion.  Subtracting a 4,000-lifetime run from a 24,000-lifetime
@@ -1938,6 +1952,7 @@ let () =
           Alcotest.test_case "Switchboard.charge and credit" `Quick test_alloc_switchboard;
           Alcotest.test_case "Sink.deliver" `Quick test_alloc_sink;
           Alcotest.test_case "Fixed-window transfer per cell" `Quick test_alloc_transfer;
+          Alcotest.test_case "Round_law.step" `Quick test_alloc_round_law;
           Alcotest.test_case "consensus round step" `Quick test_alloc_round;
           Alcotest.test_case "consensus lifetime" `Quick test_alloc_lifetime;
         ] );

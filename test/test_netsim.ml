@@ -26,10 +26,6 @@ let test_packet_ids_dense () =
   Alcotest.check_raises "size" (Invalid_argument "Packet.make: size must be positive")
     (fun () -> ignore (mk_packet ids ~src:0 ~dst:1 ~size:0))
 
-let test_payload_printer () =
-  Alcotest.(check string) "raw" "raw[2]"
-    (Format.asprintf "%a" Netsim.Payload.pp (Netsim.Payload.Raw "ab"))
-
 (* ------------------------------------------------------------------ *)
 (* Nqueue *)
 
@@ -943,7 +939,6 @@ let () =
         [
           Alcotest.test_case "node ids" `Quick test_node_id;
           Alcotest.test_case "packet ids dense" `Quick test_packet_ids_dense;
-          Alcotest.test_case "payload printer" `Quick test_payload_printer;
         ] );
       ( "nqueue",
         [

@@ -329,7 +329,7 @@ let pool_prone =
     outage_ms = None;
     crash_ms = None;
     queue_cells = 0;
-    strategy = Check.Scenario.Cs;
+    strategy = Circuitstart.Controller.Circuit_start;
     bottleneck_kbps = 1000;
     fast_kbps = 2000;
     endpoint_kbps = 100_000;
@@ -560,13 +560,17 @@ let test_cli_rejects_bad_strategy () =
       "recover --kib 4";
       "network --relays 10 --circuits 8 --lifetimes 20 --think-ms 20";
     ];
-  (* The check command parses the strategy itself (it needs the
-     scenario-codec spellings), so its error path is separate. *)
+  (* The check command reads the flag through the same parser, and
+     also refuses a fixed window, which no scenario samples. *)
   let rc, text = torsim_out "check --runs 1 --strategy predicitve" in
   Alcotest.(check bool) "check --strategy predicitve exits nonzero" true
     (rc <> 0);
   Alcotest.(check bool) "check --strategy error names the problem" true
     (contains ~needle:"unknown strategy" text);
+  let rc, text = torsim_out "check --runs 1 --strategy fixed:8" in
+  Alcotest.(check int) "check --strategy fixed:8 is a usage error" 124 rc;
+  Alcotest.(check bool) "check --strategy fixed:8 names the problem" true
+    (contains ~needle:"fixed:N is not a sampled strategy" text);
   (* And the accepted spellings do parse: a 1-run pinned check is fast. *)
   let rc, _ = torsim_out "check --runs 1 --seed 5 --strategy predictive" in
   Alcotest.(check int) "check --strategy predictive runs" 0 rc

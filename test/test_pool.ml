@@ -77,19 +77,13 @@ let test_env_jobs_parsing () =
     (Error "CIRCUITSTART_JOBS must be a positive integer (got \"lots\")")
 
 let test_env_jobs_feeds_default_jobs () =
-  (* TORSIM_JOBS (the --jobs flag's backing variable) outranks
-     CIRCUITSTART_JOBS, which outranks the detected core count; a
-     malformed CIRCUITSTART_JOBS must not make [default_jobs] raise. *)
-  with_env "TORSIM_JOBS" "" (fun () ->
-      with_env "CIRCUITSTART_JOBS" "3" (fun () ->
-          Alcotest.(check int) "env var honored" 3 (Engine.Pool.default_jobs ()));
-      with_env "CIRCUITSTART_JOBS" "nope" (fun () ->
-          Alcotest.(check bool) "malformed value ignored, stays total" true
-            (Engine.Pool.default_jobs () >= 1)));
-  with_env "TORSIM_JOBS" "7" (fun () ->
-      with_env "CIRCUITSTART_JOBS" "3" (fun () ->
-          Alcotest.(check int) "TORSIM_JOBS outranks" 7
-            (Engine.Pool.default_jobs ())))
+  (* CIRCUITSTART_JOBS outranks the detected core count; a malformed
+     value must not make [default_jobs] raise. *)
+  with_env "CIRCUITSTART_JOBS" "3" (fun () ->
+      Alcotest.(check int) "env var honored" 3 (Engine.Pool.default_jobs ()));
+  with_env "CIRCUITSTART_JOBS" "nope" (fun () ->
+      Alcotest.(check bool) "malformed value ignored, stays total" true
+        (Engine.Pool.default_jobs () >= 1))
 
 (* ------------------------------------------------------------------ *)
 (* Team: the reusable rendezvous behind sharded runs *)

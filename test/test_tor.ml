@@ -158,16 +158,6 @@ let test_directory_bandwidth_bias () =
     true
     (!fast_first > (n * 7 / 10) && !fast_first < (n * 95 / 100))
 
-let test_cell_printer () =
-  Tor_model.Cell.register_printer ();
-  let c = Tor_model.Circuit_id.of_int 5 in
-  let cell = Tor_model.Cell.data c ~layers:2 ~stream_id:1 ~seq:7 ~length:10 ~last:true in
-  Alcotest.(check string) "rendering" "c5 RELAY[2] DATA s1 #7 10B last"
-    (Format.asprintf "%a" Tor_model.Cell.pp cell);
-  Alcotest.(check string) "wire payload rendering" "c5 CREATE"
-    (Format.asprintf "%a" Netsim.Payload.pp
-       (Tor_model.Cell.Wire (Tor_model.Cell.make c Tor_model.Cell.Create)))
-
 let test_directory_impossible () =
   let dir = Tor_model.Directory.create () in
   Tor_model.Directory.add dir (mk_relay ~flags:[ Tor_model.Relay_info.Guard ] ~node:0 ~mbit:1 ());
@@ -816,7 +806,6 @@ let () =
           Alcotest.test_case "exclusion honoured" `Slow test_directory_exclude;
           Alcotest.test_case "uniform selection" `Slow test_directory_uniform_selection;
           Alcotest.test_case "selection strings" `Quick test_selection_strings;
-          Alcotest.test_case "cell printer" `Quick test_cell_printer;
         ] );
       ( "circuit",
         [
