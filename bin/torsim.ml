@@ -515,6 +515,9 @@ let run_paired (type c r)
     (module X : Workload.Experiment.S with type config = c and type result = r)
     ~columns ~row ?(each = fun _ _ -> ()) ?(paired = fun _ -> ()) ?events
     strategy seed jobs config =
+  (* Validate the config that will run: an experiment may refuse a
+     strategy, as the round level refuses a fixed window past its cap. *)
+  let config = Option.fold ~none:config ~some:(fun s -> X.with_strategy s config) strategy in
   match X.validate_config config with
   | Error msg -> `Error (false, msg)
   | Ok config ->

@@ -85,7 +85,7 @@ echo "== churn invariant smoke: torsim check --kind churn --runs 100 --seed 42 =
 # round through a down relay or as departure residue.
 timeout 60 dune exec bin/torsim.exe -- check --kind churn --runs 100 --seed 42
 
-echo "== export report: lib/**/*.mli vals by qualified outside use (report only) =="
+echo "== export report: lib/**/*.mli vals by qualified outside use =="
 # A val [v] of [lib/<l>/<m>.mli] (module M) counts as used by another
 # .ml file that writes [M.v] ([Sub.v] for a val of submodule Sub, [A.v]
 # after [module A = M]), or a bare [v] after opening M ([open M],
@@ -96,8 +96,9 @@ echo "== export report: lib/**/*.mli vals by qualified outside use (report only)
 # lib, bin, bench, examples and perfbench; test/ is counted apart.  A
 # test-only export must say why in its doc paragraph: a test hook, a
 # test reference or the ROADMAP item that replaces it (a val of a
-# [Private] submodule is a test hook by its name).  The report never
-# fails the script.
+# [Private] submodule is a test hook by its name).  The script fails
+# when a val has no user, or is used only under test/ without saying
+# why; the other two lists are information.
 src=$(mktemp -d)
 for f in $(find lib bin bench examples perfbench test -name '*.ml' | sort); do
   mkdir -p "$src/${f%/*}"
@@ -174,6 +175,12 @@ for kind in "U:no user outside the defining module" \
   echo "${kind#*:} ($(grep -c "^$k " "$src/report" || true)):"
   grep "^$k " "$src/report" | sed 's/^. /  /' || true
 done
+unused=$(grep -c "^U " "$src/report" || true)
+undocumented=$(grep -c "^D " "$src/report" || true)
 rm -rf "$src"
+if [ "$unused" -ne 0 ] || [ "$undocumented" -ne 0 ]; then
+  echo "export report failed: $unused with no user, $undocumented undocumented test-only" >&2
+  exit 1
+fi
 
 echo "OK"

@@ -19,10 +19,16 @@ let of_state state =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let[@inline] bits64 t =
-  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
-  Bytes.set_int64_le t 0 state;
+(* Every draw below is written once, over a state at byte offset [off]
+   of a buffer: a [t] is the one-state buffer read at offset 0, and a
+   {!Streams} buffer holds one state every 8 bytes.  The cores are
+   inlined into both, so neither boxes the state. *)
+let[@inline] bits64_at b off =
+  let state = Int64.add (Bytes.get_int64_le b off) golden_gamma in
+  Bytes.set_int64_le b off state;
   mix64 state
+
+let[@inline] bits64 t = bits64_at t 0
 
 let split t = of_state (bits64 t)
 let copy t = Bytes.copy t
@@ -42,33 +48,40 @@ let int t bound =
   done;
   !result
 
-let[@inline] unit_float t =
+let[@inline] unit_float_at b off =
   (* 53 uniform mantissa bits in [0, 1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
+  let r = Int64.shift_right_logical (bits64_at b off) 11 in
   Int64.to_float r *. (1. /. 9007199254740992.)
+
+let[@inline] unit_float t = unit_float_at t 0
 
 let float t bound =
   if not (Float.is_finite bound) || bound <= 0. then
     invalid_arg "Rng.float: bound must be positive and finite";
   unit_float t *. bound
 
-let bernoulli t p = unit_float t < p
+let[@inline] bernoulli_at b off p = unit_float_at b off < p
+let bernoulli t p = bernoulli_at t 0 p
 
-let[@inline] exponential t ~mean =
+let[@inline] exponential_at b off ~mean =
   if not (Float.is_finite mean) || mean <= 0. then
     invalid_arg "Rng.exponential: mean must be positive";
-  let u = 1. -. unit_float t in
+  let u = 1. -. unit_float_at b off in
   -.mean *. Float.log u
+
+let exponential t ~mean = exponential_at t 0 ~mean
 
 (* The draw and the rounding of [Time.of_sec_f] in one function, so
    that the float never crosses a module boundary and is never boxed.
    The draw is never negative, so only the upper clamp (2^62, as in
    [Time]) can apply. *)
-let exponential_ns t ~mean =
-  let x = exponential t ~mean *. 1e9 in
+let[@inline] exponential_ns_at b off ~mean =
+  let x = exponential_at b off ~mean *. 1e9 in
   if not (Float.is_finite x) then invalid_arg "Rng.exponential_ns: non-finite duration";
   let r = Float.round x in
   if r >= 4611686018427387904. then max_int else int_of_float r
+
+let exponential_ns t ~mean = exponential_ns_at t 0 ~mean
 
 let normal t ~mu ~sigma =
   if not (Float.is_finite sigma) || sigma < 0. then
@@ -163,6 +176,25 @@ module Weighted = struct
     done;
     !i
 
-  let draw w t = find w (unit_float t *. w.cum.(w.last))
+  let[@inline] draw_at w b off = find w (unit_float_at b off *. w.cum.(w.last))
+  let draw w t = draw_at w t 0
+end
+
+(* Stream [i] is the state at byte offset [8 * i]: one flat buffer for
+   n streams, where n [split]s would allocate n buffers. *)
+module Streams = struct
+  type t = Bytes.t
+
+  let split rng n =
+    if n < 0 then invalid_arg "Rng.Streams.split: negative count";
+    let b = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le b (8 * i) (bits64 rng)
+    done;
+    b
+
+  let bernoulli b i p = bernoulli_at b (8 * i) p
+  let exponential_ns b i ~mean = exponential_ns_at b (8 * i) ~mean
+  let weighted b i w = Weighted.draw_at w b (8 * i)
 end
 

@@ -6,7 +6,9 @@
     (identical workloads, differing only in the algorithm).  The global
     [Random] state cannot give that guarantee once components draw in
     data-dependent order, so every component receives its own generator,
-    obtained with {!split}.
+    obtained with {!split}.  A population of streams that one engine
+    indexes by slot is one flat {!Streams} buffer instead: stream [i]
+    of it is the [i]-th successive {!split}, drawn the same way.
 
     The core generator is SplitMix64 (Steele, Lea & Flood, OOPSLA'14):
     64-bit state, 64-bit output, passes BigCrush, and supports cheap
@@ -60,7 +62,10 @@ val exponential_ns : t -> mean:float -> int
     nanosecond and clamped to [Time.max_value].  It allocates nothing
     when [mean] is already boxed (a record field, a constant), where
     [exponential] boxes its result.  Raises [Invalid_argument] if
-    [mean] is not positive and finite, or the duration is not finite. *)
+    [mean] is not positive and finite, or the duration is not finite.
+    Test reference: the engine draws think times from {!Streams}, and
+    the tests check {!Streams.exponential_ns} against this one-stream
+    draw. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] draws X with ln X ~ N(mu, sigma^2) (a
@@ -106,6 +111,39 @@ module Weighted : sig
   val draw : t -> rng -> int
   (** [draw w t] is {!find} at a uniform draw below the total weight:
       index [i] with probability proportional to its weight (a zero
-      weight is never drawn).  Advances [t] by one draw. *)
+      weight is never drawn).  Advances [t] by one draw.  Test
+      reference: the engine draws paths from {!Streams}, and the tests
+      check {!Streams.weighted} against this one-stream draw. *)
 end
 
+(** [n] SplitMix64 streams in one flat buffer, 8 bytes each.
+
+    Stream [i] starts exactly where the [i]-th successive {!split} of
+    the parent would, and each indexed draw is the same formula as the
+    one-stream draw of the same name (both are the same inlined core,
+    over a state at an offset of a buffer): stream [i] of
+    [Streams.split rng n] yields the draws that the [i]-th [split rng]
+    would, for every mix of draw kinds.  Where [n] splits allocate [n]
+    buffers, {!split} allocates one, and no draw allocates. *)
+module Streams : sig
+  type rng := t
+
+  type t
+  (** A mutable buffer of streams.  Shards may draw from disjoint
+      indices at once. *)
+
+  val split : rng -> int -> t
+  (** [split rng n] draws [n] streams from [rng]: [n] successive
+      {!Rng.split}s, laid out flat.  Advances [rng] [n] times.  Raises
+      [Invalid_argument] if [n < 0]. *)
+
+  val bernoulli : t -> int -> float -> bool
+  (** [bernoulli s i p] is {!Rng.bernoulli} on stream [i]. *)
+
+  val exponential_ns : t -> int -> mean:float -> int
+  (** [exponential_ns s i ~mean] is {!Rng.exponential_ns} on stream
+      [i]. *)
+
+  val weighted : t -> int -> Weighted.t -> int
+  (** [weighted s i w] is {!Weighted.draw} [w] on stream [i]. *)
+end

@@ -30,11 +30,15 @@
    - TTLB analysis is streamed into fixed-bin {!Engine.Stats.Sketch}es,
      O(1) memory per circuit.
 
-   Per-slot RNG streams are split from the master seed in a fixed order
-   at setup, and the window loop ([run_sharded]) lets the shard
-   count choose only how the schedule executes (the guarantee is stated
-   once, on [shards] in the interface).  Paired CS-vs-SS comparisons
-   share the identical population, arrival and size draws. *)
+   Set-up allocates flat arrays too.  The relay population is drawn
+   as three arrays ({!Relay_gen.draw}), the relay arrays and the exit
+   ids are filled by plain loops, and the per-slot RNG streams are one
+   {!Engine.Rng.Streams} buffer: stream [i] is the [i]-th split of the
+   master seed, taken in a fixed order at setup.  The window loop
+   ([run_sharded]) lets the shard count choose only how the schedule
+   executes (the guarantee is stated once, on [shards] in the
+   interface).  Paired CS-vs-SS comparisons share the identical
+   population, arrival and size draws. *)
 
 type config = {
   relays : int;
@@ -153,6 +157,14 @@ let validate_config c =
            | Some n -> n < 1 | None -> false)
   then Error "budget.max_queued_bytes must be positive when set"
   else if c.shards < 1 then Error "shards must be >= 1"
+  else if
+    match c.strategy with
+    | Circuitstart.Controller.Fixed w -> w < 1 || w > Round_law.cwnd_cap
+    | _ -> false
+  then
+    Error
+      (Printf.sprintf "a fixed window must be 1..%d cells at round level"
+         Round_law.cwnd_cap)
   else if c.sketch_bins < 1 then Error "sketch_bins must be positive"
   else if Engine.Time.(c.sketch_max <= Engine.Time.zero) then
     Error "sketch_max must be positive"
@@ -310,7 +322,9 @@ type state = {
      ns ([max_int] = none): its arrival while thinking, its next round
      while it hosts a circuit. *)
   s_next : int array;
-  s_rng : Engine.Rng.t array;
+  (* Slot [i]'s draws (think times, paths, the elephant coin) come from
+     stream [i] of this one buffer. *)
+  s_rng : Engine.Rng.Streams.t;
   s_circ : int array;  (* pool index, or -1 while thinking *)
   (* Counters and streaming analysis. *)
   mutable completed : int;
@@ -385,11 +399,11 @@ let schedule st i delay_ns =
    allocates no closure. *)
 let eligible st ~a ~b r = r <> a && r <> b && st.vis.(r) = 1
 
-let draw_distinct st rng ~a ~b =
-  let r = ref (Engine.Rng.Weighted.draw st.w_all rng) in
+let draw_distinct st i ~a ~b =
+  let r = ref (Engine.Rng.Streams.weighted st.s_rng i st.w_all) in
   let tries = ref 0 in
   while (not (eligible st ~a ~b !r)) && !tries < 8 do
-    r := Engine.Rng.Weighted.draw st.w_all rng;
+    r := Engine.Rng.Streams.weighted st.s_rng i st.w_all;
     incr tries
   done;
   if eligible st ~a ~b !r then !r
@@ -409,11 +423,11 @@ let draw_distinct st rng ~a ~b =
    not all relays.  [-1] when no exit is visible.  Draws index the exit
    sub-population and map through [exit_ids]; the scan starts after the
    last drawn index, so the fallback needs no lookup and no closure. *)
-let draw_exit st rng =
-  let x = ref (Engine.Rng.Weighted.draw st.w_exit rng) in
+let draw_exit st i =
+  let x = ref (Engine.Rng.Streams.weighted st.s_rng i st.w_exit) in
   let tries = ref 0 in
   while st.vis.(st.exit_ids.(!x)) = 0 && !tries < 8 do
-    x := Engine.Rng.Weighted.draw st.w_exit rng;
+    x := Engine.Rng.Streams.weighted st.s_rng i st.w_exit;
     incr tries
   done;
   if st.vis.(st.exit_ids.(!x)) = 1 then st.exit_ids.(!x)
@@ -493,12 +507,12 @@ let diurnal_factor st =
 (* Without diurnal modulation the mean is the stored float itself
    ([x /. 1.] is [x]), so the draw boxes nothing. *)
 let think st i =
-  let rng = st.s_rng.(i) in
   let delay_ns =
     if st.config.diurnal_amplitude = 0. then
-      Engine.Rng.exponential_ns rng ~mean:st.think_mean_s
+      Engine.Rng.Streams.exponential_ns st.s_rng i ~mean:st.think_mean_s
     else
-      Engine.Rng.exponential_ns rng ~mean:(st.think_mean_s /. diurnal_factor st)
+      Engine.Rng.Streams.exponential_ns st.s_rng i
+        ~mean:(st.think_mean_s /. diurnal_factor st)
   in
   schedule st i delay_ns
 
@@ -705,7 +719,6 @@ let advance_epoch st =
   done
 
 let try_arrival st i =
-  let rng = st.s_rng.(i) in
   let attempts = max_path_redraws + 1 in
   let admitted = ref false in
   let g = ref 0 and m = ref 0 and e = ref 0 in
@@ -713,11 +726,11 @@ let try_arrival st i =
   while (not !admitted) && !tries < attempts do
     if !tries > 0 then st.admission_redraws <- st.admission_redraws + 1;
     incr tries;
-    e := draw_exit st rng;
+    e := draw_exit st i;
     if !e >= 0 then begin
-      g := draw_distinct st rng ~a:!e ~b:(-1);
+      g := draw_distinct st i ~a:!e ~b:(-1);
       if !g >= 0 then begin
-        m := draw_distinct st rng ~a:!e ~b:!g;
+        m := draw_distinct st i ~a:!e ~b:!g;
         if !m >= 0 then
           admitted := hop_ok st !g && hop_ok st !m && hop_ok st !e
       end
@@ -740,7 +753,7 @@ let try_arrival st i =
       if resume then st.s_res_kind.(i) = 1
       else
         st.config.elephant_fraction > 0.
-        && Engine.Rng.bernoulli rng st.config.elephant_fraction
+        && Engine.Rng.Streams.bernoulli st.s_rng i st.config.elephant_fraction
     in
     st.arrivals <- st.arrivals + 1;
     if elephant then st.elephant_arrivals <- st.elephant_arrivals + 1;
@@ -799,41 +812,37 @@ let build_states ~seed config =
   let shards = config.shards in
   let rng = Engine.Rng.create seed in
   let pop_rng = Engine.Rng.split rng in
-  let slot_rngs = Array.init config.slots (fun _ -> Engine.Rng.split rng) in
+  let s_rng = Engine.Rng.Streams.split rng config.slots in
   let churn_rng = Engine.Rng.split rng in
   let n_total = config.relays + config.spare_relays in
-  let specs =
-    Array.of_list (Relay_gen.generate pop_rng config.population ~n:n_total)
-  in
+  let pop = Relay_gen.draw pop_rng config.population ~n:n_total in
   let n = n_total in
-  let cap_cps =
-    Array.map
-      (fun (s : Relay_gen.spec) ->
-        Engine.Units.Rate.to_bytes_per_sec s.bandwidth
-        /. float_of_int Backtap.Wire.cell_size)
-      specs
-  in
-  let lat_ns =
-    Array.map
-      (fun (s : Relay_gen.spec) -> (s.latency :> int))
-      specs
-  in
+  let cap_cps = Array.make n 0. in
+  let lat_ns = Array.make n 0 in
+  let n_exits = ref 0 and up_exits = ref 0 in
+  for r = 0 to n - 1 do
+    cap_cps.(r) <-
+      Engine.Units.Rate.to_bytes_per_sec pop.bandwidths.(r)
+      /. float_of_int Backtap.Wire.cell_size;
+    lat_ns.(r) <- (pop.latencies.(r) :> int);
+    if pop.is_exit.(r) then begin
+      incr n_exits;
+      if r < config.relays then incr up_exits
+    end
+  done;
   let w_all = Engine.Rng.Weighted.create cap_cps in
-  let exit_ids =
-    specs
-    |> Array.to_list
-    |> List.mapi (fun i (s : Relay_gen.spec) -> (i, s))
-    |> List.filter (fun ((_, s) : int * Relay_gen.spec) ->
-           List.mem Tor_model.Relay_info.Exit s.flags)
-    |> List.map fst
-    |> Array.of_list
-  in
-  if Array.length exit_ids = 0 then
-    invalid_arg "Network_experiment.run: population has no exit relays";
-  (* Spares (ids >= relays) start down; the initially-up population
-     must be able to route on its own. *)
-  if not (Array.exists (fun id -> id < config.relays) exit_ids) then
+  (* Spares start down, so the initially-up population must route on
+     its own. *)
+  if !up_exits = 0 then
     invalid_arg "Network_experiment.run: no exit relay among the initial population";
+  let exit_ids = Array.make !n_exits 0 in
+  let x = ref 0 in
+  for r = 0 to n - 1 do
+    if pop.is_exit.(r) then begin
+      exit_ids.(!x) <- r;
+      incr x
+    end
+  done;
   let w_exit =
     Engine.Rng.Weighted.create (Array.map (fun id -> cap_cps.(id)) exit_ids)
   in
@@ -854,17 +863,7 @@ let build_states ~seed config =
     Array.init n_total (fun r -> if r < config.relays then st_up else st_down)
   in
   let vis = Array.init n_total (fun r -> if r < config.relays then 1 else 0) in
-  let is_exit =
-    let a = Array.make n_total false in
-    Array.iter (fun id -> a.(id) <- true) exit_ids;
-    a
-  in
   let drain_deadline_ns = Array.make n_total 0 in
-  let up_exits =
-    Array.fold_left
-      (fun acc id -> if id < config.relays then acc + 1 else acc)
-      0 exit_ids
-  in
   let s_res_rem = Array.make slots (-1) in
   let s_res_kind = Array.make slots 0 in
   let s_res_started = Array.make slots 0 in
@@ -892,17 +891,17 @@ let build_states ~seed config =
           n_total;
           rstatus;
           vis;
-          is_exit;
+          is_exit = pop.is_exit;
           drain_deadline_ns;
           churn_rng;
           up_relays = config.relays;
-          up_exits;
+          up_exits = !up_exits;
           s_res_rem;
           s_res_kind;
           s_res_started;
           circ;
           s_next;
-          s_rng = slot_rngs;
+          s_rng;
           s_circ;
           completed = 0;
           mice_done = 0;

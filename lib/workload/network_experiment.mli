@@ -97,6 +97,8 @@ type config = {
       (** Extra relays that start down (and invisible) and join under
           [join_hazard]. *)
   strategy : Circuitstart.Controller.strategy;
+      (** A [Fixed w] window must lie in 1..10 000 cells, the round
+          law's range, so that a run's label names the window it ran. *)
   sketch_bins : int;
   sketch_max : Engine.Time.t;  (** Upper edge of the TTLB sketches. *)
   retain_exact : bool;

@@ -31,9 +31,27 @@ val default_config : config
 
 val validate_config : config -> (config, string) result
 
+(** A drawn population as flat arrays, indexed by relay id. *)
+type population = {
+  bandwidths : Engine.Units.Rate.t array;
+  latencies : Engine.Time.t array;
+  is_exit : bool array;  (** Flagged [Exit]. *)
+}
+
+val draw : Engine.Rng.t -> config -> n:int -> population
+(** [draw rng config ~n] draws [n] relays, in id order: a log-normal
+    bandwidth (two uniforms) clamped to the config's range, then a
+    uniform latency (one uniform, none when [latency_min =
+    latency_max]).  [Exit] goes to about [exit_fraction * n] relays
+    round-robin, relay 0 first, so path selection always finds exits.
+    It allocates the three arrays and no record per relay: the
+    consensus-scale engine reads nothing else.  Raises
+    [Invalid_argument] on [n <= 0] or an invalid config. *)
+
 val generate : Engine.Rng.t -> config -> n:int -> spec list
-(** [generate rng config ~n] draws [n] relay specs.  All relays get
-    [Guard]/[Fast]/[Stable]; [Exit] is assigned to about
-    [exit_fraction * n] relays round-robin so path selection always
-    finds exits.  Raises [Invalid_argument] on [n <= 0] or an invalid
+(** [generate rng config ~n] is {!draw} as specs: relay [i] is named
+    [relay%02d], takes the [i]-th bandwidth and latency, and gets
+    [Guard]/[Fast]/[Stable], plus [Exit] where {!draw} flags it.  The
+    draws are {!draw}'s, so both give the same population from the
+    same stream.  Raises [Invalid_argument] on [n <= 0] or an invalid
     config. *)

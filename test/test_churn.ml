@@ -307,6 +307,11 @@ let test_cli_bad_values_are_usage_errors () =
           "recover --crash-at=-1";
           "recover --crash-at=nan";
           "faults --crash-at=inf";
+          (* The round level runs windows of 1..10 000 cells, so a
+             fixed window past that would print another window's row
+             under its own label. *)
+          "network --strategy fixed:20000";
+          "churn-scale --strategy fixed:10001";
         ])
 
 let test_cli_churn_scale_runs () =

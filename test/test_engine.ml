@@ -1159,6 +1159,42 @@ let prop_weighted_matches_binary_search =
       in
       draws_agree && edges_agree)
 
+(* A buffer of slot streams against the splits it stands for: [n]
+   successive [Rng.split]s of one parent, and [Streams.split] of a
+   parent with the same seed.  The draws hop between streams in a
+   random order and mix the three indexed kinds, so a stream that
+   read or wrote its neighbour's bytes, or started one split off,
+   shows; afterwards both parents must be at the same state. *)
+type stream_op = Coin of float | Think of float | Pick
+
+let prop_streams_match_splits =
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [ map (fun p -> Coin p) (float_range 0. 1.);
+          map (fun m -> Think m) (float_range 1e-6 100.);
+          pure Pick ])
+  in
+  QCheck2.Test.make ~name:"Rng.Streams stream i is the i-th Rng.split" ~count:300
+    QCheck2.Gen.(
+      triple int (int_range 1 64) (list_size (int_range 0 300) (pair nat op)))
+    (fun (seed, n, ops) ->
+      let module R = Engine.Rng in
+      let w = R.Weighted.create (Array.init 37 (fun i -> float_of_int ((i * 7 mod 11) + 1))) in
+      let parent = R.create seed and flat_parent = R.create seed in
+      let splits = Array.init n (fun _ -> R.split parent) in
+      let streams = R.Streams.split flat_parent n in
+      List.for_all
+        (fun (k, op) ->
+          let i = k mod n in
+          match op with
+          | Coin p -> R.bernoulli splits.(i) p = R.Streams.bernoulli streams i p
+          | Think mean ->
+              R.exponential_ns splits.(i) ~mean = R.Streams.exponential_ns streams i ~mean
+          | Pick -> R.Weighted.draw w splits.(i) = R.Streams.weighted streams i w)
+        ops
+      && Int64.equal (R.bits64 parent) (R.bits64 flat_parent))
+
 let test_rng_weighted_edges () =
   let module W = Engine.Rng.Weighted in
   (* A uniform at the total (the largest one below 1 never rounds up
@@ -1818,6 +1854,31 @@ let test_alloc_lifetime () =
     (Printf.sprintf "%.4f minor words per lifetime < 0.01" per_lifetime)
     true (per_lifetime < 0.01)
 
+(* Set-up's allocation per slot.  With the horizon cut to its first
+   nanosecond a run is set-up, one window in which no slot is due, and
+   teardown.  Every array indexed by slot, the buffer of slot streams
+   among them, is longer than 256 words at both sizes, so it is
+   allocated straight on the major heap, where [Gc.minor_words] does
+   not count it.  What set-up allocates besides (the relay draw, the
+   draw tables, the sketches) does not depend on the slot count, and
+   drawing each slot's first think time allocates nothing, so doubling
+   the slots must leave the minor words exactly as they were: 0 words
+   per slot. *)
+let test_alloc_setup_per_slot () =
+  let run slots =
+    snd
+      (Workload.Network_experiment.run_instrumented ~seed:3
+         { Workload.Network_experiment.default_config with
+           Workload.Network_experiment.relays = 60;
+           slots;
+           duration = Engine.Time.ns 1;
+         })
+  in
+  ignore (run 1_000);
+  let small = run 1_000 in
+  let large = run 2_000 in
+  Alcotest.(check (float 0.)) "minor words at 2,000 slots = at 1,000" small large
+
 (* ------------------------------------------------------------------ *)
 
 let qtests =
@@ -1825,7 +1886,8 @@ let qtests =
     [ prop_time_order; prop_time_add_sub; prop_time_ns64_roundtrip;
       prop_time_compare_int64; prop_transmission_additive;
       prop_rng_int_unbiased; prop_rng_matches_reference;
-      prop_weighted_matches_binary_search; prop_exponential_ns_matches_of_sec_f;
+      prop_weighted_matches_binary_search; prop_streams_match_splits;
+      prop_exponential_ns_matches_of_sec_f;
       prop_queue_sorted_drain; prop_queue_matches_model; prop_queue_timers_match_model;
       prop_online_matches_direct ]
 
@@ -1955,6 +2017,8 @@ let () =
           Alcotest.test_case "Round_law.step" `Quick test_alloc_round_law;
           Alcotest.test_case "consensus round step" `Quick test_alloc_round;
           Alcotest.test_case "consensus lifetime" `Quick test_alloc_lifetime;
+          Alcotest.test_case "consensus set-up per slot" `Quick
+            test_alloc_setup_per_slot;
         ] );
       ("properties", qtests);
     ]

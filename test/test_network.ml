@@ -183,7 +183,18 @@ let test_validate_config_rejects () =
   bad "no slots" { small_config with slots = 0 };
   bad "zero think" { small_config with mean_think = Engine.Time.zero };
   bad "diurnal amplitude > 0.95" { small_config with diurnal_amplitude = 1.2 };
-  bad "elephant fraction > 1" { small_config with elephant_fraction = 1.5 }
+  bad "elephant fraction > 1" { small_config with elephant_fraction = 1.5 };
+  let cap = Circuitstart.Controller.Round_law.cwnd_cap in
+  let fixed w = { small_config with strategy = Circuitstart.Controller.Fixed w } in
+  bad "fixed window 0" (fixed 0);
+  bad "fixed window above the cap" (fixed (cap + 1));
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "fixed:%d accepted" w)
+        true
+        (Result.is_ok (Workload.Network_experiment.validate_config (fixed w))))
+    [ 1; cap ]
 
 (* Small-scale shape check against the paper's Figure 1c: on a paired
    seed, CircuitStart's early compensation beats slow start at the

@@ -57,6 +57,11 @@ let test_relay_gen_validation () =
     (fun () ->
       ignore
         (Workload.Relay_gen.generate (Engine.Rng.create 0) Workload.Relay_gen.default_config
+           ~n:0));
+  Alcotest.check_raises "draw, n = 0" (Invalid_argument "Relay_gen.draw: n must be positive")
+    (fun () ->
+      ignore
+        (Workload.Relay_gen.draw (Engine.Rng.create 0) Workload.Relay_gen.default_config
            ~n:0))
 
 (* ------------------------------------------------------------------ *)
@@ -285,6 +290,74 @@ let test_contention_config_validation () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* Test reference: a frozen copy of the per-relay draw [generate] made
+   before the flat population existed, one closure call per relay in a
+   [List.init].  The flat draw must take the same uniforms in the same
+   order. *)
+let reference_relays rng (c : Workload.Relay_gen.config) ~n =
+  let mu = Float.log c.bandwidth_median_mbit in
+  let exit_every = Stdlib.max 1 (int_of_float (Float.round (1. /. c.exit_fraction))) in
+  List.init n (fun i ->
+      let mbit =
+        Engine.Rng.lognormal rng ~mu ~sigma:c.bandwidth_sigma
+        |> Float.max c.bandwidth_min_mbit
+        |> Float.min c.bandwidth_max_mbit
+      in
+      let lo = (c.latency_min :> int) and hi = (c.latency_max :> int) in
+      let latency =
+        if lo = hi then lo
+        else lo + int_of_float (Engine.Rng.float rng (float_of_int (hi - lo)))
+      in
+      (Engine.Units.Rate.to_bps (Engine.Units.Rate.mbit_f mbit), latency,
+       i mod exit_every = 0))
+
+(* [draw] and [generate] from one seed give the same relays field by
+   field, and both give the frozen reference's, over sizes and configs
+   that include a point latency range and an all-exit population. *)
+let prop_population_matches_generate =
+  let gen_config =
+    QCheck2.Gen.(
+      map
+        (fun ((sigma, lat_lo, lat_span), exit_fraction) ->
+          { Workload.Relay_gen.default_config with
+            bandwidth_sigma = sigma;
+            latency_min = Engine.Time.us lat_lo;
+            latency_max = Engine.Time.us (lat_lo + lat_span);
+            exit_fraction })
+        (pair
+           (triple (float_range 0. 3.) (int_range 0 20_000)
+              (oneof [ pure 0; int_range 1 20_000 ]))
+           (oneof [ pure 1.; pure 0.34; float_range 0.01 1. ])))
+  in
+  QCheck2.Test.make ~name:"flat population equals generate and the reference"
+    ~count:200
+    QCheck2.Gen.(triple int (int_range 1 300) gen_config)
+    (fun (seed, n, c) ->
+      let module G = Workload.Relay_gen in
+      let pop = G.draw (Engine.Rng.create seed) c ~n in
+      let specs = Array.of_list (G.generate (Engine.Rng.create seed) c ~n) in
+      let reference = Array.of_list (reference_relays (Engine.Rng.create seed) c ~n) in
+      Array.length specs = n
+      && Array.length pop.G.bandwidths = n
+      && Array.length pop.G.latencies = n
+      && Array.length pop.G.is_exit = n
+      && List.for_all
+           (fun i ->
+             let s = specs.(i) and bps, lat, exit = reference.(i) in
+             let bw = Engine.Units.Rate.to_bps pop.G.bandwidths.(i) in
+             let l = (pop.G.latencies.(i) :> int) in
+             bw = Engine.Units.Rate.to_bps s.G.bandwidth
+             && bw = bps
+             && l = (s.G.latency :> int)
+             && l = lat
+             && pop.G.is_exit.(i) = List.mem Tor_model.Relay_info.Exit s.G.flags
+             && pop.G.is_exit.(i) = exit
+             && s.G.nickname = Printf.sprintf "relay%02d" i
+             && s.G.flags
+                = (if exit then Tor_model.Relay_info.[ Exit; Guard; Fast; Stable ]
+                   else Tor_model.Relay_info.[ Guard; Fast; Stable ]))
+           (List.init n Fun.id))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -296,6 +369,7 @@ let () =
           Alcotest.test_case "exit flags" `Quick test_relay_gen_exits;
           Alcotest.test_case "determinism" `Quick test_relay_gen_determinism;
           Alcotest.test_case "validation" `Quick test_relay_gen_validation;
+          QCheck_alcotest.to_alcotest prop_population_matches_generate;
         ] );
       ( "tor_net",
         [
