@@ -12,6 +12,25 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+echo "== determinism registry: an entry for every run_many of lib/workload =="
+# The registry in test/test_pool.ml is the one statement that a result
+# is a function of (seed, config), whatever --jobs and --shards are.  A
+# module of lib/workload whose .mli exports run_many must have an entry
+# that runs it, so a new engine cannot skip the statement.  The registry
+# is read from its "let registry =" line to the next blank line.
+registry=$(awk '/^let registry =/ { r = 1 } r && /^$/ { exit } r' test/test_pool.ml)
+missing=0
+for mli in lib/workload/*.mli; do
+  grep -q '^val run_many ' "$mli" || continue
+  m=$(basename "$mli" .mli)
+  M=$(printf '%s' "$m" | cut -c1 | tr a-z A-Z)$(printf '%s' "$m" | cut -c2-)
+  if ! printf '%s\n' "$registry" | grep -q "Workload\.$M\.run_many"; then
+    echo "determinism registry: no entry runs Workload.$M.run_many" >&2
+    missing=1
+  fi
+done
+[ "$missing" -eq 0 ] || exit 1
+
 echo "== fault smoke: torsim faults --loss 0.01 =="
 dune exec bin/torsim.exe -- faults --loss 0.01 --kib 128
 
@@ -42,31 +61,6 @@ echo "== predictive smoke: torsim network --strategy predictive =="
 # The receding-horizon backend pinned end to end: a small
 # consensus-scale run must complete under the planner alone.
 dune exec bin/torsim.exe -- network --strategy predictive --relays 100 --circuits 400 --lifetimes 2000 --seed 7
-
-echo "== shard smoke: torsim network (consensus-scale, small), and --shards 2 and 4 (--jobs 2) byte-identical to it =="
-# The result is a function of (seed, config), whatever --jobs and
-# --shards are.  At four shards every shard domain reads the shared
-# relay draw tables at once.
-s1=$(mktemp) && s2=$(mktemp) && s4=$(mktemp)
-dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 > "$s1"
-cat "$s1"
-dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$s2"
-dune exec bin/torsim.exe -- network --relays 100 --circuits 400 --lifetimes 2000 --seed 7 --shards 4 --jobs 2 > "$s4"
-diff "$s1" "$s2"
-diff "$s1" "$s4"
-rm -f "$s1" "$s2" "$s4"
-
-echo "== churn shard smoke: torsim churn-scale (moving consensus, small), and --shards 2 and 4 (--jobs 2) byte-identical to it =="
-# The same guarantee with churn on: kill sweeps, resumes and epoch
-# refreshes at the barriers may not depend on the partition either.
-c1=$(mktemp) && c2=$(mktemp) && c4=$(mktemp)
-dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 > "$c1"
-cat "$c1"
-dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 2 --jobs 2 > "$c2"
-dune exec bin/torsim.exe -- churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7 --shards 4 --jobs 2 > "$c4"
-cmp "$c1" "$c2"
-cmp "$c1" "$c4"
-rm -f "$c1" "$c2" "$c4"
 
 echo "== perf gate: bench/trajectory.exe over the committed BENCH_*.json =="
 # The blessed floors of bench/perf_floors.txt hold on the reports in

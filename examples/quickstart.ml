@@ -23,11 +23,11 @@ let () =
               Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ] })
     [ ("guard", 50); ("middle", 4); ("exit", 50) ];
   let client =
-    Workload.Tor_net.add_endpoint b ~name:"client" ~rate:(Engine.Units.Rate.mbit 100)
+    Workload.Tor_net.add_endpoint b ~rate:(Engine.Units.Rate.mbit 100)
       ~delay:(Engine.Time.ms 10)
   in
   let server =
-    Workload.Tor_net.add_endpoint b ~name:"server" ~rate:(Engine.Units.Rate.mbit 100)
+    Workload.Tor_net.add_endpoint b ~rate:(Engine.Units.Rate.mbit 100)
       ~delay:(Engine.Time.ms 10)
   in
   let net = Workload.Tor_net.finalize b in

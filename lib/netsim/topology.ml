@@ -7,7 +7,6 @@ type t = {
   (* Propagation records shared by every link of the topology: the pool
      holds at most the network-wide peak of packets in flight. *)
   flights : Link.flight_pool;
-  mutable node_names : string array;
   (* Directed adjacency: out.(a) is the outgoing links of node a, in
      insertion order. *)
   mutable out : out array;
@@ -25,24 +24,20 @@ type t = {
 
 let create sim =
   { sim; ids = Packet.fresh_id_state (); flights = Link.flight_pool sim;
-    node_names = [||]; out = [||]; by_ends = Hashtbl.create 64; count = 0; sources = [];
+    out = [||]; by_ends = Hashtbl.create 64; count = 0; sources = [];
     all_links = [||]; all_links_fresh = true }
 
 let sim t = t.sim
 let packet_ids t = t.ids
 
-let add_node t ~name =
+let add_node t =
   let o = { links = [||]; degree = 0 } in
-  if t.count = Array.length t.node_names then begin
+  if t.count = Array.length t.out then begin
     let ncap = Stdlib.max 16 (t.count * 2) in
-    let names = Array.make ncap "" in
-    Array.blit t.node_names 0 names 0 t.count;
-    t.node_names <- names;
     let out = Array.make ncap o in
     Array.blit t.out 0 out 0 t.count;
     t.out <- out
   end;
-  t.node_names.(t.count) <- name;
   t.out.(t.count) <- o;
   let id = Node_id.of_int t.count in
   t.count <- t.count + 1;
@@ -53,10 +48,6 @@ let node_count t = t.count
 let check_node t id =
   if Node_id.to_int id >= t.count then
     invalid_arg (Format.asprintf "Topology: unknown node %a" Node_id.pp id)
-
-let name t id =
-  if Node_id.to_int id >= t.count then raise Not_found;
-  t.node_names.(Node_id.to_int id)
 
 let link t a b = Hashtbl.find_opt t.by_ends (Node_id.to_int a, Node_id.to_int b)
 
@@ -126,14 +117,14 @@ let links t =
   end;
   t.all_links
 
-let star sim ~hub ~leaves ?queue () =
+let star sim ~hub:_ ~leaves ?queue () =
   if leaves = [] then invalid_arg "Topology.star: no leaves";
   let t = create sim in
-  let hub_id = add_node t ~name:hub in
+  let hub_id = add_node t in
   let leaf_ids =
     List.map
-      (fun (name, rate, delay) ->
-        let id = add_node t ~name in
+      (fun (_, rate, delay) ->
+        let id = add_node t in
         connect t id hub_id ~rate ~delay ?queue ();
         id)
       leaves

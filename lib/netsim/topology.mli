@@ -17,16 +17,10 @@ val create : Engine.Sim.t -> t
 val sim : t -> Engine.Sim.t
 val packet_ids : t -> Packet.id_state
 
-val add_node : t -> name:string -> Node_id.t
-(** Add a node; ids are dense in creation order.  Node names are for
-    diagnostics only and need not be unique. *)
+val add_node : t -> Node_id.t
+(** Add a node; ids are dense in creation order. *)
 
 val node_count : t -> int
-
-val name : t -> Node_id.t -> string
-(** Raises [Not_found] for an unknown id.  Test reference: the builder
-    tests read names back with it; no program path prints a node by
-    name. *)
 
 val connect :
   t ->
@@ -79,4 +73,7 @@ val star :
     off a central hub by a dedicated duplex access link whose rate *is*
     the leaf's bandwidth and whose one-way delay is the leaf's access
     latency.  Returns (topology, hub id, leaf ids in list order).
-    Raises [Invalid_argument] on an empty leaf list. *)
+    Raises [Invalid_argument] on an empty leaf list.  Nodes carry no
+    names: [hub] and each leaf's name are ignored, and stay only
+    because perfbench's [forward] probe still passes them (ROADMAP
+    item 10). *)

@@ -31,7 +31,7 @@ let run config =
   in
   (* A dedicated sink leaf absorbs the background traffic. *)
   let w =
-    Line_world.create ~extra_leaf:"cbr-sink" ~relay_count:3 ~bottleneck_distance:2
+    Line_world.create ~extra_leaf:true ~relay_count:3 ~bottleneck_distance:2
       ~bottleneck_rate ~fast_rate:(Engine.Units.Rate.mbit 50)
       ~access_delay:(Engine.Time.ms 10) ~endpoint_rate:(Engine.Units.Rate.mbit 100) ()
   in

@@ -39,5 +39,5 @@ val run : config -> result
 
 val run_many : ?jobs:int -> config list -> result list
 (** One {!run} per config on a domain pool of [jobs] workers
-    ({!Engine.Pool.default_jobs} when omitted).  Results are in config
-    order and byte-identical to mapping {!run} sequentially. *)
+    ({!Engine.Pool.default_jobs} when omitted), results in config
+    order; see DESIGN.md, "Determinism". *)

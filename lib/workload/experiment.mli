@@ -39,8 +39,7 @@ module type S = sig
 
   val run_many : ?jobs:int -> (int * config) list -> result list
   (** One run per [(seed, config)] task on a domain pool of [jobs]
-      workers; results in task order, byte-identical to running the
-      tasks one by one. *)
+      workers, results in task order; see DESIGN.md, "Determinism". *)
 end
 
 val compare :

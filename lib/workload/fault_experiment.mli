@@ -100,11 +100,9 @@ val run :
   ?probe:(Engine.Sim.t -> Netsim.Link.t array -> Backtap.Transfer.t -> unit) ->
   config ->
   result
-(** Deterministic per [(seed, config)]: identical seeds yield
-    byte-identical results.  Raises [Invalid_argument] if the config
-    does not validate, [Failure] if circuit establishment fails.  Each
-    run owns its simulator and RNG, so independent [(seed, config)]
-    replicates are domain-safe.
+(** A function of [(seed, config)] (DESIGN.md, "Determinism").
+    Raises [Invalid_argument] if the config does not validate,
+    [Failure] if circuit establishment fails.
 
     [probe], when given, is called once — after the transfer is
     deployed, before its first cell moves — with the simulator, every
@@ -114,10 +112,9 @@ val run :
     one, which the differential harness checks. *)
 
 val run_many : ?jobs:int -> (int * config) list -> result list
-(** One {!run} per [(seed, config)] replicate on a domain pool of
-    [jobs] workers ({!Engine.Pool.default_jobs} when omitted).
-    Results are in task order and byte-identical to mapping {!run}
-    sequentially. *)
+(** One {!run} per [(seed, config)] task on a domain pool of [jobs]
+    workers ({!Engine.Pool.default_jobs} when omitted), results in task
+    order; see DESIGN.md, "Determinism". *)
 
 val with_strategy : Circuitstart.Controller.strategy -> config -> config
 (** The config with its startup strategy replaced; with

@@ -14,7 +14,7 @@ let validate ~relay_count ~bottleneck_distance ~transfer_bytes ~horizon params =
   else if Engine.Time.(horizon <= Engine.Time.zero) then Error "horizon must be positive"
   else Result.map ignore (Circuitstart.Params.validate params)
 
-let create ?queue ?extra_leaf ~relay_count ~bottleneck_distance ~bottleneck_rate
+let create ?queue ?(extra_leaf = false) ~relay_count ~bottleneck_distance ~bottleneck_rate
     ~fast_rate ~access_delay ~endpoint_rate () =
   let sim = Engine.Sim.create () in
   let b = Tor_net.builder sim ?queue () in
@@ -27,10 +27,10 @@ let create ?queue ?extra_leaf ~relay_count ~bottleneck_distance ~bottleneck_rate
           [ Tor_model.Relay_info.Guard; Tor_model.Relay_info.Exit;
             Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ] }
   done;
-  let endpoint name = Tor_net.add_endpoint b ~name ~rate:endpoint_rate ~delay:access_delay in
-  let client = endpoint "client" in
-  let server = endpoint "server" in
-  let extra_leaf = Option.map endpoint extra_leaf in
+  let endpoint () = Tor_net.add_endpoint b ~rate:endpoint_rate ~delay:access_delay in
+  let client = endpoint () in
+  let server = endpoint () in
+  let extra_leaf = if extra_leaf then Some (endpoint ()) else None in
   let net = Tor_net.finalize b in
   let relays = Tor_model.Directory.relays (Tor_net.directory net) in
   let circuit =

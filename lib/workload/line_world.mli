@@ -34,7 +34,7 @@ val validate :
 
 val create :
   ?queue:Netsim.Nqueue.capacity ->
-  ?extra_leaf:string ->
+  ?extra_leaf:bool ->
   relay_count:int ->
   bottleneck_distance:int ->
   bottleneck_rate:Engine.Units.Rate.t ->
@@ -46,8 +46,9 @@ val create :
 (** Declare and finalize the line on a fresh simulator.  [queue] is the
     per-link queue capacity (default unbounded).  Every leaf has one-way
     delay [access_delay]; the client and server run at [endpoint_rate].
-    [extra_leaf] names one more endpoint leaf with the same rate and
-    delay, declared after the server; it plays no part in the circuit.
+    [extra_leaf] (default [false]) adds one more endpoint leaf with the
+    same rate and delay, declared after the server; it plays no part in
+    the circuit.
     The arguments must pass {!validate}. *)
 
 val bottleneck_links : t -> Netsim.Link.t list

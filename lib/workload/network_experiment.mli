@@ -232,8 +232,8 @@ val run_instrumented : ?seed:int -> config -> result * float
     runs. *)
 
 val run_many : ?jobs:int -> (int * config) list -> result list
-(** One {!run} per task on a domain pool; results in task order,
-    byte-identical to sequential mapping. *)
+(** One {!run} per [(seed, config)] task on a domain pool, results in
+    task order; see DESIGN.md, "Determinism". *)
 
 val with_strategy : Circuitstart.Controller.strategy -> config -> config
 (** The config with its startup strategy replaced; with

@@ -152,13 +152,12 @@ let run ?(seed = 42) ?probe ?relay_probe config =
              [ Tor_model.Relay_info.Guard; Tor_model.Relay_info.Exit;
                Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ] }));
   let clients =
-    Array.init config.sessions (fun i ->
-        Tor_net.add_endpoint b ~name:(Printf.sprintf "client%d" i)
-          ~rate:config.endpoint_rate ~delay:config.access_delay)
+    Array.init config.sessions (fun _ ->
+        Tor_net.add_endpoint b ~rate:config.endpoint_rate
+          ~delay:config.access_delay)
   in
   let server =
-    Tor_net.add_endpoint b ~name:"server" ~rate:config.endpoint_rate
-      ~delay:config.access_delay
+    Tor_net.add_endpoint b ~rate:config.endpoint_rate ~delay:config.access_delay
   in
   let net = Tor_net.finalize b in
   let links = Netsim.Topology.links (Netsim.Network.topology (Tor_net.network net)) in

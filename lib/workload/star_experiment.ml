@@ -95,16 +95,14 @@ let run config =
   List.iter (Tor_net.add_relay b)
     (Relay_gen.generate net_rng config.relay_config ~n:config.relay_count);
   let endpoints =
-    List.init config.circuit_count (fun i ->
+    List.init config.circuit_count (fun _ ->
         let client =
-          Tor_net.add_endpoint b
-            ~name:(Printf.sprintf "client%02d" i)
-            ~rate:config.endpoint_rate ~delay:config.endpoint_delay
+          Tor_net.add_endpoint b ~rate:config.endpoint_rate
+            ~delay:config.endpoint_delay
         in
         let server =
-          Tor_net.add_endpoint b
-            ~name:(Printf.sprintf "server%02d" i)
-            ~rate:config.endpoint_rate ~delay:config.endpoint_delay
+          Tor_net.add_endpoint b ~rate:config.endpoint_rate
+            ~delay:config.endpoint_delay
         in
         (client, server))
   in

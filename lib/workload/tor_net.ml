@@ -30,14 +30,14 @@ type t = {
   ids : Tor_model.Circuit_id.gen;
 }
 
-let builder sim ?(hub_name = "hub") ?(queue = Netsim.Nqueue.unbounded) () =
+let builder sim ?(queue = Netsim.Nqueue.unbounded) () =
   let topo = Netsim.Topology.create sim in
-  let hub = Netsim.Topology.add_node topo ~name:hub_name in
+  let hub = Netsim.Topology.add_node topo in
   { topo; hub; queue; leaves = []; finalized = false }
 
-let add_leaf b ~name ~rate ~delay relay =
+let add_leaf b ~rate ~delay relay =
   if b.finalized then invalid_arg "Tor_net: builder already finalized";
-  let node = Netsim.Topology.add_node b.topo ~name in
+  let node = Netsim.Topology.add_node b.topo in
   Netsim.Topology.connect b.topo node b.hub ~rate ~delay ~queue:b.queue ();
   b.leaves <-
     { node; spec = { Optmodel.Path_model.rate; access_delay = delay }; relay } :: b.leaves;
@@ -45,10 +45,10 @@ let add_leaf b ~name ~rate ~delay relay =
 
 let add_relay b (spec : Relay_gen.spec) =
   ignore
-    (add_leaf b ~name:spec.nickname ~rate:spec.bandwidth ~delay:spec.latency (Some spec)
+    (add_leaf b ~rate:spec.bandwidth ~delay:spec.latency (Some spec)
       : Netsim.Node_id.t)
 
-let add_endpoint b ~name ~rate ~delay = add_leaf b ~name ~rate ~delay None
+let add_endpoint ?name:_ b ~rate ~delay = add_leaf b ~rate ~delay None
 
 let finalize b =
   if b.finalized then invalid_arg "Tor_net.finalize: builder already finalized";

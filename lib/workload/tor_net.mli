@@ -13,7 +13,7 @@
 type builder
 type t
 
-val builder : Engine.Sim.t -> ?hub_name:string -> ?queue:Netsim.Nqueue.capacity -> unit -> builder
+val builder : Engine.Sim.t -> ?queue:Netsim.Nqueue.capacity -> unit -> builder
 (** Start a star around a hub.  [queue] is the per-link queue capacity
     (default unbounded — congestion shows up as delay, which is what
     delay-based control observes). *)
@@ -22,13 +22,15 @@ val add_relay : builder -> Relay_gen.spec -> unit
 (** Declare a relay leaf. *)
 
 val add_endpoint :
+  ?name:string ->
   builder ->
-  name:string ->
   rate:Engine.Units.Rate.t ->
   delay:Engine.Time.t ->
   Netsim.Node_id.t
 (** Declare a client or server leaf; returns its node id (valid after
-    finalization too). *)
+    finalization too).  Nodes carry no names: [name] is ignored, and
+    stays only because perfbench's set-up code still passes one (ROADMAP
+    item 10). *)
 
 val finalize : builder -> t
 (** Build routes and install all per-node machinery.  The builder must

@@ -461,33 +461,6 @@ let test_strategy_dimension () =
          { free with Check.Scenario.strategy = Circuitstart.Controller.Predictive })
   done
 
-(* The oracles in the harness agree with the per-jobs differential used
-   by the pool tests: run one scenario's config through the shared
-   jobs-determinism helper as well, tying the two harnesses together. *)
-let test_scenario_config_jobs_deterministic () =
-  let sc = Check.Scenario.generate ~seed:42 ~index:2 () in
-  match sc.Check.Scenario.kind with
-  | Check.Scenario.Faults ->
-      Test_util.check_jobs_deterministic (fun jobs ->
-          Workload.Fault_experiment.run_many ~jobs
-            [ (sc.Check.Scenario.seed, Check.Scenario.fault_config sc) ])
-  | Check.Scenario.Recovery ->
-      Test_util.check_jobs_deterministic (fun jobs ->
-          Workload.Overload_experiment.run_many ~jobs
-            [ (sc.Check.Scenario.seed, Check.Scenario.recovery_config sc) ])
-  | Check.Scenario.Overload ->
-      Test_util.check_jobs_deterministic (fun jobs ->
-          Workload.Overload_experiment.run_many ~jobs
-            [ (sc.Check.Scenario.seed, Check.Scenario.overload_config sc) ])
-  | Check.Scenario.Network ->
-      Test_util.check_jobs_deterministic (fun jobs ->
-          Workload.Network_experiment.run_many ~jobs
-            [ (sc.Check.Scenario.seed, Check.Scenario.network_config sc) ])
-  | Check.Scenario.Churn ->
-      Test_util.check_jobs_deterministic (fun jobs ->
-          Workload.Network_experiment.run_many ~jobs
-            [ (sc.Check.Scenario.seed, Check.Scenario.churn_config sc) ])
-
 let () =
   Alcotest.run "check"
     [
@@ -515,8 +488,6 @@ let () =
           Alcotest.test_case "old recovery line replays" `Quick
             test_old_recovery_line_replays;
           Alcotest.test_case "strategy dimension" `Quick test_strategy_dimension;
-          Alcotest.test_case "jobs-deterministic config" `Slow
-            test_scenario_config_jobs_deterministic;
         ] );
       ( "bug_detection",
         [

@@ -60,11 +60,6 @@ let test_network_zero_hazard_is_churn_free () =
   Alcotest.(check int) "no kills" 0 r.churn_kills;
   Alcotest.(check int) "no gone draws" 0 r.gone_draws
 
-let test_network_churn_deterministic_across_jobs () =
-  Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Network_experiment.run_many ~jobs
-        [ (11, churny_config); (12, churny_config) ])
-
 let test_network_churn_paired_strategies () =
   let c =
     Workload.Experiment.compare
@@ -331,8 +326,6 @@ let () =
             test_network_churn_counters_live;
           Alcotest.test_case "zero hazard is churn-free" `Quick
             test_network_zero_hazard_is_churn_free;
-          Alcotest.test_case "jobs deterministic" `Quick
-            test_network_churn_deterministic_across_jobs;
           Alcotest.test_case "paired strategies" `Quick
             test_network_churn_paired_strategies;
           Alcotest.test_case "pp_result churn clause" `Quick

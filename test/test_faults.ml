@@ -1,8 +1,8 @@
 (* Tests for the fault-injection subsystem: the loss models'
    statistics, the link-level fault hooks and drop accounting, outage
    scheduling, and the end-to-end fault experiment (loss is survivable,
-   a relay crash fails the circuit in bounded time, and every run is
-   deterministic per seed). *)
+   a relay crash fails the circuit in bounded time, and the seed reaches
+   the loss draws). *)
 
 let mk_link ?queue ?(rate = Engine.Units.Rate.mbit 8) ?(delay = Engine.Time.ms 10) sim =
   Netsim.Link.create sim ~src:(Netsim.Node_id.of_int 0) ~dst:(Netsim.Node_id.of_int 1)
@@ -197,18 +197,11 @@ let test_experiment_loss_survivable () =
         || r.Workload.Fault_experiment.drops.Netsim.Link.fault_injected = 0))
     [ 1; 2; 3; 4; 5 ]
 
-let test_experiment_deterministic () =
+(* Same-seed determinism is the registry's (test_pool); this is the
+   other half: the seed reaches the loss draws. *)
+let test_experiment_seed_sensitive () =
   let cfg = { quick_config with loss = Some (Netsim.Faults.Bernoulli 0.02) } in
   let a = Workload.Fault_experiment.run ~seed:9 cfg in
-  let b = Workload.Fault_experiment.run ~seed:9 cfg in
-  Alcotest.(check bool) "same ttlb" true
-    (a.Workload.Fault_experiment.time_to_last_byte
-    = b.Workload.Fault_experiment.time_to_last_byte);
-  Alcotest.(check int) "same retransmissions"
-    a.Workload.Fault_experiment.retransmissions
-    b.Workload.Fault_experiment.retransmissions;
-  Alcotest.(check bool) "same drops" true
-    (a.Workload.Fault_experiment.drops = b.Workload.Fault_experiment.drops);
   let c = Workload.Fault_experiment.run ~seed:10 cfg in
   Alcotest.(check bool) "different seed, different loss pattern" true
     (a.Workload.Fault_experiment.drops <> c.Workload.Fault_experiment.drops
@@ -318,7 +311,7 @@ let () =
         [
           Alcotest.test_case "clean baseline" `Quick test_experiment_clean_completes;
           Alcotest.test_case "1% loss survivable" `Quick test_experiment_loss_survivable;
-          Alcotest.test_case "deterministic per seed" `Quick test_experiment_deterministic;
+          Alcotest.test_case "seed changes the loss pattern" `Quick test_experiment_seed_sensitive;
           Alcotest.test_case "crash fails bounded" `Quick
             test_experiment_crash_fails_bounded;
           Alcotest.test_case "outage survivable" `Quick test_experiment_outage_survivable;

@@ -113,12 +113,12 @@ let multi_stream_latency () =
             [ Tor_model.Relay_info.Guard; Tor_model.Relay_info.Exit;
               Tor_model.Relay_info.Fast; Tor_model.Relay_info.Stable ] })
     [ ("guard", 50); ("middle", 5); ("exit", 50) ];
-  let endpoint name =
-    Workload.Tor_net.add_endpoint b ~name ~rate:(Engine.Units.Rate.mbit 100)
+  let endpoint () =
+    Workload.Tor_net.add_endpoint b ~rate:(Engine.Units.Rate.mbit 100)
       ~delay:(Engine.Time.ms 10)
   in
-  let client = endpoint "client" in
-  let server = endpoint "server" in
+  let client = endpoint () in
+  let server = endpoint () in
   let net = Workload.Tor_net.finalize b in
   let circuit =
     Tor_model.Circuit.make

@@ -270,12 +270,11 @@ let test_link_utilization () =
 let test_topology_build () =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
-  let a = Netsim.Topology.add_node topo ~name:"a" in
-  let b = Netsim.Topology.add_node topo ~name:"b" in
+  let a = Netsim.Topology.add_node topo in
+  let b = Netsim.Topology.add_node topo in
   Netsim.Topology.connect topo a b ~rate:(Engine.Units.Rate.mbit 1)
     ~delay:(Engine.Time.ms 1) ();
   Alcotest.(check int) "node count" 2 (Netsim.Topology.node_count topo);
-  Alcotest.(check string) "name" "a" (Netsim.Topology.name topo a);
   Alcotest.(check bool) "a->b link" true (Netsim.Topology.link topo a b <> None);
   Alcotest.(check bool) "b->a link" true (Netsim.Topology.link topo b a <> None);
   Alcotest.(check (list int)) "neighbors" [ Netsim.Node_id.to_int b ]
@@ -285,8 +284,8 @@ let test_topology_build () =
 let test_topology_errors () =
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
-  let a = Netsim.Topology.add_node topo ~name:"a" in
-  let b = Netsim.Topology.add_node topo ~name:"b" in
+  let a = Netsim.Topology.add_node topo in
+  let b = Netsim.Topology.add_node topo in
   Alcotest.check_raises "self loop" (Invalid_argument "Topology.connect: self-loop")
     (fun () ->
       Netsim.Topology.connect topo a a ~rate:(Engine.Units.Rate.mbit 1)
@@ -305,7 +304,7 @@ let test_topology_errors () =
   let first = Netsim.Topology.out_links topo a in
   Alcotest.(check int) "one out-link" 1 (Array.length first);
   Alcotest.(check bool) "read in place" true (Netsim.Topology.out_links topo a == first);
-  let c = Netsim.Topology.add_node topo ~name:"c" in
+  let c = Netsim.Topology.add_node topo in
   Netsim.Topology.connect topo a c ~rate:(Engine.Units.Rate.mbit 1) ~delay:Engine.Time.zero ();
   Alcotest.(check (list int)) "in connection order, no spare slots"
     [ Netsim.Node_id.to_int b; Netsim.Node_id.to_int c ]
@@ -321,9 +320,9 @@ let test_topology_errors () =
 
 (* A chain of nodes with uniform duplex links, wired with [connect]
    as the line world wires its circuit. *)
-let line sim ~names ~rate ~delay =
+let line sim ~n ~rate ~delay =
   let topo = Netsim.Topology.create sim in
-  let ids = List.map (fun name -> Netsim.Topology.add_node topo ~name) names in
+  let ids = List.init n (fun _ -> Netsim.Topology.add_node topo) in
   let rec wire = function
     | a :: (b :: _ as rest) ->
         Netsim.Topology.connect topo a b ~rate ~delay ();
@@ -336,7 +335,7 @@ let line sim ~names ~rate ~delay =
 let test_topology_line () =
   let sim = Engine.Sim.create () in
   let topo, ids =
-    line sim ~names:[ "a"; "b"; "c" ] ~rate:(Engine.Units.Rate.mbit 1)
+    line sim ~n:3 ~rate:(Engine.Units.Rate.mbit 1)
       ~delay:(Engine.Time.ms 1)
   in
   Alcotest.(check int) "three nodes" 3 (Netsim.Topology.node_count topo);
@@ -370,12 +369,12 @@ let test_topology_star () =
    [right] leaves on the other, each leaf a (rate, delay) access link. *)
 let dumbbell sim ~left ~right ~bottleneck_rate ~bottleneck_delay =
   let topo = Netsim.Topology.create sim in
-  let router_l = Netsim.Topology.add_node topo ~name:"routerL" in
-  let router_r = Netsim.Topology.add_node topo ~name:"routerR" in
+  let router_l = Netsim.Topology.add_node topo in
+  let router_r = Netsim.Topology.add_node topo in
   Netsim.Topology.connect topo router_l router_r ~rate:bottleneck_rate
     ~delay:bottleneck_delay ();
   let attach router (rate, delay) =
-    let id = Netsim.Topology.add_node topo ~name:"leaf" in
+    let id = Netsim.Topology.add_node topo in
     Netsim.Topology.connect topo id router ~rate ~delay ();
     id
   in
@@ -492,8 +491,8 @@ let test_network_no_route () =
   (* Two disconnected nodes. *)
   let sim = Engine.Sim.create () in
   let topo = Netsim.Topology.create sim in
-  let a = Netsim.Topology.add_node topo ~name:"a" in
-  let b = Netsim.Topology.add_node topo ~name:"b" in
+  let a = Netsim.Topology.add_node topo in
+  let b = Netsim.Topology.add_node topo in
   let net = Netsim.Network.create topo in
   Alcotest.(check (option int)) "no hop count" None (hop_count net a b);
   let p = Netsim.Network.make_packet net ~src:a ~dst:b ~size:10 (Netsim.Payload.Raw "q") in
@@ -626,7 +625,7 @@ let build_shape shape =
   | Graph (n, edges) ->
       let topo = Netsim.Topology.create sim in
       let ids =
-        Array.init n (fun i -> Netsim.Topology.add_node topo ~name:(string_of_int i))
+        Array.init n (fun _ -> Netsim.Topology.add_node topo)
       in
       List.iter
         (fun (a, b, d) ->
@@ -639,7 +638,7 @@ let build_shape shape =
       let topo, _, _ = Netsim.Topology.star sim ~hub:"hub" ~leaves:(leaves ds) () in
       topo
   | Line (n, d) ->
-      fst (line sim ~names:(List.init n string_of_int) ~rate ~delay:(delay_of d))
+      fst (line sim ~n ~rate ~delay:(delay_of d))
   | Dumbbell (l, r, d) ->
       let access ds = List.map (fun d -> (rate, delay_of d)) ds in
       let topo, _, _ =
@@ -824,7 +823,7 @@ let prop_links_order_matches_reference =
       let sim = Engine.Sim.create () in
       let topo = Netsim.Topology.create sim in
       let ids =
-        Array.init n (fun i -> Netsim.Topology.add_node topo ~name:(string_of_int i))
+        Array.init n (fun _ -> Netsim.Topology.add_node topo)
       in
       let made = ref [] in
       let connect a b =

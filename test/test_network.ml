@@ -104,7 +104,7 @@ let prop_sketch_merge_associative =
       && same (m (m sa sb) sc) (mk (a @ b @ c)))
 
 (* ------------------------------------------------------------------ *)
-(* Network experiment: pooled state and determinism *)
+(* Network experiment: pooled state, validation and shape *)
 
 let small_config =
   {
@@ -131,47 +131,6 @@ let test_pool_recycles_no_orphans () =
     r.Workload.Network_experiment.orphaned_cells;
   Alcotest.(check bool) "peak never exceeds the slot population" true
     (r.Workload.Network_experiment.peak_active <= small_config.slots)
-
-let test_network_jobs_deterministic () =
-  Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Network_experiment.run_many ~jobs
-        [
-          (3, small_config);
-          (7, { small_config with diurnal_amplitude = 0.5 });
-        ])
-
-(* The predictive controller replans every round from per-round RTT
-   extremes; if any of that state leaked across tasks or shards the
-   planner would be the first place determinism broke.  Pin it the same
-   way as the reactive strategies: jobs 1/2/4 byte-identical, and every
-   positive shard count structurally identical. *)
-let predictive_config =
-  {
-    small_config with
-    Workload.Network_experiment.strategy = Circuitstart.Controller.Predictive;
-  }
-
-let test_predictive_jobs_deterministic () =
-  Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Network_experiment.run_many ~jobs
-        [
-          (3, predictive_config);
-          (7, { predictive_config with diurnal_amplitude = 0.5 });
-        ])
-
-let test_predictive_sharded_identical () =
-  let run shards =
-    Workload.Network_experiment.run ~seed:11
-      { predictive_config with Workload.Network_experiment.shards }
-  in
-  let r1 = run 1 in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "predictive shards=%d identical to shards=1" k)
-        true
-        (compare r1 (run k) = 0))
-    [ 2; 4 ]
 
 let test_validate_config_rejects () =
   let bad msg c =
@@ -247,7 +206,7 @@ let test_small_scale_shape_and_sketch_agreement () =
     [ 0.25; 0.5; 0.9; 0.99 ]
 
 (* ------------------------------------------------------------------ *)
-(* Shard: deterministic partitions and the sharded engine *)
+(* Shard: deterministic partitions *)
 
 let prop_relay_shard_true_partition =
   QCheck2.Test.make
@@ -273,52 +232,6 @@ let prop_slot_ranges_tile =
         next := hi
       done;
       !ok && !next = slots)
-
-let test_sharded_results_identical () =
-  (* The tentpole guarantee: every positive shard count computes the
-     same result — not statistically close, structurally identical. *)
-  let run shards =
-    Workload.Network_experiment.run ~seed:11
-      { small_config with Workload.Network_experiment.shards }
-  in
-  let r1 = run 1 in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shards=%d identical to shards=1" k)
-        true
-        (compare r1 (run k) = 0))
-    [ 2; 3; 4 ];
-  Alcotest.(check bool) "shards > slots clamps to the slot count" true
-    (compare r1 (run 1_000) = 0)
-
-let test_sharded_with_churn_identical () =
-  (* Churn and epoch boundaries fire single-threaded at barriers; the
-     sharded engine must agree with itself across shard counts when
-     relays leave, crash, drain, and rejoin mid-run. *)
-  let churned =
-    {
-      small_config with
-      Workload.Network_experiment.leave_hazard = 0.02;
-      join_hazard = 0.2;
-      crash_fraction = 0.5;
-      drain_grace = Engine.Time.ms 200;
-      epoch_period = Engine.Time.s 2;
-      spare_relays = 4;
-    }
-  in
-  let run shards =
-    Workload.Network_experiment.run ~seed:7
-      { churned with Workload.Network_experiment.shards }
-  in
-  let r1 = run 1 in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "churned shards=%d identical to shards=1" k)
-        true
-        (compare r1 (run k) = 0))
-    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* The Network check kind catches a reintroduced pool-recycling bug *)
@@ -516,26 +429,29 @@ let torsim_out ?(env = "") args =
   Sys.remove out;
   (rc, text)
 
+(* The CLI's own path (flag parsing, table rendering) on the two
+   sharded subcommands; the library engines' jobs and shards
+   determinism is the registry's (test_pool). *)
 let test_cli_sharded_byte_identical () =
-  let base =
-    "network --relays 10 --circuits 24 --lifetimes 120 --think-ms 20 --seed 3"
-  in
-  let rc, reference = torsim_out base in
-  Alcotest.(check int) "reference run exits 0" 0 rc;
-  Alcotest.(check bool) "reference run prints a table" true
-    (String.length reference > 0);
   List.iter
-    (fun (shards, jobs) ->
-      let rc, out =
-        torsim_out (Printf.sprintf "%s --shards %d --jobs %d" base shards jobs)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "--shards %d --jobs %d exits 0" shards jobs)
-        0 rc;
-      Alcotest.(check string)
-        (Printf.sprintf "--shards %d --jobs %d byte-identical" shards jobs)
-        reference out)
-    [ (1, 1); (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ]
+    (fun base ->
+      let rc, reference = torsim_out base in
+      Alcotest.(check int) (base ^ ": reference run exits 0") 0 rc;
+      Alcotest.(check bool) (base ^ ": reference run prints a table") true
+        (String.length reference > 0);
+      List.iter
+        (fun (shards, jobs) ->
+          let flags = Printf.sprintf "--shards %d --jobs %d" shards jobs in
+          let rc, out = torsim_out (base ^ " " ^ flags) in
+          Alcotest.(check int) (Printf.sprintf "%s %s exits 0" base flags) 0 rc;
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s byte-identical" base flags)
+            reference out)
+        [ (1, 1); (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ])
+    [
+      "network --relays 10 --circuits 24 --lifetimes 120 --think-ms 20 --seed 3";
+      "churn-scale --relays 40 --circuits 200 --lifetimes 2000 --seed 7";
+    ]
 
 let test_cli_rejects_bad_jobs_env () =
   let rc, text =
@@ -787,10 +703,6 @@ let () =
         [
           Alcotest.test_case "pool recycles with zero orphans" `Quick
             test_pool_recycles_no_orphans;
-          Alcotest.test_case "jobs 1/2/4 byte-identical" `Slow
-            test_network_jobs_deterministic;
-          Alcotest.test_case "predictive jobs 1/2/4 byte-identical" `Slow
-            test_predictive_jobs_deterministic;
           Alcotest.test_case "invalid configs rejected" `Quick
             test_validate_config_rejects;
           Alcotest.test_case "small-scale shape and sketch agreement" `Slow
@@ -800,12 +712,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_relay_shard_true_partition;
           QCheck_alcotest.to_alcotest prop_slot_ranges_tile;
-          Alcotest.test_case "shards 1-4 identical" `Slow
-            test_sharded_results_identical;
-          Alcotest.test_case "shards identical under churn" `Slow
-            test_sharded_with_churn_identical;
-          Alcotest.test_case "predictive shards identical" `Slow
-            test_predictive_sharded_identical;
         ] );
       ( "check",
         [

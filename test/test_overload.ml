@@ -95,11 +95,11 @@ let test_busy_then_idle_relay_is_reused () =
            latency = Engine.Time.ms 5;
            flags = relay_flags }));
   let client =
-    Workload.Tor_net.add_endpoint b ~name:"client"
+    Workload.Tor_net.add_endpoint b
       ~rate:(Engine.Units.Rate.mbit 100) ~delay:(Engine.Time.ms 5)
   in
   let server =
-    Workload.Tor_net.add_endpoint b ~name:"server"
+    Workload.Tor_net.add_endpoint b
       ~rate:(Engine.Units.Rate.mbit 100) ~delay:(Engine.Time.ms 5)
   in
   let net = Workload.Tor_net.finalize b in
@@ -239,19 +239,6 @@ let test_compare_strategies_paired () =
         (r.completed + r.exhausted + r.timed_out))
     [ ("circuitstart", c.circuit_start); ("slowstart", c.slow_start) ]
 
-let test_deterministic_across_jobs () =
-  let tasks =
-    [
-      (7, small_config);
-      (8, { small_config with strategy = Circuitstart.Controller.Slow_start });
-      (9, { small_config with max_queued_bytes = Some (Engine.Units.kib 24) });
-    ]
-  in
-  (* Structural equality covers every field, including the full trace
-     event list — ordering must not depend on the pool. *)
-  Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Overload_experiment.run_many ~jobs tasks)
-
 let () =
   Alcotest.run "overload"
     [
@@ -272,7 +259,5 @@ let () =
         [
           Alcotest.test_case "compare_strategies paired" `Quick
             test_compare_strategies_paired;
-          Alcotest.test_case "deterministic across jobs" `Quick
-            test_deterministic_across_jobs;
         ] );
     ]

@@ -2,13 +2,8 @@
 
    Two families of tests: the pool mechanics themselves (order
    preservation, exception protocol, argument validation), and the
-   tentpole guarantee that running a workload sweep on N domains is
-   indistinguishable from running it sequentially — same results, in
-   the same order, for the star, fault and contention experiments.
-   Structural [compare] is used instead of [=] so NaN-valued fields
-   (e.g. empty Online accumulators) compare equal to themselves. *)
-
-let identical a b = compare a b = 0
+   determinism registry: every pool-run experiment, sharded or not,
+   gives byte-identical results whatever the jobs and shard counts. *)
 
 (* ------------------------------------------------------------------ *)
 (* Pool mechanics *)
@@ -156,62 +151,185 @@ let test_team_shutdown () =
       Engine.Pool.Team.run team (fun _ -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sweeps are byte-identical to sequential ones *)
+(* Determinism: output is a function of (seed, config), whatever
+   --jobs and --shards are *)
 
-let small_star seed =
-  { Workload.Star_experiment.default_config with
-    Workload.Star_experiment.circuit_count = 4;
-    relay_count = 8;
-    transfer_bytes = Engine.Units.kib 64;
-    horizon = Engine.Time.s 30;
-    seed;
-  }
+(* The one statement of the guarantee that every paired comparison
+   rests on.  The registry lists each pool-run entry point once; an
+   entry runs one task per seed on a pool of [jobs] domains ([shards]
+   shards a run, for the sharded engine) and returns the Marshal digest
+   of its result list, so NaN-valued fields compare equal to
+   themselves.  check.sh fails when a module of lib/workload exports a
+   [run_many] that no entry runs. *)
 
-let test_star_sweep_deterministic () =
-  let configs = List.map small_star [ 1; 2; 3 ] in
-  Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Star_experiment.run_many ~jobs configs)
+type entry = {
+  name : string;
+  sharded : bool;  (** Also swept over shard counts. *)
+  run : jobs:int -> shards:int -> seeds:int list -> string;
+}
 
-let test_fault_sweep_deterministic () =
-  let small config =
-    { config with Workload.Fault_experiment.transfer_bytes = Engine.Units.kib 64 }
+let digest results = Digest.to_hex (Digest.string (Marshal.to_string results []))
+
+(* The first scenario of one kind that the check harness draws from
+   master seed [seed], as the (seed, config) task it runs. *)
+let scenario_tasks ?strat kind config seeds =
+  List.map
+    (fun seed ->
+      let sc = Check.Scenario.generate ~only:kind ?strat ~seed ~index:0 () in
+      (sc.Check.Scenario.seed, config sc))
+    seeds
+
+let registry =
+  let unsharded name run =
+    { name; sharded = false; run = (fun ~jobs ~shards:_ ~seeds -> run ~jobs seeds) }
   in
-  let base = Workload.Fault_experiment.default_config in
-  let tasks =
-    [
-      (1, small { base with loss = Some (Netsim.Faults.Bernoulli 0.01) });
-      (2, small { base with crash_at = Some (Engine.Time.ms 300) });
-      (3, small base);
-      (4, small { base with strategy = Circuitstart.Controller.Slow_start });
-    ]
-  in
-  Test_util.check_jobs_deterministic (fun jobs ->
-      Workload.Fault_experiment.run_many ~jobs tasks)
-
-let test_contention_sweep_deterministic () =
-  let configs =
-    List.map
-      (fun cbr_load ->
-        { Workload.Contention_experiment.cbr_load;
-          transfer_bytes = Engine.Units.kib 256 })
-      [ 0.; 0.25; 0.5 ]
-  in
-  Test_util.check_jobs_deterministic ~jobs:[ 2; 3 ] (fun jobs ->
-      Workload.Contention_experiment.run_many ~jobs configs)
-
-let test_compare_strategies_uses_pool () =
-  let config =
-    { Workload.Fault_experiment.default_config with
-      Workload.Fault_experiment.transfer_bytes = Engine.Units.kib 64;
-      loss = Some (Netsim.Faults.Bernoulli 0.005);
+  let network name ?strat kind config =
+    {
+      name;
+      sharded = true;
+      run =
+        (fun ~jobs ~shards ~seeds ->
+          digest
+            (Workload.Network_experiment.run_many ~jobs
+               (List.map
+                  (fun (seed, c) -> (seed, { c with Workload.Network_experiment.shards }))
+                  (scenario_tasks ?strat kind config seeds))));
     }
   in
-  let compare jobs =
-    Workload.Experiment.compare (module Workload.Fault_experiment) ~jobs config
+  [
+    (* The engines below take small fixed configs; the three with no
+       seed of their own vary their config by seed instead. *)
+    unsharded "star sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Star_experiment.run_many ~jobs
+             (List.map
+                (fun seed ->
+                  { Workload.Star_experiment.default_config with
+                    Workload.Star_experiment.circuit_count = 4;
+                    relay_count = 8;
+                    transfer_bytes = Engine.Units.kib 64;
+                    horizon = Engine.Time.s 30;
+                    seed;
+                  })
+                seeds)));
+    unsharded "trace sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Trace_experiment.run_many ~jobs
+             (List.map
+                (fun seed ->
+                  { Test_util.golden_trace_config with
+                    Workload.Trace_experiment.bottleneck_distance = 1 + (seed mod 3);
+                    transfer_bytes = Engine.Units.kib 64;
+                  })
+                seeds)));
+    unsharded "adaptive sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Adaptive_experiment.run_many ~jobs
+             (List.map
+                (fun seed ->
+                  { Workload.Adaptive_experiment.adaptive = seed mod 2 = 1;
+                    stepped_rate = Engine.Units.Rate.mbit_f (0.25 *. float_of_int seed);
+                  })
+                seeds)));
+    unsharded "contention sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Contention_experiment.run_many ~jobs
+             (List.map
+                (fun seed ->
+                  { Workload.Contention_experiment.cbr_load =
+                      0.25 *. float_of_int (seed mod 3);
+                    transfer_bytes = Engine.Units.kib 256;
+                  })
+                seeds)));
+    (* The Experiment.S engines run the check harness's worlds. *)
+    unsharded "fault sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Fault_experiment.run_many ~jobs
+             (scenario_tasks Check.Scenario.Faults Check.Scenario.fault_config seeds)));
+    unsharded "recovery sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Overload_experiment.run_many ~jobs
+             (scenario_tasks Check.Scenario.Recovery Check.Scenario.recovery_config
+                seeds)));
+    unsharded "flash-crowd sweep" (fun ~jobs seeds ->
+        digest
+          (Workload.Overload_experiment.run_many ~jobs
+             (scenario_tasks Check.Scenario.Overload Check.Scenario.overload_config
+                seeds)));
+    network "network sweep" Check.Scenario.Network Check.Scenario.network_config;
+    network "predictive network sweep" ~strat:Circuitstart.Controller.Predictive
+      Check.Scenario.Network Check.Scenario.network_config;
+    network "churn network sweep" Check.Scenario.Churn Check.Scenario.churn_config;
+  ]
+
+let seeds = [ 1; 2; 3 ]
+
+(* Above every slot count the scenario generator draws (4 to 16), so
+   the engine clamps it to one shard per slot. *)
+let above_slots = 1_000
+
+(* The property: the runs whose digest differs from the entry's digest
+   at jobs=1, shards=1, computed as they are read.  Every entry is run
+   at jobs 2 and 4; the sharded engine also at shards 2 and 4 (two runs
+   at once) and above its slot count. *)
+let mismatches e =
+  let reference = e.run ~jobs:1 ~shards:1 ~seeds in
+  List.to_seq
+    ([ (2, 1); (4, 1) ]
+    @ if e.sharded then [ (2, 2); (2, 4); (1, above_slots) ] else [])
+  |> Seq.filter_map (fun (jobs, shards) ->
+         if e.run ~jobs ~shards ~seeds = reference then None
+         else Some (Printf.sprintf "jobs=%d shards=%d" jobs shards))
+
+let test_deterministic e () =
+  Alcotest.(check (list string))
+    (e.name ^ ": runs that differ") [] (List.of_seq (mismatches e))
+
+(* The property catches an exchange applied in place instead of at the
+   barrier: under the hook the shards step in sequence, so the result
+   depends on the shard count, deterministically. *)
+let test_unordered_exchange_is_caught () =
+  Workload.Network_experiment.unsafe_unordered_exchange := true;
+  Fun.protect
+    ~finally:(fun () -> Workload.Network_experiment.unsafe_unordered_exchange := false)
+    (fun () ->
+      List.iter
+        (fun e ->
+          if e.sharded then
+            Alcotest.(check bool) (e.name ^ " fails the property") false
+              (Seq.is_empty (mismatches e)))
+        registry)
+
+(* A planted order dependence in a pool-run fault sweep: each task
+   folds a per-domain counter into its seed, and the counter is never
+   reset and starts at the id of its domain.  At jobs=1 the calling
+   domain (id 0) counts 0, 1, 2.  In any later run the first task runs
+   either in the calling domain, whose counter the reference run left
+   at 3 or more, or in a spawned domain, whose id is positive.  Its
+   seed, which the result carries, moves either way: every parallel run
+   must fail, whatever the scheduling. *)
+let test_pool_order_dependence_is_caught () =
+  let counter = Domain.DLS.new_key (fun () -> ref (Domain.self () :> int)) in
+  let leaky =
+    {
+      name = "per-domain seed offset";
+      sharded = false;
+      run =
+        (fun ~jobs ~shards:_ ~seeds ->
+          digest
+            (Engine.Pool.map_list ~jobs
+               (fun (seed, config) ->
+                 let n = Domain.DLS.get counter in
+                 let seed = seed + !n in
+                 incr n;
+                 (seed, Workload.Fault_experiment.run ~seed config))
+               (scenario_tasks Check.Scenario.Faults Check.Scenario.fault_config
+                  seeds)));
+    }
   in
-  let seq = compare 1 in
-  let par = compare 2 in
-  Alcotest.(check bool) "paired comparison identical" true (identical seq par)
+  Alcotest.(check (list string)) "every parallel run differs"
+    [ "jobs=2 shards=1"; "jobs=4 shards=1" ]
+    (List.of_seq (mismatches leaky))
 
 (* ------------------------------------------------------------------ *)
 
@@ -254,13 +372,15 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_team_shutdown;
         ] );
       ( "determinism",
-        [
-          Alcotest.test_case "star sweep" `Slow test_star_sweep_deterministic;
-          Alcotest.test_case "fault sweep" `Slow test_fault_sweep_deterministic;
-          Alcotest.test_case "contention sweep" `Slow test_contention_sweep_deterministic;
-          Alcotest.test_case "fault strategy comparison" `Slow
-            test_compare_strategies_uses_pool;
-        ] );
+        List.map
+          (fun e -> Alcotest.test_case e.name `Slow (test_deterministic e))
+          registry
+        @ [
+            Alcotest.test_case "planted unordered exchange is caught" `Slow
+              test_unordered_exchange_is_caught;
+            Alcotest.test_case "planted pool-order dependence is caught" `Slow
+              test_pool_order_dependence_is_caught;
+          ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_pool_matches_array_map ] );
     ]

@@ -128,16 +128,6 @@ let test_guard_crash_blames_the_guard () =
             (List.mem middle.Tor_model.Relay_info.node excluded)
       | _ -> Alcotest.fail "first circuit has fewer than two relays")
 
-let test_deterministic_across_jobs () =
-  let tasks =
-    [ (7, crash_config); (8, crash_config);
-      (9, { crash_config with selection = Tor_model.Directory.Uniform }) ]
-  in
-  (* Structural equality covers every field, including the full trace
-     event list — ordering must not depend on the pool. *)
-  Test_util.check_jobs_deterministic (fun jobs ->
-      X.run_many ~jobs tasks)
-
 let test_compare_strategies_paired () =
   let c = Workload.Experiment.compare (module X) ~seed:7 crash_config in
   (* Both face the same crash schedule; both must finish the transfer. *)
@@ -197,8 +187,6 @@ let () =
         ] );
       ( "experiment",
         [
-          Alcotest.test_case "deterministic across jobs" `Slow
-            test_deterministic_across_jobs;
           Alcotest.test_case "paired comparison" `Slow
             test_compare_strategies_paired;
           Alcotest.test_case "config validation" `Quick test_config_validation;

@@ -1,23 +1,8 @@
-(* Helpers shared across the test executables: the jobs-determinism
-   check (one copy instead of three), the golden-fixture renderers, and
-   the fixed experiment configurations behind the committed golden
-   traces.  Every test executable in this directory links the same
-   module set, so these are available everywhere without ceremony. *)
-
-(* [check_jobs_deterministic run_many] asserts that a parallel sweep is
-   byte-identical to the sequential one: [run_many jobs] for each entry
-   of [jobs] must equal [run_many 1].  Structural [compare] instead of
-   [=] so NaN-valued fields (e.g. empty Online accumulators) compare
-   equal to themselves. *)
-let check_jobs_deterministic ?(jobs = [ 2; 4 ]) run_many =
-  let reference = run_many 1 in
-  List.iter
-    (fun j ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d byte-identical to jobs=1" j)
-        true
-        (compare (run_many j) reference = 0))
-    jobs
+(* Helpers shared across the test executables: the round-level goal
+   check, the golden-fixture renderers, and the fixed experiment
+   configurations behind the committed golden traces.  Every test
+   executable in this directory links the same module set, so these
+   are available everywhere without ceremony. *)
 
 (* A round-level run stops at the first exchange barrier at or after
    its lifetime goal.  A slot completes at most one circuit per window
