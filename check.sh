@@ -13,12 +13,12 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== determinism registry: an entry for every run_many of lib/workload =="
-# The registry in test/test_pool.ml is the one statement that a result
+# The registry in test/determinism.ml is the one statement that a result
 # is a function of (seed, config), whatever --jobs and --shards are.  A
 # module of lib/workload whose .mli exports run_many must have an entry
 # that runs it, so a new engine cannot skip the statement.  The registry
 # is read from its "let registry =" line to the next blank line.
-registry=$(awk '/^let registry =/ { r = 1 } r && /^$/ { exit } r' test/test_pool.ml)
+registry=$(awk '/^let registry =/ { r = 1 } r && /^$/ { exit } r' test/determinism.ml)
 missing=0
 for mli in lib/workload/*.mli; do
   grep -q '^val run_many ' "$mli" || continue

@@ -326,6 +326,9 @@ let () =
             test_network_churn_counters_live;
           Alcotest.test_case "zero hazard is churn-free" `Quick
             test_network_zero_hazard_is_churn_free;
+          Alcotest.test_case "jobs deterministic" `Quick
+            (Determinism.check ~runs:Determinism.jobs_runs
+               (Determinism.find "churn network sweep"));
           Alcotest.test_case "paired strategies" `Quick
             test_network_churn_paired_strategies;
           Alcotest.test_case "pp_result churn clause" `Quick

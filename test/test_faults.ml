@@ -197,7 +197,7 @@ let test_experiment_loss_survivable () =
         || r.Workload.Fault_experiment.drops.Netsim.Link.fault_injected = 0))
     [ 1; 2; 3; 4; 5 ]
 
-(* Same-seed determinism is the registry's (test_pool); this is the
+(* Same-seed determinism is the registry's (determinism.ml); this is the
    other half: the seed reaches the loss draws. *)
 let test_experiment_seed_sensitive () =
   let cfg = { quick_config with loss = Some (Netsim.Faults.Bernoulli 0.02) } in

@@ -104,7 +104,8 @@ let prop_sketch_merge_associative =
       && same (m (m sa sb) sc) (mk (a @ b @ c)))
 
 (* ------------------------------------------------------------------ *)
-(* Network experiment: pooled state, validation and shape *)
+(* Network experiment: pooled state, jobs runs (the registry's,
+   determinism.ml), validation and shape *)
 
 let small_config =
   {
@@ -206,7 +207,8 @@ let test_small_scale_shape_and_sketch_agreement () =
     [ 0.25; 0.5; 0.9; 0.99 ]
 
 (* ------------------------------------------------------------------ *)
-(* Shard: deterministic partitions *)
+(* Shard: deterministic partitions and the sharded engine's shard runs
+   (the registry's, determinism.ml) *)
 
 let prop_relay_shard_true_partition =
   QCheck2.Test.make
@@ -431,7 +433,7 @@ let torsim_out ?(env = "") args =
 
 (* The CLI's own path (flag parsing, table rendering) on the two
    sharded subcommands; the library engines' jobs and shards
-   determinism is the registry's (test_pool). *)
+   determinism is the registry's (determinism.ml). *)
 let test_cli_sharded_byte_identical () =
   List.iter
     (fun base ->
@@ -703,6 +705,12 @@ let () =
         [
           Alcotest.test_case "pool recycles with zero orphans" `Quick
             test_pool_recycles_no_orphans;
+          Alcotest.test_case "jobs 1/2/4 byte-identical" `Slow
+            (Determinism.check ~runs:Determinism.jobs_runs
+               (Determinism.find "network sweep"));
+          Alcotest.test_case "predictive jobs 1/2/4 byte-identical" `Slow
+            (Determinism.check ~runs:Determinism.jobs_runs
+               (Determinism.find "predictive network sweep"));
           Alcotest.test_case "invalid configs rejected" `Quick
             test_validate_config_rejects;
           Alcotest.test_case "small-scale shape and sketch agreement" `Slow
@@ -712,6 +720,15 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_relay_shard_true_partition;
           QCheck_alcotest.to_alcotest prop_slot_ranges_tile;
+          Alcotest.test_case "shards 1-4 identical" `Slow
+            (Determinism.check ~runs:Determinism.shard_runs
+               (Determinism.find "network sweep"));
+          Alcotest.test_case "shards identical under churn" `Slow
+            (Determinism.check ~runs:Determinism.shard_runs
+               (Determinism.find "churn network sweep"));
+          Alcotest.test_case "predictive shards identical" `Slow
+            (Determinism.check ~runs:Determinism.shard_runs
+               (Determinism.find "predictive network sweep"));
         ] );
       ( "check",
         [

@@ -2,8 +2,9 @@
 
    Two families of tests: the pool mechanics themselves (order
    preservation, exception protocol, argument validation), and the
-   determinism registry: every pool-run experiment, sharded or not,
-   gives byte-identical results whatever the jobs and shard counts. *)
+   determinism registry (determinism.ml): its unsharded entries give
+   byte-identical results whatever the jobs count, and planted order
+   dependences fail it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Pool mechanics *)
@@ -151,139 +152,7 @@ let test_team_shutdown () =
       Engine.Pool.Team.run team (fun _ -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: output is a function of (seed, config), whatever
-   --jobs and --shards are *)
-
-(* The one statement of the guarantee that every paired comparison
-   rests on.  The registry lists each pool-run entry point once; an
-   entry runs one task per seed on a pool of [jobs] domains ([shards]
-   shards a run, for the sharded engine) and returns the Marshal digest
-   of its result list, so NaN-valued fields compare equal to
-   themselves.  check.sh fails when a module of lib/workload exports a
-   [run_many] that no entry runs. *)
-
-type entry = {
-  name : string;
-  sharded : bool;  (** Also swept over shard counts. *)
-  run : jobs:int -> shards:int -> seeds:int list -> string;
-}
-
-let digest results = Digest.to_hex (Digest.string (Marshal.to_string results []))
-
-(* The first scenario of one kind that the check harness draws from
-   master seed [seed], as the (seed, config) task it runs. *)
-let scenario_tasks ?strat kind config seeds =
-  List.map
-    (fun seed ->
-      let sc = Check.Scenario.generate ~only:kind ?strat ~seed ~index:0 () in
-      (sc.Check.Scenario.seed, config sc))
-    seeds
-
-let registry =
-  let unsharded name run =
-    { name; sharded = false; run = (fun ~jobs ~shards:_ ~seeds -> run ~jobs seeds) }
-  in
-  let network name ?strat kind config =
-    {
-      name;
-      sharded = true;
-      run =
-        (fun ~jobs ~shards ~seeds ->
-          digest
-            (Workload.Network_experiment.run_many ~jobs
-               (List.map
-                  (fun (seed, c) -> (seed, { c with Workload.Network_experiment.shards }))
-                  (scenario_tasks ?strat kind config seeds))));
-    }
-  in
-  [
-    (* The engines below take small fixed configs; the three with no
-       seed of their own vary their config by seed instead. *)
-    unsharded "star sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Star_experiment.run_many ~jobs
-             (List.map
-                (fun seed ->
-                  { Workload.Star_experiment.default_config with
-                    Workload.Star_experiment.circuit_count = 4;
-                    relay_count = 8;
-                    transfer_bytes = Engine.Units.kib 64;
-                    horizon = Engine.Time.s 30;
-                    seed;
-                  })
-                seeds)));
-    unsharded "trace sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Trace_experiment.run_many ~jobs
-             (List.map
-                (fun seed ->
-                  { Test_util.golden_trace_config with
-                    Workload.Trace_experiment.bottleneck_distance = 1 + (seed mod 3);
-                    transfer_bytes = Engine.Units.kib 64;
-                  })
-                seeds)));
-    unsharded "adaptive sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Adaptive_experiment.run_many ~jobs
-             (List.map
-                (fun seed ->
-                  { Workload.Adaptive_experiment.adaptive = seed mod 2 = 1;
-                    stepped_rate = Engine.Units.Rate.mbit_f (0.25 *. float_of_int seed);
-                  })
-                seeds)));
-    unsharded "contention sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Contention_experiment.run_many ~jobs
-             (List.map
-                (fun seed ->
-                  { Workload.Contention_experiment.cbr_load =
-                      0.25 *. float_of_int (seed mod 3);
-                    transfer_bytes = Engine.Units.kib 256;
-                  })
-                seeds)));
-    (* The Experiment.S engines run the check harness's worlds. *)
-    unsharded "fault sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Fault_experiment.run_many ~jobs
-             (scenario_tasks Check.Scenario.Faults Check.Scenario.fault_config seeds)));
-    unsharded "recovery sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Overload_experiment.run_many ~jobs
-             (scenario_tasks Check.Scenario.Recovery Check.Scenario.recovery_config
-                seeds)));
-    unsharded "flash-crowd sweep" (fun ~jobs seeds ->
-        digest
-          (Workload.Overload_experiment.run_many ~jobs
-             (scenario_tasks Check.Scenario.Overload Check.Scenario.overload_config
-                seeds)));
-    network "network sweep" Check.Scenario.Network Check.Scenario.network_config;
-    network "predictive network sweep" ~strat:Circuitstart.Controller.Predictive
-      Check.Scenario.Network Check.Scenario.network_config;
-    network "churn network sweep" Check.Scenario.Churn Check.Scenario.churn_config;
-  ]
-
-let seeds = [ 1; 2; 3 ]
-
-(* Above every slot count the scenario generator draws (4 to 16), so
-   the engine clamps it to one shard per slot. *)
-let above_slots = 1_000
-
-(* The property: the runs whose digest differs from the entry's digest
-   at jobs=1, shards=1, computed as they are read.  Every entry is run
-   at jobs 2 and 4; the sharded engine also at shards 2 and 4 (two runs
-   at once) and above its slot count. *)
-let mismatches e =
-  let reference = e.run ~jobs:1 ~shards:1 ~seeds in
-  List.to_seq
-    ([ (2, 1); (4, 1) ]
-    @ if e.sharded then [ (2, 2); (2, 4); (1, above_slots) ] else [])
-  |> Seq.filter_map (fun (jobs, shards) ->
-         if e.run ~jobs ~shards ~seeds = reference then None
-         else Some (Printf.sprintf "jobs=%d shards=%d" jobs shards))
-
-let test_deterministic e () =
-  Alcotest.(check (list string))
-    (e.name ^ ": runs that differ") [] (List.of_seq (mismatches e))
+(* Determinism: the registry (determinism.ml) and its planted defects *)
 
 (* The property catches an exchange applied in place instead of at the
    barrier: under the hook the shards step in sequence, so the result
@@ -294,11 +163,11 @@ let test_unordered_exchange_is_caught () =
     ~finally:(fun () -> Workload.Network_experiment.unsafe_unordered_exchange := false)
     (fun () ->
       List.iter
-        (fun e ->
+        (fun (e : Determinism.entry) ->
           if e.sharded then
             Alcotest.(check bool) (e.name ^ " fails the property") false
-              (Seq.is_empty (mismatches e)))
-        registry)
+              (Seq.is_empty (Determinism.mismatches e)))
+        Determinism.registry)
 
 (* A planted order dependence in a pool-run fault sweep: each task
    folds a per-domain counter into its seed, and the counter is never
@@ -312,24 +181,24 @@ let test_pool_order_dependence_is_caught () =
   let counter = Domain.DLS.new_key (fun () -> ref (Domain.self () :> int)) in
   let leaky =
     {
-      name = "per-domain seed offset";
+      Determinism.name = "per-domain seed offset";
       sharded = false;
       run =
         (fun ~jobs ~shards:_ ~seeds ->
-          digest
+          Determinism.digest
             (Engine.Pool.map_list ~jobs
                (fun (seed, config) ->
                  let n = Domain.DLS.get counter in
                  let seed = seed + !n in
                  incr n;
                  (seed, Workload.Fault_experiment.run ~seed config))
-               (scenario_tasks Check.Scenario.Faults Check.Scenario.fault_config
+               (Determinism.scenario_tasks Check.Scenario.Faults Check.Scenario.fault_config
                   seeds)));
     }
   in
   Alcotest.(check (list string)) "every parallel run differs"
     [ "jobs=2 shards=1"; "jobs=4 shards=1" ]
-    (List.of_seq (mismatches leaky))
+    (List.of_seq (Determinism.mismatches leaky))
 
 (* ------------------------------------------------------------------ *)
 
@@ -372,9 +241,11 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_team_shutdown;
         ] );
       ( "determinism",
-        List.map
-          (fun e -> Alcotest.test_case e.name `Slow (test_deterministic e))
-          registry
+        List.filter_map
+          (fun (e : Determinism.entry) ->
+            if e.sharded then None
+            else Some (Alcotest.test_case e.name `Slow (Determinism.check e)))
+          Determinism.registry
         @ [
             Alcotest.test_case "planted unordered exchange is caught" `Slow
               test_unordered_exchange_is_caught;

@@ -210,6 +210,18 @@ let small_star transport =
     horizon = Engine.Time.s 60;
   }
 
+(* A same-seed repeat of one run on the Backtap transport; run_many
+   across jobs counts is the registry's (determinism.ml). *)
+let test_star_determinism () =
+  let run () =
+    Workload.Star_experiment.run
+      (small_star (Workload.Star_experiment.Backtap Circuitstart.Controller.Circuit_start))
+  in
+  let a = run () and b = run () in
+  Alcotest.(check int) "same completions" a.completed b.completed;
+  Alcotest.(check (array (float 1e-12))) "identical ttlb samples" a.ttlb_seconds b.ttlb_seconds;
+  Alcotest.(check int) "identical event counts" a.wall_events b.wall_events
+
 let test_star_paired_same_network () =
   (* Different transports, same seed: path bottlenecks must coincide. *)
   let cs =
@@ -369,6 +381,7 @@ let () =
         ] );
       ( "experiments",
         [
+          Alcotest.test_case "star determinism" `Slow test_star_determinism;
           Alcotest.test_case "paired runs share the network" `Slow
             test_star_paired_same_network;
           Alcotest.test_case "queue stats" `Slow test_star_queue_stats_present;
